@@ -9,12 +9,17 @@ at the end keeps function values correct to the last bit of a float64.
 
 Values are (hi, lo) pairs with hi = fl(hi + lo) and |lo| <= ulp(hi)/2.
 Algorithms are the classic Dekker/Knuth error-free transforms; no fused
-multiply-add is assumed.
+multiply-add is assumed.  They use only IEEE + - * /, so every function
+except `sqrt` and `log` also runs unchanged on pairs of float64 arrays,
+element by element and with bit-identical results; `log_array` is the
+array form of `log`.
 """
 
 from __future__ import annotations
 
 import math as _math
+
+import numpy as _np
 
 DD = tuple[float, float]
 
@@ -124,8 +129,44 @@ def log(d: float) -> DD:
     return add(ln_m, mul_f(_LN2, float(e)))
 
 
-def from_float(a: float) -> DD:
-    return (a, 0.0)
+def _sqrt_array(x: DD) -> DD:
+    # `sqrt` for arrays of positive values; np.sqrt rounds exactly as math.sqrt
+    s0 = _np.sqrt(x[0])
+    return mul_f(add_f(div_f(x, s0), s0), 0.5)
+
+
+def log_array(d: _np.ndarray) -> DD:
+    """`log` of every element of a float64 array, bit-identical to calling
+    `log` element by element: the operations are the same, and each
+    element's atanh series is frozen at the term where `log` stops it."""
+    ok = _np.isfinite(d) & (d > 0.0)
+    if not ok.all():
+        bad = float(d[_np.argmin(ok)])
+        raise ValueError(f"log requires a positive finite argument, got {bad!r}")
+    m, e = _np.frexp(d)
+    w = _sqrt_array(_sqrt_array((m, _np.zeros_like(m))))
+    t = div(add_f(w, -1.0), add_f(w, 1.0))
+    t2 = mul(t, t)
+    acc = t
+    p = t
+    hi = _np.empty_like(d)
+    lo = _np.empty_like(d)
+    pending = _np.ones(d.shape, dtype=bool)
+    for k in range(1, 60):
+        p = mul(p, t2)
+        term = div_f(p, float(2 * k + 1))
+        acc = add(acc, term)
+        stop = pending & (_np.abs(term[0]) <= 1e-35 * _np.abs(acc[0]))
+        if stop.any():
+            hi[stop] = acc[0][stop]
+            lo[stop] = acc[1][stop]
+            pending &= ~stop
+            if not pending.any():
+                break
+    hi[pending] = acc[0][pending]
+    lo[pending] = acc[1][pending]
+    ln_m = mul_f((hi, lo), 8.0)
+    return add(ln_m, mul_f(_LN2, e.astype(_np.float64)))
 
 
 def to_float(x: DD) -> float:

@@ -4,6 +4,13 @@ A Jet3 carries (f, f', f'', f''') through arithmetic; composition with a
 univariate function uses the order-3 chain rule.  This backs the `expr`
 profile family, letting user-supplied formulas feed the curvature and
 Laplacian machinery without finite differences.
+
+A component may be a float64 array, one lane per radius, which evaluates a
+formula once for a whole grid (Jet3.variable(us)).  Arithmetic then runs on
+whole arrays, which is exact IEEE per element; libm calls (log, sinh, cosh,
+pow and Python's **) run per element with the same Python call as for a
+float, since numpy's versions may differ in the last bit.  The results are
+bit-identical to evaluating each radius on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import DEFAULT_SERIES, SeriesConfig, i0_jet, j0_jet
+import numpy as np
+
+from .bessel import (
+    DEFAULT_SERIES,
+    SeriesConfig,
+    _ipow,
+    _is_array,
+    _per_element,
+    i0_jet,
+    j0_jet,
+)
 from .errors import DomainError
 
 __all__ = ["Jet3", "ln", "sinh", "cosh", "j0", "i0"]
@@ -27,7 +44,9 @@ class Jet3:
     f3: float = 0.0
 
     @staticmethod
-    def variable(u: float) -> "Jet3":
+    def variable(u) -> "Jet3":
+        if _is_array(u):
+            return Jet3(u.astype(np.float64), 1.0)
         return Jet3(float(u), 1.0)
 
     @staticmethod
@@ -36,7 +55,7 @@ class Jet3:
 
     @property
     def is_constant(self) -> bool:
-        return self.f1 == 0.0 and self.f2 == 0.0 and self.f3 == 0.0
+        return not any(np.any(c) for c in (self.f1, self.f2, self.f3))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.f0, self.f1, self.f2, self.f3)
@@ -81,17 +100,25 @@ class Jet3:
             if not other.is_constant:
                 raise DomainError("exponents in jet powers must be constant in u")
             a = other.f0
+            if _is_array(a):
+                if not (a == a[0]).all():
+                    raise DomainError("a constant exponent must take one value on the grid")
+                a = float(a[0])
         elif isinstance(other, _Number):
             a = float(other)
         else:
             return NotImplemented
         g = self.f0
-        if g <= 0.0 and a != math.floor(a):
+        if a != math.floor(a) and np.any(g <= 0.0):
             raise DomainError(f"({g!r})^({a!r}) is undefined for a non-integer exponent")
-        w0 = math.pow(g, a)
-        w1 = a * math.pow(g, a - 1.0) if a != 0.0 else 0.0
-        w2 = a * (a - 1.0) * math.pow(g, a - 2.0) if a not in (0.0, 1.0) else 0.0
-        w3 = a * (a - 1.0) * (a - 2.0) * math.pow(g, a - 3.0) if a not in (0.0, 1.0, 2.0) else 0.0
+        w0 = _per_element(math.pow, g, a)
+        w1 = a * _per_element(math.pow, g, a - 1.0) if a != 0.0 else 0.0
+        w2 = a * (a - 1.0) * _per_element(math.pow, g, a - 2.0) if a not in (0.0, 1.0) else 0.0
+        w3 = (
+            a * (a - 1.0) * (a - 2.0) * _per_element(math.pow, g, a - 3.0)
+            if a not in (0.0, 1.0, 2.0)
+            else 0.0
+        )
         return _compose(self, w0, w1, w2, w3)
 
     def __rpow__(self, other):
@@ -101,7 +128,7 @@ class Jet3:
         if c <= 0.0:
             raise DomainError(f"base of {c!r}^jet must be positive")
         lc = math.log(c)
-        w0 = math.pow(c, self.f0)
+        w0 = _per_element(math.pow, c, self.f0)
         return _compose(self, w0, lc * w0, lc * lc * w0, lc * lc * lc * w0)
 
 
@@ -119,36 +146,36 @@ def _compose(g: Jet3, w0: float, w1: float, w2: float, w3: float) -> Jet3:
         w0,
         w1 * g.f1,
         w2 * g.f1 * g.f1 + w1 * g.f2,
-        w3 * g.f1**3 + 3.0 * w2 * g.f1 * g.f2 + w1 * g.f3,
+        w3 * _ipow(g.f1, 3) + 3.0 * w2 * g.f1 * g.f2 + w1 * g.f3,
     )
 
 
 def _reciprocal(g: Jet3) -> Jet3:
-    if g.f0 == 0.0:
+    if np.any(g.f0 == 0.0):
         raise ZeroDivisionError("jet division by zero value")
     inv = 1.0 / g.f0
-    return _compose(g, inv, -inv * inv, 2.0 * inv**3, -6.0 * inv**4)
+    return _compose(g, inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4))
 
 
 def ln(x):
     if isinstance(x, Jet3):
-        if x.f0 <= 0.0:
+        if np.any(x.f0 <= 0.0):
             raise DomainError(f"ln requires a positive argument, got {x.f0!r}")
         inv = 1.0 / x.f0
-        return _compose(x, math.log(x.f0), inv, -inv * inv, 2.0 * inv**3)
+        return _compose(x, _per_element(math.log, x.f0), inv, -inv * inv, 2.0 * _ipow(inv, 3))
     return math.log(x)
 
 
 def sinh(x):
     if isinstance(x, Jet3):
-        s, c = math.sinh(x.f0), math.cosh(x.f0)
+        s, c = _per_element(math.sinh, x.f0), _per_element(math.cosh, x.f0)
         return _compose(x, s, c, s, c)
     return math.sinh(x)
 
 
 def cosh(x):
     if isinstance(x, Jet3):
-        s, c = math.sinh(x.f0), math.cosh(x.f0)
+        s, c = _per_element(math.sinh, x.f0), _per_element(math.cosh, x.f0)
         return _compose(x, c, s, c, s)
     return math.cosh(x)
 

@@ -27,13 +27,14 @@ from .profiles import ProfileCurve, ProfileFamily, bessel_profile
 from .surfaces import (
     RevolutionKind,
     RevolutionSurface,
-    b_of_profile,
-    curvatures,
+    _curvatures,
+    _second_form_coefficients,
 )
 
 __all__ = [
     "OperatorKind",
     "Verdict",
+    "MIN_GRID_SAMPLES",
     "Grid",
     "make_grid",
     "EigenReport",
@@ -58,6 +59,10 @@ class Verdict(Enum):
     NO_EIGEN_RELATION = "NoEigenRelation"
 
 
+#: fewest samples per axis that a Grid accepts
+MIN_GRID_SAMPLES = 5
+
+
 @dataclass(frozen=True)
 class Grid:
     """Strictly increasing u and v sample sequences, at least 5 x 5."""
@@ -71,8 +76,10 @@ class Grid:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         for name, arr in (("u", u), ("v", v)):
-            if arr.ndim != 1 or arr.size < 5:
-                raise ValueError(f"grid {name} needs at least 5 samples, got {arr.size}")
+            if arr.ndim != 1 or arr.size < MIN_GRID_SAMPLES:
+                raise ValueError(
+                    f"grid {name} needs at least {MIN_GRID_SAMPLES} samples, got {arr.size}"
+                )
             if not np.isfinite(arr).all():
                 raise ValueError(f"grid {name} samples must be finite")
             if not (np.diff(arr) > 0.0).all():
@@ -160,9 +167,7 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
     """
     _check_grid(s, g)
     r1, r2 = _rotational_coords(s, g)
-    f0 = np.array([s.profile.evaluate(float(u), 0) for u in g.u])
-    f1 = np.array([s.profile.evaluate(float(u), 1) for u in g.u])
-    f2 = np.array([s.profile.evaluate(float(u), 2) for u in g.u])
+    f0, f1, f2, _ = s.profile.jets(g.u)
     radial = -f2 - f1 / g.u
     if s.kind is RevolutionKind.SPACELIKE_MERIDIAN:
         radial = -radial
@@ -225,20 +230,7 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
     """
     _check_grid(s, g)
     r1, r2 = _rotational_coords(s, g)
-    f0 = np.empty(g.u.size)
-    acoef = np.empty(g.u.size)
-    ccoef = np.empty(g.u.size)
-    ew_values = set()
-    for i, u in enumerate(g.u):
-        uu = float(u)
-        f0[i] = s.profile.evaluate(uu, 0)
-        d1 = s.profile.evaluate(uu, 1)
-        d2 = s.profile.evaluate(uu, 2)
-        B = b_of_profile(s.profile, uu)
-        ew = -1.0 if d1 * d2 > 0.0 else 1.0
-        ew_values.add(ew)
-        acoef[i] = ew * (B - 1.0 / d1)
-        ccoef[i] = ew * (B * d1 + 1.0)
+    f0, ew, acoef, ccoef = _second_form_coefficients(s.profile, g.u)
     sv = np.sinh(g.v)[None, :]
     cv = np.cosh(g.v)[None, :]
     if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
@@ -275,7 +267,7 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
             notes.append(
                 f"lambda1 and lambda2 estimates differ by {abs(l1 - l2):.3g}; kept separate"
             )
-    if -1.0 in ew_values:
+    if (ew == -1.0).any():
         notes.append(
             "orientation: sgn(LN - M^2) = -1 on (part of) the grid; the closed "
             "coordinate forms include that sign factor"
@@ -304,10 +296,8 @@ class CurvatureReport:
 def verify_constant_curvature(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> CurvatureReport:
     """Sample K(u) and H(u) over the grid radii and test for constancy."""
     _check_grid(s, g)
-    ks = np.empty(g.u.size)
-    hs = np.empty(g.u.size)
-    for i, u in enumerate(g.u):
-        ks[i], hs[i] = curvatures(s, float(u))
+    _, f1, f2, _ = s.profile.jets(g.u)
+    ks, hs = _curvatures(g.u, f1, f2)
     k0 = float(np.mean(ks))
     h0 = float(np.mean(hs))
     k_dev = float(np.max(np.abs(ks - k0)))
@@ -353,13 +343,8 @@ def solve_radial_eigen_ode(
     profile = bessel_profile(lambda3, c1, c2, cfg, domain)
     lo, hi = profile.domain
     us = np.linspace(max(0.1, lo), hi, samples)
-    worst = 0.0
-    for u in us:
-        uu = float(u)
-        f0 = profile.evaluate(uu, 0)
-        d1 = profile.evaluate(uu, 1)
-        d2 = profile.evaluate(uu, 2)
-        worst = max(worst, abs(d2 + d1 / uu + lambda3 * f0))
+    f0, d1, d2, _ = profile.jets(us)
+    worst = _sup(np.abs(d2 + d1 / us + lambda3 * f0))
     return CertifiedProfile(profile=profile, residual_sup=worst, sample_points=us)
 
 
@@ -372,17 +357,11 @@ def eigen_system_residual(
 
     A genuine eigen family drives both to zero; the power family cannot.
     """
-    worst = 0.0
-    for u in us:
-        uu = float(u)
-        f0 = p.evaluate(uu, 0)
-        d1 = p.evaluate(uu, 1)
-        d2 = p.evaluate(uu, 2)
-        B = b_of_profile(p, uu)
-        ew = -1.0 if d1 * d2 > 0.0 else 1.0
-        worst = max(
-            worst,
-            abs(ew * (B - 1.0 / d1) - lam * uu),
-            abs(ew * (B * d1 + 1.0) - mu * f0),
-        )
-    return worst
+    us = np.asarray(us, dtype=np.float64)
+    f0, _, acoef, ccoef = _second_form_coefficients(p, us)
+    return _sup(np.concatenate((np.abs(acoef - lam * us), np.abs(ccoef - mu * f0))))
+
+
+def _sup(values: np.ndarray) -> float:
+    """max(0, values) skipping NaN, as a running Python max from 0 does."""
+    return float(np.fmax.reduce(values, initial=0.0))

@@ -20,7 +20,7 @@ from .bessel import (
     bessel_k0,
     bessel_y0,
 )
-from .classify import check_eigen_i, check_eigen_ii, make_grid
+from .classify import MIN_GRID_SAMPLES, check_eigen_i, check_eigen_ii, make_grid
 from .errors import (
     DomainError,
     NonConvergenceError,
@@ -207,6 +207,8 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
 
 
 _ACTIONS = ("curvature", "laplacian1", "laplacian2", "classify1", "classify2", "mesh")
+# actions that sample a classify.Grid (make_grid); curvature and mesh take 2x2
+_GRID_ACTIONS = ("laplacian1", "laplacian2", "classify1", "classify2")
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
@@ -221,6 +223,11 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     v_range = _parse_pair(args.v, "--v")
     surface = RevolutionSurface(profile, kind, u_range, v_range)
     nu, nv = _parse_grid(args.grid)
+    if args.action in _GRID_ACTIONS and min(nu, nv) < MIN_GRID_SAMPLES:
+        raise ProfileSpecError(
+            f"--action {args.action} needs a grid of at least "
+            f"{MIN_GRID_SAMPLES}x{MIN_GRID_SAMPLES}, got {args.grid!r}"
+        )
 
     if args.action == "curvature":
         us = np.linspace(u_range[0], u_range[1], nu)

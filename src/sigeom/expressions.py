@@ -175,7 +175,7 @@ def expression_profile(
 
     dom = _resolve_domain(domain)
 
-    def jet(u: float) -> tuple[float, float, float, float]:
+    def jet(u):  # a float or an array of radii
         return _evaluate(ast, Jet3.variable(u), cfg).as_tuple()
 
     return profile_from_jet(jet, dom, ProfileFamily.CUSTOM, {"expression": text})

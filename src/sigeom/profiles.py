@@ -13,6 +13,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .bessel import DEFAULT_SERIES, SeriesConfig, i0_jet, j0_jet, k0_jet, y0_jet
 from .errors import DomainError
 
@@ -54,6 +56,9 @@ class ProfileCurve:
     domain: tuple[float, float]
     family: ProfileFamily = ProfileFamily.CUSTOM
     params: dict = field(default_factory=dict)
+    #: value-plus-derivatives callable that also takes an array of radii,
+    #: set by profile_from_jet; `jets` calls it once per array
+    jet: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -67,8 +72,57 @@ class ProfileCurve:
             raise ValueError(f"derivative order must be 0..3, got {order!r}")
         lo, hi = self.domain
         if not (lo <= u <= hi):
-            raise DomainError(f"u={u!r} outside profile domain [{lo!r}, {hi!r}]")
+            raise self._outside(u)
         return (self.f, self.d1, self.d2, self.d3)[order](u)
+
+    def _outside(self, u: float) -> DomainError:
+        lo, hi = self.domain
+        return DomainError(f"u={u!r} outside profile domain [{lo!r}, {hi!r}]")
+
+    def jets(self, us) -> np.ndarray:
+        """(4, n) array of f, f', f'', f''' at the radii us.
+
+        Bit-identical to stacking `evaluate`, and raises what a loop of
+        `evaluate` over us would raise first.  A profile built by
+        `profile_from_jet` evaluates its jet once on the whole array.
+        """
+        values, exc = self._leading_jets(us)
+        if exc is not None:
+            raise exc
+        return values
+
+    def _leading_jets(self, us) -> tuple[np.ndarray, Exception | None]:
+        """Jets at the radii of us before the first one where a loop of
+        `evaluate` would raise, and that exception (None if there is none).
+
+        Grid consumers with checks of their own per radius use this to raise
+        whichever comes first, their check or the profile's.
+        """
+        us = np.asarray(us, dtype=np.float64)
+        lo, hi = self.domain
+        inside = (lo <= us) & (us <= hi)
+        n = us.size if inside.all() else int(np.argmin(inside))
+        values, exc = self._jets_inside(us[:n])
+        if exc is None and n < us.size:
+            exc = self._outside(float(us[n]))
+        return values, exc
+
+    def _jets_inside(self, us: np.ndarray) -> tuple[np.ndarray, Exception | None]:
+        if self.jet is not None and us.size:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = self.jet(us)
+                return np.array([np.broadcast_to(v, us.shape) for v in values]), None
+            except (ArithmeticError, ValueError):
+                pass  # the loop below finds the radius and its exception
+        f, d1, d2, d3 = self.f, self.d1, self.d2, self.d3
+        rows = []
+        for u in us.tolist():
+            try:
+                rows.append((f(u), d1(u), d2(u), d3(u)))
+            except (ArithmeticError, ValueError) as exc:
+                return np.array(rows).reshape(-1, 4).T, exc
+        return np.array(rows).reshape(-1, 4).T, None
 
 
 def eval_profile(p: ProfileCurve, u: float, order: int = 0) -> float:
@@ -104,8 +158,11 @@ def profile_from_jet(
 ) -> ProfileCurve:
     """Wrap a value-plus-derivatives callable as a ProfileCurve.
 
-    The jet is memoized so that evaluating f, d1, d2, d3 at the same u costs
-    a single series evaluation.
+    The jet must also accept a float64 array of radii and then return four
+    arrays (or floats, for components constant in u) that are bit-identical
+    to calling it per radius; `ProfileCurve.jets` calls it that way.  For
+    pointwise use it is memoized, so that evaluating f, d1, d2, d3 at the
+    same u costs a single series evaluation.
     """
     cached = lru_cache(maxsize=4096)(jet)
     return ProfileCurve(
@@ -116,6 +173,7 @@ def profile_from_jet(
         domain=domain,
         family=family,
         params=dict(params or {}),
+        jet=jet,
     )
 
 
@@ -278,11 +336,11 @@ def bessel_profile(
         primary, secondary = i0_jet, k0_jet
     dom = _resolve_domain(domain)
 
-    def jet(u: float) -> tuple[float, float, float, float]:
+    def jet(u):
         x = s * u
         a = primary(x, cfg)
         if c2 != 0.0:
-            b = secondary(x, cfg)
+            b = secondary(x, cfg, a)  # reuses the series that a was summed from
             raw = tuple(c1 * a[k] + c2 * b[k] for k in range(4))
         else:
             raw = tuple(c1 * a[k] for k in range(4))

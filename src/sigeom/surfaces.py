@@ -259,6 +259,11 @@ def curvatures(s: RevolutionSurface, u: float) -> tuple[float, float]:
         raise DomainError(f"u={u!r} outside surface range [{ulo!r}, {uhi!r}]")
     f1 = s.profile.evaluate(u, 1)
     f2 = s.profile.evaluate(u, 2)
+    return _curvatures(u, f1, f2)
+
+
+def _curvatures(u, f1, f2):
+    # elementwise IEEE arithmetic: floats or arrays alike
     return (f1 * f2 / u, 0.5 * (f1 / u + f2))
 
 
@@ -355,6 +360,32 @@ def b_of_profile(p: ProfileCurve, u: float) -> float:
     return (0.5 / f2) * ((f1 + u * f2) / (f1 * u) - f3 / f2)
 
 
+def _second_form_coefficients(
+    p: ProfileCurve, us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(f, sgn(w), A, C) at the radii us, with A = sgn(w) (B - 1/f') and
+    C = sgn(w) (B f' + 1): the u-factors of the second-form Laplacians of
+    the coordinates (see coord_laplacians_ii).
+
+    Raises what a loop of evaluate and b_of_profile over us would raise
+    first: AdmissibilityError for f' = 0, ParabolicPointError, or the
+    profile's own error.
+    """
+    us = np.asarray(us, dtype=np.float64)
+    (f0, f1, f2, f3), exc = p._leading_jets(us)
+    u = us[: f0.size]
+    # _parabolic_threshold and the tests of b_of_profile, per element
+    threshold = 1e-12 * u * np.maximum(np.abs(f1), 1.0) * np.maximum(np.abs(f2), 1.0)
+    undefined = (f1 == 0.0) | (f2 == 0.0) | (np.abs(u * f1 * f2) < threshold)
+    if undefined.any():
+        b_of_profile(p, float(u[np.argmax(undefined)]))  # raises its error there
+    if exc is not None:
+        raise exc
+    B = (0.5 / f2) * ((f1 + u * f2) / (f1 * u) - f3 / f2)  # as in b_of_profile
+    ew = np.where(f1 * f2 > 0.0, -1.0, 1.0)  # sgn(w) = sgn(-u f' f'')
+    return f0, ew, ew * (B - 1.0 / f1), ew * (B * f1 + 1.0)
+
+
 def b_function(s: RevolutionSurface, u: float) -> float:
     ulo, uhi = s.u_range
     if not (ulo <= u <= uhi):
@@ -447,7 +478,7 @@ def mesh(s: RevolutionSurface, nu: int, nv: int) -> Mesh:
         raise ValueError(f"mesh needs nu, nv >= 2, got {nu!r} x {nv!r}")
     us = np.linspace(s.u_range[0], s.u_range[1], nu)
     vs = np.linspace(s.v_range[0], s.v_range[1], nv)
-    z = np.array([s.profile.evaluate(float(u), 0) for u in us])
+    z = s.profile.jets(us)[0]
     sv = np.sinh(vs)
     cv = np.cosh(vs)
     verts = np.empty((nu * nv, 3), dtype=np.float64)

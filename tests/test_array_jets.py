@@ -1,0 +1,467 @@
+"""Grid evaluation is bit-identical to pointwise evaluation.
+
+Profile jets on an array of radii run each double-double series once for the
+whole array (bessel), carry arrays through the forward jets (autodiff) and
+feed the grid consumers (classify, surfaces).  Every value here is compared
+with its pointwise counterpart as an int64 bit pattern, and every grid error
+with the exception a per-radius loop raises first.
+"""
+
+import types
+
+import numpy as np
+import pytest
+
+import sigeom.bessel as bessel
+from sigeom import (
+    AdmissibilityError,
+    DomainError,
+    Grid,
+    NonConvergenceError,
+    ParabolicPointError,
+    ProfileCurve,
+    RevolutionKind,
+    RevolutionSurface,
+    SeriesConfig,
+    bessel_profile,
+    b_of_profile,
+    check_eigen_i,
+    check_eigen_ii,
+    constant_h_profile,
+    constant_k_profile,
+    curvatures,
+    eigen_system_residual,
+    expression_profile,
+    linear_profile,
+    log_profile,
+    make_grid,
+    mesh,
+    power_profile,
+    solve_radial_eigen_ode,
+    verify_constant_curvature,
+)
+from sigeom.autodiff import Jet3
+from sigeom.bessel import i0_jet, j0_jet, k0_jet, y0_jet
+from sigeom.classify import EigenReport, OperatorKind, Verdict, _fit, _pattern_label
+from sigeom.expressions import _evaluate, parse_expression
+from sigeom.profiles import ProfileFamily
+
+JETS = (j0_jet, i0_jet, y0_jet, k0_jet)
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_bit_identical(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want)), np.argwhere(bits(got) != bits(want))[:5]
+
+
+def pointwise(jet, xs):
+    return np.array([jet(x) for x in xs.tolist()]).T
+
+
+# ----------------------------------------------------------------------
+# bessel: array kernels against the scalar kernels
+
+LONG = np.concatenate([np.geomspace(1e-3, 60.0, 97), [60.0, 1e-3, 30.0, 7.25]])
+# early (x ~ 1e-3: a handful of terms) and late (x ~ 60: ~120 terms) lanes
+MIXED = np.array([1e-3, 59.0, 0.02, 45.5, 3.0, 60.0, 0.5, 12.0] * 5)
+
+
+@pytest.mark.parametrize("jet", JETS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "xs",
+    [LONG, MIXED, LONG[:1], MIXED[1:2], LONG[::9]],
+    ids=["long", "mixed", "len1-small", "len1-large", "short"],
+)
+def test_bessel_jets_array_vs_scalar(jet, xs):
+    got = jet(xs)
+    assert len(got) == 4
+    assert_bit_identical(np.array(got), pointwise(jet, xs))
+
+
+def test_both_array_paths_are_exercised():
+    # the cases above run the array kernels and the short-array fallback
+    assert LONG.size >= bessel._MIN_ARRAY_LANES and MIXED.size >= bessel._MIN_ARRAY_LANES
+    assert LONG[::9].size < bessel._MIN_ARRAY_LANES
+
+
+@pytest.mark.parametrize("lanes", [0, 10**6], ids=["array-kernel", "scalar-kernel"])
+def test_series_array_against_scalar_kernels(monkeypatch, lanes):
+    monkeypatch.setattr(bessel, "_MIN_ARRAY_LANES", lanes)
+    for sign in (-1.0, 1.0):
+        for weighted, kernel in ((False, bessel._series0), (True, bessel._phi_series)):
+            sums = bessel._series_array(MIXED, sign, bessel.DEFAULT_SERIES, weighted)
+            ref = [kernel(x, sign, bessel.DEFAULT_SERIES, 3) for x in MIXED.tolist()]
+            for k in range(4):
+                assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
+                assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
+    ln = bessel._log_half_dd(MIXED)
+    ref = [bessel._log_half_dd(x) for x in MIXED.tolist()]
+    assert_bit_identical(ln[0], [r[0] for r in ref])
+    assert_bit_identical(ln[1], [r[1] for r in ref])
+
+
+def test_jets_at_zero_and_negative_lanes():
+    xs = np.array([-4.0, -0.5, 0.0, 0.5, 4.0] * 6)
+    for jet in (j0_jet, i0_jet):
+        assert_bit_identical(np.array(jet(xs)), pointwise(jet, xs))
+
+
+@pytest.mark.parametrize("primary,secondary", [(j0_jet, y0_jet), (i0_jet, k0_jet)])
+@pytest.mark.parametrize("xs", [MIXED, 2.5], ids=["array", "float"])
+def test_secondary_reuses_primary_series(primary, secondary, xs):
+    a = primary(xs)
+    assert_bit_identical(np.array(secondary(xs, bessel.DEFAULT_SERIES, a)), np.array(secondary(xs)))
+    with pytest.raises(ValueError):
+        secondary(xs + 1.0, bessel.DEFAULT_SERIES, a)
+
+
+@pytest.mark.parametrize("jet", (y0_jet, k0_jet), ids=lambda f: f.__name__)
+def test_array_domain_error(jet):
+    with pytest.raises(DomainError, match=r"got -0\.5$"):
+        jet(np.array([1.0, 2.0, -0.5, 0.0] * 8))
+
+
+@pytest.mark.parametrize("jet", JETS, ids=lambda f: f.__name__)
+def test_array_non_convergence(jet):
+    cfg = SeriesConfig(max_terms=30)
+    xs = np.linspace(1.0, 40.0, 40)
+    with pytest.raises(NonConvergenceError):
+        jet(float(xs[-1]), cfg)
+    with pytest.raises(NonConvergenceError):
+        jet(xs, cfg)
+
+
+def test_array_kernels_call_ddouble_positionally(monkeypatch):
+    # a counting proxy for bessel.dd that accepts positional arguments only
+    calls = []
+
+    def positional(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    dd = bessel.dd
+    proxy = types.SimpleNamespace(**vars(dd))
+    for name, value in vars(dd).items():
+        if callable(value) and not name.startswith("_"):
+            setattr(proxy, name, positional(value))
+    monkeypatch.setattr(bessel, "dd", proxy)
+    for jet in JETS:
+        assert_bit_identical(np.array(jet(MIXED)), pointwise(jet, MIXED))
+    assert "log_array" in calls and "two_prod" in calls
+
+
+# ----------------------------------------------------------------------
+# profiles: ProfileCurve.jets against stacked evaluate
+
+EXPRESSIONS = (
+    "u^2+3*ln(u)-sinh(u/4)+cosh(u/3)",
+    "j0(u)+0.25*i0(u/2)*u^1.5-2/(1+u)^3",
+    "j0(u-5)+i0(3-u)+u^(2*1)",
+    "ln(cosh(u))*sinh(u/3)",
+    "u^(0*u+2)",
+    "3",
+    "u",
+)
+
+
+def _profiles():
+    out = {
+        "bessel-j": bessel_profile(1.0, 1.0, 0.0),
+        "bessel-jy": bessel_profile(4.0, 1.0, 0.5, domain=(0.1, 5.0)),
+        "bessel-i": bessel_profile(-1.0, 2.0, 0.0),
+        "bessel-ik": bessel_profile(-1.0, 0.5, 2.0),
+        "constk": constant_k_profile(1.0, 1.0),
+        "consth": constant_h_profile(2.0, 1.0, 0.5),
+        "log": log_profile(-2.0, 0.0),
+        "power": power_profile(1.0, 3.0, 1.0),
+        "linear": linear_profile(2.0, 1.0),
+    }
+    out.update({f"expr:{e}": expression_profile(e) for e in EXPRESSIONS})
+    return out
+
+
+PROFILES = _profiles()
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+@pytest.mark.parametrize("n", [1, 7, 101])
+def test_profile_jets_vs_stacked_evaluate(name, n):
+    p = PROFILES[name]
+    us = np.linspace(p.domain[0], p.domain[1], n)
+    got = p.jets(us)
+    assert got.shape == (4, n)
+    want = np.array([[p.evaluate(u, k) for k in range(4)] for u in us.tolist()]).T
+    assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("name", [k for k in sorted(PROFILES) if PROFILES[k].jet is not None])
+def test_jet_callable_takes_arrays(name):
+    # no fallback to the per-radius loop: the jet itself handles the array
+    p = PROFILES[name]
+    us = np.linspace(p.domain[0], p.domain[1], 64)
+    values = p.jet(us)
+    got = np.array([np.broadcast_to(v, us.shape) for v in values])
+    assert_bit_identical(got, np.array([p.jet(u) for u in us.tolist()]).T)
+
+
+def test_jet3_carries_arrays():
+    us = np.linspace(0.5, 4.0, 33)
+    ast = parse_expression("cosh(u)^3/ln(1+u)-sinh(2*u)*j0(u)+i0(u)^0.5")
+    got = _evaluate(ast, Jet3.variable(us), bessel.DEFAULT_SERIES).as_tuple()
+    for k in range(4):
+        want = [
+            _evaluate(ast, Jet3.variable(u), bessel.DEFAULT_SERIES).as_tuple()[k]
+            for u in us.tolist()
+        ]
+        assert_bit_identical(got[k], want)
+
+
+def test_jets_raise_what_evaluate_raises_first():
+    p = expression_profile("ln(u-3)")
+    us = np.linspace(1.0, 5.0, 40)
+    with pytest.raises(DomainError) as exc:
+        p.jets(us)
+    with pytest.raises(DomainError) as ref:
+        p.evaluate(1.0)
+    assert str(exc.value) == str(ref.value)
+    values, err = p._leading_jets(np.linspace(3.5, 5.0, 8))
+    assert err is None and values.shape == (4, 8)
+    outside = log_profile(-2.0, 0.0, domain=(0.5, 5.0))
+    values, err = outside._leading_jets(np.array([1.0, 2.0, 6.0, 7.0]))
+    assert values.shape == (4, 2) and isinstance(err, DomainError)
+    assert "u=6.0 outside" in str(err)
+
+
+# ----------------------------------------------------------------------
+# classify and surfaces: grid consumers against per-radius reference loops
+
+
+def ref_check_eigen_i(s, g, tol=1e-6):
+    U = g.u[:, None]
+    sv, cv = np.sinh(g.v)[None, :], np.cosh(g.v)[None, :]
+    r1, r2 = (U * sv, U * cv) if s.kind is RevolutionKind.TIMELIKE_MERIDIAN else (U * cv, U * sv)
+    f0 = np.array([s.profile.evaluate(float(u), 0) for u in g.u])
+    f1 = np.array([s.profile.evaluate(float(u), 1) for u in g.u])
+    f2 = np.array([s.profile.evaluate(float(u), 2) for u in g.u])
+    radial = -f2 - f1 / g.u
+    if s.kind is RevolutionKind.SPACELIKE_MERIDIAN:
+        radial = -radial
+    nv = g.v.size
+    fits = [
+        _fit(np.zeros((g.u.size, nv)), r1),
+        _fit(np.zeros((g.u.size, nv)), r2),
+        _fit(np.repeat(radial[:, None], nv, axis=1), np.repeat(f0[:, None], nv, axis=1)),
+    ]
+    return [tuple(f[i] for f in fits) for i in range(3)]
+
+
+def ref_check_eigen_ii(s, g, tol=1e-6):
+    U = g.u[:, None]
+    sv, cv = np.sinh(g.v)[None, :], np.cosh(g.v)[None, :]
+    timelike = s.kind is RevolutionKind.TIMELIKE_MERIDIAN
+    r1, r2 = (U * sv, U * cv) if timelike else (U * cv, U * sv)
+    f0 = np.empty(g.u.size)
+    acoef = np.empty(g.u.size)
+    ccoef = np.empty(g.u.size)
+    ew_values = set()
+    for i, u in enumerate(g.u):
+        uu = float(u)
+        f0[i] = s.profile.evaluate(uu, 0)
+        d1 = s.profile.evaluate(uu, 1)
+        d2 = s.profile.evaluate(uu, 2)
+        B = b_of_profile(s.profile, uu)
+        ew = -1.0 if d1 * d2 > 0.0 else 1.0
+        ew_values.add(ew)
+        acoef[i] = ew * (B - 1.0 / d1)
+        ccoef[i] = ew * (B * d1 + 1.0)
+    if timelike:
+        lap1, lap2, c3 = acoef[:, None] * sv, acoef[:, None] * cv, ccoef
+    else:
+        lap1, lap2, c3 = -acoef[:, None] * cv, -acoef[:, None] * sv, -ccoef
+    nv = g.v.size
+    fits = [
+        _fit(lap1, r1),
+        _fit(lap2, r2),
+        _fit(np.repeat(c3[:, None], nv, axis=1), np.repeat(f0[:, None], nv, axis=1)),
+    ]
+    return [tuple(f[i] for f in fits) for i in range(3)], -1.0 in ew_values
+
+
+def fresh(name):
+    """A new copy of a test profile, so that no pointwise cache is shared."""
+    return _profiles()[name]
+
+
+SURFACES = [
+    ("bessel-j", RevolutionKind.TIMELIKE_MERIDIAN, (1.0, 4.0)),
+    ("bessel-jy", RevolutionKind.SPACELIKE_MERIDIAN, (0.5, 4.5)),
+    ("bessel-ik", RevolutionKind.TIMELIKE_MERIDIAN, (0.5, 9.0)),
+    ("expr:j0(u)+0.25*i0(u/2)*u^1.5-2/(1+u)^3", RevolutionKind.TIMELIKE_MERIDIAN, (1.0, 6.0)),
+    ("log", RevolutionKind.TIMELIKE_MERIDIAN, (0.5, 5.0)),
+    ("consth", RevolutionKind.SPACELIKE_MERIDIAN, (1.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize("name,kind,u_range", SURFACES, ids=[s[0] for s in SURFACES])
+@pytest.mark.parametrize("nu", [5, 21, 64])
+def test_check_eigen_reports_vs_reference_loop(name, kind, u_range, nu):
+    s = RevolutionSurface(fresh(name), kind, u_range, (-1.0, 1.0))
+    g = make_grid(s, nu, 7)
+    ref_s = RevolutionSurface(fresh(name), kind, u_range, (-1.0, 1.0))
+
+    rep = check_eigen_i(s, g)
+    lam, res, rel = ref_check_eigen_i(ref_s, g)
+    assert rep.operator is OperatorKind.FIRST_FORM
+    assert_bit_identical(rep.lam, lam)
+    assert_bit_identical(rep.residual_sup, res)
+    assert_bit_identical(rep.residual_rel, rel)
+
+    rep = check_eigen_ii(s, g)
+    (lam, res, rel), flipped = ref_check_eigen_ii(ref_s, g)
+    assert rep.operator is OperatorKind.SECOND_FORM
+    assert_bit_identical(rep.lam, lam)
+    assert_bit_identical(rep.residual_sup, res)
+    assert_bit_identical(rep.residual_rel, rel)
+    assert rep.notes.startswith(_pattern_label(0.5 * (lam[0] + lam[1]), lam[2], 1e-6))
+    assert ("orientation: sgn(LN - M^2) = -1" in rep.notes) == flipped
+    assert isinstance(rep, EigenReport) and isinstance(rep.verdict, Verdict)
+
+
+@pytest.mark.parametrize("name,kind,u_range", SURFACES, ids=[s[0] for s in SURFACES])
+def test_other_grid_consumers_vs_reference_loops(name, kind, u_range):
+    s = RevolutionSurface(fresh(name), kind, u_range, (-1.0, 1.0))
+    g = make_grid(s, 33, 5)
+    ref_s = RevolutionSurface(fresh(name), kind, u_range, (-1.0, 1.0))
+
+    rep = verify_constant_curvature(s, g)
+    kh = np.array([curvatures(ref_s, float(u)) for u in g.u])
+    k0, h0 = float(np.mean(kh[:, 0])), float(np.mean(kh[:, 1]))
+    assert_bit_identical([rep.k0, rep.h0], [k0, h0])
+    assert_bit_identical(
+        [rep.k_deviation, rep.h_deviation],
+        [float(np.max(np.abs(kh[:, 0] - k0))), float(np.max(np.abs(kh[:, 1] - h0)))],
+    )
+
+    worst = 0.0
+    for u in g.u.tolist():
+        f0, d1, d2 = (ref_s.profile.evaluate(u, k) for k in range(3))
+        B = b_of_profile(ref_s.profile, u)
+        ew = -1.0 if d1 * d2 > 0.0 else 1.0
+        worst = max(worst, abs(ew * (B - 1.0 / d1) - 0.5 * u), abs(ew * (B * d1 + 1.0) - 2.0 * f0))
+    assert_bit_identical(eigen_system_residual(s.profile, 0.5, 2.0, g.u), worst)
+
+    m = mesh(s, 17, 3)
+    z = [ref_s.profile.evaluate(u, 0) for u in np.linspace(*u_range, 17).tolist()]
+    assert_bit_identical(m.vertices[::3, 2], z)
+
+
+@pytest.mark.parametrize("lam3,c2", [(1.0, 0.0), (2.0, 1.0), (-3.0, 0.5)])
+def test_radial_ode_certificate_vs_reference_loop(lam3, c2):
+    cert = solve_radial_eigen_ode(lam3, 1.0, c2, samples=120)
+    ref = bessel_profile(lam3, 1.0, c2)
+    worst = 0.0
+    for u in cert.sample_points.tolist():
+        f0, d1, d2 = (ref.evaluate(u, k) for k in range(3))
+        worst = max(worst, abs(d2 + d1 / u + lam3 * f0))
+    assert_bit_identical(cert.residual_sup, worst)
+
+
+# ----------------------------------------------------------------------
+# grid errors: the exception a per-radius loop raises first
+
+V = np.linspace(-0.9, 0.9, 5)
+
+
+def _first_error(fn):
+    with pytest.raises(Exception) as exc:
+        fn()
+    return exc.value
+
+
+def _ref_second_form_loop(p, us):
+    for u in us.tolist():
+        for k in range(3):
+            p.evaluate(u, k)
+        b_of_profile(p, u)
+
+
+@pytest.mark.parametrize(
+    "profile,us,expected",
+    [
+        # f' = u - 4/u vanishes at u = 2
+        (constant_h_profile(1.0, -4.0, 0.0), [1.0, 1.5, 2.0, 2.5, 3.0], AdmissibilityError),
+        # f'' = 1 - 1/u^2 vanishes at u = 1
+        (constant_h_profile(1.0, 1.0, 0.0), [0.5, 1.0, 1.5, 2.0, 2.5], ParabolicPointError),
+        # f' = (u - 1)(u - 3): f'' = 0 at u = 2 comes before f' = 0 at u = 3
+        (expression_profile("u^3/3-2*u^2+3*u"), [0.5, 2.0, 3.0, 4.0, 5.0], ParabolicPointError),
+        # f' = 0 at u = 2 comes before the profile's own error at u = 6.5
+        (
+            expression_profile("u^2/2-4*ln(u)+ln(6-u)*0"),
+            [1.0, 2.0, 3.0, 6.5, 7.0],
+            AdmissibilityError,
+        ),
+        # the profile's own error at u = 1.5 comes before f' = 0 at u = 2
+        (expression_profile("u^2/2-4*ln(u)+ln(u-1.6)*0"), [1.0, 1.5, 2.0, 3.0, 4.0], DomainError),
+        # a linear profile is parabolic everywhere
+        (linear_profile(1.0, 0.0), [1.0, 2.0, 3.0, 4.0, 5.0], ParabolicPointError),
+    ],
+)
+def test_second_form_errors_match_reference_loop(profile, us, expected):
+    us = np.array(us)
+    ref = _first_error(lambda: _ref_second_form_loop(profile, us))
+    if expected is not None:
+        assert type(ref) is expected
+    s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, (us[0], us[-1]), (-1.0, 1.0))
+    for fn in (
+        lambda: check_eigen_ii(s, Grid(us, V)),
+        lambda: eigen_system_residual(profile, 1.0, 1.0, us),
+    ):
+        err = _first_error(fn)
+        assert type(err) is type(ref)
+        assert str(err) == str(ref)
+
+
+def test_first_form_consumers_raise_the_profile_error():
+    p = expression_profile("ln(u-1.6)")
+    us = np.array([1.0, 1.5, 2.0, 3.0, 4.0])
+    s = RevolutionSurface(p, RevolutionKind.TIMELIKE_MERIDIAN, (1.0, 4.0), (-1.0, 1.0))
+    ref = _first_error(lambda: [p.evaluate(u, k) for u in us.tolist() for k in range(3)])
+    for fn in (
+        lambda: check_eigen_i(s, Grid(us, V)),
+        lambda: verify_constant_curvature(s, Grid(us, V)),
+    ):
+        err = _first_error(fn)
+        assert type(err) is type(ref) and str(err) == str(ref)
+
+
+def test_non_convergence_on_a_grid():
+    cfg = SeriesConfig(max_terms=20)
+    s = RevolutionSurface(bessel_profile(-1.0, 1.0, 1.0, cfg), u_range=(1.0, 10.0))
+    for check in (check_eigen_i, check_eigen_ii):
+        with pytest.raises(NonConvergenceError):
+            check(s, make_grid(s, 41, 5))
+
+
+def test_profile_curve_without_jet_stacks_evaluate():
+    p = ProfileCurve(lambda u: u, lambda u: 1.0, lambda u: 0.0, lambda u: 0.0, (1.0, 2.0),
+                     ProfileFamily.CUSTOM)
+    assert p.jet is None
+    want = [[1.0, 1.5, 2.0], [1.0] * 3, [0.0] * 3, [0.0] * 3]
+    assert_bit_identical(p.jets(np.array([1.0, 1.5, 2.0])), want)
+
+
+
+def test_zero_dim_arrays_take_the_scalar_path():
+    for jet in (j0_jet, i0_jet):
+        assert_bit_identical(np.array(jet(np.array(2.5)), dtype=np.float64), jet(2.5))
+    ast = parse_expression("u^2+ln(u)")
+    got = _evaluate(ast, Jet3.variable(np.array(2.5)), bessel.DEFAULT_SERIES).as_tuple()
+    assert_bit_identical(got, _evaluate(ast, Jet3.variable(2.5), bessel.DEFAULT_SERIES).as_tuple())

@@ -125,6 +125,23 @@ def test_surface_parse_error(capsys):
     assert main(["surface", "--profile", "zzz:a=1", "--action", "classify1"]) == 2
 
 
+@pytest.mark.parametrize("action", ["classify1", "classify2", "laplacian1", "laplacian2"])
+@pytest.mark.parametrize("grid", ["3x3", "4x5", "5x2"])
+def test_surface_grid_below_5x5_is_a_parse_error(capsys, action, grid):
+    code = main(["surface", "--profile", "log:lambda=1,c=0", "--action", action, "--grid", grid])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 5x5" in err
+
+
+@pytest.mark.parametrize("action", ["mesh", "curvature"])
+def test_surface_mesh_and_curvature_take_2x2(tmp_path, action):
+    out = tmp_path / "out.txt"
+    code = main(["surface", "--profile", "log:lambda=1,c=0", "--action", action,
+                 "--grid", "2x2", "--out", str(out)])
+    assert code == 0 and out.stat().st_size > 0
+
+
 def test_surface_curvature_csv(tmp_path):
     out = tmp_path / "curv.csv"
     code = main([

@@ -1,0 +1,125 @@
+"""Golden SHA-256 digests of CLI output.
+
+Pins the exact bytes of every `sigeom figure` file and of the `surface`
+tables and reports for a fixed set of in-contract profile specs (Bessel
+arguments s*u <= 10), so that refactors and speed-ups can prove they left
+every printed digit unchanged.  A digest here changes only when a value
+does; update it together with a CHANGES.md line that says why.
+"""
+
+import hashlib
+
+import pytest
+
+from sigeom.cli import main
+
+FIGURE_FILES = {
+    "1a": ("figure1a.csv",),
+    "1b": ("figure1b_i0.csv", "figure1b_k0.csv"),
+    "2a": ("figure2a.csv",),
+    "2b": ("figure2b.obj",),
+    "3a": ("figure3a.csv",),
+    "3b": ("figure3b.obj",),
+}
+
+FIGURE_DIGESTS = {
+    "figure1a.csv": "2cc3acad79d4675b91648fed5dc28d6fabec189802a8886459ce30851f224c9c",
+    "figure1b_i0.csv": "ec42ae0221fc45eef8c42da9865a09f8a3128080024b321d02ef16bdeb60a5f2",
+    "figure1b_k0.csv": "f358eef1121aceb8f687dac7a99c0e8ff4094167bc6b68b17f4838522c40a530",
+    "figure2a.csv": "f2669792b895c5fc7c458f8fed245c58e40f0ec4a116e6cc0c6aea92b9172a31",
+    "figure2b.obj": "1c3051592067b99c7eaf4d749b6b119f0e55b3c231730660cf370f60e2407dba",
+    "figure3a.csv": "145a2c5883482fcc242f18ca96018ad2589b0ceda5ad60792c00e47d9910a97c",
+    "figure3b.obj": "22464f099f2aae4679cf3939232738c6e080a9a0df7aa9c399b12999e6b31181",
+}
+
+# (profile spec, meridian kind, u range, v range, grid)
+SPECS = {
+    "bessel-j0": ("bessel:lambda=1,c1=1,c2=0", "timelike", "1:4", "-1:1", "21x21"),
+    "bessel-jy": ("bessel:lambda=4,c1=1,c2=0.5", "spacelike", "0.5:4.5", "-1:1", "41x7"),
+    "bessel-ik": ("bessel:lambda=-1,c1=0.5,c2=2", "timelike", "0.5:9", "-0.5:1", "64x5"),
+    "expr-bessel": ("expr:f=j0(u)+0.25*i0(u/2)", "timelike", "1:6", "-1:1", "21x21"),
+    "expr-elem": ("expr:f=u^2+3*ln(u)-sinh(u/4)+cosh(u/3)", "spacelike", "0.5:5", "-1:1", "21x9"),
+    "log": ("log:lambda=-2,c=0", "timelike", "0.5:5", "-0.5:1", "21x21"),
+    "power": ("power:lambda=1,mu=3,c=1", "timelike", "0.5:5", "-1:1", "21x21"),
+    "consth": ("consth:h0=2,c1=1,c2=0", "spacelike", "0.5:5", "-1:1", "21x21"),
+    "constk": ("constk:k0=1,c1=1", "timelike", "0.5:5", "-1:1", "21x21"),
+}
+ACTIONS = ("classify1", "classify2", "laplacian1", "laplacian2", "curvature")
+
+# (exit code, sha256 of the output file) per (spec, action)
+SURFACE_DIGESTS = {
+    ("bessel-j0", "classify1"): (0, "14408d1c4dc11c94458d423b208f9aa308729c6063ea4cb5b149a07ea11deb25"),
+    ("bessel-j0", "classify2"): (0, "36039b99a7365b4a86af205d353bb3c93d4f91cd59cd02ef2617c08cd04d246b"),
+    ("bessel-j0", "laplacian1"): (0, "6239f7a3fa7bb4586ee9a884f7f20b02003c98b6d69bf2d746981a4b24fb36c3"),
+    ("bessel-j0", "laplacian2"): (0, "a0c34d9a0b1d7484ba3562e7051d8cd709df3daaa2d425cc2fb06d4f7b027cc0"),
+    ("bessel-j0", "curvature"): (0, "d9ae076152c217519d5600b495caa6db9543864a06ede83562404c3698afaebd"),
+    ("bessel-jy", "classify1"): (0, "acae8e466de80435cab82d334c64150bf0ced78eb4c7beccc9c5ad7800a758a5"),
+    ("bessel-jy", "classify2"): (0, "f268bea34f3a6a27d2e3d2f6156e5c80ef047b940ce4a88fc7f3187056b41e4e"),
+    ("bessel-jy", "laplacian1"): (0, "97852f183ca60e4a3284714e79ae5953ff52aeee542c250c499042f4d1eda5ff"),
+    ("bessel-jy", "laplacian2"): (0, "2558a79d99b602983b30e8c888c4fac1d68bd3fe0428d1f4777c7c541cc39360"),
+    ("bessel-jy", "curvature"): (0, "df63bdc0e5a719dd2c6edef990d299e56042c5edb72211f6299032cd63ef5582"),
+    ("bessel-ik", "classify1"): (0, "8700c3568611f5dff94ca1967a235240fe78954ba985b932f60b7f6869358d0e"),
+    ("bessel-ik", "classify2"): (0, "2a2a2b82b618b0c2417fd19dcf5f146ab71fe26389da5201706181bf5425a0cb"),
+    ("bessel-ik", "laplacian1"): (0, "1c858b4bd12861a97f732b5b36f15d7e4c67f3ddbf3a8dfeb8638c2eca9d7ea5"),
+    ("bessel-ik", "laplacian2"): (0, "4f24ac24dce06aa84f4c7bd6192b0fea2c912e2447338245627acd571c35cb08"),
+    ("bessel-ik", "curvature"): (0, "57f556d92db5a20428c122564b5dba805d6e361ed0dcf94f4242cf366af0499d"),
+    ("expr-bessel", "classify1"): (0, "c564f5945b58ae4b11a139f63a8745a95938842a63d09fc9382004cf80142919"),
+    ("expr-bessel", "classify2"): (0, "b19c90938f4890c8c83e38daea6a9a09d7a1a84713b272b5ebb0434fe9deebe5"),
+    ("expr-bessel", "laplacian1"): (0, "45667780993f786294b325ed9e11fc6ad86fa0ac136cf5dfe980d224996fe36a"),
+    ("expr-bessel", "laplacian2"): (0, "9ac8f056d6f96c54f1273e6a6a1c5f64b342b6ade5261ad1ff0a8cb60a1ec7d2"),
+    ("expr-bessel", "curvature"): (0, "ab2c6a06536ce23ca7b307a37bb476195b6ca80c49640949b9faefd8d6800b29"),
+    ("expr-elem", "classify1"): (0, "788e999c88d3470bd85209fd29ea52686e8c74a3cad30f5d780b6a7282047125"),
+    ("expr-elem", "classify2"): (0, "ff37fdac612a52ab4bda9f5668944f1ea01cfdaafd95e308feb68654e9461d20"),
+    ("expr-elem", "laplacian1"): (0, "f60cf5d671a55997835ee146480a784ec20299fb7b9db4b6d46b8b9000020491"),
+    ("expr-elem", "laplacian2"): (0, "580d21ac84e01c5129c190dcbf6280f779f41612368d2a1726f6081628477b75"),
+    ("expr-elem", "curvature"): (0, "7012e2b3a6e67dbfd935c2d56dddd8fcdb9ba6b206ed05e5775bd7699cc4796e"),
+    ("log", "classify1"): (0, "b559b1e2aebfcb7ea45a081c01f4d8eb4b2f56c9ee624378c13e95d36afec284"),
+    ("log", "classify2"): (0, "6aa6f5bf50c33267975600ece068e51f9876008e37e38baad630d3223915b33a"),
+    ("log", "laplacian1"): (0, "d644973da3245e2481c34cb06a455201b6eabb28fb73bfdd6bb65a2f6d075fc4"),
+    ("log", "laplacian2"): (0, "db2fbe367b8ff9da22f3f960d9505203c5487904b2130e10f02eca6b347524cf"),
+    ("log", "curvature"): (0, "6fc37fe1c9dbfdad12bbfce77bb20c27a0815dacd618ece3d9945402a1bfb4dd"),
+    ("power", "classify1"): (0, "426d53189aaaf7d846bd68ed07f6fb2991283f8031f2e2ec8d7889f5d9939c32"),
+    ("power", "classify2"): (0, "eb4d94d11f9bd5388e4059ca08d07aea7a548d21924b43a2f093acab446d6d6b"),
+    ("power", "laplacian1"): (0, "788be7140ce3b1eb9e037e6e78988de46f6534064b83f06ea16fce595d5f9af3"),
+    ("power", "laplacian2"): (0, "89ccce4173f095c2f05faa0fdaff835063b703df963bad548e8c16aec6c5aa3a"),
+    ("power", "curvature"): (0, "13b79a2a04f9f45a17cb0cb5ff71a5a13a7b01991b8029bd61cac38838d14d42"),
+    ("consth", "classify1"): (0, "37b8d79c0ef4a35cbabf80770ef1460d6ec491fd7b72a9d2787109abebf850eb"),
+    ("consth", "classify2"): (0, "eda5e2c34c19ace1a9bff046d9d04bf6af9939f49b8861d1f42628edd104807a"),
+    ("consth", "laplacian1"): (0, "b4fb656ea87f5726da18dcfbb12eb5ab85bcf0f6b875c39f5483ea13541f7892"),
+    ("consth", "laplacian2"): (0, "f330c06c4ec901ca942111c43008cc2e1e76d934317906f18e1d9ff16ee87df1"),
+    ("consth", "curvature"): (0, "922c17a0bd8d7e0c9e61dd317c8dc5b2e605028bd40a46591cdc703586d5510c"),
+    ("constk", "classify1"): (0, "a77db9e624feadd893d390f4a136faef9d4871cccf2c185e2f06a9f4399e94fc"),
+    ("constk", "classify2"): (0, "ebf226ea650cff43f28f48789d0b5f425ee1736ec94eef802351714cb3c2a897"),
+    ("constk", "laplacian1"): (0, "528a93533c62c1452538dcfb4633e6a06b0cb1c1f73c49518b5c1e5c683057a6"),
+    ("constk", "laplacian2"): (0, "7243246e0d23361faffb2c91fbfca26eeb17944995011be9887e64d468836dfb"),
+    ("constk", "curvature"): (0, "0616484cbe32247ddae3322f7f17985134fdab292e9adefcfcc69bd678e1fe93"),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def surface_digest(tmp_path, name, action):
+    spec, kind, u, v, grid = SPECS[name]
+    out = tmp_path / f"{name}-{action}.txt"
+    rc = main(["surface", "--profile", spec, "--kind", kind, "--u", u, "--v", v,
+               "--grid", grid, "--action", action, "--out", str(out)])
+    return rc, _sha(out.read_bytes() if out.exists() else b"")
+
+
+def figure_digests(tmp_path, fid):
+    assert main(["figure", fid, "--out-dir", str(tmp_path)]) == 0
+    return {name: _sha((tmp_path / name).read_bytes()) for name in FIGURE_FILES[fid]}
+
+
+@pytest.mark.parametrize("fid", sorted(FIGURE_FILES))
+def test_figure_digests(tmp_path, fid):
+    got = figure_digests(tmp_path, fid)
+    assert got == {name: FIGURE_DIGESTS[name] for name in FIGURE_FILES[fid]}
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_surface_digests(tmp_path, name, action):
+    assert surface_digest(tmp_path, name, action) == SURFACE_DIGESTS[(name, action)]
