@@ -186,41 +186,27 @@ def _small(term_hi: float, sum_hi: float, rel_tol: float) -> bool:
     return term_hi == 0.0
 
 
-def _series0(x: float, sign: float, cfg: SeriesConfig, orders: int) -> list[dd.DD]:
-    """Sums of f(x) = sum_n sign^n (x/2)^(2n) / (n!)^2 and its first
-    `orders` term-wise derivatives.  Requires x != 0 when orders > 0."""
-    q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
-    sums = [(0.0, 0.0)] * (orders + 1)
-    t = (1.0, 0.0)
-    streak = 0
-    n = 0
-    while n < cfg.max_terms:
-        sums[0] = dd.add(sums[0], t)
-        m = 2 * n
-        if orders >= 1 and m >= 1:
-            sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
-        if orders >= 2 and m >= 2:
-            sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
-        if orders >= 3 and m >= 3:
-            sums[3] = dd.add(
-                sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
-            )
-        n += 1
-        t = dd.div_f(dd.mul(t, q), float(n * n))
-        if _small(t[0], sums[0][0], cfg.rel_tol):
-            streak += 1
-            if streak >= 2:
-                return sums
-        else:
-            streak = 0
-    raise NonConvergenceError(
-        f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={x!r}"
-    )
+def _add_derivative_terms(sums: list[dd.DD], t: dd.DD, m: int, x: float) -> None:
+    """Add the term-wise derivatives of the series term t, of degree m in x,
+    to sums[1:] in place: the k-th is t m (m-1) ... (m-k+1) / x^k, and none
+    is added once k > m.  Unrolled: as a loop over k it made the order-3
+    kernels about 9% slower."""
+    orders = len(sums) - 1
+    if orders >= 1 and m >= 1:
+        sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
+    if orders >= 2 and m >= 2:
+        sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
+    if orders >= 3 and m >= 3:
+        sums[3] = dd.add(
+            sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
+        )
 
 
-def _phi_series(x: float, sign: float, cfg: SeriesConfig, orders: int) -> list[dd.DD]:
-    """Sums of g(x) = sum_n sign^n phi(n) (x/2)^(2n) / (n!)^2 and derivatives,
-    with phi the harmonic numbers (phi(0) = 0, so the n = 0 term vanishes)."""
+def _series(x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: bool) -> list[dd.DD]:
+    """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n!)^2 and its first `orders`
+    term-wise derivatives, with w = 1 (weighted=False: J0, I0) or w = phi(n),
+    the harmonic numbers (weighted=True; phi(0) = 0, so the n = 0 term
+    vanishes).  Requires x != 0 when orders > 0."""
     q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
     sums = [(0.0, 0.0)] * (orders + 1)
     b = (1.0, 0.0)
@@ -228,21 +214,15 @@ def _phi_series(x: float, sign: float, cfg: SeriesConfig, orders: int) -> list[d
     streak = 0
     n = 0
     while n < cfg.max_terms:
-        t = dd.mul(b, phi)
+        t = dd.mul(b, phi) if weighted else b
         sums[0] = dd.add(sums[0], t)
-        m = 2 * n
-        if orders >= 1 and m >= 1:
-            sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
-        if orders >= 2 and m >= 2:
-            sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
-        if orders >= 3 and m >= 3:
-            sums[3] = dd.add(
-                sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
-            )
+        if orders:
+            _add_derivative_terms(sums, t, 2 * n, x)
         n += 1
         b = dd.div_f(dd.mul(b, q), float(n * n))
-        phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-        if n > 1 and _small(b[0] * phi[0], sums[0][0], cfg.rel_tol):
+        if weighted:
+            phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
+        if _small(b[0] * phi[0] if weighted else b[0], sums[0][0], cfg.rel_tol):
             streak += 1
             if streak >= 2:
                 return sums
@@ -316,8 +296,7 @@ def _stack_dd(per_element: list) -> list[dd.DD]:
 
 
 def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool) -> list[dd.DD]:
-    """`_series0` (weighted=False) or `_phi_series` (weighted=True) with
-    orders = 3 at every element of an array x with no zeros.
+    """`_series` with orders = 3 at every element of an array x with no zeros.
 
     Each lane runs the double-double operations of the scalar loop, and its
     sums are frozen at the term where the scalar loop would return, so the
@@ -326,8 +305,7 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
     arrays run the scalar kernel per element, which costs less there.
     """
     if x.size < _MIN_ARRAY_LANES:
-        kernel = _phi_series if weighted else _series0
-        return _stack_dd([kernel(v, sign, cfg, 3) for v in x.tolist()])
+        return _stack_dd([_series(v, sign, cfg, 3, weighted) for v in x.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
         xx = x * x
@@ -362,8 +340,6 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
             b = dd.div_f(dd.mul(b, q), float(n * n))
             if weighted:
                 phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-                if n <= 1:
-                    continue  # the scalar loop skips its test here; no streak has begun
                 lead = b[0] * phi[0]
             else:
                 lead = b[0]
@@ -401,12 +377,12 @@ def _log_half_dd(x) -> dd.DD:
 
 def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """J0(x) = sum_n (-1)^n (x/2)^(2n) / (n!)^2; entire and even."""
-    return dd.to_float(_series0(x, -1.0, cfg, 0)[0])
+    return dd.to_float(_series(x, -1.0, cfg, 0, False)[0])
 
 
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
-    return dd.to_float(_series0(x, 1.0, cfg, 0)[0])
+    return dd.to_float(_series(x, 1.0, cfg, 0, False)[0])
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -439,11 +415,10 @@ class _Order0Jet(tuple):
 
 
 def _sums(x, sign: float, cfg: SeriesConfig, weighted: bool) -> list[dd.DD]:
-    """Order-3 sums of `_series0` (weighted=False) or `_phi_series`
-    (weighted=True) at x, a float or an array."""
+    """Order-3 sums of `_series` at x, a float or an array."""
     if _is_array(x):
         return _series_array(x, sign, cfg, weighted)
-    return (_phi_series if weighted else _series0)(x, sign, cfg, 3)
+    return _series(x, sign, cfg, 3, weighted)
 
 
 def _order0_jet(x, sign: float, cfg: SeriesConfig, at_zero: tuple[float, float, float, float]):
@@ -578,15 +553,8 @@ def _jp_sums(p: float, x: float, cfg: SeriesConfig, orders: int) -> list[dd.DD]:
     n = 0
     while n < cfg.max_terms:
         sums[0] = dd.add(sums[0], t)
-        m = 2 * n
-        if orders >= 1 and m >= 1:
-            sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
-        if orders >= 2 and m >= 2:
-            sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
-        if orders >= 3 and m >= 3:
-            sums[3] = dd.add(
-                sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
-            )
+        if orders:
+            _add_derivative_terms(sums, t, 2 * n, x)
         n += 1
         t = dd.div(dd.mul(t, q), dd.two_prod(float(n), p + n))
         if _small(t[0], sums[0][0], cfg.rel_tol):

@@ -25,9 +25,10 @@ from .bessel import DEFAULT_SERIES, SeriesConfig
 from .errors import DomainError
 from .profiles import ProfileCurve, ProfileFamily, bessel_profile
 from .surfaces import (
-    RevolutionKind,
     RevolutionSurface,
+    _coordinate_laplacians,
     _curvatures,
+    _rotate,
     _second_form_coefficients,
 )
 
@@ -149,13 +150,19 @@ def _fit(lap: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     return lam, res, rel
 
 
-def _rotational_coords(s: RevolutionSurface, g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    U = g.u[:, None]
-    sv = np.sinh(g.v)[None, :]
-    cv = np.cosh(g.v)[None, :]
-    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        return U * sv, U * cv
-    return U * cv, U * sv
+def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
+    """The three (lambda, sup residual, relative residual) fits of
+    Lap r_i = lambda_i r_i on the grid, and sgn(w) per radius (None on the
+    first form), from the closed coordinate Laplacians."""
+    _check_grid(s, g)
+    f0, a, c, ew = _coordinate_laplacians(s, g.u, form)
+    sv, cv = np.sinh(g.v), np.cosh(g.v)
+    r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
+    lap1, lap2 = _rotate(s.kind, np.reshape(a, (-1, 1)), sv, cv)  # _fit broadcasts a row
+    nv = g.v.size
+    r3 = np.repeat(f0[:, None], nv, axis=1)
+    lap3 = np.repeat(c[:, None], nv, axis=1)
+    return (_fit(lap1, r1), _fit(lap2, r2), _fit(lap3, r3)), ew
 
 
 def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenReport:
@@ -165,20 +172,7 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
     harmonic; the profile coordinate gives -f'' - f'/u up to the meridian
     sign), so the fit is limited only by the profile's own accuracy.
     """
-    _check_grid(s, g)
-    r1, r2 = _rotational_coords(s, g)
-    f0, f1, f2, _ = s.profile.jets(g.u)
-    radial = -f2 - f1 / g.u
-    if s.kind is RevolutionKind.SPACELIKE_MERIDIAN:
-        radial = -radial
-    nv = g.v.size
-    zeros = np.zeros((g.u.size, nv))
-    r3 = np.repeat(f0[:, None], nv, axis=1)
-    lap3 = np.repeat(radial[:, None], nv, axis=1)
-
-    l1, s1, rel1 = _fit(zeros, r1)
-    l2, s2, rel2 = _fit(zeros, r2)
-    l3, s3, rel3 = _fit(lap3, r3)
+    ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), _ = _fit_coordinates(s, g, 1)
 
     residuals_ok = s1 <= tol and s2 <= tol and s3 <= tol
     notes: list[str] = []
@@ -228,26 +222,7 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
 
     Raises ParabolicPointError if any grid radius has f' f'' = 0.
     """
-    _check_grid(s, g)
-    r1, r2 = _rotational_coords(s, g)
-    f0, ew, acoef, ccoef = _second_form_coefficients(s.profile, g.u)
-    sv = np.sinh(g.v)[None, :]
-    cv = np.cosh(g.v)[None, :]
-    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        lap1 = acoef[:, None] * sv
-        lap2 = acoef[:, None] * cv
-        c3 = ccoef
-    else:
-        lap1 = -acoef[:, None] * cv
-        lap2 = -acoef[:, None] * sv
-        c3 = -ccoef
-    nv = g.v.size
-    r3 = np.repeat(f0[:, None], nv, axis=1)
-    lap3 = np.repeat(c3[:, None], nv, axis=1)
-
-    l1, s1, rel1 = _fit(lap1, r1)
-    l2, s2, rel2 = _fit(lap2, r2)
-    l3, s3, rel3 = _fit(lap3, r3)
+    ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), ew = _fit_coordinates(s, g, 2)
 
     residuals_ok = s1 <= tol and s2 <= tol and s3 <= tol
     lam_match = abs(l1 - l2) <= tol

@@ -8,6 +8,7 @@ error, 5 series non-convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence, TextIO
@@ -41,9 +42,9 @@ from .surfaces import (
     Mesh,
     RevolutionKind,
     RevolutionSurface,
-    coord_laplacians_i,
-    coord_laplacians_ii,
-    curvatures,
+    _coordinate_laplacians,
+    _curvatures,
+    _rotate,
     mesh,
 )
 
@@ -67,9 +68,18 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise ProfileSpecError(f"{what} must look like a:b, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        a, b = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ProfileSpecError(f"bad {what} {text!r}: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ProfileSpecError(f"{what} must have finite endpoints, got {text!r}")
+    return a, b
+
+
+def _series_config(rel_tol: float) -> SeriesConfig:
+    if not 0.0 < rel_tol < 1.0:
+        raise ProfileSpecError(f"--series-tol must lie in (0, 1), got {rel_tol!r}")
+    return SeriesConfig(rel_tol=rel_tol)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -193,7 +203,7 @@ def _bessel_eval(kind: str, p: float | None, cfg: SeriesConfig) -> Callable[[flo
 
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
-    cfg = SeriesConfig(rel_tol=args.series_tol)
+    cfg = _series_config(args.series_tol)
     a, b = _parse_pair(args.range, "--range")
     if args.n < 1:
         raise ProfileSpecError(f"--n must be >= 1, got {args.n}")
@@ -212,7 +222,9 @@ _GRID_ACTIONS = ("laplacian1", "laplacian2", "classify1", "classify2")
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
-    cfg = SeriesConfig(rel_tol=args.series_tol)
+    cfg = _series_config(args.series_tol)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ProfileSpecError(f"--tol must be finite and > 0, got {args.tol!r}")
     profile = parse_profile_spec(args.profile, cfg)
     kind = (
         RevolutionKind.TIMELIKE_MERIDIAN
@@ -231,21 +243,30 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
     if args.action == "curvature":
         us = np.linspace(u_range[0], u_range[1], nu)
-        rows = []
-        for u in us:
-            k, h = curvatures(surface, float(u))
-            rows.append((float(u), k, h))
-        _write_csv(args.out, "u,K,H", rows)
+        _, f1, f2, _ = profile.jets(us)
+        k, h = _curvatures(us, f1, f2)
+        _write_csv(args.out, "u,K,H", zip(us.tolist(), k.tolist(), h.tolist()))
         return EXIT_OK
 
     if args.action in ("laplacian1", "laplacian2"):
-        op = coord_laplacians_i if args.action == "laplacian1" else coord_laplacians_ii
+        form = 1 if args.action == "laplacian1" else 2
         grid = make_grid(surface, nu, nv)
-        rows = []
-        for u in grid.u:
-            for v in grid.v:
-                d1, d2, d3 = op(surface, float(u), float(v))
-                rows.append((float(u), float(v), d1, d2, d3))
+        _, a, c, _ = _coordinate_laplacians(surface, grid.u, form)
+        vs = grid.v.tolist()
+        sv = np.array([math.sinh(v) for v in vs])
+        cv = np.array([math.cosh(v) for v in vs])
+        d1, d2 = _rotate(kind, np.reshape(a, (-1, 1)), sv, cv)
+        if form == 1:
+            # a = +0.0 here, and 0.0 * sinh v is -0.0 where v < 0: adding 0.0
+            # prints it as 0 and changes no other value
+            d1, d2 = d1 + 0.0, d2 + 0.0
+        rows = zip(
+            np.repeat(grid.u, nv).tolist(),
+            vs * nu,
+            np.broadcast_to(d1, (nu, nv)).ravel().tolist(),
+            np.broadcast_to(d2, (nu, nv)).ravel().tolist(),
+            np.repeat(c, nv).tolist(),
+        )
         _write_csv(args.out, "u,v,d1,d2,d3", rows)
         return EXIT_OK
 

@@ -84,7 +84,8 @@ class ProfileCurve:
 
         Bit-identical to stacking `evaluate`, and raises what a loop of
         `evaluate` over us would raise first.  A profile built by
-        `profile_from_jet` evaluates its jet once on the whole array.
+        `profile_from_jet` evaluates its jet once on the whole array; a
+        single radius takes the memoized pointwise path instead.
         """
         values, exc = self._leading_jets(us)
         if exc is not None:
@@ -108,7 +109,7 @@ class ProfileCurve:
         return values, exc
 
     def _jets_inside(self, us: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-        if self.jet is not None and us.size:
+        if self.jet is not None and us.size > 1:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     values = self.jet(us)

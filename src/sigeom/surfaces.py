@@ -12,8 +12,15 @@ Two Laplace operators act on scalar fields: the first-form operator
 
 and the second-form analogue with (E, F, G, W) replaced by (L, M, N, w),
 defined away from parabolic points (w = LN - M^2 = 0).  The general
-operators difference the flux terms with central steps h = 1e-5 max(1, |u|);
-the closed coordinate forms bypass differencing entirely.
+operators difference the flux terms with central steps h = 1e-5 max(1, |u|)
+and serve as the oracle for the closed coordinate forms.
+
+One array core, _coordinate_laplacians, gives the closed coordinate forms
+to the pointwise coord_laplacians_i/ii, the eigen fits in classify and the
+CLI tables.  On both forms Lap r1, Lap r2 = a(u) (h1(v), h2(v)) and
+Lap r3 = c(u), with (h1, h2) = (sinh, cosh) for a timelike meridian and
+(cosh, sinh) for a spacelike one; _rotate applies that pattern, with
+a = u also to the coordinates themselves.
 
 Sign convention note: on coordinate functions the second-form operator
 reduces to the pattern B(u) - 1/f' and B(u) f' + 1 (with B assembled from
@@ -113,9 +120,6 @@ class ScalarField:
     f: Callable[[float, float], float]
     du: Callable[[float, float], float] | None = None
     dv: Callable[[float, float], float] | None = None
-    duu: Callable[[float, float], float] | None = None
-    duv: Callable[[float, float], float] | None = None
-    dvv: Callable[[float, float], float] | None = None
 
     @property
     def has_first_partials(self) -> bool:
@@ -143,18 +147,38 @@ def _check_point(s: RevolutionSurface, u: float, v: float) -> None:
         raise DomainError(f"v={v!r} outside surface range [{vlo!r}, {vhi!r}]")
 
 
+def _rotate(kind: RevolutionKind, radial, sv, cv):
+    """(radial h1(v), radial h2(v)) with (h1, h2) = (sinh, cosh) for a
+    timelike meridian and (cosh, sinh) for a spacelike one.
+
+    radial = u gives the rotational coordinates r1, r2, and radial = a of
+    _coordinate_laplacians their Laplacians.  The caller passes sinh v and
+    cosh v from math or numpy, whichever it has always used, since the two
+    can differ in the last bit; floats and broadcasting arrays alike.
+    """
+    if kind is RevolutionKind.TIMELIKE_MERIDIAN:
+        return radial * sv, radial * cv
+    return radial * cv, radial * sv
+
+
 def point_at(s: RevolutionSurface, u: float, v: float) -> Vec3SI:
     """Evaluate the parameterization of s at (u, v)."""
     _check_point(s, u, v)
     z = s.profile.evaluate(u, 0)
-    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        return Vec3SI(u * math.sinh(v), u * math.cosh(v), z)
-    return Vec3SI(u * math.cosh(v), u * math.sinh(v), z)
+    return Vec3SI(*_rotate(s.kind, u, math.sinh(v), math.cosh(v)), z)
 
 
-def _parabolic_threshold(u: float, f1: float, f2: float) -> float:
-    # Scale-aware zero test for w = -u f' f''.
-    return 1e-12 * u * max(abs(f1), 1.0) * max(abs(f2), 1.0)
+def _parabolic_threshold(u, f1, f2):
+    # Scale-aware zero test for w = -u f' f''; floats or arrays alike (numpy
+    # costs a microsecond per call on floats, which the flux operators feel)
+    at_least_1 = np.maximum if isinstance(f1, np.ndarray) else max
+    return 1e-12 * u * at_least_1(abs(f1), 1.0) * at_least_1(abs(f2), 1.0)
+
+
+def _is_parabolic(s: RevolutionSurface, u: float, w: float) -> bool:
+    f1 = s.profile.evaluate(u, 1)
+    f2 = s.profile.evaluate(u, 2)
+    return abs(w) < _parabolic_threshold(u, f1, f2)
 
 
 def _second_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
@@ -184,12 +208,10 @@ def fundamental_forms(s: RevolutionSurface, u: float, v: float) -> FundamentalFo
         raise DomainError("degenerate first form (W = 0)")
     L, M, N = _second_form(s, u)
     w = L * N - M * M
-    f1 = s.profile.evaluate(u, 1)
-    f2 = s.profile.evaluate(u, 2)
     return FundamentalForms(
         E=E, F=F, G=G, W=W, L=L, M=M, N=N, w=w,
         epsilon=-1 if W < 0.0 else 1,
-        is_parabolic=abs(w) < _parabolic_threshold(u, f1, f2),
+        is_parabolic=_is_parabolic(s, u, w),
     )
 
 
@@ -243,12 +265,10 @@ def fundamental_forms_fd(
     M = _det3(ruv, ru, rv) / sw
     N = _det3(rvv, ru, rv) / sw
     w = L * N - M * M
-    f1 = s.profile.evaluate(u, 1)
-    f2 = s.profile.evaluate(u, 2)
     return FundamentalForms(
         E=E, F=F, G=G, W=W, L=L, M=M, N=N, w=w,
         epsilon=-1 if W < 0.0 else 1,
-        is_parabolic=abs(w) < _parabolic_threshold(u, f1, f2),
+        is_parabolic=_is_parabolic(s, u, w),
     )
 
 
@@ -312,9 +332,7 @@ def laplacian_ii(s: RevolutionSurface, field: ScalarField, u: float, v: float) -
     def sqrt_w(uu: float) -> float:
         L, M, N = _second_form(s, uu)
         w = L * N - M * M
-        f1 = s.profile.evaluate(uu, 1)
-        f2 = s.profile.evaluate(uu, 2)
-        if abs(w) < _parabolic_threshold(uu, f1, f2):
+        if _is_parabolic(s, uu, w):
             raise ParabolicPointError(f"parabolic point (w = {w!r}) at u = {uu!r}")
         return math.sqrt(abs(w))
 
@@ -332,20 +350,9 @@ def laplacian_ii(s: RevolutionSurface, field: ScalarField, u: float, v: float) -
     return -(d_flux_u - d_flux_v) / root
 
 
-def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float, float, float]:
-    """First-form Laplacians of the coordinate functions, in closed form.
-
-    The rotational coordinates are harmonic; the profile coordinate gives
-    -f'' - f'/u (timelike meridian) with the opposite sign for the spacelike
-    one (its G carries the opposite sign).
-    """
-    _check_point(s, u, v)
-    f1 = s.profile.evaluate(u, 1)
-    f2 = s.profile.evaluate(u, 2)
-    radial = -f2 - f1 / u
-    if s.kind is RevolutionKind.SPACELIKE_MERIDIAN:
-        radial = -radial
-    return (0.0, 0.0, radial)
+def _b_coefficient(u, f1, f2, f3):
+    # elementwise IEEE arithmetic: floats or arrays alike
+    return (0.5 / f2) * ((f1 + u * f2) / (f1 * u) - f3 / f2)
 
 
 def b_of_profile(p: ProfileCurve, u: float) -> float:
@@ -357,15 +364,14 @@ def b_of_profile(p: ProfileCurve, u: float) -> float:
         raise AdmissibilityError(f"profile has f'({u!r}) = 0; B is undefined")
     if f2 == 0.0 or abs(u * f1 * f2) < _parabolic_threshold(u, f1, f2):
         raise ParabolicPointError(f"parabolic point (f''({u!r}) ~ 0); B is undefined")
-    return (0.5 / f2) * ((f1 + u * f2) / (f1 * u) - f3 / f2)
+    return _b_coefficient(u, f1, f2, f3)
 
 
 def _second_form_coefficients(
     p: ProfileCurve, us: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(f, sgn(w), A, C) at the radii us, with A = sgn(w) (B - 1/f') and
-    C = sgn(w) (B f' + 1): the u-factors of the second-form Laplacians of
-    the coordinates (see coord_laplacians_ii).
+    C = sgn(w) (B f' + 1).
 
     Raises what a loop of evaluate and b_of_profile over us would raise
     first: AdmissibilityError for f' = 0, ParabolicPointError, or the
@@ -374,16 +380,53 @@ def _second_form_coefficients(
     us = np.asarray(us, dtype=np.float64)
     (f0, f1, f2, f3), exc = p._leading_jets(us)
     u = us[: f0.size]
-    # _parabolic_threshold and the tests of b_of_profile, per element
-    threshold = 1e-12 * u * np.maximum(np.abs(f1), 1.0) * np.maximum(np.abs(f2), 1.0)
-    undefined = (f1 == 0.0) | (f2 == 0.0) | (np.abs(u * f1 * f2) < threshold)
+    # the tests of b_of_profile, per element
+    undefined = (f1 == 0.0) | (f2 == 0.0) | (np.abs(u * f1 * f2) < _parabolic_threshold(u, f1, f2))
     if undefined.any():
         b_of_profile(p, float(u[np.argmax(undefined)]))  # raises its error there
     if exc is not None:
         raise exc
-    B = (0.5 / f2) * ((f1 + u * f2) / (f1 * u) - f3 / f2)  # as in b_of_profile
+    B = _b_coefficient(u, f1, f2, f3)
     ew = np.where(f1 * f2 > 0.0, -1.0, 1.0)  # sgn(w) = sgn(-u f' f'')
     return f0, ew, ew * (B - 1.0 / f1), ew * (B * f1 + 1.0)
+
+
+def _coordinate_laplacians(
+    s: RevolutionSurface, us, form: int
+) -> tuple[np.ndarray, np.ndarray | float, np.ndarray, np.ndarray | None]:
+    """(f, a, c, sgn(w)) at the radii us, so that the coordinate Laplacians
+    of the first (form 1) or second (form 2) form are
+
+        (Lap r1, Lap r2) = _rotate(s.kind, a, sinh v, cosh v),  Lap r3 = c.
+
+    Timelike meridian: form 1 has a = 0 (the rotational coordinates are
+    harmonic) and c = -f'' - f'/u; form 2 has a = sgn(w) (B - 1/f') and
+    c = sgn(w) (B f' + 1).  A spacelike meridian negates c, and a on form 2
+    (its G and N carry the opposite sign).  On form 1, a is the float +0.0,
+    constant in u, so that its rotation costs one row rather than a grid,
+    and sgn(w) is None.  Raises what a pointwise loop over us would raise
+    first.
+    """
+    us = np.asarray(us, dtype=np.float64)
+    flip = s.kind is RevolutionKind.SPACELIKE_MERIDIAN
+    if form == 1:
+        f0, f1, f2, _ = s.profile.jets(us)
+        c = -f2 - f1 / us
+        return f0, 0.0, -c if flip else c, None
+    f0, ew, a, c = _second_form_coefficients(s.profile, us)
+    return (f0, -a, -c, ew) if flip else (f0, a, c, ew)
+
+
+def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float, float, float]:
+    """First-form Laplacians of the coordinate functions, in closed form.
+
+    The rotational coordinates are harmonic; the profile coordinate gives
+    -f'' - f'/u (timelike meridian) with the opposite sign for the spacelike
+    one (its G carries the opposite sign).
+    """
+    _check_point(s, u, v)
+    c = _coordinate_laplacians(s, [u], 1)[2]
+    return (0.0, 0.0, float(c[0]))
 
 
 def b_function(s: RevolutionSurface, u: float) -> float:
@@ -403,63 +446,28 @@ def coord_laplacians_ii(s: RevolutionSurface, u: float, v: float) -> tuple[float
     orientation of the second form (w = -u f' f'' may take either sign).
     """
     _check_point(s, u, v)
-    f1 = s.profile.evaluate(u, 1)
-    B = b_of_profile(s.profile, u)
-    f2 = s.profile.evaluate(u, 2)
-    ew = -1.0 if f1 * f2 > 0.0 else 1.0  # sgn(w) = sgn(-u f' f'')
-    A = ew * (B - 1.0 / f1)
-    C = ew * (B * f1 + 1.0)
-    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        return (A * math.sinh(v), A * math.cosh(v), C)
-    return (-A * math.cosh(v), -A * math.sinh(v), -C)
+    _, a, c, _ = _coordinate_laplacians(s, [u], 2)
+    return (*_rotate(s.kind, float(a[0]), math.sinh(v), math.cosh(v)), float(c[0]))
 
 
 def coordinate_fields(s: RevolutionSurface) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """The coordinate functions of s as fields with full analytic partials."""
+    """The coordinate functions of s as fields with analytic first partials."""
     p = s.profile
-    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        r1 = ScalarField(
-            f=lambda u, v: u * math.sinh(v),
-            du=lambda u, v: math.sinh(v),
-            dv=lambda u, v: u * math.cosh(v),
-            duu=lambda u, v: 0.0,
-            duv=lambda u, v: math.cosh(v),
-            dvv=lambda u, v: u * math.sinh(v),
+
+    def rotational(k: int) -> ScalarField:
+        # d/du sets the radial factor to 1; d/dv swaps sinh and cosh
+        return ScalarField(
+            f=lambda u, v: _rotate(s.kind, u, math.sinh(v), math.cosh(v))[k],
+            du=lambda u, v: _rotate(s.kind, 1.0, math.sinh(v), math.cosh(v))[k],
+            dv=lambda u, v: _rotate(s.kind, u, math.cosh(v), math.sinh(v))[k],
         )
-        r2 = ScalarField(
-            f=lambda u, v: u * math.cosh(v),
-            du=lambda u, v: math.cosh(v),
-            dv=lambda u, v: u * math.sinh(v),
-            duu=lambda u, v: 0.0,
-            duv=lambda u, v: math.sinh(v),
-            dvv=lambda u, v: u * math.cosh(v),
-        )
-    else:
-        r1 = ScalarField(
-            f=lambda u, v: u * math.cosh(v),
-            du=lambda u, v: math.cosh(v),
-            dv=lambda u, v: u * math.sinh(v),
-            duu=lambda u, v: 0.0,
-            duv=lambda u, v: math.sinh(v),
-            dvv=lambda u, v: u * math.cosh(v),
-        )
-        r2 = ScalarField(
-            f=lambda u, v: u * math.sinh(v),
-            du=lambda u, v: math.sinh(v),
-            dv=lambda u, v: u * math.cosh(v),
-            duu=lambda u, v: 0.0,
-            duv=lambda u, v: math.cosh(v),
-            dvv=lambda u, v: u * math.sinh(v),
-        )
+
     r3 = ScalarField(
         f=lambda u, v: p.evaluate(u, 0),
         du=lambda u, v: p.evaluate(u, 1),
         dv=lambda u, v: 0.0,
-        duu=lambda u, v: p.evaluate(u, 2),
-        duv=lambda u, v: 0.0,
-        dvv=lambda u, v: 0.0,
     )
-    return (r1, r2, r3)
+    return (rotational(0), rotational(1), r3)
 
 
 @dataclass(frozen=True)
@@ -479,29 +487,17 @@ def mesh(s: RevolutionSurface, nu: int, nv: int) -> Mesh:
     us = np.linspace(s.u_range[0], s.u_range[1], nu)
     vs = np.linspace(s.v_range[0], s.v_range[1], nv)
     z = s.profile.jets(us)[0]
-    sv = np.sinh(vs)
-    cv = np.cosh(vs)
-    verts = np.empty((nu * nv, 3), dtype=np.float64)
-    for i, u in enumerate(us):
-        row = slice(i * nv, (i + 1) * nv)
-        if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-            verts[row, 0] = u * sv
-            verts[row, 1] = u * cv
-        else:
-            verts[row, 0] = u * cv
-            verts[row, 1] = u * sv
-        verts[row, 2] = z[i]
+    verts = np.empty((nu, nv, 3), dtype=np.float64)
+    verts[..., 0], verts[..., 1] = _rotate(s.kind, us[:, None], np.sinh(vs), np.cosh(vs))
+    verts[..., 2] = z[:, None]
     if not np.isfinite(verts).all():
         raise DomainError("mesh produced non-finite vertices")
-    faces = np.empty((2 * (nu - 1) * (nv - 1), 3), dtype=np.int32)
-    k = 0
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j
-            b = (i + 1) * nv + j
-            c = (i + 1) * nv + j + 1
-            d = i * nv + j + 1
-            faces[k] = (a, b, c)
-            faces[k + 1] = (a, c, d)
-            k += 2
-    return Mesh(vertices=verts, faces=faces, nu=nu, nv=nv)
+    # quad (i, j) has corners a = i nv + j, b = a + nv, c = b + 1, d = a + 1
+    # and gives the faces (a, b, c) and (a, c, d)
+    a = np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)
+    faces = np.empty((nu - 1, nv - 1, 6), dtype=np.int32)
+    faces[..., 0] = faces[..., 3] = a
+    faces[..., 1] = a + nv
+    faces[..., 2] = faces[..., 4] = a + nv + 1
+    faces[..., 5] = a + 1
+    return Mesh(vertices=verts.reshape(-1, 3), faces=faces.reshape(-1, 3), nu=nu, nv=nv)

@@ -28,6 +28,8 @@ from sigeom import (
     check_eigen_i,
     check_eigen_ii,
     constant_h_profile,
+    coord_laplacians_i,
+    coord_laplacians_ii,
     constant_k_profile,
     curvatures,
     eigen_system_residual,
@@ -43,6 +45,7 @@ from sigeom import (
 from sigeom.autodiff import Jet3
 from sigeom.bessel import i0_jet, j0_jet, k0_jet, y0_jet
 from sigeom.classify import EigenReport, OperatorKind, Verdict, _fit, _pattern_label
+from sigeom.cli import main, parse_profile_spec
 from sigeom.expressions import _evaluate, parse_expression
 from sigeom.profiles import ProfileFamily
 
@@ -93,9 +96,9 @@ def test_both_array_paths_are_exercised():
 def test_series_array_against_scalar_kernels(monkeypatch, lanes):
     monkeypatch.setattr(bessel, "_MIN_ARRAY_LANES", lanes)
     for sign in (-1.0, 1.0):
-        for weighted, kernel in ((False, bessel._series0), (True, bessel._phi_series)):
+        for weighted in (False, True):
             sums = bessel._series_array(MIXED, sign, bessel.DEFAULT_SERIES, weighted)
-            ref = [kernel(x, sign, bessel.DEFAULT_SERIES, 3) for x in MIXED.tolist()]
+            ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 3, weighted) for x in MIXED.tolist()]
             for k in range(4):
                 assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
                 assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
@@ -372,6 +375,66 @@ def test_radial_ode_certificate_vs_reference_loop(lam3, c2):
         f0, d1, d2 = (ref.evaluate(u, k) for k in range(3))
         worst = max(worst, abs(d2 + d1 / u + lam3 * f0))
     assert_bit_identical(cert.residual_sup, worst)
+
+
+# ----------------------------------------------------------------------
+# CLI tables: one array evaluation per table against per-point loops
+
+TABLE_SPECS = [
+    ("bessel:lambda=4,c1=1,c2=0.5", (0.5, 4.5)),
+    ("expr:f=j0(u)+0.25*i0(u/2)", (1.0, 6.0)),
+    ("log:lambda=-2,c=0", (0.5, 5.0)),
+    ("power:lambda=1,mu=3,c=1", (0.5, 5.0)),
+]
+
+
+def _table_argv(spec, kind, u_range, action, grid):
+    return ["surface", "--profile", spec, "--kind", kind, f"--u={u_range[0]}:{u_range[1]}",
+            "--v=-1:0.5", "--grid", grid, "--action", action]
+
+
+@pytest.mark.parametrize("spec,u_range", TABLE_SPECS, ids=[t[0].split(":")[0] for t in TABLE_SPECS])
+@pytest.mark.parametrize("kind", ["timelike", "spacelike"])
+@pytest.mark.parametrize("action", ["laplacian1", "laplacian2", "curvature"])
+def test_cli_tables_vs_per_point_loops(capsys, spec, u_range, kind, action):
+    assert main(_table_argv(spec, kind, u_range, action, "9x6")) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    s = RevolutionSurface(parse_profile_spec(spec), RevolutionKind(kind), u_range, (-1.0, 0.5))
+    if action == "curvature":
+        lines = ["u,K,H"]
+        rows = [(u, *curvatures(s, u)) for u in np.linspace(*u_range, 9).tolist()]
+    else:
+        lines = ["u,v,d1,d2,d3"]
+        op = coord_laplacians_i if action == "laplacian1" else coord_laplacians_ii
+        g = make_grid(s, 9, 6)
+        rows = [(u, v, *op(s, u, v)) for u in g.u.tolist() for v in g.v.tolist()]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    assert out == "\n".join(lines) + "\n"
+    if action == "laplacian1":
+        # a = 0 times sinh v < 0 is -0.0; the rotational columns print 0
+        assert "-0," not in out
+
+
+@pytest.mark.parametrize(
+    "spec,action,code,message",
+    [
+        # ln(2.5 - u) fails at the last grid radius (2.998) and the last sample (3)
+        ("expr:f=ln(2.5-u)", "laplacian1", 3, "ln requires a positive argument, got -0.4980000000000002"),
+        ("expr:f=ln(2.5-u)", "laplacian2", 3, "ln requires a positive argument, got -0.4980000000000002"),
+        ("expr:f=ln(2.5-u)", "curvature", 3, "ln requires a positive argument, got 0.0"),
+        # f' = 2 (u - 2) vanishes at the middle grid radius 2.0
+        ("expr:f=(u-2)^2", "laplacian2", 3, "profile has f'(2.0) = 0; B is undefined"),
+        # f'' = 6 (u - 2) vanishes there while f' = 3 (u - 2)^2 + 1 does not
+        ("expr:f=(u-2)^3+u", "laplacian2", 4, "parabolic point (f''(2.0) ~ 0); B is undefined"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["timelike", "spacelike"])
+def test_cli_tables_raise_the_first_failing_radius_error(capsys, spec, action, code, message, kind):
+    # the grid radii are 1.002, 1.501, 2.0, 2.499, 2.998; the messages are the
+    # ones the per-point loops printed
+    assert main(_table_argv(spec, kind, (1, 3), action, "5x5")) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ----------------------------------------------------------------------

@@ -82,6 +82,24 @@ def test_bessel_non_convergence(capsys):
     assert main(["bessel", "--kind", "j0", "--range", "0:200", "--n", "5"]) == 5
 
 
+def _assert_parse_error(capsys, argv, fragment):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "2", "1", "-1e-15", "inf"])
+def test_bessel_series_tol_outside_0_1_is_a_parse_error(capsys, tol):
+    argv = ["bessel", "--kind", "j0", "--range", "0:1", "--n", "3", f"--series-tol={tol}"]
+    _assert_parse_error(capsys, argv, "--series-tol must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("pair", ["0:nan", "nan:1", "0:inf", "-inf:1"])
+def test_bessel_non_finite_range_is_a_parse_error(capsys, pair):
+    argv = ["bessel", "--kind", "j0", "--range", pair, "--n", "3"]
+    _assert_parse_error(capsys, argv, "--range must have finite endpoints")
+
+
 # ----------------------------------------------------------------------
 # surface subcommand
 
@@ -123,6 +141,24 @@ def test_surface_linear_profile_is_parabolic(capsys):
 
 def test_surface_parse_error(capsys):
     assert main(["surface", "--profile", "zzz:a=1", "--action", "classify1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value,fragment",
+    [
+        ("--tol", "nan", "--tol must be finite and > 0"),
+        ("--tol", "inf", "--tol must be finite and > 0"),
+        ("--tol", "-1e-6", "--tol must be finite and > 0"),
+        ("--tol", "0", "--tol must be finite and > 0"),
+        ("--series-tol", "0", "--series-tol must lie in (0, 1)"),
+        ("--series-tol", "nan", "--series-tol must lie in (0, 1)"),
+        ("--u", "0.5:nan", "--u must have finite endpoints"),
+        ("--v", "-inf:1", "--v must have finite endpoints"),
+    ],
+)
+def test_surface_bad_numeric_option_is_a_parse_error(capsys, flag, value, fragment):
+    argv = ["surface", "--profile", "log:lambda=-2,c=0", "--action", "classify2", f"{flag}={value}"]
+    _assert_parse_error(capsys, argv, fragment)
 
 
 @pytest.mark.parametrize("action", ["classify1", "classify2", "laplacian1", "laplacian2"])
