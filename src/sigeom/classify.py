@@ -26,10 +26,11 @@ from .errors import DomainError
 from .profiles import ProfileCurve, ProfileFamily, bessel_profile
 from .surfaces import (
     RevolutionSurface,
+    _checked_jets,
     _coordinate_laplacians,
     _curvatures,
     _rotate,
-    _second_form_coefficients,
+    _second_form_factors,
 )
 
 __all__ = [
@@ -155,7 +156,7 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     Lap r_i = lambda_i r_i on the grid, and sgn(w) per radius (None on the
     first form), from the closed coordinate Laplacians."""
     _check_grid(s, g)
-    f0, a, c, ew = _coordinate_laplacians(s, g.u, form)
+    f0, a, c, ew = _coordinate_laplacians(s, g.u, form, value=True)
     sv, cv = np.sinh(g.v), np.cosh(g.v)
     r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
     lap1, lap2 = _rotate(s.kind, np.reshape(a, (-1, 1)), sv, cv)  # _fit broadcasts a row
@@ -271,7 +272,7 @@ class CurvatureReport:
 def verify_constant_curvature(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> CurvatureReport:
     """Sample K(u) and H(u) over the grid radii and test for constancy."""
     _check_grid(s, g)
-    _, f1, f2, _ = s.profile.jets(g.u)
+    f1, f2 = s.profile._jets(g.u, (1, 2))
     ks, hs = _curvatures(g.u, f1, f2)
     k0 = float(np.mean(ks))
     h0 = float(np.mean(hs))
@@ -318,7 +319,7 @@ def solve_radial_eigen_ode(
     profile = bessel_profile(lambda3, c1, c2, cfg, domain)
     lo, hi = profile.domain
     us = np.linspace(max(0.1, lo), hi, samples)
-    f0, d1, d2, _ = profile.jets(us)
+    f0, d1, d2 = profile._jets(us, (0, 1, 2))
     worst = _sup(np.abs(d2 + d1 / us + lambda3 * f0))
     return CertifiedProfile(profile=profile, residual_sup=worst, sample_points=us)
 
@@ -333,7 +334,8 @@ def eigen_system_residual(
     A genuine eigen family drives both to zero; the power family cannot.
     """
     us = np.asarray(us, dtype=np.float64)
-    f0, _, acoef, ccoef = _second_form_coefficients(p, us)
+    f0, f1, f2, f3 = _checked_jets(p, us, (0, 1, 2, 3), 2)
+    acoef, ccoef, _ = _second_form_factors(us, f1, f2, f3)
     return _sup(np.concatenate((np.abs(acoef - lam * us), np.abs(ccoef - mu * f0))))
 
 

@@ -221,6 +221,27 @@ _ACTIONS = ("curvature", "laplacian1", "laplacian2", "classify1", "classify2", "
 _GRID_ACTIONS = ("laplacian1", "laplacian2", "classify1", "classify2")
 
 
+def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
+    """Header and rows of the curvature or coordinate-Laplacian table."""
+    if action == "curvature":
+        us = np.linspace(s.u_range[0], s.u_range[1], nu)
+        f1, f2 = s.profile._jets(us, (1, 2))
+        k, h = _curvatures(us, f1, f2)
+        return "u,K,H", zip(us.tolist(), k.tolist(), h.tolist())
+    grid = make_grid(s, nu, nv)
+    vs = grid.v.tolist()
+    if action == "laplacian1":
+        _, _, c, _ = _coordinate_laplacians(s, grid.u, 1)
+        d1 = d2 = [0.0] * (nu * nv)  # the rotational coordinates are harmonic
+    else:
+        _, a, c, _ = _coordinate_laplacians(s, grid.u, 2)
+        sv = np.array([math.sinh(v) for v in vs])
+        cv = np.array([math.cosh(v) for v in vs])
+        d1, d2 = (d.ravel().tolist() for d in _rotate(s.kind, a[:, None], sv, cv))
+    us = np.repeat(grid.u, nv).tolist()
+    return "u,v,d1,d2,d3", zip(us, vs * nu, d1, d2, np.repeat(c, nv).tolist())
+
+
 def _cmd_surface(args: argparse.Namespace) -> int:
     cfg = _series_config(args.series_tol)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
@@ -241,33 +262,12 @@ def _cmd_surface(args: argparse.Namespace) -> int:
             f"{MIN_GRID_SAMPLES}x{MIN_GRID_SAMPLES}, got {args.grid!r}"
         )
 
-    if args.action == "curvature":
-        us = np.linspace(u_range[0], u_range[1], nu)
-        _, f1, f2, _ = profile.jets(us)
-        k, h = _curvatures(us, f1, f2)
-        _write_csv(args.out, "u,K,H", zip(us.tolist(), k.tolist(), h.tolist()))
-        return EXIT_OK
-
-    if args.action in ("laplacian1", "laplacian2"):
-        form = 1 if args.action == "laplacian1" else 2
-        grid = make_grid(surface, nu, nv)
-        _, a, c, _ = _coordinate_laplacians(surface, grid.u, form)
-        vs = grid.v.tolist()
-        sv = np.array([math.sinh(v) for v in vs])
-        cv = np.array([math.cosh(v) for v in vs])
-        d1, d2 = _rotate(kind, np.reshape(a, (-1, 1)), sv, cv)
-        if form == 1:
-            # a = +0.0 here, and 0.0 * sinh v is -0.0 where v < 0: adding 0.0
-            # prints it as 0 and changes no other value
-            d1, d2 = d1 + 0.0, d2 + 0.0
-        rows = zip(
-            np.repeat(grid.u, nv).tolist(),
-            vs * nu,
-            np.broadcast_to(d1, (nu, nv)).ravel().tolist(),
-            np.broadcast_to(d2, (nu, nv)).ravel().tolist(),
-            np.repeat(c, nv).tolist(),
-        )
-        _write_csv(args.out, "u,v,d1,d2,d3", rows)
+    if args.action in ("curvature", "laplacian1", "laplacian2"):
+        # numpy warns of inf and nan where the per-point float arithmetic
+        # these tables reproduce is silent
+        with np.errstate(all="ignore"):
+            header, rows = _surface_table(args.action, surface, nu, nv)
+        _write_csv(args.out, header, rows)
         return EXIT_OK
 
     if args.action in ("classify1", "classify2"):

@@ -84,17 +84,22 @@ class ProfileCurve:
 
         Bit-identical to stacking `evaluate`, and raises what a loop of
         `evaluate` over us would raise first.  A profile built by
-        `profile_from_jet` evaluates its jet once on the whole array; a
-        single radius takes the memoized pointwise path instead.
+        `profile_from_jet` evaluates its jet once on the whole array.
         """
-        values, exc = self._leading_jets(us)
+        return self._jets(us, (0, 1, 2, 3))
+
+    def _jets(self, us, orders: tuple[int, ...]) -> np.ndarray:
+        """The rows of `jets` for the derivative orders listed, raising only
+        what evaluating those orders would raise: grid consumers ask for the
+        orders they read, as their pointwise loops did."""
+        values, exc = self._leading_jets(us, orders)
         if exc is not None:
             raise exc
         return values
 
-    def _leading_jets(self, us) -> tuple[np.ndarray, Exception | None]:
-        """Jets at the radii of us before the first one where a loop of
-        `evaluate` would raise, and that exception (None if there is none).
+    def _leading_jets(self, us, orders=(0, 1, 2, 3)) -> tuple[np.ndarray, Exception | None]:
+        """Rows of `_jets` at the radii of us before the first one where a loop
+        of `evaluate` would raise, and that exception (None if there is none).
 
         Grid consumers with checks of their own per radius use this to raise
         whichever comes first, their check or the profile's.
@@ -103,27 +108,27 @@ class ProfileCurve:
         lo, hi = self.domain
         inside = (lo <= us) & (us <= hi)
         n = us.size if inside.all() else int(np.argmin(inside))
-        values, exc = self._jets_inside(us[:n])
+        values, exc = self._jets_inside(us[:n], orders)
         if exc is None and n < us.size:
             exc = self._outside(float(us[n]))
         return values, exc
 
-    def _jets_inside(self, us: np.ndarray) -> tuple[np.ndarray, Exception | None]:
-        if self.jet is not None and us.size > 1:
+    def _jets_inside(self, us: np.ndarray, orders) -> tuple[np.ndarray, Exception | None]:
+        if self.jet is not None and us.size:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     values = self.jet(us)
-                return np.array([np.broadcast_to(v, us.shape) for v in values]), None
+                return np.array([np.broadcast_to(values[k], us.shape) for k in orders]), None
             except (ArithmeticError, ValueError):
                 pass  # the loop below finds the radius and its exception
-        f, d1, d2, d3 = self.f, self.d1, self.d2, self.d3
+        fns = [(self.f, self.d1, self.d2, self.d3)[k] for k in orders]
         rows = []
         for u in us.tolist():
             try:
-                rows.append((f(u), d1(u), d2(u), d3(u)))
+                rows.append([fn(u) for fn in fns])
             except (ArithmeticError, ValueError) as exc:
-                return np.array(rows).reshape(-1, 4).T, exc
-        return np.array(rows).reshape(-1, 4).T, None
+                return np.array(rows).reshape(-1, len(fns)).T, exc
+        return np.array(rows).reshape(-1, len(fns)).T, None
 
 
 def eval_profile(p: ProfileCurve, u: float, order: int = 0) -> float:

@@ -15,12 +15,14 @@ defined away from parabolic points (w = LN - M^2 = 0).  The general
 operators difference the flux terms with central steps h = 1e-5 max(1, |u|)
 and serve as the oracle for the closed coordinate forms.
 
-One array core, _coordinate_laplacians, gives the closed coordinate forms
-to the pointwise coord_laplacians_i/ii, the eigen fits in classify and the
-CLI tables.  On both forms Lap r1, Lap r2 = a(u) (h1(v), h2(v)) and
-Lap r3 = c(u), with (h1, h2) = (sinh, cosh) for a timelike meridian and
-(cosh, sinh) for a spacelike one; _rotate applies that pattern, with
-a = u also to the coordinates themselves.
+On both forms the closed coordinate Laplacians are Lap r1, Lap r2 =
+a(u) (h1(v), h2(v)) and Lap r3 = c(u), with (h1, h2) = (sinh, cosh) for a
+timelike meridian and (cosh, sinh) for a spacelike one.  _coordinate_factors
+holds the formulas for a and c, on a float or elementwise on arrays: the
+pointwise coord_laplacians_i/ii apply it per point, and
+_coordinate_laplacians per array of radii for the eigen fits in classify
+and the CLI tables.  _rotate applies the (h1, h2) pattern, with a = u also
+to the coordinates themselves.
 
 Sign convention note: on coordinate functions the second-form operator
 reduces to the pattern B(u) - 1/f' and B(u) f' + 1 (with B assembled from
@@ -355,66 +357,89 @@ def _b_coefficient(u, f1, f2, f3):
     return (0.5 / f2) * ((f1 + u * f2) / (f1 * u) - f3 / f2)
 
 
+def _b_undefined(u, f1, f2):
+    # where B is undefined (f' = 0 or a parabolic point); floats or arrays alike
+    return (f1 == 0.0) | (f2 == 0.0) | (abs(u * f1 * f2) < _parabolic_threshold(u, f1, f2))
+
+
+def _check_b_defined(u: float, f1: float, f2: float) -> None:
+    if f1 == 0.0:
+        raise AdmissibilityError(f"profile has f'({u!r}) = 0; B is undefined")
+    if _b_undefined(u, f1, f2):
+        raise ParabolicPointError(f"parabolic point (f''({u!r}) ~ 0); B is undefined")
+
+
 def b_of_profile(p: ProfileCurve, u: float) -> float:
     """B(u) = (1/(2 f'')) [ (f' + u f'')/(u f') - f'''/f'' ]."""
     f1 = p.evaluate(u, 1)
     f2 = p.evaluate(u, 2)
     f3 = p.evaluate(u, 3)
-    if f1 == 0.0:
-        raise AdmissibilityError(f"profile has f'({u!r}) = 0; B is undefined")
-    if f2 == 0.0 or abs(u * f1 * f2) < _parabolic_threshold(u, f1, f2):
-        raise ParabolicPointError(f"parabolic point (f''({u!r}) ~ 0); B is undefined")
+    _check_b_defined(u, f1, f2)
     return _b_coefficient(u, f1, f2, f3)
 
 
-def _second_form_coefficients(
-    p: ProfileCurve, us: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(f, sgn(w), A, C) at the radii us, with A = sgn(w) (B - 1/f') and
-    C = sgn(w) (B f' + 1).
-
-    Raises what a loop of evaluate and b_of_profile over us would raise
-    first: AdmissibilityError for f' = 0, ParabolicPointError, or the
-    profile's own error.
-    """
-    us = np.asarray(us, dtype=np.float64)
-    (f0, f1, f2, f3), exc = p._leading_jets(us)
-    u = us[: f0.size]
-    # the tests of b_of_profile, per element
-    undefined = (f1 == 0.0) | (f2 == 0.0) | (np.abs(u * f1 * f2) < _parabolic_threshold(u, f1, f2))
-    if undefined.any():
-        b_of_profile(p, float(u[np.argmax(undefined)]))  # raises its error there
-    if exc is not None:
-        raise exc
+def _second_form_factors(u, f1, f2, f3):
+    # (A, C, sgn(w)) with A = sgn(w) (B - 1/f') and C = sgn(w) (B f' + 1);
+    # elementwise IEEE arithmetic, floats or arrays alike
+    ew = 1.0 - 2.0 * (f1 * f2 > 0.0)  # sgn(w) = sgn(-u f' f'')
     B = _b_coefficient(u, f1, f2, f3)
-    ew = np.where(f1 * f2 > 0.0, -1.0, 1.0)  # sgn(w) = sgn(-u f' f'')
-    return f0, ew, ew * (B - 1.0 / f1), ew * (B * f1 + 1.0)
+    return ew * (B - 1.0 / f1), ew * (B * f1 + 1.0), ew
 
 
-def _coordinate_laplacians(
-    s: RevolutionSurface, us, form: int
-) -> tuple[np.ndarray, np.ndarray | float, np.ndarray, np.ndarray | None]:
-    """(f, a, c, sgn(w)) at the radii us, so that the coordinate Laplacians
-    of the first (form 1) or second (form 2) form are
+def _coordinate_factors(kind: RevolutionKind, form: int, u, f1, f2, f3=None):
+    """(a, c, sgn(w)) from the profile derivatives at u, so that the
+    coordinate Laplacians of the first (form 1) or second (form 2) form are
 
-        (Lap r1, Lap r2) = _rotate(s.kind, a, sinh v, cosh v),  Lap r3 = c.
+        (Lap r1, Lap r2) = _rotate(kind, a, sinh v, cosh v),  Lap r3 = c.
 
     Timelike meridian: form 1 has a = 0 (the rotational coordinates are
     harmonic) and c = -f'' - f'/u; form 2 has a = sgn(w) (B - 1/f') and
     c = sgn(w) (B f' + 1).  A spacelike meridian negates c, and a on form 2
-    (its G and N carry the opposite sign).  On form 1, a is the float +0.0,
-    constant in u, so that its rotation costs one row rather than a grid,
-    and sgn(w) is None.  Raises what a pointwise loop over us would raise
-    first.
+    (its G and N carry the opposite sign).  On form 1, a is the float +0.0
+    and sgn(w) is None.  Floats or arrays alike; form 2 is defined only
+    where _check_b_defined passes.
+    """
+    flip = kind is RevolutionKind.SPACELIKE_MERIDIAN
+    if form == 1:
+        c = -f2 - f1 / u
+        return 0.0, -c if flip else c, None
+    a, c, ew = _second_form_factors(u, f1, f2, f3)
+    return (-a, -c, ew) if flip else (a, c, ew)
+
+
+def _checked_jets(p: ProfileCurve, us: np.ndarray, orders, form: int) -> np.ndarray:
+    """The rows f^(k), k in orders, at the radii us.
+
+    Raises what a pointwise loop over us would raise first: the profile's
+    own error or, on the second form (orders ending in 1, 2, 3), the
+    AdmissibilityError for f' = 0 or the ParabolicPointError of b_of_profile.
+    """
+    values, exc = p._leading_jets(us, orders)
+    if form == 2:
+        u, f1, f2 = us[: values.shape[1]], values[-3], values[-2]
+        undefined = _b_undefined(u, f1, f2)
+        if undefined.any():
+            i = int(np.argmax(undefined))
+            _check_b_defined(float(u[i]), float(f1[i]), float(f2[i]))
+    if exc is not None:
+        raise exc
+    return values
+
+
+def _coordinate_laplacians(
+    s: RevolutionSurface, us, form: int, value: bool = False
+) -> tuple[np.ndarray | None, np.ndarray | float, np.ndarray, np.ndarray | None]:
+    """(f, a, c, sgn(w)) of _coordinate_factors at the radii us, with f only
+    if value is set (None otherwise).
+
+    Evaluates only the profile orders it reads, and raises what a pointwise
+    loop over us would raise first.
     """
     us = np.asarray(us, dtype=np.float64)
-    flip = s.kind is RevolutionKind.SPACELIKE_MERIDIAN
-    if form == 1:
-        f0, f1, f2, _ = s.profile.jets(us)
-        c = -f2 - f1 / us
-        return f0, 0.0, -c if flip else c, None
-    f0, ew, a, c = _second_form_coefficients(s.profile, us)
-    return (f0, -a, -c, ew) if flip else (f0, a, c, ew)
+    orders = ((0,) if value else ()) + ((1, 2) if form == 1 else (1, 2, 3))
+    jets = _checked_jets(s.profile, us, orders, form)
+    a, c, ew = _coordinate_factors(s.kind, form, us, *jets[int(value):])
+    return (jets[0] if value else None), a, c, ew
 
 
 def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float, float, float]:
@@ -425,8 +450,8 @@ def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float,
     one (its G carries the opposite sign).
     """
     _check_point(s, u, v)
-    c = _coordinate_laplacians(s, [u], 1)[2]
-    return (0.0, 0.0, float(c[0]))
+    f1, f2 = s.profile.evaluate(u, 1), s.profile.evaluate(u, 2)
+    return (0.0, 0.0, _coordinate_factors(s.kind, 1, u, f1, f2)[1])
 
 
 def b_function(s: RevolutionSurface, u: float) -> float:
@@ -446,8 +471,10 @@ def coord_laplacians_ii(s: RevolutionSurface, u: float, v: float) -> tuple[float
     orientation of the second form (w = -u f' f'' may take either sign).
     """
     _check_point(s, u, v)
-    _, a, c, _ = _coordinate_laplacians(s, [u], 2)
-    return (*_rotate(s.kind, float(a[0]), math.sinh(v), math.cosh(v)), float(c[0]))
+    f1, f2, f3 = (s.profile.evaluate(u, k) for k in (1, 2, 3))
+    _check_b_defined(u, f1, f2)
+    a, c, _ = _coordinate_factors(s.kind, 2, u, f1, f2, f3)
+    return (*_rotate(s.kind, a, math.sinh(v), math.cosh(v)), c)
 
 
 def coordinate_fields(s: RevolutionSurface) -> tuple[ScalarField, ScalarField, ScalarField]:
@@ -486,7 +513,7 @@ def mesh(s: RevolutionSurface, nu: int, nv: int) -> Mesh:
         raise ValueError(f"mesh needs nu, nv >= 2, got {nu!r} x {nv!r}")
     us = np.linspace(s.u_range[0], s.u_range[1], nu)
     vs = np.linspace(s.v_range[0], s.v_range[1], nv)
-    z = s.profile.jets(us)[0]
+    z = s.profile._jets(us, (0,))[0]
     verts = np.empty((nu, nv, 3), dtype=np.float64)
     verts[..., 0], verts[..., 1] = _rotate(s.kind, us[:, None], np.sinh(vs), np.cosh(vs))
     verts[..., 2] = z[:, None]

@@ -48,6 +48,7 @@ from sigeom.classify import EigenReport, OperatorKind, Verdict, _fit, _pattern_l
 from sigeom.cli import main, parse_profile_spec
 from sigeom.expressions import _evaluate, parse_expression
 from sigeom.profiles import ProfileFamily
+from sigeom.surfaces import _coordinate_laplacians
 
 JETS = (j0_jet, i0_jet, y0_jet, k0_jet)
 
@@ -388,19 +389,38 @@ TABLE_SPECS = [
 ]
 
 
-def _table_argv(spec, kind, u_range, action, grid):
+V_RANGE = (-1.0, 0.5)
+TABLE_CASES = [
+    (spec, u_range, V_RANGE, action)
+    for spec, u_range in TABLE_SPECS
+    for action in ("laplacian1", "laplacian2", "curvature")
+] + [
+    # sinh and cosh of |v| > 710.5 overflow in math; the first form never
+    # needs them, its rotational columns are 0
+    ("log:lambda=1,c=0", (1.0, 3.0), (-800.0, 800.0), "laplacian1"),
+    # the third derivative c a (a-1)(a-2) u^(a-3) overflows at u = 0.1 for
+    # a = -306, while f' and f'' do not
+    ("power:lambda=1,mu=-306,c=1", (0.1, 1.0), V_RANGE, "curvature"),
+    ("power:lambda=1,mu=-306,c=1", (0.1, 1.0), V_RANGE, "laplacian1"),
+    # f = 2/mu + u^309 overflows at u = 10, while its derivatives do not
+    ("power:lambda=1,mu=309,c=1", (1.0, 10.0), V_RANGE, "laplacian2"),
+]
+
+
+def _table_argv(spec, kind, u_range, action, grid, v_range=V_RANGE):
     return ["surface", "--profile", spec, "--kind", kind, f"--u={u_range[0]}:{u_range[1]}",
-            "--v=-1:0.5", "--grid", grid, "--action", action]
+            f"--v={v_range[0]}:{v_range[1]}", "--grid", grid, "--action", action]
 
 
-@pytest.mark.parametrize("spec,u_range", TABLE_SPECS, ids=[t[0].split(":")[0] for t in TABLE_SPECS])
+@pytest.mark.parametrize("spec,u_range,v_range,action", TABLE_CASES)
 @pytest.mark.parametrize("kind", ["timelike", "spacelike"])
-@pytest.mark.parametrize("action", ["laplacian1", "laplacian2", "curvature"])
-def test_cli_tables_vs_per_point_loops(capsys, spec, u_range, kind, action):
-    assert main(_table_argv(spec, kind, u_range, action, "9x6")) == 0
+@pytest.mark.filterwarnings("error")  # numpy must not warn where the loops are silent
+def test_cli_tables_vs_per_point_loops(capsys, spec, u_range, v_range, action, kind):
+    # the per-point closed forms evaluate only the profile orders they use
+    assert main(_table_argv(spec, kind, u_range, action, "9x6", v_range)) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    s = RevolutionSurface(parse_profile_spec(spec), RevolutionKind(kind), u_range, (-1.0, 0.5))
+    s = RevolutionSurface(parse_profile_spec(spec), RevolutionKind(kind), u_range, v_range)
     if action == "curvature":
         lines = ["u,K,H"]
         rows = [(u, *curvatures(s, u)) for u in np.linspace(*u_range, 9).tolist()]
@@ -412,7 +432,7 @@ def test_cli_tables_vs_per_point_loops(capsys, spec, u_range, kind, action):
     lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
     assert out == "\n".join(lines) + "\n"
     if action == "laplacian1":
-        # a = 0 times sinh v < 0 is -0.0; the rotational columns print 0
+        # the rotational columns are the literal 0 of coord_laplacians_i
         assert "-0," not in out
 
 
@@ -435,6 +455,26 @@ def test_cli_tables_raise_the_first_failing_radius_error(capsys, spec, action, c
     # ones the per-point loops printed
     assert main(_table_argv(spec, kind, (1, 3), action, "5x5")) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_grid_consumers_evaluate_only_the_orders_they_read():
+    # the third derivative c a (a-1)(a-2) u^(a-3) overflows at u = 0.1 for
+    # a = -306, while f, f' and f'' do not: a pointwise loop over f, f', f''
+    # never meets it
+    p = power_profile(1.0, -306.0, 1.0, domain=(0.1, 1.0))
+    us = np.array([0.1, 0.55, 1.0])
+    with pytest.raises(OverflowError):
+        p.jets(us)
+    want = [[p.evaluate(u, k) for u in us.tolist()] for k in (2, 0)]
+    assert_bit_identical(p._jets(us, (2, 0)), want)
+    for kind in RevolutionKind:
+        s = RevolutionSurface(p, kind)
+        assert_bit_identical(mesh(s, 3, 2).vertices[::2, 2], want[1])
+        with np.errstate(invalid="ignore"):  # c = -inf - (-inf) at u = 0.1
+            f0, a, c, ew = _coordinate_laplacians(s, us, 1, value=True)
+        assert (a, ew) == (0.0, None)
+        assert_bit_identical(f0, want[1])
+        assert_bit_identical(c, [coord_laplacians_i(s, u, 0.0)[2] for u in us.tolist()])
 
 
 # ----------------------------------------------------------------------
