@@ -96,12 +96,38 @@ SURFACE_DIGESTS = {
 }
 
 
+# Outputs longer than one 4096-row block of the CLI writer, so a block
+# boundary falls inside each: (spec, action, grid) -> sha256 of the file.
+# A 101x101 mesh has 10,201 vertices and 20,000 faces.
+LARGE_SURFACE_DIGESTS = {
+    ("bessel-j0", "mesh", "101x101"): "ae6ee54a6fdab6c64f1f20f08498846919d40e4eb43fa2df625a1eb35b13f197",
+    ("bessel-j0", "laplacian1", "101x101"): "1c8768c506f9c75c7bdcf7891d161071e4acfa90646bd55ed82692ad6a236d07",
+    ("bessel-j0", "laplacian2", "101x101"): "ab530191abd7af93172d16ffe44647e1e74f4fecc7f95835fcbc229ab2f28d41",
+    ("bessel-j0", "curvature", "8193x2"): "e711139b160510aa5812219414c402a37ccf227306cc42ba8813db1d1db89ecb",
+    ("expr-elem", "mesh", "101x101"): "78198a1ec74a826526bb13ef59b13ffc0f5078b6eaf6897de0ad0cf0cff4ab98",
+    ("expr-elem", "laplacian1", "101x101"): "1e1f3d42f2aebfdac45e081d5bbce1c324fedbe7251c2552069a876d12b660fd",
+    ("expr-elem", "laplacian2", "101x101"): "3734288c5eb9681ff7a4cb3e21a481aa981024e1cde5d1951c624cc5453dac36",
+    ("expr-elem", "curvature", "8193x2"): "753711836a3b0f5c5b7eba514c9aee60c1fb059cb17681ae9703d577f8c24a5e",
+}
+
+# one 4097-row `bessel` table per kind, all at |x| <= 25:
+# kind -> (range, extra arguments, sha256 of the file)
+LARGE_BESSEL_DIGESTS = {
+    "j0": ("0:25", (), "8fef11050ca2258c2f4eaaf439445db84c62d1cc182eb259eb86e363417fe80c"),
+    "y0": ("0.05:25", (), "f38bda08604f592ce325a7d8371886c7a79111db3d150de5e658d6a503967254"),
+    "i0": ("-25:25", (), "a07a3c7707c9b88233ab8a892d468bd6712018879c31d4373599060e1cc8825e"),
+    "k0": ("0.05:25", (), "beb4165c0752dea2c282e7ebb23e7cb512186f2e944d5da3616285dbf683f96c"),
+    "jp": ("0:25", ("--p", "0.3"), "019caa7bdc2d203c66aa02aee3e0463d0721d51da7cc6a978707f82858838b67"),
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def surface_digest(tmp_path, name, action):
-    spec, kind, u, v, grid = SPECS[name]
+def surface_digest(tmp_path, name, action, grid=None):
+    spec, kind, u, v, spec_grid = SPECS[name]
+    grid = grid or spec_grid
     out = tmp_path / f"{name}-{action}.txt"
     rc = main(["surface", "--profile", spec, "--kind", kind, "--u", u, "--v", v,
                "--grid", grid, "--action", action, "--out", str(out)])
@@ -123,3 +149,18 @@ def test_figure_digests(tmp_path, fid):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_surface_digests(tmp_path, name, action):
     assert surface_digest(tmp_path, name, action) == SURFACE_DIGESTS[(name, action)]
+
+
+@pytest.mark.parametrize("name, action, grid", sorted(LARGE_SURFACE_DIGESTS))
+def test_surface_digests_past_a_block(tmp_path, name, action, grid):
+    digest = LARGE_SURFACE_DIGESTS[(name, action, grid)]
+    assert surface_digest(tmp_path, name, action, grid) == (0, digest)
+
+
+@pytest.mark.parametrize("kind", sorted(LARGE_BESSEL_DIGESTS))
+def test_bessel_digests_past_a_block(tmp_path, kind):
+    rng, extra, digest = LARGE_BESSEL_DIGESTS[kind]
+    out = tmp_path / f"bessel-{kind}.csv"
+    argv = ["bessel", "--kind", kind, "--range", rng, "--n", "4097", "--out", str(out)]
+    assert main([*argv, *extra]) == 0
+    assert _sha(out.read_bytes()) == digest
