@@ -8,6 +8,7 @@ error, 5 series non-convergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -57,10 +58,6 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_PARABOLIC = 4
 EXIT_NONCONVERGENCE = 5
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -160,32 +157,48 @@ def parse_profile_spec(spec: str, cfg: SeriesConfig | None = None) -> ProfileCur
     return linear_profile(nums["a"], nums["b"])
 
 
+_BLOCK_ROWS = 4096
+
+
+def _write_rows(fh: TextIO, line: str, table: np.ndarray, offset: int = 0) -> None:
+    """Each row of a 2-D table, plus `offset`, through the %-template `line`:
+    one write per block, and no copy of the whole table.  `"%.17g" % x`
+    prints the Python float of `tolist` as `f"{x:.17g}"` does."""
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start : start + _BLOCK_ROWS]
+        if offset:
+            block = block + offset
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_obj(m: Mesh, fh: TextIO) -> None:
     """v/f lines, 1-based indices, no normals (the unit normal is the
     constant isotropic direction and carries no information)."""
-    for vert in m.vertices:
-        fh.write(f"v {_fmt(vert[0])} {_fmt(vert[1])} {_fmt(vert[2])}\n")
-    for face in m.faces:
-        fh.write(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}\n")
+    _write_rows(fh, "v %.17g %.17g %.17g\n", m.vertices)
+    _write_rows(fh, "f %d %d %d\n", m.faces, offset=1)
 
 
+@contextlib.contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="\n") as fh:
+            yield fh
 
 
-def _write_csv(path: str | None, header: str, rows, comments: Sequence[str] = ()) -> None:
-    fh, owned = _open_out(path)
-    try:
+def _write_csv(path: str | None, header: str, table: np.ndarray, comments: Sequence[str] = ()):
+    with _open_out(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-    finally:
-        if owned:
-            fh.close()
+        _write_rows(fh, ",".join(["%.17g"] * table.shape[1]) + "\n", table)
+
+
+def _tabulate(a: float, b: float, n: int, *fns: Callable[[float], float]) -> np.ndarray:
+    """The columns x, fn(x), ... at n evenly spaced x in [a, b], one call per x."""
+    xs = np.linspace(a, b, n)
+    return np.column_stack((xs, *([fn(x) for x in xs.tolist()] for fn in fns)))
 
 
 def _bessel_eval(kind: str, p: float | None, cfg: SeriesConfig) -> Callable[[float], float]:
@@ -210,9 +223,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     if args.kind in ("y0", "k0") and (a <= 0.0 or b <= 0.0):
         raise DomainError(f"{args.kind} requires x > 0")
     fn = _bessel_eval(args.kind, args.p, cfg)
-    xs = np.linspace(a, b, args.n)
-    rows = [(float(x), fn(float(x))) for x in xs]
-    _write_csv(args.out, "x,value", rows)
+    _write_csv(args.out, "x,value", _tabulate(a, b, args.n, fn))
     return EXIT_OK
 
 
@@ -222,24 +233,24 @@ _GRID_ACTIONS = ("laplacian1", "laplacian2", "classify1", "classify2")
 
 
 def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
-    """Header and rows of the curvature or coordinate-Laplacian table."""
+    """Header and (nu, 3) or u-major (nu*nv, 5) float64 array of the
+    curvature or coordinate-Laplacian table."""
     if action == "curvature":
         us = np.linspace(s.u_range[0], s.u_range[1], nu)
         f1, f2 = s.profile._jets(us, (1, 2))
-        k, h = _curvatures(us, f1, f2)
-        return "u,K,H", zip(us.tolist(), k.tolist(), h.tolist())
+        return "u,K,H", np.column_stack((us, *_curvatures(us, f1, f2)))
     grid = make_grid(s, nu, nv)
-    vs = grid.v.tolist()
     if action == "laplacian1":
         _, _, c, _ = _coordinate_laplacians(s, grid.u, 1)
-        d1 = d2 = [0.0] * (nu * nv)  # the rotational coordinates are harmonic
+        d1 = d2 = np.zeros(nu * nv)  # the rotational coordinates are harmonic
     else:
         _, a, c, _ = _coordinate_laplacians(s, grid.u, 2)
+        vs = grid.v.tolist()
         sv = np.array([math.sinh(v) for v in vs])
         cv = np.array([math.cosh(v) for v in vs])
-        d1, d2 = (d.ravel().tolist() for d in _rotate(s.kind, a[:, None], sv, cv))
-    us = np.repeat(grid.u, nv).tolist()
-    return "u,v,d1,d2,d3", zip(us, vs * nu, d1, d2, np.repeat(c, nv).tolist())
+        d1, d2 = (d.ravel() for d in _rotate(s.kind, a[:, None], sv, cv))
+    us = np.repeat(grid.u, nv)
+    return "u,v,d1,d2,d3", np.column_stack((us, np.tile(grid.v, nu), d1, d2, np.repeat(c, nv)))
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
@@ -274,21 +285,13 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         grid = make_grid(surface, nu, nv)
         check = check_eigen_i if args.action == "classify1" else check_eigen_ii
         report = check(surface, grid, tol=args.tol)
-        fh, owned = _open_out(args.out)
-        try:
+        with _open_out(args.out) as fh:
             fh.write(report.to_text())
-        finally:
-            if owned:
-                fh.close()
         return EXIT_OK
 
     m = mesh(surface, nu, nv)
-    fh, owned = _open_out(args.out)
-    try:
+    with _open_out(args.out) as fh:
         write_obj(m, fh)
-    finally:
-        if owned:
-            fh.close()
     return EXIT_OK
 
 
@@ -302,48 +305,42 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     cfg = SeriesConfig()
     fid = args.id
 
-    def emit_csv(name: str, header: str, rows, comments: Sequence[str] = ()) -> None:
-        _write_csv(str(out_dir / name), header, rows, comments)
+    def emit_csv(name: str, header: str, table, comments: Sequence[str] = ()) -> None:
+        _write_csv(str(out_dir / name), header, table, comments)
         print(f"wrote {out_dir / name}", file=sys.stderr)
 
     def emit_obj(name: str, m: Mesh) -> None:
-        with open(out_dir / name, "w", newline="\n") as fh:
+        with _open_out(str(out_dir / name)) as fh:
             write_obj(m, fh)
         print(f"wrote {out_dir / name}", file=sys.stderr)
 
     if fid == "1a":
-        xs = np.linspace(0.05, 10.0, 200)
-        rows = [(float(x), bessel_j0(float(x), cfg), bessel_y0(float(x), cfg)) for x in xs]
         emit_csv(
             "figure1a.csv",
             "x,J0,Y0",
-            rows,
+            _tabulate(0.05, 10.0, 200, lambda x: bessel_j0(x, cfg), lambda x: bessel_y0(x, cfg)),
             comments=["samples start at x=0.05: Y0(x) -> -inf as x -> 0+"],
         )
     elif fid == "1b":
-        xs = np.linspace(-3.0, 3.0, 200)
-        emit_csv("figure1b_i0.csv", "x,I0", [(float(x), bessel_i0(float(x), cfg)) for x in xs])
-        xk = np.linspace(0.05, 3.0, 200)
+        emit_csv("figure1b_i0.csv", "x,I0", _tabulate(-3.0, 3.0, 200, lambda x: bessel_i0(x, cfg)))
         emit_csv(
             "figure1b_k0.csv",
             "x,K0",
-            [(float(x), bessel_k0(float(x), cfg)) for x in xk],
+            _tabulate(0.05, 3.0, 200, lambda x: bessel_k0(x, cfg)),
             comments=[
                 "nominal range [-3,3] is cut to (0,3]: K0 is undefined for x <= 0",
             ],
         )
     elif fid == "2a":
-        us = np.linspace(1.0, 4.0, 200)
-        rows = [(0.0, float(u), bessel_j0(float(u), cfg)) for u in us]
-        emit_csv("figure2a.csv", "x,y,z", rows, comments=["profile curve (0, u, J0(u))"])
+        table = np.insert(_tabulate(1.0, 4.0, 200, lambda u: bessel_j0(u, cfg)), 0, 0.0, axis=1)
+        emit_csv("figure2a.csv", "x,y,z", table, comments=["profile curve (0, u, J0(u))"])
     elif fid == "2b":
         profile = bessel_profile(1.0, 1.0, 0.0, cfg)
         s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, (1.0, 4.0), (-1.0, 1.0))
         emit_obj("figure2b.obj", mesh(s, _FIGURE_MESH, _FIGURE_MESH))
     elif fid == "3a":
-        us = np.linspace(0.5, 5.0, 200)
-        rows = [(0.0, float(u), float(np.log(u))) for u in us]
-        emit_csv("figure3a.csv", "x,y,z", rows, comments=["profile curve (0, u, ln u)"])
+        table = np.insert(_tabulate(0.5, 5.0, 200, np.log), 0, 0.0, axis=1)
+        emit_csv("figure3a.csv", "x,y,z", table, comments=["profile curve (0, u, ln u)"])
     else:
         profile = log_profile(-2.0, 0.0)
         s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, (0.5, 5.0), (-0.5, 1.0))
@@ -424,7 +421,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
+        # OverflowError: a math-module call (sinh, pow) out of float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -170,6 +170,19 @@ def test_surface_grid_below_5x5_is_a_parse_error(capsys, action, grid):
     assert err.startswith("error: ") and "at least 5x5" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # math.sinh(800) in the laplacian2 table
+    ["--profile", "log:lambda=1,c=0", "--v=0:800", "--action", "laplacian2"],
+    # math.pow(10, 309) in the power profile's f
+    ["--profile", "power:lambda=1,mu=309,c=1", "--u=1:10", "--action", "classify1"],
+])
+def test_surface_float_overflow_is_a_domain_error(capsys, argv):
+    assert main(["surface", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: math range error\n"
+
+
 @pytest.mark.parametrize("action", ["mesh", "curvature"])
 def test_surface_mesh_and_curvature_take_2x2(tmp_path, action):
     out = tmp_path / "out.txt"
