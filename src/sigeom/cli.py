@@ -240,17 +240,19 @@ def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
         f1, f2 = s.profile._jets(us, (1, 2))
         return "u,K,H", np.column_stack((us, *_curvatures(us, f1, f2)))
     grid = make_grid(s, nu, nv)
+    table = np.empty((nu, nv, 5))
+    table[..., 0], table[..., 1] = grid.u[:, None], grid.v
     if action == "laplacian1":
         _, _, c, _ = _coordinate_laplacians(s, grid.u, 1)
-        d1 = d2 = np.zeros(nu * nv)  # the rotational coordinates are harmonic
+        table[..., 2:4] = 0.0  # the rotational coordinates are harmonic
     else:
         _, a, c, _ = _coordinate_laplacians(s, grid.u, 2)
         vs = grid.v.tolist()
         sv = np.array([math.sinh(v) for v in vs])
         cv = np.array([math.cosh(v) for v in vs])
-        d1, d2 = (d.ravel() for d in _rotate(s.kind, a[:, None], sv, cv))
-    us = np.repeat(grid.u, nv)
-    return "u,v,d1,d2,d3", np.column_stack((us, np.tile(grid.v, nu), d1, d2, np.repeat(c, nv)))
+        table[..., 2], table[..., 3] = _rotate(s.kind, a[:, None], sv, cv)
+    table[..., 4] = c[:, None]
+    return "u,v,d1,d2,d3", table.reshape(-1, 5)
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
@@ -315,12 +317,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"wrote {out_dir / name}", file=sys.stderr)
 
     if fid == "1a":
-        emit_csv(
-            "figure1a.csv",
-            "x,J0,Y0",
-            _tabulate(0.05, 10.0, 200, lambda x: bessel_j0(x, cfg), lambda x: bessel_y0(x, cfg)),
-            comments=["samples start at x=0.05: Y0(x) -> -inf as x -> 0+"],
-        )
+        table = _tabulate(0.05, 10.0, 200, lambda x: bessel_j0(x, cfg), lambda x: bessel_y0(x, cfg))
+        comment = "samples start at x=0.05: Y0(x) -> -inf as x -> 0+"
+        emit_csv("figure1a.csv", "x,J0,Y0", table, comments=[comment])
     elif fid == "1b":
         emit_csv("figure1b_i0.csv", "x,I0", _tabulate(-3.0, 3.0, 200, lambda x: bessel_i0(x, cfg)))
         emit_csv(
