@@ -68,6 +68,15 @@ def _reference_csv(header: str, table: np.ndarray, comments=()) -> str:
     return "".join(lines)
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    # names the first differing line; pytest's own diff of two texts of
+    # several MB would take minutes
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        first = next(((i, g, w) for i, (g, w) in enumerate(pairs) if g != w), None)
+        pytest.fail(f"{len(got)} vs {len(want)} chars; first differing line (no, got, want): {first}")
+
+
 def test_special_values_print_as_before():
     m = Mesh(np.array(SPECIAL).reshape(-1, 2)[:, [0, 1, 1]], np.zeros((0, 3), np.int32), 8, 1)
     buf = io.StringIO()
@@ -87,11 +96,11 @@ def test_write_obj_matches_per_row_reference(tmp_path, rows):
     want = _reference_obj(m)
     buf = io.StringIO()
     write_obj(m, buf)
-    assert buf.getvalue() == want
+    _assert_same_text(buf.getvalue(), want)
     path = tmp_path / "m.obj"
     with open(path, "w", newline="\n") as fh:
         write_obj(m, fh)
-    assert path.read_text() == want
+    _assert_same_text(path.read_bytes().decode(), want)
 
 
 @pytest.mark.parametrize("rows", ROW_COUNTS)
@@ -100,16 +109,16 @@ def test_write_csv_matches_per_row_reference(tmp_path, capsys, rows):
     want = _reference_csv("u,v,d1,d2,d3", table, ["a comment"])
     path = tmp_path / "t.csv"
     _write_csv(str(path), "u,v,d1,d2,d3", table, ["a comment"])
-    assert path.read_bytes() == want.encode()
+    _assert_same_text(path.read_bytes().decode(), want)
     _write_csv(None, "u,v,d1,d2,d3", table, ["a comment"])
-    assert capsys.readouterr().out == want
+    _assert_same_text(capsys.readouterr().out, want)
 
 
 @pytest.mark.parametrize("cols", (2, 3))
 def test_write_csv_column_counts(capsys, cols):
     table = _table(4097, cols)
     _write_csv("-", "h", table)
-    assert capsys.readouterr().out == _reference_csv("h", table)
+    _assert_same_text(capsys.readouterr().out, _reference_csv("h", table))
 
 
 def test_write_obj_of_a_401_mesh_allocates_no_whole_array_copy():
