@@ -154,10 +154,23 @@ def _fit(lap: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
 def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     """The three (lambda, sup residual, relative residual) fits of
     Lap r_i = lambda_i r_i on the grid, and sgn(w) per radius (None on the
-    first form), from the closed coordinate Laplacians."""
+    first form), from the closed coordinate Laplacians.
+
+    Raises DomainError at the first radius where the profile or a
+    coordinate Laplacian is not finite, or the first v where cosh v
+    overflows: no fit of inf or nan is reported.
+    """
     _check_grid(s, g)
-    f0, a, c, ew = _coordinate_laplacians(s, g.u, form, value=True)
-    sv, cv = np.sinh(g.v), np.cosh(g.v)
+    with np.errstate(all="ignore"):  # inf and nan are refused just below
+        f0, a, c, ew = _coordinate_laplacians(s, g.u, form, value=True)
+        sv, cv = np.sinh(g.v), np.cosh(g.v)
+    finite = np.isfinite(f0) & np.isfinite(a) & np.isfinite(c)
+    if not finite.all():
+        u = float(g.u[np.argmin(finite)])
+        raise DomainError(f"profile jets or coordinate Laplacians not finite at u = {u!r}")
+    if not np.isfinite(cv).all():  # |sinh v| < cosh v
+        v = float(g.v[np.argmin(np.isfinite(cv))])
+        raise DomainError(f"cosh v overflows at v = {v!r}")
     r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
     lap1, lap2 = _rotate(s.kind, np.reshape(a, (-1, 1)), sv, cv)  # _fit broadcasts a row
     nv = g.v.size

@@ -160,12 +160,48 @@ def parse_profile_spec(spec: str, cfg: SeriesConfig | None = None) -> ProfileCur
 _BLOCK_ROWS = 4096
 
 
-def _write_rows(fh: TextIO, line: str, table: np.ndarray, offset: int = 0) -> None:
-    """Each row of a 2-D table, plus `offset`, through the %-template `line`:
-    one write per block, and no copy of the whole table.  `"%.17g" % x`
-    prints the Python float of `tolist` as `f"{x:.17g}"` does."""
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start : start + _BLOCK_ROWS]
+def _strings(column) -> np.ndarray:
+    """`"%.17g" % x` of each value of a column, as an object array of its shape."""
+    text = ["%.17g" % x for x in np.ravel(column).tolist()]
+    return np.array(text, dtype=object).reshape(np.shape(column))
+
+
+def _write_rows(
+    fh: TextIO, table: np.ndarray | tuple, sep: str = ",", prefix: str = "", offset: int = 0
+) -> None:
+    """Each row of a table, plus `offset`, as `prefix` and its values joined
+    by `sep`: one %-operation and one write per block of at most 4096 rows,
+    and no copy of the whole table.
+
+    `table` is a 2-D array, or a tuple of columns that broadcast to one grid
+    whose points, in row-major order, are the rows.  Such a column with
+    fewer values than the grid has points is formatted once per value and
+    its strings fill %s slots; the other values fill %d slots (integers) or
+    %.17g slots (floats).  `"%.17g" % x` prints the Python float of `tolist`
+    as `f"{x:.17g}"` does.
+    """
+    if isinstance(table, tuple):
+        shape = np.broadcast_shapes(*map(np.shape, table))
+        n = math.prod(shape)
+        columns = [np.broadcast_to(c if np.size(c) == n else _strings(c), shape) for c in table]
+        dtypes = [c.dtype for c in columns]
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            at = np.unravel_index(np.arange(start, stop), shape)
+            block = np.empty((stop - start, len(columns)), dtype=object)
+            for k, column in enumerate(columns):
+                block[:, k] = column[at]
+            return block
+    else:
+        n, dtypes = len(table), [table.dtype] * table.shape[1]
+
+        def rows(start: int, stop: int) -> np.ndarray:
+            return table[start:stop]
+
+    slots = ["%s" if t == object else "%d" if t.kind in "iu" else "%.17g" for t in dtypes]
+    line = prefix + sep.join(slots) + "\n"
+    for start in range(0, n, _BLOCK_ROWS):
+        block = rows(start, min(start + _BLOCK_ROWS, n))
         if offset:
             block = block + offset
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
@@ -173,9 +209,17 @@ def _write_rows(fh: TextIO, line: str, table: np.ndarray, offset: int = 0) -> No
 
 def write_obj(m: Mesh, fh: TextIO) -> None:
     """v/f lines, 1-based indices, no normals (the unit normal is the
-    constant isotropic direction and carries no information)."""
-    _write_rows(fh, "v %.17g %.17g %.17g\n", m.vertices)
-    _write_rows(fh, "f %d %d %d\n", m.faces, offset=1)
+    constant isotropic direction and carries no information).
+
+    Where each u row of the grid holds one z, bit for bit (-0.0 is not
+    0.0), z is formatted once per row."""
+    x, y, z = m.vertices.T
+    grid, bits = (m.nu, m.nv), z.view(np.int64)
+    if m.nv > 1 and len(z) == m.nu * m.nv and (bits.reshape(grid) == bits[:: m.nv, None]).all():
+        _write_rows(fh, (x.reshape(grid), y.reshape(grid), z[:: m.nv, None]), " ", "v ")
+    else:
+        _write_rows(fh, m.vertices, " ", "v ")
+    _write_rows(fh, m.faces, " ", "f ", offset=1)
 
 
 @contextlib.contextmanager
@@ -187,12 +231,14 @@ def _open_out(path: str | None):
             yield fh
 
 
-def _write_csv(path: str | None, header: str, table: np.ndarray, comments: Sequence[str] = ()):
+def _write_csv(
+    path: str | None, header: str, table: np.ndarray | tuple, comments: Sequence[str] = ()
+):
     with _open_out(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        _write_rows(fh, ",".join(["%.17g"] * table.shape[1]) + "\n", table)
+        _write_rows(fh, table)
 
 
 def _tabulate(a: float, b: float, n: int, *fns: Callable[[float], float]) -> np.ndarray:
@@ -233,26 +279,24 @@ _GRID_ACTIONS = ("laplacian1", "laplacian2", "classify1", "classify2")
 
 
 def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
-    """Header and (nu, 3) or u-major (nu*nv, 5) float64 array of the
-    curvature or coordinate-Laplacian table."""
+    """Header and table of the curvature or coordinate-Laplacian action: a
+    (nu, 3) float64 array, or the five columns of the u-major nu x nv grid,
+    each only as large as its values vary (u and d3 by u, v by v)."""
     if action == "curvature":
         us = np.linspace(s.u_range[0], s.u_range[1], nu)
         f1, f2 = s.profile._jets(us, (1, 2))
         return "u,K,H", np.column_stack((us, *_curvatures(us, f1, f2)))
     grid = make_grid(s, nu, nv)
-    table = np.empty((nu, nv, 5))
-    table[..., 0], table[..., 1] = grid.u[:, None], grid.v
     if action == "laplacian1":
         _, _, c, _ = _coordinate_laplacians(s, grid.u, 1)
-        table[..., 2:4] = 0.0  # the rotational coordinates are harmonic
+        d1 = d2 = 0.0  # the rotational coordinates are harmonic
     else:
         _, a, c, _ = _coordinate_laplacians(s, grid.u, 2)
         vs = grid.v.tolist()
         sv = np.array([math.sinh(v) for v in vs])
         cv = np.array([math.cosh(v) for v in vs])
-        table[..., 2], table[..., 3] = _rotate(s.kind, a[:, None], sv, cv)
-    table[..., 4] = c[:, None]
-    return "u,v,d1,d2,d3", table.reshape(-1, 5)
+        d1, d2 = _rotate(s.kind, a[:, None], sv, cv)
+    return "u,v,d1,d2,d3", (grid.u[:, None], grid.v, d1, d2, c[:, None])
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:

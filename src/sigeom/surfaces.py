@@ -149,18 +149,20 @@ def _check_point(s: RevolutionSurface, u: float, v: float) -> None:
         raise DomainError(f"v={v!r} outside surface range [{vlo!r}, {vhi!r}]")
 
 
-def _rotate(kind: RevolutionKind, radial, sv, cv):
+def _rotate(kind: RevolutionKind, radial, sv, cv, out=None):
     """(radial h1(v), radial h2(v)) with (h1, h2) = (sinh, cosh) for a
     timelike meridian and (cosh, sinh) for a spacelike one.
 
     radial = u gives the rotational coordinates r1, r2, and radial = a of
     _coordinate_laplacians their Laplacians.  The caller passes sinh v and
     cosh v from math or numpy, whichever it has always used, since the two
-    can differ in the last bit; floats and broadcasting arrays alike.
+    can differ in the last bit; floats and broadcasting arrays alike.  With
+    `out`, a pair of arrays, the products are written into them.
     """
-    if kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        return radial * sv, radial * cv
-    return radial * cv, radial * sv
+    h1, h2 = (sv, cv) if kind is RevolutionKind.TIMELIKE_MERIDIAN else (cv, sv)
+    if out is None:
+        return radial * h1, radial * h2
+    return np.multiply(radial, h1, out=out[0]), np.multiply(radial, h2, out=out[1])
 
 
 def point_at(s: RevolutionSurface, u: float, v: float) -> Vec3SI:
@@ -515,16 +517,15 @@ def mesh(s: RevolutionSurface, nu: int, nv: int) -> Mesh:
     vs = np.linspace(s.v_range[0], s.v_range[1], nv)
     z = s.profile._jets(us, (0,))[0]
     verts = np.empty((nu, nv, 3), dtype=np.float64)
-    verts[..., 0], verts[..., 1] = _rotate(s.kind, us[:, None], np.sinh(vs), np.cosh(vs))
+    _rotate(s.kind, us[:, None], np.sinh(vs), np.cosh(vs), out=(verts[..., 0], verts[..., 1]))
     verts[..., 2] = z[:, None]
     if not np.isfinite(verts).all():
         raise DomainError("mesh produced non-finite vertices")
     # quad (i, j) has corners a = i nv + j, b = a + nv, c = b + 1, d = a + 1
-    # and gives the faces (a, b, c) and (a, c, d)
-    a = np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)
+    # and gives the faces (a, b, c) and (a, c, d), written in place
     faces = np.empty((nu - 1, nv - 1, 6), dtype=np.int32)
-    faces[..., 0] = faces[..., 3] = a
-    faces[..., 1] = a + nv
-    faces[..., 2] = faces[..., 4] = a + nv + 1
-    faces[..., 5] = a + 1
+    a = faces[..., 0]
+    np.add(np.arange(nu - 1, dtype=np.int32)[:, None] * nv, np.arange(nv - 1, dtype=np.int32), out=a)
+    for k, corner in enumerate((nv, nv + 1, 0, nv + 1, 1), start=1):
+        np.add(a, corner, out=faces[..., k])
     return Mesh(vertices=verts.reshape(-1, 3), faces=faces.reshape(-1, 3), nu=nu, nv=nv)

@@ -183,6 +183,21 @@ def test_surface_float_overflow_is_a_domain_error(capsys, argv):
     assert captured.err == "error: math range error\n"
 
 
+@pytest.mark.parametrize("action", ["classify1", "classify2"])
+@pytest.mark.parametrize("argv, message", [
+    # f = 2/mu + u^-306 is finite at the first grid radius, f' and f'' are not
+    pytest.param(["--profile", "power:lambda=1,mu=-306,c=1", "--u=0.1:1"],
+                 "profile jets or coordinate Laplacians not finite at u = 0.1009", id="power-jets"),
+    # cosh v past 710.5
+    pytest.param(["--profile", "log:lambda=1,c=0", "--v=0:800"],
+                 "cosh v overflows at v = 719.36", id="cosh-v"),
+])
+@pytest.mark.filterwarnings("error")  # and numpy does not warn on the way
+def test_surface_classify_refuses_a_non_finite_fit(capsys, action, argv, message):
+    assert main(["surface", *argv, "--action", action]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("action", ["mesh", "curvature"])
 def test_surface_mesh_and_curvature_take_2x2(tmp_path, action):
     out = tmp_path / "out.txt"

@@ -1,10 +1,12 @@
 """The CLI's bulk `%.17g` writer against a per-row reference.
 
 `cli._write_rows` formats a whole block of rows with one %-operation and
-one write.  These tests rebuild the text one value at a time with
-`f"{x:.17g}"` and one line per row, and require the same bytes on both
-sides of the 4096-row block boundary, for the special floats, for the
-1-based OBJ face indices and for CSV written to a file and to stdout.
+one write, and a grid column that repeats (u, v and d3 of the Laplacian
+tables, z of a mesh) once per distinct value.  These tests rebuild the text
+one value at a time with `f"{x:.17g}"` and one line per row, and require the
+same bytes on both sides of the 4096-row block boundary, for the special
+floats, for the 1-based OBJ face indices, for repeated columns and for CSV
+written to a file and to stdout.
 """
 
 import io
@@ -15,8 +17,10 @@ import numpy as np
 import pytest
 
 from sigeom import RevolutionKind, RevolutionSurface, log_profile
-from sigeom.cli import _write_csv, write_obj
-from sigeom.surfaces import Mesh, mesh
+from sigeom import cli
+from sigeom.classify import make_grid
+from sigeom.cli import _surface_table, _write_csv, _write_rows, main, write_obj
+from sigeom.surfaces import Mesh, coord_laplacians_i, coord_laplacians_ii, mesh
 
 ROW_COUNTS = (1, 4095, 4096, 4097, 8193)
 
@@ -121,21 +125,101 @@ def test_write_csv_column_counts(capsys, cols):
     _assert_same_text(capsys.readouterr().out, _reference_csv("h", table))
 
 
+def _spy_strings(monkeypatch) -> list:
+    """The columns the writer formats once per value, recorded per call."""
+    calls = []
+
+    def spy(column):
+        calls.append(np.shape(column))
+        return strings(column)
+
+    strings = cli._strings
+    monkeypatch.setattr(cli, "_strings", spy)
+    return calls
+
+
+def _grid_mesh(z_rows: np.ndarray, nv: int) -> Mesh:
+    nu = len(z_rows)
+    rng = np.random.default_rng(nu * nv)
+    vertices = np.column_stack((rng.standard_normal((nu * nv, 2)), np.repeat(z_rows, nv)))
+    return Mesh(vertices, _faces(nu), nu, nv)
+
+
+def test_write_obj_prints_each_row_z_once_bit_for_bit(monkeypatch):
+    # 3001 x 3 = 9003 vertices: both block boundaries fall inside a u row
+    z_rows = np.resize([-0.0, 0.0, math.nan, math.inf, 5e-324, 1.0 / 3.0], 3001)
+    m = _grid_mesh(z_rows, 3)
+    calls = _spy_strings(monkeypatch)
+    buf = io.StringIO()
+    write_obj(m, buf)
+    _assert_same_text(buf.getvalue(), _reference_obj(m))
+    assert calls == [(3001, 1)]
+    assert buf.getvalue().splitlines()[:4] == [
+        "v %.17g %.17g -0" % tuple(m.vertices[0, :2]),
+        "v %.17g %.17g -0" % tuple(m.vertices[1, :2]),
+        "v %.17g %.17g -0" % tuple(m.vertices[2, :2]),
+        "v %.17g %.17g 0" % tuple(m.vertices[3, :2]),
+    ]
+
+
+@pytest.mark.parametrize("row", [[0.0, -0.0, 0.0], [1.0, 2.0, 3.0], [math.nan, 1.0, math.nan]])
+def test_write_obj_of_z_varying_along_v_takes_the_plain_path(monkeypatch, row):
+    # one u row whose z differs along v, bit for bit, among 3000 constant ones
+    m = _grid_mesh(np.linspace(-1.0, 1.0, 3001), 3)
+    m.vertices[3 * 1500 : 3 * 1501, 2] = row
+    calls = _spy_strings(monkeypatch)
+    buf = io.StringIO()
+    write_obj(m, buf)
+    _assert_same_text(buf.getvalue(), _reference_obj(m))
+    assert calls == []
+
+
+LOG_SURFACE = ("log:lambda=-2,c=0", RevolutionKind.SPACELIKE_MERIDIAN, (0.5, 5.0), (-0.5, 1.0))
+
+
+@pytest.mark.parametrize("action", ["laplacian1", "laplacian2"])
+@pytest.mark.parametrize("nu, nv", [(7, 1000), (5, 4099)])
+def test_laplacian_tables_match_per_point_reference(tmp_path, action, nu, nv):
+    # nv = 1000 does not divide the 4096-row block, nv = 4099 exceeds it
+    spec, kind, (ulo, uhi), (vlo, vhi) = LOG_SURFACE
+    out = tmp_path / "t.csv"
+    argv = ["surface", "--profile", spec, "--kind", kind.value, f"--u={ulo}:{uhi}",
+            f"--v={vlo}:{vhi}", "--grid", f"{nu}x{nv}", "--action", action, "--out", str(out)]
+    assert main(argv) == 0
+    s = RevolutionSurface(cli.parse_profile_spec(spec), kind, (ulo, uhi), (vlo, vhi))
+    g = make_grid(s, nu, nv)
+    op = coord_laplacians_i if action == "laplacian1" else coord_laplacians_ii
+    table = [(u, v, *op(s, u, v)) for u in g.u.tolist() for v in g.v.tolist()]
+    _assert_same_text(out.read_bytes().decode(), _reference_csv("u,v,d1,d2,d3", table))
+
+
+class Sink:
+    def write(self, text):
+        pass
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_write_obj_of_a_401_mesh_allocates_no_whole_array_copy():
     s = RevolutionSurface(log_profile(-2.0, 0.0), RevolutionKind.TIMELIKE_MERIDIAN,
                           (0.5, 5.0), (-0.5, 1.0))
     m = mesh(s, 401, 401)
-
-    class Sink:
-        def write(self, text):
-            pass
-
-    tracemalloc.start()
-    try:
-        write_obj(m, Sink())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # one block of 4096 rows formats in well under 1 MB; a copy of all
     # 320,000 faces (+1) or a tolist of the whole table takes several MB
-    assert peak < 2 * 1024 * 1024
+    assert _traced_peak(lambda: write_obj(m, Sink())) < 2 * 1024 * 1024
+
+
+def test_write_of_a_201_laplacian2_table_allocates_no_whole_array_copy():
+    spec, kind, u_range, v_range = LOG_SURFACE
+    s = RevolutionSurface(cli.parse_profile_spec(spec), kind, u_range, v_range)
+    _, columns = _surface_table("laplacian2", s, 201, 201)
+    # an object table of all 40,401 rows, or a tolist of them, takes
+    # several MB
+    assert _traced_peak(lambda: _write_rows(Sink(), columns)) < 2 * 1024 * 1024

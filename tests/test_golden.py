@@ -108,6 +108,35 @@ LARGE_SURFACE_DIGESTS = {
     ("expr-elem", "laplacian1", "101x101"): "1e1f3d42f2aebfdac45e081d5bbce1c324fedbe7251c2552069a876d12b660fd",
     ("expr-elem", "laplacian2", "101x101"): "3734288c5eb9681ff7a4cb3e21a481aa981024e1cde5d1951c624cc5453dac36",
     ("expr-elem", "curvature", "8193x2"): "753711836a3b0f5c5b7eba514c9aee60c1fb059cb17681ae9703d577f8c24a5e",
+    # one u row of 4099 points spans a block boundary; the writer prints the
+    # u, v, d3 and z columns of these grids once per distinct value
+    ("bessel-ik", "laplacian1", "5x4099"): "5d24c884fe496ec0fab35a22d0448436622cde6fa412a6c5ee883eb9703be4d0",
+    ("bessel-ik", "laplacian2", "5x4099"): "93b44bfd00946909e9de0d599590f10d1b98c0704414747f2c18f9354d314226",
+    ("bessel-ik", "mesh", "5x4099"): "57425ecb6965707b9bf1cee7d961013ab3c5027d5f383ac742a434852e8531b6",
+    ("bessel-j0", "laplacian1", "5x4099"): "573363de64f82b0d19e0162d89611de7816a9354c868a11b3f856092b73a9879",
+    ("bessel-j0", "laplacian2", "5x4099"): "7c7225e271a077fd5d53314d197247f77f93ea737de03e663a93a63774eeabce",
+    ("bessel-j0", "mesh", "5x4099"): "7e31d72fe47c5e26c15e6cf104f9aee680bd7156292ca9593666ba276241a113",
+    ("bessel-jy", "laplacian1", "5x4099"): "87a11a8702ba654a7858b09a5c7c6f23a0c22e3531118185d4bc795c54103d49",
+    ("bessel-jy", "laplacian2", "5x4099"): "212fcb2d68e595751da94ad8d43645bd736f0b1b0ae307f5b672fdb60346cf82",
+    ("bessel-jy", "mesh", "5x4099"): "df69a33f3d8703255066d01c2c019e23ec2aa8120ede60eba3f03624af58f721",
+    ("consth", "laplacian1", "5x4099"): "f4fe22cdd9116791b153349ef2545c4997800321bb581022e026af1dc510596b",
+    ("consth", "laplacian2", "5x4099"): "cf8420c7972247f8102bc6ce1684564b1936129e780858e0157acdb2ca43a89c",
+    ("consth", "mesh", "5x4099"): "7d1f950dcde395ad61566c1d47b6a109e6d7134cd653fdc5a4df581645ffd91c",
+    ("constk", "laplacian1", "5x4099"): "39c7a226dd635f4dcf362e750594bae8068ba29dbef9ce86256a616c2f9f8aba",
+    ("constk", "laplacian2", "5x4099"): "47c9fb883bfcd322d59b67798c4ff8f7d64646c6cf5af866653372b492d0d5af",
+    ("constk", "mesh", "5x4099"): "7299d3fe3c509e037084f43721ccdb607d1961b897f551004fe01b73eca10604",
+    ("expr-bessel", "laplacian1", "5x4099"): "f95956a1197630932a7c8d39d90ef7f0ca12817e6771c19cd571b6108ab03ee9",
+    ("expr-bessel", "laplacian2", "5x4099"): "217892c53f673a3e8f782823a2887b8f17f479c03992601d0ef7a012396373fc",
+    ("expr-bessel", "mesh", "5x4099"): "c6f91a04a34385bc7312d47fa7c3637ef6cbd7562156d4708b375de619dde6a5",
+    ("expr-elem", "laplacian1", "5x4099"): "f33d9b8f6269323c2046a7a48064d144d1edd250f20c331a1369799d2d7077c3",
+    ("expr-elem", "laplacian2", "5x4099"): "ff0ff1f5b276381ddc3cfc651db999bcf5b3a3e060346c8385ddc22621b18af9",
+    ("expr-elem", "mesh", "5x4099"): "8d3376a50b5c1e0c65eca8882b3240ff28e307f8d359271dd04f11859804fb3d",
+    ("log", "laplacian1", "5x4099"): "9fffbcdc321647f0f9c9354212a6970bb78d71b8d3e1a95447ad13666242a7ac",
+    ("log", "laplacian2", "5x4099"): "6e288fe7466db2a473a788826dd13b6a0f3676f73c0893965fb6a0d79546fca8",
+    ("log", "mesh", "5x4099"): "0d80ae2cac2f2bb15cf74a21f402c82bd2d98a9f05555768486882b71394887b",
+    ("power", "laplacian1", "5x4099"): "0b4dc1e9b572733ca0cab9c4a6ce9e2bab9c6c47591cfd595ef4d27bf2952bfb",
+    ("power", "laplacian2", "5x4099"): "ae50b0a87a5b0c188077816a17e179f08b529721f803d665a141da56afc82fe1",
+    ("power", "mesh", "5x4099"): "5ffe9ec0b9897e7246fef0cb49acc9f817846811ca43423672327e2cd78ecb61",
 }
 
 # one 4097-row `bessel` table per kind, all at |x| <= 25:
