@@ -138,15 +138,17 @@ def _fit(lap: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
     """Least-squares lambda with sup residual, absolute and relative.
 
     lambda = sum(lap * r) / sum(r^2); when r vanishes identically the
-    eigenvalue is 0 by convention and the residual is sup|lap|.
+    eigenvalue is 0 by convention and the residual is sup|lap|.  Raises
+    DomainError when either sum overflows.
     """
-    denom = float(np.sum(r * r))
-    if denom == 0.0:
-        lam = 0.0
-    else:
-        lam = float(np.sum(lap * r)) / denom
-    res = float(np.max(np.abs(lap - lam * r)))
     scale = float(np.max(np.abs(r)))
+    with np.errstate(all="ignore"):  # an overflowed sum is refused just below
+        denom = float(np.sum(r * r))
+        num = float(np.sum(lap * r))
+    if not (np.isfinite(denom) and np.isfinite(num)):
+        raise DomainError(f"eigen-fit sums overflow (max |r| = {scale:.3g})")
+    lam = 0.0 if denom == 0.0 else num / denom
+    res = float(np.max(np.abs(lap - lam * r)))
     rel = res / scale if scale > 0.0 else res
     return lam, res, rel
 

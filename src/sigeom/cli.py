@@ -3,6 +3,10 @@ classification reports, and the data files behind the reference figures.
 
 Exit codes: 0 success, 2 parse error, 3 domain error, 4 parabolic-point
 error, 5 series non-convergence.
+
+A subcommand imports the layers beyond `bessel` only when it reaches them,
+so a Bessel table or a refused spec never loads the profile, surface or
+classification layers.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import contextlib
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .bessel import (
     SeriesConfig,
@@ -22,34 +26,18 @@ from .bessel import (
     bessel_k0,
     bessel_y0,
 )
-from .classify import MIN_GRID_SAMPLES, check_eigen_i, check_eigen_ii, make_grid
 from .errors import (
     DomainError,
     NonConvergenceError,
     ParabolicPointError,
     ProfileSpecError,
 )
-from .expressions import expression_profile
-from .profiles import (
-    ProfileCurve,
-    bessel_profile,
-    constant_h_profile,
-    constant_k_profile,
-    linear_profile,
-    log_profile,
-    power_profile,
-)
-from .surfaces import (
-    Mesh,
-    RevolutionKind,
-    RevolutionSurface,
-    _coordinate_laplacians,
-    _curvatures,
-    _rotate,
-    mesh,
-)
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .profiles import ProfileCurve
+    from .surfaces import Mesh, RevolutionSurface
 
 __all__ = ["main", "parse_profile_spec", "write_obj"]
 
@@ -138,12 +126,23 @@ def parse_profile_spec(spec: str, cfg: SeriesConfig | None = None) -> ProfileCur
             raise ProfileSpecError(f"family {family!r} requires key {key!r}")
 
     if family == "expr":
+        from .expressions import expression_profile
+
         return expression_profile(kv["f"], cfg=cfg)
 
     try:
         nums = {k: float(v) for k, v in kv.items()}
     except ValueError as exc:
         raise ProfileSpecError(f"bad numeric value in {spec!r}: {exc}") from exc
+    from .profiles import (
+        bessel_profile,
+        constant_h_profile,
+        constant_k_profile,
+        linear_profile,
+        log_profile,
+        power_profile,
+    )
+
     if family == "constk":
         return constant_k_profile(nums["k0"], nums["c1"], nums.get("c2", 0.0))
     if family == "consth":
@@ -282,10 +281,14 @@ def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
     """Header and table of the curvature or coordinate-Laplacian action: a
     (nu, 3) float64 array, or the five columns of the u-major nu x nv grid,
     each only as large as its values vary (u and d3 by u, v by v)."""
+    from .surfaces import _coordinate_laplacians, _curvatures, _rotate
+
     if action == "curvature":
         us = np.linspace(s.u_range[0], s.u_range[1], nu)
         f1, f2 = s.profile._jets(us, (1, 2))
         return "u,K,H", np.column_stack((us, *_curvatures(us, f1, f2)))
+    from .classify import make_grid
+
     grid = make_grid(s, nu, nv)
     if action == "laplacian1":
         _, _, c, _ = _coordinate_laplacians(s, grid.u, 1)
@@ -304,20 +307,25 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ProfileSpecError(f"--tol must be finite and > 0, got {args.tol!r}")
     profile = parse_profile_spec(args.profile, cfg)
+    u_range = _parse_pair(args.u, "--u")
+    v_range = _parse_pair(args.v, "--v")
+    from .surfaces import RevolutionKind, RevolutionSurface, mesh
+
     kind = (
         RevolutionKind.TIMELIKE_MERIDIAN
         if args.kind == "timelike"
         else RevolutionKind.SPACELIKE_MERIDIAN
     )
-    u_range = _parse_pair(args.u, "--u")
-    v_range = _parse_pair(args.v, "--v")
     surface = RevolutionSurface(profile, kind, u_range, v_range)
     nu, nv = _parse_grid(args.grid)
-    if args.action in _GRID_ACTIONS and min(nu, nv) < MIN_GRID_SAMPLES:
-        raise ProfileSpecError(
-            f"--action {args.action} needs a grid of at least "
-            f"{MIN_GRID_SAMPLES}x{MIN_GRID_SAMPLES}, got {args.grid!r}"
-        )
+    if args.action in _GRID_ACTIONS:
+        from .classify import MIN_GRID_SAMPLES, check_eigen_i, check_eigen_ii, make_grid
+
+        if min(nu, nv) < MIN_GRID_SAMPLES:
+            raise ProfileSpecError(
+                f"--action {args.action} needs a grid of at least "
+                f"{MIN_GRID_SAMPLES}x{MIN_GRID_SAMPLES}, got {args.grid!r}"
+            )
 
     if args.action in ("curvature", "laplacian1", "laplacian2"):
         # numpy warns of inf and nan where the per-point float arithmetic
@@ -377,17 +385,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     elif fid == "2a":
         table = np.insert(_tabulate(1.0, 4.0, 200, lambda u: bessel_j0(u, cfg)), 0, 0.0, axis=1)
         emit_csv("figure2a.csv", "x,y,z", table, comments=["profile curve (0, u, J0(u))"])
-    elif fid == "2b":
-        profile = bessel_profile(1.0, 1.0, 0.0, cfg)
-        s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, (1.0, 4.0), (-1.0, 1.0))
-        emit_obj("figure2b.obj", mesh(s, _FIGURE_MESH, _FIGURE_MESH))
     elif fid == "3a":
         table = np.insert(_tabulate(0.5, 5.0, 200, np.log), 0, 0.0, axis=1)
         emit_csv("figure3a.csv", "x,y,z", table, comments=["profile curve (0, u, ln u)"])
     else:
-        profile = log_profile(-2.0, 0.0)
-        s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, (0.5, 5.0), (-0.5, 1.0))
-        emit_obj("figure3b.obj", mesh(s, _FIGURE_MESH, _FIGURE_MESH))
+        from .profiles import bessel_profile, log_profile
+        from .surfaces import RevolutionKind, RevolutionSurface, mesh
+
+        if fid == "2b":
+            profile, u, v = bessel_profile(1.0, 1.0, 0.0, cfg), (1.0, 4.0), (-1.0, 1.0)
+        else:
+            profile, u, v = log_profile(-2.0, 0.0), (0.5, 5.0), (-0.5, 1.0)
+        s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, u, v)
+        emit_obj(f"figure{fid}.obj", mesh(s, _FIGURE_MESH, _FIGURE_MESH))
     return EXIT_OK
 
 

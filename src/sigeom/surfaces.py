@@ -36,11 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import Vec3SI
 from .errors import (
     AdmissibilityError,
     DomainError,
@@ -48,6 +47,9 @@ from .errors import (
     StencilError,
 )
 from .profiles import ProfileCurve
+
+if TYPE_CHECKING:
+    from .core import Vec3SI
 
 __all__ = [
     "RevolutionKind",
@@ -167,6 +169,8 @@ def _rotate(kind: RevolutionKind, radial, sv, cv, out=None):
 
 def point_at(s: RevolutionSurface, u: float, v: float) -> Vec3SI:
     """Evaluate the parameterization of s at (u, v)."""
+    from .core import Vec3SI  # the point algebra, which no grid computation needs
+
     _check_point(s, u, v)
     z = s.profile.evaluate(u, 0)
     return Vec3SI(*_rotate(s.kind, u, math.sinh(v), math.cosh(v)), z)

@@ -191,6 +191,9 @@ def test_surface_float_overflow_is_a_domain_error(capsys, argv):
     # cosh v past 710.5
     pytest.param(["--profile", "log:lambda=1,c=0", "--v=0:800"],
                  "cosh v overflows at v = 719.36", id="cosh-v"),
+    # every value finite, but past 1e154: sum(r * r) overflows
+    pytest.param(["--profile", "power:lambda=1,mu=-200,c=1", "--u=0.1:1"],
+                 "eigen-fit sums overflow (max |r| = 1.67e+199)", id="power-sums"),
 ])
 @pytest.mark.filterwarnings("error")  # and numpy does not warn on the way
 def test_surface_classify_refuses_a_non_finite_fit(capsys, action, argv, message):
