@@ -1,8 +1,8 @@
 """Command-line front end: special-function tables, surface computations,
 classification reports, and the data files behind the reference figures.
 
-Exit codes: 0 success, 2 parse error, 3 domain error, 4 parabolic-point
-error, 5 series non-convergence.
+Exit codes: 0 success, 2 parse error (also an output path that cannot be
+opened), 3 domain error, 4 parabolic-point error, 5 series non-convergence.
 
 A subcommand imports the layers beyond `bessel` only when it reaches them,
 so a Bessel table or a refused spec never loads the profile, surface or
@@ -160,50 +160,75 @@ _BLOCK_ROWS = 4096
 
 
 def _strings(column) -> np.ndarray:
-    """`"%.17g" % x` of each value of a column, as an object array of its shape."""
-    text = ["%.17g" % x for x in np.ravel(column).tolist()]
-    return np.array(text, dtype=object).reshape(np.shape(column))
+    """The text of each value of a column, in the row-major order of its values."""
+    from ._numtext import number_text
+
+    return number_text(np.ravel(column))
+
+
+def _lines(texts: list[np.ndarray], prefix: str, sep: str) -> np.ndarray:
+    """One row of bytes per table row: `prefix`, the row's text cells joined
+    by `sep`, and a newline."""
+    def raw(s: str) -> np.ndarray:
+        return np.frombuffer(s.encode(), np.uint8)
+
+    parts = [raw(prefix)]
+    for text in texts:
+        parts += [text, raw(sep)]
+    parts[-1] = raw("\n")
+    lines = np.empty((len(texts[0]), sum(part.shape[-1] for part in parts)), np.uint8)
+    at = 0
+    for part in parts:
+        lines[:, at : at + part.shape[-1]] = part
+        at += part.shape[-1]
+    return lines
 
 
 def _write_rows(
     fh: TextIO, table: np.ndarray | tuple, sep: str = ",", prefix: str = "", offset: int = 0
 ) -> None:
-    """Each row of a table, plus `offset`, as `prefix` and its values joined
-    by `sep`: one %-operation and one write per block of at most 4096 rows,
-    and no copy of the whole table.
+    """Each row of a table as `prefix` and its values joined by `sep`: one
+    write per block of at most 4096 rows, and no copy of the whole table.
 
-    `table` is a 2-D array, or a tuple of columns that broadcast to one grid
-    whose points, in row-major order, are the rows.  Such a column with
-    fewer values than the grid has points is formatted once per value and
-    its strings fill %s slots; the other values fill %d slots (integers) or
-    %.17g slots (floats).  `"%.17g" % x` prints the Python float of `tolist`
-    as `f"{x:.17g}"` does.
+    `table` is a 2-D array, whose values are printed plus `offset`, or a
+    tuple of columns that broadcast to one grid whose points, in row-major
+    order, are the rows.  Such a column with fewer values than the grid has points
+    is formatted once per value and its text gathered into the rows.
+
+    Integers are printed as `%d` and other numbers as `%.17g` of the Python
+    float, byte for byte, by `_numtext`: whole arrays at a time, and `%`
+    only for a float outside 1e-4 <= |x| < 1e17 (or inf or nan).
     """
+    from ._numtext import number_text
+
     if isinstance(table, tuple):
         shape = np.broadcast_shapes(*map(np.shape, table))
         n = math.prod(shape)
-        columns = [np.broadcast_to(c if np.size(c) == n else _strings(c), shape) for c in table]
-        dtypes = [c.dtype for c in columns]
+        columns = [
+            (None, np.broadcast_to(c, shape)) if np.size(c) == n
+            else (_strings(c), np.broadcast_to(np.arange(np.size(c)).reshape(np.shape(c)), shape))
+            for c in table
+        ]
 
-        def rows(start: int, stop: int) -> np.ndarray:
+        def cells(start: int, stop: int) -> list[np.ndarray]:
             at = np.unravel_index(np.arange(start, stop), shape)
-            block = np.empty((stop - start, len(columns)), dtype=object)
-            for k, column in enumerate(columns):
-                block[:, k] = column[at]
-            return block
+            return [
+                number_text(c[at]) if text is None else np.take(text, c[at], axis=0)
+                for text, c in columns
+            ]
     else:
-        n, dtypes = len(table), [table.dtype] * table.shape[1]
+        n = len(table)
 
-        def rows(start: int, stop: int) -> np.ndarray:
-            return table[start:stop]
+        def cells(start: int, stop: int) -> list[np.ndarray]:
+            block = table[start:stop]
+            if offset:  # int32 indices widen to int64 instead of wrapping
+                block = np.add(block, offset, dtype=np.result_type(block, np.int64))
+            return [number_text(column) for column in block.T]
 
-    slots = ["%s" if t == object else "%d" if t.kind in "iu" else "%.17g" for t in dtypes]
-    line = prefix + sep.join(slots) + "\n"
     for start in range(0, n, _BLOCK_ROWS):
-        block = rows(start, min(start + _BLOCK_ROWS, n))
-        if offset:
-            block = block + offset
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        # one expression: each block of bytes is freed once the next is made
+        fh.write(_lines(cells(start, min(start + _BLOCK_ROWS, n)), prefix, sep)
+                 .tobytes().translate(None, b"\0").decode())
 
 
 def write_obj(m: Mesh, fh: TextIO) -> None:
@@ -221,12 +246,20 @@ def write_obj(m: Mesh, fh: TextIO) -> None:
     _write_rows(fh, m.faces, " ", "f ", offset=1)
 
 
+def _unwritable(path: object, exc: OSError) -> ProfileSpecError:
+    return ProfileSpecError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 @contextlib.contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", newline="\n") as fh:
+        try:
+            fh = open(path, "w", newline="\n")
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
+        with fh:
             yield fh
 
 
@@ -355,7 +388,10 @@ _FIGURE_MESH = 41
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(out_dir, exc) from exc
     cfg = SeriesConfig()
     fid = args.id
 

@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -331,3 +333,27 @@ def test_bessel_deterministic_output(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# output paths that cannot be opened
+
+
+@pytest.mark.parametrize("argv, target, code", [
+    pytest.param(["bessel", "--kind", "j0", "--range", "0:1", "--n", "3", "--out", "{missing}/x.csv"],
+                 "{missing}/x.csv", errno.ENOENT, id="bessel-missing-dir"),
+    pytest.param(["surface", "--profile", "log:lambda=1,c=0", "--action", "curvature",
+                  "--grid", "2x2", "--out", "{dir}"], "{dir}", errno.EISDIR, id="surface-directory"),
+    pytest.param(["surface", "--profile", "log:lambda=1,c=0", "--action", "mesh",
+                  "--grid", "2x2", "--out", "{dir}"], "{dir}", errno.EISDIR, id="mesh-directory"),
+    pytest.param(["figure", "1a", "--out-dir", "{file}"], "{file}", errno.EEXIST, id="figure-file"),
+    pytest.param(["figure", "2b", "--out-dir", "{file}/sub"], "{file}/sub", errno.ENOTDIR,
+                 id="figure-under-file"),
+])
+def test_unwritable_output_path_is_a_parse_error(tmp_path, capsys, argv, target, code):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "file": tmp_path / "file"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {target.format(**paths)}: "
+                                       f"{os.strerror(code)}\n")
+    assert not paths["missing"].exists()

@@ -1,12 +1,18 @@
-"""The CLI's bulk `%.17g` writer against a per-row reference.
+"""The CLI's vectorized `%.17g`/`%d` writer against Python's own `%`.
 
-`cli._write_rows` formats a whole block of rows with one %-operation and
-one write, and a grid column that repeats (u, v and d3 of the Laplacian
-tables, z of a mesh) once per distinct value.  These tests rebuild the text
-one value at a time with `f"{x:.17g}"` and one line per row, and require the
-same bytes on both sides of the 4096-row block boundary, for the special
-floats, for the 1-based OBJ face indices, for repeated columns and for CSV
-written to a file and to stdout.
+`cli._write_rows` turns each block of at most 4096 rows into one byte
+matrix and writes it once: float digits come from an exact scaling
+(`sigeom._numtext`), integer digits from integer division, and a grid
+column that repeats (u, v and d3 of the Laplacian tables, z of a mesh) is
+formatted once per distinct value.  Only a float outside 1e-4 <= |x| < 1e17
+(or inf or nan) goes through `%`.  These tests rebuild the text one value
+at a time with `"%.17g" % x`, `f"{x:.17g}"` and `"%d" % i`, and require the
+same bytes: on both sides of the 4096-row block boundary, for the special
+floats, for random bit patterns, log-uniform magnitudes, exact half-way
+ties and the neighbours of every power of ten, for 1-based OBJ face
+indices up to 2**31 - 1, for repeated columns and for CSV written to a
+file and to stdout.  The writer must also stay silent on 0, inf and nan,
+whose log10 it never takes.
 """
 
 import io
@@ -15,6 +21,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigeom import RevolutionKind, RevolutionSurface, log_profile
 from sigeom import cli
@@ -223,3 +231,118 @@ def test_write_of_a_201_laplacian2_table_allocates_no_whole_array_copy():
     # an object table of all 40,401 rows, or a tolist of them, takes
     # several MB
     assert _traced_peak(lambda: _write_rows(Sink(), columns)) < 2 * 1024 * 1024
+
+
+# ----------------------------------------------------------------------
+# the vectorized formatter against `%`, value by value
+
+
+def _column_text(values) -> str:
+    buf = io.StringIO()
+    _write_rows(buf, np.asarray(values)[:, None])
+    return buf.getvalue()
+
+
+def _assert_like_percent(values) -> None:
+    values = np.asarray(values)
+    template = ("%d\n" if values.dtype.kind in "iu" else "%.17g\n") * len(values)
+    _assert_same_text(_column_text(values), template % tuple(values.tolist()))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_any_floats_print_as_percent(values):
+    # nan, +-inf, subnormals and +-0 included
+    _assert_like_percent(np.array(values, dtype=np.float64))
+
+
+def test_random_bit_patterns_print_as_percent():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(-(2**63), 2**63, 10**6, dtype=np.int64)
+    # past the first 50,000, the exponent field is drawn from the binades of
+    # 2**-16 ... 2**59, around the exact window 1e-4 <= |x| < 1e17: a
+    # uniform one would leave 96% of them to `%` on both sides, at 2 us each
+    exponents = rng.integers(1023 - 16, 1023 + 60, bits.size) << 52
+    bits[50_000:] = bits[50_000:] & ~(0x7FF << 52) | exponents[50_000:]
+    _assert_like_percent(bits.view(np.float64))
+
+
+def test_log_uniform_magnitudes_print_as_percent():
+    rng = np.random.default_rng(8)
+    magnitudes = 10.0 ** rng.uniform(-6.0, 19.0, 10**6)
+    _assert_like_percent(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
+
+
+def _ties(exponent: int, count: int, rng) -> list[float]:
+    """x = m / 2**q with m odd and 10**exponent <= x < 10**(exponent + 1),
+    whose exact decimal expansion has 18 significant digits: half-way
+    between two 17-digit neighbours."""
+    q = 17 - exponent  # fraction digits of m / 2**q
+    lo, hi = -(-(10**17) // 5**q), min(10**18 // 5**q, 2**53)
+    ms = {int(m) | 1 for m in rng.integers(lo, hi, count)}
+    return [m / 2**q for m in sorted(ms) if lo <= m < hi]
+
+
+def test_half_way_ties_round_to_even():
+    assert _column_text([1 + 2**-17]) == "1.0000076293945312\n"
+    rng = np.random.default_rng(9)
+    # every decimal exponent of the window up to 15; past 1e16 no double
+    # is a tie, since m would need more than 53 bits
+    per_exponent = [_ties(e, 500, rng) for e in range(-4, 16)]
+    assert min(map(len, per_exponent)) > 300
+    ties = [x for xs in per_exponent for x in xs]
+    # the 17th digit is even (ties round down) about as often as odd (up)
+    odd = np.mean([int(("%.17e" % x)[17]) % 2 for x in ties])
+    assert 0.4 < odd < 0.6
+    _assert_like_percent(ties + [-x for x in ties])
+
+
+def test_neighbours_of_powers_of_ten_print_as_percent():
+    values = []
+    for p in range(-6, 20):
+        for direction in (-np.inf, np.inf):
+            x = 10.0**p
+            for _ in range(40):
+                values.append(x)
+                x = np.nextafter(x, direction)
+    _assert_like_percent(values + [-x for x in values])
+
+
+def test_integers_print_as_percent():
+    rng = np.random.default_rng(10)
+    values = rng.integers(-(2**63), 2**63, 10**5, dtype=np.int64)
+    values[:6] = [0, -1, 1, 9999, 2**63 - 1, -(2**63)]
+    _assert_like_percent(values)
+    _assert_like_percent(np.arange(-20_000, 20_000))
+
+
+def test_face_indices_up_to_2_31_minus_1():
+    faces = np.array([[0, 1, 2], [2**31 - 1, 2**31 - 2, 9999], [99_999_999, 100_000_000, 7]],
+                     dtype=np.int32)
+    buf = io.StringIO()
+    write_obj(Mesh(np.zeros((0, 3)), faces, 0, 1), buf)
+    assert buf.getvalue() == "f 1 2 3\nf 2147483648 2147483647 10000\nf 100000000 100000001 8\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_writer_is_silent_on_zero_inf_nan_and_subnormals(capsys):
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0]
+    table = np.array(special * 3).reshape(-1, 3)
+    m = Mesh(table, np.zeros((1, 3), np.int32), len(table), 1)
+    buf = io.StringIO()
+    write_obj(m, buf)
+    assert buf.getvalue() == _reference_obj(m)
+    _write_csv(None, "a,b,c", table)
+    _write_csv(None, "u,v", (np.array(special)[:, None], np.array(special)))
+    grid = [(u, v) for u in special for v in special]
+    assert capsys.readouterr() == (_reference_csv("a,b,c", table) + _reference_csv("u,v", grid), "")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_tables_with_zero_columns_write_no_warning(capsys):
+    # the first-form Laplacian table holds d1 = d2 = 0 on every row
+    argv = ["surface", "--profile", "log:lambda=1,c=0", "--action", "laplacian1", "--grid", "9x9"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1].split(",")[2:4] == ["0", "0"]
