@@ -15,15 +15,15 @@ the final rounding even where the two textbook pieces nearly cancel.
 
 Grid evaluation.  The order-zero jets also take a float64 array of
 arguments, which is how profile jets are evaluated on a grid of radii: each
-series then runs once over the whole array.  Every element performs the
-same double-double operations as a pointwise call, and its sums are frozen
-at the term where the pointwise loop stops, so the results are
-bit-identical.  Only IEEE + - * / and square roots run on whole arrays;
-libm calls (log, pow and Python's **) stay per element with the same Python
-call, because numpy's vectorized versions can differ in the last bit.
-Arrays shorter than _MIN_ARRAY_LANES use the pointwise kernels, which are
-faster there.  y0_jet and k0_jet can reuse the J0/I0 series that a j0_jet
-or i0_jet call at the same x has already summed.
+series then runs once over the whole array, each term as one pass over
+four stacked rows (see _series_array).  Every element performs the same
+double-double operations as a pointwise call, and its sums are frozen at
+the term where the pointwise loop stops, so the results are bit-identical
+at any array length.  Only IEEE + - * / and square roots run on whole
+arrays; libm calls (log, pow and Python's **) stay per element with the
+same Python call, because numpy's vectorized versions can differ in the
+last bit.  y0_jet and k0_jet can reuse the J0/I0 series that a j0_jet or
+i0_jet call at the same x has already summed.
 """
 
 from __future__ import annotations
@@ -73,13 +73,6 @@ _TWO_OVER_PI_DD = dd.div((2.0, 0.0), _PI_DD)
 # Series-based J values lose relative accuracy past this argument
 # (cancellation outgrows the compensated accumulation).
 _LARGE_X = 30.0
-
-# Arrays shorter than this sum their series and logarithms element by
-# element with the scalar kernels.  The array kernels cost about 1 ms per
-# call in numpy dispatch whatever the length; j0_jet/k0_jet on x in
-# [0.1, 9] measured the two paths even between 21 and 26 elements, with the
-# scalar one 5-20% faster at 21 (the classifier's default grid).
-_MIN_ARRAY_LANES = 24
 
 
 class PrecisionLossWarning(UserWarning):
@@ -286,58 +279,57 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
-def _stack_dd(per_element: list) -> list[dd.DD]:
-    """Per-element lists [lane][k] of double-doubles to one (hi, lo) pair of
-    arrays per k."""
-    return [
-        (np.array([v[0] for v in col]), np.array([v[1] for v in col]))
-        for col in zip(*per_element)
-    ]
-
-
 def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool) -> list[dd.DD]:
     """`_series` with orders = 3 at every element of an array x with no zeros.
 
-    Each lane runs the double-double operations of the scalar loop, and its
-    sums are frozen at the term where the scalar loop would return, so the
-    results are bit-identical to summing each element on its own.  The three
-    derivative terms are computed as one (3, n) operation per term.  Short
-    arrays run the scalar kernel per element, which costs less there.
+    Each term is one pass of each double-double stage over stacked (4, n)
+    rows: [b; t; t; t] (the series base, and this term of degree m) times
+    [q; m; m(m-1); m(m-1)(m-2)], divided by [(n+1)^2; x; x^2; x^3], is the
+    next b and this term's derivatives, and with t in place of b one add
+    takes them into the four sums.  The b row's product error gets
+    b_hi q_lo + b_lo q_hi as in `dd.mul`, the others t_lo m... as in
+    `dd.mul_f`: each element sees the IEEE operations of the scalar loop.
+    Rows with m < k take no term, and each lane's sums are frozen at the
+    term where the scalar loop returns, so the results are bit-identical.
     """
-    if x.size < _MIN_ARRAY_LANES:
-        return _stack_dd([_series(v, sign, cfg, 3, weighted) for v in x.tolist()])
+    lanes = x.size
     with np.errstate(over="ignore", invalid="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
         xx = x * x
-        divisors = np.stack((x, xx, xx * x))
-        sums = (np.zeros((4, x.size)), np.zeros((4, x.size)))
-        hi = np.empty((4, x.size))
-        lo = np.empty((4, x.size))
-        pending = np.ones(x.size, dtype=bool)
-        was_small = np.zeros(x.size, dtype=bool)
-        b = (np.ones(x.size), np.zeros(x.size))
+        divisors = np.stack((x, x, xx, xx * x))  # row 0 is set to (n+1)^2 per term
+        factors = np.stack((q[0], x, x, x))  # rows 1-3 are set to m, m(m-1), ...
+        rows = (np.empty((4, lanes)), np.empty((4, lanes)))
+        rows[0][0], rows[1][0] = 1.0, 0.0
+        b = (rows[0][0], rows[1][0])  # views: b is updated in place
+        sums = (np.zeros((4, lanes)), np.zeros((4, lanes)))
+        hi, lo = np.empty((4, lanes)), np.empty((4, lanes))
+        pending = np.ones(lanes, dtype=bool)
+        was_small = np.zeros(lanes, dtype=bool)
         phi = (0.0, 0.0)
         n = 0
         while n < cfg.max_terms:
             t = dd.mul(b, phi) if weighted else b
+            rows[0][1:], rows[1][1:] = t[0], t[1]
             m = 2 * n
-            rows = min(m, 3)  # the k-th derivative takes a term once m >= k
-            if rows:
-                fac = np.array((m, m * (m - 1), m * (m - 1) * (m - 2))[:rows], dtype=np.float64)
-                d = dd.div_f(dd.mul_f(t, fac[:, None]), divisors[:rows])
-                terms = (np.concatenate((t[0][None], d[0])), np.concatenate((t[1][None], d[1])))
-            else:
-                terms = (t[0][None], t[1][None])
-            if rows == 3:
-                sums = dd.add(sums, terms)
-            else:
-                head = dd.add((sums[0][: rows + 1], sums[1][: rows + 1]), terms)
-                sums = (
-                    np.concatenate((head[0], sums[0][rows + 1 :])),
-                    np.concatenate((head[1], sums[1][rows + 1 :])),
-                )
+            fac = np.array([[m], [m * (m - 1)], [m * (m - 1) * (m - 2)]], dtype=np.float64)
+            factors[1:] = fac
+            p, e = dd.two_prod(rows[0], factors)
+            e[0] += b[0] * q[1] + b[1] * q[0]
+            e[1:] += rows[1][1:] * fac
             n += 1
-            b = dd.div_f(dd.mul(b, q), float(n * n))
+            divisors[0] = float(n * n)
+            step = dd.div_f(dd.two_sum(p, e), divisors)
+            # step holds the next b and this term's derivatives; b moves
+            # into the stacked rows and this term takes its row
+            rows[0][0], rows[1][0] = step[0][0], step[1][0]
+            step[0][0], step[1][0] = rows[0][1], rows[1][1]
+            k = min(m, 3) + 1  # the k-th derivative takes a term once m >= k
+            if k == 4:
+                sums = dd.add(sums, step)
+            else:
+                sums[0][:k], sums[1][:k] = dd.add(
+                    (sums[0][:k], sums[1][:k]), (step[0][:k], step[1][:k])
+                )
             if weighted:
                 phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
                 lead = b[0] * phi[0]
@@ -362,13 +354,8 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
 
 def _log_half_dd(x) -> dd.DD:
     """ln(x/2) + gamma in double-double; x may be a float64 array."""
-    if _is_array(x):
-        if x.size < _MIN_ARRAY_LANES:
-            ln = _stack_dd([[dd.log(v)] for v in (0.5 * x).tolist()])[0]
-        else:
-            ln = dd.log_array(0.5 * x)
-        return dd.add(ln, _EULER_GAMMA_DD)
-    return dd.add(dd.log(0.5 * x), _EULER_GAMMA_DD)
+    ln = dd.log_array(0.5 * x) if _is_array(x) else dd.log(0.5 * x)
+    return dd.add(ln, _EULER_GAMMA_DD)
 
 
 # ----------------------------------------------------------------------

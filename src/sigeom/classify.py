@@ -134,21 +134,32 @@ def _check_grid(s: RevolutionSurface, g: Grid) -> None:
         raise DomainError("grid samples leave the surface ranges")
 
 
-def _fit(lap: np.ndarray, r: np.ndarray) -> tuple[float, float, float]:
+def _fit(
+    lap: np.ndarray | None, r: np.ndarray, nv: int = 1, scale: float | None = None
+) -> tuple[float, float, float]:
     """Least-squares lambda with sup residual, absolute and relative.
 
     lambda = sum(lap * r) / sum(r^2); when r vanishes identically the
     eigenvalue is 0 by convention and the residual is sup|lap|.  Raises
-    DomainError when either sum overflows.
+    DomainError when either sum overflows.  scale, when given, is max |r|.
+    With nv > 1, lap and r are per radius, each value standing for a grid
+    row of nv: numpy sums the products repeated nv times pairwise exactly as
+    the flat grid, and a maximum does not depend on order.  lap = None is
+    Lap r = 0: numpy's sum of zeros is its +0 identity, so lambda and both
+    residuals are 0.0 once sum(r^2) passes the overflow check.
     """
-    scale = float(np.max(np.abs(r)))
+    if scale is None:
+        scale = float(np.max(np.abs(r)))
     with np.errstate(all="ignore"):  # an overflowed sum is refused just below
-        denom = float(np.sum(r * r))
-        num = float(np.sum(lap * r))
+        rr, lr = r * r, (0.0 if lap is None else lap * r)
+        if nv > 1:
+            rr, lr = np.repeat(rr, nv), np.repeat(lr, nv)
+        denom = float(np.sum(rr))
+        num = float(np.sum(lr))
     if not (np.isfinite(denom) and np.isfinite(num)):
         raise DomainError(f"eigen-fit sums overflow (max |r| = {scale:.3g})")
     lam = 0.0 if denom == 0.0 else num / denom
-    res = float(np.max(np.abs(lap - lam * r)))
+    res = 0.0 if lap is None else float(np.max(np.abs(lap - lam * r)))
     rel = res / scale if scale > 0.0 else res
     return lam, res, rel
 
@@ -174,11 +185,11 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
         v = float(g.v[np.argmin(np.isfinite(cv))])
         raise DomainError(f"cosh v overflows at v = {v!r}")
     r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
-    lap1, lap2 = _rotate(s.kind, np.reshape(a, (-1, 1)), sv, cv)  # _fit broadcasts a row
-    nv = g.v.size
-    r3 = np.repeat(f0[:, None], nv, axis=1)
-    lap3 = np.repeat(c[:, None], nv, axis=1)
-    return (_fit(lap1, r1), _fit(lap2, r2), _fit(lap3, r3)), ew
+    laps = (None, None) if form == 1 else _rotate(s.kind, a[:, None], sv, cv)  # a = 0 on form 1
+    # max|u h(v)| is max|u| max|h| rounded once: rounding is monotone
+    scales = _rotate(s.kind, np.max(np.abs(g.u)), np.max(np.abs(sv)), np.max(cv))
+    fits = [_fit(lap, r, scale=float(m)) for lap, r, m in zip(laps, (r1, r2), scales)]
+    return (*fits, _fit(c, f0, g.v.size)), ew
 
 
 def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenReport:

@@ -87,24 +87,30 @@ def test_bessel_jets_array_vs_scalar(jet, xs):
     assert_bit_identical(np.array(got), pointwise(jet, xs))
 
 
-def test_both_array_paths_are_exercised():
-    # the cases above run the array kernels and the short-array fallback
-    assert LONG.size >= bessel._MIN_ARRAY_LANES and MIXED.size >= bessel._MIN_ARRAY_LANES
-    assert LONG[::9].size < bessel._MIN_ARRAY_LANES
+def _lanes(n):
+    """n arguments from 60 down to 1e-3, in a shuffled order (n = 1 is 60)."""
+    return np.random.default_rng(n).permutation(np.geomspace(60.0, 1e-3, n))
 
 
-@pytest.mark.parametrize("lanes", [0, 10**6], ids=["array-kernel", "scalar-kernel"])
-def test_series_array_against_scalar_kernels(monkeypatch, lanes):
-    monkeypatch.setattr(bessel, "_MIN_ARRAY_LANES", lanes)
-    for sign in (-1.0, 1.0):
-        for weighted in (False, True):
-            sums = bessel._series_array(MIXED, sign, bessel.DEFAULT_SERIES, weighted)
-            ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 3, weighted) for x in MIXED.tolist()]
-            for k in range(4):
-                assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
-                assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
-    ln = bessel._log_half_dd(MIXED)
-    ref = [bessel._log_half_dd(x) for x in MIXED.tolist()]
+# one kernel for every array length: single lanes, lengths around the
+# classifier's default 21 radii, and the largest grid of the benchmark
+@pytest.mark.parametrize("lanes", [1, 5, 12, 21, 23, 24, 40, 401])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_series_array_against_scalar_kernels(lanes, sign, weighted):
+    xs = _lanes(lanes)
+    sums = bessel._series_array(xs, sign, bessel.DEFAULT_SERIES, weighted)
+    ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 3, weighted) for x in xs.tolist()]
+    for k in range(4):
+        assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
+        assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
+
+
+@pytest.mark.parametrize("lanes", [1, 5, 21, 24, 401])
+def test_log_half_against_scalar(lanes):
+    xs = _lanes(lanes)
+    ln = bessel._log_half_dd(xs)
+    ref = [bessel._log_half_dd(x) for x in xs.tolist()]
     assert_bit_identical(ln[0], [r[0] for r in ref])
     assert_bit_identical(ln[1], [r[1] for r in ref])
 

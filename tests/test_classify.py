@@ -22,6 +22,7 @@ from sigeom import (
     solve_radial_eigen_ode,
     verify_constant_curvature,
 )
+from sigeom.classify import _fit
 
 
 def _surf(profile, u=(0.5, 5.0), v=(-1.0, 1.0)):
@@ -188,6 +189,88 @@ def test_report_serialization_round_trip():
         "operator", "lambda1", "lambda2", "lambda3",
         "residual1", "residual2", "residual3", "verdict", "notes",
     }
+
+
+# ----------------------------------------------------------------------
+# fits without full grids: the same bits as _fit on the materialised grid
+
+FIT_GRIDS = [(5, 5), (21, 21), (64, 5), (401, 401)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def _magnitudes(rng, n):
+    """n values of random sign, log-uniform in magnitude over [1e-3, 1e3]."""
+    return rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+
+def _radial_cases(nu):
+    rng = np.random.default_rng(nu)
+    some_zeros = _magnitudes(rng, nu)
+    some_zeros[rng.random(nu) < 0.3] = -0.0
+    r = _magnitudes(rng, nu)
+    return {
+        "random": (_magnitudes(rng, nu), _magnitudes(rng, nu)),
+        "eigen": (-2.5 * r, r),
+        "r-zero": (_magnitudes(rng, nu), np.zeros(nu)),
+        "r-signed-zeros": (_magnitudes(rng, nu), rng.choice((-0.0, 0.0), nu)),
+        "all-signed-zeros": (rng.choice((-0.0, 0.0), nu), rng.choice((-0.0, 0.0), nu)),
+        "some-zeros": (_magnitudes(rng, nu), some_zeros),
+    }
+
+
+@pytest.mark.parametrize("nu,nv", FIT_GRIDS, ids=lambda n: str(n))
+@pytest.mark.parametrize("case", ["random", "eigen", "r-zero", "r-signed-zeros",
+                                  "all-signed-zeros", "some-zeros"])
+def test_radial_fit_matches_the_repeated_grid(nu, nv, case):
+    lap, r = _radial_cases(nu)[case]
+    want = _fit(np.repeat(lap[:, None], nv, axis=1), np.repeat(r[:, None], nv, axis=1))
+    assert _bits(_fit(lap, r, nv)) == _bits(want)
+
+
+def test_radial_fit_refuses_an_overflowing_sum():
+    # every value finite, but r^2 summed over the grid is not
+    r = np.array([1e160, -3e159, 2.0, 1e-3, 5e158])
+    lap = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(DomainError) as grid:
+        _fit(np.repeat(lap[:, None], 7, axis=1), np.repeat(r[:, None], 7, axis=1))
+    with pytest.raises(DomainError) as rows:
+        _fit(lap, r, 7)
+    assert str(rows.value) == str(grid.value) == "eigen-fit sums overflow (max |r| = 1e+160)"
+
+
+@pytest.mark.parametrize("nu,nv", FIT_GRIDS, ids=lambda n: str(n))
+@pytest.mark.parametrize("timelike", [True, False], ids=["timelike", "spacelike"])
+def test_rotational_fits_match_the_full_grid(nu, nv, timelike):
+    rng = np.random.default_rng(nu * nv)
+    u = _magnitudes(rng, nu)
+    u[rng.random(nu) < 0.2] = rng.choice((-0.0, 0.0))
+    v = np.sort(rng.uniform(-3.0, 3.0, nv))
+    v[nv // 2] = 0.0  # sinh v = 0
+    sv, cv = np.sinh(v), np.cosh(v)
+    h = sv if timelike else cv
+    r = u[:, None] * h
+    # max|u h| is max|u| max|h| rounded once
+    scale = float(np.max(np.abs(u)) * np.max(np.abs(h)))
+    assert _bits(scale) == _bits(np.max(np.abs(r)))
+    # a second-form Laplacian a(u) h(v) through the same path
+    lap = _magnitudes(rng, nu)[:, None] * h
+    assert _bits(_fit(lap, r, scale=scale)) == _bits(_fit(lap, r))
+    # a harmonic coordinate: Lap r = 0, with the signs 0 * h(v) gives
+    zero = 0.0 * h[None, :]
+    assert _bits(_fit(None, r, scale=scale)) == _bits(_fit(zero, r)) == _bits([0.0] * 3)
+    assert _bits(_fit(None, 0.0 * r, scale=0.0)) == _bits(_fit(zero, 0.0 * r))
+
+
+def test_harmonic_fit_refuses_an_overflowing_sum():
+    r = np.array([[1e160, 2.0], [3.0, -4e159], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
+    with pytest.raises(DomainError) as grid:
+        _fit(np.zeros((1, 2)), r)
+    with pytest.raises(DomainError) as harmonic:
+        _fit(None, r, scale=1e160)
+    assert str(harmonic.value) == str(grid.value)
 
 
 # ----------------------------------------------------------------------
