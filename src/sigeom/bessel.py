@@ -8,10 +8,13 @@ finite-difference ODE residual used as a self-check.
 Accuracy notes.  The order-zero series cancel catastrophically for moderate
 x (at x = 10 the largest J0 term is ~678 against a sum of ~0.25, and K0
 is the difference of two ~6000-sized pieces), so all series are accumulated
-in double-double arithmetic and rounded once at the end; Y0 and K0 are summed
-in the merged form sum_n (phi(n) -/+ L) * term_n with L = ln(x/2) + gamma
-carried in double-double, which keeps their absolute error at the level of
-the final rounding even where the two textbook pieces nearly cancel.
+in double-double arithmetic and rounded once at the end.  The Y0 and K0
+values are the ell-offset row of `_series`, one merged sum stopped on the
+cancelled total, which keeps their absolute error at the level of the final
+rounding even where the two textbook pieces nearly cancel.  The Y0 and K0
+jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums that
+are summed and stopped apart: not the merged form, so they lose accuracy
+where the pieces cancel.
 
 Grid evaluation.  The order-zero jets also take a float64 array of
 arguments, which is how profile jets are evaluated on a grid of radii: each
@@ -195,19 +198,28 @@ def _add_derivative_terms(sums: list[dd.DD], t: dd.DD, m: int, x: float) -> None
         )
 
 
-def _series(x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: bool) -> list[dd.DD]:
+def _series(
+    x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: bool, ell: dd.DD = (0.0, 0.0)
+) -> list[dd.DD]:
     """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n!)^2 and its first `orders`
-    term-wise derivatives, with w = 1 (weighted=False: J0, I0) or w = phi(n),
-    the harmonic numbers (weighted=True; phi(0) = 0, so the n = 0 term
-    vanishes).  Requires x != 0 when orders > 0."""
+    term-wise derivatives, with w = 1 (weighted=False: J0, I0) or
+    w = phi(n) - ell, phi the harmonic numbers (weighted=True; phi(0) = 0).
+    Requires x != 0 when orders > 0.
+
+    With ell = ln(x/2) + gamma, row 0 of the weighted sums is K0 (sign +1)
+    and -(pi/2) Y0 (sign -1) in a single sum whose stopping rule references
+    the cancelled total, not the two large textbook pieces.
+    """
     q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
+    nell = dd.neg(ell)
     sums = [(0.0, 0.0)] * (orders + 1)
     b = (1.0, 0.0)
     phi = (0.0, 0.0)
     streak = 0
     n = 0
     while n < cfg.max_terms:
-        t = dd.mul(b, phi) if weighted else b
+        # adding ell = 0 gives phi's bits back: the jets' sums skip it
+        t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if weighted else b
         sums[0] = dd.add(sums[0], t)
         if orders:
             _add_derivative_terms(sums, t, 2 * n, x)
@@ -215,41 +227,10 @@ def _series(x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: boo
         b = dd.div_f(dd.mul(b, q), float(n * n))
         if weighted:
             phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-        if _small(b[0] * phi[0] if weighted else b[0], sums[0][0], cfg.rel_tol):
+        if _small(b[0] * (phi[0] - ell[0]) if weighted else b[0], sums[0][0], cfg.rel_tol):
             streak += 1
             if streak >= 2:
                 return sums
-        else:
-            streak = 0
-    raise NonConvergenceError(
-        f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={x!r}"
-    )
-
-
-def _merged_log_series(x: float, sign: float, ell: dd.DD, cfg: SeriesConfig) -> dd.DD:
-    """sum_n (phi(n) - ell) sign^n (x/2)^(2n) / (n!)^2.
-
-    This is K0 (sign +1) and -(pi/2) Y0 (sign -1) in a single sum, which makes
-    the stopping rule reference the cancelled total rather than the two large
-    textbook pieces, preserving absolute accuracy for small results.
-    """
-    q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
-    s = (0.0, 0.0)
-    b = (1.0, 0.0)
-    phi = (0.0, 0.0)
-    streak = 0
-    n = 0
-    while n < cfg.max_terms:
-        t = dd.mul(b, dd.add(phi, dd.neg(ell)))
-        s = dd.add(s, t)
-        n += 1
-        b = dd.div_f(dd.mul(b, q), float(n * n))
-        phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-        nxt = b[0] * (phi[0] - ell[0])
-        if _small(nxt, s[0], cfg.rel_tol):
-            streak += 1
-            if streak >= 2:
-                return s
         else:
             streak = 0
     raise NonConvergenceError(
@@ -358,6 +339,16 @@ def _log_half_dd(x) -> dd.DD:
     return dd.add(ln, _EULER_GAMMA_DD)
 
 
+def _require_positive(x, name: str) -> None:
+    """Refuse x unless it is finite and > 0; for arrays, at every element."""
+    if _is_array(x):
+        bad = ~((x > 0.0) & (x < math.inf))
+        if bad.any():
+            raise DomainError(f"{name} requires finite x > 0, got {float(x[np.argmax(bad)])!r}")
+    elif not 0.0 < x < math.inf:
+        raise DomainError(f"{name} requires finite x > 0, got {x!r}")
+
+
 # ----------------------------------------------------------------------
 # order-zero values
 
@@ -374,17 +365,15 @@ def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
-    if x <= 0.0:
-        raise DomainError(f"y0 requires x > 0, got {x!r}")
-    merged = _merged_log_series(x, -1.0, _log_half_dd(x), cfg)
+    _require_positive(x, "y0")
+    merged = _series(x, -1.0, cfg, 0, True, _log_half_dd(x))[0]
     return dd.to_float(dd.mul(_TWO_OVER_PI_DD, dd.neg(merged)))
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """K0(x) = -(ln(x/2) + gamma) I0(x) + sum_n phi(n) (x/2)^(2n)/(n!)^2."""
-    if x <= 0.0:
-        raise DomainError(f"k0 requires x > 0, got {x!r}")
-    return dd.to_float(_merged_log_series(x, 1.0, _log_half_dd(x), cfg))
+    _require_positive(x, "k0")
+    return dd.to_float(_series(x, 1.0, cfg, 0, True, _log_half_dd(x))[0])
 
 
 # ----------------------------------------------------------------------
@@ -430,15 +419,6 @@ def _order0_sums(jet, x, cfg: SeriesConfig, sign: float) -> list[dd.DD]:
     return jet.sums
 
 
-def _require_positive(x, name: str) -> None:
-    if _is_array(x):
-        bad = x <= 0.0
-        if bad.any():
-            raise DomainError(f"{name} requires x > 0, got {float(x[np.argmax(bad)])!r}")
-    elif x <= 0.0:
-        raise DomainError(f"{name} requires x > 0, got {x!r}")
-
-
 def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(J0, J0', J0'', J0''')(x) by term-wise differentiation of the series.
 
@@ -453,61 +433,47 @@ def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     return _order0_jet(x, 1.0, cfg, (1.0, 0.0, 0.5, 0.0))
 
 
+def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> list[dd.DD]:
+    """h^(k), k = 0..3, of h = (ln(x/2) + gamma) B - S by the product rule:
+    B is the J0 (sign -1) or I0 (sign +1) series, reused from `base` when it
+    is a jet at the same x, and S its phi-weighted twin.  Y0 = (2/pi) h and
+    K0 = -h; every double-double operation is odd, so K0 takes the bits of
+    assembling -h directly."""
+    _require_positive(x, "k0" if sign > 0.0 else "y0")
+    b = _order0_sums(base, x, cfg, sign)
+    s = _sums(x, sign, cfg, True)
+    ell = _log_half_dd(x)
+    inv = 1.0 / x
+    # (ell*B)^(k) expanded with ell' = 1/x, ell'' = -1/x^2, ell''' = 2/x^3
+    h0 = dd.add(dd.mul(ell, b[0]), dd.neg(s[0]))
+    h1 = dd.add(dd.add(dd.mul(ell, b[1]), dd.mul_f(b[0], inv)), dd.neg(s[1]))
+    h2 = dd.add(
+        dd.add(dd.mul(ell, b[2]), dd.mul_f(b[1], 2.0 * inv)),
+        dd.add(dd.mul_f(b[0], -inv * inv), dd.neg(s[2])),
+    )
+    h3 = dd.add(
+        dd.add(dd.mul(ell, b[3]), dd.mul_f(b[2], 3.0 * inv)),
+        dd.add(
+            dd.add(dd.mul_f(b[1], -3.0 * inv * inv), dd.mul_f(b[0], 2.0 * _ipow(inv, 3))),
+            dd.neg(s[3]),
+        ),
+    )
+    return [h0, h1, h2, h3]
+
+
 def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES, j0=None) -> tuple[float, float, float, float]:
     """(Y0, Y0', Y0'', Y0''')(x), assembling the log factor by the product rule.
 
     x may be a 1-D float64 array.  Passing j0 = j0_jet(x, cfg) reuses the J0
     series that call summed instead of summing it again.
     """
-    _require_positive(x, "y0")
-    j = _order0_sums(j0, x, cfg, -1.0)
-    s = _sums(x, -1.0, cfg, True)
-    ell = _log_half_dd(x)
-    inv = 1.0 / x
-    out = []
-    # (ell*J0)^(k) expanded with ell' = 1/x, ell'' = -1/x^2, ell''' = 2/x^3
-    g0 = dd.add(dd.mul(ell, j[0]), dd.neg(s[0]))
-    g1 = dd.add(dd.add(dd.mul(ell, j[1]), dd.mul_f(j[0], inv)), dd.neg(s[1]))
-    g2 = dd.add(
-        dd.add(dd.mul(ell, j[2]), dd.mul_f(j[1], 2.0 * inv)),
-        dd.add(dd.mul_f(j[0], -inv * inv), dd.neg(s[2])),
-    )
-    g3 = dd.add(
-        dd.add(dd.mul(ell, j[3]), dd.mul_f(j[2], 3.0 * inv)),
-        dd.add(
-            dd.add(dd.mul_f(j[1], -3.0 * inv * inv), dd.mul_f(j[0], 2.0 * _ipow(inv, 3))),
-            dd.neg(s[3]),
-        ),
-    )
-    for g in (g0, g1, g2, g3):
-        out.append(dd.to_float(dd.mul(_TWO_OVER_PI_DD, g)))
-    return tuple(out)
+    return tuple(dd.to_float(dd.mul(_TWO_OVER_PI_DD, h)) for h in _log_jet(x, -1.0, cfg, j0))
 
 
 def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES, i0=None) -> tuple[float, float, float, float]:
     """(K0, K0', K0'', K0''')(x); x may be a 1-D float64 array.  Passing
-
     i0 = i0_jet(x, cfg) reuses the I0 series that call summed."""
-    _require_positive(x, "k0")
-    i = _order0_sums(i0, x, cfg, 1.0)
-    t = _sums(x, 1.0, cfg, True)
-    ell = _log_half_dd(x)
-    inv = 1.0 / x
-    nl = dd.neg(ell)
-    g0 = dd.add(dd.mul(nl, i[0]), t[0])
-    g1 = dd.add(dd.add(dd.mul(nl, i[1]), dd.mul_f(i[0], -inv)), t[1])
-    g2 = dd.add(
-        dd.add(dd.mul(nl, i[2]), dd.mul_f(i[1], -2.0 * inv)),
-        dd.add(dd.mul_f(i[0], inv * inv), t[2]),
-    )
-    g3 = dd.add(
-        dd.add(dd.mul(nl, i[3]), dd.mul_f(i[2], -3.0 * inv)),
-        dd.add(
-            dd.add(dd.mul_f(i[1], 3.0 * inv * inv), dd.mul_f(i[0], -2.0 * _ipow(inv, 3))),
-            t[3],
-        ),
-    )
-    return tuple(dd.to_float(g) for g in (g0, g1, g2, g3))
+    return tuple(dd.to_float(dd.neg(h)) for h in _log_jet(x, 1.0, cfg, i0))
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,9 @@ def test_secondary_reuses_primary_series(primary, secondary, xs):
 def test_array_domain_error(jet):
     with pytest.raises(DomainError, match=r"got -0\.5$"):
         jet(np.array([1.0, 2.0, -0.5, 0.0] * 8))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            jet(np.array([1.0, 2.0, bad, 3.0] * 8))
 
 
 @pytest.mark.parametrize("jet", JETS, ids=lambda f: f.__name__)

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +210,10 @@ def test_y0_domain_and_limit():
         bessel_y0(0.0)
     with pytest.raises(DomainError):
         bessel_y0(-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for fn in (bessel_y0, y0_jet):
+            with pytest.raises(DomainError, match=f"got {bad!r}$"):
+                fn(bad)
     assert bessel_y0(1e-8) < -10.0
     assert bessel_y0(1e-12) < bessel_y0(1e-8)
 
@@ -217,8 +223,35 @@ def test_k0_domain_and_limit():
         bessel_k0(0.0)
     with pytest.raises(DomainError):
         bessel_k0(-0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for fn in (bessel_k0, k0_jet):
+            with pytest.raises(DomainError, match=f"got {bad!r}$"):
+                fn(bad)
     assert bessel_k0(1e-8) > 10.0
     assert bessel_k0(1e-12) > bessel_k0(1e-8)
+
+
+# the order-zero values against mpmath at 50 digits, 200 arguments each:
+# (function, oracle, upper end of the range, bound, error scale).  J0 is
+# bounded by 1, so its error is absolute; Y0's is absolute up to |Y0| = 1 and
+# relative past it, near its log singularity; I0 and K0 are relative.  K0 is
+# cut at 20, where the series still holds 3.5e-15 (1.1e-10 at 25).
+ORDER0_ORACLES = {
+    "j0": (bessel_j0, mpmath.besselj, 25.0, 1e-15, lambda ref: 1),
+    "y0": (bessel_y0, mpmath.bessely, 25.0, 1e-15, lambda ref: max(1, abs(ref))),
+    "i0": (bessel_i0, mpmath.besseli, 25.0, 1e-15, abs),
+    "k0": (bessel_k0, mpmath.besselk, 20.0, 1e-14, abs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER0_ORACLES))
+def test_order0_values_against_mpmath(name):
+    fn, oracle, hi, bound, scale = ORDER0_ORACLES[name]
+    with mpmath.workdps(50):
+        for x in np.geomspace(1e-3, hi, 200).tolist():
+            ref = oracle(0, mpmath.mpf(x))
+            err = abs(mpmath.mpf(fn(x)) - ref) / scale(ref)
+            assert err <= bound, (x, float(err))
 
 
 def _fd_derivative(fn, x):
