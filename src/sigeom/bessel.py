@@ -16,17 +16,17 @@ jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums that
 are summed and stopped apart: not the merged form, so they lose accuracy
 where the pieces cancel.
 
-Grid evaluation.  The order-zero jets also take a float64 array of
-arguments, which is how profile jets are evaluated on a grid of radii: each
-series then runs once over the whole array, each term as one pass over
-four stacked rows (see _series_array).  Every element performs the same
-double-double operations as a pointwise call, and its sums are frozen at
-the term where the pointwise loop stops, so the results are bit-identical
-at any array length.  Only IEEE + - * / and square roots run on whole
-arrays; libm calls (log, pow and Python's **) stay per element with the
-same Python call, because numpy's vectorized versions can differ in the
-last bit.  y0_jet and k0_jet can reuse the J0/I0 series that a j0_jet or
-i0_jet call at the same x has already summed.
+Grid evaluation.  The order-zero values and jets also take a float64
+array of arguments, which is how profile jets are evaluated on a grid of
+radii and how the CLI tabulates: each series then runs once over the whole
+array, each term as one pass over four stacked rows (see _series_array).
+Every element performs the same double-double operations as a pointwise
+call, and its sums are frozen at the term where the pointwise loop stops, so
+the results are bit-identical at any array length.  Only IEEE + - * / and
+square roots run on whole arrays; libm calls (log, pow and Python's **) stay
+per element with the same Python call, because numpy's vectorized versions
+can differ in the last bit.  y0_jet and k0_jet can reuse the J0/I0 series
+that a j0_jet or i0_jet call at the same x has already summed.
 """
 
 from __future__ import annotations
@@ -260,8 +260,11 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
-def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool) -> list[dd.DD]:
-    """`_series` with orders = 3 at every element of an array x with no zeros.
+def _series_array(
+    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool, ell: dd.DD = (0.0, 0.0)
+) -> list[dd.DD]:
+    """`_series` with orders = 3 at every element of an array x, ell a pair of
+    floats or of arrays like x.  Rows 1-3 are not finite where x = 0.
 
     Each term is one pass of each double-double stage over stacked (4, n)
     rows: [b; t; t; t] (the series base, and this term of degree m) times
@@ -274,7 +277,8 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
     term where the scalar loop returns, so the results are bit-identical.
     """
     lanes = x.size
-    with np.errstate(over="ignore", invalid="ignore"):
+    nell = dd.neg(ell) if np.any(ell[0]) else None  # None: as in `_series`, skip ell = 0
+    with np.errstate(all="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
         xx = x * x
         divisors = np.stack((x, x, xx, xx * x))  # row 0 is set to (n+1)^2 per term
@@ -289,7 +293,7 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
         phi = (0.0, 0.0)
         n = 0
         while n < cfg.max_terms:
-            t = dd.mul(b, phi) if weighted else b
+            t = dd.mul(b, phi if nell is None else dd.add(phi, nell)) if weighted else b
             rows[0][1:], rows[1][1:] = t[0], t[1]
             m = 2 * n
             fac = np.array([[m], [m * (m - 1)], [m * (m - 1) * (m - 2)]], dtype=np.float64)
@@ -313,7 +317,7 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
                 )
             if weighted:
                 phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-                lead = b[0] * phi[0]
+                lead = b[0] * (phi[0] - ell[0])
             else:
                 lead = b[0]
             # `_small` in one expression: with a zero sum it is |lead| <= 0, which
@@ -333,6 +337,13 @@ def _series_array(x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool)
     )
 
 
+def _sums(x, sign: float, cfg: SeriesConfig, weighted: bool, ell=(0.0, 0.0), orders=3):
+    """`_series` at a float x (rows 0..orders), `_series_array` at an array (all four)."""
+    if _is_array(x):
+        return _series_array(x, sign, cfg, weighted, ell)
+    return _series(x, sign, cfg, orders, weighted, ell)
+
+
 def _log_half_dd(x) -> dd.DD:
     """ln(x/2) + gamma in double-double; x may be a float64 array."""
     ln = dd.log_array(0.5 * x) if _is_array(x) else dd.log(0.5 * x)
@@ -350,30 +361,30 @@ def _require_positive(x, name: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# order-zero values
+# order-zero values; like the jets, they take a 1-D float64 array for x
 
 
 def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """J0(x) = sum_n (-1)^n (x/2)^(2n) / (n!)^2; entire and even."""
-    return dd.to_float(_series(x, -1.0, cfg, 0, False)[0])
+    return dd.to_float(_sums(x, -1.0, cfg, False, orders=0)[0])
 
 
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
-    return dd.to_float(_series(x, 1.0, cfg, 0, False)[0])
+    return dd.to_float(_sums(x, 1.0, cfg, False, orders=0)[0])
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
     _require_positive(x, "y0")
-    merged = _series(x, -1.0, cfg, 0, True, _log_half_dd(x))[0]
+    merged = _sums(x, -1.0, cfg, True, _log_half_dd(x), 0)[0]
     return dd.to_float(dd.mul(_TWO_OVER_PI_DD, dd.neg(merged)))
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """K0(x) = -(ln(x/2) + gamma) I0(x) + sum_n phi(n) (x/2)^(2n)/(n!)^2."""
     _require_positive(x, "k0")
-    return dd.to_float(_series(x, 1.0, cfg, 0, True, _log_half_dd(x))[0])
+    return dd.to_float(_sums(x, 1.0, cfg, True, _log_half_dd(x), 0)[0])
 
 
 # ----------------------------------------------------------------------
@@ -390,23 +401,16 @@ class _Order0Jet(tuple):
         return self
 
 
-def _sums(x, sign: float, cfg: SeriesConfig, weighted: bool) -> list[dd.DD]:
-    """Order-3 sums of `_series` at x, a float or an array."""
-    if _is_array(x):
-        return _series_array(x, sign, cfg, weighted)
-    return _series(x, sign, cfg, 3, weighted)
-
-
 def _order0_jet(x, sign: float, cfg: SeriesConfig, at_zero: tuple[float, float, float, float]):
-    if _is_array(x):
-        zero = x == 0.0
-        if zero.any():
-            values = np.array(at_zero)[:, None].repeat(x.size, axis=1)
-            values[:, ~zero] = _order0_jet(x[~zero], sign, cfg, at_zero)
-            return tuple(values)
-    elif x == 0.0:
-        return at_zero
-    return _Order0Jet(_sums(x, sign, cfg, False), x, cfg)
+    """The J0 (sign -1) or I0 (sign +1) jet at x: one series call, and
+    `at_zero` where x = 0."""
+    if not _is_array(x):
+        return at_zero if x == 0.0 else _Order0Jet(_sums(x, sign, cfg, False), x, cfg)
+    jet, zero = _Order0Jet(_sums(x, sign, cfg, False), x, cfg), x == 0.0
+    if zero.any():
+        for row, value in zip(jet, at_zero):
+            row[zero] = value
+    return jet
 
 
 def _order0_sums(jet, x, cfg: SeriesConfig, sign: float) -> list[dd.DD]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .bessel import (
     SeriesConfig,
+    _per_element,
     bessel_i0,
     bessel_j,
     bessel_j0,
@@ -273,24 +275,15 @@ def _write_csv(
         _write_rows(fh, table)
 
 
-def _tabulate(a: float, b: float, n: int, *fns: Callable[[float], float]) -> np.ndarray:
-    """The columns x, fn(x), ... at n evenly spaced x in [a, b], one call per x."""
+def _tabulate(a: float, b: float, n: int, *fns: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The columns x, fn(x), ... at n evenly spaced x in [a, b], each fn called
+    once per block of at most 4096 x: a few MB of series work space at any n."""
     xs = np.linspace(a, b, n)
-    return np.column_stack((xs, *([fn(x) for x in xs.tolist()] for fn in fns)))
+    blocks = [xs[start : start + _BLOCK_ROWS] for start in range(0, n, _BLOCK_ROWS)]
+    return np.column_stack((xs, *(np.concatenate([fn(x) for x in blocks]) for fn in fns)))
 
 
-def _bessel_eval(kind: str, p: float | None, cfg: SeriesConfig) -> Callable[[float], float]:
-    if kind == "j0":
-        return lambda x: bessel_j0(x, cfg)
-    if kind == "y0":
-        return lambda x: bessel_y0(x, cfg)
-    if kind == "i0":
-        return lambda x: bessel_i0(x, cfg)
-    if kind == "k0":
-        return lambda x: bessel_k0(x, cfg)
-    if p is None:
-        raise ProfileSpecError("--p is required for --kind jp")
-    return lambda x: bessel_j(p, x, cfg)
+_BESSEL_VALUES = {"j0": bessel_j0, "y0": bessel_y0, "i0": bessel_i0, "k0": bessel_k0}
 
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
@@ -300,8 +293,14 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
         raise ProfileSpecError(f"--n must be >= 1, got {args.n}")
     if args.kind in ("y0", "k0") and (a <= 0.0 or b <= 0.0):
         raise DomainError(f"{args.kind} requires x > 0")
-    fn = _bessel_eval(args.kind, args.p, cfg)
-    _write_csv(args.out, "x,value", _tabulate(a, b, args.n, fn))
+    if args.kind != "jp":
+        column = functools.partial(_BESSEL_VALUES[args.kind], cfg=cfg)
+    elif args.p is None:
+        raise ProfileSpecError("--p is required for --kind jp")
+    else:
+        # per x: bessel_j's libm pow, and its warning past |x| = 30 per x
+        column = functools.partial(_per_element, functools.partial(bessel_j, args.p, cfg=cfg))
+    _write_csv(args.out, "x,value", _tabulate(a, b, args.n, column))
     return EXIT_OK
 
 
@@ -392,7 +391,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _unwritable(out_dir, exc) from exc
-    cfg = SeriesConfig()
     fid = args.id
 
     def emit_csv(name: str, header: str, table, comments: Sequence[str] = ()) -> None:
@@ -405,31 +403,27 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"wrote {out_dir / name}", file=sys.stderr)
 
     if fid == "1a":
-        table = _tabulate(0.05, 10.0, 200, lambda x: bessel_j0(x, cfg), lambda x: bessel_y0(x, cfg))
+        table = _tabulate(0.05, 10.0, 200, bessel_j0, bessel_y0)
         comment = "samples start at x=0.05: Y0(x) -> -inf as x -> 0+"
         emit_csv("figure1a.csv", "x,J0,Y0", table, comments=[comment])
     elif fid == "1b":
-        emit_csv("figure1b_i0.csv", "x,I0", _tabulate(-3.0, 3.0, 200, lambda x: bessel_i0(x, cfg)))
-        emit_csv(
-            "figure1b_k0.csv",
-            "x,K0",
-            _tabulate(0.05, 3.0, 200, lambda x: bessel_k0(x, cfg)),
-            comments=[
-                "nominal range [-3,3] is cut to (0,3]: K0 is undefined for x <= 0",
-            ],
-        )
+        emit_csv("figure1b_i0.csv", "x,I0", _tabulate(-3.0, 3.0, 200, bessel_i0))
+        comment = "nominal range [-3,3] is cut to (0,3]: K0 is undefined for x <= 0"
+        emit_csv("figure1b_k0.csv", "x,K0", _tabulate(0.05, 3.0, 200, bessel_k0), [comment])
     elif fid == "2a":
-        table = np.insert(_tabulate(1.0, 4.0, 200, lambda u: bessel_j0(u, cfg)), 0, 0.0, axis=1)
+        table = np.insert(_tabulate(1.0, 4.0, 200, bessel_j0), 0, 0.0, axis=1)
         emit_csv("figure2a.csv", "x,y,z", table, comments=["profile curve (0, u, J0(u))"])
     elif fid == "3a":
-        table = np.insert(_tabulate(0.5, 5.0, 200, np.log), 0, 0.0, axis=1)
+        # np.log per x: numpy's array log may differ in the last bit
+        log = functools.partial(_per_element, np.log)
+        table = np.insert(_tabulate(0.5, 5.0, 200, log), 0, 0.0, axis=1)
         emit_csv("figure3a.csv", "x,y,z", table, comments=["profile curve (0, u, ln u)"])
     else:
         from .profiles import bessel_profile, log_profile
         from .surfaces import RevolutionKind, RevolutionSurface, mesh
 
         if fid == "2b":
-            profile, u, v = bessel_profile(1.0, 1.0, 0.0, cfg), (1.0, 4.0), (-1.0, 1.0)
+            profile, u, v = bessel_profile(1.0, 1.0, 0.0), (1.0, 4.0), (-1.0, 1.0)
         else:
             profile, u, v = log_profile(-2.0, 0.0), (0.5, 5.0), (-0.5, 1.0)
         s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, u, v)
