@@ -277,6 +277,9 @@ def _series_array(
     term where the scalar loop returns, so the results are bit-identical.
     """
     lanes = x.size
+    hi, lo = np.empty((4, lanes)), np.empty((4, lanes))
+    if not lanes:
+        return list(zip(hi, lo))
     nell = dd.neg(ell) if np.any(ell[0]) else None  # None: as in `_series`, skip ell = 0
     with np.errstate(all="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
@@ -287,7 +290,6 @@ def _series_array(
         rows[0][0], rows[1][0] = 1.0, 0.0
         b = (rows[0][0], rows[1][0])  # views: b is updated in place
         sums = (np.zeros((4, lanes)), np.zeros((4, lanes)))
-        hi, lo = np.empty((4, lanes)), np.empty((4, lanes))
         pending = np.ones(lanes, dtype=bool)
         was_small = np.zeros(lanes, dtype=bool)
         phi = (0.0, 0.0)
@@ -350,14 +352,16 @@ def _log_half_dd(x) -> dd.DD:
     return dd.add(ln, _EULER_GAMMA_DD)
 
 
-def _require_positive(x, name: str) -> None:
-    """Refuse x unless it is finite and > 0; for arrays, at every element."""
+def _require_finite(x, name: str, positive: bool = False) -> None:
+    """Refuse x unless it is finite, and > 0 if `positive`; for arrays, at
+    every element, naming the first one refused."""
+    low, what = (0.0, "finite x > 0") if positive else (-math.inf, "finite x")
     if _is_array(x):
-        bad = ~((x > 0.0) & (x < math.inf))
+        bad = ~((x > low) & (x < math.inf))
         if bad.any():
-            raise DomainError(f"{name} requires finite x > 0, got {float(x[np.argmax(bad)])!r}")
-    elif not 0.0 < x < math.inf:
-        raise DomainError(f"{name} requires finite x > 0, got {x!r}")
+            raise DomainError(f"{name} requires {what}, got {float(x[np.argmax(bad)])!r}")
+    elif not low < x < math.inf:
+        raise DomainError(f"{name} requires {what}, got {x!r}")
 
 
 # ----------------------------------------------------------------------
@@ -366,24 +370,26 @@ def _require_positive(x, name: str) -> None:
 
 def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """J0(x) = sum_n (-1)^n (x/2)^(2n) / (n!)^2; entire and even."""
+    _require_finite(x, "j0")
     return dd.to_float(_sums(x, -1.0, cfg, False, orders=0)[0])
 
 
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
+    _require_finite(x, "i0")
     return dd.to_float(_sums(x, 1.0, cfg, False, orders=0)[0])
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
-    _require_positive(x, "y0")
+    _require_finite(x, "y0", positive=True)
     merged = _sums(x, -1.0, cfg, True, _log_half_dd(x), 0)[0]
     return dd.to_float(dd.mul(_TWO_OVER_PI_DD, dd.neg(merged)))
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """K0(x) = -(ln(x/2) + gamma) I0(x) + sum_n phi(n) (x/2)^(2n)/(n!)^2."""
-    _require_positive(x, "k0")
+    _require_finite(x, "k0", positive=True)
     return dd.to_float(_sums(x, 1.0, cfg, True, _log_half_dd(x), 0)[0])
 
 
@@ -401,16 +407,24 @@ class _Order0Jet(tuple):
         return self
 
 
-def _order0_jet(x, sign: float, cfg: SeriesConfig, at_zero: tuple[float, float, float, float]):
-    """The J0 (sign -1) or I0 (sign +1) jet at x: one series call, and
-    `at_zero` where x = 0."""
+# Below this |x|, x*x is subnormal: the series' divisions by x^2 and x^3 lose
+# digits or divide by zero.  The jet there is (1, sign x/2, sign/2, 0), its
+# limit at x = 0 and within 4 ulp of the series' jet just above 2^-511.
+_TINY = 2.0**-511
+
+
+def _order0_jet(x, sign: float, cfg: SeriesConfig) -> _Order0Jet:
+    """The J0 (sign -1) or I0 (sign +1) jet at x: one series call, and the
+    sums (lead, 0) where |x| < _TINY; the float of (-0.0, 0.0) is 0.0."""
+    _require_finite(x, "i0" if sign > 0.0 else "j0")
+    lead = (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)
     if not _is_array(x):
-        return at_zero if x == 0.0 else _Order0Jet(_sums(x, sign, cfg, False), x, cfg)
-    jet, zero = _Order0Jet(_sums(x, sign, cfg, False), x, cfg), x == 0.0
-    if zero.any():
-        for row, value in zip(jet, at_zero):
-            row[zero] = value
-    return jet
+        sums = [(v, 0.0) for v in lead] if abs(x) < _TINY else _sums(x, sign, cfg, False)
+        return _Order0Jet(sums, x, cfg)
+    sums, tiny = _sums(x, sign, cfg, False), np.abs(x) < _TINY
+    if tiny.any():
+        sums = [(np.where(tiny, v, hi), np.where(tiny, 0.0, lo)) for (hi, lo), v in zip(sums, lead)]
+    return _Order0Jet(sums, x, cfg)
 
 
 def _order0_sums(jet, x, cfg: SeriesConfig, sign: float) -> list[dd.DD]:
@@ -429,12 +443,12 @@ def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     x may be a 1-D float64 array: each component is then an array,
     bit-identical to evaluating every element on its own.
     """
-    return _order0_jet(x, -1.0, cfg, (1.0, 0.0, -0.5, 0.0))
+    return _order0_jet(x, -1.0, cfg)
 
 
 def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(I0, I0', I0'', I0''')(x); x may be a 1-D float64 array."""
-    return _order0_jet(x, 1.0, cfg, (1.0, 0.0, 0.5, 0.0))
+    return _order0_jet(x, 1.0, cfg)
 
 
 def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> list[dd.DD]:
@@ -443,7 +457,7 @@ def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> list[dd.DD]:
     is a jet at the same x, and S its phi-weighted twin.  Y0 = (2/pi) h and
     K0 = -h; every double-double operation is odd, so K0 takes the bits of
     assembling -h directly."""
-    _require_positive(x, "k0" if sign > 0.0 else "y0")
+    _require_finite(x, "k0" if sign > 0.0 else "y0", positive=True)
     b = _order0_sums(base, x, cfg, sign)
     s = _sums(x, sign, cfg, True)
     ell = _log_half_dd(x)

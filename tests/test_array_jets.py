@@ -116,9 +116,65 @@ def test_log_half_against_scalar(lanes):
 
 
 def test_jets_at_zero_and_negative_lanes():
-    xs = np.array([-4.0, -0.5, 0.0, 0.5, 4.0] * 6)
-    for jet in (j0_jet, i0_jet):
-        assert_bit_identical(np.array(jet(xs)), pointwise(jet, xs))
+    xs = np.array([-4.0, -0.5, 0.0, 0.5, 4.0, -0.0] * 6)
+    for fn in (j0_jet, i0_jet, bessel.bessel_j0, bessel.bessel_i0):
+        assert_bit_identical(np.array(fn(xs)), pointwise(fn, xs))
+
+
+VALUES = (bessel.bessel_j0, bessel.bessel_i0, bessel.bessel_y0, bessel.bessel_k0)
+LOOSE = SeriesConfig(rel_tol=1e-9, max_terms=150)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("cfg", [bessel.DEFAULT_SERIES, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize(
+    "xs", [LONG, MIXED, LONG[:1], LONG[::9]], ids=["long", "mixed", "len1", "short"]
+)
+def test_bessel_values_array_vs_scalar(value, cfg, xs):
+    got = value(xs, cfg)
+    assert_bit_identical(got, [value(x, cfg) for x in xs.tolist()])
+
+
+@pytest.mark.parametrize("fn", (bessel.bessel_j0, bessel.bessel_i0, j0_jet, i0_jet),
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("xs", [
+    np.zeros(3),
+    # x*x subnormal or zero, and around 2^-511 where it turns normal
+    np.array([6.3e-212, -1e-160, 5e-324, -0.0, 2.0**-511, -1.5e-154, 1e-150, 2.0, -3.0]),
+], ids=["all-zero", "tiny"])
+def test_j0_i0_at_all_zero_and_tiny_lanes(fn, xs):
+    assert_bit_identical(np.array(fn(xs)), pointwise(fn, xs))
+
+
+def test_empty_arrays():
+    empty = np.array([])
+    for fn in (*VALUES, *JETS):
+        got = np.array(fn(empty))
+        assert got.shape == ((0,) if fn in VALUES else (4, 0))
+    for weighted in (False, True):
+        sums = bessel._series_array(empty, 1.0, bessel.DEFAULT_SERIES, weighted)
+        assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 4
+
+
+def test_all_zero_expression_jets_take_one_array_call():
+    p = expression_profile("j0(0*u)+i0(0*u)")
+    us = np.linspace(0.5, 5.0, 21)
+    got = np.array([np.broadcast_to(v, us.shape) for v in p.jet(us)])
+    assert_bit_identical(got, np.array([p.jet(u) for u in us.tolist()]).T)
+
+
+@pytest.mark.parametrize("fn", VALUES + JETS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("xs, cfg", [
+    (np.array([1.0, 2.0, 40.0, 3.0, 35.0]), SeriesConfig(max_terms=30)),
+    (np.array([1.0, 2.0, np.nan, -np.inf, 3.0]), bessel.DEFAULT_SERIES),
+    (np.array([1.0, np.inf, 2.0, -3.0]), bessel.DEFAULT_SERIES),
+    (np.array([1.0, -np.inf, 40.0, 3.0]), SeriesConfig(max_terms=30)),
+], ids=["non-convergence", "nan", "inf", "-inf"])
+def test_array_errors_name_the_first_failing_lane(fn, xs, cfg):
+    ref = _first_error(lambda: [fn(x, cfg) for x in xs.tolist()])
+    with pytest.raises(type(ref)) as exc:
+        fn(xs, cfg)
+    assert str(exc.value) == str(ref)
 
 
 @pytest.mark.parametrize("primary,secondary", [(j0_jet, y0_jet), (i0_jet, k0_jet)])

@@ -194,6 +194,36 @@ def test_non_convergence_raises():
         bessel_j0(10.0, SeriesConfig(rel_tol=1e-15, max_terms=3))
 
 
+def test_j0_i0_domain():
+    for bad in (math.nan, math.inf, -math.inf):
+        for fn in (bessel_j0, j0_jet, bessel_i0, i0_jet):
+            with pytest.raises(DomainError, match=f"requires finite x, got {bad!r}$"):
+                fn(bad)
+
+
+# below 2^-511, x*x is subnormal; the J0/I0 jets there are (1, s x/2, s/2, 0)
+@pytest.mark.parametrize("x", [6.3e-212, 1e-160, 5e-324, 2.0**-511 * (1.0 - 2.0**-53)])
+def test_j0_i0_jets_at_tiny_arguments(x):
+    for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
+        for arg in (x, -x):
+            assert jet(arg) == (1.0, 0.5 * sign * arg, 0.5 * sign, 0.0)
+
+
+def test_j0_i0_jets_at_zero_keep_their_bits():
+    for arg in (0.0, -0.0):
+        for jet, want in ((j0_jet, (1.0, 0.0, -0.5, 0.0)), (i0_jet, (1.0, 0.0, 0.5, 0.0))):
+            got = np.array(jet(arg))
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_j0_i0_jets_just_above_the_tiny_bound():
+    # the series' own jet there is within 4 ulp of the leading terms taken below
+    for x in np.geomspace(2.0**-511, 2.0**-480, 60).tolist():
+        for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
+            for got, want in zip(jet(x), (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)):
+                assert abs(got - want) <= 4.0 * math.ulp(want)
+
+
 def test_series_config_validation():
     with pytest.raises(ValueError):
         SeriesConfig(rel_tol=2.0)

@@ -185,6 +185,20 @@ def test_surface_float_overflow_is_a_domain_error(capsys, argv):
     assert captured.err == "error: math range error\n"
 
 
+def test_surface_non_finite_j0_argument_is_a_domain_error(capsys):
+    assert main(["surface", "--profile", "expr:f=j0(1e308*u*10)", "--action", "curvature"]) == 3
+    assert capsys.readouterr() == ("", "error: j0 requires finite x, got inf\n")
+
+
+def test_surface_curvature_at_tiny_j0_arguments(capsys):
+    # j0 of 1e-200 u: x*x underflows to 0, and the J0 jet takes its leading terms
+    argv = ["--profile", "expr:f=j0(1e-200*u)", "--u", "0.5:1", "--action", "curvature"]
+    assert main(["surface", *argv, "--grid", "3x2"]) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert header == "u,K,H" and len(rows) == 3
+    assert all(math.isfinite(v) for row in rows for v in row)
+
+
 @pytest.mark.parametrize("action", ["classify1", "classify2"])
 @pytest.mark.parametrize("argv, message", [
     # f = 2/mu + u^-306 is finite at the first grid radius, f' and f'' are not

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from sigeom import RevolutionKind, RevolutionSurface, log_profile
 from sigeom import cli
+from sigeom.bessel import bessel_k0
 from sigeom.classify import make_grid
 from sigeom.cli import _surface_table, _write_csv, _write_rows, main, write_obj
 from sigeom.surfaces import Mesh, coord_laplacians_i, coord_laplacians_ii, mesh
@@ -231,6 +232,15 @@ def test_write_of_a_201_laplacian2_table_allocates_no_whole_array_copy():
     # an object table of all 40,401 rows, or a tolist of them, takes
     # several MB
     assert _traced_peak(lambda: _write_rows(Sink(), columns)) < 2 * 1024 * 1024
+
+
+def test_tabulate_sums_the_series_one_block_at_a_time():
+    # the stacked K0 kernel takes about 850 B per x: 3.5 MB per block of
+    # 4096 x, and about 10 MB for all 12,289 x (3 blocks and 1 x) at once
+    table = []
+    peak = _traced_peak(lambda: table.append(cli._tabulate(0.05, 25.0, 12_289, bessel_k0)))
+    assert peak < 6 * 1024 * 1024
+    assert table[0].shape == (12_289, 2)
 
 
 # ----------------------------------------------------------------------
