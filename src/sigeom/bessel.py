@@ -2,8 +2,9 @@
 
 The module provides the gamma function, the rising factorial, harmonic
 numbers, and the six Bessel-family functions J_{+-p}, J0, Y0, I0, K0 as
-truncated series about the regular singular point x = 0, together with a
-finite-difference ODE residual used as a self-check.
+truncated series about the regular singular point x = 0, all summed by
+`_series` or its array twin, together with a finite-difference ODE residual
+used as a self-check.
 
 Accuracy notes.  The order-zero series cancel catastrophically for moderate
 x (at x = 10 the largest J0 term is ~678 against a sum of ~0.25, and K0
@@ -16,9 +17,9 @@ jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums that
 are summed and stopped apart: not the merged form, so they lose accuracy
 where the pieces cancel.
 
-Grid evaluation.  The order-zero values and jets also take a float64
-array of arguments, which is how profile jets are evaluated on a grid of
-radii and how the CLI tabulates: each series then runs once over the whole
+Grid evaluation.  The order-zero values and jets and J_p's value also take
+a float64 array of arguments, which is how profile jets are evaluated on a
+grid of radii and how the CLI tabulates: each series then runs once over the
 array, each term as one pass over four stacked rows (see _series_array).
 Every element performs the same double-double operations as a pointwise
 call, and its sums are frozen at the term where the pointwise loop stops, so
@@ -182,29 +183,14 @@ def _small(term_hi: float, sum_hi: float, rel_tol: float) -> bool:
     return term_hi == 0.0
 
 
-def _add_derivative_terms(sums: list[dd.DD], t: dd.DD, m: int, x: float) -> None:
-    """Add the term-wise derivatives of the series term t, of degree m in x,
-    to sums[1:] in place: the k-th is t m (m-1) ... (m-k+1) / x^k, and none
-    is added once k > m.  Unrolled: as a loop over k it made the order-3
-    kernels about 9% slower."""
-    orders = len(sums) - 1
-    if orders >= 1 and m >= 1:
-        sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
-    if orders >= 2 and m >= 2:
-        sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
-    if orders >= 3 and m >= 3:
-        sums[3] = dd.add(
-            sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
-        )
-
-
 def _series(
-    x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: bool, ell: dd.DD = (0.0, 0.0)
+    x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: bool, ell: dd.DD = (0.0, 0.0),
+    p: float = 0.0,
 ) -> list[dd.DD]:
-    """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n!)^2 and its first `orders`
-    term-wise derivatives, with w = 1 (weighted=False: J0, I0) or
-    w = phi(n) - ell, phi the harmonic numbers (weighted=True; phi(0) = 0).
-    Requires x != 0 when orders > 0.
+    """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and its first
+    `orders` term-wise derivatives, with w = 1 (weighted=False: J0, I0 and,
+    with sign -1, the sum of J_p) or w = phi(n) - ell, phi the harmonic
+    numbers (weighted=True; phi(0) = 0).  Requires x != 0 when orders > 0.
 
     With ell = ln(x/2) + gamma, row 0 of the weighted sums is K0 (sign +1)
     and -(pi/2) Y0 (sign -1) in a single sum whose stopping rule references
@@ -221,10 +207,21 @@ def _series(
         # adding ell = 0 gives phi's bits back: the jets' sums skip it
         t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if weighted else b
         sums[0] = dd.add(sums[0], t)
-        if orders:
-            _add_derivative_terms(sums, t, 2 * n, x)
+        if orders and n:
+            # t has degree m in x; its k-th derivative is t m (m-1) ... (m-k+1) / x^k,
+            # none once k > m.  Unrolled: a loop over k made the kernels ~9% slower.
+            m = 2 * n
+            sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
+            if orders >= 2:
+                sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
+            if orders >= 3 and m >= 3:
+                sums[3] = dd.add(
+                    sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
+                )
         n += 1
-        b = dd.div_f(dd.mul(b, q), float(n * n))
+        # J_p divides by n (p + n); the order-0 sums by n^2, which is exact
+        b = dd.mul(b, q)
+        b = dd.div(b, dd.two_prod(float(n), p + n)) if p else dd.div_f(b, float(n * n))
         if weighted:
             phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
         if _small(b[0] * (phi[0] - ell[0]) if weighted else b[0], sums[0][0], cfg.rel_tol):
@@ -261,7 +258,7 @@ def _ipow(v, k: int):
 
 
 def _series_array(
-    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool, ell: dd.DD = (0.0, 0.0)
+    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool, ell: dd.DD = (0.0, 0.0), p: float = 0.0
 ) -> list[dd.DD]:
     """`_series` with orders = 3 at every element of an array x, ell a pair of
     floats or of arrays like x.  Rows 1-3 are not finite where x = 0.
@@ -272,7 +269,8 @@ def _series_array(
     next b and this term's derivatives, and with t in place of b one add
     takes them into the four sums.  The b row's product error gets
     b_hi q_lo + b_lo q_hi as in `dd.mul`, the others t_lo m... as in
-    `dd.mul_f`: each element sees the IEEE operations of the scalar loop.
+    `dd.mul_f`, and for p != 0 the next b is b q / (n (p + n)) by `dd.div`:
+    each element sees the IEEE operations of the scalar loop.
     Rows with m < k take no term, and each lane's sums are frozen at the
     term where the scalar loop returns, so the results are bit-identical.
     """
@@ -300,14 +298,17 @@ def _series_array(
             m = 2 * n
             fac = np.array([[m], [m * (m - 1)], [m * (m - 1) * (m - 2)]], dtype=np.float64)
             factors[1:] = fac
-            p, e = dd.two_prod(rows[0], factors)
+            prod, e = dd.two_prod(rows[0], factors)
             e[0] += b[0] * q[1] + b[1] * q[0]
             e[1:] += rows[1][1:] * fac
             n += 1
             divisors[0] = float(n * n)
-            step = dd.div_f(dd.two_sum(p, e), divisors)
+            bq = dd.two_sum(prod, e)
+            step = dd.div_f(bq, divisors)
             # step holds the next b and this term's derivatives; b moves
             # into the stacked rows and this term takes its row
+            if p:
+                step[0][0], step[1][0] = dd.div((bq[0][0], bq[1][0]), dd.two_prod(float(n), p + n))
             rows[0][0], rows[1][0] = step[0][0], step[1][0]
             step[0][0], step[1][0] = rows[0][1], rows[1][1]
             k = min(m, 3) + 1  # the k-th derivative takes a term once m >= k
@@ -339,11 +340,11 @@ def _series_array(
     )
 
 
-def _sums(x, sign: float, cfg: SeriesConfig, weighted: bool, ell=(0.0, 0.0), orders=3):
+def _sums(x, sign: float, cfg: SeriesConfig, weighted: bool, ell=(0.0, 0.0), orders=3, p=0.0):
     """`_series` at a float x (rows 0..orders), `_series_array` at an array (all four)."""
     if _is_array(x):
-        return _series_array(x, sign, cfg, weighted, ell)
-    return _series(x, sign, cfg, orders, weighted, ell)
+        return _series_array(x, sign, cfg, weighted, ell, p)
+    return _series(x, sign, cfg, orders, weighted, ell, p)
 
 
 def _log_half_dd(x) -> dd.DD:
@@ -515,40 +516,39 @@ def _check_jp_args(p: float, x: float) -> None:
         )
 
 
-def _jp_sums(p: float, x: float, cfg: SeriesConfig, orders: int) -> list[dd.DD]:
-    """Sums of S(x) = sum_n (-1)^n (x/2)^(2n) / ((1+p)_n n!) and derivatives."""
-    q = dd.mul_f(dd.two_prod(x, x), -0.25)
-    sums = [(0.0, 0.0)] * (orders + 1)
-    t = (1.0, 0.0)
-    streak = 0
-    n = 0
-    while n < cfg.max_terms:
-        sums[0] = dd.add(sums[0], t)
-        if orders:
-            _add_derivative_terms(sums, t, 2 * n, x)
-        n += 1
-        t = dd.div(dd.mul(t, q), dd.two_prod(float(n), p + n))
-        if _small(t[0], sums[0][0], cfg.rel_tol):
-            streak += 1
-            if streak >= 2:
-                return sums
-        else:
-            streak = 0
-    raise NonConvergenceError(
-        f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={x!r}"
-    )
+def _jp_sum(p: float, x: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
+    """The sum of J_p's series at each x != 0 of an array, and 1 at x = 0,
+    where a pointwise `bessel_j` sums nothing."""
+    out = np.ones(x.shape)
+    nonzero = x != 0.0
+    out[nonzero] = dd.to_float(_sums(x[nonzero], -1.0, cfg, False, orders=0, p=p)[0])
+    return out
 
 
 def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """J_p(x) = (x/2)^p / Gamma(1+p) * sum_n (-1)^n (x/2)^(2n) / ((1+p)_n n!).
 
     p may be negative (the second Frobenius branch); 2p must not be an integer.
+    x may be a 1-D float64 array: each element is checked, and takes its libm
+    prefactor, in order, and the series runs once over the array, so values,
+    warnings and the error raised are those of a pointwise loop.
     """
-    _check_jp_args(p, x)
-    if x == 0.0:
-        return 0.0  # p > 0 here; the x^p prefactor wins
-    pref = math.pow(0.5 * x, p) / gamma(1.0 + p)
-    return pref * dd.to_float(_jp_sums(p, x, cfg, 0)[0])
+    if not _is_array(x):
+        _check_jp_args(p, x)
+        if x == 0.0:
+            return 0.0  # p > 0 here; the x^p prefactor wins
+        pref = math.pow(0.5 * x, p) / gamma(1.0 + p)
+        return pref * dd.to_float(_sums(x, -1.0, cfg, False, orders=0, p=p)[0])
+    pref = np.zeros(x.shape)
+    for i, e in enumerate(x.tolist()):
+        try:
+            _check_jp_args(p, e)
+            if e:
+                pref[i] = math.pow(0.5 * e, p) / gamma(1.0 + p)
+        except (ArithmeticError, ValueError):
+            _jp_sum(p, x[:i], cfg)  # a pointwise loop meets an earlier non-convergence first
+            raise
+    return pref * _jp_sum(p, x, cfg)
 
 
 def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
@@ -557,7 +557,7 @@ def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[floa
     _check_jp_args(p, x)
     if x == 0.0:
         raise DomainError("jp_jet requires x > 0")
-    s = [dd.to_float(v) for v in _jp_sums(p, x, cfg, 3)]
+    s = [dd.to_float(v) for v in _sums(x, -1.0, cfg, False, p=p)]
     a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)
     a1 = p * a0 / x
     a2 = p * (p - 1.0) * a0 / (x * x)

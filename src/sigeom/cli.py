@@ -298,8 +298,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     elif args.p is None:
         raise ProfileSpecError("--p is required for --kind jp")
     else:
-        # per x: bessel_j's libm pow, and its warning past |x| = 30 per x
-        column = functools.partial(_per_element, functools.partial(bessel_j, args.p, cfg=cfg))
+        column = functools.partial(bessel_j, args.p, cfg=cfg)
     _write_csv(args.out, "x,value", _tabulate(a, b, args.n, column))
     return EXIT_OK
 
