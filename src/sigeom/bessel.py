@@ -305,10 +305,10 @@ def _series_array(
             divisors[0] = float(n * n)
             bq = dd.two_sum(prod, e)
             step = dd.div_f(bq, divisors)
+            if p:  # J_p's next b, as in `_series`
+                step[0][0], step[1][0] = dd.div((bq[0][0], bq[1][0]), dd.two_prod(float(n), p + n))
             # step holds the next b and this term's derivatives; b moves
             # into the stacked rows and this term takes its row
-            if p:
-                step[0][0], step[1][0] = dd.div((bq[0][0], bq[1][0]), dd.two_prod(float(n), p + n))
             rows[0][0], rows[1][0] = step[0][0], step[1][0]
             step[0][0], step[1][0] = rows[0][1], rows[1][1]
             k = min(m, 3) + 1  # the k-th derivative takes a term once m >= k
@@ -353,10 +353,9 @@ def _log_half_dd(x) -> dd.DD:
     return dd.add(ln, _EULER_GAMMA_DD)
 
 
-def _require_finite(x, name: str, positive: bool = False) -> None:
-    """Refuse x unless it is finite, and > 0 if `positive`; for arrays, at
-    every element, naming the first one refused."""
-    low, what = (0.0, "finite x > 0") if positive else (-math.inf, "finite x")
+def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x") -> None:
+    """Refuse x unless low < x < inf, saying it requires `what`; for arrays,
+    at every element, naming the first one refused."""
     if _is_array(x):
         bad = ~((x > low) & (x < math.inf))
         if bad.any():
@@ -383,14 +382,14 @@ def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
-    _require_finite(x, "y0", positive=True)
+    _require_finite(x, "y0", 0.0, "finite x > 0")
     merged = _sums(x, -1.0, cfg, True, _log_half_dd(x), 0)[0]
     return dd.to_float(dd.mul(_TWO_OVER_PI_DD, dd.neg(merged)))
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """K0(x) = -(ln(x/2) + gamma) I0(x) + sum_n phi(n) (x/2)^(2n)/(n!)^2."""
-    _require_finite(x, "k0", positive=True)
+    _require_finite(x, "k0", 0.0, "finite x > 0")
     return dd.to_float(_sums(x, 1.0, cfg, True, _log_half_dd(x), 0)[0])
 
 
@@ -452,13 +451,19 @@ def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     return _order0_jet(x, 1.0, cfg)
 
 
+# The Y0/K0 jets refuse x < 2^-330: below 2^-332 their 2/x^3 term overflows
+# Dekker's split (f''' is nan), below 5.6e-103 the float range.  From 2^-330
+# up all four orders are within 3.2e-16 of mpmath.
+_LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
+
+
 def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> list[dd.DD]:
     """h^(k), k = 0..3, of h = (ln(x/2) + gamma) B - S by the product rule:
     B is the J0 (sign -1) or I0 (sign +1) series, reused from `base` when it
     is a jet at the same x, and S its phi-weighted twin.  Y0 = (2/pi) h and
     K0 = -h; every double-double operation is odd, so K0 takes the bits of
     assembling -h directly."""
-    _require_finite(x, "k0" if sign > 0.0 else "y0", positive=True)
+    _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
     b = _order0_sums(base, x, cfg, sign)
     s = _sums(x, sign, cfg, True)
     ell = _log_half_dd(x)
@@ -529,9 +534,9 @@ def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """J_p(x) = (x/2)^p / Gamma(1+p) * sum_n (-1)^n (x/2)^(2n) / ((1+p)_n n!).
 
     p may be negative (the second Frobenius branch); 2p must not be an integer.
-    x may be a 1-D float64 array: each element is checked, and takes its libm
-    prefactor, in order, and the series runs once over the array, so values,
-    warnings and the error raised are those of a pointwise loop.
+    x may be a 1-D float64 array: each element is checked and takes its libm
+    prefactor in order, and the series runs once over the array; values and
+    errors are a pointwise loop's, and each x past 30 warns once, in order.
     """
     if not _is_array(x):
         _check_jp_args(p, x)

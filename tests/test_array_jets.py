@@ -205,6 +205,62 @@ def test_array_non_convergence(jet):
         jet(xs, cfg)
 
 
+# bessel_j: the order-p series on the same kernels, with x = 0 lanes (where
+# a pointwise call sums nothing) and lanes past 30 (which warn)
+JP_XS = np.concatenate([[0.0], MIXED[:8], [0.0, -0.0], LONG[::9], [0.0]])
+
+
+def _jp_pointwise(p, xs, cfg=bessel.DEFAULT_SERIES):
+    return [bessel.bessel_j(p, x, cfg) for x in xs.tolist()]
+
+
+@pytest.mark.filterwarnings("ignore::sigeom.bessel.PrecisionLossWarning")
+@pytest.mark.parametrize("p", [0.3, 1.7, 5.3, -0.3, -2.3])
+@pytest.mark.parametrize("cfg", [bessel.DEFAULT_SERIES, LOOSE], ids=["default", "loose"])
+@pytest.mark.parametrize("xs", [JP_XS, LONG, LONG[:1], np.zeros(3)], ids=["mixed", "long", "len1", "zeros"])
+def test_bessel_j_array_vs_scalar(p, cfg, xs):
+    if p < 0.0:
+        xs = xs[xs != 0.0]  # J_p diverges there
+    assert_bit_identical(bessel.bessel_j(p, xs, cfg), _jp_pointwise(p, xs, cfg))
+
+
+def test_bessel_j_at_zero_lanes_sums_nothing():
+    # no x != 0 converges in one term, but x = 0 takes no series
+    cfg = SeriesConfig(max_terms=1)
+    assert_bit_identical(bessel.bessel_j(0.3, np.zeros(3), cfg), np.zeros(3))
+    assert_bit_identical(bessel.bessel_j(0.3, np.array([]), cfg), np.array([]))
+
+
+@pytest.mark.filterwarnings("ignore::sigeom.bessel.PrecisionLossWarning")
+@pytest.mark.parametrize("p, xs, cfg", [
+    (0.3, np.array([1.0, 2.0, 40.0, 3.0, 35.0]), SeriesConfig(max_terms=30)),
+    (-1.7, np.array([1.0, 0.0, 2.0]), bessel.DEFAULT_SERIES),
+    (0.3, np.array([1.0, 0.0, 2.0, -0.5, np.nan]), bessel.DEFAULT_SERIES),
+    (0.3, np.array([1.0, 2.0, np.nan, 3.0]), bessel.DEFAULT_SERIES),
+    (0.5, np.array([1.0, 2.0]), bessel.DEFAULT_SERIES),
+    # a pointwise loop fails to converge before it reaches the refused x
+    (0.3, np.array([1.0, 40.0, 2.0, -0.5]), SeriesConfig(max_terms=30)),
+    (0.3, np.array([0.0, 1.0, 0.0]), SeriesConfig(max_terms=1)),
+], ids=["non-convergence", "negative-order-at-0", "negative-x", "nan", "2p-integer",
+        "non-convergence-first", "one-term"])
+def test_bessel_j_array_errors_name_the_pointwise_x(p, xs, cfg):
+    ref = _first_error(lambda: _jp_pointwise(p, xs, cfg))
+    with pytest.raises(type(ref)) as exc:
+        bessel.bessel_j(p, xs, cfg)
+    assert str(exc.value) == str(ref)
+
+
+def test_bessel_j_array_warns_once_per_x_past_30_in_order():
+    xs = np.array([31.0, 1.0, 45.5, 30.0, 0.0, 33.0, 31.0])
+    with pytest.warns(bessel.PrecisionLossWarning) as got:
+        bessel.bessel_j(0.3, xs)
+    with pytest.warns(bessel.PrecisionLossWarning) as want:
+        _jp_pointwise(0.3, xs)
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert [str(w.message)[-6:-1] for w in got] == ["=31.0", "=45.5", "=33.0", "=31.0"]
+    assert {w.filename for w in got} == {__file__}  # the warning names the caller
+
+
 def test_array_kernels_call_ddouble_positionally(monkeypatch):
     # a counting proxy for bessel.dd that accepts positional arguments only
     calls = []

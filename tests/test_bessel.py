@@ -224,6 +224,33 @@ def test_j0_i0_jets_just_above_the_tiny_bound():
                 assert abs(got - want) <= 4.0 * math.ulp(want)
 
 
+# near 2^-332 the Y0/K0 jets' 2/x^3 term overflows Dekker's split (a nan third
+# derivative), and below 5.6e-103 the float range: they refuse x < 2^-330
+@pytest.mark.parametrize("x", [1e-200, 1e-110, 1e-105, 3e-103, 2.0**-330 * (1.0 - 2.0**-53)])
+def test_y0_k0_jets_refuse_tiny_arguments(x):
+    for jet in (y0_jet, k0_jet):
+        for arg in (x, np.array([1.0, x, 1e-300, 2.0])):
+            with pytest.raises(DomainError, match=rf"requires finite x >= 2\*\*-330, got {x!r}$"):
+                jet(arg)
+
+
+@pytest.mark.parametrize("x", [2.0**-330, 1.5 * 2.0**-330])
+def test_y0_k0_jets_at_the_tiny_bound(x):
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        k0, k1 = mpmath.besselk(0, m), mpmath.besselk(1, m)
+        y0, y1 = mpmath.bessely(0, m), mpmath.bessely(1, m)
+        # K0' = -K1 and K1' = -K0 - K1/x; Y0' = -Y1 and Y1' = Y0 - Y1/x
+        refs = {
+            k0_jet: (k0, -k1, k0 + k1 / m, -k1 - k0 / m - 2 * k1 / m**2),
+            y0_jet: (y0, -y1, -y0 + y1 / m, y1 + y0 / m - 2 * y1 / m**2),
+        }
+        for jet, want in refs.items():
+            for got in (jet(x), [c[0] for c in jet(np.array([x, 1.0]))]):
+                for g, w in zip(got, want):
+                    assert abs(mpmath.mpf(float(g)) - w) <= 1e-15 * abs(w)
+
+
 def test_series_config_validation():
     with pytest.raises(ValueError):
         SeriesConfig(rel_tol=2.0)

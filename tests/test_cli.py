@@ -199,6 +199,17 @@ def test_surface_curvature_at_tiny_j0_arguments(capsys):
     assert all(math.isfinite(v) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("lam, jet", [("-1e-320", "k0"), ("1e-320", "y0")])
+def test_surface_tiny_bessel_argument_is_a_domain_error(capsys, lam, jet):
+    # sqrt(|lambda|) u is about 5e-161: the Y0/K0 jets refuse it
+    argv = ["--profile", f"bessel:lambda={lam},c1=1,c2=1", "--u", "0.5:1", "--action", "curvature"]
+    assert main(["surface", *argv, "--grid", "3x2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {jet} jet requires finite x >= 2**-330, got ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("action", ["classify1", "classify2"])
 @pytest.mark.parametrize("argv, message", [
     # f = 2/mu + u^-306 is finite at the first grid radius, f' and f'' are not
