@@ -122,10 +122,10 @@ def _cli(argv, code):
 
 @pytest.mark.parametrize("argv, code", [
     (["bessel", "--kind", "j0", "--range", "0:1", "--n", "3"], 0),
-    (["bessel", "--kind", "jp", "--p", "0.3", "--range", "0:1", "--n", "3"], 0),
     (["figure", "1a", "--out-dir", "{tmp}"], 0),
     (["surface", "--profile", "nope:a=1", "--action", "curvature"], 2),
     (["surface", "--profile", "log:lambda=x,c=0", "--action", "classify1"], 2),
+    (["bessel", "--kind", "jp", "--p", "0.3", "--range", "0:1", "--n", "3"], 0),
 ])
 def test_tables_and_refused_specs_load_no_geometry_layer(tmp_path, argv, code):
     argv = [a.format(tmp=tmp_path) for a in argv]
