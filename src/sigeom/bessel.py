@@ -14,20 +14,23 @@ values are the ell-offset row of `_series`, one merged sum stopped on the
 cancelled total, which keeps their absolute error at the level of the final
 rounding even where the two textbook pieces nearly cancel.  The Y0 and K0
 jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums that
-are summed and stopped apart: not the merged form, so they lose accuracy
+one pass over the terms sums together but stops apart, each set at the
+term where it would stop alone: not the merged form, so they lose accuracy
 where the pieces cancel.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments, which is how profile jets are evaluated on a
 grid of radii and how the CLI tabulates: each series then runs once over the
-array, each term as one pass over four stacked rows (see _series_array).
-Every element performs the same double-double operations as a pointwise
-call, and its sums are frozen at the term where the pointwise loop stops, so
-the results are bit-identical at any array length.  Only IEEE + - * / and
-square roots run on whole arrays; libm calls (log, pow and Python's **) stay
-per element with the same Python call, because numpy's vectorized versions
-can differ in the last bit.  y0_jet and k0_jet can reuse the J0/I0 series
-that a j0_jet or i0_jet call at the same x has already summed.
+array, each term as one pass over four stacked rows per set of sums (see
+_series_array).  Every element performs the same double-double operations
+as a pointwise call, and its sums are frozen at the term where the
+pointwise loop stops, so the results are bit-identical at any array
+length.  Only IEEE + - * / and square roots run on whole arrays; libm calls
+(log, pow and Python's **) stay per element with the same Python call,
+because numpy's vectorized versions can differ in the last bit.  y0_jet
+and k0_jet return the J0/I0 jet of their pass as `primary`, so a profile
+c1 J0 + c2 Y0 takes both jets from one pass; they can also reuse the J0/I0
+series of a j0_jet or i0_jet call at the same x.
 """
 
 from __future__ import annotations
@@ -177,14 +180,13 @@ def harmonic(n: int) -> float:
 # series kernels (double-double internals)
 
 
-def _small(term_hi: float, sum_hi: float, rel_tol: float) -> bool:
-    if sum_hi != 0.0:
-        return abs(term_hi) <= rel_tol * abs(sum_hi)
-    return term_hi == 0.0
+# `weighted` of the series kernels for both sums from one pass: the plain
+# rows, then the phi-weighted ones
+_BOTH = (False, True)
 
 
 def _series(
-    x: float, sign: float, cfg: SeriesConfig, orders: int, weighted: bool, ell: dd.DD = (0.0, 0.0),
+    x: float, sign: float, cfg: SeriesConfig, orders: int, weighted, ell: dd.DD = (0.0, 0.0),
     p: float = 0.0,
 ) -> list[dd.DD]:
     """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and its first
@@ -192,44 +194,56 @@ def _series(
     with sign -1, the sum of J_p) or w = phi(n) - ell, phi the harmonic
     numbers (weighted=True; phi(0) = 0).  Requires x != 0 when orders > 0.
 
+    weighted=_BOTH returns the rows of both from one pass over the terms,
+    plain first; each set of rows stops at the term where it would alone.
+
     With ell = ln(x/2) + gamma, row 0 of the weighted sums is K0 (sign +1)
     and -(pi/2) Y0 (sign -1) in a single sum whose stopping rule references
     the cancelled total, not the two large textbook pieces.
     """
     q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
     nell = dd.neg(ell)
-    sums = [(0.0, 0.0)] * (orders + 1)
+    tol = cfg.rel_tol
+    # [weighted, sums, was_small] of each set of sums still summing
+    flags = _BOTH if weighted is _BOTH else (weighted,)
+    sets = [[w, [(0.0, 0.0)] * (orders + 1), False] for w in flags]
+    out = sets[0][1] if len(sets) == 1 else None  # a single set's sums are the result
+    live = sets
     b = (1.0, 0.0)
     phi = (0.0, 0.0)
-    streak = 0
     n = 0
     while n < cfg.max_terms:
-        # adding ell = 0 gives phi's bits back: the jets' sums skip it
-        t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if weighted else b
-        sums[0] = dd.add(sums[0], t)
-        if orders and n:
-            # t has degree m in x; its k-th derivative is t m (m-1) ... (m-k+1) / x^k,
-            # none once k > m.  Unrolled: a loop over k made the kernels ~9% slower.
-            m = 2 * n
-            sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
-            if orders >= 2:
-                sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
-            if orders >= 3 and m >= 3:
-                sums[3] = dd.add(
-                    sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
-                )
+        for w, sums, _ in live:
+            # adding ell = 0 gives phi's bits back: the jets' sums skip it
+            t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if w else b
+            sums[0] = dd.add(sums[0], t)
+            if orders and n:
+                # t has degree m in x; its k-th derivative is t m (m-1) ... (m-k+1) / x^k,
+                # none once k > m.  Unrolled: a loop over k made the kernels ~9% slower.
+                m = 2 * n
+                sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
+                if orders >= 2:
+                    sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
+                if orders >= 3 and m >= 3:
+                    sums[3] = dd.add(
+                        sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x)
+                    )
         n += 1
         # J_p divides by n (p + n); the order-0 sums by n^2, which is exact
         b = dd.mul(b, q)
         b = dd.div(b, dd.two_prod(float(n), p + n)) if p else dd.div_f(b, float(n * n))
         if weighted:
             phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-        if _small(b[0] * (phi[0] - ell[0]) if weighted else b[0], sums[0][0], cfg.rel_tol):
-            streak += 1
-            if streak >= 2:
-                return sums
-        else:
-            streak = 0
+        for st in live:
+            # the term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0
+            if not abs(b[0] * (phi[0] - ell[0]) if st[0] else b[0]) <= tol * abs(st[1][0][0]):
+                st[2] = False
+            elif st[2]:  # small twice running: this set stops here
+                live = [other for other in live if other is not st]
+            else:
+                st[2] = True
+        if not live:
+            return out or sets[0][1] + sets[1][1]
     raise NonConvergenceError(
         f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={x!r}"
     )
@@ -258,45 +272,53 @@ def _ipow(v, k: int):
 
 
 def _series_array(
-    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted: bool, ell: dd.DD = (0.0, 0.0), p: float = 0.0
+    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0
 ) -> list[dd.DD]:
     """`_series` with orders = 3 at every element of an array x, ell a pair of
     floats or of arrays like x.  Rows 1-3 are not finite where x = 0.
 
-    Each term is one pass of each double-double stage over stacked (4, n)
-    rows: [b; t; t; t] (the series base, and this term of degree m) times
-    [q; m; m(m-1); m(m-1)(m-2)], divided by [(n+1)^2; x; x^2; x^3], is the
-    next b and this term's derivatives, and with t in place of b one add
-    takes them into the four sums.  The b row's product error gets
-    b_hi q_lo + b_lo q_hi as in `dd.mul`, the others t_lo m... as in
-    `dd.mul_f`, and for p != 0 the next b is b q / (n (p + n)) by `dd.div`:
+    Each term is one pass of each double-double stage over stacked rows,
+    four per set of sums: [b; t; t; t] (the series base, and this term of
+    degree m) times [q; m; m(m-1); m(m-1)(m-2)], divided by
+    [(n+1)^2; x; x^2; x^3], is the next b and this term's derivatives, and
+    with t in place of b one add takes them into the four sums.  With
+    weighted=_BOTH the phi-weighted term tw follows as [0; tw; tw; tw], its
+    head row a spare that takes tw before the add.  The b row's product
+    error gets b_hi q_lo + b_lo q_hi as in `dd.mul`, the others t_lo m... as
+    in `dd.mul_f`, and for p != 0 the next b is b q / (n (p + n)) by `dd.div`:
     each element sees the IEEE operations of the scalar loop.
-    Rows with m < k take no term, and each lane's sums are frozen at the
-    term where the scalar loop returns, so the results are bit-identical.
+    Rows with m < k take no term, and each lane's sums of each set are frozen
+    at the term where the scalar loop stops them, so the results are
+    bit-identical.
     """
-    lanes = x.size
-    hi, lo = np.empty((4, lanes)), np.empty((4, lanes))
+    both = weighted is _BOTH
+    lanes, height = x.size, 8 if both else 4
+    hi, lo = np.empty((height, lanes)), np.empty((height, lanes))
     if not lanes:
         return list(zip(hi, lo))
     nell = dd.neg(ell) if np.any(ell[0]) else None  # None: as in `_series`, skip ell = 0
     with np.errstate(all="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
         xx = x * x
-        divisors = np.stack((x, x, xx, xx * x))  # row 0 is set to (n+1)^2 per term
-        factors = np.stack((q[0], x, x, x))  # rows 1-3 are set to m, m(m-1), ...
-        rows = (np.empty((4, lanes)), np.empty((4, lanes)))
-        rows[0][0], rows[1][0] = 1.0, 0.0
+        divisors = np.stack((x, x, xx, xx * x) * (height // 4))  # row 0 is set to (n+1)^2 per term
+        factors = np.stack((q[0],) + (x,) * (height - 1))  # the others are set per term
+        rows = (np.zeros((height, lanes)), np.zeros((height, lanes)))  # the spare stays 0
+        rows[0][0] = 1.0
         b = (rows[0][0], rows[1][0])  # views: b is updated in place
-        sums = (np.zeros((4, lanes)), np.zeros((4, lanes)))
-        pending = np.ones(lanes, dtype=bool)
-        was_small = np.zeros(lanes, dtype=bool)
+        sums = (np.zeros((height, lanes)), np.zeros((height, lanes)))
+        pending = np.ones((height // 4, lanes), dtype=bool)  # per set of sums
+        was_small = np.zeros((height // 4, lanes), dtype=bool)
         phi = (0.0, 0.0)
         n = 0
         while n < cfg.max_terms:
-            t = dd.mul(b, phi if nell is None else dd.add(phi, nell)) if weighted else b
-            rows[0][1:], rows[1][1:] = t[0], t[1]
+            if weighted:
+                tw = dd.mul(b, phi if nell is None else dd.add(phi, nell))
+            rows[0][1:4], rows[1][1:4] = b if both or not weighted else tw
+            if both:
+                rows[0][5:], rows[1][5:] = tw
             m = 2 * n
-            fac = np.array([[m], [m * (m - 1)], [m * (m - 1) * (m - 2)]], dtype=np.float64)
+            d = [[m], [m * (m - 1)], [m * (m - 1) * (m - 2)]]
+            fac = np.array(d + [[0]] + d if both else d, dtype=np.float64)
             factors[1:] = fac
             prod, e = dd.two_prod(rows[0], factors)
             e[0] += b[0] * q[1] + b[1] * q[0]
@@ -308,40 +330,44 @@ def _series_array(
             if p:  # J_p's next b, as in `_series`
                 step[0][0], step[1][0] = dd.div((bq[0][0], bq[1][0]), dd.two_prod(float(n), p + n))
             # step holds the next b and this term's derivatives; b moves
-            # into the stacked rows and this term takes its row
+            # into the stacked rows and each set's term takes its head row
             rows[0][0], rows[1][0] = step[0][0], step[1][0]
-            step[0][0], step[1][0] = rows[0][1], rows[1][1]
+            step[0][::4], step[1][::4] = rows[0][1::4], rows[1][1::4]
             k = min(m, 3) + 1  # the k-th derivative takes a term once m >= k
             if k == 4:
                 sums = dd.add(sums, step)
             else:
-                sums[0][:k], sums[1][:k] = dd.add(
-                    (sums[0][:k], sums[1][:k]), (step[0][:k], step[1][:k])
+                take = [*range(k), *range(4, 4 + k)] if both else slice(0, k)
+                sums[0][take], sums[1][take] = dd.add(
+                    (sums[0][take], sums[1][take]), (step[0][take], step[1][take])
                 )
             if weighted:
                 phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
                 lead = b[0] * (phi[0] - ell[0])
+                lead = np.stack((b[0], lead)) if both else lead
             else:
                 lead = b[0]
-            # `_small` in one expression: with a zero sum it is |lead| <= 0, which
-            # is lead == 0; a streak of two is a small term now and one before
-            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][0])
+            # each set's small-term test, as in `_series`; a streak of two is
+            # a small term now and one before
+            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][::4])
             stop = pending & small & was_small
             was_small = small
             if stop.any():
-                hi[:, stop] = sums[0][:, stop]
-                lo[:, stop] = sums[1][:, stop]
+                frozen = np.repeat(stop, 4, axis=0)  # each set's four rows
+                hi[frozen] = sums[0][frozen]
+                lo[frozen] = sums[1][frozen]
                 pending &= ~stop
                 if not pending.any():
                     return list(zip(hi, lo))
     raise NonConvergenceError(
         f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms "
-        f"at x={float(x[np.argmax(pending)])!r}"
+        f"at x={float(x[np.argmax(pending.any(axis=0))])!r}"
     )
 
 
-def _sums(x, sign: float, cfg: SeriesConfig, weighted: bool, ell=(0.0, 0.0), orders=3, p=0.0):
-    """`_series` at a float x (rows 0..orders), `_series_array` at an array (all four)."""
+def _sums(x, sign: float, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
+    """`_series` at a float x (rows 0..orders), `_series_array` at an array
+    (all four), of each set of sums that `weighted` asks for."""
     if _is_array(x):
         return _series_array(x, sign, cfg, weighted, ell, p)
     return _series(x, sign, cfg, orders, weighted, ell, p)
@@ -427,11 +453,8 @@ def _order0_jet(x, sign: float, cfg: SeriesConfig) -> _Order0Jet:
     return _Order0Jet(sums, x, cfg)
 
 
-def _order0_sums(jet, x, cfg: SeriesConfig, sign: float) -> list[dd.DD]:
-    """The J0/I0 series sums of `jet`, which must come from the same x and
-    cfg, or freshly summed ones when jet is None."""
-    if jet is None:
-        return _sums(x, sign, cfg, False)
+def _order0_sums(jet: _Order0Jet, x, cfg: SeriesConfig) -> list[dd.DD]:
+    """The J0/I0 series sums of `jet`, which must come from the same x and cfg."""
     if not (jet.x is x or np.array_equal(jet.x, x)) or jet.cfg != cfg:
         raise ValueError("the reused jet was computed at a different x or series config")
     return jet.sums
@@ -457,15 +480,20 @@ def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
 _LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
 
 
-def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> list[dd.DD]:
-    """h^(k), k = 0..3, of h = (ln(x/2) + gamma) B - S by the product rule:
-    B is the J0 (sign -1) or I0 (sign +1) series, reused from `base` when it
-    is a jet at the same x, and S its phi-weighted twin.  Y0 = (2/pi) h and
-    K0 = -h; every double-double operation is odd, so K0 takes the bits of
-    assembling -h directly."""
+def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> tuple[list[dd.DD], _Order0Jet]:
+    """h^(k), k = 0..3, of h = (ln(x/2) + gamma) B - S by the product rule,
+    and the jet of B: B is the J0 (sign -1) or I0 (sign +1) series, reused
+    from `base` when it is a jet at the same x and otherwise summed in one
+    pass with S, its phi-weighted twin.  Y0 = (2/pi) h and K0 = -h; every
+    double-double operation is odd, so K0 takes the bits of assembling -h
+    directly."""
     _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    b = _order0_sums(base, x, cfg, sign)
-    s = _sums(x, sign, cfg, True)
+    if base is None:
+        sums = _sums(x, sign, cfg, _BOTH)
+        b, s = sums[:4], sums[4:]
+        base = _Order0Jet(b, x, cfg)  # as `_order0_jet`: no x >= 2^-330 is below _TINY
+    else:
+        b, s = _order0_sums(base, x, cfg), _sums(x, sign, cfg, True)
     ell = _log_half_dd(x)
     inv = 1.0 / x
     # (ell*B)^(k) expanded with ell' = 1/x, ell'' = -1/x^2, ell''' = 2/x^3
@@ -482,22 +510,37 @@ def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> list[dd.DD]:
             dd.neg(s[3]),
         ),
     )
-    return [h0, h1, h2, h3]
+    return [h0, h1, h2, h3], base
+
+
+class _LogJet(tuple):
+    """(f, f', f'', f''') of Y0 or K0 at x, carrying as `primary` the J0 or
+    I0 jet at the same x: the one it reused, or one rounded from the sums of
+    its own series pass."""
+
+    def __new__(cls, values, primary: _Order0Jet):
+        self = super().__new__(cls, values)
+        self.primary = primary
+        return self
 
 
 def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES, j0=None) -> tuple[float, float, float, float]:
     """(Y0, Y0', Y0'', Y0''')(x), assembling the log factor by the product rule.
 
-    x may be a 1-D float64 array.  Passing j0 = j0_jet(x, cfg) reuses the J0
-    series that call summed instead of summing it again.
+    x may be a 1-D float64 array.  The J0 series and its phi-weighted twin
+    are summed in one pass, and the result carries the J0 jet at x as its
+    `primary`.  Passing j0 = j0_jet(x, cfg) reuses the J0 series that call
+    summed instead.
     """
-    return tuple(dd.to_float(dd.mul(_TWO_OVER_PI_DD, h)) for h in _log_jet(x, -1.0, cfg, j0))
+    h, base = _log_jet(x, -1.0, cfg, j0)
+    return _LogJet((dd.to_float(dd.mul(_TWO_OVER_PI_DD, v)) for v in h), base)
 
 
 def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES, i0=None) -> tuple[float, float, float, float]:
-    """(K0, K0', K0'', K0''')(x); x may be a 1-D float64 array.  Passing
-    i0 = i0_jet(x, cfg) reuses the I0 series that call summed."""
-    return tuple(dd.to_float(dd.neg(h)) for h in _log_jet(x, 1.0, cfg, i0))
+    """(K0, K0', K0'', K0''')(x); x may be a 1-D float64 array.  Like y0_jet,
+    it carries the I0 jet at x as `primary`, or reuses i0 = i0_jet(x, cfg)."""
+    h, base = _log_jet(x, 1.0, cfg, i0)
+    return _LogJet((dd.to_float(dd.neg(v)) for v in h), base)
 
 
 # ----------------------------------------------------------------------

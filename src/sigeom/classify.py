@@ -184,11 +184,18 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     if not np.isfinite(cv).all():  # |sinh v| < cosh v
         v = float(g.v[np.argmin(np.isfinite(cv))])
         raise DomainError(f"cosh v overflows at v = {v!r}")
-    r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
-    laps = (None, None) if form == 1 else _rotate(s.kind, a[:, None], sv, cv)  # a = 0 on form 1
     # max|u h(v)| is max|u| max|h| rounded once: rounding is monotone
-    scales = _rotate(s.kind, np.max(np.abs(g.u)), np.max(np.abs(sv)), np.max(cv))
-    fits = [_fit(lap, r, scale=float(m)) for lap, r, m in zip(laps, (r1, r2), scales)]
+    maxima = np.max(np.abs(g.u)), np.max(np.abs(sv)), np.max(cv)
+    scales = [float(m) for m in _rotate(s.kind, *maxima)]
+    if form == 1 and max(scales) * max(scales) * (g.u.size * g.v.size) <= 2.0**1022:
+        # Lap r_i = 0 on the first form, so the fit is (0, 0, 0) unless sum(r_i^2)
+        # overflows; each r_i^2 <= scale^2, and a quarter of the float range leaves
+        # room for the rounding of the sum: no grid is needed to know it does not
+        fits = [(0.0, 0.0, 0.0)] * 2
+    else:
+        r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
+        laps = (None, None) if form == 1 else _rotate(s.kind, a[:, None], sv, cv)  # a = 0 on form 1
+        fits = [_fit(lap, r, scale=m) for lap, r, m in zip(laps, (r1, r2), scales)]
     return (*fits, _fit(c, f0, g.v.size)), ew
 
 

@@ -430,7 +430,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="sigeom",
         description=(

@@ -344,12 +344,16 @@ def bessel_profile(
 
     def jet(u):
         x = s * u
-        a = primary(x, cfg)
-        if c2 != 0.0:
-            b = secondary(x, cfg, a)  # reuses the series that a was summed from
-            raw = tuple(c1 * a[k] + c2 * b[k] for k in range(4))
+        if c2 == 0.0:
+            raw = tuple(c1 * v for v in primary(x, cfg))
         else:
-            raw = tuple(c1 * a[k] for k in range(4))
+            try:
+                b = secondary(x, cfg)  # its one series pass also gives the primary jet
+            except DomainError:
+                primary(x, cfg)  # the primary refuses a non-finite x first, as it did
+                raise
+            a = b.primary
+            raw = tuple(c1 * a[k] + c2 * b[k] for k in range(4))
         return (raw[0], s * raw[1], s * s * raw[2], s * s * s * raw[3])
 
     return profile_from_jet(

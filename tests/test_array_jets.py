@@ -186,6 +186,126 @@ def test_secondary_reuses_primary_series(primary, secondary, xs):
         secondary(xs + 1.0, bessel.DEFAULT_SERIES, a)
 
 
+# ----------------------------------------------------------------------
+# bessel: one pass for the plain and the phi-weighted sums (weighted=_BOTH)
+
+# J0's zeros, where its plain rows stop after the weighted ones, and small
+# lanes, where they stop first
+J0_ZEROS = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281]
+WITNESSES = np.array(J0_ZEROS + [1e-3, 0.25, 0.559])
+
+
+def _stop_term(x, sign, weighted):
+    """The fewest terms with which the scalar kernel converges at x."""
+    lo, hi = 1, bessel.DEFAULT_SERIES.max_terms
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            bessel._series(x, sign, SeriesConfig(max_terms=mid), 0, weighted)
+            hi = mid
+        except NonConvergenceError:
+            lo = mid + 1
+    return lo
+
+
+def test_one_pass_witnesses_stop_in_both_orders():
+    for sign, orders in ((-1.0, {"plain first", "plain last"}), (1.0, {"plain first"})):
+        found = set()
+        for x in WITNESSES.tolist():
+            plain, weighted = _stop_term(x, sign, False), _stop_term(x, sign, True)
+            if plain != weighted:
+                found.add("plain first" if plain < weighted else "plain last")
+        assert orders <= found
+
+
+def _one_pass_lanes(n):
+    return np.random.default_rng(n).permutation(np.concatenate([WITNESSES, _lanes(n)])[:n])
+
+
+@pytest.mark.parametrize("lanes", [1, 5, 21, 24, 101, 401])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_one_pass_sums_match_the_two_passes(lanes, sign):
+    xs, cfg = _one_pass_lanes(lanes), bessel.DEFAULT_SERIES
+    both = bessel._series_array(xs, sign, cfg, bessel._BOTH)
+    two = bessel._series_array(xs, sign, cfg, False) + bessel._series_array(xs, sign, cfg, True)
+    pointwise_both = [bessel._series(x, sign, cfg, 3, bessel._BOTH) for x in xs.tolist()]
+    pointwise_two = [
+        bessel._series(x, sign, cfg, 3, False) + bessel._series(x, sign, cfg, 3, True)
+        for x in xs.tolist()
+    ]
+    assert len(both) == len(two) == 8
+    for k in range(8):
+        for part in (0, 1):
+            assert_bit_identical(both[k][part], two[k][part])
+            assert_bit_identical([r[k][part] for r in pointwise_both], two[k][part])
+            assert_bit_identical([r[k][part] for r in pointwise_two], two[k][part])
+
+
+def test_one_pass_on_empty_arrays():
+    sums = bessel._series_array(np.array([]), -1.0, bessel.DEFAULT_SERIES, bessel._BOTH)
+    assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 8
+
+
+@pytest.mark.parametrize("primary,secondary", [(j0_jet, y0_jet), (i0_jet, k0_jet)])
+@pytest.mark.parametrize("xs", [MIXED, WITNESSES, 2.5, J0_ZEROS[0]],
+                         ids=["array", "witnesses", "float", "float-at-zero"])
+def test_log_jets_carry_the_primary_jet_of_their_pass(primary, secondary, xs):
+    got = secondary(xs)
+    assert_bit_identical(np.array(got.primary), np.array(primary(xs)))
+    # the same bits as summing the primary first and reusing it
+    assert_bit_identical(np.array(got), np.array(secondary(xs, bessel.DEFAULT_SERIES, primary(xs))))
+
+
+@pytest.mark.parametrize("jet, xs, terms", [
+    # at 16 terms 3.8337 fails only J0's weighted rows and J0's zero only its plain ones
+    (y0_jet, [1.0, 3.8337, 2.404825557695773, 2.0], 16),
+    (y0_jet, [1.0, 2.404825557695773, 3.8337, 2.0], 16),
+    (y0_jet, [0.5, 40.0, 1.0, 35.0], 16),
+    # at 17 terms 5.0474 fails only I0's weighted rows
+    (k0_jet, [1.0, 5.0474, 2.0, 40.0], 17),
+    (k0_jet, [0.5, 40.0, 1.0, 35.0], 16),
+], ids=["y0-weighted-first", "y0-plain-first", "y0-both", "k0-weighted-first", "k0-both"])
+def test_one_pass_non_convergence_names_the_pointwise_x(jet, xs, terms):
+    xs, cfg = np.array(xs), SeriesConfig(max_terms=terms)
+    ref = _first_error(lambda: [jet(x, cfg) for x in xs.tolist()])
+    assert isinstance(ref, NonConvergenceError)
+    with pytest.raises(NonConvergenceError) as exc:
+        jet(xs, cfg)
+    assert str(exc.value) == str(ref)
+
+
+@pytest.mark.parametrize("jet, name", [(y0_jet, "y0 jet"), (k0_jet, "k0 jet")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0**-331, 0.0, -1.0])
+def test_one_pass_jets_refuse_what_they_refused(jet, name, bad):
+    want = f"{name} requires finite x >= 2**-330, got {bad!r}"
+    with pytest.raises(DomainError) as scalar:
+        jet(bad)
+    with pytest.raises(DomainError) as array:
+        jet(np.array([1.0, bad, 2.0]))
+    assert str(scalar.value) == str(array.value) == want
+
+
+@pytest.mark.parametrize("lam", [4.0, -4.0])
+@pytest.mark.parametrize("c2", [0.5, 0.0])
+def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
+    calls = []
+    kernel = bessel._series_array
+    monkeypatch.setattr(bessel, "_series_array", lambda *a: calls.append(a) or kernel(*a))
+    p = bessel_profile(lam, 1.0, c2)
+    us = np.linspace(0.2, 9.0, 101)
+    got = p.jets(us)
+    assert len(calls) == 1
+    assert_bit_identical(got, np.array([[p.evaluate(u, k) for u in us.tolist()] for k in range(4)]))
+
+
+@pytest.mark.parametrize("lam, name", [(1e300, "j0"), (-1e300, "i0")])
+def test_two_term_profile_refuses_a_non_finite_x_as_its_primary(lam, name):
+    p = bessel_profile(lam, 1.0, 1.0, domain=(1.0, 1e200))  # s u overflows from u = 1e159
+    for run in (lambda: p.evaluate(1e200), lambda: p.jets(np.array([1e190, 1e200]))):
+        with pytest.raises(DomainError, match=f"^{name} requires finite x, got inf$"):
+            run()
+
+
 @pytest.mark.parametrize("jet", (y0_jet, k0_jet), ids=lambda f: f.__name__)
 def test_array_domain_error(jet):
     with pytest.raises(DomainError, match=r"got -0\.5$"):

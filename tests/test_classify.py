@@ -264,6 +264,53 @@ def test_rotational_fits_match_the_full_grid(nu, nv, timelike):
     assert _bits(_fit(None, 0.0 * r, scale=0.0)) == _bits(_fit(zero, 0.0 * r))
 
 
+def _widest_v_below_the_bound(umax, n):
+    """Floats lo < hi = nextafter(lo) with (umax cosh v)^2 n <= 2^1022 at lo, not at hi."""
+    def fits(v):
+        m = float(umax * np.cosh(v))
+        return m * m * n <= 2.0**1022
+
+    lo, hi = 300.0, 400.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            mid = np.nextafter(lo, hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    assert fits(lo) and not fits(hi)
+    return lo, hi
+
+
+@pytest.mark.parametrize("timelike", [True, False], ids=["timelike", "spacelike"])
+def test_first_form_rotational_fits_build_grids_only_past_the_overflow_bound(timelike, monkeypatch):
+    import sigeom.classify as classify
+
+    kind = RevolutionKind.TIMELIKE_MERIDIAN if timelike else RevolutionKind.SPACELIKE_MERIDIAN
+    calls = []
+    rotate = classify._rotate
+    monkeypatch.setattr(classify, "_rotate", lambda *a: calls.append(a) or rotate(*a))
+    u = np.linspace(1.0, 2.0, 5)
+    lo, hi = _widest_v_below_the_bound(2.0, 25)
+    for vmax, grids in ((1.0, False), (lo, False), (hi, True), (700.0, True)):
+        s = RevolutionSurface(bessel_profile(1.0, 1.0, 0.0), kind, (1.0, 2.0), (vmax - 4.0, vmax))
+        g = Grid(u, np.linspace(vmax - 4.0, vmax, 5))
+        sv, cv = np.sinh(g.v), np.cosh(g.v)
+        r1, r2 = rotate(kind, g.u[:, None], sv, cv)
+        want = []
+        for r in (r1, r2):
+            try:
+                want.append(_fit(None, r, scale=float(np.max(np.abs(r)))))
+            except DomainError as exc:
+                want.append(str(exc))
+        calls.clear()
+        try:
+            got = classify._fit_coordinates(s, g, 1)[0][:2]
+        except DomainError as exc:
+            assert str(exc) == want[0]
+        else:
+            assert _bits(got) == _bits(want)
+        assert len(calls) == (2 if grids else 1)  # the scales, and the grids past the bound
+
+
 def test_harmonic_fit_refuses_an_overflowing_sum():
     r = np.array([[1e160, 2.0], [3.0, -4e159], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
     with pytest.raises(DomainError) as grid:

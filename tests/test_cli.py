@@ -382,3 +382,45 @@ def test_unwritable_output_path_is_a_parse_error(tmp_path, capsys, argv, target,
     assert capsys.readouterr() == ("", f"error: cannot write {target.format(**paths)}: "
                                        f"{os.strerror(code)}\n")
     assert not paths["missing"].exists()
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+
+
+CALLS_IN_TURN = [
+    ["bessel", "--kind", "k0", "--range", "0.5:3", "--n", "5"],
+    ["surface", "--profile", "bessel:lambda=1,c1=1,c2=0.5", "--action", "classify1",
+     "--grid", "5x5"],
+    ["figure", "1a", "--out-dir", "{out}"],
+    ["surface", "--profile", "log:lambda=1,c=0", "--action", "nope"],
+    ["bessel", "--kind", "j0", "--range", "-1:1", "--n", "3"],
+    ["figure", "2b", "--out-dir", "{out}"],
+]
+
+
+def _outcome(argv, out, capsys):
+    for old in out.iterdir():
+        old.unlink()
+    try:
+        code = main([arg.format(out=out) for arg in argv])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return code, capsys.readouterr(), files
+
+
+def test_main_called_in_turn_answers_as_fresh_calls(tmp_path, capsys):
+    from sigeom import cli
+
+    out = tmp_path / "out"
+    out.mkdir()
+    in_turn = [_outcome(argv, out, capsys) for argv in CALLS_IN_TURN]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in CALLS_IN_TURN:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, out, capsys))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [0, 0, 0, 2, 0, 0]
+    assert "invalid choice: 'nope'" in in_turn[3][1].err
