@@ -13,6 +13,13 @@ multiply-add is assumed.  They use only IEEE + - * /, so every function
 except `sqrt` and `log` also runs unchanged on pairs of float64 arrays,
 element by element and with bit-identical results; `log_array` is the
 array form of `log`.
+
+For loops over arrays, `two_sum`, `two_prod`, `add` and `div_f`
+also have in-place forms, `*_into(x, y, out, work)`: they write the pair
+into `out`, two caller-owned arrays, through numpy's `out` argument, and
+keep their intermediates in the scratch arrays `work`, so they allocate no
+array.  Each runs its tuple twin's IEEE operations, operands in the same
+order, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -83,6 +90,70 @@ def div(x: DD, y: DD) -> DD:
     q3 = r[0] / y[0]
     q = two_sum(q1, q2)
     return add_f(q, q3)
+
+
+# In-place forms.  x and y are pairs of arrays (or floats) and d, a, b
+# arrays or floats that broadcast to `out`; `work` holds scratch arrays
+# shaped like `out`, as many as the form names.  Neither `out` nor `work`
+# may overlap an input, except that `add_into` may write over x or y.
+
+
+def two_sum_into(a, b, out, work):
+    """`two_sum(a, b)` into out; one scratch array."""
+    s, e = out
+    bb = work[0]
+    _np.add(a, b, s)
+    _np.subtract(s, a, bb)
+    _np.subtract(s, bb, e)
+    _np.subtract(a, e, e)
+    _np.subtract(b, bb, bb)
+    _np.add(e, bb, e)
+    return out
+
+
+def two_prod_into(a, b, out, work):
+    """`two_prod(a, b)` into out; four scratch arrays."""
+    p, err = out
+    ahi, alo, bhi, blo = work[:4]
+    _np.multiply(a, b, p)
+    _np.multiply(_SPLIT, a, ahi)
+    _np.subtract(ahi, a, alo)
+    _np.subtract(ahi, alo, ahi)
+    _np.subtract(a, ahi, alo)
+    _np.multiply(_SPLIT, b, bhi)
+    _np.subtract(bhi, b, blo)
+    _np.subtract(bhi, blo, bhi)
+    _np.subtract(b, bhi, blo)
+    _np.multiply(ahi, bhi, err)
+    _np.subtract(err, p, err)
+    _np.multiply(ahi, blo, ahi)
+    _np.add(err, ahi, err)
+    _np.multiply(alo, bhi, bhi)
+    _np.add(err, bhi, err)
+    _np.multiply(alo, blo, alo)
+    _np.add(err, alo, err)
+    return out
+
+
+def add_into(x, y, out, work):
+    """`add(x, y)` into out, which may be x or y; three scratch arrays."""
+    s, e, t = work[1], work[2], work[0]
+    two_sum_into(x[0], y[0], (s, e), work)
+    _np.add(x[1], y[1], t)
+    _np.add(e, t, e)
+    return two_sum_into(s, e, out, work)
+
+
+def div_f_into(x, d, out, work):
+    """`div_f(x, d)` into out; five scratch arrays."""
+    q1, r = work[4], work[1]
+    _np.divide(x[0], d, q1)
+    p, e = two_prod_into(q1, d, out, work)
+    _np.subtract(x[0], p, r)
+    _np.subtract(r, e, r)
+    _np.add(r, x[1], r)
+    _np.divide(r, d, r)
+    return two_sum_into(q1, r, out, work)
 
 
 def neg(x: DD) -> DD:

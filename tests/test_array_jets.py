@@ -8,6 +8,7 @@ with the exception a per-radius loop raises first.
 """
 
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -401,6 +402,87 @@ def test_array_kernels_call_ddouble_positionally(monkeypatch):
     for jet in JETS:
         assert_bit_identical(np.array(jet(MIXED)), pointwise(jet, MIXED))
     assert "log_array" in calls and "two_prod" in calls
+
+
+# ----------------------------------------------------------------------
+# the in-place double-double forms of the series kernel
+
+dd = bessel.dd
+
+
+def _operands(seed):
+    """Signed zeros, subnormals, magnitudes near the split's overflow and
+    random magnitudes over the whole float64 range."""
+    rng = np.random.default_rng(seed)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 2.2250738585072014e-308, 1e-300,
+               1.5, -3.25, 2.0**27 + 1, 1e154, -1e200, 1e300, 1.7976931348623157e308]
+    wide = rng.standard_normal(300) * 10.0 ** rng.integers(-320, 300, 300).astype(np.float64)
+    return rng.permutation(np.concatenate([special, -np.array(special), wide]))
+
+
+def _pair(seed):
+    hi, lo = _operands(seed), _operands(seed + 100)
+    return hi, lo * 1e-17  # not normalized either: the forms work element by element
+
+
+@pytest.mark.parametrize("form", ["two_sum", "two_prod", "add", "div_f", "div_f_float"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_in_place_forms_are_their_tuple_twins(form, seed):
+    name = form.removesuffix("_float")
+    if name in ("two_sum", "two_prod"):
+        args = (_operands(seed), _operands(seed + 10))
+    else:
+        args = (_pair(seed), _pair(seed + 10) if name == "add" else _operands(seed + 10))
+    if form == "div_f_float":
+        args = (args[0], 7.0)
+    n = args[0][0].size if isinstance(args[0], tuple) else args[0].size
+    out = (np.full(n, np.nan), np.full(n, np.nan))
+    work = [np.full(n, np.nan) for _ in range(5)]
+    with np.errstate(all="ignore"):
+        want = getattr(dd, name)(*args)
+        got = getattr(dd, name + "_into")(*args, out, work)
+    assert got is out
+    assert_bit_identical(got, want)
+
+
+@pytest.mark.parametrize("over", ["x", "y"])
+def test_add_into_may_write_over_an_argument(over):
+    x, y = _pair(4), _pair(5)
+    with np.errstate(all="ignore"):
+        want = dd.add(x, y)
+        got = dd.add_into(x, y, x if over == "x" else y, [np.empty(x[0].size) for _ in range(3)])
+    assert_bit_identical(got, want)
+
+
+def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
+    # every stage of the term loop runs in place: only the set-up calls a tuple form
+    calls = Counter()
+    proxy = types.SimpleNamespace(**vars(dd))
+    for name, value in vars(dd).items():
+        if callable(value) and not name.startswith("_"):
+            setattr(proxy, name, lambda *a, _fn=value, _name=name: calls.update([_name]) or _fn(*a))
+    monkeypatch.setattr(bessel, "dd", proxy)
+    seen = []
+    for top in (1.0, 32.0):  # about 10 and 60 terms
+        calls.clear()
+        bessel._series_array(np.linspace(top / 2, top, 101), -1.0, bessel.DEFAULT_SERIES, False)
+        tuple_forms = {k: v for k, v in calls.items() if not k.endswith("_into")}
+        seen.append((calls["two_prod_into"], tuple_forms))
+    (short_terms, short), (long_terms, long) = seen
+    assert short_terms <= 12 and long_terms >= 55
+    assert short == long
+
+
+def test_series_array_results_outlive_the_next_call():
+    x = np.linspace(0.1, 12.0, 101)
+    first = bessel._series_array(x, -1.0, bessel.DEFAULT_SERIES, False)
+    kept = np.array(first)
+    cfg = bessel.DEFAULT_SERIES
+    second = bessel._series_array(np.linspace(0.2, 9.0, 37), 1.0, cfg, bessel._BOTH)
+    third = bessel._series_array(x[:50], -1.0, cfg, True, bessel._log_half_dd(x[:50]))
+    assert_bit_identical(np.array(first), kept)
+    later = [a for pair in second + third for a in pair]
+    assert not any(np.shares_memory(a, b) for pair in first for a in pair for b in later)
 
 
 # ----------------------------------------------------------------------
