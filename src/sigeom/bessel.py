@@ -29,10 +29,9 @@ frozen at the term where the pointwise loop stops, so the results are
 bit-identical at any array length.  Only IEEE + - * / and square roots run
 on whole arrays; libm calls (log, pow and Python's **) stay per element
 with the same Python call, because numpy's vectorized versions can differ
-in the last bit.  y0_jet
-and k0_jet return the J0/I0 jet of their pass as `primary`, so a profile
-c1 J0 + c2 Y0 takes both jets from one pass; they can also reuse the J0/I0
-series of a j0_jet or i0_jet call at the same x.
+in the last bit.  y0_jet and k0_jet return the J0/I0 jet of their pass as
+`primary`, so a profile c1 J0 + c2 Y0 takes both jets from one pass; they
+can also reuse the J0/I0 series of a j0_jet or i0_jet call at the same x.
 """
 
 from __future__ import annotations
@@ -207,7 +206,7 @@ def _series(
     nell = dd.neg(ell)
     tol = cfg.rel_tol
     both = weighted is _BOTH
-    if both:  # only _BOTH keeps a record per set: [weighted, sums, was_small] of each still summing
+    if both:  # [weighted, sums, was_small] of each set still summing
         live = sets = [[w, [(0.0, 0.0)] * (orders + 1), False] for w in _BOTH]
     else:
         sums = [(0.0, 0.0)] * (orders + 1)
@@ -368,7 +367,7 @@ def _series_array(
             if k == 4:
                 dd.add_into(sums, step, sums, work)
             else:  # the first k rows of each set
-                part = [a.reshape(-1, 4, lanes)[:, :k] for a in (*sums, *step, *work[:3])]
+                part = tuple(a.reshape(-1, 4, lanes)[:, :k] for a in (*sums, *step, *work[:3]))
                 dd.add_into(part[:2], part[2:4], part[:2], part[4:])
             if weighted:
                 phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
