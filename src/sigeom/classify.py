@@ -82,10 +82,11 @@ class Grid:
                 raise ValueError(
                     f"grid {name} needs at least {MIN_GRID_SAMPLES} samples, got {arr.size}"
                 )
+            # DomainError: a range narrower than make_grid's margins ends here
             if not np.isfinite(arr).all():
-                raise ValueError(f"grid {name} samples must be finite")
+                raise DomainError(f"grid {name} samples must be finite")
             if not (np.diff(arr) > 0.0).all():
-                raise ValueError(f"grid {name} samples must be strictly increasing")
+                raise DomainError(f"grid {name} samples must be strictly increasing")
 
 
 def make_grid(s: RevolutionSurface, nu: int = 21, nv: int = 21) -> Grid:

@@ -210,6 +210,16 @@ def test_surface_tiny_bessel_argument_is_a_domain_error(capsys, lam, jet):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, axis", [
+    (["--v=-1e-5:1e-5", "--action", "classify2"], "v"),
+    (["--u", "1:1.000000000000001", "--grid", "401x5", "--action", "classify1"], "u"),
+], ids=["v", "u"])
+def test_surface_range_inside_the_grid_margins_is_a_domain_error(capsys, argv, axis):
+    # make_grid pulls each end in by a margin wider than the range itself
+    assert main(["surface", "--profile", "log:lambda=1,c=0", *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: grid {axis} samples must be strictly increasing\n")
+
+
 @pytest.mark.parametrize("action", ["classify1", "classify2"])
 @pytest.mark.parametrize("argv, message", [
     # f = 2/mu + u^-306 is finite at the first grid radius, f' and f'' are not
