@@ -13,10 +13,9 @@ in double-double arithmetic and rounded once at the end.  The Y0 and K0
 values are the ell-offset row of `_series`, one merged sum stopped on the
 cancelled total, which keeps their absolute error at the level of the final
 rounding even where the two textbook pieces nearly cancel.  The Y0 and K0
-jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums that
-one pass over the terms sums together but stops apart, each set at the
-term where it would stop alone: not the merged form, so they lose accuracy
-where the pieces cancel.
+jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums, each
+set stopped at the term where it would stop alone: not the merged form, so
+they lose accuracy where the pieces cancel.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments, which is how profile jets are evaluated on a
@@ -29,9 +28,10 @@ frozen at the term where the pointwise loop stops, so the results are
 bit-identical at any array length.  Only IEEE + - * / and square roots run
 on whole arrays; libm calls (log, pow and Python's **) stay per element
 with the same Python call, because numpy's vectorized versions can differ
-in the last bit.  y0_jet and k0_jet return the J0/I0 jet of their pass as
-`primary`, so a profile c1 J0 + c2 Y0 takes both jets from one pass; they
-can also reuse the J0/I0 series of a j0_jet or i0_jet call at the same x.
+in the last bit.  An array Y0/K0 jet sums both sets in one stacked pass, a
+pointwise one in two passes, with the same bits.  y0_jet and k0_jet return
+the J0/I0 jet of those sums as `primary`, so a profile c1 J0 + c2 Y0 takes
+both jets from one call.
 """
 
 from __future__ import annotations
@@ -181,8 +181,8 @@ def harmonic(n: int) -> float:
 # series kernels (double-double internals)
 
 
-# `weighted` of the series kernels for both sums from one pass: the plain
-# rows, then the phi-weighted ones
+# `weighted` of the series kernels for both sets of sums: the plain rows,
+# then the phi-weighted ones
 _BOTH = (False, True)
 
 
@@ -195,39 +195,30 @@ def _series(
     with sign -1, the sum of J_p) or w = phi(n) - ell, phi the harmonic
     numbers (weighted=True; phi(0) = 0).  Requires x != 0 when orders > 0.
 
-    weighted=_BOTH returns the rows of both from one pass over the terms,
-    plain first; each set of rows stops at the term where it would alone.
+    weighted=_BOTH returns the rows of both, plain first, from two passes
+    (`_series_array` sums both in one; the bits are the same).
 
     With ell = ln(x/2) + gamma, row 0 of the weighted sums is K0 (sign +1)
     and -(pi/2) Y0 (sign -1) in a single sum whose stopping rule references
     the cancelled total, not the two large textbook pieces.
     """
+    if weighted is _BOTH:
+        plain = _series(x, sign, cfg, orders, False, ell, p)
+        return plain + _series(x, sign, cfg, orders, True, ell, p)
     q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
     nell = dd.neg(ell)
     tol = cfg.rel_tol
-    both = weighted is _BOTH
-    if both:  # [weighted, sums, was_small] of each set still summing
-        live = sets = [[w, [(0.0, 0.0)] * (orders + 1), False] for w in _BOTH]
-    else:
-        sums = [(0.0, 0.0)] * (orders + 1)
-        was_small = False
+    sums = [(0.0, 0.0)] * (orders + 1)
+    was_small = False
     b = (1.0, 0.0)
     phi = (0.0, 0.0)
     n = 0
     while n < cfg.max_terms:
-        # adding ell = 0 gives phi's bits back: the jets' sums skip it.  A
-        # single set takes its term without a loop over sets, ~8% faster.
-        if both:
-            for w, wsums, _ in live:
-                t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if w else b
-                wsums[0] = dd.add(wsums[0], t)
-                if orders and n:
-                    _add_derivatives(wsums, t, 2 * n, x, orders)
-        else:
-            t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if weighted else b
-            sums[0] = dd.add(sums[0], t)
-            if orders and n:
-                _add_derivatives(sums, t, 2 * n, x, orders)
+        # adding ell = 0 gives phi's bits back: the jets' sums skip it
+        t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if weighted else b
+        sums[0] = dd.add(sums[0], t)
+        if orders and n:
+            _add_derivatives(sums, t, 2 * n, x, orders)
         n += 1
         # J_p divides by n (p + n); the order-0 sums by n^2, which is exact
         b = dd.mul(b, q)
@@ -235,17 +226,7 @@ def _series(
         if weighted:
             phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
         # the term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0
-        if both:
-            for st in live:
-                if not abs(b[0] * (phi[0] - ell[0]) if st[0] else b[0]) <= tol * abs(st[1][0][0]):
-                    st[2] = False
-                elif st[2]:  # small twice running: this set stops here
-                    live = [other for other in live if other is not st]
-                else:
-                    st[2] = True
-            if not live:
-                return sets[0][1] + sets[1][1]
-        elif not abs(b[0] * (phi[0] - ell[0]) if weighted else b[0]) <= tol * abs(sums[0][0]):
+        if not abs(b[0] * (phi[0] - ell[0]) if weighted else b[0]) <= tol * abs(sums[0][0]):
             was_small = False
         elif was_small:
             return sums
@@ -450,41 +431,24 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 # jets: value and term-wise series derivatives up to third order
 
 
-class _Order0Jet(tuple):
-    """(f, f', f'', f''') of J0 or I0 at x, carrying the double-double series
-    sums it was rounded from, so that Y0 or K0 at the same x can reuse them."""
-
-    def __new__(cls, sums: list[dd.DD], x, cfg: SeriesConfig):
-        self = super().__new__(cls, (dd.to_float(v) for v in sums))
-        self.sums, self.x, self.cfg = sums, x, cfg
-        return self
-
-
 # Below this |x|, x*x is subnormal: the series' divisions by x^2 and x^3 lose
 # digits or divide by zero.  The jet there is (1, sign x/2, sign/2, 0), its
 # limit at x = 0 and within 4 ulp of the series' jet just above 2^-511.
 _TINY = 2.0**-511
 
 
-def _order0_jet(x, sign: float, cfg: SeriesConfig) -> _Order0Jet:
+def _order0_jet(x, sign: float, cfg: SeriesConfig) -> tuple:
     """The J0 (sign -1) or I0 (sign +1) jet at x: one series call, and the
     sums (lead, 0) where |x| < _TINY; the float of (-0.0, 0.0) is 0.0."""
     _require_finite(x, "i0" if sign > 0.0 else "j0")
     lead = (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)
     if not _is_array(x):
         sums = [(v, 0.0) for v in lead] if abs(x) < _TINY else _sums(x, sign, cfg, False)
-        return _Order0Jet(sums, x, cfg)
-    sums, tiny = _sums(x, sign, cfg, False), np.abs(x) < _TINY
-    if tiny.any():
-        sums = [(np.where(tiny, v, hi), np.where(tiny, 0.0, lo)) for (hi, lo), v in zip(sums, lead)]
-    return _Order0Jet(sums, x, cfg)
-
-
-def _order0_sums(jet: _Order0Jet, x, cfg: SeriesConfig) -> list[dd.DD]:
-    """The J0/I0 series sums of `jet`, which must come from the same x and cfg."""
-    if not (jet.x is x or np.array_equal(jet.x, x)) or jet.cfg != cfg:
-        raise ValueError("the reused jet was computed at a different x or series config")
-    return jet.sums
+    else:
+        sums, tiny = _sums(x, sign, cfg, False), np.abs(x) < _TINY
+        if tiny.any():
+            sums = [(np.where(tiny, v, hi), np.where(tiny, 0.0, lo)) for (hi, lo), v in zip(sums, lead)]
+    return tuple(dd.to_float(v) for v in sums)
 
 
 def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
@@ -502,25 +466,23 @@ def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
 
 
 # The Y0/K0 jets refuse x < 2^-330: below 2^-332 their 2/x^3 term overflows
-# Dekker's split (f''' is nan), below 5.6e-103 the float range.  From 2^-330
-# up all four orders are within 3.2e-16 of mpmath.
+# Dekker's split (f''' is nan), below 5.6e-103 the float range.  At 2^-330
+# and 1.5 2^-330 all four orders are within 3.2e-16 of mpmath; larger x
+# lose digits where the two sets of sums cancel, K0's jet most, past x ~ 8
+# (ROADMAP item 1).
 _LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
 
 
-def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> tuple[list[dd.DD], _Order0Jet]:
+def _log_jet(x, sign: float, cfg: SeriesConfig) -> tuple[list[dd.DD], tuple]:
     """h^(k), k = 0..3, of h = (ln(x/2) + gamma) B - S by the product rule,
-    and the jet of B: B is the J0 (sign -1) or I0 (sign +1) series, reused
-    from `base` when it is a jet at the same x and otherwise summed in one
-    pass with S, its phi-weighted twin.  Y0 = (2/pi) h and K0 = -h; every
-    double-double operation is odd, so K0 takes the bits of assembling -h
-    directly."""
+    and the jet of B: B is the J0 (sign -1) or I0 (sign +1) series and S its
+    phi-weighted twin, summed by `_sums(..., _BOTH)` in one stacked pass
+    over an array x and in two passes at a float, with the same bits.
+    Y0 = (2/pi) h and K0 = -h; every double-double operation is odd, so K0
+    takes the bits of assembling -h directly."""
     _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    if base is None:
-        sums = _sums(x, sign, cfg, _BOTH)
-        b, s = sums[:4], sums[4:]
-        base = _Order0Jet(b, x, cfg)  # as `_order0_jet`: no x >= 2^-330 is below _TINY
-    else:
-        b, s = _order0_sums(base, x, cfg), _sums(x, sign, cfg, True)
+    sums = _sums(x, sign, cfg, _BOTH)
+    b, s = sums[:4], sums[4:]
     ell = _log_half_dd(x)
     inv = 1.0 / x
     # (ell*B)^(k) expanded with ell' = 1/x, ell'' = -1/x^2, ell''' = 2/x^3
@@ -537,37 +499,38 @@ def _log_jet(x, sign: float, cfg: SeriesConfig, base) -> tuple[list[dd.DD], _Ord
             dd.neg(s[3]),
         ),
     )
-    return [h0, h1, h2, h3], base
+    # B's jet as `_order0_jet` gives it: no x >= 2^-330 is below _TINY
+    return [h0, h1, h2, h3], tuple(dd.to_float(v) for v in b)
 
 
 class _LogJet(tuple):
     """(f, f', f'', f''') of Y0 or K0 at x, carrying as `primary` the J0 or
-    I0 jet at the same x: the one it reused, or one rounded from the sums of
-    its own series pass."""
+    I0 jet at the same x, rounded from the sums of its own series."""
 
-    def __new__(cls, values, primary: _Order0Jet):
+    def __new__(cls, values, primary: tuple):
         self = super().__new__(cls, values)
         self.primary = primary
         return self
 
 
-def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES, j0=None) -> tuple[float, float, float, float]:
+def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(Y0, Y0', Y0'', Y0''')(x), assembling the log factor by the product rule.
 
     x may be a 1-D float64 array.  The J0 series and its phi-weighted twin
-    are summed in one pass, and the result carries the J0 jet at x as its
-    `primary`.  Passing j0 = j0_jet(x, cfg) reuses the J0 series that call
-    summed instead.
+    are summed in one stacked pass over an array and in two passes at a
+    float, with the same bits, and the result carries the J0 jet at x as
+    its `primary`.
     """
-    h, base = _log_jet(x, -1.0, cfg, j0)
-    return _LogJet((dd.to_float(dd.mul(_TWO_OVER_PI_DD, v)) for v in h), base)
+    h, primary = _log_jet(x, -1.0, cfg)
+    return _LogJet((dd.to_float(dd.mul(_TWO_OVER_PI_DD, v)) for v in h), primary)
 
 
-def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES, i0=None) -> tuple[float, float, float, float]:
+def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(K0, K0', K0'', K0''')(x); x may be a 1-D float64 array.  Like y0_jet,
-    it carries the I0 jet at x as `primary`, or reuses i0 = i0_jet(x, cfg)."""
-    h, base = _log_jet(x, 1.0, cfg, i0)
-    return _LogJet((dd.to_float(dd.neg(v)) for v in h), base)
+    it sums the I0 series and its phi-weighted twin in one pass over an
+    array and in two at a float, and carries the I0 jet at x as `primary`."""
+    h, primary = _log_jet(x, 1.0, cfg)
+    return _LogJet((dd.to_float(dd.neg(v)) for v in h), primary)
 
 
 # ----------------------------------------------------------------------

@@ -348,7 +348,7 @@ def bessel_profile(
             raw = tuple(c1 * v for v in primary(x, cfg))
         else:
             try:
-                b = secondary(x, cfg)  # its one series pass also gives the primary jet
+                b = secondary(x, cfg)  # its series also give the primary jet
             except DomainError:
                 primary(x, cfg)  # the primary refuses a non-finite x first, as it did
                 raise

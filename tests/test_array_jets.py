@@ -76,16 +76,21 @@ LONG = np.concatenate([np.geomspace(1e-3, 60.0, 97), [60.0, 1e-3, 30.0, 7.25]])
 MIXED = np.array([1e-3, 59.0, 0.02, 45.5, 3.0, 60.0, 0.5, 12.0] * 5)
 
 
+LOOSE = SeriesConfig(rel_tol=1e-9, max_terms=150)
+
+
+# LOOSE moves the term where each of the Y0/K0 jets' two sets of sums stops
 @pytest.mark.parametrize("jet", JETS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize(
-    "xs",
-    [LONG, MIXED, LONG[:1], MIXED[1:2], LONG[::9]],
-    ids=["long", "mixed", "len1-small", "len1-large", "short"],
-)
-def test_bessel_jets_array_vs_scalar(jet, xs):
-    got = jet(xs)
+@pytest.mark.parametrize("xs, cfg", [
+    pytest.param(xs, cfg, id=name + suffix)
+    for cfg, suffix in ((bessel.DEFAULT_SERIES, ""), (LOOSE, "-loose"))
+    for xs, name in ((LONG, "long"), (MIXED, "mixed"), (LONG[:1], "len1-small"),
+                     (MIXED[1:2], "len1-large"), (LONG[::9], "short"))
+])
+def test_bessel_jets_array_vs_scalar(jet, xs, cfg):
+    got = jet(xs, cfg)
     assert len(got) == 4
-    assert_bit_identical(np.array(got), pointwise(jet, xs))
+    assert_bit_identical(np.array(got), pointwise(lambda x: jet(x, cfg), xs))
 
 
 def _lanes(n):
@@ -123,7 +128,6 @@ def test_jets_at_zero_and_negative_lanes():
 
 
 VALUES = (bessel.bessel_j0, bessel.bessel_i0, bessel.bessel_y0, bessel.bessel_k0)
-LOOSE = SeriesConfig(rel_tol=1e-9, max_terms=150)
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda f: f.__name__)
@@ -176,15 +180,6 @@ def test_array_errors_name_the_first_failing_lane(fn, xs, cfg):
     with pytest.raises(type(ref)) as exc:
         fn(xs, cfg)
     assert str(exc.value) == str(ref)
-
-
-@pytest.mark.parametrize("primary,secondary", [(j0_jet, y0_jet), (i0_jet, k0_jet)])
-@pytest.mark.parametrize("xs", [MIXED, 2.5], ids=["array", "float"])
-def test_secondary_reuses_primary_series(primary, secondary, xs):
-    a = primary(xs)
-    assert_bit_identical(np.array(secondary(xs, bessel.DEFAULT_SERIES, a)), np.array(secondary(xs)))
-    with pytest.raises(ValueError):
-        secondary(xs + 1.0, bessel.DEFAULT_SERIES, a)
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +248,6 @@ def test_one_pass_on_empty_arrays():
 def test_log_jets_carry_the_primary_jet_of_their_pass(primary, secondary, xs):
     got = secondary(xs)
     assert_bit_identical(np.array(got.primary), np.array(primary(xs)))
-    # the same bits as summing the primary first and reusing it
-    assert_bit_identical(np.array(got), np.array(secondary(xs, bessel.DEFAULT_SERIES, primary(xs))))
 
 
 @pytest.mark.parametrize("jet, xs, terms", [
