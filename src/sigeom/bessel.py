@@ -193,7 +193,9 @@ def _series(
     """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and its first
     `orders` term-wise derivatives, with w = 1 (weighted=False: J0, I0 and,
     with sign -1, the sum of J_p) or w = phi(n) - ell, phi the harmonic
-    numbers (weighted=True; phi(0) = 0).  Requires x != 0 when orders > 0.
+    numbers (weighted=True; phi(0) = 0).  Requires x^orders != 0 in floats:
+    the k-th derivative divides by x^k, and no sum stops before its n = 2
+    term, the first that the third derivative takes.
 
     weighted=_BOTH returns the rows of both, plain first, from two passes
     (`_series_array` sums both in one; the bits are the same).
@@ -225,10 +227,11 @@ def _series(
         b = dd.div(b, dd.two_prod(float(n), p + n)) if p else dd.div_f(b, float(n * n))
         if weighted:
             phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-        # the term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0
+        # the term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0.
+        # No stop before the n = 2 term, the first of the third derivative
         if not abs(b[0] * (phi[0] - ell[0]) if weighted else b[0]) <= tol * abs(sums[0][0]):
             was_small = False
-        elif was_small:
+        elif was_small and n > 2:
             return sums
         else:
             was_small = True
@@ -356,11 +359,11 @@ def _series_array(
                 if both:
                     lead[0] = b[0]
             # each set's small-term test, as in `_series`; a streak of two is
-            # a small term now and one before
+            # a small term now and one before, and none stops before n = 2
             small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][::4])
             stop = pending & small & was_small
             was_small = small
-            if stop.any():
+            if n > 2 and stop.any():
                 frozen = np.repeat(stop, 4, axis=0)  # each set's four rows
                 hi[frozen] = sums[0][frozen]
                 lo[frozen] = sums[1][frozen]
@@ -431,10 +434,13 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 # jets: value and term-wise series derivatives up to third order
 
 
-# Below this |x|, x*x is subnormal: the series' divisions by x^2 and x^3 lose
-# digits or divide by zero.  The jet there is (1, sign x/2, sign/2, 0), its
-# limit at x = 0 and within 4 ulp of the series' jet just above 2^-511.
-_TINY = 2.0**-511
+# Below this |x|, x^3 is subnormal: the series' divisions by x^3 (and, below
+# 2^-511, by x^2) lose digits or divide by zero.  The jet there is
+# (1, sign x/2, sign/2, 0), its limit at x = 0: the rounded jet but for the
+# third derivative 3x/8 < 2e-103.  Above, the third derivative's first term
+# (n = 2, x^4/64 over x^3) is a subnormal or zero product up to about
+# 2^-255, off by less than 3x/8 < 1e-76.
+_TINY = 2.0**-340
 
 
 def _order0_jet(x, sign: float, cfg: SeriesConfig) -> tuple:

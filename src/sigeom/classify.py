@@ -147,22 +147,30 @@ def _fit(
     row of nv: numpy sums the products repeated nv times pairwise exactly as
     the flat grid, and a maximum does not depend on order.  lap = None is
     Lap r = 0: numpy's sum of zeros is its +0 identity, so lambda and both
-    residuals are 0.0 once sum(r^2) passes the overflow check.
+    residuals are 0.0 once sum(r^2) passes the overflow check.  One grid
+    temporary is alive at a time: each product (or its repeat) is freed
+    once summed, and the residual is formed in the lam * r array.
     """
     if scale is None:
         scale = float(np.max(np.abs(r)))
     with np.errstate(all="ignore"):  # an overflowed sum is refused just below
-        rr, lr = r * r, (0.0 if lap is None else lap * r)
-        if nv > 1:
-            rr, lr = np.repeat(rr, nv), np.repeat(lr, nv)
-        denom = float(np.sum(rr))
-        num = float(np.sum(lr))
+        denom = _grid_sum(r, r, nv)
+        num = 0.0 if lap is None else _grid_sum(lap, r, nv)
     if not (np.isfinite(denom) and np.isfinite(num)):
         raise DomainError(f"eigen-fit sums overflow (max |r| = {scale:.3g})")
     lam = 0.0 if denom == 0.0 else num / denom
-    res = 0.0 if lap is None else float(np.max(np.abs(lap - lam * r)))
+    res = 0.0
+    if lap is not None:
+        t = lam * r
+        res = float(np.max(np.abs(np.subtract(lap, t, out=t), out=t)))
     rel = res / scale if scale > 0.0 else res
     return lam, res, rel
+
+
+def _grid_sum(x: np.ndarray, r: np.ndarray, nv: int) -> float:
+    """numpy's pairwise sum of x * r over the grid, each value repeated nv times."""
+    xr = x * r
+    return float(np.sum(np.repeat(xr, nv) if nv > 1 else xr))
 
 
 def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
@@ -193,10 +201,14 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
         # overflows; each r_i^2 <= scale^2, and a quarter of the float range leaves
         # room for the rounding of the sum: no grid is needed to know it does not
         fits = [(0.0, 0.0, 0.0)] * 2
-    else:
-        r1, r2 = _rotate(s.kind, g.u[:, None], sv, cv)
-        laps = (None, None) if form == 1 else _rotate(s.kind, a[:, None], sv, cv)  # a = 0 on form 1
-        fits = [_fit(lap, r, scale=m) for lap, r, m in zip(laps, (r1, r2), scales)]
+    elif form == 1:  # Lap r_i = a h(v) = 0: _fit refuses the overflowing sum
+        fits = [_fit(None, r, scale=m) for r, m in zip(_rotate(s.kind, g.u[:, None], sv, cv), scales)]
+    else:  # one coordinate at a time, r_i = u h(v) and Lap r_i = a h(v) in two grids
+        r, lap = np.empty((2, g.u.size, g.v.size))
+        fits = []
+        for h, m in zip(_rotate(s.kind, 1.0, sv, cv), scales):  # (h1, h2): 1.0 h is h
+            np.multiply(g.u[:, None], h, out=r)
+            fits.append(_fit(np.multiply(a[:, None], h, out=lap), r, scale=m))
     return (*fits, _fit(c, f0, g.v.size)), ew
 
 

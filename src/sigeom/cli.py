@@ -16,10 +16,13 @@ import contextlib
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .bessel import (
+    _LARGE_X,
+    PrecisionLossWarning,
     SeriesConfig,
     _per_element,
     bessel_i0,
@@ -294,12 +297,21 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     if args.kind in ("y0", "k0") and (a <= 0.0 or b <= 0.0):
         raise DomainError(f"{args.kind} requires x > 0")
     if args.kind != "jp":
-        column = functools.partial(_BESSEL_VALUES[args.kind], cfg=cfg)
+        table = _tabulate(a, b, args.n, functools.partial(_BESSEL_VALUES[args.kind], cfg=cfg))
     elif args.p is None:
         raise ProfileSpecError("--p is required for --kind jp")
     else:
-        column = functools.partial(bessel_j, args.p, cfg=cfg)
-    _write_csv(args.out, "x,value", _tabulate(a, b, args.n, column))
+        with warnings.catch_warnings():  # one warning for the whole table, below
+            warnings.simplefilter("ignore", PrecisionLossWarning)
+            table = _tabulate(a, b, args.n, functools.partial(bessel_j, args.p, cfg=cfg))
+        past = table[np.abs(table[:, 0]) > _LARGE_X, 0]
+        if past.size:
+            warnings.warn(
+                f"bessel_j series loses accuracy for |x| > {_LARGE_X} "
+                f"({past.size} x from {float(past[0])!r} to {float(past[-1])!r})",
+                PrecisionLossWarning,
+            )
+    _write_csv(args.out, "x,value", table)
     return EXIT_OK
 
 

@@ -224,6 +224,27 @@ def test_j0_i0_jets_just_above_the_tiny_bound():
                 assert abs(got - want) <= 4.0 * math.ulp(want)
 
 
+def test_j0_i0_third_derivatives_take_their_first_term_at_small_x():
+    # J0''' = 3x/8 - 5x^3/96 + ..., I0''' = 3x/8 + 5x^3/96 + ...: the series
+    # sums through n = 2 (3x/8) even where the value stops after n = 1; the
+    # stop rule, relative to J0 ~ 1, drops the x^3 term, 1.4e-15 at x = 1e-7
+    xs = np.concatenate((np.geomspace(2.0**-250, 1e-7, 40), [5e-8, 1e-8]))
+    for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
+        for x in xs.tolist():
+            m = mpmath.mpf(x)
+            want = float(3 * m / 8 + sign * 5 * m**3 / 96)
+            assert abs(jet(x)[3] - want) <= 1e-14 * want, x
+            assert abs(jet(-x)[3] + want) <= 1e-14 * want, -x
+        # from the leading terms below 2^-340 to the series above, one array
+        # call gives a pointwise call's bits
+        lanes = np.concatenate(([2.0**-341, 2.0**-340, 2.0**-339, 2.0**-300, 2.0**-256], xs))
+        got = np.array(jet(lanes)).view(np.int64)
+        assert (got == np.array([jet(x) for x in lanes.tolist()]).T.view(np.int64)).all()
+        # f''' = 0 until its first term stops underflowing, as it is below 2^-340
+        for x in (2.0**-340, 2.0**-300, 2.0**-268):
+            assert jet(x) == (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)
+
+
 # near 2^-332 the Y0/K0 jets' 2/x^3 term overflows Dekker's split (a nan third
 # derivative), and below 5.6e-103 the float range: they refuse x < 2^-330
 @pytest.mark.parametrize("x", [1e-200, 1e-110, 1e-105, 3e-103, 2.0**-330 * (1.0 - 2.0**-53)])

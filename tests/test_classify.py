@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,52 @@ def test_harmonic_fit_refuses_an_overflowing_sum():
     with pytest.raises(DomainError) as harmonic:
         _fit(None, r, scale=1e160)
     assert str(harmonic.value) == str(grid.value)
+
+
+KINDS = [RevolutionKind.TIMELIKE_MERIDIAN, RevolutionKind.SPACELIKE_MERIDIAN]
+
+
+@pytest.mark.parametrize("n", [101, 401])
+@pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
+@pytest.mark.parametrize("profile", [log_profile(-2.0, 0.0), power_profile(1.0, 3.0, 1.0),
+                                     constant_h_profile(2.0, 0.0, 0.0)],
+                         ids=["log", "power", "consth"])
+def test_second_form_fits_match_the_materialised_grids(n, kind, profile):
+    from sigeom.surfaces import _coordinate_laplacians, _rotate
+
+    s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
+    g = make_grid(s, n, n)
+    f0, a, c, _ = _coordinate_laplacians(s, g.u, 2, value=True)
+    sv, cv = np.sinh(g.v), np.cosh(g.v)
+    rs = _rotate(kind, g.u[:, None], sv, cv)
+    laps = _rotate(kind, a[:, None], sv, cv)
+    want = [_fit(lap, r) for lap, r in zip(laps, rs)]
+    want.append(_fit(np.repeat(c[:, None], n, axis=1), np.repeat(f0[:, None], n, axis=1)))
+    rep = check_eigen_ii(s, g)
+    assert _bits([rep.lam, rep.residual_sup, rep.residual_rel]) == _bits(np.array(want).T)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
+def test_eigen_fits_keep_few_grid_arrays_alive(kind):
+    # the second form writes r_i and Lap r_i into two grids, one rotational
+    # coordinate at a time, and each fit holds one more grid temporary; the
+    # first form's radial fit holds one repeated grid
+    grid_bytes = 401 * 401 * 8
+    for check, profile, most in ((check_eigen_ii, log_profile(-2.0, 0.0), 3.5),
+                                 (check_eigen_i, bessel_profile(1.0, 1.0, 0.0), 1.5)):
+        s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
+        g = make_grid(s, 401, 401)
+        check(s, g)  # the profile's jets are cached from here on
+        assert _traced_peak(lambda: check(s, g)) <= most * grid_bytes
 
 
 # ----------------------------------------------------------------------

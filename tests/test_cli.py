@@ -1,6 +1,9 @@
 import errno
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +85,21 @@ def test_bessel_jp_needs_p(capsys):
 
 def test_bessel_non_convergence(capsys):
     assert main(["bessel", "--kind", "j0", "--range", "0:200", "--n", "5"]) == 5
+
+
+def test_bessel_jp_table_past_30_warns_once():
+    # bessel_j warns once per x past 30; the table names the whole range once
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["bessel", "--kind", "jp", "--p", "0.3", "--range", "0:40", "--n", "900"]
+    proc = subprocess.run([sys.executable, "-m", "sigeom", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 901
+    err = proc.stderr.splitlines()
+    assert len(err) <= 2  # the warning, and the source line Python echoes after it
+    assert err[0].endswith("PrecisionLossWarning: bessel_j series loses accuracy for |x| > 30.0 "
+                           "(225 x from 30.03337041156841 to 40.0)")
 
 
 def _assert_parse_error(capsys, argv, fragment):
