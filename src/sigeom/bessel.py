@@ -9,33 +9,29 @@ used as a self-check.
 Accuracy notes.  The order-zero series cancel catastrophically for moderate
 x (at x = 10 the largest J0 term is ~678 against a sum of ~0.25, and K0
 is the difference of two ~6000-sized pieces), so all series are accumulated
-in double-double arithmetic and rounded once at the end.  The Y0 and K0
-values are the ell-offset row of `_series`, one merged sum stopped on the
-cancelled total, which keeps their absolute error at the level of the final
-rounding even where the two textbook pieces nearly cancel.  The Y0 and K0
-jets share one assembly (`_log_jet`) from J0/I0 and phi-weighted sums, each
-set stopped at the term where it would stop alone: not the merged form, so
-they lose accuracy where the pieces cancel.
+in double-double arithmetic and rounded once at the end.  Y0 and K0, values
+and jets alike, are the merged rows of `_series`: the terms
+(phi(n) - ell) t_n, ell = ln(x/2) + gamma, and their term-wise derivatives,
+summed as one series stopped on the cancelled total, never as the two
+textbook pieces.  A jet's f is the value to within an ulp.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
-a float64 array of arguments, which is how profile jets are evaluated on a
-grid of radii and how the CLI tabulates: each series then runs once over the
-array, each term as one pass over four stacked rows per set of sums (see
-_series_array), through the in-place double-double forms on one workspace
-per call, so a term allocates no stacked array.  Every element performs
-the same double-double operations as a pointwise call, and its sums are
-frozen at the term where the pointwise loop stops, so the results are
-bit-identical at any array length.  Only IEEE + - * / and square roots run
-on whole arrays; libm calls (log, pow and Python's **) stay per element
-with the same Python call, because numpy's vectorized versions can differ
-in the last bit.  An array Y0/K0 jet sums both sets in one stacked pass, a
-pointwise one in two passes, with the same bits.  y0_jet and k0_jet return
-the J0/I0 jet of those sums as `primary`, so a profile c1 J0 + c2 Y0 takes
-both jets from one call.
+a float64 array of arguments (profile jets on a grid of radii, CLI
+tables): each series then runs once over the array, each term as one pass
+of each double-double stage over stacked rows (see _series_array).  Every
+element performs the same double-double operations as a pointwise call,
+and its sums are frozen at the term where the pointwise loop stops, so the
+results are bit-identical at any array length.  Only IEEE + - * / and
+square roots run on whole arrays; libm calls (log, pow and Python's **)
+stay per element, because numpy's vectorized versions can differ in the
+last bit.  y0_jet and k0_jet sum the J0 or I0 series in the same pass and
+return its jet as `primary`, so a profile c1 J0 + c2 Y0 takes both jets
+from one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,7 +72,7 @@ EULER_GAMMA = 0.57721566490153286
 
 _EULER_GAMMA_DD = (EULER_GAMMA, -4.942915152430645e-18)
 _PI_DD = (3.141592653589793, 1.2246467991473532e-16)
-_TWO_OVER_PI_DD = dd.div((2.0, 0.0), _PI_DD)
+_NEG_TWO_OVER_PI_DD = dd.div((-2.0, 0.0), _PI_DD)
 
 # Series-based J values lose relative accuracy past this argument
 # (cancellation outgrows the compensated accumulation).
@@ -182,7 +178,7 @@ def harmonic(n: int) -> float:
 
 
 # `weighted` of the series kernels for both sets of sums: the plain rows,
-# then the phi-weighted ones
+# then the merged ones
 _BOTH = (False, True)
 
 
@@ -192,44 +188,47 @@ def _series(
 ) -> list[dd.DD]:
     """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and its first
     `orders` term-wise derivatives, with w = 1 (weighted=False: J0, I0 and,
-    with sign -1, the sum of J_p) or w = phi(n) - ell, phi the harmonic
-    numbers (weighted=True; phi(0) = 0).  Requires x^orders != 0 in floats:
-    the k-th derivative divides by x^k, and no sum stops before its n = 2
-    term, the first that the third derivative takes.
-
+    with sign -1, the sum of J_p) or the merged weight w = phi(n) - ell
+    (weighted=True, p = 0), phi the harmonic numbers and ell the value at x
+    of a function with ell' = 1/x; merged rows k >= 1 are x^k times the
+    derivative.  Requires x^orders (merged: x^3) != 0 in floats; no sum
+    stops before its n = 2 term, the first of a plain third derivative.
     weighted=_BOTH returns the rows of both, plain first, from two passes
     (`_series_array` sums both in one; the bits are the same).
 
-    With ell = ln(x/2) + gamma, row 0 of the weighted sums is K0 (sign +1)
-    and -(pi/2) Y0 (sign -1) in a single sum whose stopping rule references
-    the cancelled total, not the two large textbook pieces.
+    With ell = ln(x/2) + gamma, the merged rows are the jet of K0 (sign +1)
+    and of -(pi/2) Y0 (sign -1), each stopped on the cancelled total, not
+    on the two large textbook pieces.
     """
     if weighted is _BOTH:
-        plain = _series(x, sign, cfg, orders, False, ell, p)
-        return plain + _series(x, sign, cfg, orders, True, ell, p)
+        return _series(x, sign, cfg, orders, False, ell, p) + _series(x, sign, cfg, orders, True, ell, p)
     q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
     nell = dd.neg(ell)
-    tol = cfg.rel_tol
-    sums = [(0.0, 0.0)] * (orders + 1)
-    was_small = False
-    b = (1.0, 0.0)
-    phi = (0.0, 0.0)
+    sums, b, was_small = [(0.0, 0.0)] * (orders + 1), (1.0, 0.0), False
+    inv3 = 1.0 / (x * x * x) if weighted and orders else 0.0
     n = 0
     while n < cfg.max_terms:
-        # adding ell = 0 gives phi's bits back: the jets' sums skip it
-        t = dd.mul(b, dd.add(phi, nell) if ell[0] else phi) if weighted else b
+        if weighted:
+            f, g = _factors(2 * n)
+            t = dd.mul(b, dd.add(_phi(n), nell))
+            for k in range(1, orders + 1):  # x^k times the k-th derivative, t F_k - b G_k
+                sums[k] = dd.add(sums[k], dd.add(dd.mul_f(t, float(f[k - 1])), dd.mul_f(b, float(g[k - 1]))))
+        else:
+            t = b
+            if orders and n:
+                _add_derivatives(sums, t, 2 * n, x, orders)
         sums[0] = dd.add(sums[0], t)
-        if orders and n:
-            _add_derivatives(sums, t, 2 * n, x, orders)
         n += 1
         # J_p divides by n (p + n); the order-0 sums by n^2, which is exact
         b = dd.mul(b, q)
         b = dd.div(b, dd.two_prod(float(n), p + n)) if p else dd.div_f(b, float(n * n))
-        if weighted:
-            phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-        # the term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0.
+        lead = b[0] * (_phi(n)[0] - ell[0]) if weighted else b[0]
+        if inv3:  # the next merged term's k-th derivative is about (2n/x)^k times it:
+            # so scaled, the test holds each row's truncation below rel_tol |f|
+            lead *= max(float(8 * n**3) * inv3, 1.0)
+        # the next term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0.
         # No stop before the n = 2 term, the first of the third derivative
-        if not abs(b[0] * (phi[0] - ell[0]) if weighted else b[0]) <= tol * abs(sums[0][0]):
+        if not abs(lead) <= cfg.rel_tol * abs(sums[0][0]):
             was_small = False
         elif was_small and n > 2:
             return sums
@@ -241,8 +240,8 @@ def _series(
 
 
 def _add_derivatives(sums: list[dd.DD], t: dd.DD, m: int, x: float, orders: int) -> None:
-    """Add the first `orders` derivatives of t, a series term of degree
-    m >= 2 in x, into sums[1:]."""
+    """Add the first `orders` derivatives of t, a plain series term of
+    degree m >= 2 in x, into sums[1:]."""
     # the k-th derivative is t m (m-1) ... (m-k+1) / x^k, none once k > m.
     # Unrolled: a loop over k made the kernels ~9% slower.
     sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
@@ -250,6 +249,19 @@ def _add_derivatives(sums: list[dd.DD], t: dd.DD, m: int, x: float, orders: int)
         sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
     if orders >= 3 and m >= 3:
         sums[3] = dd.add(sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x))
+
+
+@functools.lru_cache(maxsize=None)
+def _phi(n: int) -> dd.DD:
+    """The harmonic number phi(n) in double-double, as `_series` sums it."""
+    return dd.add(_phi(n - 1), dd.div_f((1.0, 0.0), float(n))) if n else (0.0, 0.0)
+
+
+def _factors(m: int) -> tuple:
+    """F = (m, m (m-1), m (m-1) (m-2)) and -G = -(1, 2m - 1, 3m (m-1) - 3m + 2):
+    by the product rule with ell' = 1/x, the k-th derivative of a merged
+    term t = (phi(n) - ell) b of degree m = 2n is (t F_k - b G_k) / x^k."""
+    return (m, m * (m - 1), m * (m - 1) * (m - 2)), (-1, 1 - 2 * m, -(3 * m * (m - 1) - 3 * m + 2))
 
 
 def _is_array(x) -> bool:
@@ -274,113 +286,135 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_column(n: int, plain: bool, k: int) -> np.ndarray:
+    """The integer factors of `_series_array`'s rows after b q in pass n:
+    F (plain), then F_1..k and -G_1..k of term n - 1.  Read only."""
+    (f, _), (fp, gp) = _factors(2 * n), _factors(max(2 * n - 2, 0))
+    return np.array((f if plain else ()) + fp[:k] + gp[:k], dtype=np.float64)[:, None]
+
+
 def _series_array(
-    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0
+    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
+    orders: int = 3,
 ) -> list[dd.DD]:
-    """`_series` with orders = 3 at every element of an array x, ell a pair of
-    floats or of arrays like x.  Rows 1-3 are not finite where x = 0.
+    """`_series` at every element of an array x, ell a pair of floats or of
+    arrays like x: the plain set's four rows (rows 1-3 not finite where
+    x = 0), and the merged set's rows 0..orders (the others 0).
 
-    Each term is one pass of each double-double stage over stacked rows,
-    four per set of sums: [b; t; t; t] (the series base, and this term of
-    degree m) times [q; m; m(m-1); m(m-1)(m-2)], divided by
-    [(n+1)^2; x; x^2; x^3], is the next b and this term's derivatives, and
-    with t in place of b one add takes them into the four sums.  With
-    weighted=_BOTH the phi-weighted term tw follows as [0; tw; tw; tw], its
-    head row a spare that takes tw before the add.  The b row's product
-    error gets b_hi q_lo + b_lo q_hi as in `dd.mul`, the others t_lo m... as
-    in `dd.mul_f`, and for p != 0 the next b is b q / (n (p + n)) by `dd.div`:
-    each element sees the IEEE operations of the scalar loop.
-    Rows with m < k take no term, and each lane's sums of each set are frozen
-    at the term where the scalar loop stops them, so the results are
-    bit-identical.
-
-    The stages run in place (`dd.*_into`) on one workspace allocated per
-    call, so a term allocates no stacked array; the result rows are their
-    own arrays, not the workspace's.
+    Pass n is one run of each double-double stage over stacked rows, each a
+    multiplicand times a factor: b (the series base) times c = phi - ell
+    (the merged term tw), q and F_1..3 (plain), then the previous pass's tw
+    and b times F_1..k and -G_1..k, k = orders.  Divided by (n+1)^2 and
+    x^k, the b q and b F rows are the next b and the plain derivatives; the
+    last 2k rows, added, are the previous merged term's derivatives (times
+    x^k), so the merged rows 1.. freeze a pass after row 0.  The c and q
+    rows' product errors get a_hi f_lo + a_lo f_hi as in `dd.mul`, the
+    others a_lo F as in `dd.mul_f`, and for p != 0 the next b is
+    b q / (n (p + n)) by `dd.div`: each element sees the IEEE operations of
+    the scalar loop, its sums frozen where that loop stops them, so the
+    results are bit-identical; plain rows with m < k take a zero term.  The
+    stages run in place (`dd.*_into`) on workspaces allocated per call.
     """
-    both = weighted is _BOTH
-    lanes, height = x.size, 8 if both else 4
-    hi, lo = np.empty((height, lanes)), np.empty((height, lanes))
+    both, plain = weighted is _BOTH, weighted is _BOTH or not weighted
+    k = orders if weighted else 0
+    lanes, top = x.size, 8 if both else 4  # the rows of the sums
+    hi, lo = np.empty((top, lanes)), np.empty((top, lanes))
     if not lanes:
         return list(zip(hi, lo))
-    nell = dd.neg(ell) if np.any(ell[0]) else None  # None: as in `_series`, skip ell = 0
+    # the rows: b c (merged), b q at ib, b F_1..3 (plain), divided from ib
+    # to ie, then the previous tw times F_1..k and b times -G_1..k
+    ib, bt = (1, 0) if weighted else (0, 1)  # row bt keeps this pass's b
+    ie = ib + (4 if plain else 1)
+    height, nell, wc = ie + 2 * k, dd.neg(ell), 1 if weighted else 0
     with np.errstate(all="ignore"):
-        q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
-        xx = x * x
-        space = np.zeros((15, height, lanes))  # the workspace, allocated once
-        # four pairs of stacked rows; the spare row of `rows` stays 0
-        rows, sums, prod, bq = (tuple(space[i : i + 2]) for i in range(0, 8, 2))
-        work, divisors, factors = list(space[8:13]), space[13], space[14]
-        divisors[:] = (x, x, xx, xx * x) * (height // 4)  # row 0 is set to (n+1)^2 per term
-        factors[0] = q[0]  # the others are set per term
-        rows[0][0] = 1.0
-        b = (rows[0][0], rows[1][0])  # views: b is updated in place
-        pending = np.ones((height // 4, lanes), dtype=bool)  # per set of sums
-        was_small = np.zeros((height // 4, lanes), dtype=bool)
-        lead = np.empty((height // 4, lanes)) if weighted else b[0]  # each set's stop lead
-        phi = (0.0, 0.0)
-        n = 0
-        while n < cfg.max_terms:
-            if weighted:
-                tw = dd.mul(b, phi if nell is None else dd.add(phi, nell))
-            rows[0][1:4], rows[1][1:4] = b if both or not weighted else tw
-            if both:
-                rows[0][5:], rows[1][5:] = tw
-            m = 2 * n
-            d = [[m], [m * (m - 1)], [m * (m - 1) * (m - 2)]]
-            fac = np.array(d + [[0]] + d if both else d, dtype=np.float64)
-            factors[1:] = fac
+        q, xx = dd.mul_f(dd.two_prod(x, x), 0.25 * sign), x * x
+        # the workspaces; `step`, this pass's terms in the rows of the sums,
+        # is the rows from the divided ones on, and with the merged set one
+        # more, where the add into the sums forms the next c as `dd.add` does
+        space = np.zeros((13, max(height, ib + top + wc), lanes))
+        rows, prod, bq = (space[i : i + 2, :height] for i in range(0, 6, 2))
+        work, factors, flo = list(space[6:11, :height]), space[11, :height], space[12, :height]
+        step, acc = space[2:4, ib : ib + top + wc], np.zeros((5, top + wc, lanes))
+        sums, work_top, nell_rows = tuple(acc[:2]), acc[2:], np.array([np.broadcast_to(v, lanes) for v in nell])
+        divisors = np.array([x, x, xx, xx * x][: ie - ib])  # row 0 is set to (n+1)^2 per pass
+        divide = (bq[:, ib:ie], divisors, prod[:, ib:ie], [a[ib:ie] for a in work])
+        merge = (bq[:, ie : ie + k], bq[:, ie + k :], step[:, top - 3 : top - 3 + k], [a[:k] for a in work])
+        factors[ib], flo[ib] = q
+        if weighted:
+            factors[0], flo[0] = dd.add(_phi(0), nell)
+        rows[0][:ie] = 1.0
+        b = (rows[0][ib], rows[1][ib])  # views: b is updated in place
+        pending = np.ones((top // 4, lanes), dtype=bool)  # per set of sums
+        was_small = np.zeros((top // 4, lanes), dtype=bool)
+        lead = np.empty((top // 4, lanes)) if weighted else b[0]  # each set's stop lead
+        inv3, scale = np.divide(1.0, xx * x), np.empty(lanes)
+        n, active, lag = 0, True, None  # lag: the merged lanes whose rows 1.. freeze next
+        while active or lag is not None:
+            if n == cfg.max_terms and active:
+                raise NonConvergenceError(
+                    f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms "
+                    f"at x={float(x[np.argmax(pending.any(axis=0))])!r}"
+                )
+            rows[:, :ie] = rows[:, ib : ib + 1]
+            factors[ib + 1 :] = _factor_column(n, plain, k)
             dd.two_prod_into(rows[0], factors, prod, work)
-            t = work[0]  # the product errors' low-part terms, as in the docstring
-            np.multiply(b[0], q[1], t[0])
-            np.multiply(b[1], q[0], t[1])
-            np.add(t[0], t[1], t[0])
-            np.multiply(rows[1][1:], fac, t[1:])
+            t, v = work[0], work[1][: ib + 1]  # the product errors' low-part terms
+            np.multiply(rows[1], factors, t)
+            np.multiply(rows[0][: ib + 1], flo[: ib + 1], v)
+            np.add(v, t[: ib + 1], t[: ib + 1])
             np.add(prod[1], t, prod[1])
-            n += 1
+            m, n = 2 * n, n + 1
             divisors[0] = float(n * n)
             dd.two_sum_into(prod[0], prod[1], bq, work)
-            step = dd.div_f_into(bq, divisors, prod, work)
+            dd.div_f_into(*divide)
             if p:  # J_p's next b, as in `_series`
-                step[0][0], step[1][0] = dd.div((bq[0][0], bq[1][0]), dd.two_prod(float(n), p + n))
-            # step holds the next b and this term's derivatives; b moves
-            # into the stacked rows and each set's term takes its head row
-            rows[0][0], rows[1][0] = step[0][0], step[1][0]
-            step[0][::4], step[1][::4] = rows[0][1::4], rows[1][1::4]
-            k = min(m, 3) + 1  # the k-th derivative takes a term once m >= k
-            if k == 4:
-                dd.add_into(sums, step, sums, work)
-            else:  # the first k rows of each set
-                part = tuple(a.reshape(-1, 4, lanes)[:, :k] for a in (*sums, *step, *work[:3]))
-                dd.add_into(part[:2], part[2:4], part[:2], part[4:])
-            if weighted:
-                phi = dd.add(phi, dd.div_f((1.0, 0.0), float(n)))
-                np.multiply(b[0], phi[0] - ell[0], lead[-1])
+                prod[0][ib], prod[1][ib] = dd.div((bq[0][ib], bq[1][ib]), dd.two_prod(float(n), p + n))
+            if k:  # the previous merged term's tw F_k + b (-G_k)
+                dd.add_into(*merge)
+            rows[:, ib] = prod[:, ib]  # the next b; each set's head is this pass's b or tw
+            if plain:
+                step[:, 0] = rows[:, bt]
+                if m < 3:  # the k-th derivative takes a term once m >= k
+                    step[:, m + 1 : 4] = 0.0
+            if k:  # this pass's tw and b, for its derivatives in the next pass
+                rows[:, ie : ie + k], rows[:, ie + k :] = bq[:, :1], rows[:, bt : bt + 1]
+            if weighted:  # tw, and phi and -ell, whose sum is the next c
+                step[:, top - 4], step[:, top], (acc[0, top], acc[1, top]) = bq[:, 0], nell_rows, _phi(n)
+            dd.add_into(sums, step, sums, work_top)
+            if lag is not None:
+                np.copyto(hi[top - 3 :], sums[0][top - 3 : top], where=lag)
+                np.copyto(lo[top - 3 :], sums[1][top - 3 : top], where=lag)
+                lag = None
+            if weighted:  # the next c, and the merged lead, scaled as in `_series`
+                space[11:13, 0] = acc[:2, top]
+                np.multiply(b[0], _phi(n)[0] - ell[0], lead[-1])
+                if k:
+                    np.multiply(float(8 * n**3), inv3, scale)
+                    np.maximum(scale, 1.0, out=scale)
+                    np.multiply(lead[-1], scale, lead[-1])
                 if both:
                     lead[0] = b[0]
             # each set's small-term test, as in `_series`; a streak of two is
             # a small term now and one before, and none stops before n = 2
-            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][::4])
-            stop = pending & small & was_small
-            was_small = small
+            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][:top:4])
+            stop, was_small = pending & small & was_small, small
             if n > 2 and stop.any():
                 frozen = np.repeat(stop, 4, axis=0)  # each set's four rows
-                hi[frozen] = sums[0][frozen]
-                lo[frozen] = sums[1][frozen]
+                if k and stop[-1].any():  # but the merged rows 1.. a pass later
+                    lag, frozen[top - 3 :] = stop[-1], False
+                np.copyto(hi, sums[0][:top], where=frozen)
+                np.copyto(lo, sums[1][:top], where=frozen)
                 pending &= ~stop
-                if not pending.any():
-                    return list(zip(hi, lo))
-    raise NonConvergenceError(
-        f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms "
-        f"at x={float(x[np.argmax(pending.any(axis=0))])!r}"
-    )
+                active = pending.any()
+    return list(zip(hi, lo))
 
 
 def _sums(x, sign: float, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
-    """`_series` at a float x (rows 0..orders), `_series_array` at an array
-    (all four), of each set of sums that `weighted` asks for."""
+    """`_series` at a float x, `_series_array` at an array (all four rows of
+    a plain set), of each set of sums that `weighted` asks for."""
     if _is_array(x):
-        return _series_array(x, sign, cfg, weighted, ell, p)
+        return _series_array(x, sign, cfg, weighted, ell, p, orders)
     return _series(x, sign, cfg, orders, weighted, ell, p)
 
 
@@ -420,8 +454,7 @@ def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
     _require_finite(x, "y0", 0.0, "finite x > 0")
-    merged = _sums(x, -1.0, cfg, True, _log_half_dd(x), 0)[0]
-    return dd.to_float(dd.mul(_TWO_OVER_PI_DD, dd.neg(merged)))
+    return dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, _sums(x, -1.0, cfg, True, _log_half_dd(x), 0)[0]))
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -471,72 +504,41 @@ def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     return _order0_jet(x, 1.0, cfg)
 
 
-# The Y0/K0 jets refuse x < 2^-330: below 2^-332 their 2/x^3 term overflows
-# Dekker's split (f''' is nan), below 5.6e-103 the float range.  At 2^-330
-# and 1.5 2^-330 all four orders are within 3.2e-16 of mpmath; larger x
-# lose digits where the two sets of sums cancel, K0's jet most, past x ~ 8
-# (ROADMAP item 1).
+# The Y0/K0 jets refuse x < 2^-330: below 2^-332 the 2/x^3 of their n = 0
+# term overflows Dekker's split (f''' is nan), below 5.6e-103 the float range.
 _LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
 
 
-def _log_jet(x, sign: float, cfg: SeriesConfig) -> tuple[list[dd.DD], tuple]:
-    """h^(k), k = 0..3, of h = (ln(x/2) + gamma) B - S by the product rule,
-    and the jet of B: B is the J0 (sign -1) or I0 (sign +1) series and S its
-    phi-weighted twin, summed by `_sums(..., _BOTH)` in one stacked pass
-    over an array x and in two passes at a float, with the same bits.
-    Y0 = (2/pi) h and K0 = -h; every double-double operation is odd, so K0
-    takes the bits of assembling -h directly."""
-    _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    sums = _sums(x, sign, cfg, _BOTH)
-    b, s = sums[:4], sums[4:]
-    ell = _log_half_dd(x)
-    inv = 1.0 / x
-    # (ell*B)^(k) expanded with ell' = 1/x, ell'' = -1/x^2, ell''' = 2/x^3
-    h0 = dd.add(dd.mul(ell, b[0]), dd.neg(s[0]))
-    h1 = dd.add(dd.add(dd.mul(ell, b[1]), dd.mul_f(b[0], inv)), dd.neg(s[1]))
-    h2 = dd.add(
-        dd.add(dd.mul(ell, b[2]), dd.mul_f(b[1], 2.0 * inv)),
-        dd.add(dd.mul_f(b[0], -inv * inv), dd.neg(s[2])),
-    )
-    h3 = dd.add(
-        dd.add(dd.mul(ell, b[3]), dd.mul_f(b[2], 3.0 * inv)),
-        dd.add(
-            dd.add(dd.mul_f(b[1], -3.0 * inv * inv), dd.mul_f(b[0], 2.0 * _ipow(inv, 3))),
-            dd.neg(s[3]),
-        ),
-    )
-    # B's jet as `_order0_jet` gives it: no x >= 2^-330 is below _TINY
-    return [h0, h1, h2, h3], tuple(dd.to_float(v) for v in b)
-
-
 class _LogJet(tuple):
-    """(f, f', f'', f''') of Y0 or K0 at x, carrying as `primary` the J0 or
-    I0 jet at the same x, rounded from the sums of its own series."""
+    """(f, f', f'', f''') of Y0 or K0 at x, with the J0 or I0 jet as `primary`."""
 
-    def __new__(cls, values, primary: tuple):
-        self = super().__new__(cls, values)
-        self.primary = primary
-        return self
+
+def _log_jet(x, sign: float, cfg: SeriesConfig, scale: dd.DD | None) -> _LogJet:
+    """scale times the merged rows of `_series` at x, ell = ln(x/2) + gamma,
+    summed with the J0 (sign -1) or I0 (sign +1) series by
+    `_sums(..., _BOTH)`: one stacked pass over an array x, two passes at a
+    float, with the same bits."""
+    _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
+    sums = _sums(x, sign, cfg, _BOTH, _log_half_dd(x))
+    for k, xk in enumerate((x, x * x, x * x * x), 5):  # the merged rows 1-3 are x^k times theirs
+        sums[k] = dd.div_f(sums[k], xk)
+    jet = _LogJet(dd.to_float(dd.mul(scale, v) if scale else v) for v in sums[4:])
+    jet.primary = tuple(dd.to_float(v) for v in sums[:4])  # no x >= 2^-330 is below _TINY
+    return jet
 
 
 def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(Y0, Y0', Y0'', Y0''')(x), assembling the log factor by the product rule.
-
-    x may be a 1-D float64 array.  The J0 series and its phi-weighted twin
-    are summed in one stacked pass over an array and in two passes at a
-    float, with the same bits, and the result carries the J0 jet at x as
-    its `primary`.
-    """
-    h, primary = _log_jet(x, -1.0, cfg)
-    return _LogJet((dd.to_float(dd.mul(_TWO_OVER_PI_DD, v)) for v in h), primary)
+    """(Y0, Y0', Y0'', Y0''')(x): -2/pi times the merged rows, whose row 0
+    is `bessel_y0`'s sum, with the J0 jet at x as `primary`.  x may be a
+    1-D float64 array."""
+    return _log_jet(x, -1.0, cfg, _NEG_TWO_OVER_PI_DD)
 
 
 def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(K0, K0', K0'', K0''')(x); x may be a 1-D float64 array.  Like y0_jet,
-    it sums the I0 series and its phi-weighted twin in one pass over an
-    array and in two at a float, and carries the I0 jet at x as `primary`."""
-    h, primary = _log_jet(x, 1.0, cfg)
-    return _LogJet((dd.to_float(dd.neg(v)) for v in h), primary)
+    """(K0, K0', K0'', K0''')(x): the merged rows, whose row 0 is
+    `bessel_k0`'s sum, with the I0 jet at x as `primary`.  x may be a 1-D
+    float64 array."""
+    return _log_jet(x, 1.0, cfg, None)
 
 
 # ----------------------------------------------------------------------
@@ -553,11 +555,8 @@ def _check_jp_args(p: float, x: float) -> None:
     if x == 0.0 and p < 0.0:
         raise DomainError(f"bessel_j diverges at x = 0 for negative order p={p!r}")
     if abs(x) > _LARGE_X:
-        warnings.warn(
-            f"bessel_j series loses accuracy for |x| > {_LARGE_X} (x={x!r})",
-            PrecisionLossWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"bessel_j series loses accuracy for |x| > {_LARGE_X} (x={x!r})",
+                      PrecisionLossWarning, stacklevel=3)
 
 
 def _jp_sum(p: float, x: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
@@ -596,11 +595,11 @@ def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 
 def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(J_p, J_p', J_p'', J_p''')(x) for x > 0 via the product rule on
+    """(J_p, J_p', J_p'', J_p''')(x) for x >= 2^-340 via the product rule on
     A(x) = x^p / (2^p Gamma(1+p)) and the term-wise differentiated sum."""
     _check_jp_args(p, x)
-    if x == 0.0:
-        raise DomainError("jp_jet requires x > 0")
+    if x < _TINY:  # x^3 is subnormal or 0 there, and the series divides by it
+        raise DomainError(f"jp_jet requires x >= 2**-340, got {x!r}")
     s = [dd.to_float(v) for v in _sums(x, -1.0, cfg, False, p=p)]
     a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)
     a1 = p * a0 / x

@@ -1,0 +1,54 @@
+"""mpmath references for the Y0 and K0 jets, shared by the tests that check
+them against the bounds documented in `sigeom.bessel`.
+
+K0 and K1 are summed from their series (DLMF 10.31.2 and 10.31.1) in mpmath,
+at 50 digits plus the digits the sums cancel: mpmath's besselk takes tens of
+milliseconds an argument near x = 20, and agrees with these sums to 1e-50
+there.  Y0 and Y1 are mpmath's bessely.  The second and third derivatives
+follow from the Bessel equation and its derivative.
+"""
+
+import functools
+
+import mpmath
+
+JET_BOUND = 4e-15
+
+
+def _k0_k1(m):
+    """K0(m) and K1(m) for an mpf m > 0, rounded to the working precision."""
+    with mpmath.workdps(mpmath.mp.dps + 10 + int(m)):
+        h = m / 2
+        ell = mpmath.log(h) + mpmath.euler
+        t, phi, i0, s0, i1, s1, k = mpmath.mpf(1), mpmath.mpf(0), 0, 0, 0, 0, 0
+        while t > mpmath.eps * i0:  # t = (m/2)^(2k) / (k!)^2
+            t1 = t * h / (k + 1)  # (m/2)^(2k+1) / (k! (k+1)!)
+            i0, s0 = i0 + t, s0 + phi * t
+            i1, s1 = i1 + t1, s1 + (2 * phi + mpmath.mpf(1) / (k + 1)) * t1
+            k += 1
+            t, phi = t * h * h / (k * k), phi + mpmath.mpf(1) / k
+        k0, k1 = -ell * i0 + s0, 1 / m + ell * i1 - s1 / 2
+    return +k0, +k1
+
+
+@functools.lru_cache(maxsize=None)
+def jet_reference(kind: str, x: float) -> tuple:
+    """(f, f', f'', f''') of Y0 (kind "y0") or K0 ("k0") at x, to 50 digits."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        if kind == "k0":
+            f, k1 = _k0_k1(m)
+            f1, sign = -k1, 1
+        else:
+            f, f1, sign = mpmath.bessely(0, m), -mpmath.bessely(1, m), -1
+        # x^2 f'' + x f' - sign x^2 f = 0, and its derivative
+        f2 = sign * f - f1 / m
+        return f, f1, f2, sign * f1 - f2 / m + f1 / m**2
+
+
+def jet_error(kind: str, x: float, got) -> float:
+    """The worst error of got, a Y0 or K0 jet at x: relative for K0, and for
+    Y0 against max(1, |Y0^(k)|)."""
+    with mpmath.workdps(50):
+        scale = abs if kind == "k0" else lambda w: max(1, abs(w))
+        return max(float(abs(mpmath.mpf(float(g)) - w) / scale(w)) for g, w in zip(got, jet_reference(kind, x)))

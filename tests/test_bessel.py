@@ -29,6 +29,8 @@ from sigeom import (
 )
 from sigeom.bessel import i0_jet, j0_jet, jp_jet, k0_jet, y0_jet
 
+from mp_bessel import JET_BOUND, jet_error
+
 # step for finite-difference residual checks; large arguments need the
 # x-proportional cap to keep the log-singular functions resolved near 0
 def _fd_step(x):
@@ -270,6 +272,31 @@ def test_y0_k0_jets_at_the_tiny_bound(x):
             for got in (jet(x), [c[0] for c in jet(np.array([x, 1.0]))]):
                 for g, w in zip(got, want):
                     assert abs(mpmath.mpf(float(g)) - w) <= 1e-15 * abs(w)
+
+
+# every order of the Y0/K0 jets against mpmath (tests/mp_bessel.py) on
+# [2^-330, 20]: relative for K0, against max(1, |Y0^(k)|) for Y0; an array
+# call gives each pointwise call's bits, and f is the value to within an ulp
+JET_XS = np.concatenate((np.geomspace(2.0**-330, 1.0, 150), np.linspace(1.0, 20.0, 150)))
+
+
+@pytest.mark.parametrize("kind, jet, value", [("y0", y0_jet, bessel_y0), ("k0", k0_jet, bessel_k0)])
+def test_y0_k0_jets_against_mpmath(kind, jet, value):
+    lanes = np.array(jet(JET_XS))
+    for x, column in zip(JET_XS.tolist(), lanes.T):
+        got = jet(x)
+        assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
+        assert jet_error(kind, x, got) <= JET_BOUND, x
+        assert abs(got[0] - value(x)) <= math.ulp(got[0]), x
+
+
+# x^3 is subnormal below 2^-340 and J_p's series divides by it: 1e-110 ended
+# in a ZeroDivisionError, 1e-100 still has all four values
+def test_jp_jet_refuses_x_below_the_tiny_bound():
+    assert all(math.isfinite(v) for v in jp_jet(0.3, 1e-100))
+    for x in (1e-110, 2.0**-341, 0.0):
+        with pytest.raises(DomainError, match=rf"^jp_jet requires x >= 2\*\*-340, got {x!r}$"):
+            jp_jet(0.3, x)
 
 
 def test_series_config_validation():

@@ -9,9 +9,13 @@ does; update it together with a CHANGES.md line that says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from sigeom.cli import main
+from mp_bessel import JET_BOUND, jet_error
+from sigeom import RevolutionSurface, make_grid
+from sigeom.bessel import k0_jet, y0_jet
+from sigeom.cli import main, parse_profile_spec
 
 FIGURE_FILES = {
     "1a": ("figure1a.csv",),
@@ -53,16 +57,16 @@ SURFACE_DIGESTS = {
     ("bessel-j0", "laplacian1"): (0, "6239f7a3fa7bb4586ee9a884f7f20b02003c98b6d69bf2d746981a4b24fb36c3"),
     ("bessel-j0", "laplacian2"): (0, "a0c34d9a0b1d7484ba3562e7051d8cd709df3daaa2d425cc2fb06d4f7b027cc0"),
     ("bessel-j0", "curvature"): (0, "d9ae076152c217519d5600b495caa6db9543864a06ede83562404c3698afaebd"),
-    ("bessel-jy", "classify1"): (0, "acae8e466de80435cab82d334c64150bf0ced78eb4c7beccc9c5ad7800a758a5"),
-    ("bessel-jy", "classify2"): (0, "f268bea34f3a6a27d2e3d2f6156e5c80ef047b940ce4a88fc7f3187056b41e4e"),
-    ("bessel-jy", "laplacian1"): (0, "97852f183ca60e4a3284714e79ae5953ff52aeee542c250c499042f4d1eda5ff"),
-    ("bessel-jy", "laplacian2"): (0, "2558a79d99b602983b30e8c888c4fac1d68bd3fe0428d1f4777c7c541cc39360"),
-    ("bessel-jy", "curvature"): (0, "df63bdc0e5a719dd2c6edef990d299e56042c5edb72211f6299032cd63ef5582"),
-    ("bessel-ik", "classify1"): (0, "8700c3568611f5dff94ca1967a235240fe78954ba985b932f60b7f6869358d0e"),
-    ("bessel-ik", "classify2"): (0, "2a2a2b82b618b0c2417fd19dcf5f146ab71fe26389da5201706181bf5425a0cb"),
-    ("bessel-ik", "laplacian1"): (0, "1c858b4bd12861a97f732b5b36f15d7e4c67f3ddbf3a8dfeb8638c2eca9d7ea5"),
-    ("bessel-ik", "laplacian2"): (0, "4f24ac24dce06aa84f4c7bd6192b0fea2c912e2447338245627acd571c35cb08"),
-    ("bessel-ik", "curvature"): (0, "57f556d92db5a20428c122564b5dba805d6e361ed0dcf94f4242cf366af0499d"),
+    ("bessel-jy", "classify1"): (0, "7cb2c4fbb289c1d9d4ced4e47a091eddc89a3d24143a28a6d828367a14dec3c5"),
+    ("bessel-jy", "classify2"): (0, "a559c6c31a747059ec39bd9dc9343205506376fc8ef3154f246cd07a9aa5b2bc"),
+    ("bessel-jy", "laplacian1"): (0, "fc25d0de5b705faba2309f149b373163ab41e46430a524bcb931b449c93e418d"),
+    ("bessel-jy", "laplacian2"): (0, "db66aac2c199ab1e50378b00db256bfb16571f61b823733ee5821a036e1f9143"),
+    ("bessel-jy", "curvature"): (0, "60697673a68795096393b82b14edb68bd95ac4787efd1806f890e3c7a87d6bf5"),
+    ("bessel-ik", "classify1"): (0, "92c08ccdd11315b76a0be062d5368ffe276728840649b4c05c3dfd3f824c4dd8"),
+    ("bessel-ik", "classify2"): (0, "96d9e04b4da0d2039ccd19e5d713b6cf0a7d84f4619a4620571380c8b2000a89"),
+    ("bessel-ik", "laplacian1"): (0, "eae4f1583d89752cfcec058748ef56af360164035ec7f520e4447af1558151c5"),
+    ("bessel-ik", "laplacian2"): (0, "3bd87a3b89847071ea68aa249f1a3d39a47d04e532149bf887bce1708f0d8ed0"),
+    ("bessel-ik", "curvature"): (0, "25f55c5b08bd148fc07bb4ed6c1629165b1e0282290adf0253104468036afcab"),
     ("expr-bessel", "classify1"): (0, "c564f5945b58ae4b11a139f63a8745a95938842a63d09fc9382004cf80142919"),
     ("expr-bessel", "classify2"): (0, "b19c90938f4890c8c83e38daea6a9a09d7a1a84713b272b5ebb0434fe9deebe5"),
     ("expr-bessel", "laplacian1"): (0, "45667780993f786294b325ed9e11fc6ad86fa0ac136cf5dfe980d224996fe36a"),
@@ -110,14 +114,14 @@ LARGE_SURFACE_DIGESTS = {
     ("expr-elem", "curvature", "8193x2"): "753711836a3b0f5c5b7eba514c9aee60c1fb059cb17681ae9703d577f8c24a5e",
     # one u row of 4099 points spans a block boundary; the writer prints the
     # u, v, d3 and z columns of these grids once per distinct value
-    ("bessel-ik", "laplacian1", "5x4099"): "5d24c884fe496ec0fab35a22d0448436622cde6fa412a6c5ee883eb9703be4d0",
-    ("bessel-ik", "laplacian2", "5x4099"): "93b44bfd00946909e9de0d599590f10d1b98c0704414747f2c18f9354d314226",
-    ("bessel-ik", "mesh", "5x4099"): "57425ecb6965707b9bf1cee7d961013ab3c5027d5f383ac742a434852e8531b6",
+    ("bessel-ik", "laplacian1", "5x4099"): "8f4dec0e452c6f0e8264e2f58344961346c0281be661a7951a928b677be136a4",
+    ("bessel-ik", "laplacian2", "5x4099"): "b57e723f1251d14ff7a658ded412c623b76f547ce8d0a7afc2ea8fc3cd1904f4",
+    ("bessel-ik", "mesh", "5x4099"): "1b0849954f6ca12d26618ba1aeb6b20246f733a20fbb022350e28fc91e4a324c",
     ("bessel-j0", "laplacian1", "5x4099"): "573363de64f82b0d19e0162d89611de7816a9354c868a11b3f856092b73a9879",
     ("bessel-j0", "laplacian2", "5x4099"): "7c7225e271a077fd5d53314d197247f77f93ea737de03e663a93a63774eeabce",
     ("bessel-j0", "mesh", "5x4099"): "7e31d72fe47c5e26c15e6cf104f9aee680bd7156292ca9593666ba276241a113",
-    ("bessel-jy", "laplacian1", "5x4099"): "87a11a8702ba654a7858b09a5c7c6f23a0c22e3531118185d4bc795c54103d49",
-    ("bessel-jy", "laplacian2", "5x4099"): "212fcb2d68e595751da94ad8d43645bd736f0b1b0ae307f5b672fdb60346cf82",
+    ("bessel-jy", "laplacian1", "5x4099"): "f63ed67b897e5a69d4e7b934cde5d0e5b84c9f257380535ddcea0d8777710bb6",
+    ("bessel-jy", "laplacian2", "5x4099"): "7c7b423e94c15e0e4a21c9c29f84bd1045cb684bb446f77acc03559dda75e036",
     ("bessel-jy", "mesh", "5x4099"): "df69a33f3d8703255066d01c2c019e23ec2aa8120ede60eba3f03624af58f721",
     ("consth", "laplacian1", "5x4099"): "f4fe22cdd9116791b153349ef2545c4997800321bb581022e026af1dc510596b",
     ("consth", "laplacian2", "5x4099"): "cf8420c7972247f8102bc6ce1684564b1936129e780858e0157acdb2ca43a89c",
@@ -150,6 +154,26 @@ LARGE_BESSEL_DIGESTS = {
 }
 
 
+# the surfaces re-pinned when the Y0 and K0 jets became the merged sums of
+# the values, with the Bessel jet and scale s of their profile (it takes
+# the jet at s u): each digest test also checks those jets at the
+# surface's radii against mpmath, to the bound of tests/mp_bessel.py
+MERGED_JETS = {"bessel-jy": (y0_jet, "y0", 2.0), "bessel-ik": (k0_jet, "k0", 1.0)}
+
+
+def check_merged_jets(name, grid=None):
+    if name not in MERGED_JETS:
+        return
+    spec, _, u, v, spec_grid = SPECS[name]
+    jet, kind, s = MERGED_JETS[name]
+    nu, nv = (int(n) for n in (grid or spec_grid).split("x"))
+    u_range, v_range = (tuple(float(e) for e in r.split(":")) for r in (u, v))
+    surface = RevolutionSurface(parse_profile_spec(spec), u_range=u_range, v_range=v_range)
+    xs = s * np.concatenate((np.linspace(*u_range, nu), make_grid(surface, nu, nv).u))
+    for x, got in zip(xs.tolist(), np.array(jet(xs)).T):
+        assert jet_error(kind, x, got) <= JET_BOUND, (name, x)
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -178,12 +202,14 @@ def test_figure_digests(tmp_path, fid):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_surface_digests(tmp_path, name, action):
     assert surface_digest(tmp_path, name, action) == SURFACE_DIGESTS[(name, action)]
+    check_merged_jets(name)
 
 
 @pytest.mark.parametrize("name, action, grid", sorted(LARGE_SURFACE_DIGESTS))
 def test_surface_digests_past_a_block(tmp_path, name, action, grid):
     digest = LARGE_SURFACE_DIGESTS[(name, action, grid)]
     assert surface_digest(tmp_path, name, action, grid) == (0, digest)
+    check_merged_jets(name, grid)
 
 
 @pytest.mark.parametrize("kind", sorted(LARGE_BESSEL_DIGESTS))
