@@ -13,7 +13,9 @@ in double-double arithmetic and rounded once at the end.  Y0 and K0, values
 and jets alike, are the merged rows of `_series`: the terms
 (phi(n) - ell) t_n, ell = ln(x/2) + gamma, and their term-wise derivatives,
 summed as one series stopped on the cancelled total, never as the two
-textbook pieces.  A jet's f is the value to within an ulp.
+textbook pieces.  A jet's f is the value to within an ulp.  Every jet sums
+its row k as x^k times the term-wise k-th derivatives, integer combinations
+of each term and its base, and `_sums` divides each row by x^k once.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
@@ -186,15 +188,15 @@ def _series(
     x: float, sign: float, cfg: SeriesConfig, orders: int, weighted, ell: dd.DD = (0.0, 0.0),
     p: float = 0.0,
 ) -> list[dd.DD]:
-    """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and its first
-    `orders` term-wise derivatives, with w = 1 (weighted=False: J0, I0 and,
-    with sign -1, the sum of J_p) or the merged weight w = phi(n) - ell
-    (weighted=True, p = 0), phi the harmonic numbers and ell the value at x
-    of a function with ell' = 1/x; merged rows k >= 1 are x^k times the
-    derivative.  Requires x^orders (merged: x^3) != 0 in floats; no sum
-    stops before its n = 2 term, the first of a plain third derivative.
-    weighted=_BOTH returns the rows of both, plain first, from two passes
-    (`_series_array` sums both in one; the bits are the same).
+    """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and x^k times its
+    k-th term-wise derivative, k = 1..orders, with w = 1 (weighted=False:
+    J0, I0 and, with sign -1, the sum of J_p) or the merged weight
+    w = phi(n) - ell (weighted=True, p = 0), phi the harmonic numbers and ell
+    the value at x of a function with ell' = 1/x.  `_sums` divides row k by
+    x^k.  Merged: requires x^3 != 0 in floats; no sum stops before its n = 2
+    term, the first of a plain third derivative.  weighted=_BOTH returns the
+    rows of both, plain first, from two passes (`_series_array` sums both in
+    one; the bits are the same).
 
     With ell = ln(x/2) + gamma, the merged rows are the jet of K0 (sign +1)
     and of -(pi/2) Y0 (sign -1), each stopped on the cancelled total, not
@@ -208,15 +210,14 @@ def _series(
     inv3 = 1.0 / (x * x * x) if weighted and orders else 0.0
     n = 0
     while n < cfg.max_terms:
-        if weighted:
+        t = dd.mul(b, dd.add(_phi(n), nell)) if weighted else b
+        if orders:  # x^k times the k-th derivative: t F_k (0 once k > 2n), merged t F_k - b G_k
             f, g = _factors(2 * n)
-            t = dd.mul(b, dd.add(_phi(n), nell))
-            for k in range(1, orders + 1):  # x^k times the k-th derivative, t F_k - b G_k
-                sums[k] = dd.add(sums[k], dd.add(dd.mul_f(t, float(f[k - 1])), dd.mul_f(b, float(g[k - 1]))))
-        else:
-            t = b
-            if orders and n:
-                _add_derivatives(sums, t, 2 * n, x, orders)
+            for k in range(1, (orders if weighted else min(orders, 2 * n)) + 1):
+                term = dd.mul_f(t, float(f[k - 1]))
+                if weighted:
+                    term = dd.add(term, dd.mul_f(b, float(g[k - 1])))
+                sums[k] = dd.add(sums[k], term)
         sums[0] = dd.add(sums[0], t)
         n += 1
         # J_p divides by n (p + n); the order-0 sums by n^2, which is exact
@@ -239,28 +240,18 @@ def _series(
     )
 
 
-def _add_derivatives(sums: list[dd.DD], t: dd.DD, m: int, x: float, orders: int) -> None:
-    """Add the first `orders` derivatives of t, a plain series term of
-    degree m >= 2 in x, into sums[1:]."""
-    # the k-th derivative is t m (m-1) ... (m-k+1) / x^k, none once k > m.
-    # Unrolled: a loop over k made the kernels ~9% slower.
-    sums[1] = dd.add(sums[1], dd.div_f(dd.mul_f(t, float(m)), x))
-    if orders >= 2:
-        sums[2] = dd.add(sums[2], dd.div_f(dd.mul_f(t, float(m * (m - 1))), x * x))
-    if orders >= 3 and m >= 3:
-        sums[3] = dd.add(sums[3], dd.div_f(dd.mul_f(t, float(m * (m - 1) * (m - 2))), x * x * x))
-
-
 @functools.lru_cache(maxsize=None)
 def _phi(n: int) -> dd.DD:
     """The harmonic number phi(n) in double-double, as `_series` sums it."""
     return dd.add(_phi(n - 1), dd.div_f((1.0, 0.0), float(n))) if n else (0.0, 0.0)
 
 
+@functools.lru_cache(maxsize=None)
 def _factors(m: int) -> tuple:
     """F = (m, m (m-1), m (m-1) (m-2)) and -G = -(1, 2m - 1, 3m (m-1) - 3m + 2):
-    by the product rule with ell' = 1/x, the k-th derivative of a merged
-    term t = (phi(n) - ell) b of degree m = 2n is (t F_k - b G_k) / x^k."""
+    the k-th derivative of a plain term b of degree m = 2n is b F_k / x^k
+    (0 once k > m), and by the product rule with ell' = 1/x, that of a merged
+    term t = (phi(n) - ell) b is (t F_k - b G_k) / x^k."""
     return (m, m * (m - 1), m * (m - 1) * (m - 2)), (-1, 1 - 2 * m, -(3 * m * (m - 1) - 3 * m + 2))
 
 
@@ -287,11 +278,11 @@ def _ipow(v, k: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _factor_column(n: int, plain: bool, k: int) -> np.ndarray:
-    """The integer factors of `_series_array`'s rows after b q in pass n:
-    F (plain), then F_1..k and -G_1..k of term n - 1.  Read only."""
+def _factor_column(n: int, kp: int, k: int) -> np.ndarray:
+    """The factors of `_series_array`'s rows after b q in pass n: F_1..kp
+    of term n (plain), then F_1..k and -G_1..k of term n - 1.  Read only."""
     (f, _), (fp, gp) = _factors(2 * n), _factors(max(2 * n - 2, 0))
-    return np.array((f if plain else ()) + fp[:k] + gp[:k], dtype=np.float64)[:, None]
+    return np.array(f[:kp] + fp[:k] + gp[:k], dtype=np.float64)[:, None]
 
 
 def _series_array(
@@ -299,56 +290,56 @@ def _series_array(
     orders: int = 3,
 ) -> list[dd.DD]:
     """`_series` at every element of an array x, ell a pair of floats or of
-    arrays like x: the plain set's four rows (rows 1-3 not finite where
-    x = 0), and the merged set's rows 0..orders (the others 0).
+    arrays like x: the rows 0..orders of each set of sums, exact zeros past
+    row 0 of the plain set where x = 0.
 
     Pass n is one run of each double-double stage over stacked rows, each a
     multiplicand times a factor: b (the series base) times c = phi - ell
-    (the merged term tw), q and F_1..3 (plain), then the previous pass's tw
-    and b times F_1..k and -G_1..k, k = orders.  Divided by (n+1)^2 and
-    x^k, the b q and b F rows are the next b and the plain derivatives; the
-    last 2k rows, added, are the previous merged term's derivatives (times
-    x^k), so the merged rows 1.. freeze a pass after row 0.  The c and q
+    (the merged term tw), q and F_1..k (plain), then the previous pass's tw
+    and b times F_1..k and -G_1..k, k = orders.  Divided by (n+1)^2, or
+    for p != 0 by n (p + n), the b q row is the next b; the b F rows are
+    the plain rows' terms; the last 2k rows, added, are the previous merged
+    term's, so the merged rows 1.. freeze a pass after row 0.  The c and q
     rows' product errors get a_hi f_lo + a_lo f_hi as in `dd.mul`, the
-    others a_lo F as in `dd.mul_f`, and for p != 0 the next b is
-    b q / (n (p + n)) by `dd.div`: each element sees the IEEE operations of
+    others a_lo F as in `dd.mul_f`: each element sees the IEEE operations of
     the scalar loop, its sums frozen where that loop stops them, so the
-    results are bit-identical; plain rows with m < k take a zero term.  The
-    stages run in place (`dd.*_into`) on workspaces allocated per call.
+    results are bit-identical (the plain terms with F_k = 0 that loop skips
+    add zeros to zero sums).  The stages run in place (`dd.*_into`).
     """
     both, plain = weighted is _BOTH, weighted is _BOTH or not weighted
-    k = orders if weighted else 0
-    lanes, top = x.size, 8 if both else 4  # the rows of the sums
+    per_set, sets = orders + 1, 2 if both else 1
+    kp, k = (orders if plain else 0), (orders if weighted else 0)
+    lanes, top = x.size, per_set * sets  # the rows of the sums
     hi, lo = np.empty((top, lanes)), np.empty((top, lanes))
     if not lanes:
         return list(zip(hi, lo))
-    # the rows: b c (merged), b q at ib, b F_1..3 (plain), divided from ib
-    # to ie, then the previous tw times F_1..k and b times -G_1..k
-    ib, bt = (1, 0) if weighted else (0, 1)  # row bt keeps this pass's b
-    ie = ib + (4 if plain else 1)
-    height, nell, wc = ie + 2 * k, dd.neg(ell), 1 if weighted else 0
+    # the rows: b c (merged), b q at ib, b F_1..kp (plain), then from ie on
+    # the previous tw times F_1..k and b times -G_1..k
+    ib = 1 if weighted else 0
+    ie = ib + 1 + kp
+    head = top - per_set  # the merged set's row 0 in the sums
     with np.errstate(all="ignore"):
-        q, xx = dd.mul_f(dd.two_prod(x, x), 0.25 * sign), x * x
-        # the workspaces; `step`, this pass's terms in the rows of the sums,
-        # is the rows from the divided ones on, and with the merged set one
-        # more, where the add into the sums forms the next c as `dd.add` does
-        space = np.zeros((13, max(height, ib + top + wc), lanes))
-        rows, prod, bq = (space[i : i + 2, :height] for i in range(0, 6, 2))
-        work, factors, flo = list(space[6:11, :height]), space[11, :height], space[12, :height]
-        step, acc = space[2:4, ib : ib + top + wc], np.zeros((5, top + wc, lanes))
-        sums, work_top, nell_rows = tuple(acc[:2]), acc[2:], np.array([np.broadcast_to(v, lanes) for v in nell])
-        divisors = np.array([x, x, xx, xx * x][: ie - ib])  # row 0 is set to (n+1)^2 per pass
-        divide = (bq[:, ib:ie], divisors, prod[:, ib:ie], [a[ib:ie] for a in work])
-        merge = (bq[:, ie : ie + k], bq[:, ie + k :], step[:, top - 3 : top - 3 + k], [a[:k] for a in work])
+        q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
+        space = np.zeros((13, ie + 2 * k, lanes))
+        rows, prod, bq = (space[i : i + 2] for i in range(0, 6, 2))
+        work, factors, flo = list(space[6:11]), space[11], space[12]
+        work_b = [a[ib] for a in work]
+        # the sums and `step`, this pass's terms in their rows; with the merged
+        # set one more row, where phi(n) + (-ell) forms the next c as `dd.add` does
+        acc = np.zeros((7, top + (1 if weighted else 0), lanes))
+        sums, step, work_top = tuple(acc[:2]), acc[2:4], acc[4:]
+        merge = (bq[:, ie : ie + k], bq[:, ie + k :], step[:, head + 1 : head + 1 + k], [a[:k] for a in work])
         factors[ib], flo[ib] = q
-        if weighted:
+        if weighted:  # c = phi(0) - ell, and -ell in the row that forms the next c
+            nell = dd.neg(ell)
             factors[0], flo[0] = dd.add(_phi(0), nell)
+            step[0, top], step[1, top] = nell
         rows[0][:ie] = 1.0
         b = (rows[0][ib], rows[1][ib])  # views: b is updated in place
-        pending = np.ones((top // 4, lanes), dtype=bool)  # per set of sums
-        was_small = np.zeros((top // 4, lanes), dtype=bool)
-        lead = np.empty((top // 4, lanes)) if weighted else b[0]  # each set's stop lead
-        inv3, scale = np.divide(1.0, xx * x), np.empty(lanes)
+        pending = np.ones((sets, lanes), dtype=bool)
+        was_small = np.zeros((sets, lanes), dtype=bool)
+        lead = np.empty((sets, lanes)) if weighted else b[0]  # each set's stop lead
+        inv3, scale = np.divide(1.0, x * x * x), np.empty(lanes)
         n, active, lag = 0, True, None  # lag: the merged lanes whose rows 1.. freeze next
         while active or lag is not None:
             if n == cfg.max_terms and active:
@@ -357,37 +348,33 @@ def _series_array(
                     f"at x={float(x[np.argmax(pending.any(axis=0))])!r}"
                 )
             rows[:, :ie] = rows[:, ib : ib + 1]
-            factors[ib + 1 :] = _factor_column(n, plain, k)
+            factors[ib + 1 :] = _factor_column(n, kp, k)
             dd.two_prod_into(rows[0], factors, prod, work)
             t, v = work[0], work[1][: ib + 1]  # the product errors' low-part terms
             np.multiply(rows[1], factors, t)
             np.multiply(rows[0][: ib + 1], flo[: ib + 1], v)
             np.add(v, t[: ib + 1], t[: ib + 1])
             np.add(prod[1], t, prod[1])
-            m, n = 2 * n, n + 1
-            divisors[0] = float(n * n)
+            n += 1
             dd.two_sum_into(prod[0], prod[1], bq, work)
-            dd.div_f_into(*divide)
-            if p:  # J_p's next b, as in `_series`
-                prod[0][ib], prod[1][ib] = dd.div((bq[0][ib], bq[1][ib]), dd.two_prod(float(n), p + n))
-            if k:  # the previous merged term's tw F_k + b (-G_k)
+            if plain:  # this pass's b and b F_1..kp
+                step[:, 0], step[:, 1:per_set] = rows[:, ib], bq[:, ib + 1 : ie]
+            if k:  # the previous merged term's tw F_k + b (-G_k); this pass's tw and b
                 dd.add_into(*merge)
-            rows[:, ib] = prod[:, ib]  # the next b; each set's head is this pass's b or tw
-            if plain:
-                step[:, 0] = rows[:, bt]
-                if m < 3:  # the k-th derivative takes a term once m >= k
-                    step[:, m + 1 : 4] = 0.0
-            if k:  # this pass's tw and b, for its derivatives in the next pass
-                rows[:, ie : ie + k], rows[:, ie + k :] = bq[:, :1], rows[:, bt : bt + 1]
-            if weighted:  # tw, and phi and -ell, whose sum is the next c
-                step[:, top - 4], step[:, top], (acc[0, top], acc[1, top]) = bq[:, 0], nell_rows, _phi(n)
+                rows[:, ie : ie + k], rows[:, ie + k :] = bq[:, :1], rows[:, :1]
+            if weighted:  # tw, and phi(n) for the next c
+                step[:, head], (acc[0, top], acc[1, top]) = bq[:, 0], _phi(n)
+            if p:  # J_p's next b, as in `_series`
+                rows[0][ib], rows[1][ib] = dd.div((bq[0][ib], bq[1][ib]), dd.two_prod(float(n), p + n))
+            else:
+                dd.div_f_into(bq[:, ib], float(n * n), rows[:, ib], work_b)
             dd.add_into(sums, step, sums, work_top)
             if lag is not None:
-                np.copyto(hi[top - 3 :], sums[0][top - 3 : top], where=lag)
-                np.copyto(lo[top - 3 :], sums[1][top - 3 : top], where=lag)
+                np.copyto(hi[head + 1 :], sums[0][head + 1 : top], where=lag)
+                np.copyto(lo[head + 1 :], sums[1][head + 1 : top], where=lag)
                 lag = None
             if weighted:  # the next c, and the merged lead, scaled as in `_series`
-                space[11:13, 0] = acc[:2, top]
+                factors[0], flo[0] = acc[0, top], acc[1, top]
                 np.multiply(b[0], _phi(n)[0] - ell[0], lead[-1])
                 if k:
                     np.multiply(float(8 * n**3), inv3, scale)
@@ -397,12 +384,12 @@ def _series_array(
                     lead[0] = b[0]
             # each set's small-term test, as in `_series`; a streak of two is
             # a small term now and one before, and none stops before n = 2
-            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][:top:4])
+            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][:top:per_set])
             stop, was_small = pending & small & was_small, small
             if n > 2 and stop.any():
-                frozen = np.repeat(stop, 4, axis=0)  # each set's four rows
+                frozen = np.repeat(stop, per_set, axis=0)  # each set's rows
                 if k and stop[-1].any():  # but the merged rows 1.. a pass later
-                    lag, frozen[top - 3 :] = stop[-1], False
+                    lag, frozen[head + 1 :] = stop[-1], False
                 np.copyto(hi, sums[0][:top], where=frozen)
                 np.copyto(lo, sums[1][:top], where=frozen)
                 pending &= ~stop
@@ -411,11 +398,20 @@ def _series_array(
 
 
 def _sums(x, sign: float, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
-    """`_series` at a float x, `_series_array` at an array (all four rows of
-    a plain set), of each set of sums that `weighted` asks for."""
+    """The rows 0..orders of each set of sums that `weighted` asks for, from
+    `_series` at a float x and `_series_array` at an array: the sums and
+    their term-wise derivatives, rows k >= 1 divided by x^k here alone."""
     if _is_array(x):
-        return _series_array(x, sign, cfg, weighted, ell, p, orders)
-    return _series(x, sign, cfg, orders, weighted, ell, p)
+        sums = _series_array(x, sign, cfg, weighted, ell, p, orders)
+    else:
+        sums = _series(x, sign, cfg, orders, weighted, ell, p)
+    if orders:
+        powers = (x, x * x, x * x * x)
+        with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
+            for i, row in enumerate(sums):
+                if i % (orders + 1):
+                    sums[i] = dd.div_f(row, powers[i % (orders + 1) - 1])
+    return sums
 
 
 def _log_half_dd(x) -> dd.DD:
@@ -467,12 +463,12 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 # jets: value and term-wise series derivatives up to third order
 
 
-# Below this |x|, x^3 is subnormal: the series' divisions by x^3 (and, below
-# 2^-511, by x^2) lose digits or divide by zero.  The jet there is
-# (1, sign x/2, sign/2, 0), its limit at x = 0: the rounded jet but for the
-# third derivative 3x/8 < 2e-103.  Above, the third derivative's first term
-# (n = 2, x^4/64 over x^3) is a subnormal or zero product up to about
-# 2^-255, off by less than 3x/8 < 1e-76.
+# Below this |x|, x^3 is subnormal: the final division of the third
+# derivative's row by x^3 (and, below 2^-511, of the second's by x^2) loses
+# digits or divides by zero.  The jet there is (1, sign x/2, sign/2, 0), its
+# limit at x = 0: the rounded jet but for the third derivative 3x/8 < 2e-103.
+# Above, that row's first term (n = 2, 24 x^4/64) is a subnormal or zero
+# product up to about 2^-255, off by less than 3x/8 < 1e-76.
 _TINY = 2.0**-340
 
 
@@ -520,8 +516,6 @@ def _log_jet(x, sign: float, cfg: SeriesConfig, scale: dd.DD | None) -> _LogJet:
     float, with the same bits."""
     _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
     sums = _sums(x, sign, cfg, _BOTH, _log_half_dd(x))
-    for k, xk in enumerate((x, x * x, x * x * x), 5):  # the merged rows 1-3 are x^k times theirs
-        sums[k] = dd.div_f(sums[k], xk)
     jet = _LogJet(dd.to_float(dd.mul(scale, v) if scale else v) for v in sums[4:])
     jet.primary = tuple(dd.to_float(v) for v in sums[:4])  # no x >= 2^-330 is below _TINY
     return jet
@@ -548,6 +542,8 @@ def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
 def _check_jp_args(p: float, x: float) -> None:
     if not (math.isfinite(p) and math.isfinite(x)):
         raise DomainError("bessel_j requires finite arguments")
+    if not math.isfinite(2.0 * p):
+        raise DomainError(f"bessel_j requires a finite 2p, got p={p!r}")
     if float(2.0 * p) == math.floor(2.0 * p):
         raise DomainError(f"bessel_j requires 2p to be a non-integer, got p={p!r}")
     if x < 0.0:
@@ -598,7 +594,7 @@ def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[floa
     """(J_p, J_p', J_p'', J_p''')(x) for x >= 2^-340 via the product rule on
     A(x) = x^p / (2^p Gamma(1+p)) and the term-wise differentiated sum."""
     _check_jp_args(p, x)
-    if x < _TINY:  # x^3 is subnormal or 0 there, and the series divides by it
+    if x < _TINY:  # x^3 is subnormal or 0 there, and `_sums` divides by it
         raise DomainError(f"jp_jet requires x >= 2**-340, got {x!r}")
     s = [dd.to_float(v) for v in _sums(x, -1.0, cfg, False, p=p)]
     a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)

@@ -1,11 +1,12 @@
-"""mpmath references for the Y0 and K0 jets, shared by the tests that check
+"""mpmath references for the Bessel jets, shared by the tests that check
 them against the bounds documented in `sigeom.bessel`.
 
 K0 and K1 are summed from their series (DLMF 10.31.2 and 10.31.1) in mpmath,
 at 50 digits plus the digits the sums cancel: mpmath's besselk takes tens of
 milliseconds an argument near x = 20, and agrees with these sums to 1e-50
-there.  Y0 and Y1 are mpmath's bessely.  The second and third derivatives
-follow from the Bessel equation and its derivative.
+there.  Y0 and Y1 are mpmath's bessely, J_p and J_(p+1) its besselj, and
+I0 and I1 its besseli.  The second and third derivatives follow from the
+Bessel equation and its derivative.
 """
 
 import functools
@@ -52,3 +53,30 @@ def jet_error(kind: str, x: float, got) -> float:
     with mpmath.workdps(50):
         scale = abs if kind == "k0" else lambda w: max(1, abs(w))
         return max(float(abs(mpmath.mpf(float(g)) - w) / scale(w)) for g, w in zip(got, jet_reference(kind, x)))
+
+
+@functools.lru_cache(maxsize=None)
+def plain_jet_reference(kind: str, p: float, x: float) -> tuple:
+    """(f, f', f'', f''') of J_p (kind "j", J0 at p = 0) or of I0 (kind "i",
+    p = 0) at x > 0, to 50 digits."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        if kind == "i":
+            f, f1, sign = mpmath.besseli(0, m), mpmath.besseli(1, m), 1
+        else:  # J_p' = (p/x) J_p - J_(p+1)
+            f, sign = mpmath.besselj(p, m), -1
+            f1 = p / m * f - mpmath.besselj(p + 1, m)
+        # x^2 f'' + x f' - (sign x^2 + p^2) f = 0, and its derivative
+        c = sign + p * p / m**2
+        f2 = c * f - f1 / m
+        return f, f1, f2, c * f1 - 2 * p * p / m**3 * f - f2 / m + f1 / m**2
+
+
+def plain_jet_errors(kind: str, p: float, x: float, got) -> list:
+    """The error of each component of got, a J_p or I0 jet at x, against
+    max(1, |f^(k)|)."""
+    with mpmath.workdps(50):
+        return [
+            float(abs(mpmath.mpf(float(g)) - w) / max(1, abs(w)))
+            for g, w in zip(got, plain_jet_reference(kind, p, x))
+        ]

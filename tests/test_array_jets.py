@@ -112,6 +112,32 @@ def test_series_array_against_scalar_kernels(lanes, sign, weighted):
         assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
 
 
+# each set has the rows 0..orders of `_series`, row k >= 1 x^k times the
+# k-th derivative; `_sums` divides them
+@pytest.mark.parametrize("orders", [0, 1, 2, 3])
+@pytest.mark.parametrize("weighted", [False, True, bessel._BOTH], ids=["plain", "weighted", "both"])
+def test_series_array_sums_the_rows_it_is_asked_for(orders, weighted):
+    xs, cfg = _lanes(24), bessel.DEFAULT_SERIES
+    sums = bessel._series_array(xs, 1.0, cfg, weighted, bessel._log_half_dd(xs), orders=orders)
+    ref = [bessel._series(x, 1.0, cfg, orders, weighted, bessel._log_half_dd(x)) for x in xs.tolist()]
+    assert len(sums) == len(ref[0]) == (orders + 1) * (2 if weighted is bessel._BOTH else 1)
+    for k, (hi, lo) in enumerate(sums):
+        assert_bit_identical(hi, [r[k][0] for r in ref])
+        assert_bit_identical(lo, [r[k][1] for r in ref])
+
+
+def test_plain_series_rows_at_zero_lanes_are_exact_zeros():
+    xs = np.array([0.0, 1.5, -0.0, 4.0])
+    for sign in (-1.0, 1.0):
+        sums = bessel._series_array(xs, sign, bessel.DEFAULT_SERIES, False)
+        ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 3, False) for x in xs.tolist()]
+        for k, (hi, lo) in enumerate(sums):
+            assert_bit_identical(hi, [r[k][0] for r in ref])
+            assert_bit_identical(lo, [r[k][1] for r in ref])
+            if k:
+                assert hi[[0, 2]].tolist() == lo[[0, 2]].tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("lanes", [1, 5, 21, 24, 401])
 def test_log_half_against_scalar(lanes):
     xs = _lanes(lanes)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -29,7 +30,7 @@ from sigeom import (
 )
 from sigeom.bessel import i0_jet, j0_jet, jp_jet, k0_jet, y0_jet
 
-from mp_bessel import JET_BOUND, jet_error
+from mp_bessel import JET_BOUND, jet_error, plain_jet_errors
 
 # step for finite-difference residual checks; large arguments need the
 # x-proportional cap to keep the log-singular functions resolved near 0
@@ -288,6 +289,40 @@ def test_y0_k0_jets_against_mpmath(kind, jet, value):
         assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
         assert jet_error(kind, x, got) <= JET_BOUND, x
         assert abs(got[0] - value(x)) <= math.ulp(got[0]), x
+
+
+# every order of the J0, I0 and J_p jets against mpmath (tests/mp_bessel.py)
+# on [1e-4, 20], against max(1, |f^(k)|): orders 0-2 of J0, I0 and J_1.25
+# hold JET_BOUND.  The bounds above it are measured levels, each a known
+# defect (CHANGES.md FOUND).  The J0/I0 series stop on the value row, so
+# their third derivatives are off by 6.0e-12 near x = 5e-4 (J0'''(1e-4) by
+# 1.4e-9 relative).  J_p's series divides each term by n (p + n) with p + n
+# rounded, which for p = 0.3 and -1.7 costs up to 1.8e-10 at x = 20 in every
+# order.  J_p''' adds its four product-rule terms in floats (4.6e-15).
+PLAIN_JET_XS = np.concatenate((np.geomspace(1e-4, 1.0, 100), np.linspace(1.0, 20.0, 100)[1:]))
+
+
+@pytest.mark.parametrize("kind, p, jet, bounds", [
+    ("j", 0.0, j0_jet, (JET_BOUND,) * 3 + (1e-11,)),
+    ("i", 0.0, i0_jet, (JET_BOUND,) * 3 + (1e-11,)),
+    ("j", 1.25, lambda x: jp_jet(1.25, x), (JET_BOUND,) * 3 + (1e-14,)),
+    ("j", 0.3, lambda x: jp_jet(0.3, x), (2e-10,) * 4),
+    ("j", -1.7, lambda x: jp_jet(-1.7, x), (3e-10,) * 4),
+], ids=["j0", "i0", "jp(1.25)", "jp(0.3)", "jp(-1.7)"])
+def test_plain_jets_against_mpmath(kind, p, jet, bounds):
+    for x in PLAIN_JET_XS.tolist():
+        errors = plain_jet_errors(kind, p, x, jet(x))
+        assert all(e <= bound for e, bound in zip(errors, bounds)), (x, errors)
+
+
+# 2p overflows for |p| > 8.9e307, where the non-integer test's math.floor
+# raised OverflowError
+@pytest.mark.parametrize("p", [1e308, -1e308, 1.7976931348623157e308])
+def test_jp_refuses_an_infinite_2p(p):
+    want = "^" + re.escape(f"bessel_j requires a finite 2p, got p={p!r}") + "$"
+    for run in (lambda: bessel_j(p, 1.0), lambda: bessel_j(p, np.array([1.0, 2.0])), lambda: jp_jet(p, 1.0)):
+        with pytest.raises(DomainError, match=want):
+            run()
 
 
 # x^3 is subnormal below 2^-340 and J_p's series divides by it: 1e-110 ended

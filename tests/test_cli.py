@@ -83,6 +83,11 @@ def test_bessel_jp_needs_p(capsys):
     assert main(["bessel", "--kind", "jp", "--range", "0.5:5"]) == 2
 
 
+def test_bessel_jp_refuses_an_infinite_2p(capsys):
+    assert main(["bessel", "--kind", "jp", "--p", "1e308", "--range", "1:2", "--n", "3"]) == 3
+    assert capsys.readouterr().err == "error: bessel_j requires a finite 2p, got p=1e+308\n"
+
+
 def test_bessel_non_convergence(capsys):
     assert main(["bessel", "--kind", "j0", "--range", "0:200", "--n", "5"]) == 5
 
