@@ -11,11 +11,14 @@ x (at x = 10 the largest J0 term is ~678 against a sum of ~0.25, and K0
 is the difference of two ~6000-sized pieces), so all series are accumulated
 in double-double arithmetic and rounded once at the end.  Y0 and K0, values
 and jets alike, are the merged rows of `_series`: the terms
-(phi(n) - ell) t_n, ell = ln(x/2) + gamma, and their term-wise derivatives,
+(phi(n) - ell) t_n, ell = ln(x/2) + gamma, and x times their derivatives,
 summed as one series stopped on the cancelled total, never as the two
-textbook pieces.  A jet's f is the value to within an ulp.  Every jet sums
-its row k as x^k times the term-wise k-th derivatives, integer combinations
-of each term and its base, and `_sums` divides each row by x^k once.
+textbook pieces.  The kernels sum two rows of each series, f and x f';
+`_sums` alone divides x f' by x and forms f'' and f''' from the equation
+x f'' + (2p+1) f' - sign x f = 0 that the series solves (sign -1 for J and
+Y, +1 for I and K), so a jet satisfies it up to the last roundings.  Near
+x = 0 that f''' of J0 and I0 cancels, and below |x| = 2^-26 their jets are
+the Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
@@ -188,51 +191,47 @@ def _series(
     x: float, sign: float, cfg: SeriesConfig, orders: int, weighted, ell: dd.DD = (0.0, 0.0),
     p: float = 0.0,
 ) -> list[dd.DD]:
-    """Sums of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and x^k times its
-    k-th term-wise derivative, k = 1..orders, with w = 1 (weighted=False:
-    J0, I0 and, with sign -1, the sum of J_p) or the merged weight
-    w = phi(n) - ell (weighted=True, p = 0), phi the harmonic numbers and ell
-    the value at x of a function with ell' = 1/x.  `_sums` divides row k by
-    x^k.  Merged: requires x^3 != 0 in floats; no sum stops before its n = 2
-    term, the first of a plain third derivative.  weighted=_BOTH returns the
-    rows of both, plain first, from two passes (`_series_array` sums both in
-    one; the bits are the same).
+    """The sum of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and, if orders,
+    x times its term-wise derivative, with w = 1 (weighted=False: J0, I0 and,
+    with sign -1, the sum of J_p) or the merged weight w = phi(n) - ell
+    (weighted=True, p = 0), phi the harmonic numbers and ell the value at x
+    of a function with ell' = 1/x.  `_sums` forms the derivatives from these
+    two rows.  No sum stops before its n = 2 term, which f''' needs at small
+    x.  weighted=_BOTH returns the rows of both, plain first, from two passes
+    (`_series_array` sums both in one; the bits are the same).
 
-    With ell = ln(x/2) + gamma, the merged rows are the jet of K0 (sign +1)
+    With ell = ln(x/2) + gamma, the merged rows are those of K0 (sign +1)
     and of -(pi/2) Y0 (sign -1), each stopped on the cancelled total, not
     on the two large textbook pieces.
     """
     if weighted is _BOTH:
         return _series(x, sign, cfg, orders, False, ell, p) + _series(x, sign, cfg, orders, True, ell, p)
     q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
-    nell = dd.neg(ell)
-    sums, b, was_small = [(0.0, 0.0)] * (orders + 1), (1.0, 0.0), False
-    inv3 = 1.0 / (x * x * x) if weighted and orders else 0.0
+    nell, ax = dd.neg(ell), abs(x)
+    m2 = dd.mul_f(nell, 2.0)  # -2 ell, exact
+    s, xds, b, was_small = (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), False
     n = 0
     while n < cfg.max_terms:
         t = dd.mul(b, dd.add(_phi(n), nell)) if weighted else b
-        if orders:  # x^k times the k-th derivative: t F_k (0 once k > 2n), merged t F_k - b G_k
-            f, g = _factors(2 * n)
-            for k in range(1, (orders if weighted else min(orders, 2 * n)) + 1):
-                term = dd.mul_f(t, float(f[k - 1]))
-                if weighted:
-                    term = dd.add(term, dd.mul_f(b, float(g[k - 1])))
-                sums[k] = dd.add(sums[k], term)
-        sums[0] = dd.add(sums[0], t)
+        if orders:  # x t' of a term of degree 2n: b 2n, or b d, d = 2n (phi(n) - ell) - 1, if merged
+            if weighted:
+                xds = dd.add(xds, dd.mul(b, dd.add(_dphi(n), dd.mul_f(m2, float(n)))))
+            else:
+                xds = dd.add(xds, dd.mul_f(b, float(2 * n)))
+        s = dd.add(s, t)
         n += 1
-        # J_p divides by n (p + n); the order-0 sums by n^2, which is exact
+        # J_p divides by n (p + n), with p + n exact; the order-0 sums by n^2, which is exact
         b = dd.mul(b, q)
-        b = dd.div(b, dd.two_prod(float(n), p + n)) if p else dd.div_f(b, float(n * n))
-        lead = b[0] * (_phi(n)[0] - ell[0]) if weighted else b[0]
-        if inv3:  # the next merged term's k-th derivative is about (2n/x)^k times it:
-            # so scaled, the test holds each row's truncation below rel_tol |f|
-            lead *= max(float(8 * n**3) * inv3, 1.0)
-        # the next term is small against the sum; with a zero sum, |lead| <= 0 is lead == 0.
-        # No stop before the n = 2 term, the first of the third derivative
-        if not abs(lead) <= cfg.rel_tol * abs(sums[0][0]):
+        b = dd.div(b, dd.mul_f(dd.two_sum(p, float(n)), float(n))) if p else dd.div_f(b, float(n * n))
+        lead, tol = abs(b[0] * (_phi(n)[0] - ell[0]) if weighted else b[0]), cfg.rel_tol * abs(s[0])
+        if orders:  # the next term's x t' is about 2n times it: so scaled, the test also
+            # holds the derivative's truncation below rel_tol |f|
+            lead, tol = lead * max(2.0 * n, ax), tol * ax
+        # the next term is small against the sum; with a zero sum, lead <= 0 is lead == 0
+        if not lead <= tol:
             was_small = False
         elif was_small and n > 2:
-            return sums
+            return [s, xds] if orders else [s]
         else:
             was_small = True
     raise NonConvergenceError(
@@ -247,12 +246,9 @@ def _phi(n: int) -> dd.DD:
 
 
 @functools.lru_cache(maxsize=None)
-def _factors(m: int) -> tuple:
-    """F = (m, m (m-1), m (m-1) (m-2)) and -G = -(1, 2m - 1, 3m (m-1) - 3m + 2):
-    the k-th derivative of a plain term b of degree m = 2n is b F_k / x^k
-    (0 once k > m), and by the product rule with ell' = 1/x, that of a merged
-    term t = (phi(n) - ell) b is (t F_k - b G_k) / x^k."""
-    return (m, m * (m - 1), m * (m - 1) * (m - 2)), (-1, 1 - 2 * m, -(3 * m * (m - 1) - 3 * m + 2))
+def _dphi(n: int) -> dd.DD:
+    """2n phi(n) - 1 in double-double, the part of a merged term's d free of ell."""
+    return dd.add_f(dd.mul_f(_phi(n), float(2 * n)), -1.0)
 
 
 def _is_array(x) -> bool:
@@ -277,78 +273,73 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
-@functools.lru_cache(maxsize=None)
-def _factor_column(n: int, kp: int, k: int) -> np.ndarray:
-    """The factors of `_series_array`'s rows after b q in pass n: F_1..kp
-    of term n (plain), then F_1..k and -G_1..k of term n - 1.  Read only."""
-    (f, _), (fp, gp) = _factors(2 * n), _factors(max(2 * n - 2, 0))
-    return np.array(f[:kp] + fp[:k] + gp[:k], dtype=np.float64)[:, None]
-
-
 def _series_array(
     x: np.ndarray, sign: float, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
-    orders: int = 3,
+    orders: int = 1,
 ) -> list[dd.DD]:
     """`_series` at every element of an array x, ell a pair of floats or of
-    arrays like x: the rows 0..orders of each set of sums, exact zeros past
-    row 0 of the plain set where x = 0.
+    arrays like x: row 0 and, if orders, row 1 of each set of sums, an exact
+    zero in row 1 of the plain set where x = 0.
 
     Pass n is one run of each double-double stage over stacked rows, each a
-    multiplicand times a factor: b (the series base) times c = phi - ell
-    (the merged term tw), q and F_1..k (plain), then the previous pass's tw
-    and b times F_1..k and -G_1..k, k = orders.  Divided by (n+1)^2, or
-    for p != 0 by n (p + n), the b q row is the next b; the b F rows are
-    the plain rows' terms; the last 2k rows, added, are the previous merged
-    term's, so the merged rows 1.. freeze a pass after row 0.  The c and q
-    rows' product errors get a_hi f_lo + a_lo f_hi as in `dd.mul`, the
-    others a_lo F as in `dd.mul_f`: each element sees the IEEE operations of
-    the scalar loop, its sums frozen where that loop stops them, so the
-    results are bit-identical (the plain terms with F_k = 0 that loop skips
-    add zeros to zero sums).  The stages run in place (`dd.*_into`).
+    multiplicand times a factor: b (the series base) times c = phi(n) - ell
+    and d (the merged t and x t'), q and 2n (plain x t'), and -2 ell times
+    n + 1.  Divided by (n+1)^2, or for p != 0 by (n+1) (p+n+1), the b q row
+    is the next b; the sums' stage also forms the next c = phi(n+1) + (-ell)
+    and d = (2(n+1) phi(n+1) - 1) + (-2 ell)(n+1), as `dd.add` does.  The
+    c, d and q rows' product errors get a_hi f_lo + a_lo f_hi as in `dd.mul`,
+    the others a_lo f as in `dd.mul_f`: each element sees the IEEE operations of the
+    scalar loop, its sums frozen where that loop stops them, so the results
+    are bit-identical.  The stages run in place (`dd.*_into`).
     """
     both, plain = weighted is _BOTH, weighted is _BOTH or not weighted
-    per_set, sets = orders + 1, 2 if both else 1
-    kp, k = (orders if plain else 0), (orders if weighted else 0)
+    per_set, sets = (2 if orders else 1), (2 if both else 1)
+    kp, k = int(plain and per_set > 1), int(weighted and per_set > 1)
     lanes, top = x.size, per_set * sets  # the rows of the sums
     hi, lo = np.empty((top, lanes)), np.empty((top, lanes))
     if not lanes:
         return list(zip(hi, lo))
-    # the rows: b c (merged), b q at ib, b F_1..kp (plain), then from ie on
-    # the previous tw times F_1..k and b times -G_1..k
-    ib = 1 if weighted else 0
+    # the rows: b c and b d (merged), b q at ib, b 2n (plain), then at ie
+    # -2 ell (n + 1), the next d's ell part
+    ib = (1 + k) if weighted else 0
     ie = ib + 1 + kp
     head = top - per_set  # the merged set's row 0 in the sums
     with np.errstate(all="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
-        space = np.zeros((13, ie + 2 * k, lanes))
+        space = np.zeros((13, ie + k, lanes))
         rows, prod, bq = (space[i : i + 2] for i in range(0, 6, 2))
         work, factors, flo = list(space[6:11]), space[11], space[12]
         work_b = [a[ib] for a in work]
         # the sums and `step`, this pass's terms in their rows; with the merged
-        # set one more row, where phi(n) + (-ell) forms the next c as `dd.add` does
-        acc = np.zeros((7, top + (1 if weighted else 0), lanes))
+        # set ib more rows, where the next c and d are formed
+        acc = np.zeros((7, top + (ib if weighted else 0), lanes))
         sums, step, work_top = tuple(acc[:2]), acc[2:4], acc[4:]
-        merge = (bq[:, ie : ie + k], bq[:, ie + k :], step[:, head + 1 : head + 1 + k], [a[:k] for a in work])
         factors[ib], flo[ib] = q
-        if weighted:  # c = phi(0) - ell, and -ell in the row that forms the next c
+        if weighted:  # c and d of n = 0, and -ell and -2 ell
             nell = dd.neg(ell)
+            m2 = dd.mul_f(nell, 2.0)
             factors[0], flo[0] = dd.add(_phi(0), nell)
             step[0, top], step[1, top] = nell
-        rows[0][:ie] = 1.0
+            if k:
+                factors[1], flo[1] = dd.add(_dphi(0), dd.mul_f(m2, 0.0))
+                rows[0][ie], rows[1][ie] = m2
         b = (rows[0][ib], rows[1][ib])  # views: b is updated in place
+        b[0][:] = 1.0
         pending = np.ones((sets, lanes), dtype=bool)
         was_small = np.zeros((sets, lanes), dtype=bool)
-        lead = np.empty((sets, lanes)) if weighted else b[0]  # each set's stop lead
-        inv3, scale = np.divide(1.0, x * x * x), np.empty(lanes)
-        n, active, lag = 0, True, None  # lag: the merged lanes whose rows 1.. freeze next
-        while active or lag is not None:
-            if n == cfg.max_terms and active:
+        lead, tol, ax = np.empty((sets, lanes)), np.empty((sets, lanes)), np.abs(x)
+        n, active = 0, True
+        while active:
+            if n == cfg.max_terms:
                 raise NonConvergenceError(
                     f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms "
                     f"at x={float(x[np.argmax(pending.any(axis=0))])!r}"
                 )
             rows[:, :ie] = rows[:, ib : ib + 1]
-            factors[ib + 1 :] = _factor_column(n, kp, k)
+            if kp:
+                factors[ib + 1] = 2 * n
+            if k:
+                factors[ie] = n + 1
             dd.two_prod_into(rows[0], factors, prod, work)
             t, v = work[0], work[1][: ib + 1]  # the product errors' low-part terms
             np.multiply(rows[1], factors, t)
@@ -357,39 +348,34 @@ def _series_array(
             np.add(prod[1], t, prod[1])
             n += 1
             dd.two_sum_into(prod[0], prod[1], bq, work)
-            if plain:  # this pass's b and b F_1..kp
+            if plain:  # this pass's b and x b'
                 step[:, 0], step[:, 1:per_set] = rows[:, ib], bq[:, ib + 1 : ie]
-            if k:  # the previous merged term's tw F_k + b (-G_k); this pass's tw and b
-                dd.add_into(*merge)
-                rows[:, ie : ie + k], rows[:, ie + k :] = bq[:, :1], rows[:, :1]
-            if weighted:  # tw, and phi(n) for the next c
-                step[:, head], (acc[0, top], acc[1, top]) = bq[:, 0], _phi(n)
+            if weighted:  # t and x t', and phi(n) and 2n phi(n) - 1 with -2n ell for the next c and d
+                step[:, head:top], (acc[0, top], acc[1, top]) = bq[:, :ib], _phi(n)
+                if k:
+                    step[:, top + 1], (acc[0, top + 1], acc[1, top + 1]) = bq[:, ie], _dphi(n)
             if p:  # J_p's next b, as in `_series`
-                rows[0][ib], rows[1][ib] = dd.div((bq[0][ib], bq[1][ib]), dd.two_prod(float(n), p + n))
+                divisor = dd.mul_f(dd.two_sum(p, float(n)), float(n))
+                rows[0][ib], rows[1][ib] = dd.div((bq[0][ib], bq[1][ib]), divisor)
             else:
                 dd.div_f_into(bq[:, ib], float(n * n), rows[:, ib], work_b)
             dd.add_into(sums, step, sums, work_top)
-            if lag is not None:
-                np.copyto(hi[head + 1 :], sums[0][head + 1 : top], where=lag)
-                np.copyto(lo[head + 1 :], sums[1][head + 1 : top], where=lag)
-                lag = None
-            if weighted:  # the next c, and the merged lead, scaled as in `_series`
-                factors[0], flo[0] = acc[0, top], acc[1, top]
-                np.multiply(b[0], _phi(n)[0] - ell[0], lead[-1])
-                if k:
-                    np.multiply(float(8 * n**3), inv3, scale)
-                    np.maximum(scale, 1.0, out=scale)
-                    np.multiply(lead[-1], scale, lead[-1])
-                if both:
-                    lead[0] = b[0]
             # each set's small-term test, as in `_series`; a streak of two is
             # a small term now and one before, and none stops before n = 2
-            small = np.abs(lead) <= cfg.rel_tol * np.abs(sums[0][:top:per_set])
+            if plain:
+                lead[0] = b[0]
+            if weighted:  # the next c and d, and the merged lead
+                factors[:ib], flo[:ib] = acc[0, top:], acc[1, top:]
+                np.multiply(b[0], _phi(n)[0] - ell[0], lead[-1])
+            np.abs(lead, lead)
+            np.multiply(cfg.rel_tol, np.abs(sums[0][:top:per_set]), tol)
+            if orders:
+                np.multiply(lead, np.maximum(2.0 * n, ax), lead)
+                np.multiply(tol, ax, tol)
+            small = lead <= tol
             stop, was_small = pending & small & was_small, small
             if n > 2 and stop.any():
                 frozen = np.repeat(stop, per_set, axis=0)  # each set's rows
-                if k and stop[-1].any():  # but the merged rows 1.. a pass later
-                    lag, frozen[head + 1 :] = stop[-1], False
                 np.copyto(hi, sums[0][:top], where=frozen)
                 np.copyto(lo, sums[1][:top], where=frozen)
                 pending &= ~stop
@@ -398,20 +384,27 @@ def _series_array(
 
 
 def _sums(x, sign: float, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
-    """The rows 0..orders of each set of sums that `weighted` asks for, from
-    `_series` at a float x and `_series_array` at an array: the sums and
-    their term-wise derivatives, rows k >= 1 divided by x^k here alone."""
+    """The rows f, f', f'', f''' (0..orders) of each set of sums that
+    `weighted` asks for.  `_series` at a float x and `_series_array` at an
+    array sum f and x f'; here alone x f' is divided by x, and f'' and f'''
+    are formed from the sums' own equation x f'' + (2p+1) f' - sign x f = 0,
+    which the merged sums (p = 0) solve as K0 and -(pi/2) Y0 do:
+    f'' = -(2p+1) f'/x + sign f, f''' = -(2p+1) (f'' - f'/x)/x + sign f'."""
     if _is_array(x):
-        sums = _series_array(x, sign, cfg, weighted, ell, p, orders)
+        sums = _series_array(x, sign, cfg, weighted, ell, p, min(orders, 1))
     else:
-        sums = _series(x, sign, cfg, orders, weighted, ell, p)
-    if orders:
-        powers = (x, x * x, x * x * x)
-        with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
-            for i, row in enumerate(sums):
-                if i % (orders + 1):
-                    sums[i] = dd.div_f(row, powers[i % (orders + 1) - 1])
-    return sums
+        sums = _series(x, sign, cfg, min(orders, 1), weighted, ell, p)
+    if not orders:
+        return sums
+    c, rows = dd.neg(dd.two_sum(2.0 * p, 1.0)), []  # -(2p+1), exact
+    with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
+        for f, xf1 in zip(sums[::2], sums[1::2]):
+            f1 = dd.div_f(xf1, x)
+            f1_x = dd.div_f(f1, x)
+            f2 = dd.add(dd.mul(c, f1_x), dd.mul_f(f, sign))
+            f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.mul_f(f1, sign))
+            rows += (f, f1, f2, f3)[: orders + 1]
+    return rows
 
 
 def _log_half_dd(x) -> dd.DD:
@@ -460,34 +453,36 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 
 # ----------------------------------------------------------------------
-# jets: value and term-wise series derivatives up to third order
+# jets: value and derivatives up to third order
 
 
-# Below this |x|, x^3 is subnormal: the final division of the third
-# derivative's row by x^3 (and, below 2^-511, of the second's by x^2) loses
-# digits or divides by zero.  The jet there is (1, sign x/2, sign/2, 0), its
-# limit at x = 0: the rounded jet but for the third derivative 3x/8 < 2e-103.
-# Above, that row's first term (n = 2, 24 x^4/64) is a subnormal or zero
-# product up to about 2^-255, off by less than 3x/8 < 1e-76.
-_TINY = 2.0**-340
+# Below this |x|, f''' = -(f'' - f'/x)/x + sign f' of J0 and I0 cancels to
+# 3x/8 from terms of about 1/(2x): against mpmath it is 2.6 ulp off on
+# [2^-27, 2^-26] and 1.3 ulp on [2^-26, 2^-25], where the Taylor limit
+# (1, sign x/2, sign/2, 3x/8) of the jet at x = 0 is 0.73 and 2.9 ulp off.
+_SMALL = 2.0**-26
+
+
+def _plain_jet(x, sign: float, rows) -> tuple:
+    """The J0 (sign -1) or I0 (sign +1) jet from its rows of `_sums`, or the
+    Taylor limit where |x| < _SMALL; rows may be None at such a float x."""
+    limit = (1.0, 0.5 * sign * x + 0.0, 0.5 * sign, 0.375 * x + 0.0)  # + 0.0: +0 at x = -0
+    if not _is_array(x):
+        return limit if abs(x) < _SMALL else tuple(dd.to_float(v) for v in rows)
+    small = np.abs(x) < _SMALL
+    return tuple(np.where(small, v, dd.to_float(r)) for v, r in zip(limit, rows))
 
 
 def _order0_jet(x, sign: float, cfg: SeriesConfig) -> tuple:
-    """The J0 (sign -1) or I0 (sign +1) jet at x: one series call, and the
-    sums (lead, 0) where |x| < _TINY; the float of (-0.0, 0.0) is 0.0."""
+    """The J0 (sign -1) or I0 (sign +1) jet at x from one series call, none
+    at a float |x| < _SMALL, where the sums would divide by x = 0."""
     _require_finite(x, "i0" if sign > 0.0 else "j0")
-    lead = (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)
-    if not _is_array(x):
-        sums = [(v, 0.0) for v in lead] if abs(x) < _TINY else _sums(x, sign, cfg, False)
-    else:
-        sums, tiny = _sums(x, sign, cfg, False), np.abs(x) < _TINY
-        if tiny.any():
-            sums = [(np.where(tiny, v, hi), np.where(tiny, 0.0, lo)) for (hi, lo), v in zip(sums, lead)]
-    return tuple(dd.to_float(v) for v in sums)
+    small = not _is_array(x) and abs(x) < _SMALL
+    return _plain_jet(x, sign, None if small else _sums(x, sign, cfg, False))
 
 
 def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(J0, J0', J0'', J0''')(x) by term-wise differentiation of the series.
+    """(J0, J0', J0'', J0''')(x) from the series and its Bessel equation.
 
     x may be a 1-D float64 array: each component is then an array,
     bit-identical to evaluating every element on its own.
@@ -517,7 +512,7 @@ def _log_jet(x, sign: float, cfg: SeriesConfig, scale: dd.DD | None) -> _LogJet:
     _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
     sums = _sums(x, sign, cfg, _BOTH, _log_half_dd(x))
     jet = _LogJet(dd.to_float(dd.mul(scale, v) if scale else v) for v in sums[4:])
-    jet.primary = tuple(dd.to_float(v) for v in sums[:4])  # no x >= 2^-330 is below _TINY
+    jet.primary = _plain_jet(x, sign, sums[:4])
     return jet
 
 
@@ -592,21 +587,25 @@ def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(J_p, J_p', J_p'', J_p''')(x) for x >= 2^-340 via the product rule on
-    A(x) = x^p / (2^p Gamma(1+p)) and the term-wise differentiated sum."""
+    A(x) = x^p / (2^p Gamma(1+p)) and the rows of the sum; a jet that
+    overflows is refused."""
     _check_jp_args(p, x)
-    if x < _TINY:  # x^3 is subnormal or 0 there, and `_sums` divides by it
+    if x < 2.0**-340:  # x^3 is subnormal or 0 there, and a3 divides by it
         raise DomainError(f"jp_jet requires x >= 2**-340, got {x!r}")
     s = [dd.to_float(v) for v in _sums(x, -1.0, cfg, False, p=p)]
     a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)
     a1 = p * a0 / x
     a2 = p * (p - 1.0) * a0 / (x * x)
     a3 = p * (p - 1.0) * (p - 2.0) * a0 / (x * x * x)
-    return (
+    jet = (
         a0 * s[0],
         a1 * s[0] + a0 * s[1],
         a2 * s[0] + 2.0 * a1 * s[1] + a0 * s[2],
         a3 * s[0] + 3.0 * a2 * s[1] + 3.0 * a1 * s[2] + a0 * s[3],
     )
+    if not all(math.isfinite(v) for v in jet):  # a prefactor, like a3 ~ x^(p-3), overflowed
+        raise DomainError(f"jp_jet of order p={p!r} overflows at x={x!r}")
+    return jet
 
 
 # ----------------------------------------------------------------------

@@ -330,8 +330,8 @@ def bessel_profile(
 
     lambda3 > 0: f(u) = c1 J0(s u) + c2 Y0(s u) with s = sqrt(lambda3);
     lambda3 < 0: f(u) = c1 I0(s u) + c2 K0(s u) with s = sqrt(-lambda3).
-    Derivatives come from the term-wise differentiated series, scaled by the
-    chain rule.
+    Derivatives come from the Bessel jets (the series' f and f', the
+    higher orders from the Bessel equation), scaled by the chain rule.
     """
     if lambda3 == 0.0 or not math.isfinite(lambda3):
         raise DomainError(f"bessel_profile requires nonzero finite lambda3, got {lambda3!r}")

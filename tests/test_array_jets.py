@@ -106,20 +106,21 @@ def _lanes(n):
 def test_series_array_against_scalar_kernels(lanes, sign, weighted):
     xs = _lanes(lanes)
     sums = bessel._series_array(xs, sign, bessel.DEFAULT_SERIES, weighted)
-    ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 3, weighted) for x in xs.tolist()]
-    for k in range(4):
+    ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 1, weighted) for x in xs.tolist()]
+    for k in range(2):
         assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
         assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
 
 
-# each set has the rows 0..orders of `_series`, row k >= 1 x^k times the
-# k-th derivative; `_sums` divides them
+# the kernels sum rows 0 and, for orders >= 1, x times the first derivative
+# of each set; `_sums` divides it by x and forms rows 2 and 3 from the
+# sums' equation, so each set has the rows 0..orders at an array and at a float
 @pytest.mark.parametrize("orders", [0, 1, 2, 3])
 @pytest.mark.parametrize("weighted", [False, True, bessel._BOTH], ids=["plain", "weighted", "both"])
 def test_series_array_sums_the_rows_it_is_asked_for(orders, weighted):
     xs, cfg = _lanes(24), bessel.DEFAULT_SERIES
-    sums = bessel._series_array(xs, 1.0, cfg, weighted, bessel._log_half_dd(xs), orders=orders)
-    ref = [bessel._series(x, 1.0, cfg, orders, weighted, bessel._log_half_dd(x)) for x in xs.tolist()]
+    sums = bessel._sums(xs, 1.0, cfg, weighted, bessel._log_half_dd(xs), orders)
+    ref = [bessel._sums(x, 1.0, cfg, weighted, bessel._log_half_dd(x), orders) for x in xs.tolist()]
     assert len(sums) == len(ref[0]) == (orders + 1) * (2 if weighted is bessel._BOTH else 1)
     for k, (hi, lo) in enumerate(sums):
         assert_bit_identical(hi, [r[k][0] for r in ref])
@@ -130,7 +131,7 @@ def test_plain_series_rows_at_zero_lanes_are_exact_zeros():
     xs = np.array([0.0, 1.5, -0.0, 4.0])
     for sign in (-1.0, 1.0):
         sums = bessel._series_array(xs, sign, bessel.DEFAULT_SERIES, False)
-        ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 3, False) for x in xs.tolist()]
+        ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 1, False) for x in xs.tolist()]
         for k, (hi, lo) in enumerate(sums):
             assert_bit_identical(hi, [r[k][0] for r in ref])
             assert_bit_identical(lo, [r[k][1] for r in ref])
@@ -184,7 +185,7 @@ def test_empty_arrays():
         assert got.shape == ((0,) if fn in VALUES else (4, 0))
     for weighted in (False, True):
         sums = bessel._series_array(empty, 1.0, bessel.DEFAULT_SERIES, weighted)
-        assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 4
+        assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 2
 
 
 def test_all_zero_expression_jets_take_one_array_call():
@@ -250,13 +251,13 @@ def test_one_pass_sums_match_the_two_passes(lanes, sign):
     xs, cfg = _one_pass_lanes(lanes), bessel.DEFAULT_SERIES
     both = bessel._series_array(xs, sign, cfg, bessel._BOTH)
     two = bessel._series_array(xs, sign, cfg, False) + bessel._series_array(xs, sign, cfg, True)
-    pointwise_both = [bessel._series(x, sign, cfg, 3, bessel._BOTH) for x in xs.tolist()]
+    pointwise_both = [bessel._series(x, sign, cfg, 1, bessel._BOTH) for x in xs.tolist()]
     pointwise_two = [
-        bessel._series(x, sign, cfg, 3, False) + bessel._series(x, sign, cfg, 3, True)
+        bessel._series(x, sign, cfg, 1, False) + bessel._series(x, sign, cfg, 1, True)
         for x in xs.tolist()
     ]
-    assert len(both) == len(two) == 8
-    for k in range(8):
+    assert len(both) == len(two) == 4
+    for k in range(4):
         for part in (0, 1):
             assert_bit_identical(both[k][part], two[k][part])
             assert_bit_identical([r[k][part] for r in pointwise_both], two[k][part])
@@ -265,7 +266,7 @@ def test_one_pass_sums_match_the_two_passes(lanes, sign):
 
 def test_one_pass_on_empty_arrays():
     sums = bessel._series_array(np.array([]), -1.0, bessel.DEFAULT_SERIES, bessel._BOTH)
-    assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 8
+    assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 4
 
 
 @pytest.mark.parametrize("primary,secondary", [(j0_jet, y0_jet), (i0_jet, k0_jet)])

@@ -30,7 +30,7 @@ from sigeom import (
 )
 from sigeom.bessel import i0_jet, j0_jet, jp_jet, k0_jet, y0_jet
 
-from mp_bessel import JET_BOUND, jet_error, plain_jet_errors
+from mp_bessel import JET_BOUND, jet_error, plain_jet_errors, plain_jet_reference
 
 # step for finite-difference residual checks; large arguments need the
 # x-proportional cap to keep the log-singular functions resolved near 0
@@ -204,12 +204,26 @@ def test_j0_i0_domain():
                 fn(bad)
 
 
-# below 2^-511, x*x is subnormal; the J0/I0 jets there are (1, s x/2, s/2, 0)
+def _rounded_series_jet(sign, x):
+    """J0 (sign -1) or I0 (+1) and three derivatives at a small x, from five
+    terms of the series in mpmath, each rounded once."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(x)
+        return tuple(
+            float(sum(sign**n * mpmath.ff(2 * n, k) * m ** (2 * n - k) / (4**n * mpmath.factorial(n) ** 2)
+                      for n in range(5) if 2 * n >= k))
+            for k in range(4)
+        )
+
+
+# below 2^-26 the J0/I0 jets are their Taylor limit (1, s x/2, s/2, 3x/8),
+# the rounded jet there; f''' used to be 0 below 2^-340
 @pytest.mark.parametrize("x", [6.3e-212, 1e-160, 5e-324, 2.0**-511 * (1.0 - 2.0**-53)])
 def test_j0_i0_jets_at_tiny_arguments(x):
     for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
+        assert jet(x) == _rounded_series_jet(sign, x)
         for arg in (x, -x):
-            assert jet(arg) == (1.0, 0.5 * sign * arg, 0.5 * sign, 0.0)
+            assert jet(arg) == (1.0, 0.5 * sign * arg, 0.5 * sign, 0.375 * arg)
 
 
 def test_j0_i0_jets_at_zero_keep_their_bits():
@@ -220,17 +234,18 @@ def test_j0_i0_jets_at_zero_keep_their_bits():
 
 
 def test_j0_i0_jets_just_above_the_tiny_bound():
-    # the series' own jet there is within 4 ulp of the leading terms taken below
-    for x in np.geomspace(2.0**-511, 2.0**-480, 60).tolist():
-        for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
-            for got, want in zip(jet(x), (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)):
-                assert abs(got - want) <= 4.0 * math.ulp(want)
+    # the Taylor limit below 2^-26 and the jet formed from the equation
+    # above are within 1.5 ulp of mpmath on either side of the switch
+    for x in np.geomspace(2.0**-28, 2.0**-24, 80).tolist():
+        for jet, kind in ((j0_jet, "j"), (i0_jet, "i")):
+            for got, want in zip(jet(x), plain_jet_reference(kind, 0.0, x)):
+                assert abs(mpmath.mpf(got) - want) <= 1.5 * math.ulp(float(want)), x
 
 
 def test_j0_i0_third_derivatives_take_their_first_term_at_small_x():
     # J0''' = 3x/8 - 5x^3/96 + ..., I0''' = 3x/8 + 5x^3/96 + ...: the series
-    # sums through n = 2 (3x/8) even where the value stops after n = 1; the
-    # stop rule, relative to J0 ~ 1, drops the x^3 term, 1.4e-15 at x = 1e-7
+    # sums through n = 2, which f''' needs, even where the value stops after
+    # n = 1; the stop rule, relative to J0 ~ 1, drops the x^3 term
     xs = np.concatenate((np.geomspace(2.0**-250, 1e-7, 40), [5e-8, 1e-8]))
     for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
         for x in xs.tolist():
@@ -238,14 +253,15 @@ def test_j0_i0_third_derivatives_take_their_first_term_at_small_x():
             want = float(3 * m / 8 + sign * 5 * m**3 / 96)
             assert abs(jet(x)[3] - want) <= 1e-14 * want, x
             assert abs(jet(-x)[3] + want) <= 1e-14 * want, -x
-        # from the leading terms below 2^-340 to the series above, one array
+        # from the Taylor limit below 2^-26 to the series above, one array
         # call gives a pointwise call's bits
         lanes = np.concatenate(([2.0**-341, 2.0**-340, 2.0**-339, 2.0**-300, 2.0**-256], xs))
         got = np.array(jet(lanes)).view(np.int64)
         assert (got == np.array([jet(x) for x in lanes.tolist()]).T.view(np.int64)).all()
-        # f''' = 0 until its first term stops underflowing, as it is below 2^-340
+        # f''' is 3x/8, where it used to be 0 below the old 2^-340 bound and
+        # its first term underflowed up to about 2^-254
         for x in (2.0**-340, 2.0**-300, 2.0**-268):
-            assert jet(x) == (1.0, 0.5 * sign * x, 0.5 * sign, 0.0)
+            assert jet(x) == (1.0, 0.5 * sign * x, 0.5 * sign, 0.375 * x)
 
 
 # near 2^-332 the Y0/K0 jets' 2/x^3 term overflows Dekker's split (a nan third
@@ -292,22 +308,19 @@ def test_y0_k0_jets_against_mpmath(kind, jet, value):
 
 
 # every order of the J0, I0 and J_p jets against mpmath (tests/mp_bessel.py)
-# on [1e-4, 20], against max(1, |f^(k)|): orders 0-2 of J0, I0 and J_1.25
-# hold JET_BOUND.  The bounds above it are measured levels, each a known
-# defect (CHANGES.md FOUND).  The J0/I0 series stop on the value row, so
-# their third derivatives are off by 6.0e-12 near x = 5e-4 (J0'''(1e-4) by
-# 1.4e-9 relative).  J_p's series divides each term by n (p + n) with p + n
-# rounded, which for p = 0.3 and -1.7 costs up to 1.8e-10 at x = 20 in every
-# order.  J_p''' adds its four product-rule terms in floats (4.6e-15).
-PLAIN_JET_XS = np.concatenate((np.geomspace(1e-4, 1.0, 100), np.linspace(1.0, 20.0, 100)[1:]))
+# on [2^-60, 20], through the switch to the J0/I0 Taylor limit at 2^-26,
+# against max(1, |f^(k)|).  The bounds used to be 1e-11 for the J0/I0 f'''
+# (their rows stopped on the value row) and 2e-10 and 3e-10 for J_0.3 and
+# J_-1.7 (their series divided by n (p + n) with p + n rounded).
+PLAIN_JET_XS = np.concatenate((np.geomspace(2.0**-60, 1.0, 150), np.linspace(1.0, 20.0, 100)[1:]))
 
 
 @pytest.mark.parametrize("kind, p, jet, bounds", [
-    ("j", 0.0, j0_jet, (JET_BOUND,) * 3 + (1e-11,)),
-    ("i", 0.0, i0_jet, (JET_BOUND,) * 3 + (1e-11,)),
+    ("j", 0.0, j0_jet, (JET_BOUND,) * 4),
+    ("i", 0.0, i0_jet, (JET_BOUND,) * 4),
     ("j", 1.25, lambda x: jp_jet(1.25, x), (JET_BOUND,) * 3 + (1e-14,)),
-    ("j", 0.3, lambda x: jp_jet(0.3, x), (2e-10,) * 4),
-    ("j", -1.7, lambda x: jp_jet(-1.7, x), (3e-10,) * 4),
+    ("j", 0.3, lambda x: jp_jet(0.3, x), (JET_BOUND,) * 4),
+    ("j", -1.7, lambda x: jp_jet(-1.7, x), (JET_BOUND,) * 4),
 ], ids=["j0", "i0", "jp(1.25)", "jp(0.3)", "jp(-1.7)"])
 def test_plain_jets_against_mpmath(kind, p, jet, bounds):
     for x in PLAIN_JET_XS.tolist():
@@ -325,13 +338,24 @@ def test_jp_refuses_an_infinite_2p(p):
             run()
 
 
-# x^3 is subnormal below 2^-340 and J_p's series divides by it: 1e-110 ended
+# x^3 is subnormal below 2^-340 and jp_jet's a3 divides by it: 1e-110 ended
 # in a ZeroDivisionError, 1e-100 still has all four values
 def test_jp_jet_refuses_x_below_the_tiny_bound():
     assert all(math.isfinite(v) for v in jp_jet(0.3, 1e-100))
     for x in (1e-110, 2.0**-341, 0.0):
         with pytest.raises(DomainError, match=rf"^jp_jet requires x >= 2\*\*-340, got {x!r}$"):
             jp_jet(0.3, x)
+
+
+# for p < 0 the prefactors a_k ~ x^(p-k) overflow at small x, below about
+# 4.2e-66 for p = -1.7: jp_jet(-1.7, 1e-90) returned (-7.6e152, 1.3e243,
+# -inf, nan)
+@pytest.mark.parametrize("x", [1e-90, 2.0**-330, 4.220262892150197e-66])
+def test_jp_jet_refuses_an_overflowing_jet(x):
+    want = "^" + re.escape(f"jp_jet of order p=-1.7 overflows at x={x!r}") + "$"
+    with pytest.raises(DomainError, match=want):
+        jp_jet(-1.7, x)
+    assert all(math.isfinite(v) for v in jp_jet(-1.7, 4.7e-66))
 
 
 def test_series_config_validation():

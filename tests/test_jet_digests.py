@@ -7,8 +7,12 @@ here.  The arguments are 2,001 geomspace x in [2^-330, 28] (the lower end is
 the Y0/K0 jets' bound) and 500 linspace x in [1, 28], where the series take
 most of their terms.  Each order-0 function is digested from pointwise calls
 and from one array call, which must give the same digest; jp_jet takes
-scalars only.  The digests were taken before the plain series rows were
-summed as x^k times the derivative and divided once.
+scalars only, and an x it refuses digests as an empty line.  The digests
+were taken before the plain series rows were summed as x^k times the
+derivative and divided once, and again when the kernels came to sum only f
+and x f', with f'' and f''' formed from the Bessel equation and J_p's
+divisor formed exactly; every 20th argument through x = 20 is checked
+against mpmath (tests/mp_bessel.py) beside them.
 """
 
 import hashlib
@@ -16,15 +20,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from mp_bessel import JET_BOUND, jet_error, plain_jet_errors
 from sigeom import bessel
+from sigeom.errors import DomainError
 
 XS = np.concatenate((np.geomspace(2.0**-330, 28.0, 2001), np.linspace(1.0, 28.0, 500)))
+CHECKED = [x for x in XS[::20].tolist() if x <= 20.0]
 
 ORDER0 = {
-    "j0_jet": (bessel.j0_jet, "f4865b519607ad87bb6e6e89d61de40325894c0de95d95741ce842c2c8ae05c7"),
-    "i0_jet": (bessel.i0_jet, "191b3fb2d268e780f01cc6ee56113df80894c534247b688f9828aeb801a43c6e"),
-    "y0_jet": (bessel.y0_jet, "9e2f872d7bd9fe201f0b42958305db4919ab937fbcfd36bb5cea694619da148f"),
-    "k0_jet": (bessel.k0_jet, "799fd7c6ec5d7f98f2b17336d0bc2a51e86c9cca4d86077e07ef0b85b7d149d5"),
+    "j0_jet": (bessel.j0_jet, "0457c08a19ed6b5bac9b0398e3541d959257ce6eed8638141fb2665318be5c0e"),
+    "i0_jet": (bessel.i0_jet, "48f82ffc6695b689f93f06422e33efbe6c8cd59fbec78149a19326ba0cda5d14"),
+    "y0_jet": (bessel.y0_jet, "44b22624da317a31d3fd22cf234bb1351854f5f11e1be8043abcaf3ed5c0cf01"),
+    "k0_jet": (bessel.k0_jet, "6f40046365fd00b85f4deed900e7c167176182a0688bcdff5cd4ab2caa0c61ea"),
     "bessel_j0": (bessel.bessel_j0, "49a11ef0b05776f1f0c82a43bca06bc6f4a069803801961a6bb04413855421fe"),
     "bessel_i0": (bessel.bessel_i0, "ff19e6d1a6655f8eb4f05a64ae932c7104f7eba325002a40a9d9ce961dc0d4b1"),
     "bessel_y0": (bessel.bessel_y0, "8227064139a993f56c77429b6ae2ab1666fb9e88a55b1b674681343c64800fee"),
@@ -32,9 +39,9 @@ ORDER0 = {
 }
 
 JP = {
-    0.3: "71c2b65eff62b4da808ae58cef145c62aa5f65d67a7a1ed45128839ff26d8a79",
-    -1.7: "2c1c4ae80614fc6ea929c32cb11b7acdfbb22aeb9b0b1ac3528a5f57eca98191",
-    1.25: "0a992cfc6100cf5401489756446443b6c8df4aa3c17c276cfe05c9e8f3571526",
+    0.3: "f745540541f9a8cd25f01b7402d124cc544aeda03ff5a853c16536c7340dc82f",
+    -1.7: "e0685df8f7269ee718a4cfd6051da68084c7e87a8edb073f09778bf89ab86d78",
+    1.25: "f34a34d54fecb2886d0fc844d9f2357bd4f4c88be8508f07468f26e4ea97d9fd",
 }
 
 
@@ -44,14 +51,41 @@ def _digest(rows) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# the mpmath error of each digested jet or value: (kind, p) of the plain
+# references, or the Y0/K0 kind of jet_error
+REFERENCE = {"j0": ("j", 0.0), "i0": ("i", 0.0), "y0": "y0", "k0": "k0"}
+
+
+def _error(ref, x, got) -> float:
+    """The worst error of got, the leading components of a jet at x."""
+    if isinstance(ref, str):
+        return jet_error(ref, x, got)
+    return max(plain_jet_errors(*ref, x, got))
+
+
 @pytest.mark.parametrize("name", sorted(ORDER0))
 def test_order0_digests(name):
     fn, want = ORDER0[name]
     pointwise = _digest(np.atleast_1d(fn(x)) for x in XS.tolist())
     one_call = _digest(np.atleast_2d(np.array(fn(XS))).T)
     assert (pointwise, one_call) == (want, want)
+    ref = REFERENCE[name[:2] if name.endswith("_jet") else name[-2:]]
+    for x in CHECKED:  # a value against the f of its jet's reference
+        assert _error(ref, x, np.atleast_1d(fn(x))) <= JET_BOUND, x
+
+
+def _jp_row(p, x) -> tuple:
+    """jp_jet(p, x), or no components where it refuses x: for p < 0 its
+    prefactors overflow at small x."""
+    try:
+        return bessel.jp_jet(p, x)
+    except DomainError:
+        return ()
 
 
 @pytest.mark.parametrize("p", sorted(JP))
 def test_jp_jet_digests(p):
-    assert _digest(bessel.jp_jet(p, x) for x in XS.tolist()) == JP[p]
+    assert _digest(_jp_row(p, x) for x in XS.tolist()) == JP[p]
+    for x in CHECKED:
+        if _jp_row(p, x):
+            assert _error(("j", p), x, _jp_row(p, x)) <= JET_BOUND, x
