@@ -13,12 +13,11 @@ in double-double arithmetic and rounded once at the end.  Y0 and K0, values
 and jets alike, are the merged rows of `_series`: the terms
 (phi(n) - ell) t_n, ell = ln(x/2) + gamma, and x times their derivatives,
 summed as one series stopped on the cancelled total, never as the two
-textbook pieces.  The kernels sum two rows of each series, f and x f';
-`_sums` alone divides x f' by x and forms f'' and f''' from the equation
-x f'' + (2p+1) f' - sign x f = 0 that the series solves (sign -1 for J and
-Y, +1 for I and K), so a jet satisfies it up to the last roundings.  Near
-x = 0 that f''' of J0 and I0 cancels, and below |x| = 2^-26 their jets are
-the Taylor limit.
+textbook pieces.  The kernels sum f and x f' of each series; `_sums`
+divides x f' by x and forms f'' and f''' from the series' own equation
+x f'' + (2p+1) f' - sign x f = 0 (sign -1 for J and Y, +1 for I and K).
+Below |x| = 2^-26, where that f''' cancels, the J0 and I0 jets are their
+Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
@@ -287,10 +286,11 @@ def _series_array(
     n + 1.  Divided by (n+1)^2, or for p != 0 by (n+1) (p+n+1), the b q row
     is the next b; the sums' stage also forms the next c = phi(n+1) + (-ell)
     and d = (2(n+1) phi(n+1) - 1) + (-2 ell)(n+1), as `dd.add` does.  The
-    c, d and q rows' product errors get a_hi f_lo + a_lo f_hi as in `dd.mul`,
-    the others a_lo f as in `dd.mul_f`: each element sees the IEEE operations of the
-    scalar loop, its sums frozen where that loop stops them, so the results
-    are bit-identical.  The stages run in place (`dd.*_into`).
+    c, d and q rows' product errors get a_hi f_lo + a_lo f_hi as in
+    `dd.mul`, the others a_lo f as in `dd.mul_f`: each element sees the IEEE
+    operations of the scalar loop, its sums frozen where that loop stops
+    them, so the results are bit-identical.  The stages run in place
+    (`dd.*_into`).
     """
     both, plain = weighted is _BOTH, weighted is _BOTH or not weighted
     per_set, sets = (2 if orders else 1), (2 if both else 1)
