@@ -10,9 +10,9 @@ at the end keeps function values correct to the last bit of a float64.
 Values are (hi, lo) pairs with hi = fl(hi + lo) and |lo| <= ulp(hi)/2.
 Algorithms are the classic Dekker/Knuth error-free transforms; no fused
 multiply-add is assumed.  They use only IEEE + - * /, so every function
-except `sqrt` and `log` also runs unchanged on pairs of float64 arrays,
-element by element and with bit-identical results; `log_array` is the
-array form of `log`.
+except `log` also runs unchanged on pairs of float64 arrays, element by
+element and with bit-identical results; `log_array` is the array form of
+`log`.
 
 For loops over arrays, `two_sum`, `two_prod`, `add` and `div_f`
 also have in-place forms, `*_into(x, y, out, work)`: they write the pair
@@ -160,14 +160,13 @@ def neg(x: DD) -> DD:
     return (-x[0], -x[1])
 
 
-def sqrt(x: DD) -> DD:
-    # One Newton step from the float estimate is enough: the double starting
-    # point is already correct to ~eps, and the step squares the error.
-    s0 = _math.sqrt(x[0])
-    if s0 == 0.0:
-        return (0.0, 0.0)
-    q = div_f(x, s0)
-    return mul_f(add_f(q, s0), 0.5)
+def _sqrt(x: DD, root=_math.sqrt) -> DD:
+    """Square root of x > 0 by one Newton step from the float estimate
+    root(x[0]): the estimate is already correct to ~eps, and the step squares
+    the error.  root is math.sqrt for floats and np.sqrt for arrays, which
+    round alike."""
+    s0 = root(x[0])
+    return mul_f(add_f(div_f(x, s0), s0), 0.5)
 
 
 _LN2 = (0.6931471805599453, 2.3190468138462996e-17)
@@ -183,7 +182,7 @@ def log(d: float) -> DD:
     if d <= 0.0 or not _math.isfinite(d):
         raise ValueError(f"log requires a positive finite argument, got {d!r}")
     m, e = _math.frexp(d)
-    w = sqrt(sqrt((m, 0.0)))
+    w = _sqrt(_sqrt((m, 0.0)))
     t = div(add_f(w, -1.0), add_f(w, 1.0))
     t2 = mul(t, t)
     acc = t
@@ -200,12 +199,6 @@ def log(d: float) -> DD:
     return add(ln_m, mul_f(_LN2, float(e)))
 
 
-def _sqrt_array(x: DD) -> DD:
-    # `sqrt` for arrays of positive values; np.sqrt rounds exactly as math.sqrt
-    s0 = _np.sqrt(x[0])
-    return mul_f(add_f(div_f(x, s0), s0), 0.5)
-
-
 def log_array(d: _np.ndarray) -> DD:
     """`log` of every element of a float64 array, bit-identical to calling
     `log` element by element: the operations are the same, and each
@@ -215,7 +208,7 @@ def log_array(d: _np.ndarray) -> DD:
         bad = float(d[_np.argmin(ok)])
         raise ValueError(f"log requires a positive finite argument, got {bad!r}")
     m, e = _np.frexp(d)
-    w = _sqrt_array(_sqrt_array((m, _np.zeros_like(m))))
+    w = _sqrt(_sqrt((m, _np.zeros_like(m)), _np.sqrt), _np.sqrt)
     t = div(add_f(w, -1.0), add_f(w, 1.0))
     t2 = mul(t, t)
     acc = t

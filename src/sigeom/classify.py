@@ -16,6 +16,7 @@ produce bit-identical reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -135,34 +136,27 @@ def _check_grid(s: RevolutionSurface, g: Grid) -> None:
         raise DomainError("grid samples leave the surface ranges")
 
 
-def _fit(
-    lap: np.ndarray | None, r: np.ndarray, nv: int = 1, scale: float | None = None
-) -> tuple[float, float, float]:
+def _fit(lap: np.ndarray | float, r: np.ndarray, nv: int = 1) -> tuple[float, float, float]:
     """Least-squares lambda with sup residual, absolute and relative.
 
     lambda = sum(lap * r) / sum(r^2); when r vanishes identically the
     eigenvalue is 0 by convention and the residual is sup|lap|.  Raises
-    DomainError when either sum overflows.  scale, when given, is max |r|.
-    With nv > 1, lap and r are per radius, each value standing for a grid
-    row of nv: numpy sums the products repeated nv times pairwise exactly as
-    the flat grid, and a maximum does not depend on order.  lap = None is
-    Lap r = 0: numpy's sum of zeros is its +0 identity, so lambda and both
-    residuals are 0.0 once sum(r^2) passes the overflow check.  One grid
-    temporary is alive at a time: each product (or its repeat) is freed
-    once summed, and the residual is formed in the lam * r array.
+    DomainError when either sum overflows.  With nv > 1, lap and r are per
+    radius, each value standing for a grid row of nv: numpy sums the
+    products repeated nv times pairwise exactly as the flat grid, and a
+    maximum does not depend on order.  One temporary of the repeated size
+    is alive at a time: each product (or its repeat) is freed once summed,
+    and the residual is formed in the lam * r array.
     """
-    if scale is None:
-        scale = float(np.max(np.abs(r)))
+    scale = float(np.max(np.abs(r)))
     with np.errstate(all="ignore"):  # an overflowed sum is refused just below
         denom = _grid_sum(r, r, nv)
-        num = 0.0 if lap is None else _grid_sum(lap, r, nv)
+        num = _grid_sum(lap, r, nv)
     if not (np.isfinite(denom) and np.isfinite(num)):
         raise DomainError(f"eigen-fit sums overflow (max |r| = {scale:.3g})")
     lam = 0.0 if denom == 0.0 else num / denom
-    res = 0.0
-    if lap is not None:
-        t = lam * r
-        res = float(np.max(np.abs(np.subtract(lap, t, out=t), out=t)))
+    t = lam * r
+    res = float(np.max(np.abs(np.subtract(lap, t, out=t), out=t)))
     rel = res / scale if scale > 0.0 else res
     return lam, res, rel
 
@@ -178,9 +172,14 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     Lap r_i = lambda_i r_i on the grid, and sgn(w) per radius (None on the
     first form), from the closed coordinate Laplacians.
 
+    The rotational coordinates r_i = u h_i(v) have Lap r_i = a(u) h_i(v)
+    (a = 0 on the first form), so their grid least squares separates into
+    one fit over the radii: lambda_1 = lambda_2 = sum(a u) / sum(u^2), and
+    the sup residual is max|a - lambda u| max|h_i|.
+
     Raises DomainError at the first radius where the profile or a
     coordinate Laplacian is not finite, or the first v where cosh v
-    overflows: no fit of inf or nan is reported.
+    overflows, and where a sum, lambda or residual is not finite.
     """
     _check_grid(s, g)
     with np.errstate(all="ignore"):  # inf and nan are refused just below
@@ -193,22 +192,16 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     if not np.isfinite(cv).all():  # |sinh v| < cosh v
         v = float(g.v[np.argmin(np.isfinite(cv))])
         raise DomainError(f"cosh v overflows at v = {v!r}")
-    # max|u h(v)| is max|u| max|h| rounded once: rounding is monotone
-    maxima = np.max(np.abs(g.u)), np.max(np.abs(sv)), np.max(cv)
-    scales = [float(m) for m in _rotate(s.kind, *maxima)]
-    if form == 1 and max(scales) * max(scales) * (g.u.size * g.v.size) <= 2.0**1022:
-        # Lap r_i = 0 on the first form, so the fit is (0, 0, 0) unless sum(r_i^2)
-        # overflows; each r_i^2 <= scale^2, and a quarter of the float range leaves
-        # room for the rounding of the sum: no grid is needed to know it does not
-        fits = [(0.0, 0.0, 0.0)] * 2
-    elif form == 1:  # Lap r_i = a h(v) = 0: _fit refuses the overflowing sum
-        fits = [_fit(None, r, scale=m) for r, m in zip(_rotate(s.kind, g.u[:, None], sv, cv), scales)]
-    else:  # one coordinate at a time, r_i = u h(v) and Lap r_i = a h(v) in two grids
-        r, lap = np.empty((2, g.u.size, g.v.size))
-        fits = []
-        for h, m in zip(_rotate(s.kind, 1.0, sv, cv), scales):  # (h1, h2): 1.0 h is h
-            np.multiply(g.u[:, None], h, out=r)
-            fits.append(_fit(np.multiply(a[:, None], h, out=lap), r, scale=m))
+    try:
+        lam, res, rel = _fit(a, g.u)
+    except DomainError:  # refused below, naming max|r| = max|u| max|h_i|
+        lam = res = rel = math.inf
+    u_max = float(np.max(np.abs(g.u)))
+    fits = []
+    for h in _rotate(s.kind, 1.0, float(np.max(np.abs(sv))), float(np.max(cv))):
+        if not (math.isfinite(lam) and math.isfinite(res * h)):
+            raise DomainError(f"eigen-fit sums overflow (max |r| = {u_max * h:.3g})")
+        fits.append((lam, res * h, rel))
     return (*fits, _fit(c, f0, g.v.size)), ew
 
 
@@ -221,31 +214,23 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
     """
     ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), _ = _fit_coordinates(s, g, 1)
 
-    residuals_ok = s1 <= tol and s2 <= tol and s3 <= tol
-    notes: list[str] = []
-    if residuals_ok and abs(l1) <= tol and abs(l2) <= tol and abs(l3) > tol:
-        verdict = Verdict.NULL_TWO_TYPE
-        notes.append("lambda1 = lambda2 = 0 with lambda3 != 0")
-    elif residuals_ok and abs(l3) <= tol:
-        verdict = Verdict.NO_EIGEN_RELATION
-        notes.append(
+    verdict = Verdict.NO_EIGEN_RELATION  # Lap r1 = Lap r2 = 0: their fits are (0, 0, 0)
+    if not s3 <= tol:
+        notes = f"no constant eigenvalue fits coordinate 3 (sup residual {s3:.3g} > tol {tol:.3g})"
+    elif abs(l3) <= tol:
+        notes = (
             "eigen relation holds with lambda3 = 0: harmonic profile coordinate "
             "((s-i)-minimal), excluded from null 2-type"
         )
     else:
-        verdict = Verdict.NO_EIGEN_RELATION
-        notes.append(
-            f"no constant eigenvalue fits coordinate 3 (sup residual {s3:.3g} > tol {tol:.3g})"
-            if s3 > tol
-            else "rotational coordinates fail the eigen fit"
-        )
+        verdict, notes = Verdict.NULL_TWO_TYPE, "lambda1 = lambda2 = 0 with lambda3 != 0"
     return EigenReport(
         operator=OperatorKind.FIRST_FORM,
         lam=(l1, l2, l3),
         residual_sup=(s1, s2, s3),
         residual_rel=(rel1, rel2, rel3),
         verdict=verdict,
-        notes="; ".join(notes),
+        notes=notes,
     )
 
 
@@ -267,16 +252,15 @@ def _pattern_label(lam: float, mu: float, tol: float) -> str:
 def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenReport:
     """Fit the second-form relation using the closed coordinate forms.
 
+    The two rotational coordinates share one fitted eigenvalue (see
+    _fit_coordinates), so the pattern is read from (lambda1, lambda3).
     Raises ParabolicPointError if any grid radius has f' f'' = 0.
     """
     ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), ew = _fit_coordinates(s, g, 2)
 
-    residuals_ok = s1 <= tol and s2 <= tol and s3 <= tol
-    lam_match = abs(l1 - l2) <= tol
-    notes: list[str] = []
-    if residuals_ok and lam_match and abs(l3) <= tol:
+    notes = [_pattern_label(l1, l3, tol)]
+    if s1 <= tol and s2 <= tol and s3 <= tol and abs(l3) <= tol:
         verdict = Verdict.SI_MINIMAL
-        notes.append(_pattern_label(0.5 * (l1 + l2), l3, tol))
         if s.profile.family is ProfileFamily.LOG_TYPE:
             notes.append(
                 "log family f = (-2/lambda) ln u + c; the sign is pinned by the "
@@ -284,11 +268,6 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
             )
     else:
         verdict = Verdict.NO_EIGEN_RELATION
-        notes.append(_pattern_label(0.5 * (l1 + l2), l3, tol))
-        if not lam_match:
-            notes.append(
-                f"lambda1 and lambda2 estimates differ by {abs(l1 - l2):.3g}; kept separate"
-            )
     if (ew == -1.0).any():
         notes.append(
             "orientation: sgn(LN - M^2) = -1 on (part of) the grid; the closed "

@@ -142,11 +142,15 @@ class ScalarField:
         return (self.f(u, v + h) - self.f(u, v - h)) / (2.0 * h)
 
 
-def _check_point(s: RevolutionSurface, u: float, v: float) -> None:
+def _check_u(s: RevolutionSurface, u: float) -> None:
     ulo, uhi = s.u_range
-    vlo, vhi = s.v_range
     if not (ulo <= u <= uhi):
         raise DomainError(f"u={u!r} outside surface range [{ulo!r}, {uhi!r}]")
+
+
+def _check_point(s: RevolutionSurface, u: float, v: float) -> None:
+    _check_u(s, u)
+    vlo, vhi = s.v_range
     if not (vlo <= v <= vhi):
         raise DomainError(f"v={v!r} outside surface range [{vlo!r}, {vhi!r}]")
 
@@ -282,9 +286,7 @@ def fundamental_forms_fd(
 
 def curvatures(s: RevolutionSurface, u: float) -> tuple[float, float]:
     """(K, H) = (f' f'' / u, (f'/u + f'')/2); independent of v."""
-    ulo, uhi = s.u_range
-    if not (ulo <= u <= uhi):
-        raise DomainError(f"u={u!r} outside surface range [{ulo!r}, {uhi!r}]")
+    _check_u(s, u)
     f1 = s.profile.evaluate(u, 1)
     f2 = s.profile.evaluate(u, 2)
     return _curvatures(u, f1, f2)
@@ -461,9 +463,7 @@ def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float,
 
 
 def b_function(s: RevolutionSurface, u: float) -> float:
-    ulo, uhi = s.u_range
-    if not (ulo <= u <= uhi):
-        raise DomainError(f"u={u!r} outside surface range [{ulo!r}, {uhi!r}]")
+    _check_u(s, u)
     return b_of_profile(s.profile, u)
 
 

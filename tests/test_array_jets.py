@@ -591,10 +591,16 @@ def test_jets_raise_what_evaluate_raises_first():
 # classify and surfaces: grid consumers against per-radius reference loops
 
 
+def ref_rotational_fits(kind, a, g):
+    """The fits of r1, r2 from their Laplacians a(u) (h1(v), h2(v)): the
+    separable least squares over the radii, its residual times max|h_i|."""
+    sinh_max, cosh_max = float(np.max(np.abs(np.sinh(g.v)))), float(np.max(np.cosh(g.v)))
+    hmax = (sinh_max, cosh_max) if kind is RevolutionKind.TIMELIKE_MERIDIAN else (cosh_max, sinh_max)
+    lam, res, rel = _fit(a, g.u)
+    return [(lam, res * h, rel) for h in hmax]
+
+
 def ref_check_eigen_i(s, g, tol=1e-6):
-    U = g.u[:, None]
-    sv, cv = np.sinh(g.v)[None, :], np.cosh(g.v)[None, :]
-    r1, r2 = (U * sv, U * cv) if s.kind is RevolutionKind.TIMELIKE_MERIDIAN else (U * cv, U * sv)
     f0 = np.array([s.profile.evaluate(float(u), 0) for u in g.u])
     f1 = np.array([s.profile.evaluate(float(u), 1) for u in g.u])
     f2 = np.array([s.profile.evaluate(float(u), 2) for u in g.u])
@@ -603,18 +609,14 @@ def ref_check_eigen_i(s, g, tol=1e-6):
         radial = -radial
     nv = g.v.size
     fits = [
-        _fit(np.zeros((g.u.size, nv)), r1),
-        _fit(np.zeros((g.u.size, nv)), r2),
+        *ref_rotational_fits(s.kind, np.zeros(g.u.size), g),
         _fit(np.repeat(radial[:, None], nv, axis=1), np.repeat(f0[:, None], nv, axis=1)),
     ]
     return [tuple(f[i] for f in fits) for i in range(3)]
 
 
 def ref_check_eigen_ii(s, g, tol=1e-6):
-    U = g.u[:, None]
-    sv, cv = np.sinh(g.v)[None, :], np.cosh(g.v)[None, :]
     timelike = s.kind is RevolutionKind.TIMELIKE_MERIDIAN
-    r1, r2 = (U * sv, U * cv) if timelike else (U * cv, U * sv)
     f0 = np.empty(g.u.size)
     acoef = np.empty(g.u.size)
     ccoef = np.empty(g.u.size)
@@ -629,14 +631,10 @@ def ref_check_eigen_ii(s, g, tol=1e-6):
         ew_values.add(ew)
         acoef[i] = ew * (B - 1.0 / d1)
         ccoef[i] = ew * (B * d1 + 1.0)
-    if timelike:
-        lap1, lap2, c3 = acoef[:, None] * sv, acoef[:, None] * cv, ccoef
-    else:
-        lap1, lap2, c3 = -acoef[:, None] * cv, -acoef[:, None] * sv, -ccoef
+    a, c3 = (acoef, ccoef) if timelike else (-acoef, -ccoef)
     nv = g.v.size
     fits = [
-        _fit(lap1, r1),
-        _fit(lap2, r2),
+        *ref_rotational_fits(s.kind, a, g),
         _fit(np.repeat(c3[:, None], nv, axis=1), np.repeat(f0[:, None], nv, axis=1)),
     ]
     return [tuple(f[i] for f in fits) for i in range(3)], -1.0 in ew_values
@@ -677,7 +675,7 @@ def test_check_eigen_reports_vs_reference_loop(name, kind, u_range, nu):
     assert_bit_identical(rep.lam, lam)
     assert_bit_identical(rep.residual_sup, res)
     assert_bit_identical(rep.residual_rel, rel)
-    assert rep.notes.startswith(_pattern_label(0.5 * (lam[0] + lam[1]), lam[2], 1e-6))
+    assert rep.notes.startswith(_pattern_label(lam[0], lam[2], 1e-6))
     assert ("orientation: sgn(LN - M^2) = -1" in rep.notes) == flipped
     assert isinstance(rep, EigenReport) and isinstance(rep.verdict, Verdict)
 

@@ -30,7 +30,7 @@ from sigeom import (
 )
 from sigeom.bessel import i0_jet, j0_jet, jp_jet, k0_jet, y0_jet
 
-from mp_bessel import JET_BOUND, jet_error, plain_jet_errors, plain_jet_reference
+from mp_bessel import JET_BOUND, K0_JET_BOUND, jet_error, plain_jet_errors, plain_jet_reference
 
 # step for finite-difference residual checks; large arguments need the
 # x-proportional cap to keep the log-singular functions resolved near 0
@@ -293,17 +293,21 @@ def test_y0_k0_jets_at_the_tiny_bound(x):
 
 # every order of the Y0/K0 jets against mpmath (tests/mp_bessel.py) on
 # [2^-330, 20]: relative for K0, against max(1, |Y0^(k)|) for Y0; an array
-# call gives each pointwise call's bits, and f is the value to within an ulp
+# call gives each pointwise call's bits, and f is the value to within an ulp.
+# K0 also at the two worst points of a denser probe of [18, 20], which the
+# linspace misses
 JET_XS = np.concatenate((np.geomspace(2.0**-330, 1.0, 150), np.linspace(1.0, 20.0, 150)))
+K0_XS = np.concatenate((JET_XS, [19.960416666666667, 19.960933333333333]))
 
 
 @pytest.mark.parametrize("kind, jet, value", [("y0", y0_jet, bessel_y0), ("k0", k0_jet, bessel_k0)])
 def test_y0_k0_jets_against_mpmath(kind, jet, value):
-    lanes = np.array(jet(JET_XS))
-    for x, column in zip(JET_XS.tolist(), lanes.T):
+    xs, bound = (K0_XS, K0_JET_BOUND) if kind == "k0" else (JET_XS, JET_BOUND)
+    lanes = np.array(jet(xs))
+    for x, column in zip(xs.tolist(), lanes.T):
         got = jet(x)
         assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
-        assert jet_error(kind, x, got) <= JET_BOUND, x
+        assert jet_error(kind, x, got) <= bound, x
         assert abs(got[0] - value(x)) <= math.ulp(got[0]), x
 
 

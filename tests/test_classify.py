@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from sigeom import (
     solve_radial_eigen_ode,
     verify_constant_curvature,
 )
-from sigeom.classify import _fit
+from sigeom.classify import _fit, _fit_coordinates
+from sigeom.surfaces import _coordinate_laplacians, _rotate
 
 
 def _surf(profile, u=(0.5, 5.0), v=(-1.0, 1.0)):
@@ -194,7 +196,8 @@ def test_report_serialization_round_trip():
 
 
 # ----------------------------------------------------------------------
-# fits without full grids: the same bits as _fit on the materialised grid
+# fits without full grids: r3's per-radius fit has the bits of _fit on the
+# materialised grid, and r1, r2 separate into one fit over the radii
 
 FIT_GRIDS = [(5, 5), (21, 21), (64, 5), (401, 401)]
 
@@ -243,106 +246,116 @@ def test_radial_fit_refuses_an_overflowing_sum():
     assert str(rows.value) == str(grid.value) == "eigen-fit sums overflow (max |r| = 1e+160)"
 
 
-@pytest.mark.parametrize("nu,nv", FIT_GRIDS, ids=lambda n: str(n))
-@pytest.mark.parametrize("timelike", [True, False], ids=["timelike", "spacelike"])
-def test_rotational_fits_match_the_full_grid(nu, nv, timelike):
-    rng = np.random.default_rng(nu * nv)
-    u = _magnitudes(rng, nu)
-    u[rng.random(nu) < 0.2] = rng.choice((-0.0, 0.0))
-    v = np.sort(rng.uniform(-3.0, 3.0, nv))
-    v[nv // 2] = 0.0  # sinh v = 0
-    sv, cv = np.sinh(v), np.cosh(v)
-    h = sv if timelike else cv
-    r = u[:, None] * h
-    # max|u h| is max|u| max|h| rounded once
-    scale = float(np.max(np.abs(u)) * np.max(np.abs(h)))
-    assert _bits(scale) == _bits(np.max(np.abs(r)))
-    # a second-form Laplacian a(u) h(v) through the same path
-    lap = _magnitudes(rng, nu)[:, None] * h
-    assert _bits(_fit(lap, r, scale=scale)) == _bits(_fit(lap, r))
-    # a harmonic coordinate: Lap r = 0, with the signs 0 * h(v) gives
-    zero = 0.0 * h[None, :]
-    assert _bits(_fit(None, r, scale=scale)) == _bits(_fit(zero, r)) == _bits([0.0] * 3)
-    assert _bits(_fit(None, 0.0 * r, scale=0.0)) == _bits(_fit(zero, 0.0 * r))
+KINDS = [RevolutionKind.TIMELIKE_MERIDIAN, RevolutionKind.SPACELIKE_MERIDIAN]
+PROFILES = {"log": log_profile(-2.0, 0.0), "power": power_profile(1.0, 3.0, 1.0),
+            "consth": constant_h_profile(2.0, 0.0, 0.0)}
+EPS = 2.0**-53
 
 
-def _widest_v_below_the_bound(umax, n):
-    """Floats lo < hi = nextafter(lo) with (umax cosh v)^2 n <= 2^1022 at lo, not at hi."""
-    def fits(v):
-        m = float(umax * np.cosh(v))
-        return m * m * n <= 2.0**1022
-
-    lo, hi = 300.0, 400.0
-    while np.nextafter(lo, hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            mid = np.nextafter(lo, hi)
-        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    assert fits(lo) and not fits(hi)
-    return lo, hi
+def _materialised(s, g, form):
+    """The grids r_i = u h_i(v) and Lap r_i = a(u) h_i(v), i = 1, 2, in floats."""
+    a = np.broadcast_to(_coordinate_laplacians(s, g.u, form)[1], g.u.shape)  # 0.0 on form 1
+    sv, cv = np.sinh(g.v), np.cosh(g.v)
+    return _rotate(s.kind, g.u[:, None], sv, cv), _rotate(s.kind, a[:, None], sv, cv)
 
 
-@pytest.mark.parametrize("timelike", [True, False], ids=["timelike", "spacelike"])
-def test_first_form_rotational_fits_build_grids_only_past_the_overflow_bound(timelike, monkeypatch):
-    import sigeom.classify as classify
+def _lambda_bound(nu, lam, abs_num, den):
+    """The largest |lambda - lambda*| allowed between the separable rule and
+    the grid least squares lambda* = num / den, num = sum(Lap r * r) and
+    den = sum(r^2) over the materialised grid, abs_num = sum|Lap r * r|.
 
-    kind = RevolutionKind.TIMELIKE_MERIDIAN if timelike else RevolutionKind.SPACELIKE_MERIDIAN
-    calls = []
-    rotate = classify._rotate
-    monkeypatch.setattr(classify, "_rotate", lambda *a: calls.append(a) or rotate(*a))
-    u = np.linspace(1.0, 2.0, 5)
-    lo, hi = _widest_v_below_the_bound(2.0, 25)
-    for vmax, grids in ((1.0, False), (lo, False), (hi, True), (700.0, True)):
-        s = RevolutionSurface(bessel_profile(1.0, 1.0, 0.0), kind, (1.0, 2.0), (vmax - 4.0, vmax))
-        g = Grid(u, np.linspace(vmax - 4.0, vmax, 5))
-        sv, cv = np.sinh(g.v), np.cosh(g.v)
-        r1, r2 = rotate(kind, g.u[:, None], sv, cv)
-        want = []
-        for r in (r1, r2):
-            try:
-                want.append(_fit(None, r, scale=float(np.max(np.abs(r)))))
-            except DomainError as exc:
-                want.append(str(exc))
-        calls.clear()
-        try:
-            got = classify._fit_coordinates(s, g, 1)[0][:2]
-        except DomainError as exc:
-            assert str(exc) == want[0]
-        else:
-            assert _bits(got) == _bits(want)
-        assert len(calls) == (2 if grids else 1)  # the scales, and the grids past the bound
+    Divided by sum(h^2), the rule's sum(a u) and sum(u^2) differ from num
+    and den by the rounding of the grid values (two roundings a term), of
+    the products a u and u^2 (one) and of numpy's sum of nu terms (at most
+    (nu - 1) eps times the sum of their magnitudes): by (nu + 2) eps kappa
+    |num| and (nu + 2) eps den, with kappa = abs_num / |num| the condition
+    number of the sum.  The division rounds once more, so to first order
+    |lambda - lambda*| <= ((nu + 2) (kappa + 1) + 1) eps |lambda*|.
+    """
+    return (nu + 4) * EPS * (abs_num / den + abs(lam))
+
+
+@pytest.mark.parametrize("nu,nv", [(5, 5), (21, 7), (21, 21), (64, 5)], ids=lambda n: str(n))
+@pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
+def test_rotational_fits_match_the_full_grid(nu, nv, kind):
+    # against the least squares of the materialised float grid in exact
+    # rationals; v = 0 is a sample, so the sinh v coordinate holds a column of
+    # zeros and its Laplacian one of zeros signed as a(u)
+    v = np.linspace(-0.5, 1.0, nv)
+    v[np.argmin(np.abs(v))] = 0.0
+    for name, profile in PROFILES.items():
+        s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
+        g = Grid(make_grid(s, nu, nv).u, v)
+        for form in (1, 2):
+            fits = _fit_coordinates(s, g, form)[0][:2]
+            assert _bits(fits[0][0]) == _bits(fits[1][0]), (name, form)
+            if form == 1:  # harmonic: Lap r_i is 0 times h_i(v), +0 or -0
+                assert _bits(fits) == _bits([[0.0] * 3] * 2)
+            for (lam, res, rel), r, lap in zip(fits, *_materialised(s, g, form)):
+                rq, lq = [list(map(Fraction, x.ravel().tolist())) for x in (r, lap)]
+                products = [x * y for x, y in zip(lq, rq)]
+                den = sum(y * y for y in rq)
+                lam_x = sum(products) / den
+                res_x = max(abs(x - lam_x * y) for x, y in zip(lq, rq))
+                r_max, lap_max = float(np.max(np.abs(r))), float(np.max(np.abs(lap)))
+                lam_err = _lambda_bound(nu, lam_x, sum(map(abs, products)), den)
+                assert abs(Fraction(lam) - lam_x) <= lam_err, (name, form)
+                # each grid value and lambda* r rounds once, and lambda errs as above
+                res_err = 4 * EPS * (lap_max + abs(lam_x) * r_max) + float(lam_err) * r_max
+                assert abs(Fraction(res) - res_x) <= res_err, (name, form)
+                assert abs(rel - res / r_max) <= 4 * EPS * rel, (name, form)
 
 
 def test_harmonic_fit_refuses_an_overflowing_sum():
-    r = np.array([[1e160, 2.0], [3.0, -4e159], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
+    # sum(u^2) overflows over the radii as sum(r^2) does over the grid, and
+    # the message names max|r1| = max|u| max|sinh v| of the grid
+    s = RevolutionSurface(log_profile(1.0, 0.0, domain=(1e160, 1e161)), v_range=(-1.0, 1.0))
+    g = Grid(np.linspace(1e160, 1e161, 5), np.linspace(-1.0, 1.0, 5))
+    r = g.u[:, None] * np.sinh(g.v)
     with pytest.raises(DomainError) as grid:
-        _fit(np.zeros((1, 2)), r)
-    with pytest.raises(DomainError) as harmonic:
-        _fit(None, r, scale=1e160)
-    assert str(harmonic.value) == str(grid.value)
+        _fit(0.0 * r, r)
+    with pytest.raises(DomainError) as fit:
+        check_eigen_i(s, g)
+    assert str(fit.value) == str(grid.value) == "eigen-fit sums overflow (max |r| = 1.18e+161)"
 
 
-KINDS = [RevolutionKind.TIMELIKE_MERIDIAN, RevolutionKind.SPACELIKE_MERIDIAN]
+@pytest.mark.parametrize("check", [check_eigen_i, check_eigen_ii])
+def test_rotational_fits_report_past_the_grid_sum_range(check):
+    # sum((u cosh v)^2) overflows past v of about 354, sum(u^2) does not:
+    # the fit is reported unless a residual max|a - lambda u| max|h| overflows
+    for vmax, finite in ((400.0, True), (709.0, check is check_eigen_i)):
+        s = RevolutionSurface(power_profile(1.0, -3.0, 1.0), v_range=(0.0, vmax))
+        g = Grid(np.linspace(1.0, 2.5, 5), np.linspace(vmax - 4.0, vmax, 5))
+        if finite:
+            rep = check(s, g)
+            assert np.isfinite([rep.lam, rep.residual_sup, rep.residual_rel]).all()
+            assert _bits(rep.lam[0]) == _bits(rep.lam[1])
+        else:
+            with pytest.raises(DomainError, match=r"^eigen-fit sums overflow \(max \|r\| = 1.03e\+308\)$"):
+                check(s, g)
 
 
 @pytest.mark.parametrize("n", [101, 401])
 @pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
-@pytest.mark.parametrize("profile", [log_profile(-2.0, 0.0), power_profile(1.0, 3.0, 1.0),
-                                     constant_h_profile(2.0, 0.0, 0.0)],
-                         ids=["log", "power", "consth"])
+@pytest.mark.parametrize("profile", list(PROFILES.values()), ids=list(PROFILES))
 def test_second_form_fits_match_the_materialised_grids(n, kind, profile):
-    from sigeom.surfaces import _coordinate_laplacians, _rotate
-
+    # against _fit over the materialised float grids, which errs as much
+    # again: twice the bound of the exact comparison, and r3's bits exactly
     s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
     g = make_grid(s, n, n)
-    f0, a, c, _ = _coordinate_laplacians(s, g.u, 2, value=True)
-    sv, cv = np.sinh(g.v), np.cosh(g.v)
-    rs = _rotate(kind, g.u[:, None], sv, cv)
-    laps = _rotate(kind, a[:, None], sv, cv)
-    want = [_fit(lap, r) for lap, r in zip(laps, rs)]
-    want.append(_fit(np.repeat(c[:, None], n, axis=1), np.repeat(f0[:, None], n, axis=1)))
     rep = check_eigen_ii(s, g)
-    assert _bits([rep.lam, rep.residual_sup, rep.residual_rel]) == _bits(np.array(want).T)
+    assert _bits(rep.lam[0]) == _bits(rep.lam[1])
+    for i, (r, lap) in enumerate(zip(*_materialised(s, g, 2))):
+        lam, res, rel = _fit(lap, r)
+        products = np.abs(lap * r)
+        lam_err = 2 * _lambda_bound(n, lam, float(np.sum(products)), float(np.sum(r * r)))
+        r_max = float(np.max(np.abs(r)))
+        assert abs(rep.lam[i] - lam) <= lam_err
+        assert abs(rep.residual_sup[i] - res) <= 8 * EPS * (np.max(np.abs(lap)) + abs(lam) * r_max) + lam_err * r_max
+        assert abs(rep.residual_rel[i] - rep.residual_sup[i] / r_max) <= 4 * EPS * rep.residual_rel[i]
+    f0, _, c, _ = _coordinate_laplacians(s, g.u, 2, value=True)
+    want = _fit(np.repeat(c[:, None], n, axis=1), np.repeat(f0[:, None], n, axis=1))
+    assert _bits([rep.lam[2], rep.residual_sup[2], rep.residual_rel[2]]) == _bits(want)
 
 
 def _traced_peak(fn) -> int:
@@ -356,15 +369,14 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
 def test_eigen_fits_keep_few_grid_arrays_alive(kind):
-    # the second form writes r_i and Lap r_i into two grids, one rotational
-    # coordinate at a time, and each fit holds one more grid temporary; the
-    # first form's radial fit holds one repeated grid
+    # the rotational fits sum over the radii alone; r3's fit holds one
+    # repeated grid temporary at a time, on either form
     grid_bytes = 401 * 401 * 8
-    for check, profile, most in ((check_eigen_ii, log_profile(-2.0, 0.0), 3.5),
-                                 (check_eigen_i, bessel_profile(1.0, 1.0, 0.0), 1.5)):
+    for check, profile in ((check_eigen_ii, log_profile(-2.0, 0.0)),
+                           (check_eigen_i, bessel_profile(1.0, 1.0, 0.0))):
         s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
         g = make_grid(s, 401, 401)
-        assert _traced_peak(lambda: check(s, g)) <= most * grid_bytes
+        assert _traced_peak(lambda: check(s, g)) <= 1.1 * grid_bytes
 
 
 # ----------------------------------------------------------------------

@@ -261,6 +261,17 @@ def test_surface_classify_refuses_a_non_finite_fit(capsys, action, argv, message
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("action", ["classify1", "classify2"])
+@pytest.mark.filterwarnings("error")
+def test_surface_classify_fits_past_the_grid_sum_range(capsys, action):
+    # sum((u cosh v)^2) over the grid would overflow; the rotational fits sum
+    # over the radii alone, and their residuals max|a - lambda u| cosh v are finite
+    argv = ["--profile", "log:lambda=100000,c=0", "--v=0:709", "--action", action]
+    assert main(["surface", *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "verdict: NoEigenRelation\n" in out
+
+
 @pytest.mark.parametrize("action", ["mesh", "curvature"])
 def test_surface_mesh_and_curvature_take_2x2(tmp_path, action):
     out = tmp_path / "out.txt"

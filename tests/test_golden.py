@@ -53,12 +53,12 @@ ACTIONS = ("classify1", "classify2", "laplacian1", "laplacian2", "curvature")
 # (exit code, sha256 of the output file) per (spec, action)
 SURFACE_DIGESTS = {
     ("bessel-j0", "classify1"): (0, "536c591ac78b18278490e21f78b392e565f0800715f44acf3b4f6e905eec2936"),
-    ("bessel-j0", "classify2"): (0, "edd7d3d80fc3d20d1061bb29a38eb1bb7864d2597f16cc59ae6219077be0ca2f"),
+    ("bessel-j0", "classify2"): (0, "b5fc55ce59a8d24daceecea9b7b1a744a0e5875a4ac7860c3af2e19f232db8b6"),
     ("bessel-j0", "laplacian1"): (0, "cf263295e30e41967e1f0fa00896fccbbe19463453b5f91dbb9953c7f3eec619"),
     ("bessel-j0", "laplacian2"): (0, "4ee400928ea7c166f9fa009dac9e4d30d3aa31aa247158ace568fa64e9e43130"),
     ("bessel-j0", "curvature"): (0, "0abf42824cba30a5373307badd916bdf0eba20f2bc04fc64a7ac68802f9ec3db"),
     ("bessel-jy", "classify1"): (0, "a998098eea898ff5021856af9b5d214945e7a70a3033fbdeca939ba23998f357"),
-    ("bessel-jy", "classify2"): (0, "d1e24d982077c80029d2ec5c256f43af4311d0161eee1200cfcd6e9d0528c341"),
+    ("bessel-jy", "classify2"): (0, "f733b25abada0fee22deecc48f64acb0dafc35cf079ba9808135e6282cf32c94"),
     ("bessel-jy", "laplacian1"): (0, "593199e7c7ef2cb46234e953a3c83d4b6fc771ed28323f766ce99b4e7c61b0a9"),
     ("bessel-jy", "laplacian2"): (0, "6b282d68effbbb110a259507a6544707d500af956e2b19cb7e9995b8bdd9880d"),
     ("bessel-jy", "curvature"): (0, "a3b4ec75300913235498930f22db40a369b92392a3f0b24276573a0f1cb9e33d"),
@@ -68,32 +68,32 @@ SURFACE_DIGESTS = {
     ("bessel-ik", "laplacian2"): (0, "023f82d3710db467fbfe5fee5a9bfd852fe72de5c3b87614dc3cfc2d446a7132"),
     ("bessel-ik", "curvature"): (0, "bf068a35d7af9e0f112dd55acee4c2093bf66890115e6e0ef306a161892837d9"),
     ("expr-bessel", "classify1"): (0, "3933563758b5601a14c078c133baa514161037e1c9a7f38da02b91789d3fec15"),
-    ("expr-bessel", "classify2"): (0, "8280fb52b3dc2e3727a7d29c2503d0eb4d37a34ae5cb5a73742d74f43fdd96ad"),
+    ("expr-bessel", "classify2"): (0, "8d1cafc1f264a2ccffac94543b84967dc806af6607cdb24b2f1a5c210054f212"),
     ("expr-bessel", "laplacian1"): (0, "54477b89314728cf7d4cafd30d950f77cf5e5ebb93c14aa23d21d3227e2fee55"),
     ("expr-bessel", "laplacian2"): (0, "6cc38810b30e8860bf31c0338aae051c543c283f5370e399c972472a7e8bae1a"),
     ("expr-bessel", "curvature"): (0, "c80bcb9d1a7ac979895950ecafbb05042a8629dcb0e809a50cdb106d2d549bea"),
     ("expr-elem", "classify1"): (0, "788e999c88d3470bd85209fd29ea52686e8c74a3cad30f5d780b6a7282047125"),
-    ("expr-elem", "classify2"): (0, "ff37fdac612a52ab4bda9f5668944f1ea01cfdaafd95e308feb68654e9461d20"),
+    ("expr-elem", "classify2"): (0, "9f1ad866595da4ad03f85434e3d1dddfec28c3708ddc04bcbc5bc54a38041dce"),
     ("expr-elem", "laplacian1"): (0, "f60cf5d671a55997835ee146480a784ec20299fb7b9db4b6d46b8b9000020491"),
     ("expr-elem", "laplacian2"): (0, "580d21ac84e01c5129c190dcbf6280f779f41612368d2a1726f6081628477b75"),
     ("expr-elem", "curvature"): (0, "7012e2b3a6e67dbfd935c2d56dddd8fcdb9ba6b206ed05e5775bd7699cc4796e"),
     ("log", "classify1"): (0, "b559b1e2aebfcb7ea45a081c01f4d8eb4b2f56c9ee624378c13e95d36afec284"),
-    ("log", "classify2"): (0, "6aa6f5bf50c33267975600ece068e51f9876008e37e38baad630d3223915b33a"),
+    ("log", "classify2"): (0, "1fc011b477a5e3e3a8b0e645a4ea7da5ee12e6033bf5fb102d349762a1c9c57f"),
     ("log", "laplacian1"): (0, "d644973da3245e2481c34cb06a455201b6eabb28fb73bfdd6bb65a2f6d075fc4"),
     ("log", "laplacian2"): (0, "db2fbe367b8ff9da22f3f960d9505203c5487904b2130e10f02eca6b347524cf"),
     ("log", "curvature"): (0, "6fc37fe1c9dbfdad12bbfce77bb20c27a0815dacd618ece3d9945402a1bfb4dd"),
     ("power", "classify1"): (0, "426d53189aaaf7d846bd68ed07f6fb2991283f8031f2e2ec8d7889f5d9939c32"),
-    ("power", "classify2"): (0, "eb4d94d11f9bd5388e4059ca08d07aea7a548d21924b43a2f093acab446d6d6b"),
+    ("power", "classify2"): (0, "c6837f0f537e889cb19eca9c41a041a35c55c02aab2a22eb6364af29b38f7e65"),
     ("power", "laplacian1"): (0, "788be7140ce3b1eb9e037e6e78988de46f6534064b83f06ea16fce595d5f9af3"),
     ("power", "laplacian2"): (0, "89ccce4173f095c2f05faa0fdaff835063b703df963bad548e8c16aec6c5aa3a"),
     ("power", "curvature"): (0, "13b79a2a04f9f45a17cb0cb5ff71a5a13a7b01991b8029bd61cac38838d14d42"),
     ("consth", "classify1"): (0, "37b8d79c0ef4a35cbabf80770ef1460d6ec491fd7b72a9d2787109abebf850eb"),
-    ("consth", "classify2"): (0, "eda5e2c34c19ace1a9bff046d9d04bf6af9939f49b8861d1f42628edd104807a"),
+    ("consth", "classify2"): (0, "d6ff4ceac98f7e143d132f96e1792a58e9e2392fdcc869e96baa398a40238c63"),
     ("consth", "laplacian1"): (0, "b4fb656ea87f5726da18dcfbb12eb5ab85bcf0f6b875c39f5483ea13541f7892"),
     ("consth", "laplacian2"): (0, "f330c06c4ec901ca942111c43008cc2e1e76d934317906f18e1d9ff16ee87df1"),
     ("consth", "curvature"): (0, "922c17a0bd8d7e0c9e61dd317c8dc5b2e605028bd40a46591cdc703586d5510c"),
     ("constk", "classify1"): (0, "a77db9e624feadd893d390f4a136faef9d4871cccf2c185e2f06a9f4399e94fc"),
-    ("constk", "classify2"): (0, "ebf226ea650cff43f28f48789d0b5f425ee1736ec94eef802351714cb3c2a897"),
+    ("constk", "classify2"): (0, "418c868e90e21901df9570a0f2c65bd6d7f6738bcd0058ae35656e2fab7fea1b"),
     ("constk", "laplacian1"): (0, "528a93533c62c1452538dcfb4633e6a06b0cb1c1f73c49518b5c1e5c683057a6"),
     ("constk", "laplacian2"): (0, "7243246e0d23361faffb2c91fbfca26eeb17944995011be9887e64d468836dfb"),
     ("constk", "curvature"): (0, "0616484cbe32247ddae3322f7f17985134fdab292e9adefcfcc69bd678e1fe93"),
