@@ -294,8 +294,8 @@ def test_y0_k0_jets_at_the_tiny_bound(x):
 # every order of the Y0/K0 jets against mpmath (tests/mp_bessel.py) on
 # [2^-330, 20]: relative for K0, against max(1, |Y0^(k)|) for Y0; an array
 # call gives each pointwise call's bits, and f is the value to within an ulp.
-# K0 also at the two worst points of a denser probe of [18, 20], which the
-# linspace misses
+# K0 also where denser probes of [18, 20] found its largest errors, 5.6e-15
+# and 1.07e-14, which the linspace misses
 JET_XS = np.concatenate((np.geomspace(2.0**-330, 1.0, 150), np.linspace(1.0, 20.0, 150)))
 K0_XS = np.concatenate((JET_XS, [19.960416666666667, 19.960933333333333]))
 

@@ -331,16 +331,18 @@ def test_rotational_fits_report_past_the_grid_sum_range(check):
             assert np.isfinite([rep.lam, rep.residual_sup, rep.residual_rel]).all()
             assert _bits(rep.lam[0]) == _bits(rep.lam[1])
         else:
-            with pytest.raises(DomainError, match=r"^eigen-fit sums overflow \(max \|r\| = 1.03e\+308\)$"):
+            with pytest.raises(DomainError) as exc:
                 check(s, g)
+            assert str(exc.value) == "eigen-fit sums overflow (max |r| = 1.03e+308)"
 
 
 @pytest.mark.parametrize("n", [101, 401])
 @pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
 @pytest.mark.parametrize("profile", list(PROFILES.values()), ids=list(PROFILES))
 def test_second_form_fits_match_the_materialised_grids(n, kind, profile):
-    # against _fit over the materialised float grids, which errs as much
-    # again: twice the bound of the exact comparison, and r3's bits exactly
+    # against _fit over the materialised float grids, itself within the
+    # bound of the exact least squares (its pairwise sum of n^2 terms errs
+    # by well under n eps), so within twice that bound; r3 bit for bit
     s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
     g = make_grid(s, n, n)
     rep = check_eigen_ii(s, g)
@@ -351,7 +353,8 @@ def test_second_form_fits_match_the_materialised_grids(n, kind, profile):
         lam_err = 2 * _lambda_bound(n, lam, float(np.sum(products)), float(np.sum(r * r)))
         r_max = float(np.max(np.abs(r)))
         assert abs(rep.lam[i] - lam) <= lam_err
-        assert abs(rep.residual_sup[i] - res) <= 8 * EPS * (np.max(np.abs(lap)) + abs(lam) * r_max) + lam_err * r_max
+        res_err = 8 * EPS * (np.max(np.abs(lap)) + abs(lam) * r_max) + lam_err * r_max
+        assert abs(rep.residual_sup[i] - res) <= res_err
         assert abs(rep.residual_rel[i] - rep.residual_sup[i] / r_max) <= 4 * EPS * rep.residual_rel[i]
     f0, _, c, _ = _coordinate_laplacians(s, g.u, 2, value=True)
     want = _fit(np.repeat(c[:, None], n, axis=1), np.repeat(f0[:, None], n, axis=1))
