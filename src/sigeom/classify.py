@@ -199,8 +199,12 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     u_max = float(np.max(np.abs(g.u)))
     fits = []
     for h in _rotate(s.kind, 1.0, float(np.max(np.abs(sv))), float(np.max(cv))):
-        if not (math.isfinite(lam) and math.isfinite(res * h)):
+        if not math.isfinite(lam):
             raise DomainError(f"eigen-fit sums overflow (max |r| = {u_max * h:.3g})")
+        if not math.isfinite(res * h):
+            raise DomainError(
+                f"eigen-fit residual overflows: max |a - lambda u| = {res:.3g}, max |h| = {h:.3g}"
+            )
         fits.append((lam, res * h, rel))
     return (*fits, _fit(c, f0, g.v.size)), ew
 

@@ -1,19 +1,18 @@
 """Restricted arithmetic expressions over u, differentiated by forward jets.
 
-Grammar (u is the only variable):
-
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := ('+' | '-')* power
-    power  := atom ('^' factor)?          (right-associative)
-    atom   := NUMBER | 'u' | NAME '(' expr ')' | '(' expr ')'
-
-Recognized functions: ln, sinh, cosh, j0, i0.  Exponents must be constant.
+Formulas are read by Python's parser with ``^`` for powers, under Python's
+precedence: ``-u^2`` is -(u^2), ``2^-2`` is 0.25 and ``^`` groups to the
+right.  The language is ASCII numbers (007, 1., .5e-1), the variable u,
+unary ``+ -``, binary ``+ - * / ^``, parentheses, and ln, sinh, cosh, j0,
+i0 of one argument.  Exponents must be constant.  A tree nested deeper
+than _MAX_DEPTH levels is refused, so any formula read can be evaluated.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 
 from . import autodiff as ad
 from .autodiff import Jet3
@@ -23,11 +22,14 @@ from .profiles import ProfileCurve, ProfileFamily, profile_from_jet
 
 __all__ = ["parse_expression", "expression_profile"]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_BAD_CHAR = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]")
+_NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?")
+# Python refuses integer literals with leading zeros (007) or past 4,300
+# digits; spelled as floats (007.) they parse, to the same value
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")
+# CPython's parser stops at 200 nested parentheses; operator chains (u+u+...+u,
+# ----u) are bounded alike, so _evaluate's recursion stays inside Python's limit
+_MAX_DEPTH = 200
 
 _FUNCTIONS = {
     "ln": ad.ln,
@@ -36,103 +38,45 @@ _FUNCTIONS = {
     "j0": ad.j0,
     "i0": ad.i0,
 }
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ProfileSpecError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.idx = 0
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.idx]
-
-    def next(self) -> tuple[str, str]:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ProfileSpecError(f"expected {op!r} in {self.text!r}, got {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ProfileSpecError(f"trailing input {val!r} in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            node = (op, node, self.factor())
-        return node
-
-    def factor(self):
-        signs = 1
-        while self.peek() in (("op", "+"), ("op", "-")):
-            _, op = self.next()
-            if op == "-":
-                signs = -signs
-        node = self.power()
-        return node if signs > 0 else ("neg", node)
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            node = ("^", node, self.factor())
-        return node
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", float(val))
-        if kind == "name":
-            if val == "u":
-                return ("var",)
-            if val in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", val, arg)
-            raise ProfileSpecError(f"unknown name {val!r} in {self.text!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ProfileSpecError(f"unexpected token {val!r} in {self.text!r}")
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def parse_expression(text: str) -> tuple:
     """Parse to an AST of nested tuples; raises ProfileSpecError on bad input."""
-    return _Parser(text).parse()
+    if (bad := _BAD_CHAR.search(text)) is not None:
+        raise ProfileSpecError(f"unexpected character {bad.group()!r} at position {bad.start()}")
+    if "**" in text:
+        raise ProfileSpecError(f"powers are written ^, not **, in {text!r}")
+    source = _INTEGER.sub(r"\g<0>.", " ".join(text.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():  # the tokenizer's warnings (1if) become SyntaxErrors
+            warnings.simplefilter("error")
+            tree = ast.parse(source, mode="eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:  # the last two: deep nesting
+        reason = exc.msg if isinstance(exc, SyntaxError) else "nested too deep"
+        raise ProfileSpecError(f"cannot read {text!r}: {reason}") from None
+
+    def convert(node: ast.expr, depth: int) -> tuple:
+        if depth > _MAX_DEPTH:
+            raise ProfileSpecError(f"{text!r} nests deeper than {_MAX_DEPTH} levels")
+        match node:  # source is one line of ASCII: its column offsets are characters
+            case ast.Constant(col_offset=i, end_col_offset=j) if _NUMBER.fullmatch(source[i:j]):
+                return ("num", float(source[i:j]))
+            case ast.Name(id="u"):
+                return ("var",)
+            case ast.Name(id=name):
+                raise ProfileSpecError(f"unknown name {name!r} in {text!r}")
+            case ast.UnaryOp(op=ast.UAdd(), operand=arg):
+                return convert(arg, depth + 1)
+            case ast.UnaryOp(op=ast.USub(), operand=arg):
+                return ("neg", convert(arg, depth + 1))
+            case ast.BinOp(left=left, op=op, right=right) if type(op) in _BINARY:
+                return (_BINARY[type(op)], convert(left, depth + 1), convert(right, depth + 1))
+            case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in _FUNCTIONS:
+                return ("call", name, convert(arg, depth + 1))
+        raise ProfileSpecError(f"unexpected {ast.get_source_segment(source, node)!r} in {text!r}")
+
+    return convert(tree.body, 1)
 
 
 def _evaluate(node: tuple, u: Jet3, cfg: SeriesConfig) -> Jet3:

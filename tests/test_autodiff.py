@@ -88,9 +88,28 @@ def test_float_passthrough():
 
 
 def test_parser_rejects_garbage():
-    for bad in ("u +", "2 **", "foo(u)", "u @ 2", "(u", "u)"):
+    # from "u**2" on: spellings that Python's parser takes and formulas do not
+    for bad in ("u +", "2 **", "foo(u)", "u @ 2", "(u", "u)",
+                "u**2", "1_0", "0x1", "1j", "True", "u<2", "ln(u,u)", "ln(u,)", "ln(x=u)", "u.real",
+                "[u]", "not u", "~u", "u%2", "u//2", "ln(*u)", "ln(^u)", "2(u)", "1if u else u"):
         with pytest.raises(ProfileSpecError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize("text, jet", [
+    ("007*u", (7.0 * 0.7, 7.0, 0.0, 0.0)),
+    ("0" * 4400 + "7*u", (7.0 * 0.7, 7.0, 0.0, 0.0)),  # past Python's 4,300-digit integers
+    ("--u", (0.7, 1.0, 0.0, 0.0)),
+    ("+u", (0.7, 1.0, 0.0, 0.0)),
+    ("u\n+\t1", (1.7, 1.0, 0.0, 0.0)),
+    ("2^-2^2", (0.0625, 0.0, 0.0, 0.0)),  # 2^(-(2^2))
+    (".5e1*u", (5.0 * 0.7, 5.0, 0.0, 0.0)),
+])
+def test_parser_accepts_the_formula_spellings(text, jet):
+    from sigeom.expressions import _evaluate
+    from sigeom.bessel import DEFAULT_SERIES
+
+    assert _evaluate(parse_expression(text), Jet3.variable(0.7), DEFAULT_SERIES).as_tuple() == jet
 
 
 def test_parser_precedence():

@@ -333,7 +333,9 @@ def test_rotational_fits_report_past_the_grid_sum_range(check):
         else:
             with pytest.raises(DomainError) as exc:
                 check(s, g)
-            assert str(exc.value) == "eigen-fit sums overflow (max |r| = 1.03e+308)"
+            assert str(exc.value) == (
+                "eigen-fit residual overflows: max |a - lambda u| = 6.1, max |h| = 4.11e+307"
+            )
 
 
 @pytest.mark.parametrize("n", [101, 401])

@@ -208,6 +208,14 @@ def test_surface_float_overflow_is_a_domain_error(capsys, argv):
     assert captured.err == "error: math range error\n"
 
 
+@pytest.mark.parametrize("formula", ["(" * 250 + "u" + ")" * 250, "+".join(["u"] * 990)],
+                         ids=["parentheses", "sum"])
+def test_surface_deeply_nested_formula_is_a_parse_error(capsys, formula):
+    assert main(["surface", "--profile", f"expr:f={formula}", "--action", "classify1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_surface_non_finite_j0_argument_is_a_domain_error(capsys):
     assert main(["surface", "--profile", "expr:f=j0(1e308*u*10)", "--action", "curvature"]) == 3
     assert capsys.readouterr() == ("", "error: j0 requires finite x, got inf\n")
@@ -258,6 +266,15 @@ def test_surface_range_inside_the_grid_margins_is_a_domain_error(capsys, argv, a
 @pytest.mark.filterwarnings("error")  # and numpy does not warn on the way
 def test_surface_classify_refuses_a_non_finite_fit(capsys, action, argv, message):
     assert main(["surface", *argv, "--action", action]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_surface_classify2_names_an_overflowing_residual(capsys):
+    # the sums over the radii are finite; the residual max|a - lambda u| max|h(v)| is not
+    argv = ["--profile", "power:lambda=1,mu=-2,c=1", "--u=1:9", "--v=705:709", "--grid", "5x5"]
+    assert main(["surface", *argv, "--action", "classify2"]) == 3
+    message = "eigen-fit residual overflows: max |a - lambda u| = 134, max |h| = 4.04e+307"
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
