@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib
 import math
 import sys
 import warnings
@@ -85,16 +86,17 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return nu, nv
 
 
-_PROFILE_KEYS = {
-    "constk": ("k0", "c1", "c2"),
-    "consth": ("h0", "c1", "c2"),
-    "bessel": ("lambda", "c1", "c2"),
-    "log": ("lambda", "c"),
-    "power": ("lambda", "mu", "c"),
-    "lin": ("a", "b"),
-    "expr": ("f",),
+# family: (constructor, keys in argument order, defaults of optional keys,
+# whether it takes the series config); expr's value is text, the rest numbers
+_FAMILIES = {
+    "constk": ("profiles.constant_k_profile", ("k0", "c1", "c2"), {"c2": 0.0}, False),
+    "consth": ("profiles.constant_h_profile", ("h0", "c1", "c2"), {}, False),
+    "bessel": ("profiles.bessel_profile", ("lambda", "c1", "c2"), {}, True),
+    "log": ("profiles.log_profile", ("lambda", "c"), {}, False),
+    "power": ("profiles.power_profile", ("lambda", "mu", "c"), {}, False),
+    "lin": ("profiles.linear_profile", ("a", "b"), {}, False),
+    "expr": ("expressions.expression_profile", ("f",), {}, True),
 }
-_PROFILE_OPTIONAL = {"constk": {"c2"}}
 
 
 def parse_profile_spec(spec: str, cfg: SeriesConfig | None = None) -> ProfileCurve:
@@ -108,9 +110,9 @@ def parse_profile_spec(spec: str, cfg: SeriesConfig | None = None) -> ProfileCur
         cfg = SeriesConfig()
     family, sep, rest = spec.partition(":")
     family = family.strip()
-    if not sep or family not in _PROFILE_KEYS:
+    if not sep or family not in _FAMILIES:
         raise ProfileSpecError(
-            f"unknown profile spec {spec!r}; families: {', '.join(sorted(_PROFILE_KEYS))}"
+            f"unknown profile spec {spec!r}; families: {', '.join(sorted(_FAMILIES))}"
         )
     kv: dict[str, str] = {}
     for item in rest.split(","):
@@ -121,44 +123,23 @@ def parse_profile_spec(spec: str, cfg: SeriesConfig | None = None) -> ProfileCur
         if not eq:
             raise ProfileSpecError(f"expected key=value in profile spec, got {item!r}")
         kv[key.strip()] = val.strip()
-    allowed = _PROFILE_KEYS[family]
-    optional = _PROFILE_OPTIONAL.get(family, set())
+    constructor, keys, defaults, takes_cfg = _FAMILIES[family]
     for key in kv:
-        if key not in allowed:
+        if key not in keys:
             raise ProfileSpecError(f"unknown key {key!r} for family {family!r}")
-    for key in allowed:
-        if key not in kv and key not in optional:
+    for key in keys:
+        if key not in kv and key not in defaults:
             raise ProfileSpecError(f"family {family!r} requires key {key!r}")
-
-    if family == "expr":
-        from .expressions import expression_profile
-
-        return expression_profile(kv["f"], cfg=cfg)
-
-    try:
-        nums = {k: float(v) for k, v in kv.items()}
-    except ValueError as exc:
-        raise ProfileSpecError(f"bad numeric value in {spec!r}: {exc}") from exc
-    from .profiles import (
-        bessel_profile,
-        constant_h_profile,
-        constant_k_profile,
-        linear_profile,
-        log_profile,
-        power_profile,
-    )
-
-    if family == "constk":
-        return constant_k_profile(nums["k0"], nums["c1"], nums.get("c2", 0.0))
-    if family == "consth":
-        return constant_h_profile(nums["h0"], nums["c1"], nums["c2"])
-    if family == "bessel":
-        return bessel_profile(nums["lambda"], nums["c1"], nums["c2"], cfg)
-    if family == "log":
-        return log_profile(nums["lambda"], nums["c"])
-    if family == "power":
-        return power_profile(nums["lambda"], nums["mu"], nums["c"])
-    return linear_profile(nums["a"], nums["b"])
+    values: dict = kv
+    if family != "expr":
+        try:
+            values = {k: float(v) for k, v in kv.items()}
+        except ValueError as exc:
+            raise ProfileSpecError(f"bad numeric value in {spec!r}: {exc}") from exc
+    module, _, name = constructor.partition(".")
+    build = getattr(importlib.import_module(f".{module}", __package__), name)
+    series = {"cfg": cfg} if takes_cfg else {}
+    return build(*(values.get(k, defaults.get(k)) for k in keys), **series)
 
 
 _BLOCK_ROWS = 4096

@@ -5,7 +5,10 @@ precedence: ``-u^2`` is -(u^2), ``2^-2`` is 0.25 and ``^`` groups to the
 right.  The language is ASCII numbers (007, 1., .5e-1), the variable u,
 unary ``+ -``, binary ``+ - * / ^``, parentheses, and ln, sinh, cosh, j0,
 i0 of one argument.  Exponents must be constant.  A tree nested deeper
-than _MAX_DEPTH levels is refused, so any formula read can be evaluated.
+than _MAX_DEPTH levels is refused.  Python compiles the checked tree, with
+each number called as ``_const(x)`` (Jet3.const) and unary ``+`` dropped:
+every operation is one Jet3 operation on two jets, nothing is folded (2^u
+stays refused), and the code runs with empty builtins.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import ast
 import re
 import warnings
+from types import CodeType
 
 from . import autodiff as ad
 from .autodiff import Jet3
@@ -28,7 +32,7 @@ _NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[e
 # digits; spelled as floats (007.) they parse, to the same value
 _INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")
 # CPython's parser stops at 200 nested parentheses; operator chains (u+u+...+u,
-# ----u) are bounded alike, so _evaluate's recursion stays inside Python's limit
+# ----u) are bounded alike
 _MAX_DEPTH = 200
 
 _FUNCTIONS = {
@@ -38,11 +42,12 @@ _FUNCTIONS = {
     "j0": ad.j0,
     "i0": ad.i0,
 }
-_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-def parse_expression(text: str) -> tuple:
-    """Parse to an AST of nested tuples; raises ProfileSpecError on bad input."""
+def parse_expression(text: str) -> CodeType:
+    """Check a formula and compile it for _evaluate; raises ProfileSpecError
+    on bad input."""
     if (bad := _BAD_CHAR.search(text)) is not None:
         raise ProfileSpecError(f"unexpected character {bad.group()!r} at position {bad.start()}")
     if "**" in text:
@@ -56,56 +61,38 @@ def parse_expression(text: str) -> tuple:
         reason = exc.msg if isinstance(exc, SyntaxError) else "nested too deep"
         raise ProfileSpecError(f"cannot read {text!r}: {reason}") from None
 
-    def convert(node: ast.expr, depth: int) -> tuple:
+    def call(name: str, arg: ast.expr) -> ast.Call:
+        return ast.Call(ast.Name(name, ast.Load()), [arg], [])
+
+    def check(node: ast.expr, depth: int) -> ast.expr:
         if depth > _MAX_DEPTH:
             raise ProfileSpecError(f"{text!r} nests deeper than {_MAX_DEPTH} levels")
         match node:  # source is one line of ASCII: its column offsets are characters
             case ast.Constant(col_offset=i, end_col_offset=j) if _NUMBER.fullmatch(source[i:j]):
-                return ("num", float(source[i:j]))
+                return call("_const", ast.Constant(float(source[i:j])))
             case ast.Name(id="u"):
-                return ("var",)
+                return node
             case ast.Name(id=name):
                 raise ProfileSpecError(f"unknown name {name!r} in {text!r}")
             case ast.UnaryOp(op=ast.UAdd(), operand=arg):
-                return convert(arg, depth + 1)
+                return check(arg, depth + 1)
             case ast.UnaryOp(op=ast.USub(), operand=arg):
-                return ("neg", convert(arg, depth + 1))
-            case ast.BinOp(left=left, op=op, right=right) if type(op) in _BINARY:
-                return (_BINARY[type(op)], convert(left, depth + 1), convert(right, depth + 1))
+                return ast.UnaryOp(node.op, check(arg, depth + 1))
+            case ast.BinOp(left=left, op=op, right=right) if isinstance(op, _OPERATORS):
+                return ast.BinOp(check(left, depth + 1), op, check(right, depth + 1))
             case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in _FUNCTIONS:
-                return ("call", name, convert(arg, depth + 1))
+                return call(name, check(arg, depth + 1))
         raise ProfileSpecError(f"unexpected {ast.get_source_segment(source, node)!r} in {text!r}")
 
-    return convert(tree.body, 1)
+    body = ast.Expression(check(tree.body, 1))
+    return compile(ast.fix_missing_locations(body), "<formula>", "eval")
 
 
-def _evaluate(node: tuple, u: Jet3, cfg: SeriesConfig) -> Jet3:
-    op = node[0]
-    if op == "num":
-        return Jet3.const(node[1])
-    if op == "var":
-        return u
-    if op == "neg":
-        return -_evaluate(node[1], u, cfg)
-    if op == "call":
-        fn = _FUNCTIONS[node[1]]
-        arg = _evaluate(node[2], u, cfg)
-        if node[1] in ("j0", "i0"):
-            return fn(arg, cfg)
-        return fn(arg)
-    left = _evaluate(node[1], u, cfg)
-    right = _evaluate(node[2], u, cfg)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        return left / right
-    if op == "^":
-        return left**right
-    raise AssertionError(f"unhandled node {node!r}")
+def _evaluate(code: CodeType, u: Jet3, cfg: SeriesConfig) -> Jet3:
+    # _FUNCTIONS is read per call, so wrappers put into it apply
+    j0, i0 = _FUNCTIONS["j0"], _FUNCTIONS["i0"]
+    names = {**_FUNCTIONS, "j0": lambda x: j0(x, cfg), "i0": lambda x: i0(x, cfg)}
+    return eval(code, {"__builtins__": {}}, {**names, "u": u, "_const": Jet3.const})
 
 
 def expression_profile(
@@ -114,12 +101,12 @@ def expression_profile(
     cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> ProfileCurve:
     """Build a ProfileCurve from an expression in u, derivatives via jets."""
-    ast = parse_expression(text)
+    code = parse_expression(text)
     from .profiles import _resolve_domain
 
     dom = _resolve_domain(domain)
 
     def jet(u):  # a float or an array of radii
-        return _evaluate(ast, Jet3.variable(u), cfg).as_tuple()
+        return _evaluate(code, Jet3.variable(u), cfg).as_tuple()
 
     return profile_from_jet(jet, dom, ProfileFamily.CUSTOM, {"expression": text})

@@ -8,7 +8,7 @@ excluded; every downstream curvature and Laplacian formula divides by u).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from typing import Callable
@@ -249,27 +249,17 @@ def log_profile(lam: float, c: float, domain: tuple[float, float] | None = None)
     """f(u) = (-2/lam) ln u + c; the family whose second-form coordinate
     eigenvalues come out as (lam, lam, 0).
 
-    Coincides pointwise with constant_h_profile(0, -2/lam, c); the operations
-    below mirror that constructor so the agreement is exact in floats.
+    It is the H = 0 member of constant_h_profile, with h0 = -0.0: that is
+    the additive identity of IEEE arithmetic, so the h0 terms leave every
+    bit of f, f', f'' and f''' as c1 = -2/lam alone gives them.
     """
     if lam == 0.0:
         raise DomainError("log_profile requires lam != 0")
-    a = -2.0 / lam
-    dom = _resolve_domain(domain)
-
-    def f(u: float) -> float:
-        return a * math.log(u) + c
-
-    def d1(u: float) -> float:
-        return a / u
-
-    def d2(u: float) -> float:
-        return -(a / (u * u))
-
-    def d3(u: float) -> float:
-        return (2.0 * a) / (u * u * u)
-
-    return ProfileCurve(f, d1, d2, d3, dom, ProfileFamily.LOG_TYPE, {"lam": lam, "c": c})
+    return replace(
+        constant_h_profile(-0.0, -2.0 / lam, c, domain),
+        family=ProfileFamily.LOG_TYPE,
+        params={"lam": lam, "c": c},
+    )
 
 
 def power_profile(
