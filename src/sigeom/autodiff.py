@@ -111,6 +111,8 @@ class Jet3:
         g = self.f0
         if a != math.floor(a) and np.any(g <= 0.0):
             raise DomainError(f"({g!r})^({a!r}) is undefined for a non-integer exponent")
+        if a < 0.0 and np.any(g == 0.0):
+            raise DomainError(f"({g!r})^({a!r}) is undefined: 0 to a negative power is a pole")
         w0 = _per_element(math.pow, g, a)
         w1 = a * _per_element(math.pow, g, a - 1.0) if a != 0.0 else 0.0
         w2 = a * (a - 1.0) * _per_element(math.pow, g, a - 2.0) if a not in (0.0, 1.0) else 0.0
@@ -152,7 +154,7 @@ def _compose(g: Jet3, w0: float, w1: float, w2: float, w3: float) -> Jet3:
 
 def _reciprocal(g: Jet3) -> Jet3:
     if np.any(g.f0 == 0.0):
-        raise ZeroDivisionError("jet division by zero value")
+        raise DomainError("jet division by zero value")
     inv = 1.0 / g.f0
     return _compose(g, inv, -inv * inv, 2.0 * _ipow(inv, 3), -6.0 * _ipow(inv, 4))
 

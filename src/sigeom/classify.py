@@ -263,7 +263,7 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
     ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), ew = _fit_coordinates(s, g, 2)
 
     notes = [_pattern_label(l1, l3, tol)]
-    if s1 <= tol and s2 <= tol and s3 <= tol and abs(l3) <= tol:
+    if s1 <= tol and s2 <= tol and s3 <= tol and abs(l1) > tol and abs(l3) <= tol:
         verdict = Verdict.SI_MINIMAL
         if s.profile.family is ProfileFamily.LOG_TYPE:
             notes.append(

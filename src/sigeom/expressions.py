@@ -28,11 +28,12 @@ __all__ = ["parse_expression", "expression_profile"]
 
 _BAD_CHAR = re.compile(r"[^A-Za-z0-9_.+\-*/^()\s]")
 _NUMBER = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?")
-# Python refuses integer literals with leading zeros (007) or past 4,300
-# digits; spelled as floats (007.) they parse, to the same value
-_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])\d+(?![\w.])")
+# a piece of formula text as Python source spells it: a run of whitespace as
+# one space, an integer as a float (Python refuses 007 and integers past
+# 4,300 digits, but 007. parses, to the same value), ^ as ** and all else as is
+_PIECE = re.compile(r"(\s+)|((?<![\w.])(?<![eE][+-])\d+(?![\w.]))|.")
 # CPython's parser stops at 200 nested parentheses; operator chains (u+u+...+u,
-# ----u) are bounded alike
+# ----u) are bounded alike, so check's recursion stays inside Python's limit
 _MAX_DEPTH = 200
 
 _FUNCTIONS = {
@@ -52,7 +53,11 @@ def parse_expression(text: str) -> CodeType:
         raise ProfileSpecError(f"unexpected character {bad.group()!r} at position {bad.start()}")
     if "**" in text:
         raise ProfileSpecError(f"powers are written ^, not **, in {text!r}")
-    source = _INTEGER.sub(r"\g<0>.", " ".join(text.split())).replace("^", "**")
+    source, cols = "", []  # cols[k]: the column of formula that source[k] spells
+    for piece in _PIECE.finditer(formula := text.strip()):
+        word = " " if piece[1] else piece[0] + "." if piece[2] else piece[0].replace("^", "**")
+        source += word
+        cols += (piece.start() + min(k, len(piece[0]) - 1) for k in range(len(word)))
     try:
         with warnings.catch_warnings():  # the tokenizer's warnings (1if) become SyntaxErrors
             warnings.simplefilter("error")
@@ -82,7 +87,8 @@ def parse_expression(text: str) -> CodeType:
                 return ast.BinOp(check(left, depth + 1), op, check(right, depth + 1))
             case ast.Call(func=ast.Name(id=name), args=[arg], keywords=[]) if name in _FUNCTIONS:
                 return call(name, check(arg, depth + 1))
-        raise ProfileSpecError(f"unexpected {ast.get_source_segment(source, node)!r} in {text!r}")
+        segment = formula[cols[node.col_offset] : cols[node.end_col_offset - 1] + 1]
+        raise ProfileSpecError(f"unexpected {segment!r} in {text!r}")
 
     body = ast.Expression(check(tree.body, 1))
     return compile(ast.fix_missing_locations(body), "<formula>", "eval")

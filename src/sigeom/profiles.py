@@ -3,6 +3,7 @@
 Each constructor returns an immutable ProfileCurve carrying f and its first
 three derivatives as callables on a positive closed interval (u = 0 is always
 excluded; every downstream curvature and Laplacian formula divides by u).
+Each family is defined once: log_profile is constant_h_profile's H = 0 member.
 """
 
 from __future__ import annotations

@@ -521,7 +521,8 @@ def mesh(s: RevolutionSurface, nu: int, nv: int) -> Mesh:
     vs = np.linspace(s.v_range[0], s.v_range[1], nv)
     z = s.profile._jets(us, (0,))[0]
     verts = np.empty((nu, nv, 3), dtype=np.float64)
-    _rotate(s.kind, us[:, None], np.sinh(vs), np.cosh(vs), out=(verts[..., 0], verts[..., 1]))
+    with np.errstate(over="ignore"):  # an overflowed vertex is refused just below
+        _rotate(s.kind, us[:, None], np.sinh(vs), np.cosh(vs), out=(verts[..., 0], verts[..., 1]))
     verts[..., 2] = z[:, None]
     if not np.isfinite(verts).all():
         raise DomainError("mesh produced non-finite vertices")

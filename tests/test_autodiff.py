@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -91,9 +92,51 @@ def test_parser_rejects_garbage():
     # from "u**2" on: spellings that Python's parser takes and formulas do not
     for bad in ("u +", "2 **", "foo(u)", "u @ 2", "(u", "u)",
                 "u**2", "1_0", "0x1", "1j", "True", "u<2", "ln(u,u)", "ln(u,)", "ln(x=u)", "u.real",
-                "[u]", "not u", "~u", "u%2", "u//2", "ln(*u)", "ln(^u)", "2(u)", "1if u else u"):
+                "[u]", "not u", "~u", "u%2", "u//2", "ln(*u)", "ln(^u)", "2(u)", "1if u else u",
+                "__import__(u)", "_const(u)", "eval(u)", "u.__class__", "j0.__call__(u)"):
         with pytest.raises(ProfileSpecError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize("text, segment", [
+    ("2(u)", "2(u)"),
+    ("u//2", "u//2"),
+    (" 1 +\tu\n//  007^2 ", "u\n//  007^2"),
+])
+def test_parser_refusals_quote_the_formula_as_written(text, segment):
+    with pytest.raises(ProfileSpecError) as info:
+        parse_expression(text)
+    assert str(info.value) == f"unexpected {segment!r} in {text!r}"
+
+
+def test_compiled_formula_names_only_u_const_and_the_functions():
+    code = parse_expression("-2*ln(u)^2/sinh(+u)+cosh(u)-j0(u)*i0(.5)")
+    assert sorted(code.co_names) == ["_const", "cosh", "i0", "j0", "ln", "sinh", "u"]
+
+
+def test_evaluate_reads_the_function_table_per_call_and_no_builtins(monkeypatch):
+    from sigeom import expressions
+    from sigeom.bessel import DEFAULT_SERIES
+
+    seen = []
+
+    def spy(x):
+        seen.append(sys._getframe(1).f_builtins)
+        return ln(x)
+
+    code = parse_expression("ln(u)")
+    monkeypatch.setitem(expressions._FUNCTIONS, "ln", spy)
+    u = Jet3.variable(2.0)
+    assert expressions._evaluate(code, u, DEFAULT_SERIES) == ln(u)
+    assert seen == [{}]
+
+
+def test_poles_are_domain_errors():
+    zero = Jet3.variable(1.0) - 1.0
+    with pytest.raises(DomainError, match="^jet division by zero value$"):
+        1.0 / zero
+    with pytest.raises(DomainError, match=r"^\(0\.0\)\^\(-2\.0\) is undefined: 0 to a negative"):
+        zero**-2
 
 
 @pytest.mark.parametrize("text, jet", [

@@ -46,6 +46,15 @@ def test_grid_validation():
     assert g.u.size == 9
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_grid_refuses_a_non_finite_sample(bad):
+    samples = np.array([1.0, 2.0, 3.0, 4.0, bad])
+    with pytest.raises(DomainError, match=r"^grid u samples must be finite$"):
+        Grid(u=samples, v=np.linspace(-1, 1, 5))
+    with pytest.raises(DomainError, match=r"^grid v samples must be finite$"):
+        Grid(u=np.linspace(1, 4, 5), v=samples)
+
+
 def test_make_grid_defaults_and_zero_avoidance():
     s = _surf(log_profile(-2.0, 0.0), v=(-1.0, 1.0))
     g = make_grid(s)
@@ -161,6 +170,16 @@ def test_eigen_ii_si_minimal_implies_vanishing_h():
     curv = verify_constant_curvature(s, g, tol=1e-8)
     assert curv.is_constant_h and abs(curv.h0) < 1e-8
     assert curv.si_minimal
+
+
+def test_eigen_ii_lambdas_all_zero_are_not_si_minimal():
+    # f = u^2/2 + 1e9 fits every coordinate within tol with lambda1 = lambda2
+    # about 6e-19 and lambda3 about -2e-9: the pattern no surface satisfies
+    s = _surf(constant_h_profile(1.0, 0.0, 1e9))
+    rep = check_eigen_ii(s, make_grid(s))
+    assert max(rep.residual_sup) <= 1e-6 and max(map(abs, rep.lam)) <= 1e-6
+    assert rep.verdict is Verdict.NO_EIGEN_RELATION
+    assert rep.notes.startswith("pattern lambda = mu = 0: jointly unsatisfiable")
 
 
 def test_eigen_ii_quadratic_profile_fails():

@@ -241,6 +241,18 @@ def test_surface_tiny_bessel_argument_is_a_domain_error(capsys, lam, jet):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("1/(u-1)", "jet division by zero value"),
+    ("j0(u-1)/(u-1)", "jet division by zero value"),
+    ("(u-1)^-1", "(0.0)^(-1.0) is undefined: 0 to a negative power is a pole"),
+], ids=["reciprocal", "j0-quotient", "power"])
+def test_surface_expr_pole_is_a_domain_error(capsys, formula, message):
+    # the grid radius u = 1 is a pole of each formula
+    argv = ["--profile", f"expr:f={formula}", "--u=0.5:2", "--grid", "4x2", "--action", "curvature"]
+    assert main(["surface", *argv]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, axis", [
     (["--v=-1e-5:1e-5", "--action", "classify2"], "v"),
     (["--u", "1:1.000000000000001", "--grid", "401x5", "--action", "classify1"], "u"),
@@ -295,6 +307,14 @@ def test_surface_mesh_and_curvature_take_2x2(tmp_path, action):
     code = main(["surface", "--profile", "log:lambda=1,c=0", "--action", action,
                  "--grid", "2x2", "--out", str(out)])
     assert code == 0 and out.stat().st_size > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_surface_mesh_refuses_overflowing_vertices_without_warnings(capsys):
+    # sinh v and cosh v overflow past v = 710.5
+    argv = ["--profile", "log:lambda=1,c=0", "--v=0:800", "--action", "mesh", "--grid", "2x2"]
+    assert main(["surface", *argv]) == 3
+    assert capsys.readouterr() == ("", "error: mesh produced non-finite vertices\n")
 
 
 def test_surface_curvature_csv(tmp_path):

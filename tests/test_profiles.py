@@ -4,6 +4,7 @@ import pytest
 
 from sigeom import (
     DomainError,
+    ProfileCurve,
     ProfileFamily,
     RevolutionSurface,
     SeriesConfig,
@@ -127,6 +128,42 @@ def test_log_matches_constant_h_family_exactly(lam, c):
             assert eval_profile(a, u, order) == eval_profile(b, u, order)
 
 
+_TINY, _HUGE = 5e-324, 1.7976931348623157e308
+
+
+def _log_closed_forms(lam, c):
+    # f = a ln u + c with a = -2/lam: the log family's own closed forms
+    a = -2.0 / lam
+    return (lambda u: a * math.log(u) + c, lambda u: a / u, lambda u: -(a / (u * u)),
+            lambda u: (2.0 * a) / (u * u * u))
+
+
+def _bits(fn, u):
+    try:
+        return fn(u).hex()
+    except ZeroDivisionError:  # u*u or u*u*u underflows to 0
+        return "ZeroDivisionError"
+
+
+@pytest.mark.parametrize("domain", [None, (0.5, 5.0), (1e-320, 1.7e308), (_TINY, 4 * _TINY),
+                                    (1e-200, 1e-199), (0.9, 1.1), (1e300, _HUGE)])
+def test_log_profile_keeps_the_bits_of_its_closed_forms(domain):
+    # log_profile is constant_h_profile's h0 = -0.0 member; its h0 terms must
+    # not move a bit, signed zeros and the ends of the float range included
+    lams = [_TINY, -_TINY, 2.2250738585072014e-308, -1e-300, 0.3, -1.0, 2.0, -7.5,
+            1e10, -1e200, 1.8e308, -_HUGE]
+    cs = [0.0, -0.0, _TINY, -_TINY, 1.0, -0.3, 1e-300, -1e300, _HUGE]
+    for lam in lams:
+        for c in cs:
+            p = log_profile(lam, c, domain)
+            assert p.family is ProfileFamily.LOG_TYPE and p.params == {"lam": lam, "c": c}
+            lo, hi = p.domain
+            for u in {lo, hi, math.sqrt(lo) * math.sqrt(hi), math.nextafter(lo, hi), 1.0}:
+                if lo <= u <= hi:
+                    got = [_bits(lambda x: eval_profile(p, x, k), u) for k in range(4)]
+                    assert got == [_bits(fn, u) for fn in _log_closed_forms(lam, c)]
+
+
 # ----------------------------------------------------------------------
 # power family
 
@@ -200,6 +237,25 @@ def test_eval_profile_order_and_domain_checks():
         eval_profile(p, 0.0)
     with pytest.raises(DomainError):
         eval_profile(bessel_profile(1.0, 1.0, 0.0), 0.0)
+
+
+@pytest.mark.parametrize("domain, message", [
+    ((1.0, math.inf), "profile domain must be a finite interval, got (1.0, inf)"),
+    ((math.nan, 1.0), "profile domain must be a finite interval, got (nan, 1.0)"),
+    ((0.0, 1.0), "profile domain must exclude u <= 0, got (0.0, 1.0)"),
+    ((-1.0, 1.0), "profile domain must exclude u <= 0, got (-1.0, 1.0)"),
+])
+def test_profile_curve_refuses_a_bad_domain(domain, message):
+    with pytest.raises(DomainError) as info:
+        ProfileCurve(math.exp, math.exp, math.exp, math.exp, domain)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("domain", [(2.0, 1.0), (2.0, 2.0)])
+def test_constructors_refuse_an_empty_domain(domain):
+    with pytest.raises(DomainError) as info:
+        linear_profile(1.0, 0.0, domain=domain)
+    assert str(info.value) == f"empty domain [{domain[0]!r}, {domain[1]!r}]"
 
 
 def test_default_domain():

@@ -144,6 +144,18 @@ def test_forms_against_fd_oracle(kind):
             assert getattr(ff, name) == pytest.approx(getattr(fd, name), abs=2e-6), name
 
 
+@pytest.mark.parametrize("kind", [TIMELIKE, SPACELIKE])
+def test_forms_refuse_a_degenerate_first_form(kind):
+    # W = -u^2 underflows to -0.0 at u = 1e-200
+    s = _surf(linear_profile(1.0, 0.0, domain=(1e-200, 1e-199)), kind, u=(1e-200, 1e-199))
+    with pytest.raises(DomainError, match=r"^degenerate first form \(W = 0\)$"):
+        fundamental_forms(s, 1e-200, 0.0)
+    # at v = 15 the differences of the oracle lose E = cosh^2 v - sinh^2 v to rounding
+    s = RevolutionSurface(linear_profile(1.0, 0.0), kind, (0.5, 5.0), (-20.0, 20.0))
+    with pytest.raises(DomainError, match=r"^degenerate first form \(W = 0\)$"):
+        fundamental_forms_fd(s, 1.0, 15.0)
+
+
 def test_linear_profile_is_parabolic_flagged():
     s = _surf(linear_profile(1.0, 0.0), u=(0.5, 5.0))
     ff = fundamental_forms(s, 2.0, 0.0)
