@@ -209,6 +209,12 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     return (*fits, _fit(c, f0, g.v.size)), ew
 
 
+def _eigen_report(operator: OperatorKind, fits, verdict: Verdict, notes: str) -> EigenReport:
+    """The report of the three (lambda, sup residual, relative residual) fits."""
+    lam, residual_sup, residual_rel = zip(*fits)
+    return EigenReport(operator, lam, residual_sup, residual_rel, verdict, notes)
+
+
 def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenReport:
     """Fit Lap r_i = lambda_i r_i for the first-form operator.
 
@@ -216,8 +222,8 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
     harmonic; the profile coordinate gives -f'' - f'/u up to the meridian
     sign), so the fit is limited only by the profile's own accuracy.
     """
-    ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), _ = _fit_coordinates(s, g, 1)
-
+    fits, _ = _fit_coordinates(s, g, 1)
+    l3, s3, _ = fits[2]
     verdict = Verdict.NO_EIGEN_RELATION  # Lap r1 = Lap r2 = 0: their fits are (0, 0, 0)
     if not s3 <= tol:
         notes = f"no constant eigenvalue fits coordinate 3 (sup residual {s3:.3g} > tol {tol:.3g})"
@@ -228,14 +234,7 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
         )
     else:
         verdict, notes = Verdict.NULL_TWO_TYPE, "lambda1 = lambda2 = 0 with lambda3 != 0"
-    return EigenReport(
-        operator=OperatorKind.FIRST_FORM,
-        lam=(l1, l2, l3),
-        residual_sup=(s1, s2, s3),
-        residual_rel=(rel1, rel2, rel3),
-        verdict=verdict,
-        notes=notes,
-    )
+    return _eigen_report(OperatorKind.FIRST_FORM, fits, verdict, notes)
 
 
 def _pattern_label(lam: float, mu: float, tol: float) -> str:
@@ -260,10 +259,10 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
     _fit_coordinates), so the pattern is read from (lambda1, lambda3).
     Raises ParabolicPointError if any grid radius has f' f'' = 0.
     """
-    ((l1, s1, rel1), (l2, s2, rel2), (l3, s3, rel3)), ew = _fit_coordinates(s, g, 2)
-
+    fits, ew = _fit_coordinates(s, g, 2)
+    (l1, _, l3), sups, _ = zip(*fits)
     notes = [_pattern_label(l1, l3, tol)]
-    if s1 <= tol and s2 <= tol and s3 <= tol and abs(l1) > tol and abs(l3) <= tol:
+    if all(sup <= tol for sup in sups) and abs(l1) > tol and abs(l3) <= tol:
         verdict = Verdict.SI_MINIMAL
         if s.profile.family is ProfileFamily.LOG_TYPE:
             notes.append(
@@ -277,14 +276,7 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
             "orientation: sgn(LN - M^2) = -1 on (part of) the grid; the closed "
             "coordinate forms include that sign factor"
         )
-    return EigenReport(
-        operator=OperatorKind.SECOND_FORM,
-        lam=(l1, l2, l3),
-        residual_sup=(s1, s2, s3),
-        residual_rel=(rel1, rel2, rel3),
-        verdict=verdict,
-        notes="; ".join(notes),
-    )
+    return _eigen_report(OperatorKind.SECOND_FORM, fits, verdict, "; ".join(notes))
 
 
 @dataclass(frozen=True)

@@ -176,10 +176,11 @@ def _write_rows(
     """Each row of a table as `prefix` and its values joined by `sep`: one
     write per block of at most 4096 rows, and no copy of the whole table.
 
-    `table` is a 2-D array, whose values are printed plus `offset`, or a
-    tuple of columns that broadcast to one grid whose points, in row-major
-    order, are the rows.  Such a column with fewer values than the grid has points
-    is formatted once per value and its text gathered into the rows.
+    `table` is a tuple of columns that broadcast to one grid whose points,
+    in row-major order, are the rows, or a 2-D array, taken as the tuple of
+    its columns.  A column with as many values as the grid has points is
+    printed plus `offset`; one with fewer is formatted once per value and
+    its text gathered into the rows.
 
     Integers are printed as `%d` and other numbers as `%.17g` of the Python
     float, byte for byte, by `_numtext`: whole arrays at a time, and `%`
@@ -187,34 +188,27 @@ def _write_rows(
     """
     from ._numtext import number_text
 
-    if isinstance(table, tuple):
-        shape = np.broadcast_shapes(*map(np.shape, table))
-        n = math.prod(shape)
-        columns = [
-            (None, np.broadcast_to(c, shape)) if np.size(c) == n
-            else (_strings(c), np.broadcast_to(np.arange(np.size(c)).reshape(np.shape(c)), shape))
-            for c in table
-        ]
+    if not isinstance(table, tuple):
+        table = tuple(np.transpose(table))
+    shape = np.broadcast_shapes(*map(np.shape, table))
+    n = math.prod(shape)
+    columns = [
+        (None, np.broadcast_to(c, shape)) if np.size(c) == n
+        else (_strings(c), np.broadcast_to(np.arange(np.size(c)).reshape(np.shape(c)), shape))
+        for c in table
+    ]
 
-        def cells(start: int, stop: int) -> list[np.ndarray]:
-            at = np.unravel_index(np.arange(start, stop), shape)
-            return [
-                number_text(c[at]) if text is None else np.take(text, c[at], axis=0)
-                for text, c in columns
-            ]
-    else:
-        n = len(table)
-
-        def cells(start: int, stop: int) -> list[np.ndarray]:
-            block = table[start:stop]
-            if offset:  # int32 indices widen to int64 instead of wrapping
-                block = np.add(block, offset, dtype=np.result_type(block, np.int64))
-            return [number_text(column) for column in block.T]
+    def text(values: np.ndarray) -> np.ndarray:
+        if offset:  # int32 indices widen to int64 instead of wrapping
+            values = np.add(values, offset, dtype=np.result_type(values, np.int64))
+        return number_text(values)
 
     for start in range(0, n, _BLOCK_ROWS):
+        at = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, n)), shape)
+        cells = [text(c[at]) if texts is None else np.take(texts, c[at], axis=0)
+                 for texts, c in columns]
         # one expression: each block of bytes is freed once the next is made
-        fh.write(_lines(cells(start, min(start + _BLOCK_ROWS, n)), prefix, sep)
-                 .tobytes().translate(None, b"\0").decode())
+        fh.write(_lines(cells, prefix, sep).tobytes().translate(None, b"\0").decode())
 
 
 def write_obj(m: Mesh, fh: TextIO) -> None:
@@ -226,9 +220,8 @@ def write_obj(m: Mesh, fh: TextIO) -> None:
     x, y, z = m.vertices.T
     grid, bits = (m.nu, m.nv), z.view(np.int64)
     if m.nv > 1 and len(z) == m.nu * m.nv and (bits.reshape(grid) == bits[:: m.nv, None]).all():
-        _write_rows(fh, (x.reshape(grid), y.reshape(grid), z[:: m.nv, None]), " ", "v ")
-    else:
-        _write_rows(fh, m.vertices, " ", "v ")
+        x, y, z = x.reshape(grid), y.reshape(grid), z[:: m.nv, None]
+    _write_rows(fh, (x, y, z), " ", "v ")
     _write_rows(fh, m.faces, " ", "f ", offset=1)
 
 
@@ -335,12 +328,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     v_range = _parse_pair(args.v, "--v")
     from .surfaces import RevolutionKind, RevolutionSurface, mesh
 
-    kind = (
-        RevolutionKind.TIMELIKE_MERIDIAN
-        if args.kind == "timelike"
-        else RevolutionKind.SPACELIKE_MERIDIAN
-    )
-    surface = RevolutionSurface(profile, kind, u_range, v_range)
+    surface = RevolutionSurface(profile, RevolutionKind(args.kind), u_range, v_range)
     nu, nv = _parse_grid(args.grid)
     if args.action in _GRID_ACTIONS:
         from .classify import MIN_GRID_SAMPLES, check_eigen_i, check_eigen_ii, make_grid

@@ -200,25 +200,28 @@ def constant_k_profile(
     rt = math.sqrt(k0)
     log_coef = c1 / (2.0 * rt)
 
+    def psi(u: float) -> float:
+        root = math.sqrt(c1 + k0 * u * u)
+        if root == math.inf:
+            raise DomainError(f"constant_k_profile: sqrt(c1 + k0 u^2) overflows at u = {u!r}")
+        return root
+
     def f(u: float) -> float:
-        psi = math.sqrt(c1 + k0 * u * u)
-        val = 0.5 * u * psi + offset
+        root = psi(u)
+        val = 0.5 * u * root + offset
         if c1 != 0.0:
-            val += log_coef * math.log(abs(2.0 * rt * (rt * u + psi)))
+            val += log_coef * math.log(abs(2.0 * rt * (rt * u + root)))
         return val
 
-    def d1(u: float) -> float:
-        return math.sqrt(c1 + k0 * u * u)
-
     def d2(u: float) -> float:
-        return k0 * u / math.sqrt(c1 + k0 * u * u)
+        return k0 * u / psi(u)
 
     def d3(u: float) -> float:
-        psi = math.sqrt(c1 + k0 * u * u)
-        return k0 * c1 / (psi * psi * psi)
+        root = psi(u)
+        return k0 * c1 / (root * root * root)
 
     return ProfileCurve(
-        f, d1, d2, d3, dom, ProfileFamily.CONSTANT_K,
+        f, psi, d2, d3, dom, ProfileFamily.CONSTANT_K,
         {"k0": k0, "c1": c1, "offset": offset},
     )
 

@@ -11,9 +11,12 @@ Two Laplace operators act on scalar fields: the first-form operator
                              - d_v[(F psi_u - E psi_v)/sqrt|W|] }
 
 and the second-form analogue with (E, F, G, W) replaced by (L, M, N, w),
-defined away from parabolic points (w = LN - M^2 = 0).  The general
-operators difference the flux terms with central steps h = 1e-5 max(1, |u|)
-and serve as the oracle for the closed coordinate forms.
+defined away from parabolic points (w = LN - M^2 = 0).  One operator,
+_flux_laplacian, differences the flux terms of either form with central
+steps h = 1e-5 max(1, |u|): laplacian_i and laplacian_ii are it over the
+first and the second form.  It reads the forms only through _first_form and
+_second_form, never the closed-form factors below, so it serves as the
+oracle for the closed coordinate forms.
 
 On both forms the closed coordinate Laplacians are Lap r1, Lap r2 =
 a(u) (h1(v), h2(v)) and Lap r3 = c(u), with (h1, h2) = (sinh, cosh) for a
@@ -193,6 +196,13 @@ def _is_parabolic(s: RevolutionSurface, u: float, w: float) -> bool:
     return abs(w) < _parabolic_threshold(u, f1, f2)
 
 
+def _first_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
+    """(E, F, G) at radius u; W = EG - F^2 = -u^2 for both meridian kinds."""
+    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
+        return (-1.0, 0.0, u * u)
+    return (1.0, 0.0, -(u * u))
+
+
 def _second_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
     """(L, M, N) at radius u; M = 0 for both meridian kinds."""
     f1 = s.profile.evaluate(u, 1)
@@ -200,6 +210,22 @@ def _second_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
     if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
         return (-f2, 0.0, u * f1)
     return (f2, 0.0, -u * f1)
+
+
+def _forms(s: RevolutionSurface, u: float, first, second: Callable) -> FundamentalForms:
+    """FundamentalForms from first = (E, F, G) and second(sqrt|W|) = (L, M, N),
+    which is called only once W = 0 has been refused."""
+    E, F, G = first
+    W = E * G - F * F
+    if W == 0.0:
+        raise DomainError("degenerate first form (W = 0)")
+    L, M, N = second(math.sqrt(abs(W)))
+    w = L * N - M * M
+    return FundamentalForms(
+        E=E, F=F, G=G, W=W, L=L, M=M, N=N, w=w,
+        epsilon=-1 if W < 0.0 else 1,
+        is_parabolic=_is_parabolic(s, u, w),
+    )
 
 
 def fundamental_forms(s: RevolutionSurface, u: float, v: float) -> FundamentalForms:
@@ -211,20 +237,7 @@ def fundamental_forms(s: RevolutionSurface, u: float, v: float) -> FundamentalFo
     determinant definitions with the swapped parameterization.
     """
     _check_point(s, u, v)
-    if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        E, F, G = -1.0, 0.0, u * u
-    else:
-        E, F, G = 1.0, 0.0, -(u * u)
-    W = E * G - F * F
-    if W == 0.0:
-        raise DomainError("degenerate first form (W = 0)")
-    L, M, N = _second_form(s, u)
-    w = L * N - M * M
-    return FundamentalForms(
-        E=E, F=F, G=G, W=W, L=L, M=M, N=N, w=w,
-        epsilon=-1 if W < 0.0 else 1,
-        is_parabolic=_is_parabolic(s, u, w),
-    )
+    return _forms(s, u, _first_form(s, u), lambda sw: _second_form(s, u))
 
 
 def _det3(a, b, c) -> float:
@@ -245,6 +258,8 @@ def fundamental_forms_fd(
     _check_point(s, u, v)
     if h is None:
         h = 1e-4 * max(1.0, abs(u))
+    if h * h == 0.0:
+        raise DomainError(f"finite-difference step h={h!r} is too small: h*h underflows to 0")
 
     def r(uu: float, vv: float) -> tuple[float, float, float]:
         p = point_at(s, uu, vv)
@@ -257,31 +272,14 @@ def fundamental_forms_fd(
     rv = tuple((a - b) / (2.0 * h) for a, b in zip(rvp, rvm))
     ruu = tuple((a - 2.0 * o + b) / (h * h) for a, o, b in zip(rup, r0, rum))
     rvv = tuple((a - 2.0 * o + b) / (h * h) for a, o, b in zip(rvp, r0, rvm))
-    rpp = r(u + h, v + h)
-    rpm = r(u + h, v - h)
-    rmp = r(u - h, v + h)
-    rmm = r(u - h, v - h)
-    ruv = tuple(
-        (a - b - c + d) / (4.0 * h * h) for a, b, c, d in zip(rpp, rpm, rmp, rmm)
-    )
+    corners = (r(u + a, v + b) for a, b in ((h, h), (h, -h), (-h, h), (-h, -h)))
+    ruv = tuple((a - b - c + d) / (4.0 * h * h) for a, b, c, d in zip(*corners))
 
     def sp(a, b) -> float:
         return a[0] * b[0] - a[1] * b[1]
 
-    E, F, G = sp(ru, ru), sp(ru, rv), sp(rv, rv)
-    W = E * G - F * F
-    if W == 0.0:
-        raise DomainError("degenerate first form (W = 0)")
-    sw = math.sqrt(abs(W))
-    L = _det3(ruu, ru, rv) / sw
-    M = _det3(ruv, ru, rv) / sw
-    N = _det3(rvv, ru, rv) / sw
-    w = L * N - M * M
-    return FundamentalForms(
-        E=E, F=F, G=G, W=W, L=L, M=M, N=N, w=w,
-        epsilon=-1 if W < 0.0 else 1,
-        is_parabolic=_is_parabolic(s, u, w),
-    )
+    first = (sp(ru, ru), sp(ru, rv), sp(rv, rv))
+    return _forms(s, u, first, lambda sw: tuple(_det3(d, ru, rv) / sw for d in (ruu, ruv, rvv)))
 
 
 def curvatures(s: RevolutionSurface, u: float) -> tuple[float, float]:
@@ -308,56 +306,56 @@ def _stencil_guard(s: RevolutionSurface, u: float, v: float, h: float, factor: f
         )
 
 
-def laplacian_i(s: RevolutionSurface, field: ScalarField, u: float, v: float) -> float:
-    """First-form Laplacian of a scalar field by differencing the flux terms.
+def _flux_coefficients(s: RevolutionSurface, u: float, form: int) -> tuple[float, float, float]:
+    """(G, E, sqrt|W|) = (G, E, u) of the first form (form 1), or
+    (N, L, sqrt|w|) of the second (form 2), at radius u; the second form
+    raises ParabolicPointError where w vanishes."""
+    if form == 1:
+        E, _, G = _first_form(s, u)
+        return G, E, u
+    L, M, N = _second_form(s, u)
+    w = L * N - M * M
+    if _is_parabolic(s, u, w):
+        raise ParabolicPointError(f"parabolic point (w = {w!r}) at u = {u!r}")
+    return N, L, math.sqrt(abs(w))
 
-    F = 0 for both meridian kinds, so the u-flux needs only psi_u and the
-    v-flux only psi_v.
+
+def _flux_laplacian(s: RevolutionSurface, field: ScalarField, u: float, v: float, form: int):
+    """The Laplacian of the first (form 1) or second (form 2) form at (u, v)
+    by central differences of the flux terms.
+
+    F = M = 0 for both meridian kinds, so the u-flux G psi_u / sqrt|W| needs
+    only psi_u and the v-flux E psi_v / sqrt|W| only psi_v.  The centre
+    radius is read first: a parabolic centre is refused before any stencil
+    point.
     """
     _check_point(s, u, v)
     h = 1e-5 * max(1.0, abs(u))
     _stencil_guard(s, u, v, h, 1.0 if field.has_first_partials else 2.5)
-    timelike = s.kind is RevolutionKind.TIMELIKE_MERIDIAN
+    _, E, root = _flux_coefficients(s, u, form)
 
-    def flux_u(uu: float, vv: float) -> float:
-        G = uu * uu if timelike else -(uu * uu)
-        return G * field.d_u(uu, vv) / uu
+    def flux_u(uu: float) -> float:
+        G, _, root_uu = _flux_coefficients(s, uu, form)
+        return G * field.d_u(uu, v) / root_uu
 
-    def flux_v(uu: float, vv: float) -> float:
-        E = -1.0 if timelike else 1.0
-        return -E * field.d_v(uu, vv) / uu
+    def flux_v(vv: float) -> float:
+        return -E * field.d_v(u, vv) / root
 
-    d_flux_u = (flux_u(u + h, v) - flux_u(u - h, v)) / (2.0 * h)
-    d_flux_v = (flux_v(u, v + h) - flux_v(u, v - h)) / (2.0 * h)
-    return -(d_flux_u - d_flux_v) / u
+    d_flux_u = (flux_u(u + h) - flux_u(u - h)) / (2.0 * h)
+    d_flux_v = (flux_v(v + h) - flux_v(v - h)) / (2.0 * h)
+    return -(d_flux_u - d_flux_v) / root
+
+
+def laplacian_i(s: RevolutionSurface, field: ScalarField, u: float, v: float) -> float:
+    """First-form Laplacian of a scalar field by differencing the flux terms
+    (_flux_laplacian over (E, F, G, W))."""
+    return _flux_laplacian(s, field, u, v, 1)
 
 
 def laplacian_ii(s: RevolutionSurface, field: ScalarField, u: float, v: float) -> float:
-    """Second-form Laplacian; raises ParabolicPointError if w vanishes
-    anywhere on the stencil."""
-    _check_point(s, u, v)
-    h = 1e-5 * max(1.0, abs(u))
-    _stencil_guard(s, u, v, h, 1.0 if field.has_first_partials else 2.5)
-
-    def sqrt_w(uu: float) -> float:
-        L, M, N = _second_form(s, uu)
-        w = L * N - M * M
-        if _is_parabolic(s, uu, w):
-            raise ParabolicPointError(f"parabolic point (w = {w!r}) at u = {uu!r}")
-        return math.sqrt(abs(w))
-
-    def flux_u(uu: float, vv: float) -> float:
-        L, M, N = _second_form(s, uu)
-        return N * field.d_u(uu, vv) / sqrt_w(uu)
-
-    def flux_v(uu: float, vv: float) -> float:
-        L, M, N = _second_form(s, uu)
-        return -L * field.d_v(uu, vv) / sqrt_w(uu)
-
-    root = sqrt_w(u)
-    d_flux_u = (flux_u(u + h, v) - flux_u(u - h, v)) / (2.0 * h)
-    d_flux_v = (flux_v(u, v + h) - flux_v(u, v - h)) / (2.0 * h)
-    return -(d_flux_u - d_flux_v) / root
+    """Second-form Laplacian (_flux_laplacian over (L, M, N, w)); raises
+    ParabolicPointError if w vanishes anywhere on the stencil."""
+    return _flux_laplacian(s, field, u, v, 2)
 
 
 def _b_coefficient(u, f1, f2, f3):

@@ -241,6 +241,14 @@ def test_surface_tiny_bessel_argument_is_a_domain_error(capsys, lam, jet):
     assert err.count("\n") == 1
 
 
+def test_surface_constk_overflowing_psi_is_a_domain_error(capsys):
+    # c1 + k0 u^2 overflows past u = 1.41: the curvature rows would be nan
+    argv = ["--profile", "constk:k0=1e308,c1=1e308", "--grid", "4x2", "--action", "curvature"]
+    assert main(["surface", *argv]) == 3
+    message = "constant_k_profile: sqrt(c1 + k0 u^2) overflows at u = 2.0"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("formula, message", [
     ("1/(u-1)", "jet division by zero value"),
     ("j0(u-1)/(u-1)", "jet division by zero value"),

@@ -65,6 +65,15 @@ def test_constant_k_empty_domain():
         constant_k_profile(1.0, -4.0, domain=(0.5, 1.5))  # needs u > 2
 
 
+def test_constant_k_refuses_an_overflowing_psi():
+    # c1 + k0 u^2 overflows at u = 2, so f' = psi is inf, and f'' = k0 u / psi is 0
+    p = constant_k_profile(1e308, 1e308)
+    assert math.isfinite(eval_profile(p, 0.5, 1))
+    for order in range(4):
+        with pytest.raises(DomainError, match=r"sqrt\(c1 \+ k0 u\^2\) overflows at u = 2.0$"):
+            eval_profile(p, 2.0, order)
+
+
 def test_constant_k_offset_does_not_move_curvature():
     a = constant_k_profile(1.0, 1.0)
     b = constant_k_profile(1.0, 1.0, offset=17.5)

@@ -156,6 +156,14 @@ def test_forms_refuse_a_degenerate_first_form(kind):
         fundamental_forms_fd(s, 1.0, 15.0)
 
 
+@pytest.mark.parametrize("h", [1e-201, 0.0])
+def test_fd_oracle_refuses_a_step_whose_square_underflows(h):
+    # h*h is 0 for h = 1e-201: the second differences would divide by zero
+    s = _surf(linear_profile(1.0, 0.0, domain=(1e-200, 1e-199)), u=(1e-200, 1e-199))
+    with pytest.raises(DomainError, match=rf"^finite-difference step h={h!r} is too small"):
+        fundamental_forms_fd(s, 5e-200, 0.0, h=h)
+
+
 def test_linear_profile_is_parabolic_flagged():
     s = _surf(linear_profile(1.0, 0.0), u=(0.5, 5.0))
     ff = fundamental_forms(s, 2.0, 0.0)
