@@ -192,6 +192,7 @@ def constant_k_profile(
     f(u) = (u/2) psi + (c1 / (2 sqrt(k0))) ln|2 sqrt(k0) (sqrt(k0) u + psi)| + offset,
     psi = sqrt(c1 + k0 u^2).  Then f' = psi, f'' = k0 u / psi, f''' = k0 c1 / psi^3,
     so K = f' f'' / u = k0 identically.  The additive offset never enters K.
+    Every order refuses, with a DomainError, a radius where psi overflows.
     """
     if not (k0 > 0.0):
         raise DomainError(f"constant_k_profile requires k0 > 0, got {k0!r}")

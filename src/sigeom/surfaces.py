@@ -13,7 +13,7 @@ Two Laplace operators act on scalar fields: the first-form operator
 and the second-form analogue with (E, F, G, W) replaced by (L, M, N, w),
 defined away from parabolic points (w = LN - M^2 = 0).  One operator,
 _flux_laplacian, differences the flux terms of either form with central
-steps h = 1e-5 max(1, |u|): laplacian_i and laplacian_ii are it over the
+steps h = 1e-5 max(1, |u|): laplacian_i and laplacian_ii apply it to the
 first and the second form.  It reads the forms only through _first_form and
 _second_form, never the closed-form factors below, so it serves as the
 oracle for the closed coordinate forms.
@@ -320,12 +320,14 @@ def _flux_coefficients(s: RevolutionSurface, u: float, form: int) -> tuple[float
     return N, L, math.sqrt(abs(w))
 
 
-def _flux_laplacian(s: RevolutionSurface, field: ScalarField, u: float, v: float, form: int):
+def _flux_laplacian(
+    s: RevolutionSurface, field: ScalarField, u: float, v: float, form: int
+) -> float:
     """The Laplacian of the first (form 1) or second (form 2) form at (u, v)
     by central differences of the flux terms.
 
     F = M = 0 for both meridian kinds, so the u-flux G psi_u / sqrt|W| needs
-    only psi_u and the v-flux E psi_v / sqrt|W| only psi_v.  The centre
+    only psi_u and the v-flux -E psi_v / sqrt|W| only psi_v.  The centre
     radius is read first: a parabolic centre is refused before any stencil
     point.
     """
