@@ -193,7 +193,7 @@ def _write_rows(
     shape = np.broadcast_shapes(*map(np.shape, table))
     n = math.prod(shape)
     columns = [
-        (None, np.broadcast_to(c, shape)) if np.size(c) == n
+        (None, np.reshape(c, -1)) if np.size(c) == n  # a view: one strided run per column
         else (_strings(c), np.broadcast_to(np.arange(np.size(c)).reshape(np.shape(c)), shape))
         for c in table
     ]
@@ -203,12 +203,16 @@ def _write_rows(
             values = np.add(values, offset, dtype=np.result_type(values, np.int64))
         return number_text(values)
 
+    def cells(start: int, stop: int) -> list[np.ndarray]:
+        at = np.unravel_index(np.arange(start, stop), shape)
+        return [text(c[start:stop]) if texts is None else np.take(texts, c[at], axis=0)
+                for texts, c in columns]
+
     for start in range(0, n, _BLOCK_ROWS):
-        at = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, n)), shape)
-        cells = [text(c[at]) if texts is None else np.take(texts, c[at], axis=0)
-                 for texts, c in columns]
-        # one expression: each block of bytes is freed once the next is made
-        fh.write(_lines(cells, prefix, sep).tobytes().translate(None, b"\0").decode())
+        # one expression: each block's cells and bytes are freed once the
+        # block is written, before the next is made
+        fh.write(_lines(cells(start, min(start + _BLOCK_ROWS, n)), prefix, sep)
+                 .tobytes().translate(None, b"\0").decode())
 
 
 def write_obj(m: Mesh, fh: TextIO) -> None:
