@@ -203,8 +203,10 @@ def _write_rows(
             values = np.add(values, offset, dtype=np.result_type(values, np.int64))
         return number_text(values)
 
+    gathered = any(texts is not None for texts, _ in columns)
+
     def cells(start: int, stop: int) -> list[np.ndarray]:
-        at = np.unravel_index(np.arange(start, stop), shape)
+        at = np.unravel_index(np.arange(start, stop), shape) if gathered else None
         return [text(c[start:stop]) if texts is None else np.take(texts, c[at], axis=0)
                 for texts, c in columns]
 
