@@ -272,8 +272,13 @@ def fundamental_forms_fd(
     rv = tuple((a - b) / (2.0 * h) for a, b in zip(rvp, rvm))
     ruu = tuple((a - 2.0 * o + b) / (h * h) for a, o, b in zip(rup, r0, rum))
     rvv = tuple((a - 2.0 * o + b) / (h * h) for a, o, b in zip(rvp, r0, rvm))
-    corners = (r(u + a, v + b) for a, b in ((h, h), (h, -h), (-h, h), (-h, -h)))
-    ruv = tuple((a - b - c + d) / (4.0 * h * h) for a, b, c, d in zip(*corners))
+    rpp = r(u + h, v + h)
+    rpm = r(u + h, v - h)
+    rmp = r(u - h, v + h)
+    rmm = r(u - h, v - h)
+    ruv = tuple(
+        (a - b - c + d) / (4.0 * h * h) for a, b, c, d in zip(rpp, rpm, rmp, rmm)
+    )
 
     def sp(a, b) -> float:
         return a[0] * b[0] - a[1] * b[1]
