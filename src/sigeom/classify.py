@@ -25,14 +25,7 @@ import numpy as np
 from .bessel import DEFAULT_SERIES, SeriesConfig
 from .errors import DomainError
 from .profiles import ProfileCurve, ProfileFamily, bessel_profile
-from .surfaces import (
-    RevolutionSurface,
-    _checked_jets,
-    _coordinate_laplacians,
-    _curvatures,
-    _rotate,
-    _second_form_factors,
-)
+from .surfaces import RevolutionSurface, _coordinate_laplacians, _curvatures, _rotate
 
 __all__ = [
     "OperatorKind",
@@ -355,8 +348,8 @@ def eigen_system_residual(
     A genuine eigen family drives both to zero; the power family cannot.
     """
     us = np.asarray(us, dtype=np.float64)
-    f0, f1, f2, f3 = _checked_jets(p, us, (0, 1, 2, 3), 2)
-    acoef, ccoef, _ = _second_form_factors(us, f1, f2, f3)
+    # a timelike meridian leaves the factors unflipped
+    f0, acoef, ccoef, _ = _coordinate_laplacians(RevolutionSurface(p), us, 2, value=True)
     return _sup(np.concatenate((np.abs(acoef - lam * us), np.abs(ccoef - mu * f0))))
 
 

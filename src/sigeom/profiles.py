@@ -81,7 +81,7 @@ class ProfileCurve:
         return DomainError(f"u={u!r} outside profile domain [{lo!r}, {hi!r}]")
 
     def jets(self, us) -> np.ndarray:
-        """(4, n) array of f, f', f'', f''' at the radii us.
+        """(4, n) array of f, f', f'', f''' at the 1-D array of radii us.
 
         Bit-identical to stacking `evaluate`, and raises what a loop of
         `evaluate` over us would raise first.  A profile built by
@@ -106,20 +106,18 @@ class ProfileCurve:
         whichever comes first, their check or the profile's.
         """
         us = np.asarray(us, dtype=np.float64)
+        if us.ndim != 1:
+            raise ValueError(f"profile jets need a 1-D array of radii, got shape {us.shape}")
         lo, hi = self.domain
         inside = (lo <= us) & (us <= hi)
         n = us.size if inside.all() else int(np.argmin(inside))
-        values, exc = self._jets_inside(us[:n], orders)
-        if exc is None and n < us.size:
-            exc = self._outside(float(us[n]))
-        return values, exc
-
-    def _jets_inside(self, us: np.ndarray, orders) -> tuple[np.ndarray, Exception | None]:
-        if self.jet is not None and us.size:
+        exc = None if n == us.size else self._outside(float(us[n]))
+        us = us[:n]
+        if self.jet is not None and n:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     values = self.jet(us)
-                return np.array([np.broadcast_to(values[k], us.shape) for k in orders]), None
+                return np.array([np.broadcast_to(values[k], us.shape) for k in orders]), exc
             except (ArithmeticError, ValueError):
                 pass  # the loop below finds the radius and its exception
         fns = [(self.f, self.d1, self.d2, self.d3)[k] for k in orders]
@@ -127,9 +125,10 @@ class ProfileCurve:
         for u in us.tolist():
             try:
                 rows.append([fn(u) for fn in fns])
-            except (ArithmeticError, ValueError) as exc:
-                return np.array(rows).reshape(-1, len(fns)).T, exc
-        return np.array(rows).reshape(-1, len(fns)).T, None
+            except (ArithmeticError, ValueError) as err:
+                exc = err
+                break
+        return np.array(rows).reshape(-1, len(fns)).T, exc
 
 
 def eval_profile(p: ProfileCurve, u: float, order: int = 0) -> float:
@@ -211,7 +210,10 @@ def constant_k_profile(
         root = psi(u)
         val = 0.5 * u * root + offset
         if c1 != 0.0:
-            val += log_coef * math.log(abs(2.0 * rt * (rt * u + root)))
+            ln = math.log(abs(2.0 * rt * (rt * u + root)))
+            if ln == math.inf:  # only where the product overflows: sum its logarithms
+                ln = math.log(2.0) + math.log(rt) + math.log(rt * u + root)
+            val += log_coef * ln
         return val
 
     def d2(u: float) -> float:

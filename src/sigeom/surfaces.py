@@ -11,7 +11,9 @@ Two Laplace operators act on scalar fields: the first-form operator
                              - d_v[(F psi_u - E psi_v)/sqrt|W|] }
 
 and the second-form analogue with (E, F, G, W) replaced by (L, M, N, w),
-defined away from parabolic points (w = LN - M^2 = 0).  One operator,
+defined away from parabolic points (w = LN - M^2 = 0): _second_form returns
+(L, M, N) and the scale below which |w| counts as zero from one read of f'
+and f''.  One operator,
 _flux_laplacian, differences the flux terms of either form with central
 steps h = 1e-5 max(1, |u|): laplacian_i and laplacian_ii apply it to the
 first and the second form.  It reads the forms only through _first_form and
@@ -23,8 +25,8 @@ a(u) (h1(v), h2(v)) and Lap r3 = c(u), with (h1, h2) = (sinh, cosh) for a
 timelike meridian and (cosh, sinh) for a spacelike one.  _coordinate_factors
 holds the formulas for a and c, on a float or elementwise on arrays: the
 pointwise coord_laplacians_i/ii apply it per point, and
-_coordinate_laplacians per array of radii for the eigen fits in classify
-and the CLI tables.  _rotate applies the (h1, h2) pattern, with a = u also
+_coordinate_laplacians per array of radii for the eigen fits and the
+eigen-system residual in classify and the CLI tables.  _rotate applies the (h1, h2) pattern, with a = u also
 to the coordinates themselves.
 
 Sign convention note: on coordinate functions the second-form operator
@@ -190,12 +192,6 @@ def _parabolic_threshold(u, f1, f2):
     return 1e-12 * u * at_least_1(abs(f1), 1.0) * at_least_1(abs(f2), 1.0)
 
 
-def _is_parabolic(s: RevolutionSurface, u: float, w: float) -> bool:
-    f1 = s.profile.evaluate(u, 1)
-    f2 = s.profile.evaluate(u, 2)
-    return abs(w) < _parabolic_threshold(u, f1, f2)
-
-
 def _first_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
     """(E, F, G) at radius u; W = EG - F^2 = -u^2 for both meridian kinds."""
     if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
@@ -203,28 +199,30 @@ def _first_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
     return (1.0, 0.0, -(u * u))
 
 
-def _second_form(s: RevolutionSurface, u: float) -> tuple[float, float, float]:
-    """(L, M, N) at radius u; M = 0 for both meridian kinds."""
+def _second_form(s: RevolutionSurface, u: float):
+    """((L, M, N), zero) at radius u, M = 0 for both meridian kinds: u is
+    parabolic where |LN - M^2| < zero, the _parabolic_threshold of f', f''."""
     f1 = s.profile.evaluate(u, 1)
     f2 = s.profile.evaluate(u, 2)
+    zero = _parabolic_threshold(u, f1, f2)
     if s.kind is RevolutionKind.TIMELIKE_MERIDIAN:
-        return (-f2, 0.0, u * f1)
-    return (f2, 0.0, -u * f1)
+        return (-f2, 0.0, u * f1), zero
+    return (f2, 0.0, -u * f1), zero
 
 
-def _forms(s: RevolutionSurface, u: float, first, second: Callable) -> FundamentalForms:
-    """FundamentalForms from first = (E, F, G) and second(sqrt|W|) = (L, M, N),
-    which is called only once W = 0 has been refused."""
+def _forms(first, second: Callable) -> FundamentalForms:
+    """FundamentalForms from first = (E, F, G) and second(sqrt|W|) = ((L, M, N),
+    zero) as _second_form returns it, called only once W = 0 has been refused."""
     E, F, G = first
     W = E * G - F * F
     if W == 0.0:
         raise DomainError("degenerate first form (W = 0)")
-    L, M, N = second(math.sqrt(abs(W)))
+    (L, M, N), zero = second(math.sqrt(abs(W)))
     w = L * N - M * M
     return FundamentalForms(
         E=E, F=F, G=G, W=W, L=L, M=M, N=N, w=w,
         epsilon=-1 if W < 0.0 else 1,
-        is_parabolic=_is_parabolic(s, u, w),
+        is_parabolic=abs(w) < zero,
     )
 
 
@@ -237,7 +235,7 @@ def fundamental_forms(s: RevolutionSurface, u: float, v: float) -> FundamentalFo
     determinant definitions with the swapped parameterization.
     """
     _check_point(s, u, v)
-    return _forms(s, u, _first_form(s, u), lambda sw: _second_form(s, u))
+    return _forms(_first_form(s, u), lambda sw: _second_form(s, u))
 
 
 def _det3(a, b, c) -> float:
@@ -284,7 +282,8 @@ def fundamental_forms_fd(
         return a[0] * b[0] - a[1] * b[1]
 
     first = (sp(ru, ru), sp(ru, rv), sp(rv, rv))
-    return _forms(s, u, first, lambda sw: tuple(_det3(d, ru, rv) / sw for d in (ruu, ruv, rvv)))
+    return _forms(first, lambda sw: (tuple(_det3(d, ru, rv) / sw for d in (ruu, ruv, rvv)),
+                                     _second_form(s, u)[1]))
 
 
 def curvatures(s: RevolutionSurface, u: float) -> tuple[float, float]:
@@ -318,9 +317,9 @@ def _flux_coefficients(s: RevolutionSurface, u: float, form: int) -> tuple[float
     if form == 1:
         E, _, G = _first_form(s, u)
         return G, E, u
-    L, M, N = _second_form(s, u)
+    (L, M, N), zero = _second_form(s, u)
     w = L * N - M * M
-    if _is_parabolic(s, u, w):
+    if abs(w) < zero:
         raise ParabolicPointError(f"parabolic point (w = {w!r}) at u = {u!r}")
     return N, L, math.sqrt(abs(w))
 
@@ -391,14 +390,6 @@ def b_of_profile(p: ProfileCurve, u: float) -> float:
     return _b_coefficient(u, f1, f2, f3)
 
 
-def _second_form_factors(u, f1, f2, f3):
-    # (A, C, sgn(w)) with A = sgn(w) (B - 1/f') and C = sgn(w) (B f' + 1);
-    # elementwise IEEE arithmetic, floats or arrays alike
-    ew = 1.0 - 2.0 * (f1 * f2 > 0.0)  # sgn(w) = sgn(-u f' f'')
-    B = _b_coefficient(u, f1, f2, f3)
-    return ew * (B - 1.0 / f1), ew * (B * f1 + 1.0), ew
-
-
 def _coordinate_factors(kind: RevolutionKind, form: int, u, f1, f2, f3=None):
     """(a, c, sgn(w)) from the profile derivatives at u, so that the
     coordinate Laplacians of the first (form 1) or second (form 2) form are
@@ -416,27 +407,10 @@ def _coordinate_factors(kind: RevolutionKind, form: int, u, f1, f2, f3=None):
     if form == 1:
         c = -f2 - f1 / u
         return 0.0, -c if flip else c, None
-    a, c, ew = _second_form_factors(u, f1, f2, f3)
+    ew = 1.0 - 2.0 * (f1 * f2 > 0.0)  # sgn(w) = sgn(-u f' f'')
+    B = _b_coefficient(u, f1, f2, f3)
+    a, c = ew * (B - 1.0 / f1), ew * (B * f1 + 1.0)
     return (-a, -c, ew) if flip else (a, c, ew)
-
-
-def _checked_jets(p: ProfileCurve, us: np.ndarray, orders, form: int) -> np.ndarray:
-    """The rows f^(k), k in orders, at the radii us.
-
-    Raises what a pointwise loop over us would raise first: the profile's
-    own error or, on the second form (orders ending in 1, 2, 3), the
-    AdmissibilityError for f' = 0 or the ParabolicPointError of b_of_profile.
-    """
-    values, exc = p._leading_jets(us, orders)
-    if form == 2:
-        u, f1, f2 = us[: values.shape[1]], values[-3], values[-2]
-        undefined = _b_undefined(u, f1, f2)
-        if undefined.any():
-            i = int(np.argmax(undefined))
-            _check_b_defined(float(u[i]), float(f1[i]), float(f2[i]))
-    if exc is not None:
-        raise exc
-    return values
 
 
 def _coordinate_laplacians(
@@ -446,13 +420,37 @@ def _coordinate_laplacians(
     if value is set (None otherwise).
 
     Evaluates only the profile orders it reads, and raises what a pointwise
-    loop over us would raise first.
+    loop over us would raise first: the profile's own error or, on the
+    second form, the AdmissibilityError for f' = 0 or the
+    ParabolicPointError of b_of_profile.
     """
     us = np.asarray(us, dtype=np.float64)
     orders = ((0,) if value else ()) + ((1, 2) if form == 1 else (1, 2, 3))
-    jets = _checked_jets(s.profile, us, orders, form)
+    jets, exc = s.profile._leading_jets(us, orders)
+    if form == 2:
+        u, f1, f2 = us[: jets.shape[1]], jets[-3], jets[-2]
+        undefined = _b_undefined(u, f1, f2)
+        if undefined.any():
+            i = int(np.argmax(undefined))
+            _check_b_defined(float(u[i]), float(f1[i]), float(f2[i]))
+    if exc is not None:
+        raise exc
     a, c, ew = _coordinate_factors(s.kind, form, us, *jets[int(value):])
     return (jets[0] if value else None), a, c, ew
+
+
+def _coord_laplacians(s: RevolutionSurface, u: float, v: float, form: int):
+    """(Lap r1, Lap r2, Lap r3) of the first (form 1) or second (form 2) form
+    at (u, v) from _coordinate_factors; on form 2, b_of_profile's checks
+    come first."""
+    _check_point(s, u, v)
+    fs = [s.profile.evaluate(u, k) for k in ((1, 2) if form == 1 else (1, 2, 3))]
+    if form == 2:
+        _check_b_defined(u, fs[0], fs[1])
+    a, c, _ = _coordinate_factors(s.kind, form, u, *fs)
+    if form == 1:  # harmonic rotational coordinates, whatever sinh v and cosh v are
+        return (0.0, 0.0, c)
+    return (*_rotate(s.kind, a, math.sinh(v), math.cosh(v)), c)
 
 
 def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float, float, float]:
@@ -462,9 +460,7 @@ def coord_laplacians_i(s: RevolutionSurface, u: float, v: float) -> tuple[float,
     -f'' - f'/u (timelike meridian) with the opposite sign for the spacelike
     one (its G carries the opposite sign).
     """
-    _check_point(s, u, v)
-    f1, f2 = s.profile.evaluate(u, 1), s.profile.evaluate(u, 2)
-    return (0.0, 0.0, _coordinate_factors(s.kind, 1, u, f1, f2)[1])
+    return _coord_laplacians(s, u, v, 1)
 
 
 def b_function(s: RevolutionSurface, u: float) -> float:
@@ -481,11 +477,7 @@ def coord_laplacians_ii(s: RevolutionSurface, u: float, v: float) -> tuple[float
     The sgn(w) factor makes these match the defining flux formula for every
     orientation of the second form (w = -u f' f'' may take either sign).
     """
-    _check_point(s, u, v)
-    f1, f2, f3 = (s.profile.evaluate(u, k) for k in (1, 2, 3))
-    _check_b_defined(u, f1, f2)
-    a, c, _ = _coordinate_factors(s.kind, 2, u, f1, f2, f3)
-    return (*_rotate(s.kind, a, math.sinh(v), math.cosh(v)), c)
+    return _coord_laplacians(s, u, v, 2)
 
 
 def coordinate_fields(s: RevolutionSurface) -> tuple[ScalarField, ScalarField, ScalarField]:

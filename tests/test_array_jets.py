@@ -7,6 +7,7 @@ with its pointwise counterpart as an int64 bit pattern, and every grid error
 with the exception a per-radius loop raises first.
 """
 
+import re
 import types
 from collections import Counter
 
@@ -585,6 +586,16 @@ def test_jets_raise_what_evaluate_raises_first():
     values, err = outside._leading_jets(np.array([1.0, 2.0, 6.0, 7.0]))
     assert values.shape == (4, 2) and isinstance(err, DomainError)
     assert "u=6.0 outside" in str(err)
+
+
+@pytest.mark.parametrize("profile", [bessel_profile(1.0, 1.0, 0.0), log_profile(-2.0, 0.0)],
+                         ids=["jet", "closed-form"])
+def test_jets_take_only_a_1d_array_of_radii(profile):
+    for us in (2.0, [[1.0, 2.0], [3.0, 4.0]]):
+        shape = re.escape(str(np.shape(us)))
+        with pytest.raises(ValueError, match=rf"1-D array of radii, got shape {shape}$"):
+            profile.jets(us)
+    assert profile.jets(np.array([])).shape == (4, 0)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,21 @@ def test_constant_k_refuses_an_overflowing_psi():
             eval_profile(p, 2.0, order)
 
 
+def test_constant_k_value_survives_an_overflowing_log_argument():
+    # 2 sqrt(k0) (sqrt(k0) u + psi) is 2e308 at u = 0.5, past the float range,
+    # while psi and f itself are finite: the logarithm is taken as a sum
+    mpmath = pytest.importorskip("mpmath")
+    k0, c1, u = 1e308, 1.0, 0.5
+    p = constant_k_profile(k0, c1)
+    with mpmath.workdps(50):
+        rt, psi = mpmath.sqrt(k0), mpmath.sqrt(c1 + k0 * mpmath.mpf(u) ** 2)
+        ref = u / 2 * psi + c1 / (2 * rt) * mpmath.log(2 * rt * (rt * u + psi))
+        got = eval_profile(p, u)
+        assert math.isfinite(got)
+        assert abs((got - ref) / ref) <= 1e-15
+    assert got == pytest.approx(1.25e153, rel=1e-15)
+
+
 def test_constant_k_offset_does_not_move_curvature():
     a = constant_k_profile(1.0, 1.0)
     b = constant_k_profile(1.0, 1.0, offset=17.5)

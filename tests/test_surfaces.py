@@ -374,3 +374,26 @@ def test_mesh_validation():
     s = _surf(log_profile(-2.0, 0.0), u=(0.5, 5.0))
     with pytest.raises(ValueError):
         mesh(s, 1, 5)
+
+
+@pytest.mark.parametrize("profile", [log_profile(-2.0, 0.5), power_profile(1.0, 3.0, 1.0)],
+                         ids=["log", "power"])
+def test_each_radius_reads_the_profile_once_per_order(profile, monkeypatch):
+    # _second_form's f' and f'' also give the parabolic scale: a second-form
+    # radius costs two evaluate calls, the centre and both u-stencil radii of
+    # a flux Laplacian six, and r3's analytic d_u two more
+    s = RevolutionSurface(profile, TIMELIKE)
+    u, v = 2.0, 0.3
+    calls = []
+    evaluate = type(profile).evaluate
+    monkeypatch.setattr(type(profile), "evaluate", lambda p, *a: calls.append(a) or evaluate(p, *a))
+
+    def reads(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    assert reads(coord_laplacians_ii, s, u, v) == 3
+    assert [reads(laplacian_ii, s, fld, u, v) for fld in coordinate_fields(s)] == [6, 6, 8]
+    assert reads(fundamental_forms, s, u, v) == 2
+    assert reads(fundamental_forms_fd, s, u, v) == 11  # nine points and the parabolic scale
