@@ -1,8 +1,9 @@
 """Command-line front end: special-function tables, surface computations,
 classification reports, and the data files behind the reference figures.
 
-Exit codes: 0 success, 2 parse error (also an output path that cannot be
-opened), 3 domain error, 4 parabolic-point error, 5 series non-convergence.
+Exit codes: 0 success, else the refusal's code in `_EXIT_CODES`: 2 parse
+error (also an output path that cannot be opened), 3 domain error (also a
+float overflow), 4 parabolic-point error, 5 series non-convergence.
 
 A subcommand imports the layers beyond `bessel` only when it reaches them,
 so a Bessel table or a refused spec never loads the profile, surface or
@@ -48,10 +49,10 @@ if TYPE_CHECKING:
 __all__ = ["main", "parse_profile_spec", "write_obj"]
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_PARABOLIC = 4
-EXIT_NONCONVERGENCE = 5
+# each refusal's exit code, in the order `main` tests them; an OverflowError
+# is a math-module call (sinh, pow) out of float range
+_EXIT_CODES = {ProfileSpecError: 2, ParabolicPointError: 4, NonConvergenceError: 5,
+               DomainError: 3, OverflowError: 3}
 
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
@@ -266,7 +267,10 @@ def _tabulate(a: float, b: float, n: int, *fns: Callable[[np.ndarray], np.ndarra
     return np.column_stack((xs, *(np.concatenate([fn(x) for x in blocks]) for fn in fns)))
 
 
-_BESSEL_VALUES = {"j0": bessel_j0, "y0": bessel_y0, "i0": bessel_i0, "k0": bessel_k0}
+# value functions by name: the `bessel` kinds but jp, and ln for figure 3a,
+# per x since numpy's array log may differ in the last bit
+_VALUES = {"j0": bessel_j0, "y0": bessel_y0, "i0": bessel_i0, "k0": bessel_k0,
+           "ln": functools.partial(_per_element, np.log)}
 
 
 def _cmd_bessel(args: argparse.Namespace) -> int:
@@ -277,7 +281,7 @@ def _cmd_bessel(args: argparse.Namespace) -> int:
     if args.kind in ("y0", "k0") and (a <= 0.0 or b <= 0.0):
         raise DomainError(f"{args.kind} requires x > 0")
     if args.kind != "jp":
-        table = _tabulate(a, b, args.n, functools.partial(_BESSEL_VALUES[args.kind], cfg=cfg))
+        table = _tabulate(a, b, args.n, functools.partial(_VALUES[args.kind], cfg=cfg))
     elif args.p is None:
         raise ProfileSpecError("--p is required for --kind jp")
     else:
@@ -367,8 +371,24 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_FIGURES = ("1a", "1b", "2a", "2b", "3a", "3b")
-_FIGURE_MESH = 41
+# figure id: its files, each (kind, name, ...).  A "table" holds x and the
+# named `_VALUES` at 200 x in [a, b], under a header and an optional comment;
+# a "curve" is a profile curve (0, u, f(u)), the table after a zero column.
+# A "mesh" is what `surface --profile SPEC --u U --v V --action mesh --grid
+# 41x41` writes.  Names, not functions: the benchmark's tracer replaces the
+# functions of module-level tables, not of nested ones.
+_FIGURES = {
+    "1a": [("table", "figure1a.csv", "x,J0,Y0",
+            "samples start at x=0.05: Y0(x) -> -inf as x -> 0+", (0.05, 10.0), ("j0", "y0"))],
+    "1b": [("table", "figure1b_i0.csv", "x,I0", None, (-3.0, 3.0), ("i0",)),
+           ("table", "figure1b_k0.csv", "x,K0",
+            "nominal range [-3,3] is cut to (0,3]: K0 is undefined for x <= 0",
+            (0.05, 3.0), ("k0",))],
+    "2a": [("curve", "figure2a.csv", "x,y,z", "profile curve (0, u, J0(u))", (1.0, 4.0), ("j0",))],
+    "2b": [("mesh", "figure2b.obj", "bessel:lambda=1,c1=1,c2=0", "1:4", "-1:1")],
+    "3a": [("curve", "figure3a.csv", "x,y,z", "profile curve (0, u, ln u)", (0.5, 5.0), ("ln",))],
+    "3b": [("mesh", "figure3b.obj", "log:lambda=-2,c=0", "0.5:5", "-0.5:1")],
+}
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -377,43 +397,20 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise _unwritable(out_dir, exc) from exc
-    fid = args.id
-
-    def emit_csv(name: str, header: str, table, comments: Sequence[str] = ()) -> None:
-        _write_csv(str(out_dir / name), header, table, comments)
-        print(f"wrote {out_dir / name}", file=sys.stderr)
-
-    def emit_obj(name: str, m: Mesh) -> None:
-        with _open_out(str(out_dir / name)) as fh:
-            write_obj(m, fh)
-        print(f"wrote {out_dir / name}", file=sys.stderr)
-
-    if fid == "1a":
-        table = _tabulate(0.05, 10.0, 200, bessel_j0, bessel_y0)
-        comment = "samples start at x=0.05: Y0(x) -> -inf as x -> 0+"
-        emit_csv("figure1a.csv", "x,J0,Y0", table, comments=[comment])
-    elif fid == "1b":
-        emit_csv("figure1b_i0.csv", "x,I0", _tabulate(-3.0, 3.0, 200, bessel_i0))
-        comment = "nominal range [-3,3] is cut to (0,3]: K0 is undefined for x <= 0"
-        emit_csv("figure1b_k0.csv", "x,K0", _tabulate(0.05, 3.0, 200, bessel_k0), [comment])
-    elif fid == "2a":
-        table = np.insert(_tabulate(1.0, 4.0, 200, bessel_j0), 0, 0.0, axis=1)
-        emit_csv("figure2a.csv", "x,y,z", table, comments=["profile curve (0, u, J0(u))"])
-    elif fid == "3a":
-        # np.log per x: numpy's array log may differ in the last bit
-        log = functools.partial(_per_element, np.log)
-        table = np.insert(_tabulate(0.5, 5.0, 200, log), 0, 0.0, axis=1)
-        emit_csv("figure3a.csv", "x,y,z", table, comments=["profile curve (0, u, ln u)"])
-    else:
-        from .profiles import bessel_profile, log_profile
-        from .surfaces import RevolutionKind, RevolutionSurface, mesh
-
-        if fid == "2b":
-            profile, u, v = bessel_profile(1.0, 1.0, 0.0), (1.0, 4.0), (-1.0, 1.0)
+    for kind, name, *data in _FIGURES[args.id]:
+        path = str(out_dir / name)
+        if kind == "mesh":
+            spec, u, v = data
+            _cmd_surface(_build_parser().parse_args([
+                "surface", f"--profile={spec}", f"--u={u}", f"--v={v}", "--action=mesh",
+                "--grid=41x41", f"--out={path}"]))
         else:
-            profile, u, v = log_profile(-2.0, 0.0), (0.5, 5.0), (-0.5, 1.0)
-        s = RevolutionSurface(profile, RevolutionKind.TIMELIKE_MERIDIAN, u, v)
-        emit_obj(f"figure{fid}.obj", mesh(s, _FIGURE_MESH, _FIGURE_MESH))
+            header, comment, (a, b), values = data
+            table = _tabulate(a, b, 200, *(_VALUES[value] for value in values))
+            if kind == "curve":
+                table = np.insert(table, 0, 0.0, axis=1)
+            _write_csv(path, header, table, [comment] if comment else [])
+        print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -483,19 +480,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_glue_pair_values(argv))
     try:
         return args.func(args)
-    except ProfileSpecError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParabolicPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARABOLIC
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except (DomainError, OverflowError) as exc:
-        # OverflowError: a math-module call (sinh, pow) out of float range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

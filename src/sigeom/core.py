@@ -97,8 +97,13 @@ class Motion:
 
 
 def semi_norm(v: Vec3SI) -> float:
-    """sqrt(|x1^2 - x2^2|); the isotropic part does not contribute."""
-    return math.sqrt(abs(v.x1 * v.x1 - v.x2 * v.x2))
+    """sqrt(|x1^2 - x2^2|); the isotropic part does not contribute.
+
+    Formed as sqrt(||x1| - |x2||) sqrt(|x1| + |x2|), which does not cancel
+    near the null cone and is finite while |x1| + |x2| is.
+    """
+    a, b = abs(v.x1), abs(v.x2)
+    return math.sqrt(abs(a - b)) * math.sqrt(a + b)
 
 
 def scalar_product(u: Vec3SI, v: Vec3SI) -> float:
@@ -125,36 +130,52 @@ def causal_class(v: Vec3SI) -> CausalClass:
     """Total classification; nonzero vectors with vanishing xy-projection are Isotropic."""
     if v.x1 == 0.0 and v.x2 == 0.0:
         return CausalClass.ZERO if v.x3 == 0.0 else CausalClass.ISOTROPIC
-    q = v.x1 * v.x1 - v.x2 * v.x2
-    if q > 0.0:
+    # |x1| against |x2|: x1^2 - x2^2 rounds to 0 near the cone and overflows
+    a, b = abs(v.x1), abs(v.x2)
+    if a > b:
         return CausalClass.SPACELIKE
-    if q < 0.0:
+    if a < b:
         return CausalClass.TIMELIKE
     return CausalClass.NULL
 
 
 def is_null_eps(v: Vec3SI, tol: float | None = None) -> bool:
-    """Tolerant null test for numeric pipelines; default tol scales with the components."""
-    a = v.x1 * v.x1
-    b = v.x2 * v.x2
+    """Tolerant null test for numeric pipelines: |x1^2 - x2^2| <= tol, with
+    x1^2 - x2^2 formed as (|x1| - |x2|)(|x1| + |x2|).  The default tol is
+    1e-12 max(|x1|, |x2|, 1)^2; both sides are then divided by that square,
+    so neither overflows."""
+    a, b = abs(v.x1), abs(v.x2)
     if tol is None:
-        tol = 1e-12 * max(a, b, 1.0)
-    return abs(a - b) <= tol
+        s = max(a, b, 1.0)
+        return abs(a - b) / s * (a / s + b / s) <= 1e-12
+    return abs(a - b) * (a + b) <= tol
 
 
 def si_angle(u: Vec3SI, v: Vec3SI) -> float:
     """Hyperbolic angle phi >= 0 between two timelike vectors with <u,v> < 0.
 
-    Defined through <u,v> = -|u| |v| cosh(phi).
+    Defined through <u,v> = -|u| |v| cosh(phi), and taken from
+    sinh(phi) = |u1 v2 - u2 v1| / (|u| |v|), since <u,v>^2 - <u,u><v,v> =
+    (u1 v2 - u2 v1)^2: the cosh argument cancels to below 1 for parallel
+    vectors, the sinh one to a small number.  phi does not depend on the
+    lengths of u and v, so each is first scaled by the even power of 2 that
+    brings max(|x1|, |x2|) into [1/4, 1): exactly, square roots included,
+    and no product then overflows or underflows.
     """
     if causal_class(u) is not CausalClass.TIMELIKE:
         raise DomainError("si_angle: first argument is not timelike")
     if causal_class(v) is not CausalClass.TIMELIKE:
         raise DomainError("si_angle: second argument is not timelike")
-    arg = -scalar_product(u, v) / (semi_norm(u) * semi_norm(v))
-    if arg < 1.0:
-        raise DomainError(f"si_angle: cosh argument {arg!r} < 1 (vectors not in a common cone)")
-    return math.acosh(arg)
+    u, v = _rescaled(u), _rescaled(v)
+    if scalar_product(u, v) >= 0.0:
+        raise DomainError("si_angle: <u,v> >= 0 (vectors not in a common cone)")
+    return math.asinh(abs(u.x1 * v.x2 - u.x2 * v.x1) / (semi_norm(u) * semi_norm(v)))
+
+
+def _rescaled(v: Vec3SI) -> Vec3SI:
+    e = math.frexp(max(abs(v.x1), abs(v.x2)))[1]
+    e += e & 1
+    return Vec3SI(math.ldexp(v.x1, -e), math.ldexp(v.x2, -e), 0.0)
 
 
 def apply_motion(m: Motion, p: Vec3SI) -> Vec3SI:

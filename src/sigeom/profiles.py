@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .bessel import DEFAULT_SERIES, SeriesConfig, i0_jet, j0_jet, k0_jet, y0_jet
-from .errors import DomainError
+from .errors import DomainError, StencilError
 
 __all__ = [
     "ProfileFamily",
@@ -363,7 +363,8 @@ def derivative_consistency_error(p: ProfileCurve, n_points: int = 20, seed: int 
     differences of f at n_points interior samples.
 
     The relative denominator is floored at 1 so that near-zero derivatives
-    do not blow the ratio up.
+    do not blow the ratio up.  Raises StencilError where a stencil u +- 2h,
+    h = 5e-4 max(1, |u|), would leave the profile domain.
     """
     import random
 
@@ -374,6 +375,11 @@ def derivative_consistency_error(p: ProfileCurve, n_points: int = 20, seed: int 
     for _ in range(n_points):
         u = lo + span * (0.06 + 0.88 * rng.random())
         h = 5e-4 * max(1.0, abs(u))
+        if u - 2.0 * h < lo or u + 2.0 * h > hi:
+            raise StencilError(
+                f"five-point stencil of step h={h!r} leaves the profile domain "
+                f"[{lo!r}, {hi!r}] at u={u!r}"
+            )
         fm2, fm1, f0, fp1, fp2 = (p.f(u + k * h) for k in (-2, -1, 0, 1, 2))
         fd1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         fd2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)

@@ -452,6 +452,50 @@ def test_figure_3b_extents(tmp_path):
     assert v_back.max() == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("fid, profile, u, v", [
+    ("2b", "bessel:lambda=1,c1=1,c2=0", "1:4", "-1:1"),
+    ("3b", "log:lambda=-2,c=0", "0.5:5", "-0.5:1"),
+])
+def test_figure_mesh_is_the_surface_mesh_action(tmp_path, fid, profile, u, v):
+    assert main(["figure", fid, "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "surface.obj"
+    assert main(["surface", "--profile", profile, "--u", u, "--v", v, "--action", "mesh",
+                 "--grid", "41x41", "--out", str(out)]) == 0
+    assert (tmp_path / f"figure{fid}.obj").read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("name, kind, xs", [
+    ("figure1b_i0.csv", "i0", "-3:3"),
+    ("figure1b_k0.csv", "k0", "0.05:3"),
+])
+def test_figure_1b_rows_are_the_bessel_table(tmp_path, name, kind, xs):
+    assert main(["figure", "1b", "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "table.csv"
+    assert main(["bessel", "--kind", kind, "--range", xs, "--n", "200", "--out", str(out)]) == 0
+
+    def rows(path):  # the lines after the comments and the header
+        lines = [ln for ln in _read(path).splitlines() if not ln.startswith("#")]
+        return lines[1:]
+
+    assert len(rows(out)) == 200
+    assert rows(tmp_path / name) == rows(out)
+
+
+def test_figure_tables_look_their_value_functions_up_when_they_run(tmp_path, monkeypatch):
+    # the benchmark's tracer replaces the functions of module-level tables:
+    # it sees every value call of the figure tables only if they are read
+    # from `_VALUES` when the figure runs
+    from sigeom import cli
+
+    calls = []
+    for name, fn in cli._VALUES.items():
+        monkeypatch.setitem(cli._VALUES, name,
+                            lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+    for fid in ("1a", "1b", "2a", "3a"):
+        assert main(["figure", fid, "--out-dir", str(tmp_path)]) == 0
+    assert calls == ["j0", "y0", "i0", "k0", "j0", "ln"]
+
+
 def test_bessel_deterministic_output(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

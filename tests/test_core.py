@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,3 +208,93 @@ def test_isotropic_differences_stay_isotropic():
     q = Vec3SI(1.5, -2.5, 1.0)
     d = apply_motion(m, p) - apply_motion(m, q)
     assert causal_class(d) is CausalClass.ISOTROPIC
+
+
+# ----------------------------------------------------------------------
+# the metric near the null cone and past the float range of x^2, against
+# mpmath's exact x1^2 - x2^2
+
+
+def _mp_quadratic(v):
+    return mpmath.mpf(v.x1) ** 2 - mpmath.mpf(v.x2) ** 2
+
+
+def test_causal_class_of_a_timelike_vector_whose_squares_overflow():
+    v = Vec3SI(1e200, 2e200, 0.0)
+    assert _mp_quadratic(v) < 0
+    assert causal_class(v) is CausalClass.TIMELIKE
+
+
+def test_semi_norm_of_a_vector_whose_squares_overflow():
+    v = Vec3SI(1e200, 2e200, 0.0)
+    with mpmath.workdps(50):
+        ref = float(mpmath.sqrt(-_mp_quadratic(v)))
+    assert semi_norm(v) == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+
+def test_is_null_eps_of_a_null_vector_whose_squares_overflow():
+    v = Vec3SI(1e200, 1e200, 0.0)
+    assert _mp_quadratic(v) == 0
+    assert is_null_eps(v)
+
+
+def test_semi_norm_near_the_null_cone_does_not_cancel():
+    v = Vec3SI(1.0, 1.0 + 2.0**-30, 0.0)
+    with mpmath.workdps(50):
+        ref = float(mpmath.sqrt(-_mp_quadratic(v)))
+    assert semi_norm(v) == pytest.approx(ref, rel=4e-16, abs=0.0)
+
+
+# timelike vectors of either cone, |x1| <= 0.99 |x2|
+timelike = st.builds(
+    lambda x2, t, x3: Vec3SI(t * x2, x2, x3),
+    st.one_of(st.floats(min_value=-10.0, max_value=-0.1), st.floats(min_value=0.1, max_value=10.0)),
+    st.floats(min_value=-0.99, max_value=0.99),
+    finite,
+)
+
+
+@given(timelike, st.floats(min_value=0.1, max_value=10.0))
+def test_si_angle_of_parallel_vectors_is_zero(u, s):
+    assert si_angle(u, u.scaled(s)) < 1e-13
+
+
+def test_si_angle_past_the_float_range_of_products():
+    # phi depends on directions alone: scaling by an even power of 2 keeps
+    # its bits, and 1e200 and 1e-200 give the angle between the rapidities
+    # atanh(1/2) and atanh(1/3) of (1, 2) and (1, 3)
+    u, w = Vec3SI(1.0, 2.0, 0.0), Vec3SI(1.0, 3.0, 0.0)
+    with mpmath.workdps(50):
+        ref = float(mpmath.atanh(mpmath.mpf(1) / 2) - mpmath.atanh(mpmath.mpf(1) / 3))
+    phi = si_angle(u, w)
+    assert phi == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert si_angle(u.scaled(2.0**600), w.scaled(2.0**-600)) == phi
+    for scale in (1e200, 1e-200):
+        assert si_angle(u.scaled(scale), w.scaled(scale)) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
+
+def test_si_angle_refuses_opposite_cones_by_name():
+    with pytest.raises(DomainError, match="not in a common cone"):
+        si_angle(Vec3SI(0.5, 2.0, 0.0), Vec3SI(0.5, -3.0, 0.0))
+
+
+def test_si_angle_matches_mpmath():
+    # phi = acosh(-<u,w> / (|u| |w|)) in 50 digits, from the same floats.
+    # An angle is as well determined as the rapidities of u and w: rounding
+    # u1 w2 - u2 w1 moves phi by eps (|u1 w2| + |u2 w1|) / (|u| |w| cosh phi)
+    # and the norms move sinh phi by a few eps relative
+    rng = random.Random(5)
+    eps = 2.0**-52
+    compared = 0
+    while compared < 2000:
+        u, w = (Vec3SI(rng.uniform(-0.99, 0.99) * x2, x2, 0.0)
+                for x2 in (rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)))
+        phi = si_angle(u, w)
+        if phi <= 1e-3:
+            continue
+        compared += 1
+        with mpmath.workdps(50):
+            u1, u2, w1, w2 = map(mpmath.mpf, (u.x1, u.x2, w.x1, w.x2))
+            ref = mpmath.acosh((u2 * w2 - u1 * w1) / mpmath.sqrt(_mp_quadratic(u) * _mp_quadratic(w)))
+        bound = (abs(u.x1 * w.x2) + abs(u.x2 * w.x1)) / (semi_norm(u) * semi_norm(w) * math.cosh(phi))
+        assert abs(phi - float(ref)) <= 4 * eps * (bound + phi)

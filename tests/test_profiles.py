@@ -8,6 +8,7 @@ from sigeom import (
     ProfileFamily,
     RevolutionSurface,
     SeriesConfig,
+    StencilError,
     bessel_profile,
     constant_h_profile,
     constant_k_profile,
@@ -317,6 +318,23 @@ def test_linear_profile_exact_zero_curvature():
 )
 def test_analytic_derivatives_match_finite_differences(profile):
     assert derivative_consistency_error(profile, n_points=20, seed=3) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        constant_k_profile(1.0, -1.0, domain=(1.0001, 1.0003)),
+        log_profile(1.0, 0.0, domain=(1e-4, 2e-4)),
+        power_profile(1.0, 3.0, 1.0, domain=(1.0, 1.0005)),
+    ],
+    ids=["constk", "log", "power"],
+)
+def test_derivative_consistency_refuses_a_stencil_leaving_the_domain(profile):
+    # the five-point stencil reaches u +- 2h, h = 5e-4 max(1, |u|): wider
+    # than each of these domains
+    lo, hi = profile.domain
+    with pytest.raises(StencilError, match=rf"step h=.* leaves the profile domain \[{lo!r}, {hi!r}\]"):
+        derivative_consistency_error(profile)
 
 
 # ----------------------------------------------------------------------
