@@ -1,36 +1,46 @@
-"""Special functions built from truncated power series.
+"""Special functions: the gamma function, the rising factorial, harmonic
+numbers, the Bessel-family functions J_{+-p}, J0, Y0, I0 and K0, and a
+finite-difference ODE residual used as a self-check.
 
-The module provides the gamma function, the rising factorial, harmonic
-numbers, and the six Bessel-family functions J_{+-p}, J0, Y0, I0, K0 as
-truncated series about the regular singular point x = 0, all summed by
-`_series` or its array twin, together with a finite-difference ODE residual
-used as a self-check.
+J0, Y0 and J_p are truncated series about the regular singular point
+x = 0, summed by `_series` or its array twin.  These series cancel
+catastrophically for moderate x (at x = 10 the largest J0 term is ~678
+against a sum of ~0.25), so they are accumulated in double-double
+arithmetic and rounded once at the end.  Y0, value and jet alike, is the
+merged rows of `_series`: the terms (phi(n) - ell) t_n, ell = ln(x/2) +
+gamma, and x times their derivatives, summed as one series stopped on the
+cancelled total.  The kernels sum f and x f'; `_sums` divides x f' by x
+and forms f'' and f''' from the series' own equation
+x f'' + (2p+1) f' + x f = 0.
 
-Accuracy notes.  The order-zero series cancel catastrophically for moderate
-x (at x = 10 the largest J0 term is ~678 against a sum of ~0.25, and K0
-is the difference of two ~6000-sized pieces), so all series are accumulated
-in double-double arithmetic and rounded once at the end.  Y0 and K0, values
-and jets alike, are the merged rows of `_series`: the terms
-(phi(n) - ell) t_n, ell = ln(x/2) + gamma, and x times their derivatives,
-summed as one series stopped on the cancelled total, never as the two
-textbook pieces.  The kernels sum f and x f' of each series; `_sums`
-divides x f' by x and forms f'' and f''' from the series' own equation
-x f'' + (2p+1) f' - sign x f = 0 (sign -1 for J and Y, +1 for I and K).
-Below |x| = 2^-26, where that f''' cancels, the J0 and I0 jets are their
-Taylor limit.
+I0 and K0 run in float64 on algorithms that do not cancel:
+- I0 is its power series sum_n t_n, t_n = (x/2)^(2n) / (n!)^2, whose terms
+  are all positive (`_ik_series`);
+- K0 below x = 2 is the merged log series sum_n (phi(n) - ell) t_n, which
+  cancels at most about 5x there (the textbook -ell I0 + sum phi(n) t_n
+  cancels 12x at x = 2);
+- K0 from x = 2 up is Steed's CF2 (Numerical Recipes, `bessik` at order
+  0), which gives K0 and K1, and K0' = -K1 (`_cf2`).
+Their f'' and f''' come from the equation f'' = f - f'/x, f''' = f' -
+(f'' - f'/x)/x, with no cancellation for K0, whose orders alternate in
+sign; below |x| = 1, where I0's equation f''' cancels, I0's f'' and f'''
+are the series' own rows.  Every order of the I0 and K0 jets is within
+4e-15 relative of mpmath: I0 up to x of about 258, past which the default
+SeriesConfig refuses its series, and K0 on [2^-330, 700].  Below
+|x| = 2^-26, where the equation's f''' cancels, the J0 and I0 jets are
+their Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
-tables): each series then runs once over the array, each term as one pass
-of each double-double stage over stacked rows (see _series_array).  Every
-element performs the same double-double operations as a pointwise call,
-and its sums are frozen at the term where the pointwise loop stops, so the
+tables): each kernel then runs once over the array (see _series_array),
+each lane frozen at the term where the pointwise loop stops, so the
 results are bit-identical at any array length.  Only IEEE + - * / and
-square roots run on whole arrays; libm calls (log, pow and Python's **)
-stay per element, because numpy's vectorized versions can differ in the
-last bit.  y0_jet and k0_jet sum the J0 or I0 series in the same pass and
-return its jet as `primary`, so a profile c1 J0 + c2 Y0 takes both jets
-from one call.
+square roots run on whole arrays; libm calls (exp, log, pow and Python's
+**) stay per element, because numpy's vectorized versions can differ in
+the last bit.  y0_jet sums the J0 series in the same pass and returns its
+jet as `primary`, so a profile c1 J0 + c2 Y0 takes both jets from one
+call; k0_jet's `primary`, the I0 jet, is summed on first use, so that K0
+is not refused where I0's series does not converge.
 """
 
 from __future__ import annotations
@@ -191,17 +201,18 @@ def _series(
     p: float = 0.0,
 ) -> list[dd.DD]:
     """The sum of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and, if orders,
-    x times its term-wise derivative, with w = 1 (weighted=False: J0, I0 and,
-    with sign -1, the sum of J_p) or the merged weight w = phi(n) - ell
-    (weighted=True, p = 0), phi the harmonic numbers and ell the value at x
-    of a function with ell' = 1/x.  `_sums` forms the derivatives from these
-    two rows.  No sum stops before its n = 2 term, which f''' needs at small
-    x.  weighted=_BOTH returns the rows of both, plain first, from two passes
-    (`_series_array` sums both in one; the bits are the same).
+    x times its term-wise derivative, with w = 1 (weighted=False: J0 and the
+    sum of J_p) or the merged weight w = phi(n) - ell (weighted=True, p = 0),
+    phi the harmonic numbers and ell the value at x of a function with
+    ell' = 1/x.  `_sums` forms the derivatives from these two rows.  No sum
+    stops before its n = 2 term, which f''' needs at small x.  weighted=_BOTH
+    returns the rows of both, plain first, from two passes (`_series_array`
+    sums both in one; the bits are the same).
 
-    With ell = ln(x/2) + gamma, the merged rows are those of K0 (sign +1)
-    and of -(pi/2) Y0 (sign -1), each stopped on the cancelled total, not
-    on the two large textbook pieces.
+    With ell = ln(x/2) + gamma, the merged rows are those of -(pi/2) Y0,
+    stopped on the cancelled total, not on the two large textbook pieces.
+    The library sums sign -1 only; sign +1 gives the I0 and K0 series in
+    double-double, which `_ik_series` sums in float64.
     """
     if weighted is _BOTH:
         return _series(x, sign, cfg, orders, False, ell, p) + _series(x, sign, cfg, orders, True, ell, p)
@@ -233,8 +244,13 @@ def _series(
             return [s, xds] if orders else [s]
         else:
             was_small = True
-    raise NonConvergenceError(
-        f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={x!r}"
+    raise _unconverged(x, cfg)
+
+
+def _unconverged(x, cfg: SeriesConfig) -> NonConvergenceError:
+    """The refusal of a series, or of CF2, that did not converge at x."""
+    return NonConvergenceError(
+        f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={float(x)!r}"
     )
 
 
@@ -331,10 +347,7 @@ def _series_array(
         n, active = 0, True
         while active:
             if n == cfg.max_terms:
-                raise NonConvergenceError(
-                    f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms "
-                    f"at x={float(x[np.argmax(pending.any(axis=0))])!r}"
-                )
+                raise _unconverged(x[np.argmax(pending.any(axis=0))], cfg)
             rows[:, :ie] = rows[:, ib : ib + 1]
             if kp:
                 factors[ib + 1] = 2 * n
@@ -388,7 +401,7 @@ def _sums(x, sign: float, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3,
     `weighted` asks for.  `_series` at a float x and `_series_array` at an
     array sum f and x f'; here alone x f' is divided by x, and f'' and f'''
     are formed from the sums' own equation x f'' + (2p+1) f' - sign x f = 0,
-    which the merged sums (p = 0) solve as K0 and -(pi/2) Y0 do:
+    which the merged sums (p = 0, sign -1) solve as -(pi/2) Y0 does:
     f'' = -(2p+1) f'/x + sign f, f''' = -(2p+1) (f'' - f'/x)/x + sign f'."""
     if _is_array(x):
         sums = _series_array(x, sign, cfg, weighted, ell, p, min(orders, 1))
@@ -425,6 +438,162 @@ def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x"
 
 
 # ----------------------------------------------------------------------
+# I0 and K0 in float64
+
+# K0 takes the log series below this x and CF2 from it up: the series
+# cancels about 5x at x = 2 and 20x at 3; CF2 takes about 76 terms at 2
+# and would take 150 at 1
+_CF2_FROM = 2.0
+# Below this |x| I0'' and I0''' are their own series rows: the equation's
+# f''' cancels as 8/(3 x^2), to 3.9e-15 relative at x = 0.5, and its f''
+# takes up to 1.7 ulp from f ~ 1 near x = 0, where the row is within 0.7
+_I0_ROWS_BELOW = 1.0
+# ell = ln(x/2) + gamma as ln x + (gamma - ln 2), since x/2 underflows for
+# subnormal x
+_ELL0 = EULER_GAMMA - math.log(2.0)
+
+
+def _weights(n: int, ell) -> tuple:
+    """The weights w(n) of the rows sum_n w(n) t_n, t_n = (x/2)^(2n) / (n!)^2:
+    with ell None, 1, 2n, 2n (2n-1) and 2n (2n-1) (2n-2), the rows of
+    x^k I0^(k), k = 0..3; else phi(n) - ell and 2n (phi(n) - ell) - 1, those
+    of K0 and x K0' for ell = ln(x/2) + gamma, a float or an array."""
+    if ell is None:
+        return 1.0, 2.0 * n, 2.0 * n * (2 * n - 1), 2.0 * n * (2 * n - 1) * (2 * n - 2)
+    c = _phi(n)[0] - ell
+    return c, 2.0 * n * c - 1.0
+
+
+def _ik_series(x: float, ell, cfg: SeriesConfig) -> list[float]:
+    """The rows of `_weights` at a float x, t_n formed as t_(n-1) (x/2) / n
+    (x/2) / n.  They stop once the next term of every row has been at most
+    rel_tol times the row's sum for two terms running, past n = 2."""
+    h, t, n, was_small = 0.5 * x, 1.0, 0, False
+    w = _weights(0, ell)
+    sums = [0.0] * len(w)
+    while n < cfg.max_terms:
+        sums = [s + wj * t for s, wj in zip(sums, w)]
+        n += 1
+        t = t * h / n * h / n
+        w = _weights(n, ell)
+        if not all(abs(wj * t) <= cfg.rel_tol * abs(s) for wj, s in zip(w, sums)):
+            was_small = False
+        elif was_small and n > 2:
+            return sums
+        else:
+            was_small = True
+    raise _unconverged(x, cfg)
+
+
+def _ik_series_array(x: np.ndarray, ell, cfg: SeriesConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`_ik_series` at every element of an array x, ell None or an array like
+    x: the rows, and the lanes that did not converge within max_terms.  A
+    lane that stops adds zero terms from then on, which keeps its sums."""
+    h, t, n = 0.5 * x, np.ones(x.shape), 0
+    w = _weights(0, ell)
+    k = len(w)
+    sums = np.zeros((k, x.size))
+    pending, was_small = np.ones(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        while n < cfg.max_terms and pending.any():
+            sums += np.reshape(w, (k, -1)) * t * pending
+            n += 1
+            t = t * h / n * h / n
+            w = _weights(n, ell)
+            small = (abs(np.reshape(w, (k, -1)) * t) <= cfg.rel_tol * abs(sums)).all(axis=0)
+            pending &= ~(small & was_small & (n > 2))
+            was_small = small
+    return sums, pending
+
+
+def _cf2(x, cfg: SeriesConfig) -> tuple:
+    """(K0, K1, pending) at x >= 2, a float or an array, by Steed's CF2
+    (Numerical Recipes' `bessik` at order 0).  Its series s = 1 + sum dels
+    stops once dels^2 <= rel_tol |s| (|prev| - |dels|), that is once the rest
+    of a series falling by |dels / prev| a term is at most rel_tol |s|, and
+    the last term of h is at most rel_tol |h|.  A float x is refused if it
+    does not converge within max_terms; an array x has each lane frozen
+    where a float x stops, and `pending` marks those that did not converge
+    (None at a float x)."""
+    array = _is_array(x)
+    # past x = 750 e^-x, and so K0 and K1, underflow to 0 whatever s and h
+    # are; CF2 runs at 750 there, since b + 2 is inexact once x passes 2^53
+    b = 2.0 * (1.0 + (np.minimum(x, 750.0) if array else min(x, 750.0)))
+    d = h = delh = 1.0 / b
+    q1, q2, q, c, a = 0.0, 1.0, 0.25, 0.25, -0.25
+    prev = q * delh
+    s, i = 1.0 + prev, 1
+    # the lanes still summing, and s and h where each lane stopped
+    pending, ends = (np.ones(x.shape, dtype=bool), np.ones((2, x.size))) if array else (None, None)
+    with np.errstate(all="ignore"):
+        while i < cfg.max_terms:
+            i += 1
+            a -= 2.0 * (i - 1)
+            c = -a * c / i
+            q1, q2 = q2, (q1 - b * q2) / a
+            q = q + c * q2
+            b = b + 2.0
+            d = 1.0 / (b + a * d)
+            delh = (b * d - 1.0) * delh
+            h = h + delh
+            dels = q * delh
+            s = s + dels
+            small = (dels * dels <= cfg.rel_tol * abs(s) * (abs(prev) - abs(dels))) & (
+                abs(delh) <= cfg.rel_tol * abs(h))
+            if array:
+                np.copyto(ends, (s, h), where=pending & small)
+                pending &= ~small
+                small = not pending.any()
+            if small:
+                break
+            prev = dels
+        else:
+            if not array:
+                raise _unconverged(x, cfg)
+        if array:
+            s, h = ends
+            k0 = np.sqrt(math.pi / (2.0 * x)) * _per_element(math.exp, -x) / s
+        else:
+            k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+        return k0, k0 * (x + 0.5 - 0.25 * h) / x, pending
+
+
+def _refuse_pending(x: np.ndarray, pending: np.ndarray, cfg: SeriesConfig) -> None:
+    """Refuse the first lane of x that did not converge, as a pointwise loop would."""
+    if pending.any():
+        raise _unconverged(x[np.argmax(pending)], cfg)
+
+
+def _i0_rows(x, cfg: SeriesConfig):
+    """I0's rows of `_weights` at a float or an array x."""
+    if not _is_array(x):
+        return _ik_series(x, None, cfg)
+    rows, pending = _ik_series_array(x, None, cfg)
+    _refuse_pending(x, pending, cfg)
+    return rows
+
+
+def _k0_pair(x, cfg: SeriesConfig) -> tuple:
+    """(K0, K0') at x > 0, a float or an array: the log series below x = 2,
+    CF2 from there."""
+    if not _is_array(x):
+        if x < _CF2_FROM:
+            k0, xk0 = _ik_series(x, math.log(x) + _ELL0, cfg)
+            return k0, xk0 / x
+        k0, k1, _ = _cf2(x, cfg)
+        return k0, -k1
+    low, out = x < _CF2_FROM, np.empty((2, x.size))
+    xs, pending = x[low], np.zeros(x.shape, dtype=bool)
+    rows, pending[low] = _ik_series_array(xs, _per_element(math.log, xs) + _ELL0, cfg)
+    with np.errstate(over="ignore"):  # K0' at subnormal x, where only the value is read
+        out[0, low], out[1, low] = rows[0], rows[1] / xs
+    k0, k1, pending[~low] = _cf2(x[~low], cfg)
+    out[0, ~low], out[1, ~low] = k0, -k1
+    _refuse_pending(x, pending, cfg)
+    return out[0], out[1]
+
+
+# ----------------------------------------------------------------------
 # order-zero values; like the jets, they take a 1-D float64 array for x
 
 
@@ -435,9 +604,10 @@ def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
+    """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1.  Row 0 of
+    `i0_jet`'s sums, so the same bits as its f at |x| >= 2^-26."""
     _require_finite(x, "i0")
-    return dd.to_float(_sums(x, 1.0, cfg, False, orders=0)[0])
+    return _i0_rows(x, cfg)[0]
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -447,9 +617,10 @@ def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """K0(x) = -(ln(x/2) + gamma) I0(x) + sum_n phi(n) (x/2)^(2n)/(n!)^2."""
+    """K0(x) = sum_n (phi(n) - ln(x/2) - gamma) (x/2)^(2n)/(n!)^2 below x = 2,
+    Steed's CF2 from there; positive, and `k0_jet`'s f bit for bit."""
     _require_finite(x, "k0", 0.0, "finite x > 0")
-    return dd.to_float(_sums(x, 1.0, cfg, True, _log_half_dd(x), 0)[0])
+    return _k0_pair(x, cfg)[0]
 
 
 # ----------------------------------------------------------------------
@@ -464,70 +635,83 @@ _SMALL = 2.0**-26
 
 
 def _plain_jet(x, sign: float, rows) -> tuple:
-    """The J0 (sign -1) or I0 (sign +1) jet from its rows of `_sums`, or the
+    """The J0 (sign -1) or I0 (sign +1) jet from its float rows, or the
     Taylor limit where |x| < _SMALL; rows may be None at such a float x."""
     limit = (1.0, 0.5 * sign * x + 0.0, 0.5 * sign, 0.375 * x + 0.0)  # + 0.0: +0 at x = -0
     if not _is_array(x):
-        return limit if abs(x) < _SMALL else tuple(dd.to_float(v) for v in rows)
+        return limit if abs(x) < _SMALL else tuple(rows)
     small = np.abs(x) < _SMALL
-    return tuple(np.where(small, v, dd.to_float(r)) for v, r in zip(limit, rows))
-
-
-def _order0_jet(x, sign: float, cfg: SeriesConfig) -> tuple:
-    """The J0 (sign -1) or I0 (sign +1) jet at x from one series call, none
-    at a float |x| < _SMALL, where the sums would divide by x = 0."""
-    _require_finite(x, "i0" if sign > 0.0 else "j0")
-    small = not _is_array(x) and abs(x) < _SMALL
-    return _plain_jet(x, sign, None if small else _sums(x, sign, cfg, False))
+    return tuple(np.where(small, v, r) for v, r in zip(limit, rows))
 
 
 def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(J0, J0', J0'', J0''')(x) from the series and its Bessel equation.
 
     x may be a 1-D float64 array: each component is then an array,
-    bit-identical to evaluating every element on its own.
+    bit-identical to evaluating every element on its own.  A float
+    |x| < _SMALL sums nothing, since the sums would divide by x = 0.
     """
-    return _order0_jet(x, -1.0, cfg)
+    _require_finite(x, "j0")
+    if not _is_array(x) and abs(x) < _SMALL:
+        return _plain_jet(x, -1.0, None)
+    return _plain_jet(x, -1.0, [dd.to_float(v) for v in _sums(x, -1.0, cfg, False)])
 
 
 def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(I0, I0', I0'', I0''')(x); x may be a 1-D float64 array."""
-    return _order0_jet(x, 1.0, cfg)
+    """(I0, I0', I0'', I0''')(x): f and x f' from the series, f'' and f'''
+    from the equation or, below |x| = 1, from the series' own rows; x may be
+    a 1-D float64 array."""
+    _require_finite(x, "i0")
+    if not _is_array(x) and abs(x) < _SMALL:
+        return _plain_jet(x, 1.0, None)
+    f, xf1, x2f2, x3f3 = _i0_rows(x, cfg)
+    with np.errstate(all="ignore"):  # lanes with x = 0, which the Taylor limit replaces
+        f1 = xf1 / x
+        f2 = f - f1 / x
+        rows, eq = (x2f2 / (x * x), x3f3 / (x * x * x)), (f2, f1 - (f2 - f1 / x) / x)
+    low = abs(x) < _I0_ROWS_BELOW
+    f2, f3 = np.where(low, rows, eq) if _is_array(x) else rows if low else eq
+    return _plain_jet(x, 1.0, (f, f1, f2, f3))
 
 
-# The Y0/K0 jets refuse x < 2^-330: below 2^-332 the 2/x^3 of their n = 0
+# The Y0/K0 jets refuse x < 2^-330: below 2^-332 the 2/x^3 of Y0's n = 0
 # term overflows Dekker's split (f''' is nan), below 5.6e-103 the float range.
 _LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
 
 
 class _LogJet(tuple):
-    """(f, f', f'', f''') of Y0 or K0 at x, with the J0 or I0 jet as `primary`."""
+    """(f, f', f'', f''') of Y0 or K0 at x, with the J0 or I0 jet at x as
+    `primary`: Y0's from the same series pass, K0's summed on first use, so
+    that K0 is not refused where I0's series fails."""
 
-
-def _log_jet(x, sign: float, cfg: SeriesConfig, scale: dd.DD | None) -> _LogJet:
-    """scale times the merged rows of `_series` at x, ell = ln(x/2) + gamma,
-    summed with the J0 (sign -1) or I0 (sign +1) series by
-    `_sums(..., _BOTH)`: one stacked pass over an array x, two passes at a
-    float, with the same bits."""
-    _require_finite(x, "k0 jet" if sign > 0.0 else "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    sums = _sums(x, sign, cfg, _BOTH, _log_half_dd(x))
-    jet = _LogJet(dd.to_float(dd.mul(scale, v) if scale else v) for v in sums[4:])
-    jet.primary = _plain_jet(x, sign, sums[:4])
-    return jet
+    @functools.cached_property
+    def primary(self) -> tuple:
+        return i0_jet(self.x, self.cfg)
 
 
 def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(Y0, Y0', Y0'', Y0''')(x): -2/pi times the merged rows, whose row 0
-    is `bessel_y0`'s sum, with the J0 jet at x as `primary`.  x may be a
-    1-D float64 array."""
-    return _log_jet(x, -1.0, cfg, _NEG_TWO_OVER_PI_DD)
+    """(Y0, Y0', Y0'', Y0''')(x): -2/pi times the merged rows of `_series`
+    at x, ell = ln(x/2) + gamma (row 0 is `bessel_y0`'s sum), with the J0
+    jet at x as `primary`, both summed by `_sums(..., _BOTH)`: one stacked
+    pass over a 1-D float64 array x, two passes at a float, with the same
+    bits."""
+    _require_finite(x, "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
+    sums = _sums(x, -1.0, cfg, _BOTH, _log_half_dd(x))
+    jet = _LogJet(dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, v)) for v in sums[4:])
+    jet.primary = _plain_jet(x, -1.0, [dd.to_float(v) for v in sums[:4]])
+    return jet
 
 
 def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(K0, K0', K0'', K0''')(x): the merged rows, whose row 0 is
-    `bessel_k0`'s sum, with the I0 jet at x as `primary`.  x may be a 1-D
-    float64 array."""
-    return _log_jet(x, 1.0, cfg, None)
+    """(K0, K0', K0'', K0''')(x): `_k0_pair`'s K0, which is `bessel_k0`, and
+    K0', then f'' and f''' from the equation, each order of one sign; the I0
+    jet at x is `primary`.  x may be a 1-D float64 array."""
+    _require_finite(x, "k0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
+    f, f1 = _k0_pair(x, cfg)
+    f2 = f - f1 / x
+    jet = _LogJet((f, f1, f2, f1 - (f2 - f1 / x) / x))
+    jet.x, jet.cfg = x, cfg
+    return jet
 
 
 # ----------------------------------------------------------------------

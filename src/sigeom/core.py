@@ -100,10 +100,18 @@ def semi_norm(v: Vec3SI) -> float:
     """sqrt(|x1^2 - x2^2|); the isotropic part does not contribute.
 
     Formed as sqrt(||x1| - |x2||) sqrt(|x1| + |x2|), which does not cancel
-    near the null cone and is finite while |x1| + |x2| is.
+    near the null cone, and as 4 times that of v/4 where |x1| + |x2|
+    overflows: exact, so every finite value keeps its bits.
     """
     a, b = abs(v.x1), abs(v.x2)
+    if _sum_overflows(a, b):
+        return 4.0 * semi_norm(Vec3SI(a / 4.0, b / 4.0, 0.0))
     return math.sqrt(abs(a - b)) * math.sqrt(a + b)
+
+
+def _sum_overflows(a: float, b: float) -> bool:
+    """True where the finite a, b >= 0 have an infinite sum: x1 and x2 near 1e308."""
+    return a + b == math.inf and max(a, b) < math.inf
 
 
 def scalar_product(u: Vec3SI, v: Vec3SI) -> float:
@@ -143,11 +151,14 @@ def is_null_eps(v: Vec3SI, tol: float | None = None) -> bool:
     """Tolerant null test for numeric pipelines: |x1^2 - x2^2| <= tol, with
     x1^2 - x2^2 formed as (|x1| - |x2|)(|x1| + |x2|).  The default tol is
     1e-12 max(|x1|, |x2|, 1)^2; both sides are then divided by that square,
-    so neither overflows."""
+    so neither overflows.  An explicit tol is compared with the form of v/4,
+    divided by 16, where |x1| + |x2| overflows."""
     a, b = abs(v.x1), abs(v.x2)
     if tol is None:
         s = max(a, b, 1.0)
         return abs(a - b) / s * (a / s + b / s) <= 1e-12
+    if _sum_overflows(a, b):
+        a, b, tol = a / 4.0, b / 4.0, tol / 16.0
     return abs(a - b) * (a + b) <= tol
 
 

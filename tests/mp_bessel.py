@@ -2,11 +2,12 @@
 them against the bounds documented in `sigeom.bessel`.
 
 K0 and K1 are summed from their series (DLMF 10.31.2 and 10.31.1) in mpmath,
-at 50 digits plus the digits the sums cancel: mpmath's besselk takes tens of
-milliseconds an argument near x = 20, and agrees with these sums to 1e-50
-there.  Y0 and Y1 are mpmath's bessely, J_p and J_(p+1) its besselj, and
-I0 and I1 its besseli.  The second and third derivatives follow from the
-Bessel equation and its derivative.
+at 50 digits plus the digits the sums cancel, through x = 75: mpmath's
+besselk takes tens to hundreds of milliseconds an argument on [2, 75], and
+agrees with these sums to 1e-50 there.  Past 75 they are its besselk, which
+is fast there.  Y0 and Y1 are mpmath's bessely, J_p and J_(p+1) its
+besselj, and I0 and I1 its besseli.  The second and third derivatives
+follow from the Bessel equation and its derivative.
 """
 
 import functools
@@ -14,10 +15,6 @@ import functools
 import mpmath
 
 JET_BOUND = 4e-15
-# K0 alone: its double-double sums lose digits as e^(2x) past x of about 18;
-# a probe of 10,000 x in [18, 20] found its jets up to 1.07e-14 relative off
-# (near x = 19.961), and none past JET_BOUND below x = 19.5
-K0_JET_BOUND = 2e-14
 
 
 def _k0_k1(m):
@@ -42,7 +39,7 @@ def jet_reference(kind: str, x: float) -> tuple:
     with mpmath.workdps(50):
         m = mpmath.mpf(x)
         if kind == "k0":
-            f, k1 = _k0_k1(m)
+            f, k1 = _k0_k1(m) if m <= 75 else (mpmath.besselk(0, m), mpmath.besselk(1, m))
             f1, sign = -k1, 1
         else:
             f, f1, sign = mpmath.bessely(0, m), -mpmath.bessely(1, m), -1
@@ -84,3 +81,31 @@ def plain_jet_errors(kind: str, p: float, x: float, got) -> list:
             float(abs(mpmath.mpf(float(g)) - w) / max(1, abs(w)))
             for g, w in zip(got, plain_jet_reference(kind, p, x))
         ]
+
+
+@functools.lru_cache(maxsize=None)
+def i0_jet_reference(x: float) -> tuple:
+    """(I0, I0', I0'', I0''') at x > 0 to 50 digits, from the term-wise
+    derivatives of I0's series, whose terms are all positive, below x = 1,
+    where the equation's f''' cancels as 1/x^2; `plain_jet_reference` from
+    there up."""
+    if x >= 1.0:
+        return plain_jet_reference("i", 0.0, x)
+    with mpmath.workdps(50):
+        m, rows, n = mpmath.mpf(x), [0, 0, 0, 0], 0
+        t = mpmath.mpf(1)  # (x/2)^(2n) / (n!)^2
+        while True:
+            terms = [t * mpmath.ff(2 * n, k) / m**k for k in range(4)]
+            rows = [r + term for r, term in zip(rows, terms)]
+            if n > 2 and all(term <= mpmath.eps * r for term, r in zip(terms, rows)):
+                return tuple(rows)
+            n += 1
+            t = t * (m / 2) ** 2 / n**2
+
+
+def modified_jet_errors(kind: str, x: float, got) -> list:
+    """The relative error of each component of got, an I0 (kind "i0") or K0
+    ("k0") jet at x > 0."""
+    want = i0_jet_reference(x) if kind == "i0" else jet_reference("k0", x)
+    with mpmath.workdps(50):
+        return [float(abs(mpmath.mpf(float(g)) - w) / abs(w)) for g, w in zip(got, want)]

@@ -283,9 +283,11 @@ def test_log_jets_carry_the_primary_jet_of_their_pass(primary, secondary, xs):
     (y0_jet, [1.0, 3.8337, 2.404825557695773, 2.0], 16),
     (y0_jet, [1.0, 2.404825557695773, 3.8337, 2.0], 16),
     (y0_jet, [0.5, 40.0, 1.0, 35.0], 16),
-    # at 17 terms 5.0474 fails only I0's weighted rows
-    (k0_jet, [1.0, 5.0474, 2.0, 40.0], 17),
-    (k0_jet, [0.5, 40.0, 1.0, 35.0], 16),
+    # K0 at 12 terms: its log series fails at 1.9 and CF2 at 3.0, while 0.5,
+    # 1.0 and 60 converge; the first failing lane is the log series' in the
+    # first case and CF2's in the second (the ids keep their earlier names)
+    (k0_jet, [0.5, 1.9, 3.0, 1.0], 12),
+    (k0_jet, [0.5, 3.0, 1.9, 60.0], 12),
 ], ids=["y0-weighted-first", "y0-plain-first", "y0-both", "k0-weighted-first", "k0-both"])
 def test_one_pass_non_convergence_names_the_pointwise_x(jet, xs, terms):
     xs, cfg = np.array(xs), SeriesConfig(max_terms=terms)
@@ -310,13 +312,17 @@ def test_one_pass_jets_refuse_what_they_refused(jet, name, bad):
 @pytest.mark.parametrize("lam", [4.0, -4.0])
 @pytest.mark.parametrize("c2", [0.5, 0.0])
 def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
+    # J0 and Y0 take one double-double pass; I0 one float64 series pass, and
+    # K0 one more over its lanes below x = 2 and one CF2 pass over the rest
     calls = []
-    kernel = bessel._series_array
-    monkeypatch.setattr(bessel, "_series_array", lambda *a: calls.append(a) or kernel(*a))
+    for name in ("_series_array", "_ik_series_array", "_cf2"):
+        kernel = getattr(bessel, name)
+        monkeypatch.setattr(bessel, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
     p = bessel_profile(lam, 1.0, c2)
     us = np.linspace(0.2, 9.0, 101)
     got = p.jets(us)
-    assert len(calls) == 1
+    want = ["_series_array"] if lam > 0.0 else ["_ik_series_array"] * (2 if c2 else 1)
+    assert sorted(calls) == sorted(want + (["_cf2"] if lam < 0.0 and c2 else []))
     assert_bit_identical(got, np.array([[p.evaluate(u, k) for u in us.tolist()] for k in range(4)]))
 
 
@@ -341,8 +347,8 @@ def test_array_domain_error(jet):
 def test_array_non_convergence(jet):
     cfg = SeriesConfig(max_terms=30)
     xs = np.linspace(1.0, 40.0, 40)
-    with pytest.raises(NonConvergenceError):
-        jet(float(xs[-1]), cfg)
+    with pytest.raises(NonConvergenceError):  # K0's CF2 is slowest at x = 2, the series at 40
+        jet(2.0 if jet is k0_jet else float(xs[-1]), cfg)
     with pytest.raises(NonConvergenceError):
         jet(xs, cfg)
 

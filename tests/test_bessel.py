@@ -30,7 +30,7 @@ from sigeom import (
 )
 from sigeom.bessel import i0_jet, j0_jet, jp_jet, k0_jet, y0_jet
 
-from mp_bessel import JET_BOUND, K0_JET_BOUND, jet_error, plain_jet_errors, plain_jet_reference
+from mp_bessel import JET_BOUND, jet_error, modified_jet_errors, plain_jet_errors, plain_jet_reference
 
 # step for finite-difference residual checks; large arguments need the
 # x-proportional cap to keep the log-singular functions resolved near 0
@@ -294,20 +294,20 @@ def test_y0_k0_jets_at_the_tiny_bound(x):
 # every order of the Y0/K0 jets against mpmath (tests/mp_bessel.py) on
 # [2^-330, 20]: relative for K0, against max(1, |Y0^(k)|) for Y0; an array
 # call gives each pointwise call's bits, and f is the value to within an ulp.
-# K0 also where denser probes of [18, 20] found its largest errors, 5.6e-15
-# and 1.07e-14, which the linspace misses
+# K0 also where denser probes of [18, 20] found the double-double series'
+# largest errors, 5.6e-15 and 1.07e-14 (then within a bound of 2e-14)
 JET_XS = np.concatenate((np.geomspace(2.0**-330, 1.0, 150), np.linspace(1.0, 20.0, 150)))
 K0_XS = np.concatenate((JET_XS, [19.960416666666667, 19.960933333333333]))
 
 
 @pytest.mark.parametrize("kind, jet, value", [("y0", y0_jet, bessel_y0), ("k0", k0_jet, bessel_k0)])
 def test_y0_k0_jets_against_mpmath(kind, jet, value):
-    xs, bound = (K0_XS, K0_JET_BOUND) if kind == "k0" else (JET_XS, JET_BOUND)
+    xs = K0_XS if kind == "k0" else JET_XS
     lanes = np.array(jet(xs))
     for x, column in zip(xs.tolist(), lanes.T):
         got = jet(x)
         assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
-        assert jet_error(kind, x, got) <= bound, x
+        assert jet_error(kind, x, got) <= JET_BOUND, x
         assert abs(got[0] - value(x)) <= math.ulp(got[0]), x
 
 
@@ -437,6 +437,64 @@ def test_wronskian_j0_y0(x):
 def test_wronskian_i0_k0(x):
     lhs = bessel_i0(x) * _fd_derivative(bessel_k0, x) - _fd_derivative(bessel_i0, x) * bessel_k0(x)
     assert lhs == pytest.approx(-1.0 / x, abs=1e-8)
+
+
+def _i0_top() -> float:
+    """The largest x, to 1e-3, whose I0 jet the default SeriesConfig sums."""
+    lo, hi = 200.0, 300.0
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        try:
+            i0_jet(mid)
+            lo = mid
+        except NonConvergenceError:
+            hi = mid
+    return lo
+
+
+I0_TOP = _i0_top()
+# I0 through the switch to its Taylor limit at 2^-26 and to the equation's
+# f'' and f''' at 1, densest near the top, where its terms' rounding adds
+# up most; K0 through the switch to CF2 at 2, and at 80, where the double-
+# double series gave -251
+I0_XS = np.concatenate((np.geomspace(2.0**-60, 1.0, 80), np.linspace(1.0, I0_TOP, 200),
+                        np.linspace(I0_TOP - 30.0, I0_TOP, 100)))
+K0_WIDE_XS = np.concatenate((np.geomspace(2.0**-330, 700.0, 300), np.linspace(1.9, 2.1, 41), [80.0]))
+
+
+@pytest.mark.parametrize("kind, jet, value, xs", [
+    ("i0", i0_jet, bessel_i0, I0_XS), ("k0", k0_jet, bessel_k0, K0_WIDE_XS),
+])
+def test_i0_k0_jets_relative_to_mpmath(kind, jet, value, xs):
+    # every order relative to mpmath across each jet's domain; an array call
+    # gives each pointwise call's bits, and the value is the jet's f
+    lanes = np.array(jet(xs))
+    for x, column in zip(xs.tolist(), lanes.T):
+        got = jet(x)
+        assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
+        assert max(modified_jet_errors(kind, x, got)) <= JET_BOUND, x
+        assert value(x) == got[0], x
+
+
+# x (I0 K0' - I0' K0) = -1 wherever both jets are summed: a check that needs
+# no mpmath.  Each product is within 2 JET_BOUND and at most about 1 in
+# size, so the sum is within 4 JET_BOUND of -1, plus its rounding
+I0_K0_XS = np.concatenate((np.geomspace(2.0**-330, I0_TOP, 600), np.linspace(1.5, 2.5, 101)))
+
+
+def test_i0_k0_jet_wronskian():
+    i, k = np.array(i0_jet(I0_K0_XS)), np.array(k0_jet(I0_K0_XS))
+    w = I0_K0_XS * (i[0] * k[1] - i[1] * k[0])
+    assert np.abs(w + 1.0).max() <= 4.0 * JET_BOUND + 4.0 * 2.0**-53
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=2.0**-330, max_value=1e300))
+def test_k0_jet_orders_alternate_in_sign(x):
+    # K0 > 0, K0' = -K1 < 0, K0'' > 0 and K0''' < 0 until they underflow
+    f = k0_jet(x)
+    assert f[0] >= 0.0 and f[1] <= 0.0 and f[2] >= 0.0 and f[3] <= 0.0
+    assert bessel_k0(x) == f[0]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mp_bessel import JET_BOUND, modified_jet_errors
 from sigeom.cli import main, parse_profile_spec
 from sigeom.bessel import bessel_j0, bessel_y0
 from sigeom.errors import ProfileSpecError
@@ -90,6 +91,17 @@ def test_bessel_jp_refuses_an_infinite_2p(capsys):
 
 def test_bessel_non_convergence(capsys):
     assert main(["bessel", "--kind", "j0", "--range", "0:200", "--n", "5"]) == 5
+
+
+def test_bessel_k0_table_past_the_series_reach(capsys):
+    # K0 past x = 2 is Steed's CF2: the double-double series printed five
+    # negative values here and exited 0
+    assert main(["bessel", "--kind", "k0", "--range", "70:100", "--n", "5"]) == 0
+    header, rows = _csv_rows(capsys.readouterr().out)
+    assert header == "x,value" and [x for x, _ in rows] == [70.0, 77.5, 85.0, 92.5, 100.0]
+    for x, value in rows:
+        assert value > 0.0
+        assert modified_jet_errors("k0", x, (value,))[0] <= JET_BOUND, x
 
 
 def test_bessel_jp_table_past_30_warns_once():

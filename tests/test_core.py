@@ -238,6 +238,24 @@ def test_is_null_eps_of_a_null_vector_whose_squares_overflow():
     assert is_null_eps(v)
 
 
+def test_semi_norm_and_null_test_where_the_sum_of_the_parts_overflows():
+    # |x1| + |x2| overflows near 1e308: semi_norm was nan (0 inf) and inf,
+    # and the explicit-tol null test False
+    assert semi_norm(Vec3SI(1e308, 1e308, 0.0)) == 0.0
+    v = Vec3SI(1.5e308, 1e308, 0.0)
+    with mpmath.workdps(50):
+        ref = float(mpmath.sqrt(_mp_quadratic(v)))
+    assert semi_norm(v) == pytest.approx(ref, rel=4e-16, abs=0.0)
+    assert is_null_eps(Vec3SI(1e308, 1e308, 0.0), tol=1.0)
+    assert not is_null_eps(v, tol=1e300)
+
+
+@given(st.floats(min_value=-1e300, max_value=1e300), st.floats(min_value=-1e300, max_value=1e300))
+def test_semi_norm_below_the_overflow_keeps_its_formula(x1, x2):
+    a, b = abs(x1), abs(x2)
+    assert semi_norm(Vec3SI(x1, x2, 0.0)) == math.sqrt(abs(a - b)) * math.sqrt(a + b)
+
+
 def test_semi_norm_near_the_null_cone_does_not_cancel():
     v = Vec3SI(1.0, 1.0 + 2.0**-30, 0.0)
     with mpmath.workdps(50):
