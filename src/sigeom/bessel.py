@@ -9,26 +9,28 @@ against a sum of ~0.25), so they are accumulated in double-double
 arithmetic and rounded once at the end.  Y0, value and jet alike, is the
 merged rows of `_series`: the terms (phi(n) - ell) t_n, ell = ln(x/2) +
 gamma, and x times their derivatives, summed as one series stopped on the
-cancelled total.  The kernels sum f and x f'; `_sums` divides x f' by x
-and forms f'' and f''' from the series' own equation
+cancelled total.  The kernels sum f and x f'; `_equation_rows` divides
+x f' by x and forms f'' and f''' from the series' own equation
 x f'' + (2p+1) f' + x f = 0.
 
 I0 and K0 run in float64 on algorithms that do not cancel:
 - I0 is its power series sum_n t_n, t_n = (x/2)^(2n) / (n!)^2, whose terms
-  are all positive (`_ik_series`);
+  are all positive (`_i0_sums`).  Its terms and sums are carried as pairs
+  by error-free transforms (Dekker's product, Knuth's two-sum), so f and
+  x f' round as the double-double sums did, and they stop where those did;
 - K0 below x = 2 is the merged log series sum_n (phi(n) - ell) t_n, which
   cancels at most about 5x there (the textbook -ell I0 + sum phi(n) t_n
   cancels 12x at x = 2);
 - K0 from x = 2 up is Steed's CF2 (Numerical Recipes, `bessik` at order
   0), which gives K0 and K1, and K0' = -K1 (`_cf2`).
-Their f'' and f''' come from the equation f'' = f - f'/x, f''' = f' -
-(f'' - f'/x)/x, with no cancellation for K0, whose orders alternate in
-sign; below |x| = 1, where I0's equation f''' cancels, I0's f'' and f'''
-are the series' own rows.  Every order of the I0 and K0 jets is within
-4e-15 relative of mpmath: I0 up to x of about 258, past which the default
-SeriesConfig refuses its series, and K0 on [2^-330, 700].  Below
-|x| = 2^-26, where the equation's f''' cancels, the J0 and I0 jets are
-their Taylor limit.
+f'' and f''' come from the equation f'' = f - f'/x, f''' = f' -
+(f'' - f'/x)/x: in double-double from I0's pairs, and in float64 for K0,
+whose orders alternate in sign, so that nothing cancels.  Below |x| = 1,
+where I0's equation f''' cancels, its f''' is the series' own row.  Every
+order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0 up to
+x of about 258, past which the default SeriesConfig refuses its series,
+and K0 on [2^-330, 700].  Below |x| = 2^-26, where the equation's f'''
+cancels, the J0 and I0 jets are their Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
@@ -197,10 +199,9 @@ _BOTH = (False, True)
 
 
 def _series(
-    x: float, sign: float, cfg: SeriesConfig, orders: int, weighted, ell: dd.DD = (0.0, 0.0),
-    p: float = 0.0,
+    x: float, cfg: SeriesConfig, orders: int, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
 ) -> list[dd.DD]:
-    """The sum of sum_n w(n) sign^n (x/2)^(2n) / (n! (1+p)_n) and, if orders,
+    """The sum of sum_n w(n) (-1)^n (x/2)^(2n) / (n! (1+p)_n) and, if orders,
     x times its term-wise derivative, with w = 1 (weighted=False: J0 and the
     sum of J_p) or the merged weight w = phi(n) - ell (weighted=True, p = 0),
     phi the harmonic numbers and ell the value at x of a function with
@@ -211,12 +212,10 @@ def _series(
 
     With ell = ln(x/2) + gamma, the merged rows are those of -(pi/2) Y0,
     stopped on the cancelled total, not on the two large textbook pieces.
-    The library sums sign -1 only; sign +1 gives the I0 and K0 series in
-    double-double, which `_ik_series` sums in float64.
     """
     if weighted is _BOTH:
-        return _series(x, sign, cfg, orders, False, ell, p) + _series(x, sign, cfg, orders, True, ell, p)
-    q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
+        return _series(x, cfg, orders, False, ell, p) + _series(x, cfg, orders, True, ell, p)
+    q = dd.mul_f(dd.two_prod(x, x), -0.25)
     nell, ax = dd.neg(ell), abs(x)
     m2 = dd.mul_f(nell, 2.0)  # -2 ell, exact
     s, xds, b, was_small = (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), False
@@ -289,7 +288,7 @@ def _ipow(v, k: int):
 
 
 def _series_array(
-    x: np.ndarray, sign: float, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
+    x: np.ndarray, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
     orders: int = 1,
 ) -> list[dd.DD]:
     """`_series` at every element of an array x, ell a pair of floats or of
@@ -321,7 +320,7 @@ def _series_array(
     ie = ib + 1 + kp
     head = top - per_set  # the merged set's row 0 in the sums
     with np.errstate(all="ignore"):
-        q = dd.mul_f(dd.two_prod(x, x), 0.25 * sign)
+        q = dd.mul_f(dd.two_prod(x, x), -0.25)
         space = np.zeros((13, ie + k, lanes))
         rows, prod, bq = (space[i : i + 2] for i in range(0, 6, 2))
         work, factors, flo = list(space[6:11]), space[11], space[12]
@@ -396,28 +395,35 @@ def _series_array(
     return list(zip(hi, lo))
 
 
-def _sums(x, sign: float, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
+def _sums(x, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
     """The rows f, f', f'', f''' (0..orders) of each set of sums that
     `weighted` asks for.  `_series` at a float x and `_series_array` at an
-    array sum f and x f'; here alone x f' is divided by x, and f'' and f'''
-    are formed from the sums' own equation x f'' + (2p+1) f' - sign x f = 0,
-    which the merged sums (p = 0, sign -1) solve as -(pi/2) Y0 does:
-    f'' = -(2p+1) f'/x + sign f, f''' = -(2p+1) (f'' - f'/x)/x + sign f'."""
+    array sum f and x f'; `_equation_rows` forms the rest from the sums' own
+    equation, which the merged sums (p = 0) solve as -(pi/2) Y0 does."""
     if _is_array(x):
-        sums = _series_array(x, sign, cfg, weighted, ell, p, min(orders, 1))
+        sums = _series_array(x, cfg, weighted, ell, p, min(orders, 1))
     else:
-        sums = _series(x, sign, cfg, min(orders, 1), weighted, ell, p)
+        sums = _series(x, cfg, min(orders, 1), weighted, ell, p)
     if not orders:
         return sums
-    c, rows = dd.neg(dd.two_sum(2.0 * p, 1.0)), []  # -(2p+1), exact
-    with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
-        for f, xf1 in zip(sums[::2], sums[1::2]):
-            f1 = dd.div_f(xf1, x)
-            f1_x = dd.div_f(f1, x)
-            f2 = dd.add(dd.mul(c, f1_x), dd.mul_f(f, sign))
-            f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.mul_f(f1, sign))
-            rows += (f, f1, f2, f3)[: orders + 1]
+    rows = []
+    for f, xf1 in zip(sums[::2], sums[1::2]):
+        rows += _equation_rows(x, f, xf1, -1.0, orders, p)
     return rows
+
+
+def _equation_rows(x, f: dd.DD, xf1: dd.DD, sign: float, orders: int = 3, p: float = 0.0) -> list[dd.DD]:
+    """f, f', f'', f''' (0..orders) in double-double from f and x f': x f' is
+    divided by x here alone, and f'' and f''' come from the equation
+    x f'' + (2p+1) f' - sign x f = 0 (sign -1 for the J family, +1 for I0):
+    f'' = -(2p+1) f'/x + sign f, f''' = -(2p+1) (f'' - f'/x)/x + sign f'."""
+    c = dd.neg(dd.two_sum(2.0 * p, 1.0))  # -(2p+1), exact
+    with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
+        f1 = dd.div_f(xf1, x)
+        f1_x = dd.div_f(f1, x)
+        f2 = dd.add(dd.mul(c, f1_x), dd.mul_f(f, sign))
+        f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.mul_f(f1, sign))
+    return [f, f1, f2, f3][: orders + 1]
 
 
 def _log_half_dd(x) -> dd.DD:
@@ -444,66 +450,138 @@ def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x"
 # cancels about 5x at x = 2 and 20x at 3; CF2 takes about 76 terms at 2
 # and would take 150 at 1
 _CF2_FROM = 2.0
-# Below this |x| I0'' and I0''' are their own series rows: the equation's
-# f''' cancels as 8/(3 x^2), to 3.9e-15 relative at x = 0.5, and its f''
-# takes up to 1.7 ulp from f ~ 1 near x = 0, where the row is within 0.7
-_I0_ROWS_BELOW = 1.0
+# Below this |x| I0's f''' is its own series row: the equation's f'''
+# cancels as 8/(3 x^2), and the sums' stop, which holds f' to rel_tol |f|,
+# leaves it only an absolute error there
+_I0_ROW3_BELOW = 1.0
 # ell = ln(x/2) + gamma as ln x + (gamma - ln 2), since x/2 underflows for
 # subnormal x
 _ELL0 = EULER_GAMMA - math.log(2.0)
 
 
+def _split(a):
+    """Dekker's split of a float or an array into halves of at most 26
+    bits, whose products with numbers of at most 27 bits are exact."""
+    c = dd._SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _add_to(s, e, t, te):
+    """The sum s + e plus the pair t + te: Knuth's two-sum of s and t, its
+    error gathered with e and te into the running error, not renormalised."""
+    r = s + t
+    v = r - s
+    return r, e + (((s - (r - v)) + (t - v)) + te)
+
+
+def _i0_sums(x, cfg: SeriesConfig, orders: int) -> tuple:
+    """(sums, pending): I0's series sum_n t_n, t_n = (x/2)^(2n) / (n!)^2,
+    and if orders x times its derivative sum_n 2n t_n, as double-double
+    pairs at a float or an array x, and the lanes of an array that did not
+    converge within max_terms (None at a float, which is refused instead).
+    (x/2)^2 is split exactly into qh + ql, a term is a pair th + tl formed
+    by Dekker's product and the exact remainder of its division by n^2, and
+    the sums take Knuth's two-sum: good to about 1e-30, the pairs round as
+    double-double sums would.  They stop where those did, once the next term
+    has been small twice running past n = 2: th <= rel_tol f, or with orders
+    th max(2n, |x|) <= rel_tol f |x|, which holds f' to rel_tol f too."""
+    array = _is_array(x)
+    h = 0.5 * x
+    qh = h * h
+    ha, hb = _split(h)
+    ql = ((ha * ha - qh) + 2.0 * ha * hb) + hb * hb
+    qa, qb = _split(qh)
+    ax, n, was_small = abs(x), 0, False
+    th, tl = (np.ones(x.shape), np.zeros(x.shape)) if array else (1.0, 0.0)
+    sums = [0.0] * (4 if orders else 2)  # f and its error, then sum n t_n and its error
+    pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(sums), x.size))) if array else (None, None)
+    with np.errstate(all="ignore"):
+        while n < cfg.max_terms:
+            ta, tb = _split(th)
+            sums[:2] = _add_to(*sums[:2], th, tl)
+            if orders:  # n th and its error are exact while n has at most 26 bits
+                p = n * th
+                sums[2:] = _add_to(*sums[2:], p, ((n * ta - p) + n * tb) + n * tl)
+            n += 1
+            # the next term (th + tl)(qh + ql) / m, m = n^2: p + e is the
+            # product, d its quotient and p - d m, exact, the remainder
+            p, m = th * qh, float(n * n)
+            e = (((ta * qa - p) + ta * qb + tb * qa) + tb * qb) + (th * ql + tl * qh)
+            d = p / m
+            da, db = _split(d)
+            tl = (((p - da * m) - db * m) + e) / m
+            th = d + tl
+            tl = tl - (th - d)
+            lead, tol = th, cfg.rel_tol * sums[0]  # both >= 0
+            if orders:
+                lead, tol = lead * (np.maximum(2.0 * n, ax) if array else max(2.0 * n, ax)), tol * ax
+            small = lead <= tol
+            stop, was_small = (small & was_small if n > 2 else False), small
+            if array:
+                stop &= pending
+                if stop.any():
+                    np.copyto(ends, sums, where=stop)
+                    pending &= ~stop
+                stop = not pending.any()
+            if stop:
+                break
+        else:
+            if not array:
+                raise _unconverged(x, cfg)
+    if array:
+        sums = list(ends)
+    pairs = [dd.two_sum(sums[0], sums[1])]
+    if orders:
+        pairs.append(dd.two_sum(2.0 * sums[2], 2.0 * sums[3]))
+    return pairs, pending
+
+
 def _weights(n: int, ell) -> tuple:
     """The weights w(n) of the rows sum_n w(n) t_n, t_n = (x/2)^(2n) / (n!)^2:
-    with ell None, 1, 2n, 2n (2n-1) and 2n (2n-1) (2n-2), the rows of
-    x^k I0^(k), k = 0..3; else phi(n) - ell and 2n (phi(n) - ell) - 1, those
-    of K0 and x K0' for ell = ln(x/2) + gamma, a float or an array."""
+    with ell None, 2n (2n-1) (2n-2), the row of x^3 I0'''; else phi(n) - ell
+    and 2n (phi(n) - ell) - 1, those of K0 and x K0' for ell = ln(x/2) +
+    gamma, a float or an array."""
     if ell is None:
-        return 1.0, 2.0 * n, 2.0 * n * (2 * n - 1), 2.0 * n * (2 * n - 1) * (2 * n - 2)
+        return (2.0 * n * (2 * n - 1) * (2 * n - 2),)
     c = _phi(n)[0] - ell
     return c, 2.0 * n * c - 1.0
 
 
-def _ik_series(x: float, ell, cfg: SeriesConfig) -> list[float]:
-    """The rows of `_weights` at a float x, t_n formed as t_(n-1) (x/2) / n
-    (x/2) / n.  They stop once the next term of every row has been at most
-    rel_tol times the row's sum for two terms running, past n = 2."""
-    h, t, n, was_small = 0.5 * x, 1.0, 0, False
+def _ik_series(x, ell, cfg: SeriesConfig) -> tuple:
+    """(rows, pending): the rows of `_weights` summed in plain float64 at a
+    float or an array x (ell None, a float or an array like x), t_n formed
+    as t_(n-1) (x/2) / n (x/2) / n, and the lanes of an array that did not
+    converge within max_terms (None at a float, which is refused instead).
+    They stop once the next term of every row has been at most rel_tol
+    times the row's sum for two terms running, past n = 2; an array has
+    each lane frozen where a float stops."""
+    array = _is_array(x)
+    h, n, was_small = 0.5 * x, 0, False
+    t = np.ones(x.shape) if array else 1.0
     w = _weights(0, ell)
     sums = [0.0] * len(w)
-    while n < cfg.max_terms:
-        sums = [s + wj * t for s, wj in zip(sums, w)]
-        n += 1
-        t = t * h / n * h / n
-        w = _weights(n, ell)
-        if not all(abs(wj * t) <= cfg.rel_tol * abs(s) for wj, s in zip(w, sums)):
-            was_small = False
-        elif was_small and n > 2:
-            return sums
-        else:
-            was_small = True
-    raise _unconverged(x, cfg)
-
-
-def _ik_series_array(x: np.ndarray, ell, cfg: SeriesConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`_ik_series` at every element of an array x, ell None or an array like
-    x: the rows, and the lanes that did not converge within max_terms.  A
-    lane that stops adds zero terms from then on, which keeps its sums."""
-    h, t, n = 0.5 * x, np.ones(x.shape), 0
-    w = _weights(0, ell)
-    k = len(w)
-    sums = np.zeros((k, x.size))
-    pending, was_small = np.ones(x.shape, dtype=bool), np.zeros(x.shape, dtype=bool)
+    pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(w), x.size))) if array else (None, None)
     with np.errstate(all="ignore"):
-        while n < cfg.max_terms and pending.any():
-            sums += np.reshape(w, (k, -1)) * t * pending
+        while n < cfg.max_terms:
+            sums = [s + wj * t for s, wj in zip(sums, w)]
             n += 1
             t = t * h / n * h / n
             w = _weights(n, ell)
-            small = (abs(np.reshape(w, (k, -1)) * t) <= cfg.rel_tol * abs(sums)).all(axis=0)
-            pending &= ~(small & was_small & (n > 2))
-            was_small = small
-    return sums, pending
+            small = True
+            for wj, s in zip(w, sums):
+                small = small & (abs(wj * t) <= cfg.rel_tol * abs(s))
+            stop, was_small = small & was_small & (n > 2), small
+            if array:
+                np.copyto(ends, sums, where=pending & stop)
+                pending &= ~stop
+                stop = not pending.any()
+            if stop:
+                break
+        else:
+            if not array:
+                raise _unconverged(x, cfg)
+    return (ends if array else sums), pending
 
 
 def _cf2(x, cfg: SeriesConfig) -> tuple:
@@ -564,27 +642,18 @@ def _refuse_pending(x: np.ndarray, pending: np.ndarray, cfg: SeriesConfig) -> No
         raise _unconverged(x[np.argmax(pending)], cfg)
 
 
-def _i0_rows(x, cfg: SeriesConfig):
-    """I0's rows of `_weights` at a float or an array x."""
-    if not _is_array(x):
-        return _ik_series(x, None, cfg)
-    rows, pending = _ik_series_array(x, None, cfg)
-    _refuse_pending(x, pending, cfg)
-    return rows
-
-
 def _k0_pair(x, cfg: SeriesConfig) -> tuple:
     """(K0, K0') at x > 0, a float or an array: the log series below x = 2,
     CF2 from there."""
     if not _is_array(x):
         if x < _CF2_FROM:
-            k0, xk0 = _ik_series(x, math.log(x) + _ELL0, cfg)
+            k0, xk0 = _ik_series(x, math.log(x) + _ELL0, cfg)[0]
             return k0, xk0 / x
         k0, k1, _ = _cf2(x, cfg)
         return k0, -k1
     low, out = x < _CF2_FROM, np.empty((2, x.size))
     xs, pending = x[low], np.zeros(x.shape, dtype=bool)
-    rows, pending[low] = _ik_series_array(xs, _per_element(math.log, xs) + _ELL0, cfg)
+    rows, pending[low] = _ik_series(xs, _per_element(math.log, xs) + _ELL0, cfg)
     with np.errstate(over="ignore"):  # K0' at subnormal x, where only the value is read
         out[0, low], out[1, low] = rows[0], rows[1] / xs
     k0, k1, pending[~low] = _cf2(x[~low], cfg)
@@ -600,20 +669,22 @@ def _k0_pair(x, cfg: SeriesConfig) -> tuple:
 def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """J0(x) = sum_n (-1)^n (x/2)^(2n) / (n!)^2; entire and even."""
     _require_finite(x, "j0")
-    return dd.to_float(_sums(x, -1.0, cfg, False, orders=0)[0])
+    return dd.to_float(_sums(x, cfg, False, orders=0)[0])
 
 
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1.  Row 0 of
-    `i0_jet`'s sums, so the same bits as its f at |x| >= 2^-26."""
+    """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
     _require_finite(x, "i0")
-    return _i0_rows(x, cfg)[0]
+    sums, pending = _i0_sums(x, cfg, 0)
+    if pending is not None:
+        _refuse_pending(x, pending, cfg)
+    return dd.to_float(sums[0])
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
     _require_finite(x, "y0", 0.0, "finite x > 0")
-    return dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, _sums(x, -1.0, cfg, True, _log_half_dd(x), 0)[0]))
+    return dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, _sums(x, cfg, True, _log_half_dd(x), 0)[0]))
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -654,24 +725,29 @@ def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     _require_finite(x, "j0")
     if not _is_array(x) and abs(x) < _SMALL:
         return _plain_jet(x, -1.0, None)
-    return _plain_jet(x, -1.0, [dd.to_float(v) for v in _sums(x, -1.0, cfg, False)])
+    return _plain_jet(x, -1.0, [dd.to_float(v) for v in _sums(x, cfg, False)])
 
 
 def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(I0, I0', I0'', I0''')(x): f and x f' from the series, f'' and f'''
-    from the equation or, below |x| = 1, from the series' own rows; x may be
-    a 1-D float64 array."""
+    """(I0, I0', I0'', I0''')(x): f and x f' from `_i0_sums`, f'' and f'''
+    from the equation as for J0, except f''' below |x| = 1, which is the
+    series' own row; x may be a 1-D float64 array."""
     _require_finite(x, "i0")
-    if not _is_array(x) and abs(x) < _SMALL:
-        return _plain_jet(x, 1.0, None)
-    f, xf1, x2f2, x3f3 = _i0_rows(x, cfg)
-    with np.errstate(all="ignore"):  # lanes with x = 0, which the Taylor limit replaces
-        f1 = xf1 / x
-        f2 = f - f1 / x
-        rows, eq = (x2f2 / (x * x), x3f3 / (x * x * x)), (f2, f1 - (f2 - f1 / x) / x)
-    low = abs(x) < _I0_ROWS_BELOW
-    f2, f3 = np.where(low, rows, eq) if _is_array(x) else rows if low else eq
-    return _plain_jet(x, 1.0, (f, f1, f2, f3))
+    if not _is_array(x):
+        if abs(x) < _SMALL:
+            return _plain_jet(x, 1.0, None)
+        jet = [dd.to_float(v) for v in _equation_rows(x, *_i0_sums(x, cfg, 1)[0], 1.0)]
+        if abs(x) < _I0_ROW3_BELOW:
+            jet[3] = _ik_series(x, None, cfg)[0][0] / (x * x * x)
+        return tuple(jet)
+    sums, pending = _i0_sums(x, cfg, 1)
+    jet = [dd.to_float(v) for v in _equation_rows(x, *sums, 1.0)]
+    low = (np.abs(x) < _I0_ROW3_BELOW) & (np.abs(x) >= _SMALL)
+    xs = x[low]
+    row3, pending[low] = _ik_series(xs, None, cfg)
+    _refuse_pending(x, pending, cfg)
+    jet[3][low] = row3[0] / (xs * xs * xs)
+    return _plain_jet(x, 1.0, jet)
 
 
 # The Y0/K0 jets refuse x < 2^-330: below 2^-332 the 2/x^3 of Y0's n = 0
@@ -681,12 +757,12 @@ _LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
 
 class _LogJet(tuple):
     """(f, f', f'', f''') of Y0 or K0 at x, with the J0 or I0 jet at x as
-    `primary`: Y0's from the same series pass, K0's summed on first use, so
-    that K0 is not refused where I0's series fails."""
+    `primary`: Y0's from the same series pass, K0's summed on first use from
+    its own copy of x, so that K0 is not refused where I0's series fails."""
 
     @functools.cached_property
     def primary(self) -> tuple:
-        return i0_jet(self.x, self.cfg)
+        return i0_jet(*self._args)
 
 
 def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
@@ -696,7 +772,7 @@ def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     pass over a 1-D float64 array x, two passes at a float, with the same
     bits."""
     _require_finite(x, "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    sums = _sums(x, -1.0, cfg, _BOTH, _log_half_dd(x))
+    sums = _sums(x, cfg, _BOTH, _log_half_dd(x))
     jet = _LogJet(dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, v)) for v in sums[4:])
     jet.primary = _plain_jet(x, -1.0, [dd.to_float(v) for v in sums[:4]])
     return jet
@@ -710,7 +786,7 @@ def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     f, f1 = _k0_pair(x, cfg)
     f2 = f - f1 / x
     jet = _LogJet((f, f1, f2, f1 - (f2 - f1 / x) / x))
-    jet.x, jet.cfg = x, cfg
+    jet._args = (x.copy() if _is_array(x) else x, cfg)
     return jet
 
 
@@ -739,7 +815,7 @@ def _jp_sum(p: float, x: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
     where a pointwise `bessel_j` sums nothing."""
     out = np.ones(x.shape)
     nonzero = x != 0.0
-    out[nonzero] = dd.to_float(_sums(x[nonzero], -1.0, cfg, False, orders=0, p=p)[0])
+    out[nonzero] = dd.to_float(_sums(x[nonzero], cfg, False, orders=0, p=p)[0])
     return out
 
 
@@ -756,7 +832,7 @@ def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
         if x == 0.0:
             return 0.0  # p > 0 here; the x^p prefactor wins
         pref = math.pow(0.5 * x, p) / gamma(1.0 + p)
-        return pref * dd.to_float(_sums(x, -1.0, cfg, False, orders=0, p=p)[0])
+        return pref * dd.to_float(_sums(x, cfg, False, orders=0, p=p)[0])
     pref = np.zeros(x.shape)
     for i, e in enumerate(x.tolist()):
         try:
@@ -776,7 +852,7 @@ def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[floa
     _check_jp_args(p, x)
     if x < 2.0**-340:  # x^3 is subnormal or 0 there, and a3 divides by it
         raise DomainError(f"jp_jet requires x >= 2**-340, got {x!r}")
-    s = [dd.to_float(v) for v in _sums(x, -1.0, cfg, False, p=p)]
+    s = [dd.to_float(v) for v in _sums(x, cfg, False, p=p)]
     a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)
     a1 = p * a0 / x
     a2 = p * (p - 1.0) * a0 / (x * x)

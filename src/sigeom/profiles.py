@@ -327,8 +327,7 @@ def bessel_profile(
 
     lambda3 > 0: f(u) = c1 J0(s u) + c2 Y0(s u) with s = sqrt(lambda3);
     lambda3 < 0: f(u) = c1 I0(s u) + c2 K0(s u) with s = sqrt(-lambda3).
-    Derivatives come from the Bessel jets (the series' f and f', the
-    higher orders from the Bessel equation), scaled by the chain rule.
+    Derivatives come from the Bessel jets, scaled by the chain rule.
     """
     if lambda3 == 0.0 or not math.isfinite(lambda3):
         raise DomainError(f"bessel_profile requires nonzero finite lambda3, got {lambda3!r}")
@@ -345,11 +344,13 @@ def bessel_profile(
             raw = tuple(c1 * v for v in primary(x, cfg))
         else:
             try:
-                b = secondary(x, cfg)  # its series also give the primary jet
+                b = secondary(x, cfg)
             except DomainError:
                 primary(x, cfg)  # the primary refuses a non-finite x first, as it did
                 raise
-            a = b.primary
+            # Y0's pass also sums the J0 jet; K0's primary, the I0 jet, is
+            # summed on reading, so a K0-only profile sums no I0
+            a = b.primary if c1 != 0.0 else (0.0,) * 4
             raw = tuple(c1 * a[k] + c2 * b[k] for k in range(4))
         return (raw[0], s * raw[1], s * s * raw[2], s * s * s * raw[3])
 

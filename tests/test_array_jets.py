@@ -7,6 +7,7 @@ with its pointwise counterpart as an int64 bit pattern, and every grid error
 with the exception a per-radius loop raises first.
 """
 
+import math
 import re
 import types
 from collections import Counter
@@ -99,15 +100,32 @@ def _lanes(n):
     return np.random.default_rng(n).permutation(np.geomspace(60.0, 1e-3, n))
 
 
+def _modified_kernel(x, weighted):
+    """The float64 kernel of the modified equation at x, as a list of
+    arrays: I0's double-double sums (plain), or K0's log series (weighted)."""
+    if weighted:
+        ell = (bessel._per_element(math.log, x) if isinstance(x, np.ndarray) else math.log(x))
+        return list(bessel._ik_series(x, ell + bessel._ELL0, bessel.DEFAULT_SERIES)[0])
+    return [part for pair in bessel._i0_sums(x, bessel.DEFAULT_SERIES, 1)[0] for part in pair]
+
+
 # one kernel for every array length: single lanes, lengths around the
-# classifier's default 21 radii, and the largest grid of the benchmark
+# classifier's default 21 radii, and the largest grid of the benchmark.
+# sign is that of the equation x f'' + f' - sign x f = 0: -1 takes the
+# double-double kernels of J0 and Y0, +1 the float64 ones of I0 and K0
 @pytest.mark.parametrize("lanes", [1, 5, 12, 21, 23, 24, 40, 401])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
 def test_series_array_against_scalar_kernels(lanes, sign, weighted):
     xs = _lanes(lanes)
-    sums = bessel._series_array(xs, sign, bessel.DEFAULT_SERIES, weighted)
-    ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 1, weighted) for x in xs.tolist()]
+    if sign > 0.0:
+        got = _modified_kernel(xs, weighted)
+        ref = [_modified_kernel(x, weighted) for x in xs.tolist()]
+        for k, row in enumerate(got):
+            assert_bit_identical(row, [r[k] for r in ref])
+        return
+    sums = bessel._series_array(xs, bessel.DEFAULT_SERIES, weighted)
+    ref = [bessel._series(x, bessel.DEFAULT_SERIES, 1, weighted) for x in xs.tolist()]
     for k in range(2):
         assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
         assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
@@ -120,8 +138,8 @@ def test_series_array_against_scalar_kernels(lanes, sign, weighted):
 @pytest.mark.parametrize("weighted", [False, True, bessel._BOTH], ids=["plain", "weighted", "both"])
 def test_series_array_sums_the_rows_it_is_asked_for(orders, weighted):
     xs, cfg = _lanes(24), bessel.DEFAULT_SERIES
-    sums = bessel._sums(xs, 1.0, cfg, weighted, bessel._log_half_dd(xs), orders)
-    ref = [bessel._sums(x, 1.0, cfg, weighted, bessel._log_half_dd(x), orders) for x in xs.tolist()]
+    sums = bessel._sums(xs, cfg, weighted, bessel._log_half_dd(xs), orders)
+    ref = [bessel._sums(x, cfg, weighted, bessel._log_half_dd(x), orders) for x in xs.tolist()]
     assert len(sums) == len(ref[0]) == (orders + 1) * (2 if weighted is bessel._BOTH else 1)
     for k, (hi, lo) in enumerate(sums):
         assert_bit_identical(hi, [r[k][0] for r in ref])
@@ -130,9 +148,11 @@ def test_series_array_sums_the_rows_it_is_asked_for(orders, weighted):
 
 def test_plain_series_rows_at_zero_lanes_are_exact_zeros():
     xs = np.array([0.0, 1.5, -0.0, 4.0])
-    for sign in (-1.0, 1.0):
-        sums = bessel._series_array(xs, sign, bessel.DEFAULT_SERIES, False)
-        ref = [bessel._series(x, sign, bessel.DEFAULT_SERIES, 1, False) for x in xs.tolist()]
+    cfg = bessel.DEFAULT_SERIES
+    j0_sums = (lambda x: bessel._series_array(x, cfg, False), lambda x: bessel._series(x, cfg, 1, False))
+    i0_sums = (lambda x: bessel._i0_sums(x, cfg, 1)[0],) * 2
+    for kernel, scalar in (j0_sums, i0_sums):  # J0's double-double kernel, then I0's float64 one
+        sums, ref = kernel(xs), [scalar(x) for x in xs.tolist()]
         for k, (hi, lo) in enumerate(sums):
             assert_bit_identical(hi, [r[k][0] for r in ref])
             assert_bit_identical(lo, [r[k][1] for r in ref])
@@ -185,7 +205,7 @@ def test_empty_arrays():
         got = np.array(fn(empty))
         assert got.shape == ((0,) if fn in VALUES else (4, 0))
     for weighted in (False, True):
-        sums = bessel._series_array(empty, 1.0, bessel.DEFAULT_SERIES, weighted)
+        sums = bessel._series_array(empty, bessel.DEFAULT_SERIES, weighted)
         assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 2
 
 
@@ -219,13 +239,13 @@ J0_ZEROS = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.79153443
 WITNESSES = np.array(J0_ZEROS + [1e-3, 0.25, 0.559])
 
 
-def _stop_term(x, sign, weighted):
+def _stop_term(x, weighted):
     """The fewest terms with which the scalar kernel converges at x."""
     lo, hi = 1, bessel.DEFAULT_SERIES.max_terms
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            bessel._series(x, sign, SeriesConfig(max_terms=mid), 0, weighted)
+            bessel._series(x, SeriesConfig(max_terms=mid), 0, weighted)
             hi = mid
         except NonConvergenceError:
             lo = mid + 1
@@ -233,28 +253,40 @@ def _stop_term(x, sign, weighted):
 
 
 def test_one_pass_witnesses_stop_in_both_orders():
-    for sign, orders in ((-1.0, {"plain first", "plain last"}), (1.0, {"plain first"})):
-        found = set()
-        for x in WITNESSES.tolist():
-            plain, weighted = _stop_term(x, sign, False), _stop_term(x, sign, True)
-            if plain != weighted:
-                found.add("plain first" if plain < weighted else "plain last")
-        assert orders <= found
+    found = set()
+    for x in WITNESSES.tolist():
+        plain, weighted = _stop_term(x, False), _stop_term(x, True)
+        if plain != weighted:
+            found.add("plain first" if plain < weighted else "plain last")
+    assert found == {"plain first", "plain last"}
 
 
 def _one_pass_lanes(n):
     return np.random.default_rng(n).permutation(np.concatenate([WITNESSES, _lanes(n)])[:n])
 
 
+# sign as in test_series_array_against_scalar_kernels: with +1, K0's one
+# call over lanes on both sides of x = 2 against its log series and CF2
+# called apart
 @pytest.mark.parametrize("lanes", [1, 5, 21, 24, 101, 401])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_one_pass_sums_match_the_two_passes(lanes, sign):
     xs, cfg = _one_pass_lanes(lanes), bessel.DEFAULT_SERIES
-    both = bessel._series_array(xs, sign, cfg, bessel._BOTH)
-    two = bessel._series_array(xs, sign, cfg, False) + bessel._series_array(xs, sign, cfg, True)
-    pointwise_both = [bessel._series(x, sign, cfg, 1, bessel._BOTH) for x in xs.tolist()]
+    if sign > 0.0:
+        low = xs < bessel._CF2_FROM
+        got, want = np.array(bessel._k0_pair(xs, cfg)), np.empty((2, lanes))
+        series, _ = bessel._ik_series(xs[low], bessel._per_element(math.log, xs[low]) + bessel._ELL0, cfg)
+        want[:, low] = series[0], series[1] / xs[low]
+        k0, k1, _ = bessel._cf2(xs[~low], cfg)
+        want[:, ~low] = k0, -k1
+        assert_bit_identical(got, want)
+        assert_bit_identical(got, np.array([bessel._k0_pair(x, cfg) for x in xs.tolist()]).T)
+        return
+    both = bessel._series_array(xs, cfg, bessel._BOTH)
+    two = bessel._series_array(xs, cfg, False) + bessel._series_array(xs, cfg, True)
+    pointwise_both = [bessel._series(x, cfg, 1, bessel._BOTH) for x in xs.tolist()]
     pointwise_two = [
-        bessel._series(x, sign, cfg, 1, False) + bessel._series(x, sign, cfg, 1, True)
+        bessel._series(x, cfg, 1, False) + bessel._series(x, cfg, 1, True)
         for x in xs.tolist()
     ]
     assert len(both) == len(two) == 4
@@ -266,7 +298,7 @@ def test_one_pass_sums_match_the_two_passes(lanes, sign):
 
 
 def test_one_pass_on_empty_arrays():
-    sums = bessel._series_array(np.array([]), -1.0, bessel.DEFAULT_SERIES, bessel._BOTH)
+    sums = bessel._series_array(np.array([]), bessel.DEFAULT_SERIES, bessel._BOTH)
     assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 4
 
 
@@ -276,6 +308,13 @@ def test_one_pass_on_empty_arrays():
 def test_log_jets_carry_the_primary_jet_of_their_pass(primary, secondary, xs):
     got = secondary(xs)
     assert_bit_identical(np.array(got.primary), np.array(primary(xs)))
+
+
+def test_k0_primary_is_summed_from_its_own_copy_of_x():
+    xs = np.array([0.5, 3.0, 12.0, 1.5])
+    got, want = k0_jet(xs), np.array(i0_jet(xs))
+    xs[:] = 40.0  # after the K0 call, before its primary is first read
+    assert_bit_identical(np.array(got.primary), want)
 
 
 @pytest.mark.parametrize("jet, xs, terms", [
@@ -312,17 +351,18 @@ def test_one_pass_jets_refuse_what_they_refused(jet, name, bad):
 @pytest.mark.parametrize("lam", [4.0, -4.0])
 @pytest.mark.parametrize("c2", [0.5, 0.0])
 def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
-    # J0 and Y0 take one double-double pass; I0 one float64 series pass, and
-    # K0 one more over its lanes below x = 2 and one CF2 pass over the rest
+    # J0 and Y0 take one double-double pass; I0 one pass of its sums and one
+    # of its f''' row over the lanes below x = 1, and K0 one of its log
+    # series over the lanes below x = 2 and one CF2 pass over the rest
     calls = []
-    for name in ("_series_array", "_ik_series_array", "_cf2"):
+    for name in ("_series_array", "_i0_sums", "_ik_series", "_cf2"):
         kernel = getattr(bessel, name)
         monkeypatch.setattr(bessel, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
     p = bessel_profile(lam, 1.0, c2)
     us = np.linspace(0.2, 9.0, 101)
     got = p.jets(us)
-    want = ["_series_array"] if lam > 0.0 else ["_ik_series_array"] * (2 if c2 else 1)
-    assert sorted(calls) == sorted(want + (["_cf2"] if lam < 0.0 and c2 else []))
+    want = ["_series_array"] if lam > 0.0 else ["_i0_sums", "_ik_series"] + ["_ik_series", "_cf2"] * bool(c2)
+    assert sorted(calls) == sorted(want)
     assert_bit_identical(got, np.array([[p.evaluate(u, k) for u in us.tolist()] for k in range(4)]))
 
 
@@ -492,7 +532,7 @@ def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
     seen = []
     for top in (1.0, 32.0):  # about 10 and 60 terms
         calls.clear()
-        bessel._series_array(np.linspace(top / 2, top, 101), -1.0, bessel.DEFAULT_SERIES, False)
+        bessel._series_array(np.linspace(top / 2, top, 101), bessel.DEFAULT_SERIES, False)
         tuple_forms = {k: v for k, v in calls.items() if not k.endswith("_into")}
         seen.append((calls["two_prod_into"], tuple_forms))
     (short_terms, short), (long_terms, long) = seen
@@ -502,11 +542,11 @@ def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
 
 def test_series_array_results_outlive_the_next_call():
     x = np.linspace(0.1, 12.0, 101)
-    first = bessel._series_array(x, -1.0, bessel.DEFAULT_SERIES, False)
+    first = bessel._series_array(x, bessel.DEFAULT_SERIES, False)
     kept = np.array(first)
     cfg = bessel.DEFAULT_SERIES
-    second = bessel._series_array(np.linspace(0.2, 9.0, 37), 1.0, cfg, bessel._BOTH)
-    third = bessel._series_array(x[:50], -1.0, cfg, True, bessel._log_half_dd(x[:50]))
+    second = bessel._series_array(np.linspace(0.2, 9.0, 37), cfg, bessel._BOTH)
+    third = bessel._series_array(x[:50], cfg, True, bessel._log_half_dd(x[:50]))
     assert_bit_identical(np.array(first), kept)
     later = [a for pair in second + third for a in pair]
     assert not any(np.shares_memory(a, b) for pair in first for a in pair for b in later)

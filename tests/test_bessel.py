@@ -466,14 +466,16 @@ K0_WIDE_XS = np.concatenate((np.geomspace(2.0**-330, 700.0, 300), np.linspace(1.
     ("i0", i0_jet, bessel_i0, I0_XS), ("k0", k0_jet, bessel_k0, K0_WIDE_XS),
 ])
 def test_i0_k0_jets_relative_to_mpmath(kind, jet, value, xs):
-    # every order relative to mpmath across each jet's domain; an array call
-    # gives each pointwise call's bits, and the value is the jet's f
+    # every order relative to mpmath across each jet's domain, and the value;
+    # an array call gives each pointwise call's bits.  K0's value is the
+    # jet's f; I0's sums stop on the value's own test, as J0's do
     lanes = np.array(jet(xs))
     for x, column in zip(xs.tolist(), lanes.T):
         got = jet(x)
         assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
         assert max(modified_jet_errors(kind, x, got)) <= JET_BOUND, x
-        assert value(x) == got[0], x
+        assert modified_jet_errors(kind, x, [value(x)])[0] <= JET_BOUND, x
+        assert kind == "i0" or value(x) == got[0], x
 
 
 # x (I0 K0' - I0' K0) = -1 wherever both jets are summed: a check that needs

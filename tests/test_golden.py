@@ -28,7 +28,7 @@ FIGURE_FILES = {
 
 FIGURE_DIGESTS = {
     "figure1a.csv": "2cc3acad79d4675b91648fed5dc28d6fabec189802a8886459ce30851f224c9c",
-    "figure1b_i0.csv": "ab75ff1eed7808e600eb55f112f83feafe79c90ec4494125bd66e08f70495dd2",
+    "figure1b_i0.csv": "ec42ae0221fc45eef8c42da9865a09f8a3128080024b321d02ef16bdeb60a5f2",
     "figure1b_k0.csv": "5b462dfcc11fa909ffcade01d4e8c61fb87df350b0e189800cebd8e506149dde",
     "figure2a.csv": "f2669792b895c5fc7c458f8fed245c58e40f0ec4a116e6cc0c6aea92b9172a31",
     "figure2b.obj": "65807fe9ee8b6de927f781addb205245a77185f5e61c28b1606573bccfc5f616",
@@ -62,16 +62,16 @@ SURFACE_DIGESTS = {
     ("bessel-jy", "laplacian1"): (0, "593199e7c7ef2cb46234e953a3c83d4b6fc771ed28323f766ce99b4e7c61b0a9"),
     ("bessel-jy", "laplacian2"): (0, "6b282d68effbbb110a259507a6544707d500af956e2b19cb7e9995b8bdd9880d"),
     ("bessel-jy", "curvature"): (0, "a3b4ec75300913235498930f22db40a369b92392a3f0b24276573a0f1cb9e33d"),
-    ("bessel-ik", "classify1"): (0, "a8ee30405ce044d3da53aa1a4cf651ae458ea17e3ae3a1ccafe5f2d0d26234c6"),
-    ("bessel-ik", "classify2"): (0, "83666279e409f7a8d35a1e5be37cbd907144a8811a42cb8790f5e08b522af3bc"),
-    ("bessel-ik", "laplacian1"): (0, "9419b068b51228c78375a4ed91b3bce219e13869f21a9e45550f43b78fa326c4"),
-    ("bessel-ik", "laplacian2"): (0, "8c5f49c955d3a114ebf92b01d5460ff0c47efa51f0b22ff4328ee0a64049bf1c"),
-    ("bessel-ik", "curvature"): (0, "2eb3dd3d3d745aa80905cefab315ba45ab710bb8545db0902ff2fb98c1d7718a"),
-    ("expr-bessel", "classify1"): (0, "cf9cca02691e0be0519141bc771edf495d41d48c9a56958bdcb298bb7cbf3863"),
-    ("expr-bessel", "classify2"): (0, "62bfca5dc07bb34b169d6f1cbde6bfe7468247ce3e53c01a9780d5e0e80af12b"),
-    ("expr-bessel", "laplacian1"): (0, "a47ab6e1d31e8d4979fca21805c6692ff1a382ce68ff2e06e15834dabba6d672"),
-    ("expr-bessel", "laplacian2"): (0, "360062f6a1972bac68bb788d57a8df45de9e5d97360e4ba32569742619898f0e"),
-    ("expr-bessel", "curvature"): (0, "7077d263c4059a51aaa3d4677002a10c00bede6608c6e81811b157ffd11d43a7"),
+    ("bessel-ik", "classify1"): (0, "b89f8458abb5a89937a2b74fa5787e3a4692fc9705dbd49668760b0bf8531256"),
+    ("bessel-ik", "classify2"): (0, "2a71493c4ce3628d7487ff6c16b7f7dfd65fd04614223ed66e186065bcae1815"),
+    ("bessel-ik", "laplacian1"): (0, "ccdb78609f0a34f6e29354af0934c081652d0503f68ed9b4d536b56b8fac4387"),
+    ("bessel-ik", "laplacian2"): (0, "140a04422a3623b8bdc0b1c2737bd0c0a5f068f15642a8088081a41cc81f5bae"),
+    ("bessel-ik", "curvature"): (0, "6f1be14be0d13074ec778ceabdf2fcc8681a463e63525321c827c80562d4dfbd"),
+    ("expr-bessel", "classify1"): (0, "3933563758b5601a14c078c133baa514161037e1c9a7f38da02b91789d3fec15"),
+    ("expr-bessel", "classify2"): (0, "8d1cafc1f264a2ccffac94543b84967dc806af6607cdb24b2f1a5c210054f212"),
+    ("expr-bessel", "laplacian1"): (0, "54477b89314728cf7d4cafd30d950f77cf5e5ebb93c14aa23d21d3227e2fee55"),
+    ("expr-bessel", "laplacian2"): (0, "6cc38810b30e8860bf31c0338aae051c543c283f5370e399c972472a7e8bae1a"),
+    ("expr-bessel", "curvature"): (0, "c80bcb9d1a7ac979895950ecafbb05042a8629dcb0e809a50cdb106d2d549bea"),
     ("expr-elem", "classify1"): (0, "788e999c88d3470bd85209fd29ea52686e8c74a3cad30f5d780b6a7282047125"),
     ("expr-elem", "classify2"): (0, "9f1ad866595da4ad03f85434e3d1dddfec28c3708ddc04bcbc5bc54a38041dce"),
     ("expr-elem", "laplacian1"): (0, "f60cf5d671a55997835ee146480a784ec20299fb7b9db4b6d46b8b9000020491"),
@@ -114,9 +114,9 @@ LARGE_SURFACE_DIGESTS = {
     ("expr-elem", "curvature", "8193x2"): "753711836a3b0f5c5b7eba514c9aee60c1fb059cb17681ae9703d577f8c24a5e",
     # one u row of 4099 points spans a block boundary; the writer prints the
     # u, v, d3 and z columns of these grids once per distinct value
-    ("bessel-ik", "laplacian1", "5x4099"): "18cac73b25e7c17fb3b107dce2501544e7467fc8bbb73d314e55e7c2189dd0b1",
-    ("bessel-ik", "laplacian2", "5x4099"): "12595d7909144ef8abfa2aaece7ee7b35efb35b41eb32f0fa671fcc7bad0e247",
-    ("bessel-ik", "mesh", "5x4099"): "fc891040e67510ee64270d68c5f25f85a735379e9a2ba4ec3da5c1b0b9422c20",
+    ("bessel-ik", "laplacian1", "5x4099"): "cfe8f06ab3251372cec15a449e97f7907db0d6ecfde476117b0e8d9d7eeb997f",
+    ("bessel-ik", "laplacian2", "5x4099"): "aa96eea68cbdf712f8c38879571c3630cca70d34f6cc4ffafbb4de00e5232862",
+    ("bessel-ik", "mesh", "5x4099"): "7d06bdd2c4f5d284bd516f6eaea4724125694953479c113655e813ad5ee77e53",
     ("bessel-j0", "laplacian1", "5x4099"): "957031ea50804bf0e857924fb538014e7d0fd8253c8a2677b74493e13a20b1c5",
     ("bessel-j0", "laplacian2", "5x4099"): "4f258f1df4e42a0bd46699dedb94150b71c644989507eef3557e4c6034b558b8",
     ("bessel-j0", "mesh", "5x4099"): "94653c5f10300e4748d065ba151424736f10150ade9e5017fbc8fd410fe141ce",
@@ -129,8 +129,8 @@ LARGE_SURFACE_DIGESTS = {
     ("constk", "laplacian1", "5x4099"): "39c7a226dd635f4dcf362e750594bae8068ba29dbef9ce86256a616c2f9f8aba",
     ("constk", "laplacian2", "5x4099"): "47c9fb883bfcd322d59b67798c4ff8f7d64646c6cf5af866653372b492d0d5af",
     ("constk", "mesh", "5x4099"): "7299d3fe3c509e037084f43721ccdb607d1961b897f551004fe01b73eca10604",
-    ("expr-bessel", "laplacian1", "5x4099"): "16185587a1d455ecca969f11527b4e8783e9613b4b178ddf354df658d59a44ad",
-    ("expr-bessel", "laplacian2", "5x4099"): "d7938f9a3bd780643d5ee054444d5a740e89b525a2e02fccdb04114f480ffe51",
+    ("expr-bessel", "laplacian1", "5x4099"): "c1346f5235e399001eee7a19cb4781d971acded7963de40fd74b737b0ce9f55e",
+    ("expr-bessel", "laplacian2", "5x4099"): "38c457f95b59472f2cdc4077909926081c0c3a7617ac179e094ebbbbb0220bc8",
     ("expr-bessel", "mesh", "5x4099"): "c6f91a04a34385bc7312d47fa7c3637ef6cbd7562156d4708b375de619dde6a5",
     ("expr-elem", "laplacian1", "5x4099"): "f33d9b8f6269323c2046a7a48064d144d1edd250f20c331a1369799d2d7077c3",
     ("expr-elem", "laplacian2", "5x4099"): "ff0ff1f5b276381ddc3cfc651db999bcf5b3a3e060346c8385ddc22621b18af9",
@@ -148,7 +148,7 @@ LARGE_SURFACE_DIGESTS = {
 LARGE_BESSEL_DIGESTS = {
     "j0": ("0:25", (), "8fef11050ca2258c2f4eaaf439445db84c62d1cc182eb259eb86e363417fe80c"),
     "y0": ("0.05:25", (), "f38bda08604f592ce325a7d8371886c7a79111db3d150de5e658d6a503967254"),
-    "i0": ("-25:25", (), "923a6b983c67a27366ebcc56883ddee6296b1f21c1c09556b00f296e717af12e"),
+    "i0": ("-25:25", (), "a07a3c7707c9b88233ab8a892d468bd6712018879c31d4373599060e1cc8825e"),
     "k0": ("0.05:25", (), "9041c9a88c19a8cd8494edfcbe09648252e251af1daba171522c7dbbb481bb60"),
     "jp": ("0:25", ("--p", "0.3"), "a91ff0026d2b76cb3de925071b95c085ad509b7e2b7c01ac3fd09f6c131092d7"),
 }
@@ -156,9 +156,9 @@ LARGE_BESSEL_DIGESTS = {
 
 # the Bessel jets of the profiles whose digests moved when the Y0 and K0
 # jets became the merged sums of the values, again when f'' and f''' of
-# every Bessel jet came from the Bessel equation, and again (bessel-ik and
-# expr-bessel) when I0 and K0 came to be summed in float64: (mpmath kind, jet,
-# scale s) of each jet the profile takes at s u.  Each digest test also
+# every Bessel jet came from the Bessel equation, and again (bessel-ik) when
+# K0 came to be summed in float64: (mpmath kind, jet, scale s) of each jet
+# the profile takes at s u.  Each digest test also
 # checks those jets at the surface's radii against mpmath, to the bound of
 # tests/mp_bessel.py
 PROFILE_JETS = {

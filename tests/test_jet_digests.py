@@ -12,9 +12,10 @@ were taken before the plain series rows were summed as x^k times the
 derivative and divided once, and again when the kernels came to sum only f
 and x f', with f'' and f''' formed from the Bessel equation and J_p's
 divisor formed exactly; every 20th argument through x = 20 is checked
-against mpmath (tests/mp_bessel.py) beside them.  The I0 and K0 digests were
-taken again when those functions came to be summed in float64; their every
-20th argument is checked relative to mpmath through x = 28.
+against mpmath (tests/mp_bessel.py) beside them.  The K0 digests, and
+i0_jet's, whose f''' below x = 1 came to be the series' own row, were taken
+again when I0 and K0 came to be summed in float64; their every 20th argument
+is checked relative to mpmath through x = 28.
 """
 
 import hashlib
@@ -31,11 +32,11 @@ CHECKED = [x for x in XS[::20].tolist() if x <= 20.0]
 
 ORDER0 = {
     "j0_jet": (bessel.j0_jet, "0457c08a19ed6b5bac9b0398e3541d959257ce6eed8638141fb2665318be5c0e"),
-    "i0_jet": (bessel.i0_jet, "5814fe2834864d47e1e31b976bc9720dfb731dccde55fcec0b01ddd20c9f57fe"),
+    "i0_jet": (bessel.i0_jet, "b42d926191d2f72e629f9ecf62804bdf2b15099349caf026b481e6efebd80b42"),
     "y0_jet": (bessel.y0_jet, "44b22624da317a31d3fd22cf234bb1351854f5f11e1be8043abcaf3ed5c0cf01"),
     "k0_jet": (bessel.k0_jet, "f264dcffad019826bc8d06b0bec9df61694b9bc5e63835055ccc28dbcbd689c2"),
     "bessel_j0": (bessel.bessel_j0, "49a11ef0b05776f1f0c82a43bca06bc6f4a069803801961a6bb04413855421fe"),
-    "bessel_i0": (bessel.bessel_i0, "d287a2868deb8098cb59c08644b02fa193e0bb46282f41c0cfac0645d0f3ec9b"),
+    "bessel_i0": (bessel.bessel_i0, "ff19e6d1a6655f8eb4f05a64ae932c7104f7eba325002a40a9d9ce961dc0d4b1"),
     "bessel_y0": (bessel.bessel_y0, "8227064139a993f56c77429b6ae2ab1666fb9e88a55b1b674681343c64800fee"),
     "bessel_k0": (bessel.bessel_k0, "1ed18e6ab6fe34601e96f872de0d24729ab61538a47e21f8bcb5ed541cac5772"),
 }

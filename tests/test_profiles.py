@@ -4,6 +4,7 @@ import pytest
 
 from sigeom import (
     DomainError,
+    NonConvergenceError,
     ProfileCurve,
     ProfileFamily,
     RevolutionSurface,
@@ -20,7 +21,7 @@ from sigeom import (
     log_profile,
     power_profile,
 )
-from sigeom.bessel import bessel_j0, bessel_i0
+from sigeom.bessel import bessel_i0, bessel_j0, bessel_k0, k0_jet
 
 
 def _sample(lo, hi, n=50):
@@ -236,6 +237,16 @@ def test_bessel_profile_matches_bessel_functions():
     assert eval_profile(p, 1.3) == pytest.approx(bessel_j0(1.3), rel=1e-14)
     q = bessel_profile(-4.0, 1.0, 0.0)
     assert eval_profile(q, 1.3) == pytest.approx(bessel_i0(2.6), rel=1e-14)
+
+
+def test_k0_only_profile_sums_no_i0():
+    # past x of about 258 I0's series does not converge; a profile without
+    # I0 never sums it, and one with it is refused there
+    p = bessel_profile(-1.0, 0.0, 2.0, domain=(1.0, 700.0))
+    assert eval_profile(p, 600.0) == 2.0 * bessel_k0(600.0) > 0.0
+    assert eval_profile(p, 600.0, 3) == 2.0 * k0_jet(600.0)[3] < 0.0
+    with pytest.raises(NonConvergenceError):
+        eval_profile(bessel_profile(-1.0, 1.0, 2.0, domain=(1.0, 700.0)), 600.0)
 
 
 def test_bessel_profile_zero_solution_allowed():
