@@ -13,24 +13,23 @@ cancelled total.  The kernels sum f and x f'; `_equation_rows` divides
 x f' by x and forms f'' and f''' from the series' own equation
 x f'' + (2p+1) f' + x f = 0.
 
-I0 and K0 run in float64 on algorithms that do not cancel:
-- I0 is its power series sum_n t_n, t_n = (x/2)^(2n) / (n!)^2, whose terms
-  are all positive (`_i0_sums`).  Its terms and sums are carried as pairs
-  by error-free transforms (Dekker's product, Knuth's two-sum), so f and
-  x f' round as the double-double sums did, and they stop where those did;
+I0 and K0 run in float64 on algorithms that do not cancel, both summed by
+`_ik_series`:
+- I0 is the four rows sum_n w(n) t_n, t_n = (x/2)^(2n) / (n!)^2, with
+  w(n) = 1, 2n, 2n (2n-1) and 2n (2n-1) (2n-2): x^k I0^(k) for k = 0..3.
+  Every term is positive, so nothing cancels; I0^(k) is row k over x^k,
+  and `bessel_i0` is row 0, the jet's f bit for bit;
 - K0 below x = 2 is the merged log series sum_n (phi(n) - ell) t_n, which
   cancels at most about 5x there (the textbook -ell I0 + sum phi(n) t_n
   cancels 12x at x = 2);
 - K0 from x = 2 up is Steed's CF2 (Numerical Recipes, `bessik` at order
   0), which gives K0 and K1, and K0' = -K1 (`_cf2`).
-f'' and f''' come from the equation f'' = f - f'/x, f''' = f' -
-(f'' - f'/x)/x: in double-double from I0's pairs, and in float64 for K0,
-whose orders alternate in sign, so that nothing cancels.  Below |x| = 1,
-where I0's equation f''' cancels, its f''' is the series' own row.  Every
-order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0 up to
-x of about 258, past which the default SeriesConfig refuses its series,
-and K0 on [2^-330, 700].  Below |x| = 2^-26, where the equation's f'''
-cancels, the J0 and I0 jets are their Taylor limit.
+K0's f'' and f''' come from the equation f'' = f - f'/x, f''' = f' -
+(f'' - f'/x)/x; its orders alternate in sign, so that nothing cancels.
+Every order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0
+up to x of about 258, past which the default SeriesConfig refuses its
+series, and K0 on [2^-330, 700].  Below |x| = 2^-26, where the equation's
+f''' of J0 cancels, the J0 and I0 jets are their Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
@@ -408,21 +407,21 @@ def _sums(x, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
         return sums
     rows = []
     for f, xf1 in zip(sums[::2], sums[1::2]):
-        rows += _equation_rows(x, f, xf1, -1.0, orders, p)
+        rows += _equation_rows(x, f, xf1, orders, p)
     return rows
 
 
-def _equation_rows(x, f: dd.DD, xf1: dd.DD, sign: float, orders: int = 3, p: float = 0.0) -> list[dd.DD]:
+def _equation_rows(x, f: dd.DD, xf1: dd.DD, orders: int = 3, p: float = 0.0) -> list[dd.DD]:
     """f, f', f'', f''' (0..orders) in double-double from f and x f': x f' is
-    divided by x here alone, and f'' and f''' come from the equation
-    x f'' + (2p+1) f' - sign x f = 0 (sign -1 for the J family, +1 for I0):
-    f'' = -(2p+1) f'/x + sign f, f''' = -(2p+1) (f'' - f'/x)/x + sign f'."""
+    divided by x here alone, and f'' and f''' come from the J family's
+    equation x f'' + (2p+1) f' + x f = 0: f'' = -(2p+1) f'/x - f,
+    f''' = -(2p+1) (f'' - f'/x)/x - f'."""
     c = dd.neg(dd.two_sum(2.0 * p, 1.0))  # -(2p+1), exact
     with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
         f1 = dd.div_f(xf1, x)
         f1_x = dd.div_f(f1, x)
-        f2 = dd.add(dd.mul(c, f1_x), dd.mul_f(f, sign))
-        f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.mul_f(f1, sign))
+        f2 = dd.add(dd.mul(c, f1_x), dd.neg(f))
+        f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.neg(f1))
     return [f, f1, f2, f3][: orders + 1]
 
 
@@ -450,108 +449,29 @@ def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x"
 # cancels about 5x at x = 2 and 20x at 3; CF2 takes about 76 terms at 2
 # and would take 150 at 1
 _CF2_FROM = 2.0
-# Below this |x| I0's f''' is its own series row: the equation's f'''
-# cancels as 8/(3 x^2), and the sums' stop, which holds f' to rel_tol |f|,
-# leaves it only an absolute error there
-_I0_ROW3_BELOW = 1.0
 # ell = ln(x/2) + gamma as ln x + (gamma - ln 2), since x/2 underflows for
 # subnormal x
 _ELL0 = EULER_GAMMA - math.log(2.0)
 
 
-def _split(a):
-    """Dekker's split of a float or an array into halves of at most 26
-    bits, whose products with numbers of at most 27 bits are exact."""
-    c = dd._SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
+def _i0_weights(n: int) -> tuple:
+    """The weights 1, 2n, 2n (2n-1), 2n (2n-1) (2n-2) of I0's rows: sum_n
+    w(n) t_n, t_n = (x/2)^(2n) / (n!)^2, is x^k I0^(k) for k = 0..3."""
+    m = 2.0 * n
+    return 1.0, m, m * (m - 1.0), m * (m - 1.0) * (m - 2.0)
 
 
-def _add_to(s, e, t, te):
-    """The sum s + e plus the pair t + te: Knuth's two-sum of s and t, its
-    error gathered with e and te into the running error, not renormalised."""
-    r = s + t
-    v = r - s
-    return r, e + (((s - (r - v)) + (t - v)) + te)
-
-
-def _i0_sums(x, cfg: SeriesConfig, orders: int) -> tuple:
-    """(sums, pending): I0's series sum_n t_n, t_n = (x/2)^(2n) / (n!)^2,
-    and if orders x times its derivative sum_n 2n t_n, as double-double
-    pairs at a float or an array x, and the lanes of an array that did not
-    converge within max_terms (None at a float, which is refused instead).
-    (x/2)^2 is split exactly into qh + ql, a term is a pair th + tl formed
-    by Dekker's product and the exact remainder of its division by n^2, and
-    the sums take Knuth's two-sum: good to about 1e-30, the pairs round as
-    double-double sums would.  They stop where those did, once the next term
-    has been small twice running past n = 2: th <= rel_tol f, or with orders
-    th max(2n, |x|) <= rel_tol f |x|, which holds f' to rel_tol f too."""
-    array = _is_array(x)
-    h = 0.5 * x
-    qh = h * h
-    ha, hb = _split(h)
-    ql = ((ha * ha - qh) + 2.0 * ha * hb) + hb * hb
-    qa, qb = _split(qh)
-    ax, n, was_small = abs(x), 0, False
-    th, tl = (np.ones(x.shape), np.zeros(x.shape)) if array else (1.0, 0.0)
-    sums = [0.0] * (4 if orders else 2)  # f and its error, then sum n t_n and its error
-    pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(sums), x.size))) if array else (None, None)
-    with np.errstate(all="ignore"):
-        while n < cfg.max_terms:
-            ta, tb = _split(th)
-            sums[:2] = _add_to(*sums[:2], th, tl)
-            if orders:  # n th and its error are exact while n has at most 26 bits
-                p = n * th
-                sums[2:] = _add_to(*sums[2:], p, ((n * ta - p) + n * tb) + n * tl)
-            n += 1
-            # the next term (th + tl)(qh + ql) / m, m = n^2: p + e is the
-            # product, d its quotient and p - d m, exact, the remainder
-            p, m = th * qh, float(n * n)
-            e = (((ta * qa - p) + ta * qb + tb * qa) + tb * qb) + (th * ql + tl * qh)
-            d = p / m
-            da, db = _split(d)
-            tl = (((p - da * m) - db * m) + e) / m
-            th = d + tl
-            tl = tl - (th - d)
-            lead, tol = th, cfg.rel_tol * sums[0]  # both >= 0
-            if orders:
-                lead, tol = lead * (np.maximum(2.0 * n, ax) if array else max(2.0 * n, ax)), tol * ax
-            small = lead <= tol
-            stop, was_small = (small & was_small if n > 2 else False), small
-            if array:
-                stop &= pending
-                if stop.any():
-                    np.copyto(ends, sums, where=stop)
-                    pending &= ~stop
-                stop = not pending.any()
-            if stop:
-                break
-        else:
-            if not array:
-                raise _unconverged(x, cfg)
-    if array:
-        sums = list(ends)
-    pairs = [dd.two_sum(sums[0], sums[1])]
-    if orders:
-        pairs.append(dd.two_sum(2.0 * sums[2], 2.0 * sums[3]))
-    return pairs, pending
-
-
-def _weights(n: int, ell) -> tuple:
-    """The weights w(n) of the rows sum_n w(n) t_n, t_n = (x/2)^(2n) / (n!)^2:
-    with ell None, 2n (2n-1) (2n-2), the row of x^3 I0'''; else phi(n) - ell
-    and 2n (phi(n) - ell) - 1, those of K0 and x K0' for ell = ln(x/2) +
-    gamma, a float or an array."""
-    if ell is None:
-        return (2.0 * n * (2 * n - 1) * (2 * n - 2),)
+def _k0_weights(n: int, ell) -> tuple:
+    """The weights phi(n) - ell and 2n (phi(n) - ell) - 1 of K0's rows, K0
+    and x K0' for ell = ln(x/2) + gamma, a float or an array."""
     c = _phi(n)[0] - ell
     return c, 2.0 * n * c - 1.0
 
 
-def _ik_series(x, ell, cfg: SeriesConfig) -> tuple:
-    """(rows, pending): the rows of `_weights` summed in plain float64 at a
-    float or an array x (ell None, a float or an array like x), t_n formed
-    as t_(n-1) (x/2) / n (x/2) / n, and the lanes of an array that did not
+def _ik_series(x, cfg: SeriesConfig, weights, *args) -> tuple:
+    """(rows, pending): the rows sum_n w(n) t_n of w = weights(n, *args),
+    summed in plain float64 at a float or an array x, t_n formed as
+    t_(n-1) (x/2) / n (x/2) / n, and the lanes of an array that did not
     converge within max_terms (None at a float, which is refused instead).
     They stop once the next term of every row has been at most rel_tol
     times the row's sum for two terms running, past n = 2; an array has
@@ -559,7 +479,7 @@ def _ik_series(x, ell, cfg: SeriesConfig) -> tuple:
     array = _is_array(x)
     h, n, was_small = 0.5 * x, 0, False
     t = np.ones(x.shape) if array else 1.0
-    w = _weights(0, ell)
+    w = weights(0, *args)
     sums = [0.0] * len(w)
     pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(w), x.size))) if array else (None, None)
     with np.errstate(all="ignore"):
@@ -567,7 +487,7 @@ def _ik_series(x, ell, cfg: SeriesConfig) -> tuple:
             sums = [s + wj * t for s, wj in zip(sums, w)]
             n += 1
             t = t * h / n * h / n
-            w = _weights(n, ell)
+            w = weights(n, *args)
             small = True
             for wj, s in zip(w, sums):
                 small = small & (abs(wj * t) <= cfg.rel_tol * abs(s))
@@ -647,13 +567,13 @@ def _k0_pair(x, cfg: SeriesConfig) -> tuple:
     CF2 from there."""
     if not _is_array(x):
         if x < _CF2_FROM:
-            k0, xk0 = _ik_series(x, math.log(x) + _ELL0, cfg)[0]
+            k0, xk0 = _ik_series(x, cfg, _k0_weights, math.log(x) + _ELL0)[0]
             return k0, xk0 / x
         k0, k1, _ = _cf2(x, cfg)
         return k0, -k1
     low, out = x < _CF2_FROM, np.empty((2, x.size))
     xs, pending = x[low], np.zeros(x.shape, dtype=bool)
-    rows, pending[low] = _ik_series(xs, _per_element(math.log, xs) + _ELL0, cfg)
+    rows, pending[low] = _ik_series(xs, cfg, _k0_weights, _per_element(math.log, xs) + _ELL0)
     with np.errstate(over="ignore"):  # K0' at subnormal x, where only the value is read
         out[0, low], out[1, low] = rows[0], rows[1] / xs
     k0, k1, pending[~low] = _cf2(x[~low], cfg)
@@ -675,10 +595,7 @@ def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
     _require_finite(x, "i0")
-    sums, pending = _i0_sums(x, cfg, 0)
-    if pending is not None:
-        _refuse_pending(x, pending, cfg)
-    return dd.to_float(sums[0])
+    return _i0_rows(x, cfg)[0]
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -698,10 +615,11 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 # jets: value and derivatives up to third order
 
 
-# Below this |x|, f''' = -(f'' - f'/x)/x + sign f' of J0 and I0 cancels to
-# 3x/8 from terms of about 1/(2x): against mpmath it is 2.6 ulp off on
-# [2^-27, 2^-26] and 1.3 ulp on [2^-26, 2^-25], where the Taylor limit
-# (1, sign x/2, sign/2, 3x/8) of the jet at x = 0 is 0.73 and 2.9 ulp off.
+# Below this |x|, J0's f''' = -(f'' - f'/x)/x - f' cancels to 3x/8 from
+# terms of about 1/(2x): against mpmath it is 2.6 ulp off on [2^-27, 2^-26]
+# and 1.3 ulp on [2^-26, 2^-25], where the Taylor limit (1, -x/2, -1/2,
+# 3x/8) of the jet at x = 0 is 0.73 and 2.9 ulp off.  The I0 jet, whose
+# f''' is its own row, takes its limit (1, x/2, 1/2, 3x/8) below it too.
 _SMALL = 2.0**-26
 
 
@@ -728,25 +646,25 @@ def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     return _plain_jet(x, -1.0, [dd.to_float(v) for v in _sums(x, cfg, False)])
 
 
+def _i0_rows(x, cfg: SeriesConfig) -> list:
+    """x^k I0^(k)(x), k = 0..3, from `_ik_series`, whose terms are all
+    positive; an array lane that did not converge is refused."""
+    rows, pending = _ik_series(x, cfg, _i0_weights)
+    if pending is not None:
+        _refuse_pending(x, pending, cfg)
+    return rows
+
+
 def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(I0, I0', I0'', I0''')(x): f and x f' from `_i0_sums`, f'' and f'''
-    from the equation as for J0, except f''' below |x| = 1, which is the
-    series' own row; x may be a 1-D float64 array."""
+    """(I0, I0', I0'', I0''')(x): the rows of `_i0_rows` divided by x^k, so
+    f is `bessel_i0` bit for bit; x may be a 1-D float64 array."""
     _require_finite(x, "i0")
-    if not _is_array(x):
-        if abs(x) < _SMALL:
-            return _plain_jet(x, 1.0, None)
-        jet = [dd.to_float(v) for v in _equation_rows(x, *_i0_sums(x, cfg, 1)[0], 1.0)]
-        if abs(x) < _I0_ROW3_BELOW:
-            jet[3] = _ik_series(x, None, cfg)[0][0] / (x * x * x)
-        return tuple(jet)
-    sums, pending = _i0_sums(x, cfg, 1)
-    jet = [dd.to_float(v) for v in _equation_rows(x, *sums, 1.0)]
-    low = (np.abs(x) < _I0_ROW3_BELOW) & (np.abs(x) >= _SMALL)
-    xs = x[low]
-    row3, pending[low] = _ik_series(xs, None, cfg)
-    _refuse_pending(x, pending, cfg)
-    jet[3][low] = row3[0] / (xs * xs * xs)
+    if not _is_array(x) and abs(x) < _SMALL:
+        return _plain_jet(x, 1.0, None)
+    rows = _i0_rows(x, cfg)
+    with np.errstate(all="ignore"):  # lanes with x = 0, which the Taylor limit replaces
+        x2 = x * x
+        jet = rows[0], rows[1] / x, rows[2] / x2, rows[3] / (x2 * x)
     return _plain_jet(x, 1.0, jet)
 
 

@@ -2,7 +2,8 @@
 
 Given a revolution surface and a sample grid, estimate per-coordinate
 eigenvalues lambda_i in Lap r_i = lambda_i r_i (first or second form) by
-grid least squares, report sup residuals, and name the outcome:
+grid least squares, report sup residuals, and name the outcome (a fit
+holds when its sup residual is at most tol max(1, max|r_i|), see _holds):
 
   NullTwoType     first form, lambda1 = lambda2 = 0 and lambda3 != 0
   SIMinimal       second form, lambda1 = lambda2 != 0 and lambda3 = 0
@@ -202,6 +203,14 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     return (*fits, _fit(c, f0, g.v.size)), ew
 
 
+def _holds(fit, tol: float) -> bool:
+    """Whether a (lambda, sup residual, relative residual) fit holds: its sup
+    residual is at most tol max(1, max|r_i|), the relative one being the sup
+    over max|r_i|.  A part of Lap r_i below tol max|r_i| is not seen."""
+    _, sup, rel = fit
+    return sup <= tol or rel <= tol
+
+
 def _eigen_report(operator: OperatorKind, fits, verdict: Verdict, notes: str) -> EigenReport:
     """The report of the three (lambda, sup residual, relative residual) fits."""
     lam, residual_sup, residual_rel = zip(*fits)
@@ -218,7 +227,7 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
     fits, _ = _fit_coordinates(s, g, 1)
     l3, s3, _ = fits[2]
     verdict = Verdict.NO_EIGEN_RELATION  # Lap r1 = Lap r2 = 0: their fits are (0, 0, 0)
-    if not s3 <= tol:
+    if not _holds(fits[2], tol):
         notes = f"no constant eigenvalue fits coordinate 3 (sup residual {s3:.3g} > tol {tol:.3g})"
     elif abs(l3) <= tol:
         notes = (
@@ -253,9 +262,9 @@ def check_eigen_ii(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRep
     Raises ParabolicPointError if any grid radius has f' f'' = 0.
     """
     fits, ew = _fit_coordinates(s, g, 2)
-    (l1, _, l3), sups, _ = zip(*fits)
+    l1, l3 = fits[0][0], fits[2][0]
     notes = [_pattern_label(l1, l3, tol)]
-    if all(sup <= tol for sup in sups) and abs(l1) > tol and abs(l3) <= tol:
+    if all(_holds(fit, tol) for fit in fits) and abs(l1) > tol and abs(l3) <= tol:
         verdict = Verdict.SI_MINIMAL
         if s.profile.family is ProfileFamily.LOG_TYPE:
             notes.append(

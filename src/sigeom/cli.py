@@ -443,7 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--action", required=True, choices=_ACTIONS)
     s.add_argument("--out", default=None, help="output path (default stdout)")
     s.add_argument("--grid", default="21x21", help="sample grid NUxNV")
-    s.add_argument("--tol", type=float, default=1e-6, help="eigen-fit tolerance")
+    s.add_argument("--tol", type=float, default=1e-6,
+                   help="eigen-fit tolerance: a coordinate's fit holds when its sup residual"
+                        " is at most tol*max(1, max|r_i|); the eigenvalue tests stay absolute")
     s.add_argument("--series-tol", type=float, default=1e-15)
     s.set_defaults(func=_cmd_surface)
 

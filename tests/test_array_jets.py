@@ -102,11 +102,11 @@ def _lanes(n):
 
 def _modified_kernel(x, weighted):
     """The float64 kernel of the modified equation at x, as a list of
-    arrays: I0's double-double sums (plain), or K0's log series (weighted)."""
+    arrays: I0's rows x^k I0^(k) (plain), or K0's log series (weighted)."""
     if weighted:
         ell = (bessel._per_element(math.log, x) if isinstance(x, np.ndarray) else math.log(x))
-        return list(bessel._ik_series(x, ell + bessel._ELL0, bessel.DEFAULT_SERIES)[0])
-    return [part for pair in bessel._i0_sums(x, bessel.DEFAULT_SERIES, 1)[0] for part in pair]
+        return list(bessel._ik_series(x, bessel.DEFAULT_SERIES, bessel._k0_weights, ell + bessel._ELL0)[0])
+    return list(bessel._ik_series(x, bessel.DEFAULT_SERIES, bessel._i0_weights)[0])
 
 
 # one kernel for every array length: single lanes, lengths around the
@@ -150,14 +150,18 @@ def test_plain_series_rows_at_zero_lanes_are_exact_zeros():
     xs = np.array([0.0, 1.5, -0.0, 4.0])
     cfg = bessel.DEFAULT_SERIES
     j0_sums = (lambda x: bessel._series_array(x, cfg, False), lambda x: bessel._series(x, cfg, 1, False))
-    i0_sums = (lambda x: bessel._i0_sums(x, cfg, 1)[0],) * 2
-    for kernel, scalar in (j0_sums, i0_sums):  # J0's double-double kernel, then I0's float64 one
-        sums, ref = kernel(xs), [scalar(x) for x in xs.tolist()]
-        for k, (hi, lo) in enumerate(sums):
-            assert_bit_identical(hi, [r[k][0] for r in ref])
-            assert_bit_identical(lo, [r[k][1] for r in ref])
-            if k:
-                assert hi[[0, 2]].tolist() == lo[[0, 2]].tolist() == [0.0, 0.0]
+    sums, ref = j0_sums[0](xs), [j0_sums[1](x) for x in xs.tolist()]
+    for k, (hi, lo) in enumerate(sums):  # J0's double-double kernel: f and x f' as pairs
+        assert_bit_identical(hi, [r[k][0] for r in ref])
+        assert_bit_identical(lo, [r[k][1] for r in ref])
+        if k:
+            assert hi[[0, 2]].tolist() == lo[[0, 2]].tolist() == [0.0, 0.0]
+    rows = bessel._ik_series(xs, cfg, bessel._i0_weights)[0]  # I0's float64 one: x^k I0^(k)
+    ref = [bessel._ik_series(x, cfg, bessel._i0_weights)[0] for x in xs.tolist()]
+    for k, row in enumerate(rows):
+        assert_bit_identical(row, [r[k] for r in ref])
+        if k:
+            assert row[[0, 2]].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("lanes", [1, 5, 21, 24, 401])
@@ -275,7 +279,8 @@ def test_one_pass_sums_match_the_two_passes(lanes, sign):
     if sign > 0.0:
         low = xs < bessel._CF2_FROM
         got, want = np.array(bessel._k0_pair(xs, cfg)), np.empty((2, lanes))
-        series, _ = bessel._ik_series(xs[low], bessel._per_element(math.log, xs[low]) + bessel._ELL0, cfg)
+        ell = bessel._per_element(math.log, xs[low]) + bessel._ELL0
+        series, _ = bessel._ik_series(xs[low], cfg, bessel._k0_weights, ell)
         want[:, low] = series[0], series[1] / xs[low]
         k0, k1, _ = bessel._cf2(xs[~low], cfg)
         want[:, ~low] = k0, -k1
@@ -351,17 +356,17 @@ def test_one_pass_jets_refuse_what_they_refused(jet, name, bad):
 @pytest.mark.parametrize("lam", [4.0, -4.0])
 @pytest.mark.parametrize("c2", [0.5, 0.0])
 def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
-    # J0 and Y0 take one double-double pass; I0 one pass of its sums and one
-    # of its f''' row over the lanes below x = 1, and K0 one of its log
-    # series over the lanes below x = 2 and one CF2 pass over the rest
+    # J0 and Y0 take one double-double pass; I0 one pass of its four rows,
+    # and K0 one of its log series over the lanes below x = 2 and one CF2
+    # pass over the rest
     calls = []
-    for name in ("_series_array", "_i0_sums", "_ik_series", "_cf2"):
+    for name in ("_series_array", "_ik_series", "_cf2"):
         kernel = getattr(bessel, name)
         monkeypatch.setattr(bessel, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
     p = bessel_profile(lam, 1.0, c2)
     us = np.linspace(0.2, 9.0, 101)
     got = p.jets(us)
-    want = ["_series_array"] if lam > 0.0 else ["_i0_sums", "_ik_series"] + ["_ik_series", "_cf2"] * bool(c2)
+    want = ["_series_array"] if lam > 0.0 else ["_ik_series"] + ["_ik_series", "_cf2"] * bool(c2)
     assert sorted(calls) == sorted(want)
     assert_bit_identical(got, np.array([[p.evaluate(u, k) for u in us.tolist()] for k in range(4)]))
 

@@ -453,9 +453,9 @@ def _i0_top() -> float:
 
 
 I0_TOP = _i0_top()
-# I0 through the switch to its Taylor limit at 2^-26 and to the equation's
-# f'' and f''' at 1, densest near the top, where its terms' rounding adds
-# up most; K0 through the switch to CF2 at 2, and at 80, where the double-
+# I0 through the switch to its Taylor limit at 2^-26, densest near the top,
+# where its terms' rounding adds up most (3.98e-15 at x = 257.56, in f);
+# K0 through the switch to CF2 at 2, and at 80, where the double-
 # double series gave -251
 I0_XS = np.concatenate((np.geomspace(2.0**-60, 1.0, 80), np.linspace(1.0, I0_TOP, 200),
                         np.linspace(I0_TOP - 30.0, I0_TOP, 100)))
@@ -467,15 +467,23 @@ K0_WIDE_XS = np.concatenate((np.geomspace(2.0**-330, 700.0, 300), np.linspace(1.
 ])
 def test_i0_k0_jets_relative_to_mpmath(kind, jet, value, xs):
     # every order relative to mpmath across each jet's domain, and the value;
-    # an array call gives each pointwise call's bits.  K0's value is the
-    # jet's f; I0's sums stop on the value's own test, as J0's do
+    # an array call gives each pointwise call's bits, and each value is its
+    # jet's f
     lanes = np.array(jet(xs))
     for x, column in zip(xs.tolist(), lanes.T):
         got = jet(x)
         assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
         assert max(modified_jet_errors(kind, x, got)) <= JET_BOUND, x
         assert modified_jet_errors(kind, x, [value(x)])[0] <= JET_BOUND, x
-        assert kind == "i0" or value(x) == got[0], x
+        assert value(x) == got[0], x
+
+
+def test_i0_value_is_the_jets_f():
+    # bessel_i0 is row 0 of the rows i0_jet divides by x^k, as bessel_k0 is
+    # k0_jet's f: one array call each, through x = 258 near I0_TOP
+    xs = np.linspace(-30.0, 258.0, 20001)
+    got, want = bessel_i0(xs), np.asarray(i0_jet(xs)[0])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 # x (I0 K0' - I0' K0) = -1 wherever both jets are summed: a check that needs

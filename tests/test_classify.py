@@ -26,6 +26,7 @@ from sigeom import (
     verify_constant_curvature,
 )
 from sigeom.classify import _fit, _fit_coordinates
+from sigeom.cli import parse_profile_spec
 from sigeom.surfaces import _coordinate_laplacians, _rotate
 
 
@@ -197,6 +198,33 @@ def test_eigen_ii_parabolic_error():
     s = _surf(linear_profile(1.0, 0.0))
     with pytest.raises(ParabolicPointError):
         check_eigen_ii(s, make_grid(s))
+
+
+# ----------------------------------------------------------------------
+# scaled verdicts: a fit holds when its sup residual is at most
+# tol max(1, max|r_i|)
+
+
+def test_eigen_i_judges_a_large_coordinate_relative_to_its_size():
+    # |Lap r3| reaches about 1e10 here: the absolute sup residual, 1.5e-5, is
+    # the last ulp of that, while relative to max|r3| it is 4.8e-15
+    lam3 = -19.376375334064555
+    profile = parse_profile_spec(f"bessel:lambda={lam3!r},c1=-1.5111759070314932,c2=0")
+    s = _surf(profile, u=(0.6690305415502815, 5.450982012892357))
+    rep = check_eigen_i(s, make_grid(s, 101, 101))
+    assert rep.residual_sup[2] > 1e-6 >= rep.residual_rel[2]
+    assert rep.verdict is Verdict.NULL_TWO_TYPE
+    assert rep.lam[2] == pytest.approx(lam3, rel=1e-8)
+
+
+@pytest.mark.parametrize("spec", ["power:lambda=1,mu=2.5,c=1e9", "consth:h0=1e9,c1=3e9,c2=0"])
+@pytest.mark.parametrize("kind", list(RevolutionKind), ids=lambda k: k.name)
+@pytest.mark.parametrize("check", [check_eigen_i, check_eigen_ii], ids=lambda f: f.__name__)
+def test_scaled_verdicts_still_refuse_large_profiles_without_a_relation(spec, kind, check):
+    # profiles of size 1e9 whose coordinates fit no eigenvalue: scaled by
+    # max|r_i|, their residuals stay above tol
+    s = RevolutionSurface(parse_profile_spec(spec), kind, (0.669, 5.45), (-1.0, 1.0))
+    assert check(s, make_grid(s, 101, 101)).verdict is Verdict.NO_EIGEN_RELATION
 
 
 def test_report_serialization_round_trip():
