@@ -2,46 +2,51 @@
 numbers, the Bessel-family functions J_{+-p}, J0, Y0, I0 and K0, and a
 finite-difference ODE residual used as a self-check.
 
-J0, Y0 and J_p are truncated series about the regular singular point
-x = 0, summed by `_series` or its array twin.  These series cancel
-catastrophically for moderate x (at x = 10 the largest J0 term is ~678
-against a sum of ~0.25), so they are accumulated in double-double
-arithmetic and rounded once at the end.  Y0, value and jet alike, is the
-merged rows of `_series`: the terms (phi(n) - ell) t_n, ell = ln(x/2) +
-gamma, and x times their derivatives, summed as one series stopped on the
-cancelled total.  The kernels sum f and x f'; `_equation_rows` divides
+J_p is a truncated series about the regular singular point x = 0, summed
+by `_series` or its array twin.  The series cancels catastrophically for
+moderate x, so it is accumulated in double-double arithmetic and rounded
+once at the end.  The kernels sum f and x f'; `_equation_rows` divides
 x f' by x and forms f'' and f''' from the series' own equation
 x f'' + (2p+1) f' + x f = 0.
 
-I0 and K0 run in float64 on algorithms that do not cancel, both summed by
-`_ik_series`:
+J0, Y0, I0 and K0 run in float64 on algorithms that cancel little:
 - I0 is the four rows sum_n w(n) t_n, t_n = (x/2)^(2n) / (n!)^2, with
-  w(n) = 1, 2n, 2n (2n-1) and 2n (2n-1) (2n-2): x^k I0^(k) for k = 0..3.
-  Every term is positive, so nothing cancels; I0^(k) is row k over x^k,
-  and `bessel_i0` is row 0, the jet's f bit for bit;
-- K0 below x = 2 is the merged log series sum_n (phi(n) - ell) t_n, which
-  cancels at most about 5x there (the textbook -ell I0 + sum phi(n) t_n
-  cancels 12x at x = 2);
+  w(n) = 1, 1/(n+1), (2n+1)/(2n+2) and (2n+3)/(2 (n+1) (n+2)): f, f'/h,
+  f'' and f'''/h, h = x/2 (`_i0_weights`).  Every term is positive, so
+  nothing cancels;
+- J0 below |x| = 2 is the same rows with alternating signs, which cancel
+  at most about 4.5x there;
+- K0 below x = 2 is the merged log series sum_n (phi(n) - ell) t_n,
+  ell = ln(x/2) + gamma, which cancels at most about 5x there (the
+  textbook -ell I0 + sum phi(n) t_n cancels 12x at x = 2), with x K0';
+  below x = 2, -(pi/2) Y0 and x times its derivative are the same rows
+  with (-1)^n;
+- J0, J0' = -J1, Y0 and Y0' from |x| = 2 up come from Miller's downward
+  recurrence, Y0 as Neumann's series in its J_2k (`_miller`);
 - K0 from x = 2 up is Steed's CF2 (Numerical Recipes, `bessik` at order
   0), which gives K0 and K1, and K0' = -K1 (`_cf2`).
-K0's f'' and f''' come from the equation f'' = f - f'/x, f''' = f' -
-(f'' - f'/x)/x; its orders alternate in sign, so that nothing cancels.
-Every order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0
-up to x of about 258, past which the default SeriesConfig refuses its
-series, and K0 on [2^-330, 700].  Below |x| = 2^-26, where the equation's
-f''' of J0 cancels, the J0 and I0 jets are their Taylor limit.
+`_ik_series` sums each series.  Where a kernel gives only f and f', f''
+and f''' come from the equation x f'' + f' -+ x f = 0 (`_equation_jet`).
+Each value is row 0 of its jet's sums, the jet's f bit for bit.  Every
+order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0 up to
+x of about 258, past which the default SeriesConfig refuses its series,
+and K0 on [2^-330, 700].  Every order of the J0 and Y0 jets is within
+4e-15 of max(1, |f^(k)|) up to x of about 116, past which the default
+SeriesConfig refuses Miller's start.  Below |x| = 2^-26 the J0 and I0
+jets are their Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
-tables): each kernel then runs once over the array (see _series_array),
-each lane frozen at the term where the pointwise loop stops, so the
-results are bit-identical at any array length.  Only IEEE + - * / and
-square roots run on whole arrays; libm calls (exp, log, pow and Python's
-**) stay per element, because numpy's vectorized versions can differ in
-the last bit.  y0_jet sums the J0 series in the same pass and returns its
-jet as `primary`, so a profile c1 J0 + c2 Y0 takes both jets from one
-call; k0_jet's `primary`, the I0 jet, is summed on first use, so that K0
-is not refused where I0's series does not converge.
+tables): each kernel then runs once over the lanes of its regime, each
+lane frozen at the term where a pointwise loop stops, or started where a
+pointwise recurrence starts, so the results are bit-identical at any array
+length.  Only IEEE + - * / and square roots run on whole arrays; libm
+calls (exp, log, pow and Python's **) stay per element, because numpy's
+vectorized versions can differ in the last bit.  y0_jet sums the J0 jet in
+the same call and returns it as `primary`, so a profile c1 J0 + c2 Y0
+takes both jets from one call; k0_jet's `primary`, the I0 jet, is summed
+on first use, so that K0 is not refused where I0's series does not
+converge.
 """
 
 from __future__ import annotations
@@ -84,10 +89,6 @@ __all__ = [
 #: Euler-Mascheroni constant; its correctness is pinned by the
 #: harmonic-number limit test rather than trusted blindly.
 EULER_GAMMA = 0.57721566490153286
-
-_EULER_GAMMA_DD = (EULER_GAMMA, -4.942915152430645e-18)
-_PI_DD = (3.141592653589793, 1.2246467991473532e-16)
-_NEG_TWO_OVER_PI_DD = dd.div((-2.0, 0.0), _PI_DD)
 
 # Series-based J values lose relative accuracy past this argument
 # (cancellation outgrows the compensated accumulation).
@@ -189,49 +190,26 @@ def harmonic(n: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# series kernels (double-double internals)
+# J_p's series kernels (double-double internals)
 
 
-# `weighted` of the series kernels for both sets of sums: the plain rows,
-# then the merged ones
-_BOTH = (False, True)
-
-
-def _series(
-    x: float, cfg: SeriesConfig, orders: int, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
-) -> list[dd.DD]:
-    """The sum of sum_n w(n) (-1)^n (x/2)^(2n) / (n! (1+p)_n) and, if orders,
-    x times its term-wise derivative, with w = 1 (weighted=False: J0 and the
-    sum of J_p) or the merged weight w = phi(n) - ell (weighted=True, p = 0),
-    phi the harmonic numbers and ell the value at x of a function with
-    ell' = 1/x.  `_sums` forms the derivatives from these two rows.  No sum
-    stops before its n = 2 term, which f''' needs at small x.  weighted=_BOTH
-    returns the rows of both, plain first, from two passes (`_series_array`
-    sums both in one; the bits are the same).
-
-    With ell = ln(x/2) + gamma, the merged rows are those of -(pi/2) Y0,
-    stopped on the cancelled total, not on the two large textbook pieces.
-    """
-    if weighted is _BOTH:
-        return _series(x, cfg, orders, False, ell, p) + _series(x, cfg, orders, True, ell, p)
+def _series(x: float, cfg: SeriesConfig, orders: int, p: float) -> list[dd.DD]:
+    """The sum of J_p's series sum_n (-1)^n (x/2)^(2n) / (n! (1+p)_n) and,
+    if orders, x times its term-wise derivative, in double-double; `_sums`
+    forms the derivatives from these two rows.  No sum stops before its
+    n = 2 term, which f''' needs at small x."""
     q = dd.mul_f(dd.two_prod(x, x), -0.25)
-    nell, ax = dd.neg(ell), abs(x)
-    m2 = dd.mul_f(nell, 2.0)  # -2 ell, exact
+    ax = abs(x)
     s, xds, b, was_small = (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), False
     n = 0
     while n < cfg.max_terms:
-        t = dd.mul(b, dd.add(_phi(n), nell)) if weighted else b
-        if orders:  # x t' of a term of degree 2n: b 2n, or b d, d = 2n (phi(n) - ell) - 1, if merged
-            if weighted:
-                xds = dd.add(xds, dd.mul(b, dd.add(_dphi(n), dd.mul_f(m2, float(n)))))
-            else:
-                xds = dd.add(xds, dd.mul_f(b, float(2 * n)))
-        s = dd.add(s, t)
+        if orders:  # x t' of a term of degree 2n
+            xds = dd.add(xds, dd.mul_f(b, float(2 * n)))
+        s = dd.add(s, b)
         n += 1
-        # J_p divides by n (p + n), with p + n exact; the order-0 sums by n^2, which is exact
-        b = dd.mul(b, q)
-        b = dd.div(b, dd.mul_f(dd.two_sum(p, float(n)), float(n))) if p else dd.div_f(b, float(n * n))
-        lead, tol = abs(b[0] * (_phi(n)[0] - ell[0]) if weighted else b[0]), cfg.rel_tol * abs(s[0])
+        # the divisor n (p + n), with p + n exact
+        b = dd.div(dd.mul(b, q), dd.mul_f(dd.two_sum(p, float(n)), float(n)))
+        lead, tol = abs(b[0]), cfg.rel_tol * abs(s[0])
         if orders:  # the next term's x t' is about 2n times it: so scaled, the test also
             # holds the derivative's truncation below rel_tol |f|
             lead, tol = lead * max(2.0 * n, ax), tol * ax
@@ -246,22 +224,10 @@ def _series(
 
 
 def _unconverged(x, cfg: SeriesConfig) -> NonConvergenceError:
-    """The refusal of a series, or of CF2, that did not converge at x."""
+    """The refusal of a series, a recurrence or CF2 that did not converge at x."""
     return NonConvergenceError(
         f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={float(x)!r}"
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _phi(n: int) -> dd.DD:
-    """The harmonic number phi(n) in double-double, as `_series` sums it."""
-    return dd.add(_phi(n - 1), dd.div_f((1.0, 0.0), float(n))) if n else (0.0, 0.0)
-
-
-@functools.lru_cache(maxsize=None)
-def _dphi(n: int) -> dd.DD:
-    """2n phi(n) - 1 in double-double, the part of a merged term's d free of ell."""
-    return dd.add_f(dd.mul_f(_phi(n), float(2 * n)), -1.0)
 
 
 def _is_array(x) -> bool:
@@ -286,149 +252,90 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
-def _series_array(
-    x: np.ndarray, cfg: SeriesConfig, weighted, ell: dd.DD = (0.0, 0.0), p: float = 0.0,
-    orders: int = 1,
-) -> list[dd.DD]:
-    """`_series` at every element of an array x, ell a pair of floats or of
-    arrays like x: row 0 and, if orders, row 1 of each set of sums, an exact
-    zero in row 1 of the plain set where x = 0.
+def _series_array(x: np.ndarray, cfg: SeriesConfig, p: float, orders: int = 1) -> list[dd.DD]:
+    """`_series` at every element of an array x: row 0 and, if orders, row 1.
 
-    Pass n is one run of each double-double stage over stacked rows, each a
-    multiplicand times a factor: b (the series base) times c = phi(n) - ell
-    and d (the merged t and x t'), q and 2n (plain x t'), and -2 ell times
-    n + 1.  Divided by (n+1)^2, or for p != 0 by (n+1) (p+n+1), the b q row
-    is the next b; the sums' stage also forms the next c = phi(n+1) + (-ell)
-    and d = (2(n+1) phi(n+1) - 1) + (-2 ell)(n+1), as `dd.add` does.  The
-    c, d and q rows' product errors get a_hi f_lo + a_lo f_hi as in
-    `dd.mul`, the others a_lo f as in `dd.mul_f`: each element sees the IEEE
-    operations of the scalar loop, its sums frozen where that loop stops
-    them, so the results are bit-identical.  The stages run in place
-    (`dd.*_into`).
+    Pass n is one run of each double-double stage over stacked rows, each
+    the series base b times a factor: q and, if orders, 2n (x t').  Divided
+    by (n+1) (p+n+1), the b q row is the next b.  The q row's product error
+    gets a_hi f_lo + a_lo f_hi as in `dd.mul`, the 2n row's a_lo f as in
+    `dd.mul_f`: each element sees the IEEE operations of the scalar loop,
+    its sums frozen where that loop stops them, so the results are
+    bit-identical.  The stages run in place (`dd.*_into`), but for the
+    division by the double-double n (p + n).
     """
-    both, plain = weighted is _BOTH, weighted is _BOTH or not weighted
-    per_set, sets = (2 if orders else 1), (2 if both else 1)
-    kp, k = int(plain and per_set > 1), int(weighted and per_set > 1)
-    lanes, top = x.size, per_set * sets  # the rows of the sums
+    top, lanes = (2 if orders else 1), x.size  # the rows of the sums
     hi, lo = np.empty((top, lanes)), np.empty((top, lanes))
     if not lanes:
         return list(zip(hi, lo))
-    # the rows: b c and b d (merged), b q at ib, b 2n (plain), then at ie
-    # -2 ell (n + 1), the next d's ell part
-    ib = (1 + k) if weighted else 0
-    ie = ib + 1 + kp
-    head = top - per_set  # the merged set's row 0 in the sums
     with np.errstate(all="ignore"):
         q = dd.mul_f(dd.two_prod(x, x), -0.25)
-        space = np.zeros((13, ie + k, lanes))
+        space = np.zeros((12, top, lanes))
         rows, prod, bq = (space[i : i + 2] for i in range(0, 6, 2))
-        work, factors, flo = list(space[6:11]), space[11], space[12]
-        work_b = [a[ib] for a in work]
-        # the sums and `step`, this pass's terms in their rows; with the merged
-        # set ib more rows, where the next c and d are formed
-        acc = np.zeros((7, top + (ib if weighted else 0), lanes))
+        work, factors, flo = list(space[6:10]), space[10], space[11]
+        # the sums and `step`, this pass's terms in their rows
+        acc = np.zeros((7, top, lanes))
         sums, step, work_top = tuple(acc[:2]), acc[2:4], acc[4:]
-        factors[ib], flo[ib] = q
-        if weighted:  # c and d of n = 0, and -ell and -2 ell
-            nell = dd.neg(ell)
-            m2 = dd.mul_f(nell, 2.0)
-            factors[0], flo[0] = dd.add(_phi(0), nell)
-            step[0, top], step[1, top] = nell
-            if k:
-                factors[1], flo[1] = dd.add(_dphi(0), dd.mul_f(m2, 0.0))
-                rows[0][ie], rows[1][ie] = m2
-        b = (rows[0][ib], rows[1][ib])  # views: b is updated in place
+        factors[0], flo[0] = q
+        b = (rows[0][0], rows[1][0])  # views: b is updated in place
         b[0][:] = 1.0
-        pending = np.ones((sets, lanes), dtype=bool)
-        was_small = np.zeros((sets, lanes), dtype=bool)
-        lead, tol, ax = np.empty((sets, lanes)), np.empty((sets, lanes)), np.abs(x)
-        n, active = 0, True
-        while active:
+        pending, was_small = np.ones(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
+        ax = np.abs(x)
+        n = 0
+        while True:
             if n == cfg.max_terms:
-                raise _unconverged(x[np.argmax(pending.any(axis=0))], cfg)
-            rows[:, :ie] = rows[:, ib : ib + 1]
-            if kp:
-                factors[ib + 1] = 2 * n
-            if k:
-                factors[ie] = n + 1
+                raise _unconverged(x[np.argmax(pending)], cfg)
+            rows[:, 1:] = rows[:, :1]
+            factors[1:] = 2 * n
             dd.two_prod_into(rows[0], factors, prod, work)
-            t, v = work[0], work[1][: ib + 1]  # the product errors' low-part terms
+            t, v = work[0], work[1][:1]  # the product errors' low-part terms
             np.multiply(rows[1], factors, t)
-            np.multiply(rows[0][: ib + 1], flo[: ib + 1], v)
-            np.add(v, t[: ib + 1], t[: ib + 1])
+            np.multiply(rows[0][:1], flo[:1], v)
+            np.add(v, t[:1], t[:1])
             np.add(prod[1], t, prod[1])
             n += 1
             dd.two_sum_into(prod[0], prod[1], bq, work)
-            if plain:  # this pass's b and x b'
-                step[:, 0], step[:, 1:per_set] = rows[:, ib], bq[:, ib + 1 : ie]
-            if weighted:  # t and x t', and phi(n) and 2n phi(n) - 1 with -2n ell for the next c and d
-                step[:, head:top], (acc[0, top], acc[1, top]) = bq[:, :ib], _phi(n)
-                if k:
-                    step[:, top + 1], (acc[0, top + 1], acc[1, top + 1]) = bq[:, ie], _dphi(n)
-            if p:  # J_p's next b, as in `_series`
-                divisor = dd.mul_f(dd.two_sum(p, float(n)), float(n))
-                rows[0][ib], rows[1][ib] = dd.div((bq[0][ib], bq[1][ib]), divisor)
-            else:
-                dd.div_f_into(bq[:, ib], float(n * n), rows[:, ib], work_b)
+            step[:, 0], step[:, 1:] = rows[:, 0], bq[:, 1:]  # this pass's b and x b'
+            divisor = dd.mul_f(dd.two_sum(p, float(n)), float(n))
+            rows[0][0], rows[1][0] = dd.div((bq[0][0], bq[1][0]), divisor)
             dd.add_into(sums, step, sums, work_top)
-            # each set's small-term test, as in `_series`; a streak of two is
-            # a small term now and one before, and none stops before n = 2
-            if plain:
-                lead[0] = b[0]
-            if weighted:  # the next c and d, and the merged lead
-                factors[:ib], flo[:ib] = acc[0, top:], acc[1, top:]
-                np.multiply(b[0], _phi(n)[0] - ell[0], lead[-1])
-            np.abs(lead, lead)
-            np.multiply(cfg.rel_tol, np.abs(sums[0][:top:per_set]), tol)
+            # the small-term test, as in `_series`; a streak of two is a small
+            # term now and one before, and none stops before n = 2
+            lead, tol = np.abs(b[0]), cfg.rel_tol * np.abs(sums[0][0])
             if orders:
-                np.multiply(lead, np.maximum(2.0 * n, ax), lead)
-                np.multiply(tol, ax, tol)
+                lead, tol = lead * np.maximum(2.0 * n, ax), tol * ax
             small = lead <= tol
             stop, was_small = pending & small & was_small, small
             if n > 2 and stop.any():
-                frozen = np.repeat(stop, per_set, axis=0)  # each set's rows
-                np.copyto(hi, sums[0][:top], where=frozen)
-                np.copyto(lo, sums[1][:top], where=frozen)
+                np.copyto(hi, sums[0], where=stop)
+                np.copyto(lo, sums[1], where=stop)
                 pending &= ~stop
-                active = pending.any()
-    return list(zip(hi, lo))
+                if not pending.any():
+                    return list(zip(hi, lo))
 
 
-def _sums(x, cfg: SeriesConfig, weighted, ell=(0.0, 0.0), orders=3, p=0.0):
-    """The rows f, f', f'', f''' (0..orders) of each set of sums that
-    `weighted` asks for.  `_series` at a float x and `_series_array` at an
-    array sum f and x f'; `_equation_rows` forms the rest from the sums' own
-    equation, which the merged sums (p = 0) solve as -(pi/2) Y0 does."""
+def _sums(x, cfg: SeriesConfig, p: float, orders: int = 3) -> list[dd.DD]:
+    """The rows f, f', f'', f''' (0..orders) of J_p's sum.  `_series` at a
+    float x and `_series_array` at an array sum f and x f'; `_equation_rows`
+    forms the rest from the sum's own equation."""
     if _is_array(x):
-        sums = _series_array(x, cfg, weighted, ell, p, min(orders, 1))
+        sums = _series_array(x, cfg, p, min(orders, 1))
     else:
-        sums = _series(x, cfg, min(orders, 1), weighted, ell, p)
-    if not orders:
-        return sums
-    rows = []
-    for f, xf1 in zip(sums[::2], sums[1::2]):
-        rows += _equation_rows(x, f, xf1, orders, p)
-    return rows
+        sums = _series(x, cfg, min(orders, 1), p)
+    return _equation_rows(x, *sums, orders, p) if orders else sums
 
 
-def _equation_rows(x, f: dd.DD, xf1: dd.DD, orders: int = 3, p: float = 0.0) -> list[dd.DD]:
+def _equation_rows(x, f: dd.DD, xf1: dd.DD, orders: int, p: float) -> list[dd.DD]:
     """f, f', f'', f''' (0..orders) in double-double from f and x f': x f' is
     divided by x here alone, and f'' and f''' come from the J family's
     equation x f'' + (2p+1) f' + x f = 0: f'' = -(2p+1) f'/x - f,
     f''' = -(2p+1) (f'' - f'/x)/x - f'."""
     c = dd.neg(dd.two_sum(2.0 * p, 1.0))  # -(2p+1), exact
-    with np.errstate(all="ignore"):  # lanes with x = 0, which the jets replace
-        f1 = dd.div_f(xf1, x)
-        f1_x = dd.div_f(f1, x)
-        f2 = dd.add(dd.mul(c, f1_x), dd.neg(f))
-        f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.neg(f1))
+    f1 = dd.div_f(xf1, x)
+    f1_x = dd.div_f(f1, x)
+    f2 = dd.add(dd.mul(c, f1_x), dd.neg(f))
+    f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.neg(f1))
     return [f, f1, f2, f3][: orders + 1]
-
-
-def _log_half_dd(x) -> dd.DD:
-    """ln(x/2) + gamma in double-double; x may be a float64 array."""
-    ln = dd.log_array(0.5 * x) if _is_array(x) else dd.log(0.5 * x)
-    return dd.add(ln, _EULER_GAMMA_DD)
 
 
 def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x") -> None:
@@ -443,28 +350,62 @@ def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x"
 
 
 # ----------------------------------------------------------------------
-# I0 and K0 in float64
+# order-zero kernels in float64
 
 # K0 takes the log series below this x and CF2 from it up: the series
 # cancels about 5x at x = 2 and 20x at 3; CF2 takes about 76 terms at 2
 # and would take 150 at 1
 _CF2_FROM = 2.0
+# J0 and Y0 take their alternating series below this |x| and Miller's
+# recurrence from it up: J0's series cancels about 4.5x at x = 2
+_MILLER_FROM = 2.0
 # ell = ln(x/2) + gamma as ln x + (gamma - ln 2), since x/2 underflows for
 # subnormal x
 _ELL0 = EULER_GAMMA - math.log(2.0)
+_TWO_OVER_PI = 2.0 / math.pi
 
 
-def _i0_weights(n: int) -> tuple:
-    """The weights 1, 2n, 2n (2n-1), 2n (2n-1) (2n-2) of I0's rows: sum_n
-    w(n) t_n, t_n = (x/2)^(2n) / (n!)^2, is x^k I0^(k) for k = 0..3."""
-    m = 2.0 * n
-    return 1.0, m, m * (m - 1.0), m * (m - 1.0) * (m - 2.0)
+@functools.lru_cache(maxsize=None)
+def _harmonic_exact(n: int) -> tuple[int, int]:
+    """The harmonic number phi(n) as an exact ratio p / q of integers in
+    lowest terms."""
+    if not n:
+        return 0, 1
+    p, q = _harmonic_exact(n - 1)
+    p, q = p * n + q, q * n
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
-def _k0_weights(n: int, ell) -> tuple:
-    """The weights phi(n) - ell and 2n (phi(n) - ell) - 1 of K0's rows, K0
-    and x K0' for ell = ln(x/2) + gamma, a float or an array."""
-    c = _phi(n)[0] - ell
+@functools.lru_cache(maxsize=None)
+def _phi(n: int) -> float:
+    """The harmonic number phi(n), rounded once to float64 (the quotient of
+    two Python integers is correctly rounded)."""
+    p, q = _harmonic_exact(n)
+    return p / q
+
+
+def _i0_weights(n: int, sign: float = 1.0) -> tuple:
+    """The weights of the I0 (sign 1) and J0 (sign -1) rows: with
+    t_n = (x/2)^(2n) / (n!)^2 and h = x/2, sum_n w(n) t_n is f, f'/h, f''
+    and f'''/h.  Term n of f' and f'' is term n + 1 of their series,
+    s^(n+1) h t_n / (n+1) and s^(n+1) (2n+1) t_n / (2n+2), s = sign, and
+    term n of f''' term n + 2, s^n (2n+3) h t_n / (2 (n+1) (n+2)): the
+    leading weights 1, s, s/2 and 3/4 are exact, and no row is divided by
+    a power of x."""
+    s = -1.0 if sign < 0.0 and n & 1 else 1.0  # sign^n
+    s1 = sign * s
+    return s, s1 / (n + 1), s1 * (2 * n + 1) / (2 * n + 2), s * (2 * n + 3) / (2 * (n + 1) * (n + 2))
+
+
+def _k0_weights(n: int, ell, sign: float = 1.0) -> tuple:
+    """sign^n times the weights phi(n) - ell and 2n (phi(n) - ell) - 1: for
+    ell = ln(x/2) + gamma, a float or an array, the rows of K0 and x K0'
+    (sign 1), and of -(pi/2) Y0 and x times its derivative (sign -1)."""
+    if sign < 0.0 and n & 1:  # the exact negations of the weights below
+        c = ell - _phi(n)
+        return c, 2.0 * n * c + 1.0
+    c = _phi(n) - ell
     return c, 2.0 * n * c - 1.0
 
 
@@ -472,7 +413,7 @@ def _ik_series(x, cfg: SeriesConfig, weights, *args) -> tuple:
     """(rows, pending): the rows sum_n w(n) t_n of w = weights(n, *args),
     summed in plain float64 at a float or an array x, t_n formed as
     t_(n-1) (x/2) / n (x/2) / n, and the lanes of an array that did not
-    converge within max_terms (None at a float, which is refused instead).
+    converge within max_terms (False at a float, which is refused instead).
     They stop once the next term of every row has been at most rel_tol
     times the row's sum for two terms running, past n = 2; an array has
     each lane frozen where a float stops."""
@@ -481,7 +422,7 @@ def _ik_series(x, cfg: SeriesConfig, weights, *args) -> tuple:
     t = np.ones(x.shape) if array else 1.0
     w = weights(0, *args)
     sums = [0.0] * len(w)
-    pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(w), x.size))) if array else (None, None)
+    pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(w), x.size))) if array else (False, None)
     with np.errstate(all="ignore"):
         while n < cfg.max_terms:
             sums = [s + wj * t for s, wj in zip(sums, w)]
@@ -489,8 +430,8 @@ def _ik_series(x, cfg: SeriesConfig, weights, *args) -> tuple:
             t = t * h / n * h / n
             w = weights(n, *args)
             small = True
-            for wj, s in zip(w, sums):
-                small = small & (abs(wj * t) <= cfg.rel_tol * abs(s))
+            for wj, s in zip(w, sums):  # t >= 0, so |wj t| = |wj| t
+                small = small & (abs(wj) * t <= cfg.rel_tol * abs(s))
             stop, was_small = small & was_small & (n > 2), small
             if array:
                 np.copyto(ends, sums, where=pending & stop)
@@ -512,7 +453,7 @@ def _cf2(x, cfg: SeriesConfig) -> tuple:
     the last term of h is at most rel_tol |h|.  A float x is refused if it
     does not converge within max_terms; an array x has each lane frozen
     where a float x stops, and `pending` marks those that did not converge
-    (None at a float x)."""
+    (False at a float x)."""
     array = _is_array(x)
     # past x = 750 e^-x, and so K0 and K1, underflow to 0 whatever s and h
     # are; CF2 runs at 750 there, since b + 2 is inexact once x passes 2^53
@@ -522,7 +463,7 @@ def _cf2(x, cfg: SeriesConfig) -> tuple:
     prev = q * delh
     s, i = 1.0 + prev, 1
     # the lanes still summing, and s and h where each lane stopped
-    pending, ends = (np.ones(x.shape, dtype=bool), np.ones((2, x.size))) if array else (None, None)
+    pending, ends = (np.ones(x.shape, dtype=bool), np.ones((2, x.size))) if array else (False, None)
     with np.errstate(all="ignore"):
         while i < cfg.max_terms:
             i += 1
@@ -556,30 +497,146 @@ def _cf2(x, cfg: SeriesConfig) -> tuple:
         return k0, k0 * (x + 0.5 - 0.25 * h) / x, pending
 
 
-def _refuse_pending(x: np.ndarray, pending: np.ndarray, cfg: SeriesConfig) -> None:
+def _miller(x, cfg: SeriesConfig, y: bool) -> tuple:
+    """(rows, pending) at |x| >= 2 (x > 0 if y), a float or an array: J0 and
+    J0' and, if y, Y0 and Y0'.
+
+    Miller's downward recurrence j_(n-1) = (2n/x) j_n - j_(n+1) runs from
+    j_(N+1) = 0, j_N = 1, N = |x| + 15 + sqrt(40 |x|) rounded up to even,
+    and J_n = j_n / (j_0 + 2 sum_k j_2k), since J0 + 2 sum_k J_2k = 1
+    (Numerical Recipes 6.5); at x < 0 the j_n are those at |x| times
+    (-1)^n, so J0 is even and J0' = -J1 odd.  Y0 is Neumann's series
+    (2/pi) [ell J0 - 2 sum_k (-1)^k J_2k / k], ell = ln(x/2) + gamma
+    (Abramowitz and Stegun 9.1), and Y0' its term-wise derivative, with
+    J_n' = (J_(n-1) - J_(n+1)) / 2.  Each lane of an array starts at its own
+    N, so it does the arithmetic of a float; an N past max_terms is refused
+    at a float and pending in an array (False at a float).
+    """
+    array = _is_array(x)
+    ax = np.abs(x) if array else abs(x)
+    with np.errstate(all="ignore"):
+        half = 0.5 * (ax + 15.0 + (np.sqrt if array else math.sqrt)(40.0 * ax))
+        if array:
+            pending = half > cfg.max_terms // 2
+            start = 2.0 * np.ceil(np.where(pending, 0.0, half))  # 0: never starts
+            top = int(start.max(initial=0.0))
+        elif half > cfg.max_terms // 2:
+            raise _unconverged(x, cfg)
+        else:
+            start, pending = 2.0 * math.ceil(half), False
+            top = int(start)
+        tox = 2.0 / x
+        a = b = norm = ys = ds = np.zeros(x.shape) if array else 0.0
+        for n in range(top, 0, -2):  # a = j_(n+1), b = j_n
+            b = b + (start == n)
+            c = n * tox * b - a  # j_(n-1)
+            norm = norm + b
+            if y:
+                k = n // 2 if n % 4 == 0 else -(n // 2)  # (-1)^k k
+                ys = ys + b / k
+                ds = ds + (c - a) / k
+            a, b = c, (n - 1) * tox * c - b
+        norm = b + 2.0 * norm
+        j0, j1 = b / norm, a / norm
+        if not y:
+            return (j0, -j1), pending
+        ell = _per_element(math.log, x) + _ELL0
+        y0 = _TWO_OVER_PI * (ell * j0 - 2.0 * ys / norm)
+        return (j0, -j1, y0, _TWO_OVER_PI * (j0 / x - ell * j1 - ds / norm)), pending
+
+
+def _refuse_pending(x, pending, cfg: SeriesConfig) -> None:
     """Refuse the first lane of x that did not converge, as a pointwise loop would."""
-    if pending.any():
+    if np.any(pending):
         raise _unconverged(x[np.argmax(pending)], cfg)
+
+
+def _regimes(x, cfg: SeriesConfig, cut: float, below, above):
+    """The rows of below(x, cfg) where |x| < cut and of above(x, cfg) from
+    there, each kernel giving (rows, pending): one call at a float x; at an
+    array x one call of each over its lanes, the rows merged into one array,
+    and the first lane that did not converge refused."""
+    if not _is_array(x):
+        return (below if abs(x) < cut else above)(x, cfg)[0]
+    low = np.abs(x) < cut
+    calls = [(lanes, kernel) for lanes, kernel in ((low, below), (~low, above)) if lanes.any()]
+    out, pending = None, np.zeros(x.shape, dtype=bool)
+    for lanes, kernel in calls or [(low, above)]:  # an empty x takes one empty call
+        rows, pending[lanes] = kernel(x[lanes], cfg)
+        if out is None:
+            out = np.empty((len(rows), x.size))
+        out[:, lanes] = rows
+    _refuse_pending(x, pending, cfg)
+    return out
+
+
+# Below this |x| the J0 and I0 jets are the Taylor limit (1, s x/2, s/2,
+# 3x/8) at 0, s = -1 and 1, with +0 for the odd orders at x = -0; against
+# mpmath it is 0.73 ulp off on [2^-27, 2^-26] and 2.9 ulp on [2^-26, 2^-25],
+# where the rows of the series are within 1.5 ulp.
+_SMALL = 2.0**-26
+
+
+def _power_jet(x, cfg: SeriesConfig, sign: float) -> tuple:
+    """(jet, pending): the I0 (sign 1) or J0 (sign -1) jet at a float or an
+    array x from the rows of `_ik_series` with `_i0_weights`, the second
+    and fourth times h = x/2, or the Taylor limit where |x| < _SMALL, which
+    sums nothing at such a float x."""
+    limit = (1.0, 0.5 * sign * x + 0.0, 0.5 * sign, 0.375 * x + 0.0)  # + 0.0: +0 at x = -0
+    if not _is_array(x) and abs(x) < _SMALL:
+        return limit, False
+    rows, pending = _ik_series(x, cfg, _i0_weights, sign)
+    h = 0.5 * x
+    jet = rows[0], h * rows[1], rows[2], h * rows[3]
+    if _is_array(x):
+        small = np.abs(x) < _SMALL
+        jet = tuple(np.where(small, v, r) for v, r in zip(limit, jet))
+    return jet, pending
+
+
+def _equation_jet(x, f, f1, sign: float) -> tuple:
+    """(f, f', f'', f''') of a solution of x f'' + f' - sign x f = 0 from f
+    and f': J0 and Y0 (sign -1), K0 (sign 1)."""
+    f1_x = f1 / x
+    f2 = sign * f - f1_x
+    return f, f1, f2, sign * f1 - (f2 - f1_x) / x
+
+
+def _j0_y0(x, cfg: SeriesConfig, y: bool):
+    """The J0 jet and, if y, Y0 and Y0' at x (x > 0 if y), in six rows:
+    below |x| = 2 `_power_jet` and Y0's log series, the rows of -(pi/2) Y0
+    and x times its derivative, which `_k0_weights` gives with sign -1;
+    from there `_miller`, with J0'' and J0''' from the equation."""
+
+    def below(x, cfg):
+        jet, pending = _power_jet(x, cfg, -1.0)
+        if not y:
+            return jet, pending
+        rows, more = _ik_series(x, cfg, _k0_weights, _per_element(math.log, x) + _ELL0, -1.0)
+        with np.errstate(over="ignore"):  # Y0' at subnormal x, where only the value is read
+            return (*jet, -_TWO_OVER_PI * rows[0], -_TWO_OVER_PI * rows[1] / x), pending | more
+
+    def above(x, cfg):
+        rows, pending = _miller(x, cfg, y)
+        return (*_equation_jet(x, rows[0], rows[1], -1.0), *rows[2:]), pending
+
+    return _regimes(x, cfg, _MILLER_FROM, below, above)
 
 
 def _k0_pair(x, cfg: SeriesConfig) -> tuple:
     """(K0, K0') at x > 0, a float or an array: the log series below x = 2,
     CF2 from there."""
-    if not _is_array(x):
-        if x < _CF2_FROM:
-            k0, xk0 = _ik_series(x, cfg, _k0_weights, math.log(x) + _ELL0)[0]
-            return k0, xk0 / x
-        k0, k1, _ = _cf2(x, cfg)
-        return k0, -k1
-    low, out = x < _CF2_FROM, np.empty((2, x.size))
-    xs, pending = x[low], np.zeros(x.shape, dtype=bool)
-    rows, pending[low] = _ik_series(xs, cfg, _k0_weights, _per_element(math.log, xs) + _ELL0)
-    with np.errstate(over="ignore"):  # K0' at subnormal x, where only the value is read
-        out[0, low], out[1, low] = rows[0], rows[1] / xs
-    k0, k1, pending[~low] = _cf2(x[~low], cfg)
-    out[0, ~low], out[1, ~low] = k0, -k1
-    _refuse_pending(x, pending, cfg)
-    return out[0], out[1]
+
+    def below(x, cfg):
+        rows, pending = _ik_series(x, cfg, _k0_weights, _per_element(math.log, x) + _ELL0)
+        with np.errstate(over="ignore"):  # K0' at subnormal x, where only the value is read
+            return (rows[0], rows[1] / x), pending
+
+    def above(x, cfg):
+        k0, k1, pending = _cf2(x, cfg)
+        return (k0, -k1), pending
+
+    return _regimes(x, cfg, _CF2_FROM, below, above)
 
 
 # ----------------------------------------------------------------------
@@ -587,21 +644,23 @@ def _k0_pair(x, cfg: SeriesConfig) -> tuple:
 
 
 def bessel_j0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """J0(x) = sum_n (-1)^n (x/2)^(2n) / (n!)^2; entire and even."""
-    _require_finite(x, "j0")
-    return dd.to_float(_sums(x, cfg, False, orders=0)[0])
+    """J0(x) = sum_n (-1)^n (x/2)^(2n) / (n!)^2; entire and even, and
+    `j0_jet`'s f bit for bit."""
+    return j0_jet(x, cfg)[0]
 
 
 def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1."""
-    _require_finite(x, "i0")
-    return _i0_rows(x, cfg)[0]
+    """I0(x) = sum_n (x/2)^(2n) / (n!)^2; entire, even, >= 1, and `i0_jet`'s
+    f bit for bit."""
+    return i0_jet(x, cfg)[0]
 
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }."""
+    """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }
+    below x = 2, Neumann's series in Miller's J_2k from there; `y0_jet`'s f
+    bit for bit."""
     _require_finite(x, "y0", 0.0, "finite x > 0")
-    return dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, _sums(x, cfg, True, _log_half_dd(x), 0)[0]))
+    return _j0_y0(x, cfg, True)[4]
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
@@ -615,68 +674,33 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 # jets: value and derivatives up to third order
 
 
-# Below this |x|, J0's f''' = -(f'' - f'/x)/x - f' cancels to 3x/8 from
-# terms of about 1/(2x): against mpmath it is 2.6 ulp off on [2^-27, 2^-26]
-# and 1.3 ulp on [2^-26, 2^-25], where the Taylor limit (1, -x/2, -1/2,
-# 3x/8) of the jet at x = 0 is 0.73 and 2.9 ulp off.  The I0 jet, whose
-# f''' is its own row, takes its limit (1, x/2, 1/2, 3x/8) below it too.
-_SMALL = 2.0**-26
-
-
-def _plain_jet(x, sign: float, rows) -> tuple:
-    """The J0 (sign -1) or I0 (sign +1) jet from its float rows, or the
-    Taylor limit where |x| < _SMALL; rows may be None at such a float x."""
-    limit = (1.0, 0.5 * sign * x + 0.0, 0.5 * sign, 0.375 * x + 0.0)  # + 0.0: +0 at x = -0
-    if not _is_array(x):
-        return limit if abs(x) < _SMALL else tuple(rows)
-    small = np.abs(x) < _SMALL
-    return tuple(np.where(small, v, r) for v, r in zip(limit, rows))
-
-
 def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(J0, J0', J0'', J0''')(x) from the series and its Bessel equation.
-
-    x may be a 1-D float64 array: each component is then an array,
-    bit-identical to evaluating every element on its own.  A float
-    |x| < _SMALL sums nothing, since the sums would divide by x = 0.
-    """
+    """(J0, J0', J0'', J0''')(x): the rows of its series (`_power_jet`) below
+    |x| = 2, Miller's J0 and J0' = -J1 and the equation from there.  x may
+    be a 1-D float64 array: each component is then an array, bit-identical
+    to evaluating every element on its own."""
     _require_finite(x, "j0")
-    if not _is_array(x) and abs(x) < _SMALL:
-        return _plain_jet(x, -1.0, None)
-    return _plain_jet(x, -1.0, [dd.to_float(v) for v in _sums(x, cfg, False)])
-
-
-def _i0_rows(x, cfg: SeriesConfig) -> list:
-    """x^k I0^(k)(x), k = 0..3, from `_ik_series`, whose terms are all
-    positive; an array lane that did not converge is refused."""
-    rows, pending = _ik_series(x, cfg, _i0_weights)
-    if pending is not None:
-        _refuse_pending(x, pending, cfg)
-    return rows
+    return tuple(_j0_y0(x, cfg, False))
 
 
 def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(I0, I0', I0'', I0''')(x): the rows of `_i0_rows` divided by x^k, so
-    f is `bessel_i0` bit for bit; x may be a 1-D float64 array."""
+    """(I0, I0', I0'', I0''')(x): the rows of its series (`_power_jet`),
+    whose terms are all positive; x may be a 1-D float64 array."""
     _require_finite(x, "i0")
-    if not _is_array(x) and abs(x) < _SMALL:
-        return _plain_jet(x, 1.0, None)
-    rows = _i0_rows(x, cfg)
-    with np.errstate(all="ignore"):  # lanes with x = 0, which the Taylor limit replaces
-        x2 = x * x
-        jet = rows[0], rows[1] / x, rows[2] / x2, rows[3] / (x2 * x)
-    return _plain_jet(x, 1.0, jet)
+    jet, pending = _power_jet(x, cfg, 1.0)
+    _refuse_pending(x, pending, cfg)
+    return jet
 
 
-# The Y0/K0 jets refuse x < 2^-330: below 2^-332 the 2/x^3 of Y0's n = 0
-# term overflows Dekker's split (f''' is nan), below 5.6e-103 the float range.
+# The Y0/K0 jets refuse x < 2^-330, below which their f''' of about 1/x^3
+# nears the float range (it overflows below 5.6e-103).
 _LOG_JET_LOW = math.nextafter(2.0**-330, 0.0)
 
 
 class _LogJet(tuple):
     """(f, f', f'', f''') of Y0 or K0 at x, with the J0 or I0 jet at x as
-    `primary`: Y0's from the same series pass, K0's summed on first use from
-    its own copy of x, so that K0 is not refused where I0's series fails."""
+    `primary`: Y0's from the same call, K0's summed on first use from its
+    own copy of x, so that K0 is not refused where I0's series fails."""
 
     @functools.cached_property
     def primary(self) -> tuple:
@@ -684,15 +708,13 @@ class _LogJet(tuple):
 
 
 def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(Y0, Y0', Y0'', Y0''')(x): -2/pi times the merged rows of `_series`
-    at x, ell = ln(x/2) + gamma (row 0 is `bessel_y0`'s sum), with the J0
-    jet at x as `primary`, both summed by `_sums(..., _BOTH)`: one stacked
-    pass over a 1-D float64 array x, two passes at a float, with the same
-    bits."""
+    """(Y0, Y0', Y0'', Y0''')(x): `bessel_y0`'s Y0 and Y0', then f'' and f'''
+    from the equation, with the J0 jet at x, which the same kernels sum, as
+    `primary`.  x may be a 1-D float64 array."""
     _require_finite(x, "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    sums = _sums(x, cfg, _BOTH, _log_half_dd(x))
-    jet = _LogJet(dd.to_float(dd.mul(_NEG_TWO_OVER_PI_DD, v)) for v in sums[4:])
-    jet.primary = _plain_jet(x, -1.0, [dd.to_float(v) for v in sums[:4]])
+    rows = _j0_y0(x, cfg, True)
+    jet = _LogJet(_equation_jet(x, rows[4], rows[5], -1.0))
+    jet.primary = tuple(rows[:4])
     return jet
 
 
@@ -701,9 +723,7 @@ def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     K0', then f'' and f''' from the equation, each order of one sign; the I0
     jet at x is `primary`.  x may be a 1-D float64 array."""
     _require_finite(x, "k0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
-    f, f1 = _k0_pair(x, cfg)
-    f2 = f - f1 / x
-    jet = _LogJet((f, f1, f2, f1 - (f2 - f1 / x) / x))
+    jet = _LogJet(_equation_jet(x, *_k0_pair(x, cfg), 1.0))
     jet._args = (x.copy() if _is_array(x) else x, cfg)
     return jet
 
@@ -733,7 +753,7 @@ def _jp_sum(p: float, x: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
     where a pointwise `bessel_j` sums nothing."""
     out = np.ones(x.shape)
     nonzero = x != 0.0
-    out[nonzero] = dd.to_float(_sums(x[nonzero], cfg, False, orders=0, p=p)[0])
+    out[nonzero] = dd.to_float(_sums(x[nonzero], cfg, p, orders=0)[0])
     return out
 
 
@@ -750,7 +770,7 @@ def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
         if x == 0.0:
             return 0.0  # p > 0 here; the x^p prefactor wins
         pref = math.pow(0.5 * x, p) / gamma(1.0 + p)
-        return pref * dd.to_float(_sums(x, cfg, False, orders=0, p=p)[0])
+        return pref * dd.to_float(_sums(x, cfg, p, orders=0)[0])
     pref = np.zeros(x.shape)
     for i, e in enumerate(x.tolist()):
         try:
@@ -770,7 +790,7 @@ def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[floa
     _check_jp_args(p, x)
     if x < 2.0**-340:  # x^3 is subnormal or 0 there, and a3 divides by it
         raise DomainError(f"jp_jet requires x >= 2**-340, got {x!r}")
-    s = [dd.to_float(v) for v in _sums(x, cfg, False, p=p)]
+    s = [dd.to_float(v) for v in _sums(x, cfg, p)]
     a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)
     a1 = p * a0 / x
     a2 = p * (p - 1.0) * a0 / (x * x)

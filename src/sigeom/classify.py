@@ -225,10 +225,12 @@ def check_eigen_i(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> EigenRepo
     sign), so the fit is limited only by the profile's own accuracy.
     """
     fits, _ = _fit_coordinates(s, g, 1)
-    l3, s3, _ = fits[2]
+    l3, s3, rel3 = fits[2]
     verdict = Verdict.NO_EIGEN_RELATION  # Lap r1 = Lap r2 = 0: their fits are (0, 0, 0)
     if not _holds(fits[2], tol):
-        notes = f"no constant eigenvalue fits coordinate 3 (sup residual {s3:.3g} > tol {tol:.3g})"
+        bound = tol * max(1.0, s3 / rel3)  # s3 / rel3 is max|r3| (1 where r3 = 0)
+        notes = (f"no constant eigenvalue fits coordinate 3 "
+                 f"(sup residual {s3:.3g} > tol max(1, max|r3|) = {bound:.3g})")
     elif abs(l3) <= tol:
         notes = (
             "eigen relation holds with lambda3 = 0: harmonic profile coordinate "

@@ -1,6 +1,6 @@
 """Grid evaluation is bit-identical to pointwise evaluation.
 
-Profile jets on an array of radii run each double-double series once for the
+Profile jets on an array of radii run each series kernel once for the
 whole array (bessel), carry arrays through the forward jets (autodiff) and
 feed the grid consumers (classify, surfaces).  Every value here is compared
 with its pointwise counterpart as an int64 bit pattern, and every grid error
@@ -74,14 +74,15 @@ def pointwise(jet, xs):
 # bessel: array kernels against the scalar kernels
 
 LONG = np.concatenate([np.geomspace(1e-3, 60.0, 97), [60.0, 1e-3, 30.0, 7.25]])
-# early (x ~ 1e-3: a handful of terms) and late (x ~ 60: ~120 terms) lanes
+# early (x ~ 1e-3: a handful of terms) and late (x ~ 60: Miller's recurrence
+# from N = 124, CF2 in a few terms) lanes
 MIXED = np.array([1e-3, 59.0, 0.02, 45.5, 3.0, 60.0, 0.5, 12.0] * 5)
 
 
 LOOSE = SeriesConfig(rel_tol=1e-9, max_terms=150)
 
 
-# LOOSE moves the term where each of the Y0/K0 jets' two sets of sums stops
+# LOOSE moves the term where each series stops
 @pytest.mark.parametrize("jet", JETS, ids=lambda f: f.__name__)
 @pytest.mark.parametrize("xs, cfg", [
     pytest.param(xs, cfg, id=name + suffix)
@@ -100,81 +101,95 @@ def _lanes(n):
     return np.random.default_rng(n).permutation(np.geomspace(60.0, 1e-3, n))
 
 
-def _modified_kernel(x, weighted):
-    """The float64 kernel of the modified equation at x, as a list of
-    arrays: I0's rows x^k I0^(k) (plain), or K0's log series (weighted)."""
+def _series_kernel(x, sign, weighted):
+    """The float64 series of the order-zero equation x f'' + f' - sign x f = 0
+    at x, as a list of rows: I0's or J0's plain rows, or K0's or Y0's log
+    series (weighted)."""
+    cfg = bessel.DEFAULT_SERIES
     if weighted:
-        ell = (bessel._per_element(math.log, x) if isinstance(x, np.ndarray) else math.log(x))
-        return list(bessel._ik_series(x, bessel.DEFAULT_SERIES, bessel._k0_weights, ell + bessel._ELL0)[0])
-    return list(bessel._ik_series(x, bessel.DEFAULT_SERIES, bessel._i0_weights)[0])
+        ell = bessel._per_element(math.log, x) + bessel._ELL0
+        return list(bessel._ik_series(x, cfg, bessel._k0_weights, ell, sign)[0])
+    return list(bessel._ik_series(x, cfg, bessel._i0_weights, sign)[0])
 
 
 # one kernel for every array length: single lanes, lengths around the
 # classifier's default 21 radii, and the largest grid of the benchmark.
 # sign is that of the equation x f'' + f' - sign x f = 0: -1 takes the
-# double-double kernels of J0 and Y0, +1 the float64 ones of I0 and K0
+# alternating series of J0 and Y0, +1 those of I0 and K0
 @pytest.mark.parametrize("lanes", [1, 5, 12, 21, 23, 24, 40, 401])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
 def test_series_array_against_scalar_kernels(lanes, sign, weighted):
     xs = _lanes(lanes)
-    if sign > 0.0:
-        got = _modified_kernel(xs, weighted)
-        ref = [_modified_kernel(x, weighted) for x in xs.tolist()]
-        for k, row in enumerate(got):
-            assert_bit_identical(row, [r[k] for r in ref])
-        return
-    sums = bessel._series_array(xs, bessel.DEFAULT_SERIES, weighted)
-    ref = [bessel._series(x, bessel.DEFAULT_SERIES, 1, weighted) for x in xs.tolist()]
-    for k in range(2):
-        assert_bit_identical(sums[k][0], [r[k][0] for r in ref])
-        assert_bit_identical(sums[k][1], [r[k][1] for r in ref])
+    if sign < 0.0:  # J0's and Y0's series run below x = 2
+        xs = xs[xs < bessel._MILLER_FROM]
+    got = _series_kernel(xs, sign, weighted)
+    ref = [_series_kernel(x, sign, weighted) for x in xs.tolist()]
+    for k, row in enumerate(got):
+        assert_bit_identical(row, [r[k] for r in ref])
+
+
+# Miller's recurrence: each lane starts at its own N, from 26 at x = 2 to
+# 200 at the default cap near x = 116, and J0 alone takes x < 0
+MILLER_XS = np.concatenate([np.geomspace(2.0, 116.0, 37), [2.0, 116.0, 2.0000000000000004, 7.0]])
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 21, 41])
+@pytest.mark.parametrize("y", [False, True], ids=["j0", "j0-y0"])
+def test_miller_array_against_scalar_kernel(lanes, y):
+    xs = np.random.default_rng(lanes).permutation(MILLER_XS)[:lanes]
+    if not y:
+        xs = xs * np.where(np.arange(lanes) % 2, -1.0, 1.0)
+    rows, pending = bessel._miller(xs, bessel.DEFAULT_SERIES, y)
+    ref = [bessel._miller(x, bessel.DEFAULT_SERIES, y)[0] for x in xs.tolist()]
+    assert len(rows) == (4 if y else 2) and not pending.any()
+    for k, row in enumerate(rows):
+        assert_bit_identical(row, [r[k] for r in ref])
+
+
+def test_miller_is_even_in_j0():
+    xs = np.geomspace(2.0, 116.0, 50)
+    (f, f1), _ = bessel._miller(xs, bessel.DEFAULT_SERIES, False)
+    (g, g1), _ = bessel._miller(-xs, bessel.DEFAULT_SERIES, False)
+    assert_bit_identical(g, f)
+    assert_bit_identical(g1, -f1)
 
 
 # the kernels sum rows 0 and, for orders >= 1, x times the first derivative
-# of each set; `_sums` divides it by x and forms rows 2 and 3 from the
-# sums' equation, so each set has the rows 0..orders at an array and at a float
+# of J_p's sum; `_sums` divides it by x and forms rows 2 and 3 from the
+# sum's equation, so it has the rows 0..orders at an array and at a float
 @pytest.mark.parametrize("orders", [0, 1, 2, 3])
-@pytest.mark.parametrize("weighted", [False, True, bessel._BOTH], ids=["plain", "weighted", "both"])
-def test_series_array_sums_the_rows_it_is_asked_for(orders, weighted):
+@pytest.mark.parametrize("p", [0.3, -1.7])
+def test_series_array_sums_the_rows_it_is_asked_for(orders, p):
     xs, cfg = _lanes(24), bessel.DEFAULT_SERIES
-    sums = bessel._sums(xs, cfg, weighted, bessel._log_half_dd(xs), orders)
-    ref = [bessel._sums(x, cfg, weighted, bessel._log_half_dd(x), orders) for x in xs.tolist()]
-    assert len(sums) == len(ref[0]) == (orders + 1) * (2 if weighted is bessel._BOTH else 1)
+    sums = bessel._sums(xs, cfg, p, orders)
+    ref = [bessel._sums(x, cfg, p, orders) for x in xs.tolist()]
+    assert len(sums) == len(ref[0]) == orders + 1
     for k, (hi, lo) in enumerate(sums):
         assert_bit_identical(hi, [r[k][0] for r in ref])
         assert_bit_identical(lo, [r[k][1] for r in ref])
 
 
-def test_plain_series_rows_at_zero_lanes_are_exact_zeros():
+def test_series_rows_at_zero_lanes_are_exact():
     xs = np.array([0.0, 1.5, -0.0, 4.0])
     cfg = bessel.DEFAULT_SERIES
-    j0_sums = (lambda x: bessel._series_array(x, cfg, False), lambda x: bessel._series(x, cfg, 1, False))
-    sums, ref = j0_sums[0](xs), [j0_sums[1](x) for x in xs.tolist()]
-    for k, (hi, lo) in enumerate(sums):  # J0's double-double kernel: f and x f' as pairs
+    sums = bessel._series_array(xs, cfg, 0.3)
+    ref = [bessel._series(x, cfg, 1, 0.3) for x in xs.tolist()]
+    for k, (hi, lo) in enumerate(sums):  # J_p's double-double kernel: f and x f' as pairs
         assert_bit_identical(hi, [r[k][0] for r in ref])
         assert_bit_identical(lo, [r[k][1] for r in ref])
         if k:
             assert hi[[0, 2]].tolist() == lo[[0, 2]].tolist() == [0.0, 0.0]
-    rows = bessel._ik_series(xs, cfg, bessel._i0_weights)[0]  # I0's float64 one: x^k I0^(k)
-    ref = [bessel._ik_series(x, cfg, bessel._i0_weights)[0] for x in xs.tolist()]
-    for k, row in enumerate(rows):
-        assert_bit_identical(row, [r[k] for r in ref])
-        if k:
-            assert row[[0, 2]].tolist() == [0.0, 0.0]
-
-
-@pytest.mark.parametrize("lanes", [1, 5, 21, 24, 401])
-def test_log_half_against_scalar(lanes):
-    xs = _lanes(lanes)
-    ln = bessel._log_half_dd(xs)
-    ref = [bessel._log_half_dd(x) for x in xs.tolist()]
-    assert_bit_identical(ln[0], [r[0] for r in ref])
-    assert_bit_identical(ln[1], [r[1] for r in ref])
+    for sign in (1.0, -1.0):  # I0's and J0's float64 rows: their n = 0 weights at x = 0
+        rows = bessel._ik_series(xs, cfg, bessel._i0_weights, sign)[0]
+        ref = [bessel._ik_series(x, cfg, bessel._i0_weights, sign)[0] for x in xs.tolist()]
+        for k, row in enumerate(rows):
+            assert_bit_identical(row, [r[k] for r in ref])
+            assert row[[0, 2]].tolist() == [bessel._i0_weights(0, sign)[k]] * 2
 
 
 def test_jets_at_zero_and_negative_lanes():
-    xs = np.array([-4.0, -0.5, 0.0, 0.5, 4.0, -0.0] * 6)
+    xs = np.array([-4.0, -0.5, 0.0, 0.5, 4.0, -0.0, -60.0, 2.0, -2.0] * 6)
     for fn in (j0_jet, i0_jet, bessel.bessel_j0, bessel.bessel_i0):
         assert_bit_identical(np.array(fn(xs)), pointwise(fn, xs))
 
@@ -208,9 +223,9 @@ def test_empty_arrays():
     for fn in (*VALUES, *JETS):
         got = np.array(fn(empty))
         assert got.shape == ((0,) if fn in VALUES else (4, 0))
-    for weighted in (False, True):
-        sums = bessel._series_array(empty, bessel.DEFAULT_SERIES, weighted)
-        assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 2
+    for orders in (0, 1):
+        sums = bessel._series_array(empty, bessel.DEFAULT_SERIES, 0.3, orders)
+        assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * (orders + 1)
 
 
 def test_all_zero_expression_jets_take_one_array_call():
@@ -235,76 +250,68 @@ def test_array_errors_name_the_first_failing_lane(fn, xs, cfg):
 
 
 # ----------------------------------------------------------------------
-# bessel: one pass for the plain and the phi-weighted sums (weighted=_BOTH)
+# bessel: one call for each regime of a kernel pair
 
-# J0's zeros, where its plain rows stop after the weighted ones, and small
-# lanes, where they stop first
+# J0's zeros, and small lanes
 J0_ZEROS = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281]
 WITNESSES = np.array(J0_ZEROS + [1e-3, 0.25, 0.559])
-
-
-def _stop_term(x, weighted):
-    """The fewest terms with which the scalar kernel converges at x."""
-    lo, hi = 1, bessel.DEFAULT_SERIES.max_terms
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            bessel._series(x, SeriesConfig(max_terms=mid), 0, weighted)
-            hi = mid
-        except NonConvergenceError:
-            lo = mid + 1
-    return lo
-
-
-def test_one_pass_witnesses_stop_in_both_orders():
-    found = set()
-    for x in WITNESSES.tolist():
-        plain, weighted = _stop_term(x, False), _stop_term(x, True)
-        if plain != weighted:
-            found.add("plain first" if plain < weighted else "plain last")
-    assert found == {"plain first", "plain last"}
 
 
 def _one_pass_lanes(n):
     return np.random.default_rng(n).permutation(np.concatenate([WITNESSES, _lanes(n)])[:n])
 
 
-# sign as in test_series_array_against_scalar_kernels: with +1, K0's one
-# call over lanes on both sides of x = 2 against its log series and CF2
-# called apart
+def _regimes_apart(xs, cut, below, above):
+    """The rows of below at the lanes of xs under cut and of above at the
+    rest, each called apart."""
+    low = xs < cut
+    rows_low, rows_high = below(xs[low])[0], above(xs[~low])[0]
+    want = np.empty((len(rows_high), xs.size))
+    want[:, low], want[:, ~low] = rows_low, rows_high
+    return want
+
+
+# with +1, K0's one call over lanes on both sides of x = 2 against its log
+# series and CF2 called apart; with -1, the J0 jet and Y0 and Y0' against
+# their series and Miller's recurrence called apart
 @pytest.mark.parametrize("lanes", [1, 5, 21, 24, 101, 401])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_one_pass_sums_match_the_two_passes(lanes, sign):
     xs, cfg = _one_pass_lanes(lanes), bessel.DEFAULT_SERIES
     if sign > 0.0:
-        low = xs < bessel._CF2_FROM
-        got, want = np.array(bessel._k0_pair(xs, cfg)), np.empty((2, lanes))
-        ell = bessel._per_element(math.log, xs[low]) + bessel._ELL0
-        series, _ = bessel._ik_series(xs[low], cfg, bessel._k0_weights, ell)
-        want[:, low] = series[0], series[1] / xs[low]
-        k0, k1, _ = bessel._cf2(xs[~low], cfg)
-        want[:, ~low] = k0, -k1
-        assert_bit_identical(got, want)
+        got = np.array(bessel._k0_pair(xs, cfg))
+
+        def below(x):
+            rows, pending = bessel._ik_series(x, cfg, bessel._k0_weights, bessel._per_element(math.log, x) + bessel._ELL0)
+            return (rows[0], rows[1] / x), pending
+
+        def above(x):
+            k0, k1, pending = bessel._cf2(x, cfg)
+            return (k0, -k1), pending
+
+        want = _regimes_apart(xs, bessel._CF2_FROM, below, above)
         assert_bit_identical(got, np.array([bessel._k0_pair(x, cfg) for x in xs.tolist()]).T)
-        return
-    both = bessel._series_array(xs, cfg, bessel._BOTH)
-    two = bessel._series_array(xs, cfg, False) + bessel._series_array(xs, cfg, True)
-    pointwise_both = [bessel._series(x, cfg, 1, bessel._BOTH) for x in xs.tolist()]
-    pointwise_two = [
-        bessel._series(x, cfg, 1, False) + bessel._series(x, cfg, 1, True)
-        for x in xs.tolist()
-    ]
-    assert len(both) == len(two) == 4
-    for k in range(4):
-        for part in (0, 1):
-            assert_bit_identical(both[k][part], two[k][part])
-            assert_bit_identical([r[k][part] for r in pointwise_both], two[k][part])
-            assert_bit_identical([r[k][part] for r in pointwise_two], two[k][part])
+    else:
+        got = np.array(bessel._j0_y0(xs, cfg, True))
+
+        def below(x):
+            jet, pending = bessel._power_jet(x, cfg, -1.0)
+            y = _series_kernel(x, -1.0, True)
+            return (*jet, -bessel._TWO_OVER_PI * y[0], -bessel._TWO_OVER_PI * y[1] / x), pending
+
+        def above(x):
+            (f, f1, y0, y1), pending = bessel._miller(x, cfg, True)
+            return (*bessel._equation_jet(x, f, f1, -1.0), y0, y1), pending
+
+        want = _regimes_apart(xs, bessel._MILLER_FROM, below, above)
+        assert_bit_identical(got, np.array([bessel._j0_y0(x, cfg, True) for x in xs.tolist()]).T)
+    assert_bit_identical(got, want)
 
 
 def test_one_pass_on_empty_arrays():
-    sums = bessel._series_array(np.array([]), bessel.DEFAULT_SERIES, bessel._BOTH)
-    assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * 4
+    empty, cfg = np.array([]), bessel.DEFAULT_SERIES
+    assert np.array(bessel._j0_y0(empty, cfg, True)).shape == (6, 0)
+    assert np.array(bessel._k0_pair(empty, cfg)).shape == (2, 0)
 
 
 @pytest.mark.parametrize("primary,secondary", [(j0_jet, y0_jet), (i0_jet, k0_jet)])
@@ -323,7 +330,8 @@ def test_k0_primary_is_summed_from_its_own_copy_of_x():
 
 
 @pytest.mark.parametrize("jet, xs, terms", [
-    # at 16 terms 3.8337 fails only J0's weighted rows and J0's zero only its plain ones
+    # at 16 terms Miller's recurrence refuses every x from 2 up (it starts
+    # at N = 26 at x = 2), while the series converge at 1
     (y0_jet, [1.0, 3.8337, 2.404825557695773, 2.0], 16),
     (y0_jet, [1.0, 2.404825557695773, 3.8337, 2.0], 16),
     (y0_jet, [0.5, 40.0, 1.0, 35.0], 16),
@@ -356,17 +364,21 @@ def test_one_pass_jets_refuse_what_they_refused(jet, name, bad):
 @pytest.mark.parametrize("lam", [4.0, -4.0])
 @pytest.mark.parametrize("c2", [0.5, 0.0])
 def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
-    # J0 and Y0 take one double-double pass; I0 one pass of its four rows,
-    # and K0 one of its log series over the lanes below x = 2 and one CF2
-    # pass over the rest
+    # the radii straddle x = 2: J0 takes one pass of its series and one
+    # Miller recurrence, with Y0's series on top where c2 != 0; I0 one pass
+    # of its four rows, and K0 one of its log series over the lanes below
+    # x = 2 and one CF2 pass over the rest
     calls = []
-    for name in ("_series_array", "_ik_series", "_cf2"):
+    for name in ("_miller", "_ik_series", "_cf2"):
         kernel = getattr(bessel, name)
         monkeypatch.setattr(bessel, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
     p = bessel_profile(lam, 1.0, c2)
     us = np.linspace(0.2, 9.0, 101)
     got = p.jets(us)
-    want = ["_series_array"] if lam > 0.0 else ["_ik_series"] + ["_ik_series", "_cf2"] * bool(c2)
+    if lam > 0.0:
+        want = ["_ik_series", "_miller"] + ["_ik_series"] * bool(c2)
+    else:
+        want = ["_ik_series"] + ["_ik_series", "_cf2"] * bool(c2)
     assert sorted(calls) == sorted(want)
     assert_bit_identical(got, np.array([[p.evaluate(u, k) for u in us.tolist()] for k in range(4)]))
 
@@ -471,9 +483,12 @@ def test_array_kernels_call_ddouble_positionally(monkeypatch):
         if callable(value) and not name.startswith("_"):
             setattr(proxy, name, positional(value))
     monkeypatch.setattr(bessel, "dd", proxy)
-    for jet in JETS:
-        assert_bit_identical(np.array(jet(MIXED)), pointwise(jet, MIXED))
-    assert "log_array" in calls and "two_prod" in calls
+    for fn in JETS + VALUES:  # the order-zero kernels run in float64 and make no call
+        assert_bit_identical(np.array(fn(MIXED)), pointwise(fn, MIXED))
+    assert calls == []
+    xs = MIXED[MIXED <= 30.0]  # past 30 bessel_j warns
+    assert_bit_identical(bessel.bessel_j(0.3, xs), _jp_pointwise(0.3, xs))
+    assert "two_prod" in calls and "div" in calls
 
 
 # ----------------------------------------------------------------------
@@ -497,22 +512,19 @@ def _pair(seed):
     return hi, lo * 1e-17  # not normalized either: the forms work element by element
 
 
-@pytest.mark.parametrize("form", ["two_sum", "two_prod", "add", "div_f", "div_f_float"])
+@pytest.mark.parametrize("form", ["two_sum", "two_prod", "add"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_in_place_forms_are_their_tuple_twins(form, seed):
-    name = form.removesuffix("_float")
-    if name in ("two_sum", "two_prod"):
+    if form in ("two_sum", "two_prod"):
         args = (_operands(seed), _operands(seed + 10))
     else:
-        args = (_pair(seed), _pair(seed + 10) if name == "add" else _operands(seed + 10))
-    if form == "div_f_float":
-        args = (args[0], 7.0)
+        args = (_pair(seed), _pair(seed + 10))
     n = args[0][0].size if isinstance(args[0], tuple) else args[0].size
     out = (np.full(n, np.nan), np.full(n, np.nan))
-    work = [np.full(n, np.nan) for _ in range(5)]
+    work = [np.full(n, np.nan) for _ in range(4)]
     with np.errstate(all="ignore"):
-        want = getattr(dd, name)(*args)
-        got = getattr(dd, name + "_into")(*args, out, work)
+        want = getattr(dd, form)(*args)
+        got = getattr(dd, form + "_into")(*args, out, work)
     assert got is out
     assert_bit_identical(got, want)
 
@@ -527,7 +539,9 @@ def test_add_into_may_write_over_an_argument(over):
 
 
 def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
-    # every stage of the term loop runs in place: only the set-up calls a tuple form
+    # every stage of the term loop runs in place but J_p's division by the
+    # double-double n (p + n): past the set-up, a term calls the three tuple
+    # forms that make and apply that divisor, and no other
     calls = Counter()
     proxy = types.SimpleNamespace(**vars(dd))
     for name, value in vars(dd).items():
@@ -537,9 +551,14 @@ def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
     seen = []
     for top in (1.0, 32.0):  # about 10 and 60 terms
         calls.clear()
-        bessel._series_array(np.linspace(top / 2, top, 101), bessel.DEFAULT_SERIES, False)
+        bessel._series_array(np.linspace(top / 2, top, 101), bessel.DEFAULT_SERIES, 0.3)
+        terms = calls["two_prod_into"]
+        assert calls["div"] == calls["two_sum"] == terms
         tuple_forms = {k: v for k, v in calls.items() if not k.endswith("_into")}
-        seen.append((calls["two_prod_into"], tuple_forms))
+        tuple_forms["div"] -= terms
+        tuple_forms["two_sum"] -= terms
+        tuple_forms["mul_f"] -= terms
+        seen.append((terms, tuple_forms))
     (short_terms, short), (long_terms, long) = seen
     assert short_terms <= 12 and long_terms >= 55
     assert short == long
@@ -547,11 +566,11 @@ def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
 
 def test_series_array_results_outlive_the_next_call():
     x = np.linspace(0.1, 12.0, 101)
-    first = bessel._series_array(x, bessel.DEFAULT_SERIES, False)
+    first = bessel._series_array(x, bessel.DEFAULT_SERIES, 0.3)
     kept = np.array(first)
     cfg = bessel.DEFAULT_SERIES
-    second = bessel._series_array(np.linspace(0.2, 9.0, 37), cfg, bessel._BOTH)
-    third = bessel._series_array(x[:50], cfg, True, bessel._log_half_dd(x[:50]))
+    second = bessel._series_array(np.linspace(0.2, 9.0, 37), cfg, -1.7)
+    third = bessel._series_array(x[:50], cfg, 0.3, 0)
     assert_bit_identical(np.array(first), kept)
     later = [a for pair in second + third for a in pair]
     assert not any(np.shares_memory(a, b) for pair in first for a in pair for b in later)

@@ -234,7 +234,7 @@ def test_j0_i0_jets_at_zero_keep_their_bits():
 
 
 def test_j0_i0_jets_just_above_the_tiny_bound():
-    # the Taylor limit below 2^-26 and the jet formed from the equation
+    # the Taylor limit below 2^-26 and the jet summed from the series rows
     # above are within 1.5 ulp of mpmath on either side of the switch
     for x in np.geomspace(2.0**-28, 2.0**-24, 80).tolist():
         for jet, kind in ((j0_jet, "j"), (i0_jet, "i")):
@@ -243,9 +243,8 @@ def test_j0_i0_jets_just_above_the_tiny_bound():
 
 
 def test_j0_i0_third_derivatives_take_their_first_term_at_small_x():
-    # J0''' = 3x/8 - 5x^3/96 + ..., I0''' = 3x/8 + 5x^3/96 + ...: the series
-    # sums through n = 2, which f''' needs, even where the value stops after
-    # n = 1; the stop rule, relative to J0 ~ 1, drops the x^3 term
+    # J0''' = 3x/8 - 5x^3/96 + ..., I0''' = 3x/8 + 5x^3/96 + ...: the row
+    # of f'''/h starts at 3/4, and no series stops before its n = 2 term
     xs = np.concatenate((np.geomspace(2.0**-250, 1e-7, 40), [5e-8, 1e-8]))
     for jet, sign in ((j0_jet, -1.0), (i0_jet, 1.0)):
         for x in xs.tolist():
@@ -505,6 +504,100 @@ def test_k0_jet_orders_alternate_in_sign(x):
     f = k0_jet(x)
     assert f[0] >= 0.0 and f[1] <= 0.0 and f[2] >= 0.0 and f[3] <= 0.0
     assert bessel_k0(x) == f[0]
+
+
+# ----------------------------------------------------------------------
+# J0 and Y0 in float64: the alternating series below x = 2, Miller's
+# recurrence and Neumann's series from there up to the cap of max_terms
+
+
+def _j0_top() -> float:
+    """The largest x, to 1e-3, whose J0 jet the default SeriesConfig sums:
+    there Miller's start N reaches max_terms = 200."""
+    lo, hi = 100.0, 130.0
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        try:
+            j0_jet(mid)
+            lo = mid
+        except NonConvergenceError:
+            hi = mid
+    return lo
+
+
+J0_TOP = _j0_top()
+# through the switch to the J0 Taylor limit at 2^-26 (J0) and the Y0 jets'
+# bound 2^-330, densest about the switch to Miller's recurrence at x = 2
+# and up to the cap
+J0_WIDE_XS = np.concatenate((np.geomspace(2.0**-60, J0_TOP, 300), np.linspace(1.9, 2.1, 41),
+                             np.linspace(J0_TOP - 20.0, J0_TOP, 40), [80.0]))
+Y0_WIDE_XS = np.concatenate((np.geomspace(2.0**-330, J0_TOP, 300), np.linspace(1.9, 2.1, 41),
+                             np.linspace(J0_TOP - 20.0, J0_TOP, 40), [80.0]))
+
+
+def test_j0_y0_refuse_past_the_cap():
+    assert 116.0 < J0_TOP < 117.0
+    for fn in (j0_jet, y0_jet, bessel_j0, bessel_y0):
+        with pytest.raises(NonConvergenceError, match="within 200 terms at x=117.0$"):
+            fn(117.0)
+
+
+@pytest.mark.parametrize("kind, jet, value, xs", [
+    ("j0", j0_jet, bessel_j0, J0_WIDE_XS), ("y0", y0_jet, bessel_y0, Y0_WIDE_XS),
+])
+def test_j0_y0_jets_against_mpmath_to_the_cap(kind, jet, value, xs):
+    # every order within 4e-15 of max(1, |f^(k)|), and the value is the
+    # jet's f bit for bit; one array call, whose lanes lie on both sides of
+    # x = 2, gives each pointwise call's bits
+    lanes, values = np.array(jet(xs)), value(xs)
+    assert values.view(np.int64).tolist() == lanes[0].view(np.int64).tolist()
+    for x, column in zip(xs.tolist(), lanes.T):
+        got = jet(x)
+        assert np.array(got).view(np.int64).tolist() == column.view(np.int64).tolist(), x
+        if kind == "j0":
+            assert max(plain_jet_errors("j", 0.0, x, got)) <= JET_BOUND, x
+            assert j0_jet(-x) == (got[0], -got[1], got[2], -got[3])  # even
+        else:
+            assert jet_error(kind, x, got) <= JET_BOUND, x
+        assert value(x) == got[0], x
+
+
+def test_j0_y0_values_at_80():
+    # the double-double series gave 1.13 and 4.46 here
+    with mpmath.workdps(50):
+        for fn, oracle in ((bessel_j0, mpmath.besselj), (bessel_y0, mpmath.bessely)):
+            assert abs(fn(80.0) - oracle(0, 80)) <= JET_BOUND
+
+
+def _relative_errors(jet, x) -> list:
+    """The relative error of each order of a J0 jet at x against mpmath."""
+    with mpmath.workdps(50):
+        return [float(abs(mpmath.mpf(g) - w) / abs(w)) for g, w in zip(jet, plain_jet_reference("j", 0.0, x))]
+
+
+def test_j0_jet_is_relatively_accurate_at_small_x():
+    # each order relative to its own size: f''' used to be formed from the
+    # equation, which multiplies the error of x f' by 2/x^2 (8.3e-12
+    # relative near x = 2.4e-5); the series rows of f'''/h have no such
+    # factor
+    for x in np.geomspace(2.0**-26, 1e-2, 200).tolist():
+        assert max(_relative_errors(j0_jet(x), x)) <= JET_BOUND, x
+
+
+def test_j0_y0_jet_wronskian():
+    # (pi x / 2) (J0 Y0' - J0' Y0) = 1 wherever both jets are summed: a check
+    # that needs no mpmath.  Each factor is within JET_BOUND max(1, |f|) of
+    # its value, which bounds the error of the products
+    x = Y0_WIDE_XS
+    y = y0_jet(x)
+    j = np.array(y.primary)
+    y = np.array(y)
+    w = 0.5 * np.pi * x * (j[0] * y[1] - j[1] * y[0])
+    spread = (np.abs(y[1]) + np.abs(j[0]) * np.maximum(1.0, np.abs(y[1]))
+              + np.abs(y[0]) + np.abs(j[1]) * np.maximum(1.0, np.abs(y[0])))
+    bound = 0.5 * np.pi * x * spread * JET_BOUND + 4.0 * 2.0**-53
+    assert (np.abs(w - 1.0) <= bound).all()
+    assert np.abs(w - 1.0)[x < 2.0].max() <= 4.0 * JET_BOUND
 
 
 # ----------------------------------------------------------------------

@@ -206,8 +206,8 @@ def test_eigen_ii_parabolic_error():
 
 
 def test_eigen_i_judges_a_large_coordinate_relative_to_its_size():
-    # |Lap r3| reaches about 1e10 here: the absolute sup residual, 1.5e-5, is
-    # the last ulp of that, while relative to max|r3| it is 4.8e-15
+    # |Lap r3| reaches about 1e10 here: the absolute sup residual, 3.8e-5, is
+    # the last ulps of that, while relative to max|r3| it is 1.2e-14
     lam3 = -19.376375334064555
     profile = parse_profile_spec(f"bessel:lambda={lam3!r},c1=-1.5111759070314932,c2=0")
     s = _surf(profile, u=(0.6690305415502815, 5.450982012892357))
@@ -225,6 +225,22 @@ def test_scaled_verdicts_still_refuse_large_profiles_without_a_relation(spec, ki
     # max|r_i|, their residuals stay above tol
     s = RevolutionSurface(parse_profile_spec(spec), kind, (0.669, 5.45), (-1.0, 1.0))
     assert check(s, make_grid(s, 101, 101)).verdict is Verdict.NO_EIGEN_RELATION
+
+
+@pytest.mark.parametrize("spec, scale", [
+    ("power:lambda=1,mu=2.5,c=1e9", "max|r3|"),  # max|r3| is about 7e8
+    ("power:lambda=1,mu=2.5,c=0.25", "1"),  # max|r3| is below 1
+])
+def test_eigen_i_note_names_the_scaled_bound(spec, scale):
+    # the note quotes the bound the verdict used, tol max(1, max|r3|), not tol
+    s = _surf(parse_profile_spec(spec), u=(0.669, 0.9))
+    rep = check_eigen_i(s, make_grid(s, 21, 21), tol=1e-6)
+    f = np.array([s.profile.evaluate(u) for u in make_grid(s, 21, 21).u.tolist()])
+    bound = 1e-6 * max(1.0, float(np.max(np.abs(f))))
+    assert rep.verdict is Verdict.NO_EIGEN_RELATION
+    assert rep.notes == (f"no constant eigenvalue fits coordinate 3 (sup residual "
+                         f"{rep.residual_sup[2]:.3g} > tol max(1, max|r3|) = {bound:.3g})")
+    assert (bound > 1e-6) is (scale == "max|r3|")
 
 
 def test_report_serialization_round_trip():

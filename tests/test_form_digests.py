@@ -22,7 +22,7 @@ import random
 import numpy as np
 import pytest
 
-from mp_bessel import JET_BOUND, modified_jet_errors
+from mp_bessel import JET_BOUND, modified_jet_errors, plain_jet_errors
 from sigeom import (
     RevolutionKind,
     RevolutionSurface,
@@ -33,7 +33,7 @@ from sigeom import (
     laplacian_i,
     laplacian_ii,
 )
-from sigeom.bessel import i0_jet, k0_jet
+from sigeom.bessel import i0_jet, j0_jet, k0_jet
 from sigeom.cli import parse_profile_spec
 
 U_RANGE, V_RANGE = (0.7, 4.8), (-1.0, 1.0)
@@ -63,10 +63,10 @@ DIGESTS = {
         "fundamental_forms_fd": "b8734795906bc52d72582297d154fc410fd675f1620c8edbadca9961b3085708",
     },
     "bessel": {
-        "laplacian_i": "9451b2cb2e4e5010d7a969acc200e63429c00bf969473831b2bc3a9fc10bb868",
-        "laplacian_ii": "71d0218f9db299851ea500644e10ff8b5cbda73267f7ccea87af2e7e8ad74bda",
-        "fundamental_forms": "7a4d8e9399a7f55509962a210798a6500a05504c13973582219fa535e0fa903e",
-        "fundamental_forms_fd": "4f05d467c6ddf6b22250d01033213e3eb2ac8db89593d97e288631dfba1a94f0",
+        "laplacian_i": "c6840125b6a5b6f29342f1964f0adaa09812017d1ff23a3b95ccaca1acba29b6",
+        "laplacian_ii": "c88e2d2d987924fcd418c9e1e03986a67a307b09cb84fd1ba725d8126b3a691d",
+        "fundamental_forms": "2893bb28b8e69228d53dfae34797b7203589ee044acc48a1ca42b9295a942d27",
+        "fundamental_forms_fd": "8fc9af1cd86999916b633d559dbe94ab8763c1cee4ecfccd02d95596fbb4eee0",
     },
     "log": {
         "laplacian_i": "819c15e8f8e2f6b53d319cabe3c82c2678753a521712655d0b362b692a8b3a59",
@@ -87,10 +87,10 @@ DIGESTS = {
         "fundamental_forms_fd": "2f47ee88ccfb4d366801b5376d2d4cafa6187be3654cbdaa04e2c8c39a928e6e",
     },
     "expr": {
-        "laplacian_i": "3a0309fe2c36cb7d3ad00cd0a34947a724baec1f52e28919defd3ee322e8334c",
-        "laplacian_ii": "440224735743541c3c1297312c578c03d4491e39a5ddd10e2ed0c87255ab87b5",
-        "fundamental_forms": "ab92c04cb05b1aebfc7bba29eb4a0a31284d23ae31892177715827b329a79830",
-        "fundamental_forms_fd": "551f9aa4af9e0c601f626620718f1617e454e27068105edeece20cbaa3794a45",
+        "laplacian_i": "e68deabe4414a8757aba7154d936ff436c48ef96ec7c105fb8784c93c956b687",
+        "laplacian_ii": "09ec6cd98323bd9cb0ec33bac235cdf20cc7d90c5d528f61af3eafaabec2188c",
+        "fundamental_forms": "cda3b38eda8ead09be6853db3308be24a7d1aa5e6256d2a3f9305f21b4843889",
+        "fundamental_forms_fd": "ea4e57f63cbddb74c950c138b13c44340bdea1df204428daf990988244b17d3d",
     },
 }
 
@@ -147,8 +147,10 @@ def test_form_digests(family):
         for name, lines in _results(family).items()
     }
     assert got == DIGESTS[family]
-    # the bessel digests moved when K0, and again when I0, came to be summed in float64
-    if family == "bessel":
+    # the bessel digests moved when K0, and again when I0, came to be summed
+    # in float64; they and the expr digests (j0(u)) moved again when J0 did
+    if family in ("bessel", "expr"):
         for x in np.linspace(*U_RANGE, 41).tolist():
+            assert max(plain_jet_errors("j", 0.0, x, j0_jet(x))) <= JET_BOUND, ("j0", x)
             for kind, jet in (("i0", i0_jet), ("k0", k0_jet)):
                 assert max(modified_jet_errors(kind, x, jet(x))) <= JET_BOUND, (kind, x)

@@ -27,11 +27,11 @@ FIGURE_FILES = {
 }
 
 FIGURE_DIGESTS = {
-    "figure1a.csv": "2cc3acad79d4675b91648fed5dc28d6fabec189802a8886459ce30851f224c9c",
+    "figure1a.csv": "d30a7bac309b1d1e8b9686790ae1e6ccf1552a7f6373b4fc3ce901856fdb5a04",
     "figure1b_i0.csv": "ab75ff1eed7808e600eb55f112f83feafe79c90ec4494125bd66e08f70495dd2",
     "figure1b_k0.csv": "5b462dfcc11fa909ffcade01d4e8c61fb87df350b0e189800cebd8e506149dde",
-    "figure2a.csv": "f2669792b895c5fc7c458f8fed245c58e40f0ec4a116e6cc0c6aea92b9172a31",
-    "figure2b.obj": "65807fe9ee8b6de927f781addb205245a77185f5e61c28b1606573bccfc5f616",
+    "figure2a.csv": "a8a97354c3a9bde2c900a4d18f4859fdad3d69d44ffd96063b6a6aadc621f350",
+    "figure2b.obj": "587710b9815de164d6b54623f780329b4ce6d6ef1e358357c6000266f2859455",
     "figure3a.csv": "145a2c5883482fcc242f18ca96018ad2589b0ceda5ad60792c00e47d9910a97c",
     "figure3b.obj": "22464f099f2aae4679cf3939232738c6e080a9a0df7aa9c399b12999e6b31181",
 }
@@ -53,26 +53,26 @@ ACTIONS = ("classify1", "classify2", "laplacian1", "laplacian2", "curvature")
 # (exit code, sha256 of the output file) per (spec, action)
 SURFACE_DIGESTS = {
     ("bessel-j0", "classify1"): (0, "536c591ac78b18278490e21f78b392e565f0800715f44acf3b4f6e905eec2936"),
-    ("bessel-j0", "classify2"): (0, "b5fc55ce59a8d24daceecea9b7b1a744a0e5875a4ac7860c3af2e19f232db8b6"),
-    ("bessel-j0", "laplacian1"): (0, "cf263295e30e41967e1f0fa00896fccbbe19463453b5f91dbb9953c7f3eec619"),
-    ("bessel-j0", "laplacian2"): (0, "4ee400928ea7c166f9fa009dac9e4d30d3aa31aa247158ace568fa64e9e43130"),
-    ("bessel-j0", "curvature"): (0, "0abf42824cba30a5373307badd916bdf0eba20f2bc04fc64a7ac68802f9ec3db"),
-    ("bessel-jy", "classify1"): (0, "a998098eea898ff5021856af9b5d214945e7a70a3033fbdeca939ba23998f357"),
-    ("bessel-jy", "classify2"): (0, "f733b25abada0fee22deecc48f64acb0dafc35cf079ba9808135e6282cf32c94"),
-    ("bessel-jy", "laplacian1"): (0, "593199e7c7ef2cb46234e953a3c83d4b6fc771ed28323f766ce99b4e7c61b0a9"),
-    ("bessel-jy", "laplacian2"): (0, "6b282d68effbbb110a259507a6544707d500af956e2b19cb7e9995b8bdd9880d"),
-    ("bessel-jy", "curvature"): (0, "a3b4ec75300913235498930f22db40a369b92392a3f0b24276573a0f1cb9e33d"),
+    ("bessel-j0", "classify2"): (0, "d23973f392bf29a860fada6b10d01a5138d314227c961893f64596b8fc26c552"),
+    ("bessel-j0", "laplacian1"): (0, "44ee6ccaa64c308d97e71d5b4c8f358db018cdf4cfda55a4f01783bd6cf5bf95"),
+    ("bessel-j0", "laplacian2"): (0, "8044474a35aa2e4f465d1e46fa7c2ae05db088e82d5888b898df94e1420600ec"),
+    ("bessel-j0", "curvature"): (0, "9b2752dd13a5efada18d714365c531ea405b48ccb93ded2ff56620e0b4b2a163"),
+    ("bessel-jy", "classify1"): (0, "18746afebeb8da9ecbca7fdc140ffdfb773811d1a402fb5aabad3bafcc6ea168"),
+    ("bessel-jy", "classify2"): (0, "de86bd52c2d4915bba3ac679abb5e6f80ce87096b7a147bd165f559e53ebbbb3"),
+    ("bessel-jy", "laplacian1"): (0, "95fd78de3d3c0340d0d29818bdc0ba58d88e4e663a6833945b1e3d3697b1a2d8"),
+    ("bessel-jy", "laplacian2"): (0, "c738638fb90e022ec211acba180b26f09bbcb2435e1f6d821e78c874cf7280aa"),
+    ("bessel-jy", "curvature"): (0, "408231c63b977d32ce19f0cac5470f9f049682ba4cba44927c8b437f684bb36b"),
     ("bessel-ik", "classify1"): (0, "1499f449f6fb3910b817dab63571b141c5ade4af038a99b83d9b57d8bea5d4e7"),
-    ("bessel-ik", "classify2"): (0, "83666279e409f7a8d35a1e5be37cbd907144a8811a42cb8790f5e08b522af3bc"),
-    ("bessel-ik", "laplacian1"): (0, "f120cce4227f362469fcf78fea53adc957de0f000a841b7c5da56bf237a94032"),
-    ("bessel-ik", "laplacian2"): (0, "255d8a51da09eafd4cee168eec893acd94855f991659f97bce68e1d65ff98f65"),
-    ("bessel-ik", "curvature"): (0, "64ef324164fa17733d839caf9c70347980256573ed5120133c39e3c20ecab0a7"),
-    ("expr-bessel", "classify1"): (0, "cf9cca02691e0be0519141bc771edf495d41d48c9a56958bdcb298bb7cbf3863"),
-    ("expr-bessel", "classify2"): (0, "96154df9d6b4d6079d6d38b1461696c491da594ac7658e90a4c6e136a55d0960"),
-    ("expr-bessel", "laplacian1"): (0, "78a9430dea5201d2c2ea984759ce72380b676d42a317df0e9e56e8fa18ade872"),
-    ("expr-bessel", "laplacian2"): (0, "529d283be968290a8bbfe5eb542daf84125ab821dd7e7888fb35f6276d4d32a0"),
-    ("expr-bessel", "curvature"): (0, "10e7e8dc2e750821df26eb7df847bd8257db8a4d071fd4ea800d54ae92d37477"),
-    ("expr-elem", "classify1"): (0, "788e999c88d3470bd85209fd29ea52686e8c74a3cad30f5d780b6a7282047125"),
+    ("bessel-ik", "classify2"): (0, "4160344b87acb56e15cb8863b4e4dec82d1d22e944ca9d91284903c649069326"),
+    ("bessel-ik", "laplacian1"): (0, "0755f6b95f20c23b22c04aa6544038d61b159b906898cd54a7efa30fc5f09112"),
+    ("bessel-ik", "laplacian2"): (0, "290e546070f268c2f1e79dac3d04691a107d13d129e462f80f39455ac8339048"),
+    ("bessel-ik", "curvature"): (0, "1d1f407f865ba983223a784301687f9c99b7e683a38d30d1718dc1af997fefd5"),
+    ("expr-bessel", "classify1"): (0, "953e31944754ceb1cfdfb90b16942badb26f64c87327d6549d791c35b187b8bf"),
+    ("expr-bessel", "classify2"): (0, "93772d3b82b1207a61d8d0376faae8b1e4a227197f86830aa44571dcae3fc2ad"),
+    ("expr-bessel", "laplacian1"): (0, "ecf7e251bc2c7fdea35f71190c3baababf8c4f669747a6f2c5331af7e8d57405"),
+    ("expr-bessel", "laplacian2"): (0, "3e6a5cfee8bb54a9b0da3772b1ad8207b9cf501e6d2edabd80c06bbc3d0b153a"),
+    ("expr-bessel", "curvature"): (0, "b2c067d53bfb11eaddc0eaa8387f3c222d841bd4aed517dc7fc79d05526bbb42"),
+    ("expr-elem", "classify1"): (0, "393f05bd19e98d6d6cdf1b113cde329373dc8ea3262adcb7091c06a911ba4280"),
     ("expr-elem", "classify2"): (0, "9f1ad866595da4ad03f85434e3d1dddfec28c3708ddc04bcbc5bc54a38041dce"),
     ("expr-elem", "laplacian1"): (0, "f60cf5d671a55997835ee146480a784ec20299fb7b9db4b6d46b8b9000020491"),
     ("expr-elem", "laplacian2"): (0, "580d21ac84e01c5129c190dcbf6280f779f41612368d2a1726f6081628477b75"),
@@ -82,17 +82,17 @@ SURFACE_DIGESTS = {
     ("log", "laplacian1"): (0, "d644973da3245e2481c34cb06a455201b6eabb28fb73bfdd6bb65a2f6d075fc4"),
     ("log", "laplacian2"): (0, "db2fbe367b8ff9da22f3f960d9505203c5487904b2130e10f02eca6b347524cf"),
     ("log", "curvature"): (0, "6fc37fe1c9dbfdad12bbfce77bb20c27a0815dacd618ece3d9945402a1bfb4dd"),
-    ("power", "classify1"): (0, "426d53189aaaf7d846bd68ed07f6fb2991283f8031f2e2ec8d7889f5d9939c32"),
+    ("power", "classify1"): (0, "2a6f1bdf9065f9e33a85abe74555b63734f81bade6f8c56fdc6454249a1a53fe"),
     ("power", "classify2"): (0, "c6837f0f537e889cb19eca9c41a041a35c55c02aab2a22eb6364af29b38f7e65"),
     ("power", "laplacian1"): (0, "788be7140ce3b1eb9e037e6e78988de46f6534064b83f06ea16fce595d5f9af3"),
     ("power", "laplacian2"): (0, "89ccce4173f095c2f05faa0fdaff835063b703df963bad548e8c16aec6c5aa3a"),
     ("power", "curvature"): (0, "13b79a2a04f9f45a17cb0cb5ff71a5a13a7b01991b8029bd61cac38838d14d42"),
-    ("consth", "classify1"): (0, "37b8d79c0ef4a35cbabf80770ef1460d6ec491fd7b72a9d2787109abebf850eb"),
+    ("consth", "classify1"): (0, "c903beae7a1171cc228fb106f0abb638424239152a16ae07a965d1ce5e8eb756"),
     ("consth", "classify2"): (0, "d6ff4ceac98f7e143d132f96e1792a58e9e2392fdcc869e96baa398a40238c63"),
     ("consth", "laplacian1"): (0, "b4fb656ea87f5726da18dcfbb12eb5ab85bcf0f6b875c39f5483ea13541f7892"),
     ("consth", "laplacian2"): (0, "f330c06c4ec901ca942111c43008cc2e1e76d934317906f18e1d9ff16ee87df1"),
     ("consth", "curvature"): (0, "922c17a0bd8d7e0c9e61dd317c8dc5b2e605028bd40a46591cdc703586d5510c"),
-    ("constk", "classify1"): (0, "a77db9e624feadd893d390f4a136faef9d4871cccf2c185e2f06a9f4399e94fc"),
+    ("constk", "classify1"): (0, "040ab1121a8257affbf7f27a894ee28a83fb7a3017557d6404995e77cceee369"),
     ("constk", "classify2"): (0, "418c868e90e21901df9570a0f2c65bd6d7f6738bcd0058ae35656e2fab7fea1b"),
     ("constk", "laplacian1"): (0, "528a93533c62c1452538dcfb4633e6a06b0cb1c1f73c49518b5c1e5c683057a6"),
     ("constk", "laplacian2"): (0, "7243246e0d23361faffb2c91fbfca26eeb17944995011be9887e64d468836dfb"),
@@ -104,34 +104,34 @@ SURFACE_DIGESTS = {
 # boundary falls inside each: (spec, action, grid) -> sha256 of the file.
 # A 101x101 mesh has 10,201 vertices and 20,000 faces.
 LARGE_SURFACE_DIGESTS = {
-    ("bessel-j0", "mesh", "101x101"): "1c2ac3f08404a74d586b1b36953c55820803201b823a8ac2ef2084d6152d754d",
-    ("bessel-j0", "laplacian1", "101x101"): "c0860b9085ff81a41144329118ea061e68ce741cf3fcfe0a129fc80a65b209cb",
-    ("bessel-j0", "laplacian2", "101x101"): "b502c5a7d2c8178598b8d0e6d5e132ff0c67e3e4b2bde140714afacc775be70f",
-    ("bessel-j0", "curvature", "8193x2"): "a91e0ae8ab019028ebce97fa4870913d3ec810187921e7bae03ab05d4d016690",
+    ("bessel-j0", "mesh", "101x101"): "9332f33cd406cfb00d58ffd440432d2ae465368452cd1bdd1fa8b122311f477e",
+    ("bessel-j0", "laplacian1", "101x101"): "51f02b26bac7a12098c86550c0d548a254d095b0adfa6f473c80a411f09c2e0a",
+    ("bessel-j0", "laplacian2", "101x101"): "f4918c4d99bc1ffb4b5c5342e5f7a21b3f920c939f7fa38569a9f96ed16e0b56",
+    ("bessel-j0", "curvature", "8193x2"): "bb691bf13168b09645211a4c1b99b75dcd9b5e9941bc3b27d0dbccd054117a3e",
     ("expr-elem", "mesh", "101x101"): "78198a1ec74a826526bb13ef59b13ffc0f5078b6eaf6897de0ad0cf0cff4ab98",
     ("expr-elem", "laplacian1", "101x101"): "1e1f3d42f2aebfdac45e081d5bbce1c324fedbe7251c2552069a876d12b660fd",
     ("expr-elem", "laplacian2", "101x101"): "3734288c5eb9681ff7a4cb3e21a481aa981024e1cde5d1951c624cc5453dac36",
     ("expr-elem", "curvature", "8193x2"): "753711836a3b0f5c5b7eba514c9aee60c1fb059cb17681ae9703d577f8c24a5e",
     # one u row of 4099 points spans a block boundary; the writer prints the
     # u, v, d3 and z columns of these grids once per distinct value
-    ("bessel-ik", "laplacian1", "5x4099"): "b456afe16b924971237c390578f9096e5864fd8eee360dc3d90ff1aed9bec71f",
-    ("bessel-ik", "laplacian2", "5x4099"): "210dd266feaf31e5cddc02fc093133519218661e124ca980ff2eb383aa1c63d2",
+    ("bessel-ik", "laplacian1", "5x4099"): "2c32e29099e74dfd43c7178a9e99d88f5006abdbc25cca642bfcd33b55860a88",
+    ("bessel-ik", "laplacian2", "5x4099"): "43f7d5e8f9e92d1f56f8793930502d9c223b9eb772a9c765db0389224b01af83",
     ("bessel-ik", "mesh", "5x4099"): "fc891040e67510ee64270d68c5f25f85a735379e9a2ba4ec3da5c1b0b9422c20",
-    ("bessel-j0", "laplacian1", "5x4099"): "957031ea50804bf0e857924fb538014e7d0fd8253c8a2677b74493e13a20b1c5",
-    ("bessel-j0", "laplacian2", "5x4099"): "4f258f1df4e42a0bd46699dedb94150b71c644989507eef3557e4c6034b558b8",
-    ("bessel-j0", "mesh", "5x4099"): "94653c5f10300e4748d065ba151424736f10150ade9e5017fbc8fd410fe141ce",
-    ("bessel-jy", "laplacian1", "5x4099"): "b2d048eb5b4d3b02bb3dfba486a692163b9841700149f3ea53a3316b9eec7ba4",
-    ("bessel-jy", "laplacian2", "5x4099"): "6d52272ecf07eb7ca98a3ec40ee3a8f163e04341814b8268a8cd1947298e3706",
-    ("bessel-jy", "mesh", "5x4099"): "df69a33f3d8703255066d01c2c019e23ec2aa8120ede60eba3f03624af58f721",
+    ("bessel-j0", "laplacian1", "5x4099"): "02549569d912a30666c1c1706fbf6a7c5068d6eda4ec16bf469984b1fcc34402",
+    ("bessel-j0", "laplacian2", "5x4099"): "812bc98007b41932f938782d82045ef11fd45a2981a2996bad8125a770626d03",
+    ("bessel-j0", "mesh", "5x4099"): "6b44f60dc48ee0fd6b9b7cf0cc42c072e2e484b6c4bb673f0423fe073dd4e693",
+    ("bessel-jy", "laplacian1", "5x4099"): "ccd21d0eab78d2f41b79dbad3ec0d374264cb939f5e1340522c2148decd5fba4",
+    ("bessel-jy", "laplacian2", "5x4099"): "840a9a381fc861118538c1893a49b7b8de3151bf2ac5ecfd4b55f4ed3fae0aee",
+    ("bessel-jy", "mesh", "5x4099"): "53a8b0bea3f2995506c7e06d362131cea37e0e0e40488052f6b5322b08c7b659",
     ("consth", "laplacian1", "5x4099"): "f4fe22cdd9116791b153349ef2545c4997800321bb581022e026af1dc510596b",
     ("consth", "laplacian2", "5x4099"): "cf8420c7972247f8102bc6ce1684564b1936129e780858e0157acdb2ca43a89c",
     ("consth", "mesh", "5x4099"): "7d1f950dcde395ad61566c1d47b6a109e6d7134cd653fdc5a4df581645ffd91c",
     ("constk", "laplacian1", "5x4099"): "39c7a226dd635f4dcf362e750594bae8068ba29dbef9ce86256a616c2f9f8aba",
     ("constk", "laplacian2", "5x4099"): "47c9fb883bfcd322d59b67798c4ff8f7d64646c6cf5af866653372b492d0d5af",
     ("constk", "mesh", "5x4099"): "7299d3fe3c509e037084f43721ccdb607d1961b897f551004fe01b73eca10604",
-    ("expr-bessel", "laplacian1", "5x4099"): "9d275fd85a756c2929d2c4e712f4a5aa1555ddc80db982d38a8b7597015e394e",
-    ("expr-bessel", "laplacian2", "5x4099"): "f997c0091b46adf9a7353ff5b82da6e89d4bbbbae427110f00ced690e9070d3c",
-    ("expr-bessel", "mesh", "5x4099"): "c6f91a04a34385bc7312d47fa7c3637ef6cbd7562156d4708b375de619dde6a5",
+    ("expr-bessel", "laplacian1", "5x4099"): "8d3c4f10d81df8b43f5544b53a0ef5d2a542f39a3c3a309f644da8ec4ff7a370",
+    ("expr-bessel", "laplacian2", "5x4099"): "709db5ae45b4be1f116cbaa7cdabf44bf002203c7649595275a30e6211c5667e",
+    ("expr-bessel", "mesh", "5x4099"): "bb2479e741cb06a23f629c66f9c2d19d1e0c116fb028dcbf4ef114e04944c556",
     ("expr-elem", "laplacian1", "5x4099"): "f33d9b8f6269323c2046a7a48064d144d1edd250f20c331a1369799d2d7077c3",
     ("expr-elem", "laplacian2", "5x4099"): "ff0ff1f5b276381ddc3cfc651db999bcf5b3a3e060346c8385ddc22621b18af9",
     ("expr-elem", "mesh", "5x4099"): "8d3376a50b5c1e0c65eca8882b3240ff28e307f8d359271dd04f11859804fb3d",
@@ -146,9 +146,9 @@ LARGE_SURFACE_DIGESTS = {
 # one 4097-row `bessel` table per kind, all at |x| <= 25:
 # kind -> (range, extra arguments, sha256 of the file)
 LARGE_BESSEL_DIGESTS = {
-    "j0": ("0:25", (), "8fef11050ca2258c2f4eaaf439445db84c62d1cc182eb259eb86e363417fe80c"),
-    "y0": ("0.05:25", (), "f38bda08604f592ce325a7d8371886c7a79111db3d150de5e658d6a503967254"),
-    "i0": ("-25:25", (), "923a6b983c67a27366ebcc56883ddee6296b1f21c1c09556b00f296e717af12e"),
+    "j0": ("0:25", (), "2cd98879321d53900389f7ef3e9fd95a14d48c31c9c227c52967db019b0b28e3"),
+    "y0": ("0.05:25", (), "6ef3390f113c44824b4da9207c2a37aa39352c1b2627ec19588b7abc893a529b"),
+    "i0": ("-25:25", (), "a9f40f8040533e72f54c9f1983310dc7b51a6f97084121baf1a22bc217479ce6"),
     "k0": ("0.05:25", (), "9041c9a88c19a8cd8494edfcbe09648252e251af1daba171522c7dbbb481bb60"),
     "jp": ("0:25", ("--p", "0.3"), "a91ff0026d2b76cb3de925071b95c085ad509b7e2b7c01ac3fd09f6c131092d7"),
 }
@@ -157,9 +157,13 @@ LARGE_BESSEL_DIGESTS = {
 # the Bessel jets of the profiles whose digests moved when the Y0 and K0
 # jets became the merged sums of the values, again when f'' and f''' of
 # every Bessel jet came from the Bessel equation, again (bessel-ik) when
-# K0 came to be summed in float64, and again (bessel-ik, expr-bessel) when I0
-# came to be four plain float64 rows: (mpmath kind, jet, scale s) of each
-# jet the profile takes at s u.  Each digest test also
+# K0 came to be summed in float64, again (bessel-ik, expr-bessel) when I0
+# came to be four plain float64 rows, and again (all four) when J0 and Y0
+# came to be summed in float64 and the I0 rows came to be f, f'/h, f'' and
+# f'''/h: (mpmath kind, jet, scale s) of each jet the profile takes at s u.
+# The figure 1a, 2a and 2b digests and the j0, y0 and i0 tables moved with
+# them, and the classify1 reports of profiles that fit no eigenvalue when
+# their note came to name the scaled bound.  Each digest test also
 # checks those jets at the surface's radii against mpmath, to the bound of
 # tests/mp_bessel.py
 PROFILE_JETS = {
@@ -192,18 +196,23 @@ def check_profile_jets(name, grid=None):
         check_jets(kind, jet, s * us, name)
 
 
-def check_values(directory, names, kind=None, step=1):
-    """Every step-th I0 or K0 value of the CSV files (x, value), named
-    figure1b_<kind>.csv unless kind is given, relative to mpmath within
-    the bound of tests/mp_bessel.py."""
-    for name in names:
-        rows = [r for r in (directory / name).read_text().splitlines() if r[0] not in "#x"]
-        for x, value in (map(float, row.split(",")) for row in rows[::step]):
-            if x == 0.0:  # I0(0) = 1
-                assert value == 1.0, name
+def check_values(path, kinds, step=1, xcol=0):
+    """Every step-th row of the CSV file at path: the columns after column
+    xcol, the order-0 values `kinds` at its x, within the bound of
+    tests/mp_bessel.py, I0 and K0 relative to mpmath, J0 and Y0 against
+    max(1, |f|)."""
+    rows = [r for r in path.read_text().splitlines() if r[0] not in "#x"]
+    for row in rows[::step]:
+        x, *values = list(map(float, row.split(",")))[xcol:]
+        for kind, value in zip(kinds, values):
+            if x == 0.0:  # I0(0) = J0(0) = 1
+                assert value == 1.0, (path.name, kind)
+            elif kind in ("i0", "k0"):
+                assert modified_jet_errors(kind, abs(x), (value,))[0] <= JET_BOUND, (path.name, x)
+            elif kind == "y0":
+                assert jet_error(kind, x, (value,)) <= JET_BOUND, (path.name, x)
             else:
-                got = modified_jet_errors(kind or name[-6:-4].lower(), abs(x), (value,))[0]
-                assert got <= JET_BOUND, (name, x)
+                assert plain_jet_errors("j", 0.0, abs(x), (value,))[0] <= JET_BOUND, (path.name, x)
 
 
 def _sha(data: bytes) -> str:
@@ -231,7 +240,12 @@ def test_figure_digests(tmp_path, fid):
     if fid == "2b":  # its mesh heights are the f of J0 jets on [1, 4]
         check_jets("j", j0_jet, np.linspace(1.0, 4.0, 41), fid)
     if fid == "1b":  # I0 on [-3, 3] and K0 on [0.05, 3], its values at 200 x
-        check_values(tmp_path, FIGURE_FILES[fid])
+        check_values(tmp_path / "figure1b_i0.csv", ("i0",))
+        check_values(tmp_path / "figure1b_k0.csv", ("k0",))
+    if fid == "1a":  # J0 and Y0 on [0.05, 10] at 200 x
+        check_values(tmp_path / "figure1a.csv", ("j0", "y0"))
+    if fid == "2a":  # the curve (0, u, J0(u)) on [1, 4]
+        check_values(tmp_path / "figure2a.csv", ("j0",), xcol=1)
 
 
 @pytest.mark.parametrize("action", ACTIONS)
@@ -255,5 +269,5 @@ def test_bessel_digests_past_a_block(tmp_path, kind):
     argv = ["bessel", "--kind", kind, "--range", rng, "--n", "4097", "--out", str(out)]
     assert main([*argv, *extra]) == 0
     assert _sha(out.read_bytes()) == digest
-    if kind in ("i0", "k0"):
-        check_values(tmp_path, [out.name], kind, step=64)
+    if kind != "jp":
+        check_values(out, (kind,), step=64)
