@@ -40,13 +40,16 @@ a float64 array of arguments (profile jets on a grid of radii, CLI
 tables): each kernel then runs once over the lanes of its regime, each
 lane frozen at the term where a pointwise loop stops, or started where a
 pointwise recurrence starts, so the results are bit-identical at any array
-length.  Only IEEE + - * / and square roots run on whole arrays; libm
-calls (exp, log, pow and Python's **) stay per element, because numpy's
-vectorized versions can differ in the last bit.  y0_jet sums the J0 jet in
-the same call and returns it as `primary`, so a profile c1 J0 + c2 Y0
-takes both jets from one call; k0_jet's `primary`, the I0 jet, is summed
-on first use, so that K0 is not refused where I0's series does not
-converge.
+length.  The series (`_ik_series`) and CF2 (`_cf2`) run a block of terms
+or iterations per pass, of a length set by the lane count, and test where
+each lane stops once per block rather than once per term; a float x runs
+their plain loops.  Only IEEE + - * / and square roots run on whole
+arrays; libm calls (exp, log, pow and Python's **) stay per element,
+because numpy's vectorized versions can differ in the last bit.  y0_jet
+sums the J0 jet in the same call and returns it as `primary`, so a profile
+c1 J0 + c2 Y0 takes both jets from one call; k0_jet's `primary`, the I0
+jet, is summed on first use, so that K0 is not refused where I0's series
+does not converge.
 """
 
 from __future__ import annotations
@@ -365,16 +368,27 @@ _ELL0 = EULER_GAMMA - math.log(2.0)
 _TWO_OVER_PI = 2.0 / math.pi
 
 
-@functools.lru_cache(maxsize=None)
+# the harmonic numbers phi(0), phi(1), ... as exact ratios p / q of integers
+# in lowest terms, extended on demand
+_HARMONIC = [(0, 1)]
+
+
 def _harmonic_exact(n: int) -> tuple[int, int]:
     """The harmonic number phi(n) as an exact ratio p / q of integers in
-    lowest terms."""
-    if not n:
-        return 0, 1
-    p, q = _harmonic_exact(n - 1)
-    p, q = p * n + q, q * n
-    g = math.gcd(p, q)
-    return p // g, q // g
+    lowest terms, by a loop over m: a longer table replaces `_HARMONIC`
+    whole, so that a concurrent call never reads one half built."""
+    global _HARMONIC
+    table = _HARMONIC
+    if len(table) <= n:
+        table = list(table)
+        p, q = table[-1]
+        for m in range(len(table), n + 1):
+            p, q = p * m + q, q * m
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            table.append((p, q))
+        _HARMONIC = table
+    return table[n]
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,21 +423,86 @@ def _k0_weights(n: int, ell, sign: float = 1.0) -> tuple:
     return c, 2.0 * n * c - 1.0
 
 
+# the rows of `_i0_weights` at n = 0, 1, ... for each sign, as an (N, 4, 1)
+# array extended on demand
+_I0_TABLES: dict = {}
+
+
+def _i0_weight_block(n: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """`_i0_weights` at a 1-D array of n, as an (n.size, 4, 1) array."""
+    table = _I0_TABLES.get(sign)
+    if table is None or len(table) <= n.max():
+        rows = [_i0_weights(k, sign) for k in range(2 * int(n.max()) + 2)]
+        table = _I0_TABLES[sign] = np.array(rows)[:, :, None]
+    return table[n]
+
+
+def _k0_weight_block(n: np.ndarray, ell, sign: float = 1.0) -> np.ndarray:
+    """`_k0_weights` at a 1-D array of n, as an (n.size, 2, lanes) array:
+    the weights at sign 1 times sign^n, that is c = sign^n (phi(n) - ell) and
+    2n c - sign^n, since the negations of `_k0_weights` are exact."""
+    w = np.empty((n.size, 2) + np.shape(ell))
+    c, d = w[:, 0], w[:, 1]
+    np.subtract(np.array([_phi(k) for k in n.tolist()])[:, None], ell, out=c)
+    s = np.where(n & 1, -1.0, 1.0)[:, None] if sign < 0.0 else 1.0
+    if sign < 0.0:
+        np.multiply(c, s, out=c)
+    np.multiply(2.0 * n[:, None], c, out=d)
+    np.subtract(d, s, out=d)
+    return w
+
+
+# the weights of `_ik_series` at a block of n, for an array x
+_WEIGHT_BLOCKS = {_i0_weights: _i0_weight_block, _k0_weights: _k0_weight_block}
+
+
+# The element budget of a block of the array kernels: a block of K terms
+# (`_ik_series`) or iterations (`_cf2`) of a kernel that returns `rows` rows
+# over L lanes has K = _BLOCK_ELEMENTS // (rows L), at least 1 and at most
+# _BLOCK_MAX.  Longer blocks make fewer numpy calls a term, but past about
+# this many elements their (K, rows, L) buffers leave the cache and a term
+# costs more than in a per-term loop; measured on 21 to 4096 lanes.  The
+# buffers of a wide array stay a few times the rows the kernel returns.
+_BLOCK_ELEMENTS = 16384
+_BLOCK_MAX = 16
+
+
+def _block_length(rows: int, lanes: int) -> int:
+    return max(1, min(_BLOCK_MAX, _BLOCK_ELEMENTS // (rows * max(lanes, 1))))
+
+
+def _freeze(ends: np.ndarray, pending: np.ndarray, stop: np.ndarray, block: np.ndarray) -> None:
+    """Copy block[j] of a (K, rows, lanes) block into ends at each pending
+    lane, j the first step where stop (K, lanes) holds there, and clear
+    those lanes of pending."""
+    hit = pending & stop.any(axis=0)
+    if hit.any():  # argmax over the lanes that stop alone: along axis 0 it is slow on wide blocks
+        at = np.flatnonzero(hit)
+        ends[:, at] = block[stop[:, at].argmax(axis=0), :, at].T
+        pending[at] = False
+
+
 def _ik_series(x, cfg: SeriesConfig, weights, *args) -> tuple:
     """(rows, pending): the rows sum_n w(n) t_n of w = weights(n, *args),
     summed in plain float64 at a float or an array x, t_n formed as
     t_(n-1) (x/2) / n (x/2) / n, and the lanes of an array that did not
     converge within max_terms (False at a float, which is refused instead).
     They stop once the next term of every row has been at most rel_tol
-    times the row's sum for two terms running, past n = 2; an array has
-    each lane frozen where a float stops."""
-    array = _is_array(x)
-    h, n, was_small = 0.5 * x, 0, False
-    t = np.ones(x.shape) if array else 1.0
+    times the row's sum for two terms running, past n = 2.
+
+    A float x runs the plain loop.  An array x runs blocks of K terms
+    (`_block_length`), each clipped at max_terms: a block forms its t_n with
+    the loop's roundings, every row's terms as one product of the weights
+    at the block's n and those t_n, and adds them to the running sums in the
+    loop's order; then it runs the stop test on the whole block and freezes
+    each lane at its first stopping term, so that each lane's rows are a
+    float's bit for bit."""
+    if _is_array(x):
+        return _ik_series_array(x, cfg, weights, *args)
+    h, n, was_small, t = 0.5 * x, 0, False, 1.0
     w = weights(0, *args)
     sums = [0.0] * len(w)
-    pending, ends = (np.ones(x.shape, dtype=bool), np.zeros((len(w), x.size))) if array else (False, None)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a 0-d array x runs here too
         while n < cfg.max_terms:
             sums = [s + wj * t for s, wj in zip(sums, w)]
             n += 1
@@ -432,17 +511,51 @@ def _ik_series(x, cfg: SeriesConfig, weights, *args) -> tuple:
             small = True
             for wj, s in zip(w, sums):  # t >= 0, so |wj t| = |wj| t
                 small = small & (abs(wj) * t <= cfg.rel_tol * abs(s))
-            stop, was_small = small & was_small & (n > 2), small
-            if array:
-                np.copyto(ends, sums, where=pending & stop)
-                pending &= ~stop
-                stop = not pending.any()
-            if stop:
-                break
-        else:
-            if not array:
-                raise _unconverged(x, cfg)
-    return (ends if array else sums), pending
+            if small and was_small and n > 2:
+                return sums, False
+            was_small = small
+    raise _unconverged(x, cfg)
+
+
+def _ik_series_array(x: np.ndarray, cfg: SeriesConfig, weights, *args) -> tuple:
+    """`_ik_series` at an array x, one pass per block of terms."""
+    lanes, rows = x.size, len(weights(0, *args))
+    k = _block_length(rows, lanes)
+    ends, pending = np.zeros((rows, lanes)), np.ones(lanes, dtype=bool)
+    h, n = 0.5 * x, 0
+    # row j of a block: t_(n+j), the terms w t_(n+j), the sums of the terms
+    # before n + j and the stop test at n + j; row 0 holds what the last
+    # block left
+    t, terms = np.empty((k + 1, lanes)), np.empty((k + 1, rows, lanes))
+    sums, small = np.zeros((k + 1, rows, lanes)), np.zeros((k + 1, lanes), dtype=bool)
+    tol, ok = np.empty((k, rows, lanes)), np.empty((k, rows, lanes), dtype=bool)
+    t[0] = 1.0
+    block = _WEIGHT_BLOCKS[weights]
+    terms[0] = block(np.arange(1), *args)[0]
+    with np.errstate(all="ignore"):
+        while n < cfg.max_terms and pending.any():
+            m = min(k, cfg.max_terms - n)
+            for j in range(1, m + 1):
+                tj = t[j]
+                np.multiply(t[j - 1], h, out=tj)
+                np.divide(tj, n + j, out=tj)
+                np.multiply(tj, h, out=tj)
+                np.divide(tj, n + j, out=tj)
+            np.multiply(block(np.arange(n + 1, n + m + 1), *args), t[1 : m + 1, None], out=terms[1 : m + 1])
+            for j in range(m):
+                np.add(sums[j], terms[j], out=sums[j + 1])
+            t[0], terms[0] = t[m], terms[m]  # carried before the test takes |terms| in place
+            # the test at n + j, j = 1 .. m: term n + j of every row against its sum so far
+            size = np.abs(terms[1 : m + 1], out=terms[1 : m + 1])
+            bound = np.abs(sums[1 : m + 1], out=tol[:m])
+            bound *= cfg.rel_tol
+            np.logical_and.reduce(np.less_equal(size, bound, out=ok[:m]), axis=1, out=small[1 : m + 1])
+            stop = small[1 : m + 1] & small[:m]
+            stop[: max(0, 2 - n)] = False  # none stops at n + j <= 2
+            _freeze(ends, pending, stop, sums[1 : m + 1])
+            n += m
+            sums[0], small[0] = sums[m], small[m]
+    return ends, pending
 
 
 def _cf2(x, cfg: SeriesConfig) -> tuple:
@@ -450,21 +563,23 @@ def _cf2(x, cfg: SeriesConfig) -> tuple:
     (Numerical Recipes' `bessik` at order 0).  Its series s = 1 + sum dels
     stops once dels^2 <= rel_tol |s| (|prev| - |dels|), that is once the rest
     of a series falling by |dels / prev| a term is at most rel_tol |s|, and
-    the last term of h is at most rel_tol |h|.  A float x is refused if it
-    does not converge within max_terms; an array x has each lane frozen
-    where a float x stops, and `pending` marks those that did not converge
-    (False at a float x)."""
-    array = _is_array(x)
+    the last term of h is at most rel_tol |h|.  A float x runs the plain
+    loop and is refused if it does not converge within max_terms; an array x
+    runs `_cf2_array`, whose lanes stop where a float x does, and `pending`
+    marks those that did not converge (False at a float x)."""
+    if _is_array(x):
+        s, h, pending = _cf2_array(x, cfg)
+        with np.errstate(all="ignore"):
+            k0 = np.sqrt(math.pi / (2.0 * x)) * _per_element(math.exp, -x) / s
+            return k0, k0 * (x + 0.5 - 0.25 * h) / x, pending
     # past x = 750 e^-x, and so K0 and K1, underflow to 0 whatever s and h
     # are; CF2 runs at 750 there, since b + 2 is inexact once x passes 2^53
-    b = 2.0 * (1.0 + (np.minimum(x, 750.0) if array else min(x, 750.0)))
+    b = 2.0 * (1.0 + min(x, 750.0))
     d = h = delh = 1.0 / b
     q1, q2, q, c, a = 0.0, 1.0, 0.25, 0.25, -0.25
     prev = q * delh
     s, i = 1.0 + prev, 1
-    # the lanes still summing, and s and h where each lane stopped
-    pending, ends = (np.ones(x.shape, dtype=bool), np.ones((2, x.size))) if array else (False, None)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a 0-d array x runs here too
         while i < cfg.max_terms:
             i += 1
             a -= 2.0 * (i - 1)
@@ -477,24 +592,51 @@ def _cf2(x, cfg: SeriesConfig) -> tuple:
             h = h + delh
             dels = q * delh
             s = s + dels
-            small = (dels * dels <= cfg.rel_tol * abs(s) * (abs(prev) - abs(dels))) & (
-                abs(delh) <= cfg.rel_tol * abs(h))
-            if array:
-                np.copyto(ends, (s, h), where=pending & small)
-                pending &= ~small
-                small = not pending.any()
-            if small:
+            if dels * dels <= cfg.rel_tol * abs(s) * (abs(prev) - abs(dels)) and (
+                    abs(delh) <= cfg.rel_tol * abs(h)):
                 break
             prev = dels
         else:
-            if not array:
-                raise _unconverged(x, cfg)
-        if array:
-            s, h = ends
-            k0 = np.sqrt(math.pi / (2.0 * x)) * _per_element(math.exp, -x) / s
-        else:
-            k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-        return k0, k0 * (x + 0.5 - 0.25 * h) / x, pending
+            raise _unconverged(x, cfg)
+        k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+        return k0, k0 * (x + 0.5 - 0.25 * h) / x, False
+
+
+def _cf2_array(x: np.ndarray, cfg: SeriesConfig) -> tuple:
+    """(s, h, pending) of `_cf2` at an array x: the float loop's arithmetic
+    in blocks of K iterations (`_block_length`), each clipped at max_terms,
+    that store each iteration's dels, delh, s and h; the stop test and the
+    freeze run once per block."""
+    b = 2.0 * (1.0 + np.minimum(x, 750.0))
+    d = h = delh = 1.0 / b
+    q1, q2, q, c, a = 0.0, 1.0, 0.25, 0.25, -0.25
+    k = _block_length(2, x.size)  # it returns s and h
+    # dels of each iteration (row 0: the last one before the block), and
+    # delh, s and h of each iteration
+    dels, steps = np.empty((k + 1, x.size)), np.empty((k, 3, x.size))
+    dels[0] = q * delh
+    s, i = 1.0 + dels[0], 1
+    ends, pending = np.ones((2, x.size)), np.ones(x.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        while i < cfg.max_terms and pending.any():
+            m = min(k, cfg.max_terms - i)
+            for j in range(m):
+                i += 1
+                a -= 2.0 * (i - 1)
+                c = -a * c / i
+                q1, q2 = q2, (q1 - b * q2) / a
+                q = q + c * q2
+                b = b + 2.0
+                d = 1.0 / (b + a * d)
+                delh = np.multiply(b * d - 1.0, delh, out=steps[j, 0])
+                h = np.add(h, delh, out=steps[j, 2])
+                s = np.add(s, np.multiply(q, delh, out=dels[j + 1]), out=steps[j, 1])
+            new, delh_, s_, h_ = dels[1 : m + 1], steps[:m, 0], steps[:m, 1], steps[:m, 2]
+            stop = (new * new <= cfg.rel_tol * np.abs(s_) * (np.abs(dels[:m]) - np.abs(new))) & (
+                np.abs(delh_) <= cfg.rel_tol * np.abs(h_))
+            _freeze(ends, pending, stop, steps[:m, 1:])
+            dels[0] = dels[m]
+    return ends[0], ends[1], pending
 
 
 def _miller(x, cfg: SeriesConfig, y: bool) -> tuple:
@@ -602,19 +744,26 @@ def _equation_jet(x, f, f1, sign: float) -> tuple:
     return f, f1, f2, sign * f1 - (f2 - f1_x) / x
 
 
+def _y0_log(x, cfg: SeriesConfig) -> tuple:
+    """((Y0, Y0'), pending) at 0 < x < 2: -(2/pi) times the rows of Y0's log
+    series, -(pi/2) Y0 and x times its derivative, which `_k0_weights`
+    gives with sign -1."""
+    rows, pending = _ik_series(x, cfg, _k0_weights, _per_element(math.log, x) + _ELL0, -1.0)
+    with np.errstate(over="ignore"):  # Y0' at subnormal x, where only the value is read
+        return (-_TWO_OVER_PI * rows[0], -_TWO_OVER_PI * rows[1] / x), pending
+
+
 def _j0_y0(x, cfg: SeriesConfig, y: bool):
     """The J0 jet and, if y, Y0 and Y0' at x (x > 0 if y), in six rows:
-    below |x| = 2 `_power_jet` and Y0's log series, the rows of -(pi/2) Y0
-    and x times its derivative, which `_k0_weights` gives with sign -1;
-    from there `_miller`, with J0'' and J0''' from the equation."""
+    below |x| = 2 `_power_jet` and `_y0_log`; from there `_miller`, with
+    J0'' and J0''' from the equation."""
 
     def below(x, cfg):
         jet, pending = _power_jet(x, cfg, -1.0)
         if not y:
             return jet, pending
-        rows, more = _ik_series(x, cfg, _k0_weights, _per_element(math.log, x) + _ELL0, -1.0)
-        with np.errstate(over="ignore"):  # Y0' at subnormal x, where only the value is read
-            return (*jet, -_TWO_OVER_PI * rows[0], -_TWO_OVER_PI * rows[1] / x), pending | more
+        rows, more = _y0_log(x, cfg)
+        return (*jet, *rows), pending | more
 
     def above(x, cfg):
         rows, pending = _miller(x, cfg, y)
@@ -657,10 +806,17 @@ def bessel_i0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """Y0(x) = (2/pi) { (ln(x/2) + gamma) J0(x) - sum_n (-1)^n phi(n) (x/2)^(2n)/(n!)^2 }
-    below x = 2, Neumann's series in Miller's J_2k from there; `y0_jet`'s f
-    bit for bit."""
+    below x = 2, summed as Y0's log series alone (`_y0_log`), and Neumann's
+    series in Miller's J_2k from there; `y0_jet`'s f bit for bit.  Below
+    x = 2 it is not refused where only the J0 rows, which `y0_jet` also
+    sums, do not converge."""
     _require_finite(x, "y0", 0.0, "finite x > 0")
-    return _j0_y0(x, cfg, True)[4]
+
+    def above(x, cfg):
+        rows, pending = _miller(x, cfg, True)
+        return rows[2:], pending
+
+    return _regimes(x, cfg, _MILLER_FROM, _y0_log, above)[0]
 
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:

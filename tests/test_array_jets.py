@@ -155,6 +155,157 @@ def test_miller_is_even_in_j0():
     assert_bit_identical(g1, -f1)
 
 
+# ----------------------------------------------------------------------
+# bessel: block edges of the array series and of CF2
+#
+# an array runs a block of K terms (K iterations of CF2) per pass, K from
+# `_block_length(rows, lanes)`; a block covers the stop tests at n = jK + 1
+# .. (j + 1) K, so a lane whose float loop stops at n = 0 mod K stops on
+# the last term of a block and one at n = 1 mod K on the first of the next
+
+SERIES = {  # kind: (rows, highest x, weights, sign); K0 and Y0 take ell too
+    "i0": (4, 25.0, bessel._i0_weights, 1.0),
+    "j0": (4, 1.99, bessel._i0_weights, -1.0),
+    "k0": (2, 1.99, bessel._k0_weights, 1.0),
+    "y0": (2, 1.99, bessel._k0_weights, -1.0),
+}
+
+
+def _ik_rows(kind, x, cfg):
+    """(rows, pending) of `_ik_series` for kind at a float or an array x."""
+    _, _, weights, sign = SERIES[kind]
+    if weights is bessel._k0_weights:
+        return bessel._ik_series(x, cfg, weights, bessel._per_element(math.log, x) + bessel._ELL0, sign)
+    return bessel._ik_series(x, cfg, weights, sign)
+
+
+def _pointwise_ik_rows(kind, xs, cfg):
+    """Each lane's rows and whether its float loop refused it."""
+    rows, refused = [], []
+    for x in xs.tolist():
+        try:
+            rows.append(_ik_rows(kind, x, cfg)[0])
+            refused.append(False)
+        except NonConvergenceError:
+            rows.append([np.nan] * SERIES[kind][0])
+            refused.append(True)
+    return np.array(rows).T, np.array(refused, dtype=bool)
+
+
+def assert_series_like_pointwise(kind, xs, cfg):
+    rows, pending = _ik_rows(kind, xs, cfg)
+    want, refused = _pointwise_ik_rows(kind, xs, cfg)
+    assert rows.shape == want.shape and pending.tolist() == refused.tolist()
+    assert_bit_identical(rows[:, ~refused], want[:, ~refused])
+    return pending
+
+
+def _stop_terms(kind, xs):
+    """The term at which the float loop stops at each x: the least
+    max_terms with which it converges."""
+    stops = []
+    for x in xs.tolist():
+        lo, hi = 1, bessel.DEFAULT_SERIES.max_terms
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                _ik_rows(kind, x, SeriesConfig(max_terms=mid))
+                hi = mid
+            except NonConvergenceError:
+                lo = mid + 1
+        stops.append(lo)
+    return np.array(stops)
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES))
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 16])
+def test_block_series_lanes_stop_on_block_edges(kind, k, monkeypatch):
+    rows, hi, _, _ = SERIES[kind]
+    xs = np.linspace(hi / 150, hi, 150)
+    stops = _stop_terms(kind, xs)
+    edges = stops % k <= 1  # on the last term of a block, or the first of the next
+    assert k == 1 or {0, 1} <= set((stops[edges] % k).tolist()) or max(stops) < k
+    lanes = np.random.default_rng(k).permutation(np.concatenate([xs[edges], xs[~edges][::7]]))
+    if rows == 4:  # I0's and J0's rows at x = +-0 are their n = 0 weights
+        lanes = np.concatenate([[0.0], lanes, [-0.0]])
+    monkeypatch.setattr(bessel, "_block_length", lambda rows, lanes: k)
+    assert not assert_series_like_pointwise(kind, lanes, bessel.DEFAULT_SERIES).any()
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES))
+@pytest.mark.parametrize("lanes", [64, 1024])
+@pytest.mark.parametrize("past", [-1, 0, 1, "twice", "twice+1"])
+def test_block_series_max_terms_around_a_block(kind, lanes, past):
+    # max_terms below, at and one past a block's length, and at the end of
+    # the second block and one past it: converged and pending lanes in one
+    # call, each as the float loop leaves it
+    rows, hi, _, _ = SERIES[kind]
+    k = bessel._block_length(rows, lanes)
+    terms = {"twice": 2 * k, "twice+1": 2 * k + 1}.get(past) or k + past
+    xs = np.random.default_rng(lanes).uniform(0.0, 1.0, lanes) ** 2 * hi + 1e-3
+    pending = assert_series_like_pointwise(kind, xs, SeriesConfig(max_terms=terms))
+    if kind == "i0" and lanes == 64:  # K = 16, and I0 stops from n = 4 to 45 on [0, 25]
+        assert 0 < pending.sum() < lanes
+
+
+@pytest.mark.parametrize("kind", sorted(SERIES))
+def test_block_series_on_empty_arrays(kind):
+    rows, pending = _ik_rows(kind, np.array([]), bessel.DEFAULT_SERIES)
+    assert rows.shape == (SERIES[kind][0], 0) and pending.shape == (0,)
+
+
+CF2_XS = np.concatenate([np.geomspace(2.0, 700.0, 61), [2.0, 2.5, 40.0, 1e300]])
+
+
+@pytest.mark.parametrize("terms", [12, 20, 200])
+@pytest.mark.parametrize("k", [None, 1, 3, 16])
+def test_cf2_blocks_against_the_float_loop(terms, k, monkeypatch):
+    # CF2 takes about 76 iterations at x = 2 and fewer as x grows, so at 12
+    # and 20 iterations its small lanes stay pending beside converged ones
+    if k is not None:
+        monkeypatch.setattr(bessel, "_block_length", lambda rows, lanes: k)
+    xs, cfg = np.random.default_rng(terms).permutation(CF2_XS), SeriesConfig(max_terms=terms)
+    k0, k1, pending = bessel._cf2(xs, cfg)
+    for i, x in enumerate(xs.tolist()):
+        try:
+            want = bessel._cf2(x, cfg)
+        except NonConvergenceError:
+            assert pending[i]
+            continue
+        assert not pending[i]
+        assert_bit_identical([k0[i], k1[i]], want[:2])
+    assert pending.any() != (terms == 200) and not pending.all()
+    assert [a.shape for a in bessel._cf2(np.array([]), cfg)] == [(0,)] * 3
+
+
+# tracemalloc peaks at the CLI's block of 4096 x (`cli._BLOCK_ROWS`), in
+# units of the returned jet's 4 x 4096 float64: the block buffers of
+# `_ik_series` and `_cf2` stay a small multiple of it at any lane count
+JET_PEAK_BOUND = 8.0
+
+
+@pytest.mark.parametrize("jet", [i0_jet, y0_jet, k0_jet], ids=lambda f: f.__name__)
+def test_jets_on_a_cli_block_keep_few_buffers_alive(jet):
+    import tracemalloc
+
+    xs = np.linspace(0.05, 25.0, 4096)
+    jet(xs)  # tables and caches filled
+    tracemalloc.start()
+    try:
+        jet(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= JET_PEAK_BOUND * 4 * xs.nbytes
+
+
+def test_k0_jet_at_a_large_max_terms():
+    # the weights of K0's log series read phi(n) only for the terms summed,
+    # and phi(n) is built without recursion
+    xs, cfg = np.array([0.5, 1.5]), SeriesConfig(max_terms=5000)
+    assert_bit_identical(np.array(k0_jet(xs, cfg)), pointwise(lambda x: k0_jet(x, cfg), xs))
+
+
 # the kernels sum rows 0 and, for orders >= 1, x times the first derivative
 # of J_p's sum; `_sums` divides it by x and forms rows 2 and 3 from the
 # sum's equation, so it has the rows 0..orders at an array and at a float

@@ -28,6 +28,7 @@ from sigeom import (
     ode_residual,
     pochhammer,
 )
+import sigeom.bessel as bessel
 from sigeom.bessel import i0_jet, j0_jet, jp_jet, k0_jet, y0_jet
 
 from mp_bessel import JET_BOUND, jet_error, modified_jet_errors, plain_jet_errors, plain_jet_reference
@@ -111,6 +112,15 @@ def test_harmonic_examples():
 def test_harmonic_euler_limit():
     n = 10**6
     assert abs(harmonic(n) - math.log(n) - EULER_GAMMA) < 1e-6
+
+
+def test_series_harmonic_numbers_take_no_recursion(monkeypatch):
+    # the log series' phi(n), correctly rounded from an exact ratio; a
+    # fresh table up to n = 5000 (a recursion per n would pass Python's
+    # limit of 1000 frames)
+    monkeypatch.setattr(bessel, "_HARMONIC", [(0, 1)])
+    assert bessel._phi.__wrapped__(5000) == float(sum(Fraction(1, m) for m in range(1, 5001)))
+    assert bessel._phi.__wrapped__(7) == float(Fraction(363, 140))
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +393,21 @@ def test_y0_domain_and_limit():
                 fn(bad)
     assert bessel_y0(1e-8) < -10.0
     assert bessel_y0(1e-12) < bessel_y0(1e-8)
+
+
+# at 13 terms J0's rows have not converged at these x while Y0's log series
+# has: the value sums Y0's series alone, the jet also sums the J0 jet
+Y0_ONLY_XS = [1.84, 1.841, 1.842]
+
+
+def test_y0_value_sums_no_j0_row():
+    cfg = SeriesConfig(max_terms=13)
+    for x in Y0_ONLY_XS:
+        with pytest.raises(NonConvergenceError, match=f"at x={x!r}$"):
+            y0_jet(x, cfg)
+        assert bessel_y0(x, cfg) == bessel_y0(x) == y0_jet(x)[0]
+    xs = np.array([0.5, *Y0_ONLY_XS, 1.0])
+    assert bessel_y0(xs, cfg).tolist() == [bessel_y0(x) for x in xs.tolist()]
 
 
 def test_k0_domain_and_limit():
