@@ -23,16 +23,16 @@ J0, Y0, I0 and K0 run in float64 on algorithms that cancel little:
   with (-1)^n;
 - J0, J0' = -J1, Y0 and Y0' from |x| = 2 up come from Miller's downward
   recurrence, Y0 as Neumann's series in its J_2k (`_miller`);
-- K0 from x = 2 up is Steed's CF2 (Numerical Recipes, `bessik` at order
-  0), which gives K0 and K1, and K0' = -K1 (`_cf2`).
+- K0 and K1 from x = 2 up are the trapezoidal rule on their integrals
+  (DLMF 10.32.9), on fixed nodes set by rel_tol, and K0' = -K1 (`_k0_rule`).
 `_ik_series` sums each series.  Where a kernel gives only f and f', f''
 and f''' come from the equation x f'' + f' -+ x f = 0 (`_equation_jet`).
 Each value is row 0 of its jet's sums, the jet's f bit for bit.  Every
 order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0 up to
 x of about 258, past which the default SeriesConfig refuses its series,
-and K0 on [2^-330, 700].  Every order of the J0 and Y0 jets is within
-4e-15 of max(1, |f^(k)|) up to x of about 116, past which the default
-SeriesConfig refuses Miller's start.  Below |x| = 2^-26 the J0 and I0
+and K0 on [2^-330, 700], K0 and K1 within 1e-15 from x = 2.  Every order
+of the J0 and Y0 jets is within 4e-15 of max(1, |f^(k)|) up to x of about
+116, past which the default SeriesConfig refuses Miller's start.  Below |x| = 2^-26 the J0 and I0
 jets are their Taylor limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
@@ -40,16 +40,16 @@ a float64 array of arguments (profile jets on a grid of radii, CLI
 tables): each kernel then runs once over the lanes of its regime, each
 lane frozen at the term where a pointwise loop stops, or started where a
 pointwise recurrence starts, so the results are bit-identical at any array
-length.  The series (`_ik_series`) and CF2 (`_cf2`) run a block of terms
-or iterations per pass, of a length set by the lane count, and test where
-each lane stops once per block rather than once per term; a float x runs
-their plain loops.  Only IEEE + - * / and square roots run on whole
-arrays; libm calls (exp, log, pow and Python's **) stay per element,
-because numpy's vectorized versions can differ in the last bit.  y0_jet
-sums the J0 jet in the same call and returns it as `primary`, so a profile
-c1 J0 + c2 Y0 takes both jets from one call; k0_jet's `primary`, the I0
-jet, is summed on first use, so that K0 is not refused where I0's series
-does not converge.
+length.  The series (`_ik_series`) run a block of terms per pass, of a
+length set by the lane count, and test where each lane stops once per
+block rather than once per term; a float x runs the plain loop.  K0's rule
+takes the same nodes at every lane, and so needs no stop test.  Only IEEE
++ - * / and square roots run on whole arrays; libm calls (exp, log, pow
+and Python's **) stay per element, because numpy's vectorized versions can
+differ in the last bit.  y0_jet sums the J0 jet in the same call and
+returns it as `primary`, so a profile c1 J0 + c2 Y0 takes both jets from
+one call; k0_jet's `primary`, the I0 jet, is summed on first use, so that
+K0 is not refused where I0's series does not converge.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _series(x: float, cfg: SeriesConfig, orders: int, p: float) -> list[dd.DD]:
 
 
 def _unconverged(x, cfg: SeriesConfig) -> NonConvergenceError:
-    """The refusal of a series, a recurrence or CF2 that did not converge at x."""
+    """The refusal of a series, a recurrence or a rule that did not converge at x."""
     return NonConvergenceError(
         f"series did not meet rel_tol={cfg.rel_tol} within {cfg.max_terms} terms at x={float(x)!r}"
     )
@@ -355,10 +355,10 @@ def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x"
 # ----------------------------------------------------------------------
 # order-zero kernels in float64
 
-# K0 takes the log series below this x and CF2 from it up: the series
-# cancels about 5x at x = 2 and 20x at 3; CF2 takes about 76 terms at 2
-# and would take 150 at 1
-_CF2_FROM = 2.0
+# K0 takes the log series below this x and the trapezoidal rule on its
+# integral from it up: the series cancels about 5x at x = 2 and 20x at 3,
+# and the rule's integrands are analytic for |Im v| < sqrt(2x) >= 2 there
+_K0_RULE_FROM = 2.0
 # J0 and Y0 take their alternating series below this |x| and Miller's
 # recurrence from it up: J0's series cancels about 4.5x at x = 2
 _MILLER_FROM = 2.0
@@ -456,9 +456,9 @@ def _k0_weight_block(n: np.ndarray, ell, sign: float = 1.0) -> np.ndarray:
 _WEIGHT_BLOCKS = {_i0_weights: _i0_weight_block, _k0_weights: _k0_weight_block}
 
 
-# The element budget of a block of the array kernels: a block of K terms
-# (`_ik_series`) or iterations (`_cf2`) of a kernel that returns `rows` rows
-# over L lanes has K = _BLOCK_ELEMENTS // (rows L), at least 1 and at most
+# The element budget of a block of the array series: a block of K terms
+# of `_ik_series` summing `rows` rows over L lanes has
+# K = _BLOCK_ELEMENTS // (rows L), at least 1 and at most
 # _BLOCK_MAX.  Longer blocks make fewer numpy calls a term, but past about
 # this many elements their (K, rows, L) buffers leave the cache and a term
 # costs more than in a per-term loop; measured on 21 to 4096 lanes.  The
@@ -558,85 +558,58 @@ def _ik_series_array(x: np.ndarray, cfg: SeriesConfig, weights, *args) -> tuple:
     return ends, pending
 
 
-def _cf2(x, cfg: SeriesConfig) -> tuple:
-    """(K0, K1, pending) at x >= 2, a float or an array, by Steed's CF2
-    (Numerical Recipes' `bessik` at order 0).  Its series s = 1 + sum dels
-    stops once dels^2 <= rel_tol |s| (|prev| - |dels|), that is once the rest
-    of a series falling by |dels / prev| a term is at most rel_tol |s|, and
-    the last term of h is at most rel_tol |h|.  A float x runs the plain
-    loop and is refused if it does not converge within max_terms; an array x
-    runs `_cf2_array`, whose lanes stop where a float x does, and `pending`
-    marks those that did not converge (False at a float x)."""
-    if _is_array(x):
-        s, h, pending = _cf2_array(x, cfg)
-        with np.errstate(all="ignore"):
-            k0 = np.sqrt(math.pi / (2.0 * x)) * _per_element(math.exp, -x) / s
-            return k0, k0 * (x + 0.5 - 0.25 * h) / x, pending
-    # past x = 750 e^-x, and so K0 and K1, underflow to 0 whatever s and h
-    # are; CF2 runs at 750 there, since b + 2 is inexact once x passes 2^53
-    b = 2.0 * (1.0 + min(x, 750.0))
-    d = h = delh = 1.0 / b
-    q1, q2, q, c, a = 0.0, 1.0, 0.25, 0.25, -0.25
-    prev = q * delh
-    s, i = 1.0 + prev, 1
-    with np.errstate(all="ignore"):  # a 0-d array x runs here too
-        while i < cfg.max_terms:
-            i += 1
-            a -= 2.0 * (i - 1)
-            c = -a * c / i
-            q1, q2 = q2, (q1 - b * q2) / a
-            q = q + c * q2
-            b = b + 2.0
-            d = 1.0 / (b + a * d)
-            delh = (b * d - 1.0) * delh
-            h = h + delh
-            dels = q * delh
-            s = s + dels
-            if dels * dels <= cfg.rel_tol * abs(s) * (abs(prev) - abs(dels)) and (
-                    abs(delh) <= cfg.rel_tol * abs(h)):
-                break
-            prev = dels
-        else:
+@functools.lru_cache(maxsize=None)
+def _k0_nodes(rel_tol: float) -> tuple:
+    """The nodes v = k h, k = N..0, of `_k0_rule` at rel_tol: v^2, the
+    weights w = 2h e^(-v^2), halved at v = 0, and w v^2, as floats and as a
+    (2, 1) array.  With L = ln(10 / rel_tol), h = 4 pi / (4 + L) puts the
+    rule's error near e^(4 - 4 pi / h) = rel_tol / 10, and
+    N = ceil(sqrt(L) / h) stops where e^(-v^2) falls below that: 21 nodes,
+    h = 0.3077, at the default rel_tol."""
+    big_l = math.log(10.0 / rel_tol)
+    h = 4.0 * math.pi / (4.0 + big_l)
+    nodes = []
+    for k in range(math.ceil(math.sqrt(big_l) / h), -1, -1):
+        v2 = (k * h) * (k * h)
+        w = (h if k == 0 else 2.0 * h) * math.exp(-v2)
+        nodes.append((v2, w, w * v2, np.array([[w], [w * v2]])))
+    return tuple(nodes)
+
+
+def _k0_rule(x, cfg: SeriesConfig) -> tuple:
+    """(K0, K1, pending) at x >= 2, a float or an array, by the trapezoidal
+    rule on K0(x) = int_0^inf e^(-x cosh t) dt (DLMF 10.32.9) and K1, its
+    integral with cosh t, after x (cosh t - 1) = v^2:
+        K0(x) = e^(-x) int_0^inf e^(-v^2) 2 / sqrt(2x + v^2) dv,
+        K1(x) = e^(-x) int_0^inf e^(-v^2) (1 + v^2 / x) 2 / sqrt(2x + v^2) dv.
+    Both factors of e^(-v^2) are analytic for |Im v| < sqrt(2x), at least 2,
+    so the rule converges like e^(4 - 4 pi / h) at every x >= 2 (Trefethen
+    and Weideman, SIAM Review 56, 2014).  Every lane takes the same fixed
+    nodes (`_k0_nodes`), summed from the last one, where the terms are
+    smallest: an array's lanes are a float's bit for bit.  More nodes than
+    max_terms refuse a float x and leave every lane of an array pending."""
+    nodes = _k0_nodes(cfg.rel_tol)
+    array = _is_array(x)
+    if len(nodes) > cfg.max_terms:
+        if not array:
             raise _unconverged(x, cfg)
-        k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-        return k0, k0 * (x + 0.5 - 0.25 * h) / x, False
-
-
-def _cf2_array(x: np.ndarray, cfg: SeriesConfig) -> tuple:
-    """(s, h, pending) of `_cf2` at an array x: the float loop's arithmetic
-    in blocks of K iterations (`_block_length`), each clipped at max_terms,
-    that store each iteration's dels, delh, s and h; the stop test and the
-    freeze run once per block."""
-    b = 2.0 * (1.0 + np.minimum(x, 750.0))
-    d = h = delh = 1.0 / b
-    q1, q2, q, c, a = 0.0, 1.0, 0.25, 0.25, -0.25
-    k = _block_length(2, x.size)  # it returns s and h
-    # dels of each iteration (row 0: the last one before the block), and
-    # delh, s and h of each iteration
-    dels, steps = np.empty((k + 1, x.size)), np.empty((k, 3, x.size))
-    dels[0] = q * delh
-    s, i = 1.0 + dels[0], 1
-    ends, pending = np.ones((2, x.size)), np.ones(x.size, dtype=bool)
-    with np.errstate(all="ignore"):
-        while i < cfg.max_terms and pending.any():
-            m = min(k, cfg.max_terms - i)
-            for j in range(m):
-                i += 1
-                a -= 2.0 * (i - 1)
-                c = -a * c / i
-                q1, q2 = q2, (q1 - b * q2) / a
-                q = q + c * q2
-                b = b + 2.0
-                d = 1.0 / (b + a * d)
-                delh = np.multiply(b * d - 1.0, delh, out=steps[j, 0])
-                h = np.add(h, delh, out=steps[j, 2])
-                s = np.add(s, np.multiply(q, delh, out=dels[j + 1]), out=steps[j, 1])
-            new, delh_, s_, h_ = dels[1 : m + 1], steps[:m, 0], steps[:m, 1], steps[:m, 2]
-            stop = (new * new <= cfg.rel_tol * np.abs(s_) * (np.abs(dels[:m]) - np.abs(new))) & (
-                np.abs(delh_) <= cfg.rel_tol * np.abs(h_))
-            _freeze(ends, pending, stop, steps[:m, 1:])
-            dels[0] = dels[m]
-    return ends[0], ends[1], pending
+        return np.zeros(x.shape), np.zeros(x.shape), np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):  # 2x overflows past 8.9e307, where e^(-x) is 0
+        two_x = 2.0 * x
+        if array:
+            s, r = np.zeros((2, x.size)), np.empty(x.size)
+            terms = np.empty((2, x.size))
+            for v2, _, _, w in nodes:
+                np.sqrt(np.add(two_x, v2, out=r), out=r)
+                np.add(s, np.divide(w, r, out=terms), out=s)
+            s0, s2 = s
+        else:
+            s0 = s2 = 0.0
+            for v2, w0, w2, _ in nodes:
+                r = math.sqrt(two_x + v2)
+                s0, s2 = s0 + w0 / r, s2 + w2 / r
+        e = _per_element(math.exp, -x)
+        return e * s0, e * (s0 + s2 / x), np.zeros(x.shape, dtype=bool) if array else False
 
 
 def _miller(x, cfg: SeriesConfig, y: bool) -> tuple:
@@ -774,7 +747,7 @@ def _j0_y0(x, cfg: SeriesConfig, y: bool):
 
 def _k0_pair(x, cfg: SeriesConfig) -> tuple:
     """(K0, K0') at x > 0, a float or an array: the log series below x = 2,
-    CF2 from there."""
+    the trapezoidal rule from there."""
 
     def below(x, cfg):
         rows, pending = _ik_series(x, cfg, _k0_weights, _per_element(math.log, x) + _ELL0)
@@ -782,10 +755,10 @@ def _k0_pair(x, cfg: SeriesConfig) -> tuple:
             return (rows[0], rows[1] / x), pending
 
     def above(x, cfg):
-        k0, k1, pending = _cf2(x, cfg)
+        k0, k1, pending = _k0_rule(x, cfg)
         return (k0, -k1), pending
 
-    return _regimes(x, cfg, _CF2_FROM, below, above)
+    return _regimes(x, cfg, _K0_RULE_FROM, below, above)
 
 
 # ----------------------------------------------------------------------
@@ -821,7 +794,8 @@ def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
 
 def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """K0(x) = sum_n (phi(n) - ln(x/2) - gamma) (x/2)^(2n)/(n!)^2 below x = 2,
-    Steed's CF2 from there; positive, and `k0_jet`'s f bit for bit."""
+    the trapezoidal rule on its integral from there; positive, and
+    `k0_jet`'s f bit for bit."""
     _require_finite(x, "k0", 0.0, "finite x > 0")
     return _k0_pair(x, cfg)[0]
 

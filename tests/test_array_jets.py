@@ -75,7 +75,7 @@ def pointwise(jet, xs):
 
 LONG = np.concatenate([np.geomspace(1e-3, 60.0, 97), [60.0, 1e-3, 30.0, 7.25]])
 # early (x ~ 1e-3: a handful of terms) and late (x ~ 60: Miller's recurrence
-# from N = 124, CF2 in a few terms) lanes
+# from N = 124, K0's rule on its fixed nodes) lanes
 MIXED = np.array([1e-3, 59.0, 0.02, 45.5, 3.0, 60.0, 0.5, 12.0] * 5)
 
 
@@ -156,9 +156,9 @@ def test_miller_is_even_in_j0():
 
 
 # ----------------------------------------------------------------------
-# bessel: block edges of the array series and of CF2
+# bessel: block edges of the array series, and K0's rule
 #
-# an array runs a block of K terms (K iterations of CF2) per pass, K from
+# an array runs a block of K terms per pass, K from
 # `_block_length(rows, lanes)`; a block covers the stop tests at n = jK + 1
 # .. (j + 1) K, so a lane whose float loop stops at n = 0 mod K stops on
 # the last term of a block and one at n = 1 mod K on the first of the next
@@ -254,33 +254,46 @@ def test_block_series_on_empty_arrays(kind):
     assert rows.shape == (SERIES[kind][0], 0) and pending.shape == (0,)
 
 
-CF2_XS = np.concatenate([np.geomspace(2.0, 700.0, 61), [2.0, 2.5, 40.0, 1e300]])
+K0_RULE_XS = np.concatenate([np.geomspace(2.0, 700.0, 61), [2.0, 2.5, 40.0, 1e300]])
+# the nodes of K0's rule from x = 2 up at the default rel_tol
+K0_NODES = len(bessel._k0_nodes(bessel.DEFAULT_SERIES.rel_tol))
 
 
-@pytest.mark.parametrize("terms", [12, 20, 200])
-@pytest.mark.parametrize("k", [None, 1, 3, 16])
-def test_cf2_blocks_against_the_float_loop(terms, k, monkeypatch):
-    # CF2 takes about 76 iterations at x = 2 and fewer as x grows, so at 12
-    # and 20 iterations its small lanes stay pending beside converged ones
-    if k is not None:
-        monkeypatch.setattr(bessel, "_block_length", lambda rows, lanes: k)
-    xs, cfg = np.random.default_rng(terms).permutation(CF2_XS), SeriesConfig(max_terms=terms)
-    k0, k1, pending = bessel._cf2(xs, cfg)
-    for i, x in enumerate(xs.tolist()):
-        try:
-            want = bessel._cf2(x, cfg)
-        except NonConvergenceError:
-            assert pending[i]
-            continue
-        assert not pending[i]
-        assert_bit_identical([k0[i], k1[i]], want[:2])
-    assert pending.any() != (terms == 200) and not pending.all()
-    assert [a.shape for a in bessel._cf2(np.array([]), cfg)] == [(0,)] * 3
+def _k0_rule_lanes(lanes):
+    return np.resize(np.random.default_rng(lanes).permutation(K0_RULE_XS), lanes)
+
+
+@pytest.mark.parametrize("lanes", [1, 21, 401, 4096])
+def test_k0_rule_arrays_match_the_float_calls(lanes):
+    # every lane takes the same fixed nodes, with no stop test
+    xs, cfg = _k0_rule_lanes(lanes), bessel.DEFAULT_SERIES
+    k0, k1, pending = bessel._k0_rule(xs, cfg)
+    want = np.array([bessel._k0_rule(x, cfg)[:2] for x in xs.tolist()]).T
+    assert not pending.any()
+    assert_bit_identical([k0, k1], want)
+
+
+@pytest.mark.parametrize("lanes", [1, 21, 401, 4096])
+def test_k0_rule_refuses_nodes_past_max_terms(lanes):
+    # one node short leaves every lane pending, and k0_jet refuses the first
+    # lane from x = 2, after lanes below 2 whose log series converges
+    xs, cfg = _k0_rule_lanes(lanes), SeriesConfig(max_terms=K0_NODES - 1)
+    assert bessel._k0_rule(xs, cfg)[2].all()
+    assert not bessel._k0_rule(xs, SeriesConfig(max_terms=K0_NODES))[2].any()
+    with pytest.raises(NonConvergenceError, match=f"at x={float(xs[0])!r}$"):
+        bessel._k0_rule(float(xs[0]), cfg)
+    with pytest.raises(NonConvergenceError, match=f"at x={float(xs[0])!r}$"):
+        k0_jet(np.concatenate([[0.5, 1.9], xs]), cfg)
+
+
+def test_k0_rule_on_empty_arrays():
+    assert [a.shape for a in bessel._k0_rule(np.array([]), bessel.DEFAULT_SERIES)] == [(0,)] * 3
 
 
 # tracemalloc peaks at the CLI's block of 4096 x (`cli._BLOCK_ROWS`), in
 # units of the returned jet's 4 x 4096 float64: the block buffers of
-# `_ik_series` and `_cf2` stay a small multiple of it at any lane count
+# `_ik_series` and the rows of K0's rule stay a small multiple of it at any
+# lane count
 JET_PEAK_BOUND = 8.0
 
 
@@ -394,6 +407,8 @@ def test_all_zero_expression_jets_take_one_array_call():
     (np.array([1.0, -np.inf, 40.0, 3.0]), SeriesConfig(max_terms=30)),
 ], ids=["non-convergence", "nan", "inf", "-inf"])
 def test_array_errors_name_the_first_failing_lane(fn, xs, cfg):
+    if fn in (bessel.bessel_k0, k0_jet) and cfg.max_terms == 30:
+        cfg = SeriesConfig(max_terms=K0_NODES - 1)  # K0's rule from x = 2 takes fixed nodes
     ref = _first_error(lambda: [fn(x, cfg) for x in xs.tolist()])
     with pytest.raises(type(ref)) as exc:
         fn(xs, cfg)
@@ -423,7 +438,7 @@ def _regimes_apart(xs, cut, below, above):
 
 
 # with +1, K0's one call over lanes on both sides of x = 2 against its log
-# series and CF2 called apart; with -1, the J0 jet and Y0 and Y0' against
+# series and its trapezoidal rule called apart; with -1, the J0 jet and Y0 and Y0' against
 # their series and Miller's recurrence called apart
 @pytest.mark.parametrize("lanes", [1, 5, 21, 24, 101, 401])
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -437,10 +452,10 @@ def test_one_pass_sums_match_the_two_passes(lanes, sign):
             return (rows[0], rows[1] / x), pending
 
         def above(x):
-            k0, k1, pending = bessel._cf2(x, cfg)
+            k0, k1, pending = bessel._k0_rule(x, cfg)
             return (k0, -k1), pending
 
-        want = _regimes_apart(xs, bessel._CF2_FROM, below, above)
+        want = _regimes_apart(xs, bessel._K0_RULE_FROM, below, above)
         assert_bit_identical(got, np.array([bessel._k0_pair(x, cfg) for x in xs.tolist()]).T)
     else:
         got = np.array(bessel._j0_y0(xs, cfg, True))
@@ -486,9 +501,10 @@ def test_k0_primary_is_summed_from_its_own_copy_of_x():
     (y0_jet, [1.0, 3.8337, 2.404825557695773, 2.0], 16),
     (y0_jet, [1.0, 2.404825557695773, 3.8337, 2.0], 16),
     (y0_jet, [0.5, 40.0, 1.0, 35.0], 16),
-    # K0 at 12 terms: its log series fails at 1.9 and CF2 at 3.0, while 0.5,
-    # 1.0 and 60 converge; the first failing lane is the log series' in the
-    # first case and CF2's in the second (the ids keep their earlier names)
+    # K0 at 12 terms: its log series fails at 1.9 and its rule, short of its
+    # nodes, at 3.0 and 60, while 0.5 and 1.0 converge; the first failing
+    # lane is the log series' in the first case and the rule's in the second
+    # (the ids keep their earlier names)
     (k0_jet, [0.5, 1.9, 3.0, 1.0], 12),
     (k0_jet, [0.5, 3.0, 1.9, 60.0], 12),
 ], ids=["y0-weighted-first", "y0-plain-first", "y0-both", "k0-weighted-first", "k0-both"])
@@ -518,9 +534,9 @@ def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
     # the radii straddle x = 2: J0 takes one pass of its series and one
     # Miller recurrence, with Y0's series on top where c2 != 0; I0 one pass
     # of its four rows, and K0 one of its log series over the lanes below
-    # x = 2 and one CF2 pass over the rest
+    # x = 2 and one pass of its rule over the rest
     calls = []
-    for name in ("_miller", "_ik_series", "_cf2"):
+    for name in ("_miller", "_ik_series", "_k0_rule"):
         kernel = getattr(bessel, name)
         monkeypatch.setattr(bessel, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
     p = bessel_profile(lam, 1.0, c2)
@@ -529,7 +545,7 @@ def test_bessel_profile_jets_take_one_series_pass(lam, c2, monkeypatch):
     if lam > 0.0:
         want = ["_ik_series", "_miller"] + ["_ik_series"] * bool(c2)
     else:
-        want = ["_ik_series"] + ["_ik_series", "_cf2"] * bool(c2)
+        want = ["_ik_series"] + ["_ik_series", "_k0_rule"] * bool(c2)
     assert sorted(calls) == sorted(want)
     assert_bit_identical(got, np.array([[p.evaluate(u, k) for u in us.tolist()] for k in range(4)]))
 
@@ -553,9 +569,10 @@ def test_array_domain_error(jet):
 
 @pytest.mark.parametrize("jet", JETS, ids=lambda f: f.__name__)
 def test_array_non_convergence(jet):
-    cfg = SeriesConfig(max_terms=30)
+    # K0 from x = 2 takes its rule's fixed nodes, one more than it is given
+    cfg = SeriesConfig(max_terms=K0_NODES - 1 if jet is k0_jet else 30)
     xs = np.linspace(1.0, 40.0, 40)
-    with pytest.raises(NonConvergenceError):  # K0's CF2 is slowest at x = 2, the series at 40
+    with pytest.raises(NonConvergenceError):  # the series are slowest at 40
         jet(2.0 if jet is k0_jet else float(xs[-1]), cfg)
     with pytest.raises(NonConvergenceError):
         jet(xs, cfg)

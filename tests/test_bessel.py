@@ -479,8 +479,8 @@ def _i0_top() -> float:
 I0_TOP = _i0_top()
 # I0 through the switch to its Taylor limit at 2^-26, densest near the top,
 # where its terms' rounding adds up most (3.98e-15 at x = 257.56, in f);
-# K0 through the switch to CF2 at 2, and at 80, where the double-
-# double series gave -251
+# K0 through the switch to its trapezoidal rule at 2, and at 80, where the
+# double-double series gave -251
 I0_XS = np.concatenate((np.geomspace(2.0**-60, 1.0, 80), np.linspace(1.0, I0_TOP, 200),
                         np.linspace(I0_TOP - 30.0, I0_TOP, 100)))
 K0_WIDE_XS = np.concatenate((np.geomspace(2.0**-330, 700.0, 300), np.linspace(1.9, 2.1, 41), [80.0]))
@@ -500,6 +500,31 @@ def test_i0_k0_jets_relative_to_mpmath(kind, jet, value, xs):
         assert max(modified_jet_errors(kind, x, got)) <= JET_BOUND, x
         assert modified_jet_errors(kind, x, [value(x)])[0] <= JET_BOUND, x
         assert value(x) == got[0], x
+
+
+# K0 and K1 = -K0' on the lanes of K0's trapezoidal rule, x >= 2, densest
+# just past the switch from the log series (which is 1.9e-15 off at 1.9,
+# under JET_BOUND above): within 1e-15 relative of mpmath, where Steed's
+# CF2 was 2.2e-15 off near x = 4
+K0_RULE_XS = np.concatenate((np.linspace(2.0, 2.1, 21), np.geomspace(2.0, 700.0, 500)))
+
+
+def _k0_k1_errors(cfg=bessel.DEFAULT_SERIES) -> np.ndarray:
+    """The relative errors of K0 and K0' = -K1 at each x of K0_RULE_XS."""
+    got = np.array(k0_jet(K0_RULE_XS, cfg)[:2]).T
+    return np.array([modified_jet_errors("k0", x, row) for x, row in zip(K0_RULE_XS.tolist(), got)])
+
+
+def test_k0_k1_from_two_within_1e_15():
+    errors = _k0_k1_errors()
+    assert errors.max() <= 1e-15, K0_RULE_XS[errors.max(axis=1).argmax()]
+
+
+@pytest.mark.parametrize("rel_tol", [1e-2, 1e-5, 1e-8, 1e-12])
+def test_k0_rule_meets_a_loose_rel_tol(rel_tol):
+    # the rule takes its step and nodes from rel_tol, and stays within it
+    errors = _k0_k1_errors(SeriesConfig(rel_tol=rel_tol))
+    assert errors.max() <= rel_tol, K0_RULE_XS[errors.max(axis=1).argmax()]
 
 
 def test_i0_value_is_the_jets_f():

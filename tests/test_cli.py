@@ -94,8 +94,8 @@ def test_bessel_non_convergence(capsys):
 
 
 def test_bessel_k0_table_past_the_series_reach(capsys):
-    # K0 past x = 2 is Steed's CF2: the double-double series printed five
-    # negative values here and exited 0
+    # K0 past x = 2 is the trapezoidal rule on its integral: the
+    # double-double series printed five negative values here and exited 0
     assert main(["bessel", "--kind", "k0", "--range", "70:100", "--n", "5"]) == 0
     header, rows = _csv_rows(capsys.readouterr().out)
     assert header == "x,value" and [x for x, _ in rows] == [70.0, 77.5, 85.0, 92.5, 100.0]

@@ -29,7 +29,7 @@ FIGURE_FILES = {
 FIGURE_DIGESTS = {
     "figure1a.csv": "d30a7bac309b1d1e8b9686790ae1e6ccf1552a7f6373b4fc3ce901856fdb5a04",
     "figure1b_i0.csv": "ab75ff1eed7808e600eb55f112f83feafe79c90ec4494125bd66e08f70495dd2",
-    "figure1b_k0.csv": "5b462dfcc11fa909ffcade01d4e8c61fb87df350b0e189800cebd8e506149dde",
+    "figure1b_k0.csv": "9d85c289f6721b8e70fcffcf3b9dca618a36d975acfca2d44de01b7e0ad392e9",
     "figure2a.csv": "a8a97354c3a9bde2c900a4d18f4859fdad3d69d44ffd96063b6a6aadc621f350",
     "figure2b.obj": "587710b9815de164d6b54623f780329b4ce6d6ef1e358357c6000266f2859455",
     "figure3a.csv": "145a2c5883482fcc242f18ca96018ad2589b0ceda5ad60792c00e47d9910a97c",
@@ -64,9 +64,9 @@ SURFACE_DIGESTS = {
     ("bessel-jy", "curvature"): (0, "408231c63b977d32ce19f0cac5470f9f049682ba4cba44927c8b437f684bb36b"),
     ("bessel-ik", "classify1"): (0, "1499f449f6fb3910b817dab63571b141c5ade4af038a99b83d9b57d8bea5d4e7"),
     ("bessel-ik", "classify2"): (0, "4160344b87acb56e15cb8863b4e4dec82d1d22e944ca9d91284903c649069326"),
-    ("bessel-ik", "laplacian1"): (0, "0755f6b95f20c23b22c04aa6544038d61b159b906898cd54a7efa30fc5f09112"),
-    ("bessel-ik", "laplacian2"): (0, "290e546070f268c2f1e79dac3d04691a107d13d129e462f80f39455ac8339048"),
-    ("bessel-ik", "curvature"): (0, "1d1f407f865ba983223a784301687f9c99b7e683a38d30d1718dc1af997fefd5"),
+    ("bessel-ik", "laplacian1"): (0, "5a6a38b1a1e7b526b72423a91b455a19fb9a5700525cf10fb0aeed55e3ceeab8"),
+    ("bessel-ik", "laplacian2"): (0, "adf2cabf9da9294cb224ae9971ca49793445be41e8bf687f95359f8b576e4800"),
+    ("bessel-ik", "curvature"): (0, "0e4855dc8e300fff30271fb2ed3a7261481cba8f9fd1a60bb49220156bcb1727"),
     ("expr-bessel", "classify1"): (0, "953e31944754ceb1cfdfb90b16942badb26f64c87327d6549d791c35b187b8bf"),
     ("expr-bessel", "classify2"): (0, "93772d3b82b1207a61d8d0376faae8b1e4a227197f86830aa44571dcae3fc2ad"),
     ("expr-bessel", "laplacian1"): (0, "ecf7e251bc2c7fdea35f71190c3baababf8c4f669747a6f2c5331af7e8d57405"),
@@ -116,7 +116,7 @@ LARGE_SURFACE_DIGESTS = {
     # u, v, d3 and z columns of these grids once per distinct value
     ("bessel-ik", "laplacian1", "5x4099"): "2c32e29099e74dfd43c7178a9e99d88f5006abdbc25cca642bfcd33b55860a88",
     ("bessel-ik", "laplacian2", "5x4099"): "43f7d5e8f9e92d1f56f8793930502d9c223b9eb772a9c765db0389224b01af83",
-    ("bessel-ik", "mesh", "5x4099"): "fc891040e67510ee64270d68c5f25f85a735379e9a2ba4ec3da5c1b0b9422c20",
+    ("bessel-ik", "mesh", "5x4099"): "5bba3dae014d028fd3a1b7640c13347c39169cad985f186e1d87f8b3a80a2876",
     ("bessel-j0", "laplacian1", "5x4099"): "02549569d912a30666c1c1706fbf6a7c5068d6eda4ec16bf469984b1fcc34402",
     ("bessel-j0", "laplacian2", "5x4099"): "812bc98007b41932f938782d82045ef11fd45a2981a2996bad8125a770626d03",
     ("bessel-j0", "mesh", "5x4099"): "6b44f60dc48ee0fd6b9b7cf0cc42c072e2e484b6c4bb673f0423fe073dd4e693",
@@ -149,7 +149,7 @@ LARGE_BESSEL_DIGESTS = {
     "j0": ("0:25", (), "2cd98879321d53900389f7ef3e9fd95a14d48c31c9c227c52967db019b0b28e3"),
     "y0": ("0.05:25", (), "6ef3390f113c44824b4da9207c2a37aa39352c1b2627ec19588b7abc893a529b"),
     "i0": ("-25:25", (), "a9f40f8040533e72f54c9f1983310dc7b51a6f97084121baf1a22bc217479ce6"),
-    "k0": ("0.05:25", (), "9041c9a88c19a8cd8494edfcbe09648252e251af1daba171522c7dbbb481bb60"),
+    "k0": ("0.05:25", (), "ea9d1895b7085b7bfd06860a2783c01020fa95e98327231391b113af91193620"),
     "jp": ("0:25", ("--p", "0.3"), "a91ff0026d2b76cb3de925071b95c085ad509b7e2b7c01ac3fd09f6c131092d7"),
 }
 
@@ -160,10 +160,12 @@ LARGE_BESSEL_DIGESTS = {
 # K0 came to be summed in float64, again (bessel-ik, expr-bessel) when I0
 # came to be four plain float64 rows, and again (all four) when J0 and Y0
 # came to be summed in float64 and the I0 rows came to be f, f'/h, f'' and
-# f'''/h: (mpmath kind, jet, scale s) of each jet the profile takes at s u.
-# The figure 1a, 2a and 2b digests and the j0, y0 and i0 tables moved with
-# them, and the classify1 reports of profiles that fit no eigenvalue when
-# their note came to name the scaled bound.  Each digest test also
+# f'''/h, and again (bessel-ik, at radii from u = 2) when K0 from x = 2
+# came to be the trapezoidal rule on its integral: (mpmath kind, jet,
+# scale s) of each jet the profile takes at s u.  The figure 1a, 2a and 2b
+# digests and the j0, y0 and i0 tables moved with them, figure 1b's K0 file
+# and the k0 table with the last, and the classify1 reports of profiles
+# that fit no eigenvalue when their note came to name the scaled bound.  Each digest test also
 # checks those jets at the surface's radii against mpmath, to the bound of
 # tests/mp_bessel.py
 PROFILE_JETS = {

@@ -23,7 +23,10 @@ float64 (their alternating series below x = 2, Miller's recurrence and
 Neumann's series from there) and the I0 and J0 rows came to be f, f'/h,
 f'' and f'''/h, h = x/2, with which I0's series may stop a term earlier;
 every 20th argument of every order-0 digest is checked against mpmath
-through x = 28, and of J_p's through x = 20.
+through x = 28, and of J_p's through x = 20.  The K0 digests, jet and
+value, were taken again when K0 and K1 from x = 2 up came to be the
+trapezoidal rule on K0's integral, in place of Steed's CF2: 490 of the 504
+arguments from x = 2 moved, and none below it.
 """
 
 import hashlib
@@ -42,11 +45,11 @@ ORDER0 = {
     "j0_jet": (bessel.j0_jet, "46b9b7c5880c42bb5a2f915b20a25f7c3d4db100637f56fe953e55c762274c44"),
     "i0_jet": (bessel.i0_jet, "bbe3cb53ae64fe8067e781233a491fb75ba33e53f76688c28464d59005f98023"),
     "y0_jet": (bessel.y0_jet, "25e99a844b34a737b842b7b2653c4a409fe0bb9ba57364369b1ef961039cbf39"),
-    "k0_jet": (bessel.k0_jet, "f264dcffad019826bc8d06b0bec9df61694b9bc5e63835055ccc28dbcbd689c2"),
+    "k0_jet": (bessel.k0_jet, "7b0ef331be0b30481dab6796e7e2cc1ff18989d3a4a133ae4ba5762db20d32ae"),
     "bessel_j0": (bessel.bessel_j0, "1d7bf6da2d1c062d065ed532b892d5a81681a9b12ed010b30afe1140d68c3e28"),
     "bessel_i0": (bessel.bessel_i0, "a798786c6c35c063356eae04aa355346ecc4516a704af467ff4ed789c9fd0271"),
     "bessel_y0": (bessel.bessel_y0, "7fda014ebac97e784aa407762db16ab8a991c277414a28028afd9d8e41c2961c"),
-    "bessel_k0": (bessel.bessel_k0, "1ed18e6ab6fe34601e96f872de0d24729ab61538a47e21f8bcb5ed541cac5772"),
+    "bessel_k0": (bessel.bessel_k0, "a1e2c970c330137645333e554474406809195170bac3589591815ea05725df36"),
 }
 
 JP = {
@@ -103,3 +106,17 @@ def test_jp_jet_digests(p):
     for x in CHECKED:
         row = _jp_row(p, x)
         assert not row or _error(("j", p), x, row) <= JET_BOUND, x
+
+
+# K0 below x = 2, its log series, at the digested arguments under 2 and 40
+# more just under the switch: the jet and the value, from pointwise calls
+# and from one array call.  Taken while K0 from x = 2 was still Steed's CF2,
+# it holds the log series' bits through the change to the trapezoidal rule
+K0_BELOW_TWO = "b441cab1a7a9682a9da923069cd3db112c533b94ec7b82d8c68ec19fb4250d23"
+
+
+def test_k0_below_two_keeps_its_bits():
+    xs = np.concatenate((XS[XS < 2.0], np.linspace(1.9, 2.0, 41)[:-1]))
+    pointwise = _digest((*bessel.k0_jet(x), bessel.bessel_k0(x)) for x in xs.tolist())
+    one_call = _digest(np.array([*bessel.k0_jet(xs), bessel.bessel_k0(xs)]).T)
+    assert (pointwise, one_call) == (K0_BELOW_TWO, K0_BELOW_TWO)
