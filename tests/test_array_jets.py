@@ -286,6 +286,42 @@ def test_k0_rule_refuses_nodes_past_max_terms(lanes):
         k0_jet(np.concatenate([[0.5, 1.9], xs]), cfg)
 
 
+@pytest.mark.parametrize("terms", [12, 20, 200])
+@pytest.mark.parametrize("k", [None, 1, 3, 16])
+def test_cf2_blocks_against_the_float_loop(terms, k, monkeypatch):
+    # K0 from x = 2, where CF2 ran in blocks, against the float loop at any
+    # block length of the log series below 2: the rule's lanes are its float
+    # calls, all pending below K0_NODES terms and none from there, and
+    # k0_jet over lanes on both sides of 2 gives the float jets or refuses
+    # the first x that a float call refuses (the log series fails at 1.9
+    # with 12 terms)
+    if k is not None:
+        monkeypatch.setattr(bessel, "_block_length", lambda rows, lanes: k)
+    xs, cfg = np.random.default_rng(terms).permutation(K0_RULE_XS), SeriesConfig(max_terms=terms)
+    k0, k1, pending = bessel._k0_rule(xs, cfg)
+    for i, x in enumerate(xs.tolist()):
+        try:
+            want = bessel._k0_rule(x, cfg)
+        except NonConvergenceError:
+            assert pending[i]
+            continue
+        assert not pending[i]
+        assert_bit_identical([k0[i], k1[i]], want[:2])
+    assert pending.all() == (terms < K0_NODES) and pending.any() == pending.all()
+    lanes = np.random.default_rng(k).permutation(np.concatenate([np.linspace(0.05, 1.99, 40), xs]))
+    want = []
+    for x in lanes.tolist():
+        try:
+            want.append(k0_jet(x, cfg))
+        except NonConvergenceError as exc:
+            with pytest.raises(NonConvergenceError, match=f"^{re.escape(str(exc))}$"):
+                k0_jet(lanes, cfg)
+            break
+    else:
+        assert_bit_identical(np.array(k0_jet(lanes, cfg)), np.array(want).T)
+    assert (len(want) == lanes.size) == (terms == 200)
+
+
 def test_k0_rule_on_empty_arrays():
     assert [a.shape for a in bessel._k0_rule(np.array([]), bessel.DEFAULT_SERIES)] == [(0,)] * 3
 
