@@ -4,7 +4,7 @@ Laplace operators, and numerical verification of the eigenvalue
 classifications.
 
 `import sigeom` loads the base layer only: `errors`, and `bessel` with
-`_ddouble` and numpy.  Every other public name, and every other submodule,
+numpy.  Every other public name, and every other submodule,
 is imported on first access.
 """
 
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "bessel": "DEFAULT_SERIES EULER_GAMMA BesselKind PrecisionLossWarning SeriesConfig"
+        "bessel": "DEFAULT_SERIES EULER_GAMMA BesselKind SeriesConfig"
         " bessel_i0 bessel_j bessel_j0 bessel_k0 bessel_y0 gamma harmonic jp_pair_solution"
         " modified_pair_solution ode_residual pochhammer",
         "classify": "CertifiedProfile CurvatureReport EigenReport Grid OperatorKind Verdict"
@@ -39,7 +39,8 @@ _HOME = {
     }.items()
     for name in names.split()
 }
-_SUBMODULES = ("autodiff", "classify", "cli", "core", "expressions", "profiles", "surfaces")
+_SUBMODULES = ("_ddouble", "autodiff", "classify", "cli", "core", "expressions", "profiles",
+               "surfaces")
 
 __all__ = list(_HOME)
 

@@ -2,14 +2,7 @@
 numbers, the Bessel-family functions J_{+-p}, J0, Y0, I0 and K0, and a
 finite-difference ODE residual used as a self-check.
 
-J_p is a truncated series about the regular singular point x = 0, summed
-by `_series` or its array twin.  The series cancels catastrophically for
-moderate x, so it is accumulated in double-double arithmetic and rounded
-once at the end.  The kernels sum f and x f'; `_equation_rows` divides
-x f' by x and forms f'' and f''' from the series' own equation
-x f'' + (2p+1) f' + x f = 0.
-
-J0, Y0, I0 and K0 run in float64 on algorithms that cancel little:
+Every kernel runs in float64 on an algorithm that cancels little:
 - I0 is the four rows sum_n w(n) t_n, t_n = (x/2)^(2n) / (n!)^2, with
   w(n) = 1, 1/(n+1), (2n+1)/(2n+2) and (2n+3)/(2 (n+1) (n+2)): f, f'/h,
   f'' and f'''/h, h = x/2 (`_i0_weights`).  Every term is positive, so
@@ -24,16 +17,24 @@ J0, Y0, I0 and K0 run in float64 on algorithms that cancel little:
 - J0, J0' = -J1, Y0 and Y0' from |x| = 2 up come from Miller's downward
   recurrence, Y0 as Neumann's series in its J_2k (`_miller`);
 - K0 and K1 from x = 2 up are the trapezoidal rule on their integrals
-  (DLMF 10.32.9), on fixed nodes set by rel_tol, and K0' = -K1 (`_k0_rule`).
+  (DLMF 10.32.9), on fixed nodes set by rel_tol, and K0' = -K1 (`_k0_rule`);
+- J_p below its crossover x_c (`_jp_cut`) is (x/2)^p / Gamma(1+p) x^-k
+  times the rows sum_n w(n) (p+2n) ... (p+2n-k+1) t_n,
+  w(n) = (-1)^n n! / (1+p)_n (`_jp_weights`): each order is its own
+  term-wise series, so no product rule cancels; from x_c up it is Miller's
+  recurrence at the order q = p - floor(p) (`_jp_miller`).
 `_ik_series` sums each series.  Where a kernel gives only f and f', f''
-and f''' come from the equation x f'' + f' -+ x f = 0 (`_equation_jet`).
-Each value is row 0 of its jet's sums, the jet's f bit for bit.  Every
-order of the I0 and K0 jets is within 4e-15 relative of mpmath: I0 up to
-x of about 258, past which the default SeriesConfig refuses its series,
-and K0 on [2^-330, 700], K0 and K1 within 1e-15 from x = 2.  Every order
-of the J0 and Y0 jets is within 4e-15 of max(1, |f^(k)|) up to x of about
-116, past which the default SeriesConfig refuses Miller's start.  Below |x| = 2^-26 the J0 and I0
-jets are their Taylor limit.
+and f''' come from its equation: x f'' + f' -+ x f = 0 at order zero
+(`_equation_jet`), and Bessel's equation for J_p.  Each order-zero value
+is row 0 of its jet's sums, the jet's f bit for bit; J_p's value sums its
+f row alone.  Every order of the I0 and K0 jets is within 4e-15 relative of
+mpmath: I0 up to x of about 258, past which the default SeriesConfig
+refuses its series, and K0 on [2^-330, 700], K0 and K1 within 1e-15 from
+x = 2.  Every order of the J0, Y0 and J_p jets is within 4e-15 of
+max(1, |f^(k)|): J0 and Y0 up to x of about 116, past which the default
+SeriesConfig refuses Miller's start, and J_p (measured for |p| <= 25.3)
+on [2^-60, 100].  Below |x| = 2^-26 the J0 and I0 jets are their Taylor
+limit.
 
 Grid evaluation.  The order-zero values and jets and J_p's value also take
 a float64 array of arguments (profile jets on a grid of radii, CLI
@@ -56,13 +57,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import _ddouble as dd
 from .errors import DomainError, NonConvergenceError
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "SeriesConfig",
     "DEFAULT_SERIES",
     "BesselKind",
-    "PrecisionLossWarning",
     "gamma",
     "pochhammer",
     "harmonic",
@@ -93,19 +91,19 @@ __all__ = [
 #: harmonic-number limit test rather than trusted blindly.
 EULER_GAMMA = 0.57721566490153286
 
-# Series-based J values lose relative accuracy past this argument
-# (cancellation outgrows the compensated accumulation).
-_LARGE_X = 30.0
-
-
-class PrecisionLossWarning(UserWarning):
-    """Emitted when an argument leaves the accuracy contract of a series."""
-
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation policy: stop once two consecutive terms fall below
-    rel_tol times the running sum, fail after max_terms."""
+    """Truncation policy of every kernel; each refuses an x where it would
+    need more than max_terms steps.
+    - The series (`_ik_series`) stop once the next term of every row has
+      been at most rel_tol times the row's sum for two terms running, and
+      are refused past max_terms terms.
+    - Miller's recurrence (J0, Y0 and J_p from their crossovers) starts at
+      an order N set by x, and for J_p > 0 by p too; N past max_terms is
+      refused, and rel_tol does not enter.
+    - K0's trapezoidal rule takes a node count set by rel_tol, refused
+      past max_terms nodes."""
 
     rel_tol: float = 1e-15
     max_terms: int = 200
@@ -140,39 +138,16 @@ class BesselKind:
 # gamma, rising factorial, harmonic numbers
 
 
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = 2.5066282746310002
-
-
 def gamma(x: float) -> float:
-    """Gamma function by a fixed-coefficient rational (Lanczos) approximation.
-
-    Contract: relative error <= 1e-12 on (0, 50].  Negative non-integer
-    arguments are handled through the reflection formula; poles raise.
-    """
+    """Gamma function by `math.gamma`.  Poles and non-finite x raise
+    DomainError.  Where Gamma(x) overflows (x past about 171.62, or
+    0 < x < 5.6e-309) math.gamma's OverflowError propagates; below about
+    x = -171.6 the result is subnormal or +-0."""
     if not math.isfinite(x):
         raise DomainError(f"gamma requires a finite argument, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"gamma has a pole at {x!r}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * math.exp((z + 0.5) * math.log(t) - t) * acc
+    return math.gamma(x)
 
 
 def pochhammer(k: float, n: int) -> float:
@@ -190,40 +165,6 @@ def harmonic(n: int) -> float:
     if n < 0:
         raise ValueError(f"harmonic requires n >= 0, got {n!r}")
     return math.fsum(1.0 / m for m in range(1, n + 1))
-
-
-# ----------------------------------------------------------------------
-# J_p's series kernels (double-double internals)
-
-
-def _series(x: float, cfg: SeriesConfig, orders: int, p: float) -> list[dd.DD]:
-    """The sum of J_p's series sum_n (-1)^n (x/2)^(2n) / (n! (1+p)_n) and,
-    if orders, x times its term-wise derivative, in double-double; `_sums`
-    forms the derivatives from these two rows.  No sum stops before its
-    n = 2 term, which f''' needs at small x."""
-    q = dd.mul_f(dd.two_prod(x, x), -0.25)
-    ax = abs(x)
-    s, xds, b, was_small = (0.0, 0.0), (0.0, 0.0), (1.0, 0.0), False
-    n = 0
-    while n < cfg.max_terms:
-        if orders:  # x t' of a term of degree 2n
-            xds = dd.add(xds, dd.mul_f(b, float(2 * n)))
-        s = dd.add(s, b)
-        n += 1
-        # the divisor n (p + n), with p + n exact
-        b = dd.div(dd.mul(b, q), dd.mul_f(dd.two_sum(p, float(n)), float(n)))
-        lead, tol = abs(b[0]), cfg.rel_tol * abs(s[0])
-        if orders:  # the next term's x t' is about 2n times it: so scaled, the test also
-            # holds the derivative's truncation below rel_tol |f|
-            lead, tol = lead * max(2.0 * n, ax), tol * ax
-        # the next term is small against the sum; with a zero sum, lead <= 0 is lead == 0
-        if not lead <= tol:
-            was_small = False
-        elif was_small and n > 2:
-            return [s, xds] if orders else [s]
-        else:
-            was_small = True
-    raise _unconverged(x, cfg)
 
 
 def _unconverged(x, cfg: SeriesConfig) -> NonConvergenceError:
@@ -255,92 +196,6 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
-def _series_array(x: np.ndarray, cfg: SeriesConfig, p: float, orders: int = 1) -> list[dd.DD]:
-    """`_series` at every element of an array x: row 0 and, if orders, row 1.
-
-    Pass n is one run of each double-double stage over stacked rows, each
-    the series base b times a factor: q and, if orders, 2n (x t').  Divided
-    by (n+1) (p+n+1), the b q row is the next b.  The q row's product error
-    gets a_hi f_lo + a_lo f_hi as in `dd.mul`, the 2n row's a_lo f as in
-    `dd.mul_f`: each element sees the IEEE operations of the scalar loop,
-    its sums frozen where that loop stops them, so the results are
-    bit-identical.  The stages run in place (`dd.*_into`), but for the
-    division by the double-double n (p + n).
-    """
-    top, lanes = (2 if orders else 1), x.size  # the rows of the sums
-    hi, lo = np.empty((top, lanes)), np.empty((top, lanes))
-    if not lanes:
-        return list(zip(hi, lo))
-    with np.errstate(all="ignore"):
-        q = dd.mul_f(dd.two_prod(x, x), -0.25)
-        space = np.zeros((12, top, lanes))
-        rows, prod, bq = (space[i : i + 2] for i in range(0, 6, 2))
-        work, factors, flo = list(space[6:10]), space[10], space[11]
-        # the sums and `step`, this pass's terms in their rows
-        acc = np.zeros((7, top, lanes))
-        sums, step, work_top = tuple(acc[:2]), acc[2:4], acc[4:]
-        factors[0], flo[0] = q
-        b = (rows[0][0], rows[1][0])  # views: b is updated in place
-        b[0][:] = 1.0
-        pending, was_small = np.ones(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
-        ax = np.abs(x)
-        n = 0
-        while True:
-            if n == cfg.max_terms:
-                raise _unconverged(x[np.argmax(pending)], cfg)
-            rows[:, 1:] = rows[:, :1]
-            factors[1:] = 2 * n
-            dd.two_prod_into(rows[0], factors, prod, work)
-            t, v = work[0], work[1][:1]  # the product errors' low-part terms
-            np.multiply(rows[1], factors, t)
-            np.multiply(rows[0][:1], flo[:1], v)
-            np.add(v, t[:1], t[:1])
-            np.add(prod[1], t, prod[1])
-            n += 1
-            dd.two_sum_into(prod[0], prod[1], bq, work)
-            step[:, 0], step[:, 1:] = rows[:, 0], bq[:, 1:]  # this pass's b and x b'
-            divisor = dd.mul_f(dd.two_sum(p, float(n)), float(n))
-            rows[0][0], rows[1][0] = dd.div((bq[0][0], bq[1][0]), divisor)
-            dd.add_into(sums, step, sums, work_top)
-            # the small-term test, as in `_series`; a streak of two is a small
-            # term now and one before, and none stops before n = 2
-            lead, tol = np.abs(b[0]), cfg.rel_tol * np.abs(sums[0][0])
-            if orders:
-                lead, tol = lead * np.maximum(2.0 * n, ax), tol * ax
-            small = lead <= tol
-            stop, was_small = pending & small & was_small, small
-            if n > 2 and stop.any():
-                np.copyto(hi, sums[0], where=stop)
-                np.copyto(lo, sums[1], where=stop)
-                pending &= ~stop
-                if not pending.any():
-                    return list(zip(hi, lo))
-
-
-def _sums(x, cfg: SeriesConfig, p: float, orders: int = 3) -> list[dd.DD]:
-    """The rows f, f', f'', f''' (0..orders) of J_p's sum.  `_series` at a
-    float x and `_series_array` at an array sum f and x f'; `_equation_rows`
-    forms the rest from the sum's own equation."""
-    if _is_array(x):
-        sums = _series_array(x, cfg, p, min(orders, 1))
-    else:
-        sums = _series(x, cfg, min(orders, 1), p)
-    return _equation_rows(x, *sums, orders, p) if orders else sums
-
-
-def _equation_rows(x, f: dd.DD, xf1: dd.DD, orders: int, p: float) -> list[dd.DD]:
-    """f, f', f'', f''' (0..orders) in double-double from f and x f': x f' is
-    divided by x here alone, and f'' and f''' come from the J family's
-    equation x f'' + (2p+1) f' + x f = 0: f'' = -(2p+1) f'/x - f,
-    f''' = -(2p+1) (f'' - f'/x)/x - f'."""
-    c = dd.neg(dd.two_sum(2.0 * p, 1.0))  # -(2p+1), exact
-    f1 = dd.div_f(xf1, x)
-    f1_x = dd.div_f(f1, x)
-    f2 = dd.add(dd.mul(c, f1_x), dd.neg(f))
-    f3 = dd.add(dd.mul(c, dd.div_f(dd.add(f2, dd.neg(f1_x)), x)), dd.neg(f1))
-    return [f, f1, f2, f3][: orders + 1]
-
-
 def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x") -> None:
     """Refuse x unless low < x < inf, saying it requires `what`; for arrays,
     at every element, naming the first one refused."""
@@ -353,7 +208,7 @@ def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x"
 
 
 # ----------------------------------------------------------------------
-# order-zero kernels in float64
+# kernels in float64
 
 # K0 takes the log series below this x and the trapezoidal rule on its
 # integral from it up: the series cancels about 5x at x = 2 and 20x at 3,
@@ -452,8 +307,35 @@ def _k0_weight_block(n: np.ndarray, ell, sign: float = 1.0) -> np.ndarray:
     return w
 
 
+def _jp_weights(n: int, p: float, table: list, rows: int) -> tuple:
+    """The first `rows` weights w(n) ff(p+2n, k), k = 0, 1, ..., of J_p's
+    rows, w(n) = (-1)^n n! / (1+p)_n and ff the falling factorial
+    (p+2n) (p+2n-1) ... (p+2n-k+1): with t_n = (x/2)^(2n) / (n!)^2,
+    J_p^(k) = (x/2)^p / Gamma(1+p) x^-k sum_n w(n) ff(p+2n, k) t_n, each
+    order its own term-wise series.  table holds w(0), w(1), ... for one
+    call, extended on demand by w(n) = -w(n-1) n / (p + n), so a float and
+    an array read the same weights."""
+    while len(table) <= n:
+        k = len(table)
+        table.append(-table[-1] * k / (p + k))
+    w = [table[n]]
+    for k in range(1, rows):
+        w.append(w[-1] * (p + (2 * n - k + 1)))
+    return tuple(w)
+
+
+def _jp_weight_block(n: np.ndarray, p: float, table: list, rows: int) -> np.ndarray:
+    """`_jp_weights` at a 1-D array of n, as an (n.size, rows, 1) array."""
+    _jp_weights(int(n.max()), p, table, 1)
+    w = [np.array(table)[n]]
+    for k in range(1, rows):
+        w.append(w[-1] * (p + (2 * n - k + 1)))
+    return np.stack(w, axis=1)[:, :, None]
+
+
 # the weights of `_ik_series` at a block of n, for an array x
-_WEIGHT_BLOCKS = {_i0_weights: _i0_weight_block, _k0_weights: _k0_weight_block}
+_WEIGHT_BLOCKS = {_i0_weights: _i0_weight_block, _k0_weights: _k0_weight_block,
+                  _jp_weights: _jp_weight_block}
 
 
 # The element budget of a block of the array series: a block of K terms
@@ -612,6 +494,23 @@ def _k0_rule(x, cfg: SeriesConfig) -> tuple:
         return e * s0, e * (s0 + s2 / x), np.zeros(x.shape, dtype=bool) if array else False
 
 
+def _miller_start(m, x, cfg: SeriesConfig) -> tuple:
+    """(start, top, pending) of Miller's recurrence for the order scale m, a
+    float or an array: each lane's start N = m + 15 + sqrt(40 m) rounded up
+    to even, and the highest.  An N past max_terms is refused at a float x,
+    and pending, with start 0, in an array (False at a float)."""
+    array = _is_array(m)
+    half = 0.5 * (m + 15.0 + (np.sqrt if array else math.sqrt)(40.0 * m))
+    if array:
+        pending = half > cfg.max_terms // 2
+        start = 2.0 * np.ceil(np.where(pending, 0.0, half))  # 0: never starts
+        return start, int(start.max(initial=0.0)), pending
+    if half > cfg.max_terms // 2:
+        raise _unconverged(x, cfg)
+    start = 2.0 * math.ceil(half)
+    return start, int(start), False
+
+
 def _miller(x, cfg: SeriesConfig, y: bool) -> tuple:
     """(rows, pending) at |x| >= 2 (x > 0 if y), a float or an array: J0 and
     J0' and, if y, Y0 and Y0'.
@@ -628,18 +527,8 @@ def _miller(x, cfg: SeriesConfig, y: bool) -> tuple:
     at a float and pending in an array (False at a float).
     """
     array = _is_array(x)
-    ax = np.abs(x) if array else abs(x)
     with np.errstate(all="ignore"):
-        half = 0.5 * (ax + 15.0 + (np.sqrt if array else math.sqrt)(40.0 * ax))
-        if array:
-            pending = half > cfg.max_terms // 2
-            start = 2.0 * np.ceil(np.where(pending, 0.0, half))  # 0: never starts
-            top = int(start.max(initial=0.0))
-        elif half > cfg.max_terms // 2:
-            raise _unconverged(x, cfg)
-        else:
-            start, pending = 2.0 * math.ceil(half), False
-            top = int(start)
+        start, top, pending = _miller_start(np.abs(x) if array else abs(x), x, cfg)
         tox = 2.0 / x
         a = b = norm = ys = ds = np.zeros(x.shape) if array else 0.0
         for n in range(top, 0, -2):  # a = j_(n+1), b = j_n
@@ -658,6 +547,56 @@ def _miller(x, cfg: SeriesConfig, y: bool) -> tuple:
         ell = _per_element(math.log, x) + _ELL0
         y0 = _TWO_OVER_PI * (ell * j0 - 2.0 * ys / norm)
         return (j0, -j1, y0, _TWO_OVER_PI * (j0 / x - ell * j1 - ds / norm)), pending
+
+
+# J_p's Miller sequence grows by up to about 5e167 between its start and
+# J_q under the default SeriesConfig; past this it is scaled down, as in
+# Numerical Recipes' bessj, for a larger max_terms and p
+_RESCALE = 2.0**600
+
+
+def _jp_miller(x, cfg: SeriesConfig, p: float) -> tuple:
+    """((J_p, J_p'), pending) at x >= 2, a float or an array.
+
+    Miller's downward recurrence j_(nu-1) = (2 nu / x) j_nu - j_(nu+1) runs
+    at the orders nu = q + n, q = p - floor(p), from j_(q+N+1) = 0,
+    j_(q+N) = 1, N set by the order scale max(x, p) (`_miller_start`), and
+    is normalised by sum_k (q+2k) Gamma(q+k) / k! J_(q+2k) = (x/2)^q,
+    summed from the top as Horner's rule in the ratios of its weights
+    (Numerical Recipes 6.5).  For p > 0, J_p and J_(p+1) are read off the
+    sequence; for p < 0 the recurrence runs on from J_q and J_(q+1) down
+    to J_p.  Then J_p' = (p/x) J_p - J_(p+1).  Each lane of an array starts
+    at its own N, so it does the arithmetic of a float; an N past max_terms
+    is refused at a float and pending in an array (False at a float).
+    """
+    top_order = math.floor(p)
+    q = p - top_order
+    array = _is_array(x)
+    with np.errstate(all="ignore"):
+        start, top, pending = _miller_start(np.maximum(x, p) if array else max(x, p), x, cfg)
+        tox = 2.0 / x
+        a = b = norm = jp = jp1 = np.zeros(x.shape) if array else 0.0
+        for n in range(top, -1, -1):  # a = j_(q+n+1), b = j_(q+n)
+            b = b + (start == n)
+            if n % 2 == 0:  # the weights of j_(q+n+2) and j_(q+n) have the ratio r_k
+                k = n // 2 + 1
+                norm = b + (q + 2 * k) * (q + k - 1) / ((q + 2 * k - 2) * k) * norm
+                over = abs(norm) > _RESCALE
+                if over.any() if array else over:  # an exact power of 2, per lane
+                    s = np.where(over, 1.0 / _RESCALE, 1.0) if array else 1.0 / _RESCALE
+                    a, b, norm, jp, jp1 = a * s, b * s, norm * s, jp * s, jp1 * s
+            if n == top_order:
+                jp, jp1 = b, a
+            if n:
+                a, b = b, (q + n) * tox * b - a
+        scale = _per_element(lambda e: math.pow(0.5 * e, q), x) / math.gamma(1.0 + q) / norm
+        if top_order >= 0:
+            f, f1 = jp * scale, jp1 * scale
+        else:
+            f, f1 = b * scale, a * scale
+            for k in range(-top_order):  # J_(nu-1) from J_nu and J_(nu+1), nu = q - k
+                f, f1 = (q - k) * tox * f - f1, f
+        return (f, p / x * f - f1), pending
 
 
 def _refuse_pending(x, pending, cfg: SeriesConfig) -> None:
@@ -873,65 +812,92 @@ def _check_jp_args(p: float, x: float) -> None:
         raise DomainError(f"bessel_j requires x >= 0 for non-integer order, got {x!r}")
     if x == 0.0 and p < 0.0:
         raise DomainError(f"bessel_j diverges at x = 0 for negative order p={p!r}")
-    if abs(x) > _LARGE_X:
-        warnings.warn(f"bessel_j series loses accuracy for |x| > {_LARGE_X} (x={x!r})",
-                      PrecisionLossWarning, stacklevel=3)
 
 
-def _jp_sum(p: float, x: np.ndarray, cfg: SeriesConfig) -> np.ndarray:
-    """The sum of J_p's series at each x != 0 of an array, and 1 at x = 0,
-    where a pointwise `bessel_j` sums nothing."""
-    out = np.ones(x.shape)
-    nonzero = x != 0.0
-    out[nonzero] = dd.to_float(_sums(x[nonzero], cfg, p, orders=0)[0])
-    return out
+def _jp_cut(p: float) -> float:
+    """J_p's crossover x_c: its series below, Miller's recurrence from there.
+    For p > 0 the series' |terms| sum to at most e^(x^2 / (4 (p+1))), e at
+    x_c = 2 sqrt(p+1); against mpmath neither 0.75 nor 1.25 times x_c did
+    better, for p from -10.3 to 25.3."""
+    return 2.0 * math.sqrt(p + 1.0) if p > 0.0 else 2.0
+
+
+def _jp_prefactor(p: float, x: float) -> float:
+    """(x/2)^p / Gamma(1+p), refused where Gamma(1+p) is 0 or overflows."""
+    try:
+        g = gamma(1.0 + p)
+    except OverflowError:
+        g = math.inf
+    if g == 0.0 or math.isinf(g):
+        raise DomainError(f"bessel_j requires Gamma(1+p) to be finite and nonzero, got p={p!r}")
+    return math.pow(0.5 * x, p) / g
+
+
+def _jp_series(x, cfg: SeriesConfig, p: float, rows: int) -> tuple:
+    """(rows, pending) of J_p's series (`_jp_weights`) at x, a float or an
+    array: J_p^(k) x^k over the prefactor, k < rows."""
+    return _ik_series(x, cfg, _jp_weights, p, [1.0], rows)
+
+
+def _jp_value(x, cfg: SeriesConfig, p: float, cut: float):
+    """J_p at x > 0, a float or an array, over the prefactor below cut."""
+
+    def above(x, cfg):
+        (f, _), pending = _jp_miller(x, cfg, p)
+        return (f,), pending
+
+    return _regimes(x, cfg, cut, lambda x, cfg: _jp_series(x, cfg, p, 1), above)[0]
 
 
 def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    """J_p(x) = (x/2)^p / Gamma(1+p) * sum_n (-1)^n (x/2)^(2n) / ((1+p)_n n!).
+    """J_p(x) = (x/2)^p / Gamma(1+p) * sum_n (-1)^n (x/2)^(2n) / ((1+p)_n n!)
+    below `_jp_cut`, Miller's recurrence from there.
 
     p may be negative (the second Frobenius branch); 2p must not be an integer.
     x may be a 1-D float64 array: each element is checked and takes its libm
-    prefactor in order, and the series runs once over the array; values and
-    errors are a pointwise loop's, and each x past 30 warns once, in order.
+    prefactor in order, and each kernel runs once over its lanes; values and
+    errors are a pointwise loop's.
     """
+    cut = _jp_cut(p)
     if not _is_array(x):
         _check_jp_args(p, x)
         if x == 0.0:
             return 0.0  # p > 0 here; the x^p prefactor wins
-        pref = math.pow(0.5 * x, p) / gamma(1.0 + p)
-        return pref * dd.to_float(_sums(x, cfg, p, orders=0)[0])
-    pref = np.zeros(x.shape)
+        a0 = _jp_prefactor(p, x) if x < cut else 1.0
+        return a0 * _jp_value(x, cfg, p, cut)
+    a0 = np.ones(x.shape)
     for i, e in enumerate(x.tolist()):
         try:
             _check_jp_args(p, e)
-            if e:
-                pref[i] = math.pow(0.5 * e, p) / gamma(1.0 + p)
+            if 0.0 < e < cut:
+                a0[i] = _jp_prefactor(p, e)
         except (ArithmeticError, ValueError):
-            _jp_sum(p, x[:i], cfg)  # a pointwise loop meets an earlier non-convergence first
+            if i:  # a pointwise loop meets an earlier non-convergence first
+                bessel_j(p, x[:i], cfg)
             raise
-    return pref * _jp_sum(p, x, cfg)
+    out, nonzero = np.zeros(x.shape), x != 0.0  # x = 0 sums nothing
+    out[nonzero] = a0[nonzero] * _jp_value(x[nonzero], cfg, p, cut)
+    return out
 
 
 def jp_jet(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
-    """(J_p, J_p', J_p'', J_p''')(x) for x >= 2^-340 via the product rule on
-    A(x) = x^p / (2^p Gamma(1+p)) and the rows of the sum; a jet that
-    overflows is refused."""
+    """(J_p, J_p', J_p'', J_p''')(x) for x >= 2^-340: below `_jp_cut` the
+    prefactor (x/2)^p / Gamma(1+p) times x^-k and the series' rows; from
+    there Miller's J_p and J_p', and J_p'' and J_p''' from Bessel's
+    equation.  A jet that overflows is refused."""
     _check_jp_args(p, x)
-    if x < 2.0**-340:  # x^3 is subnormal or 0 there, and a3 divides by it
+    if x < 2.0**-340:  # x^3 is subnormal or 0 there
         raise DomainError(f"jp_jet requires x >= 2**-340, got {x!r}")
-    s = [dd.to_float(v) for v in _sums(x, cfg, p)]
-    a0 = math.pow(0.5 * x, p) / gamma(1.0 + p)
-    a1 = p * a0 / x
-    a2 = p * (p - 1.0) * a0 / (x * x)
-    a3 = p * (p - 1.0) * (p - 2.0) * a0 / (x * x * x)
-    jet = (
-        a0 * s[0],
-        a1 * s[0] + a0 * s[1],
-        a2 * s[0] + 2.0 * a1 * s[1] + a0 * s[2],
-        a3 * s[0] + 3.0 * a2 * s[1] + 3.0 * a1 * s[2] + a0 * s[3],
-    )
-    if not all(math.isfinite(v) for v in jet):  # a prefactor, like a3 ~ x^(p-3), overflowed
+    if x < _jp_cut(p):
+        a0 = _jp_prefactor(p, x)
+        r0, r1, r2, r3 = _jp_series(x, cfg, p, 4)[0]
+        jet = (a0 * r0, a0 / x * r1, a0 / (x * x) * r2, a0 / (x * x * x) * r3)
+    else:
+        (f, f1), _ = _jp_miller(x, cfg, p)
+        c = p * p / (x * x) - 1.0  # x^2 f'' + x f' + (x^2 - p^2) f = 0, and its derivative
+        f2 = c * f - f1 / x
+        jet = (f, f1, f2, c * f1 - 2.0 * p * p / (x * x * x) * f - f2 / x + f1 / (x * x))
+    if not all(math.isfinite(v) for v in jet):  # a prefactor, like a0 / x^3 ~ x^(p-3), overflowed
         raise DomainError(f"jp_jet of order p={p!r} overflows at x={x!r}")
     return jet
 

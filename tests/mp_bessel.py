@@ -61,7 +61,7 @@ def plain_jet_reference(kind: str, p: float, x: float) -> tuple:
     """(f, f', f'', f''') of J_p (kind "j", J0 at p = 0) or of I0 (kind "i",
     p = 0) at x > 0, to 50 digits."""
     with mpmath.workdps(50):
-        m = mpmath.mpf(x)
+        m, p = mpmath.mpf(x), mpmath.mpf(p)  # p^2 and p + 1 unrounded
         if kind == "i":
             f, f1, sign = mpmath.besseli(0, m), mpmath.besseli(1, m), 1
         else:  # J_p' = (p/x) J_p - J_(p+1)

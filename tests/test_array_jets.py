@@ -9,8 +9,6 @@ with the exception a per-radius loop raises first.
 
 import math
 import re
-import types
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -355,31 +353,22 @@ def test_k0_jet_at_a_large_max_terms():
     assert_bit_identical(np.array(k0_jet(xs, cfg)), pointwise(lambda x: k0_jet(x, cfg), xs))
 
 
-# the kernels sum rows 0 and, for orders >= 1, x times the first derivative
-# of J_p's sum; `_sums` divides it by x and forms rows 2 and 3 from the
-# sum's equation, so it has the rows 0..orders at an array and at a float
+# J_p's series sums the rows 0..orders of its term-wise derivatives and
+# stops on those rows alone, at an array as at a float
 @pytest.mark.parametrize("orders", [0, 1, 2, 3])
 @pytest.mark.parametrize("p", [0.3, -1.7])
 def test_series_array_sums_the_rows_it_is_asked_for(orders, p):
     xs, cfg = _lanes(24), bessel.DEFAULT_SERIES
-    sums = bessel._sums(xs, cfg, p, orders)
-    ref = [bessel._sums(x, cfg, p, orders) for x in xs.tolist()]
-    assert len(sums) == len(ref[0]) == orders + 1
-    for k, (hi, lo) in enumerate(sums):
-        assert_bit_identical(hi, [r[k][0] for r in ref])
-        assert_bit_identical(lo, [r[k][1] for r in ref])
+    rows, pending = bessel._jp_series(xs, cfg, p, orders + 1)
+    ref = [bessel._jp_series(x, cfg, p, orders + 1)[0] for x in xs.tolist()]
+    assert len(rows) == len(ref[0]) == orders + 1 and not pending.any()
+    for k, row in enumerate(rows):
+        assert_bit_identical(row, [r[k] for r in ref])
 
 
 def test_series_rows_at_zero_lanes_are_exact():
     xs = np.array([0.0, 1.5, -0.0, 4.0])
     cfg = bessel.DEFAULT_SERIES
-    sums = bessel._series_array(xs, cfg, 0.3)
-    ref = [bessel._series(x, cfg, 1, 0.3) for x in xs.tolist()]
-    for k, (hi, lo) in enumerate(sums):  # J_p's double-double kernel: f and x f' as pairs
-        assert_bit_identical(hi, [r[k][0] for r in ref])
-        assert_bit_identical(lo, [r[k][1] for r in ref])
-        if k:
-            assert hi[[0, 2]].tolist() == lo[[0, 2]].tolist() == [0.0, 0.0]
     for sign in (1.0, -1.0):  # I0's and J0's float64 rows: their n = 0 weights at x = 0
         rows = bessel._ik_series(xs, cfg, bessel._i0_weights, sign)[0]
         ref = [bessel._ik_series(x, cfg, bessel._i0_weights, sign)[0] for x in xs.tolist()]
@@ -423,9 +412,6 @@ def test_empty_arrays():
     for fn in (*VALUES, *JETS):
         got = np.array(fn(empty))
         assert got.shape == ((0,) if fn in VALUES else (4, 0))
-    for orders in (0, 1):
-        sums = bessel._series_array(empty, bessel.DEFAULT_SERIES, 0.3, orders)
-        assert [(hi.shape, lo.shape) for hi, lo in sums] == [((0,), (0,))] * (orders + 1)
 
 
 def test_all_zero_expression_jets_take_one_array_call():
@@ -614,8 +600,8 @@ def test_array_non_convergence(jet):
         jet(xs, cfg)
 
 
-# bessel_j: the order-p series on the same kernels, with x = 0 lanes (where
-# a pointwise call sums nothing) and lanes past 30 (which warn)
+# bessel_j: the order-p series and Miller's recurrence on the same kernels,
+# with x = 0 lanes (where a pointwise call sums nothing)
 JP_XS = np.concatenate([[0.0], MIXED[:8], [0.0, -0.0], LONG[::9], [0.0]])
 
 
@@ -623,7 +609,6 @@ def _jp_pointwise(p, xs, cfg=bessel.DEFAULT_SERIES):
     return [bessel.bessel_j(p, x, cfg) for x in xs.tolist()]
 
 
-@pytest.mark.filterwarnings("ignore::sigeom.bessel.PrecisionLossWarning")
 @pytest.mark.parametrize("p", [0.3, 1.7, 5.3, -0.3, -2.3])
 @pytest.mark.parametrize("cfg", [bessel.DEFAULT_SERIES, LOOSE], ids=["default", "loose"])
 @pytest.mark.parametrize("xs", [JP_XS, LONG, LONG[:1], np.zeros(3)], ids=["mixed", "long", "len1", "zeros"])
@@ -640,7 +625,6 @@ def test_bessel_j_at_zero_lanes_sums_nothing():
     assert_bit_identical(bessel.bessel_j(0.3, np.array([]), cfg), np.array([]))
 
 
-@pytest.mark.filterwarnings("ignore::sigeom.bessel.PrecisionLossWarning")
 @pytest.mark.parametrize("p, xs, cfg", [
     (0.3, np.array([1.0, 2.0, 40.0, 3.0, 35.0]), SeriesConfig(max_terms=30)),
     (-1.7, np.array([1.0, 0.0, 2.0]), bessel.DEFAULT_SERIES),
@@ -659,125 +643,14 @@ def test_bessel_j_array_errors_name_the_pointwise_x(p, xs, cfg):
     assert str(exc.value) == str(ref)
 
 
-def test_bessel_j_array_warns_once_per_x_past_30_in_order():
-    xs = np.array([31.0, 1.0, 45.5, 30.0, 0.0, 33.0, 31.0])
-    with pytest.warns(bessel.PrecisionLossWarning) as got:
-        bessel.bessel_j(0.3, xs)
-    with pytest.warns(bessel.PrecisionLossWarning) as want:
-        _jp_pointwise(0.3, xs)
-    assert [str(w.message) for w in got] == [str(w.message) for w in want]
-    assert [str(w.message)[-6:-1] for w in got] == ["=31.0", "=45.5", "=33.0", "=31.0"]
-    assert {w.filename for w in got} == {__file__}  # the warning names the caller
-
-
-def test_array_kernels_call_ddouble_positionally(monkeypatch):
-    # a counting proxy for bessel.dd that accepts positional arguments only
-    calls = []
-
-    def positional(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-
-        return wrapper
-
-    dd = bessel.dd
-    proxy = types.SimpleNamespace(**vars(dd))
-    for name, value in vars(dd).items():
-        if callable(value) and not name.startswith("_"):
-            setattr(proxy, name, positional(value))
-    monkeypatch.setattr(bessel, "dd", proxy)
-    for fn in JETS + VALUES:  # the order-zero kernels run in float64 and make no call
-        assert_bit_identical(np.array(fn(MIXED)), pointwise(fn, MIXED))
-    assert calls == []
-    xs = MIXED[MIXED <= 30.0]  # past 30 bessel_j warns
-    assert_bit_identical(bessel.bessel_j(0.3, xs), _jp_pointwise(0.3, xs))
-    assert "two_prod" in calls and "div" in calls
-
-
-# ----------------------------------------------------------------------
-# the in-place double-double forms of the series kernel
-
-dd = bessel.dd
-
-
-def _operands(seed):
-    """Signed zeros, subnormals, magnitudes near the split's overflow and
-    random magnitudes over the whole float64 range."""
-    rng = np.random.default_rng(seed)
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 2.2250738585072014e-308, 1e-300,
-               1.5, -3.25, 2.0**27 + 1, 1e154, -1e200, 1e300, 1.7976931348623157e308]
-    wide = rng.standard_normal(300) * 10.0 ** rng.integers(-320, 300, 300).astype(np.float64)
-    return rng.permutation(np.concatenate([special, -np.array(special), wide]))
-
-
-def _pair(seed):
-    hi, lo = _operands(seed), _operands(seed + 100)
-    return hi, lo * 1e-17  # not normalized either: the forms work element by element
-
-
-@pytest.mark.parametrize("form", ["two_sum", "two_prod", "add"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_in_place_forms_are_their_tuple_twins(form, seed):
-    if form in ("two_sum", "two_prod"):
-        args = (_operands(seed), _operands(seed + 10))
-    else:
-        args = (_pair(seed), _pair(seed + 10))
-    n = args[0][0].size if isinstance(args[0], tuple) else args[0].size
-    out = (np.full(n, np.nan), np.full(n, np.nan))
-    work = [np.full(n, np.nan) for _ in range(4)]
-    with np.errstate(all="ignore"):
-        want = getattr(dd, form)(*args)
-        got = getattr(dd, form + "_into")(*args, out, work)
-    assert got is out
-    assert_bit_identical(got, want)
-
-
-@pytest.mark.parametrize("over", ["x", "y"])
-def test_add_into_may_write_over_an_argument(over):
-    x, y = _pair(4), _pair(5)
-    with np.errstate(all="ignore"):
-        want = dd.add(x, y)
-        got = dd.add_into(x, y, x if over == "x" else y, [np.empty(x[0].size) for _ in range(3)])
-    assert_bit_identical(got, want)
-
-
-def test_series_array_tuple_calls_do_not_grow_with_terms(monkeypatch):
-    # every stage of the term loop runs in place but J_p's division by the
-    # double-double n (p + n): past the set-up, a term calls the three tuple
-    # forms that make and apply that divisor, and no other
-    calls = Counter()
-    proxy = types.SimpleNamespace(**vars(dd))
-    for name, value in vars(dd).items():
-        if callable(value) and not name.startswith("_"):
-            setattr(proxy, name, lambda *a, _fn=value, _name=name: calls.update([_name]) or _fn(*a))
-    monkeypatch.setattr(bessel, "dd", proxy)
-    seen = []
-    for top in (1.0, 32.0):  # about 10 and 60 terms
-        calls.clear()
-        bessel._series_array(np.linspace(top / 2, top, 101), bessel.DEFAULT_SERIES, 0.3)
-        terms = calls["two_prod_into"]
-        assert calls["div"] == calls["two_sum"] == terms
-        tuple_forms = {k: v for k, v in calls.items() if not k.endswith("_into")}
-        tuple_forms["div"] -= terms
-        tuple_forms["two_sum"] -= terms
-        tuple_forms["mul_f"] -= terms
-        seen.append((terms, tuple_forms))
-    (short_terms, short), (long_terms, long) = seen
-    assert short_terms <= 12 and long_terms >= 55
-    assert short == long
-
-
 def test_series_array_results_outlive_the_next_call():
-    x = np.linspace(0.1, 12.0, 101)
-    first = bessel._series_array(x, bessel.DEFAULT_SERIES, 0.3)
+    x, cfg = np.linspace(0.1, 12.0, 101), bessel.DEFAULT_SERIES
+    first = bessel._jp_series(x, cfg, 0.3, 4)[0]
     kept = np.array(first)
-    cfg = bessel.DEFAULT_SERIES
-    second = bessel._series_array(np.linspace(0.2, 9.0, 37), cfg, -1.7)
-    third = bessel._series_array(x[:50], cfg, 0.3, 0)
+    later = [*bessel._jp_series(np.linspace(0.2, 9.0, 37), cfg, -1.7, 4)[0],
+             *bessel._jp_series(x[:50], cfg, 0.3, 1)[0]]
     assert_bit_identical(np.array(first), kept)
-    later = [a for pair in second + third for a in pair]
-    assert not any(np.shares_memory(a, b) for pair in first for a in pair for b in later)
+    assert not any(np.shares_memory(a, b) for a in first for b in later)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from sigeom import (
     BesselKind,
     DomainError,
     NonConvergenceError,
-    PrecisionLossWarning,
     SeriesConfig,
     bessel_i0,
     bessel_j,
@@ -82,6 +81,28 @@ def test_gamma_poles():
     for x in (0.0, -1.0, -7.0):
         with pytest.raises(DomainError):
             gamma(x)
+
+
+# gamma is math.gamma: the Lanczos approximation it replaced was 5.8e-14
+# relative off on [1e-3, 50]
+@pytest.mark.parametrize("x", [*np.geomspace(1e-3, 50.0, 61).tolist(), -0.5, -1.7, -2.3, -7.25, -20.9])
+def test_gamma_against_mpmath(x):
+    want = mpmath.gamma(mpmath.mpf(x))
+    assert abs(gamma(x) - want) <= 2e-15 * abs(want), x
+
+
+def test_gamma_edges():
+    for x, message in ((math.nan, "gamma requires a finite argument, got nan"),
+                       (-math.inf, "gamma requires a finite argument, got -inf"),
+                       (-3.0, "gamma has a pole at -3.0")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gamma(x)
+    for x in (171.7, 1e-320):  # Gamma overflows: the Lanczos gamma returned inf
+        with pytest.raises(OverflowError):
+            gamma(x)
+    # Gamma underflows: the Lanczos gamma raised OverflowError
+    assert gamma(-171.5) == 1.9316265431712e-310
+    assert math.copysign(1.0, gamma(-200.5)) == -1.0 and gamma(-200.5) == 0.0
 
 
 @given(st.floats(min_value=0.1, max_value=48.0, allow_nan=False))
@@ -339,6 +360,47 @@ def test_plain_jets_against_mpmath(kind, p, jet, bounds):
     for x in PLAIN_JET_XS.tolist():
         errors = plain_jet_errors(kind, p, x, jet(x))
         assert all(e <= bound for e, bound in zip(errors, bounds)), (x, errors)
+
+
+# every order of jp_jet against mpmath from 2^-60 to 100, densest around
+# the crossovers to Miller's recurrence (x_c = 2 to 5.8 here): the
+# double-double series was 4e-9 off past x = 30, and 8.8e-14 at p = -1.999
+# through its Lanczos gamma
+JP_JET_XS = np.concatenate((np.geomspace(2.0**-60, 1.0, 80), np.linspace(0.5, 12.0, 47),
+                            np.linspace(12.0, 100.0, 177)))
+
+
+@pytest.mark.parametrize("p", [0.3, 1.25, -1.7, -2.3, 7.3, -1.999, 0.001])
+def test_jp_jets_against_mpmath_to_100(p):
+    for x in JP_JET_XS.tolist():
+        errors = plain_jet_errors("j", p, x, jp_jet(p, x))
+        assert max(errors) <= JET_BOUND, (x, errors)
+
+
+# every x in (0, 30] that the double-double series answered at |p| <= 100 is
+# answered, and an array call gives each x's bits: the series refused only
+# where math.pow overflowed in (x/2)^p
+@pytest.mark.parametrize("p", [-100.3, -40.3, -10.3, -2.3, -0.7, 0.3, 1.25, 10.3, 40.3, 100.3])
+def test_jp_answers_every_x_to_30(p):
+    xs, values = [], []
+    for x in np.concatenate((np.geomspace(1e-300, 0.05, 150), np.linspace(0.05, 30.0, 600))).tolist():
+        try:
+            math.pow(0.5 * x, p)
+        except OverflowError:
+            continue
+        xs.append(x)
+        values.append(bessel_j(p, x))
+    assert np.array(bessel_j(p, np.array(xs))).tolist() == values
+
+
+# past about p = 120 Miller's unnormalised sequence would pass the float
+# range at a raised max_terms; it is scaled by exact powers of 2
+@pytest.mark.parametrize("p, x", [(150.3, 30.0), (300.3, 40.0), (-150.3, 30.0), (500.3, 400.0)])
+def test_jp_miller_rescales_at_a_raised_max_terms(p, x):
+    cfg = SeriesConfig(max_terms=2000)
+    want = mpmath.besselj(p, x)
+    assert abs(bessel_j(p, x, cfg) - want) <= 1e-13 * abs(want)
+    assert bessel_j(p, np.array([x, 2.0 * x]), cfg)[0] == bessel_j(p, x, cfg)
 
 
 # 2p overflows for |p| > 8.9e307, where the non-integer test's math.floor
@@ -713,11 +775,6 @@ def test_bessel_j_ode_residual_series_derivatives(p, x):
     f0, f1, f2, _ = jp_jet(p, x)
     residual = x * x * f2 + x * f1 + (x * x - p * p) * f0
     assert abs(residual) < 1e-8
-
-
-def test_bessel_j_precision_warning():
-    with pytest.warns(PrecisionLossWarning):
-        bessel_j(0.25, 31.0)
 
 
 def test_jp_pair_solution_solves_ode():

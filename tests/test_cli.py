@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mp_bessel import JET_BOUND, modified_jet_errors
+from mp_bessel import JET_BOUND, modified_jet_errors, plain_jet_errors
 from sigeom.cli import main, parse_profile_spec
 from sigeom.bessel import bessel_j0, bessel_y0
 from sigeom.errors import ProfileSpecError
@@ -104,19 +104,38 @@ def test_bessel_k0_table_past_the_series_reach(capsys):
         assert modified_jet_errors("k0", x, (value,))[0] <= JET_BOUND, x
 
 
-def test_bessel_jp_table_past_30_warns_once():
-    # bessel_j warns once per x past 30; the table names the whole range once
+def test_bessel_jp_table_past_30_is_quiet_and_refused_past_millers_reach(capsys):
+    # J_p from x_c up is Miller's recurrence: the double-double series warned
+    # past x = 30 and was up to 4e-9 off there; past Miller's start it is
+    # refused as J0 is
+    from scipy.special import jv
+
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["bessel", "--kind", "jp", "--p", "0.3", "--range", "0:40", "--n", "900"]
     proc = subprocess.run([sys.executable, "-m", "sigeom", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0
-    assert len(proc.stdout.splitlines()) == 901
-    err = proc.stderr.splitlines()
-    assert len(err) <= 2  # the warning, and the source line Python echoes after it
-    assert err[0].endswith("PrecisionLossWarning: bessel_j series loses accuracy for |x| > 30.0 "
-                           "(225 x from 30.03337041156841 to 40.0)")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, rows = _csv_rows(proc.stdout)
+    assert header == "x,value" and len(rows) == 900
+    xs, values = np.array(rows).T
+    assert np.abs(values - jv(0.3, xs)).max() <= 2e-14  # scipy's own error is near 1e-14
+    for x, value in rows[1::30]:
+        assert plain_jet_errors("j", 0.3, x, (value,))[0] <= JET_BOUND, x
+    refused = []
+    for kind in ("j0", "jp"):
+        assert main(["bessel", "--kind", kind, "--p", "0.3", "--range", "0:200", "--n", "5"]) == 5
+        refused.append(capsys.readouterr().err)
+    assert refused == ["error: series did not meet rel_tol=1e-15 within 200 terms at x=150.0\n"] * 2
+
+
+# Gamma(1+p) overflows for p > 170.6 and is 0 below about -199; the parent's
+# Lanczos gamma raised OverflowError there
+@pytest.mark.parametrize("p", [171.3, -200.3])
+def test_bessel_jp_refuses_a_gamma_out_of_range(capsys, p):
+    assert main(["bessel", "--kind", "jp", "--p", str(p), "--range", "0.5:5", "--n", "3"]) == 3
+    want = f"error: bessel_j requires Gamma(1+p) to be finite and nonzero, got p={p!r}\n"
+    assert capsys.readouterr().err == want
 
 
 def _assert_parse_error(capsys, argv, fragment):

@@ -143,14 +143,16 @@ LARGE_SURFACE_DIGESTS = {
     ("power", "mesh", "5x4099"): "5ffe9ec0b9897e7246fef0cb49acc9f817846811ca43423672327e2cd78ecb61",
 }
 
-# one 4097-row `bessel` table per kind, all at |x| <= 25:
+# one 4097-row `bessel` table per kind, all at |x| <= 25, each checked
+# against mpmath at every 64th row; the jp table was taken again, and
+# checked from then on, when J_p came to be summed in float64:
 # kind -> (range, extra arguments, sha256 of the file)
 LARGE_BESSEL_DIGESTS = {
     "j0": ("0:25", (), "2cd98879321d53900389f7ef3e9fd95a14d48c31c9c227c52967db019b0b28e3"),
     "y0": ("0.05:25", (), "6ef3390f113c44824b4da9207c2a37aa39352c1b2627ec19588b7abc893a529b"),
     "i0": ("-25:25", (), "a9f40f8040533e72f54c9f1983310dc7b51a6f97084121baf1a22bc217479ce6"),
     "k0": ("0.05:25", (), "ea9d1895b7085b7bfd06860a2783c01020fa95e98327231391b113af91193620"),
-    "jp": ("0:25", ("--p", "0.3"), "a91ff0026d2b76cb3de925071b95c085ad509b7e2b7c01ac3fd09f6c131092d7"),
+    "jp": ("0:25", ("--p", "0.3"), "3342ca279273905d50cf9f6d8357a437bcc6388a6626752ca399b587ebfd907e"),
 }
 
 
@@ -198,23 +200,24 @@ def check_profile_jets(name, grid=None):
         check_jets(kind, jet, s * us, name)
 
 
-def check_values(path, kinds, step=1, xcol=0):
+def check_values(path, kinds, step=1, xcol=0, p=0.0):
     """Every step-th row of the CSV file at path: the columns after column
-    xcol, the order-0 values `kinds` at its x, within the bound of
-    tests/mp_bessel.py, I0 and K0 relative to mpmath, J0 and Y0 against
-    max(1, |f|)."""
+    xcol, the values `kinds` at its x (the order-0 kinds, or "jp" of order
+    p), within the bound of tests/mp_bessel.py, I0 and K0 relative to
+    mpmath, J0, Y0 and J_p against max(1, |f|)."""
     rows = [r for r in path.read_text().splitlines() if r[0] not in "#x"]
     for row in rows[::step]:
         x, *values = list(map(float, row.split(",")))[xcol:]
         for kind, value in zip(kinds, values):
-            if x == 0.0:  # I0(0) = J0(0) = 1
-                assert value == 1.0, (path.name, kind)
+            if x == 0.0:  # I0(0) = J0(0) = 1, J_p(0) = 0 for p > 0
+                assert value == (0.0 if kind == "jp" else 1.0), (path.name, kind)
             elif kind in ("i0", "k0"):
                 assert modified_jet_errors(kind, abs(x), (value,))[0] <= JET_BOUND, (path.name, x)
             elif kind == "y0":
                 assert jet_error(kind, x, (value,)) <= JET_BOUND, (path.name, x)
             else:
-                assert plain_jet_errors("j", 0.0, abs(x), (value,))[0] <= JET_BOUND, (path.name, x)
+                order = p if kind == "jp" else 0.0
+                assert plain_jet_errors("j", order, abs(x), (value,))[0] <= JET_BOUND, (path.name, x)
 
 
 def _sha(data: bytes) -> str:
@@ -271,5 +274,4 @@ def test_bessel_digests_past_a_block(tmp_path, kind):
     argv = ["bessel", "--kind", kind, "--range", rng, "--n", "4097", "--out", str(out)]
     assert main([*argv, *extra]) == 0
     assert _sha(out.read_bytes()) == digest
-    if kind != "jp":
-        check_values(out, (kind,), step=64)
+    check_values(out, (kind,), step=64, p=float(extra[1]) if extra else 0.0)

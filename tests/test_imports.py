@@ -1,10 +1,10 @@
 """The package's public API under lazy loading, and the layers that each
 CLI command loads.
 
-`import sigeom` loads only `errors` and `bessel` (with `_ddouble` and
-numpy); every other layer is imported on first attribute access, and each
-CLI subcommand imports only what it reaches.  These tests run each command
-in a fresh interpreter and read `sys.modules` when it exits.
+`import sigeom` loads only `errors` and `bessel` (with numpy); every other
+layer is imported on first attribute access, and each CLI subcommand
+imports only what it reaches.  These tests run each command in a fresh
+interpreter and read `sys.modules` when it exits.
 """
 
 import importlib
@@ -23,10 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the package's exported names, by defining module
 EXPORTS = {
-    "bessel": ["DEFAULT_SERIES", "EULER_GAMMA", "BesselKind", "PrecisionLossWarning",
-               "SeriesConfig", "bessel_i0", "bessel_j", "bessel_j0", "bessel_k0", "bessel_y0",
-               "gamma", "harmonic", "jp_pair_solution", "modified_pair_solution",
-               "ode_residual", "pochhammer"],
+    "bessel": ["DEFAULT_SERIES", "EULER_GAMMA", "BesselKind", "SeriesConfig", "bessel_i0",
+               "bessel_j", "bessel_j0", "bessel_k0", "bessel_y0", "gamma", "harmonic",
+               "jp_pair_solution", "modified_pair_solution", "ode_residual", "pochhammer"],
     "classify": ["CertifiedProfile", "CurvatureReport", "EigenReport", "Grid", "OperatorKind",
                  "Verdict", "check_eigen_i", "check_eigen_ii", "eigen_system_residual",
                  "make_grid", "solve_radial_eigen_ode", "verify_constant_curvature"],
@@ -50,8 +49,8 @@ SUBMODULES = ["_ddouble", "autodiff", "bessel", "classify", "cli", "core", "erro
 BEYOND_BASE = {"profiles", "surfaces", "classify", "core", "expressions", "autodiff"}
 
 
-def test_all_lists_the_75_exported_names():
-    assert len(NAMES) == 75
+def test_all_lists_the_74_exported_names():
+    assert len(NAMES) == 74
     assert sigeom.__all__ == NAMES
 
 
@@ -112,7 +111,7 @@ def _loaded(body: str) -> tuple[set[str], bool]:
 
 def test_import_sigeom_loads_the_base_layer_and_numpy():
     modules, numpy = _loaded("import sigeom")
-    assert modules == {"_ddouble", "bessel", "errors"}
+    assert modules == {"bessel", "errors"}
     assert numpy
 
 

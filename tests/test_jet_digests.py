@@ -23,10 +23,14 @@ float64 (their alternating series below x = 2, Miller's recurrence and
 Neumann's series from there) and the I0 and J0 rows came to be f, f'/h,
 f'' and f'''/h, h = x/2, with which I0's series may stop a term earlier;
 every 20th argument of every order-0 digest is checked against mpmath
-through x = 28, and of J_p's through x = 20.  The K0 digests, jet and
+through x = 28, and of J_p's then through x = 20.  The K0 digests, jet and
 value, were taken again when K0 and K1 from x = 2 up came to be the
 trapezoidal rule on K0's integral, in place of Steed's CF2: 490 of the 504
-arguments from x = 2 moved, and none below it.
+arguments from x = 2 moved, and none below it.  The J_p digests were taken
+again when J_p came to be summed in float64, its term-wise rows below
+x_c = 2 max(1, sqrt(p+1)) and Miller's recurrence from there, in place of
+the double-double series; every 20th argument of them is now checked
+against mpmath through x = 28 too.
 """
 
 import hashlib
@@ -39,7 +43,6 @@ from sigeom import bessel
 from sigeom.errors import DomainError
 
 XS = np.concatenate((np.geomspace(2.0**-330, 28.0, 2001), np.linspace(1.0, 28.0, 500)))
-CHECKED = [x for x in XS[::20].tolist() if x <= 20.0]
 
 ORDER0 = {
     "j0_jet": (bessel.j0_jet, "46b9b7c5880c42bb5a2f915b20a25f7c3d4db100637f56fe953e55c762274c44"),
@@ -53,9 +56,9 @@ ORDER0 = {
 }
 
 JP = {
-    0.3: "f745540541f9a8cd25f01b7402d124cc544aeda03ff5a853c16536c7340dc82f",
-    -1.7: "e0685df8f7269ee718a4cfd6051da68084c7e87a8edb073f09778bf89ab86d78",
-    1.25: "f34a34d54fecb2886d0fc844d9f2357bd4f4c88be8508f07468f26e4ea97d9fd",
+    0.3: "9ca03473af8d37d93db30a401e5cc4a1a6d3c5fcb13ac60276d544f54bf73cda",
+    -1.7: "062d143d692c908d4835b69c3d42bff55f071c7e0af82cda4d987410ceb39d9d",
+    1.25: "2a0d35a119178dac2fab9527501c2cd24fe76d5d3cd3ed69229daec2c58dd6b5",
 }
 
 
@@ -103,7 +106,7 @@ def _jp_row(p, x) -> tuple:
 @pytest.mark.parametrize("p", sorted(JP))
 def test_jp_jet_digests(p):
     assert _digest(_jp_row(p, x) for x in XS.tolist()) == JP[p]
-    for x in CHECKED:
+    for x in XS[::20].tolist():
         row = _jp_row(p, x)
         assert not row or _error(("j", p), x, row) <= JET_BOUND, x
 
