@@ -864,19 +864,27 @@ def bessel_j(p: float, x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
         if x == 0.0:
             return 0.0  # p > 0 here; the x^p prefactor wins
         a0 = _jp_prefactor(p, x) if x < cut else 1.0
-        return a0 * _jp_value(x, cfg, p, cut)
+        value = a0 * _jp_value(x, cfg, p, cut)
+        if not math.isfinite(value):  # the prefactor, or its product, overflowed
+            raise DomainError(f"bessel_j of order p={p!r} overflows at x={x!r}")
+        return value
     a0 = np.ones(x.shape)
     for i, e in enumerate(x.tolist()):
         try:
             _check_jp_args(p, e)
             if 0.0 < e < cut:
                 a0[i] = _jp_prefactor(p, e)
+            if math.isinf(a0[i]):
+                bessel_j(p, e, cfg)  # refuses e: its series, or the overflow
         except (ArithmeticError, ValueError):
-            if i:  # a pointwise loop meets an earlier non-convergence first
+            if i:  # a pointwise loop meets an earlier refusal first
                 bessel_j(p, x[:i], cfg)
             raise
     out, nonzero = np.zeros(x.shape), x != 0.0  # x = 0 sums nothing
-    out[nonzero] = a0[nonzero] * _jp_value(x[nonzero], cfg, p, cut)
+    with np.errstate(over="ignore"):
+        out[nonzero] = a0[nonzero] * _jp_value(x[nonzero], cfg, p, cut)
+    if not np.isfinite(out).all():  # refused at the first such x, as a float x is
+        bessel_j(p, float(x[np.argmin(np.isfinite(out))]), cfg)
     return out
 
 

@@ -1,9 +1,10 @@
 """Generating curves of revolution surfaces: f(u) with closed-form derivatives.
 
 Each constructor returns an immutable ProfileCurve carrying f and its first
-three derivatives as callables on a positive closed interval (u = 0 is always
-excluded; every downstream curvature and Laplacian formula divides by u).
-Each family is defined once: log_profile is constant_h_profile's H = 0 member.
+three derivatives as one jet, at a radius or an array of radii, on a positive
+closed interval (u = 0 is always excluded; every downstream curvature and
+Laplacian formula divides by u).  Each family is defined once: log_profile
+is constant_h_profile's H = 0 member.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from .bessel import DEFAULT_SERIES, SeriesConfig, i0_jet, j0_jet, k0_jet, y0_jet
+from .bessel import _is_array, _per_element
 from .errors import DomainError, StencilError
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_DOMAIN = (0.1, 10.0)
+_ORDERS = (0, 1, 2, 3)
 
 
 class ProfileFamily(Enum):
@@ -48,18 +51,18 @@ class ProfileFamily(Enum):
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """A planar generating curve u -> f(u) with analytic derivatives d1..d3."""
+    """A planar generating curve u -> f(u), given by its jet: jet(u, orders)
+    lists those orders of (f, f', f'', f'''), all four by default, at a float
+    u or a 1-D float64 array of radii (a row may be a float where it is
+    constant in u).  At a float it raises what computing those orders in
+    turn raises (`profile_from_jet` computes all four at once); at an array
+    it has the float calls' bits, and raises an ArithmeticError or
+    ValueError where one of them raises (or may, where one gives nan)."""
 
-    f: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-    d3: Callable[[float], float]
+    jet: Callable
     domain: tuple[float, float]
     family: ProfileFamily = ProfileFamily.CUSTOM
     params: dict = field(default_factory=dict)
-    #: value-plus-derivatives callable that also takes an array of radii,
-    #: set by profile_from_jet; `jets` calls it once per array
-    jet: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = self.domain
@@ -69,12 +72,12 @@ class ProfileCurve:
             raise DomainError(f"profile domain must exclude u <= 0, got {self.domain!r}")
 
     def evaluate(self, u: float, order: int = 0) -> float:
-        if order not in (0, 1, 2, 3):
+        if order not in _ORDERS:
             raise ValueError(f"derivative order must be 0..3, got {order!r}")
         lo, hi = self.domain
         if not (lo <= u <= hi):
             raise self._outside(u)
-        return (self.f, self.d1, self.d2, self.d3)[order](u)
+        return self.jet(u, (order,))[0]
 
     def _outside(self, u: float) -> DomainError:
         lo, hi = self.domain
@@ -84,10 +87,9 @@ class ProfileCurve:
         """(4, n) array of f, f', f'', f''' at the 1-D array of radii us.
 
         Bit-identical to stacking `evaluate`, and raises what a loop of
-        `evaluate` over us would raise first.  A profile built by
-        `profile_from_jet` evaluates its jet once on the whole array.
+        `evaluate` over us would raise first, from one call of the jet.
         """
-        return self._jets(us, (0, 1, 2, 3))
+        return self._jets(us, _ORDERS)
 
     def _jets(self, us, orders: tuple[int, ...]) -> np.ndarray:
         """The rows of `jets` for the derivative orders listed, raising only
@@ -98,7 +100,7 @@ class ProfileCurve:
             raise exc
         return values
 
-    def _leading_jets(self, us, orders=(0, 1, 2, 3)) -> tuple[np.ndarray, Exception | None]:
+    def _leading_jets(self, us, orders=_ORDERS) -> tuple[np.ndarray, Exception | None]:
         """Rows of `_jets` at the radii of us before the first one where a loop
         of `evaluate` would raise, and that exception (None if there is none).
 
@@ -113,22 +115,21 @@ class ProfileCurve:
         n = us.size if inside.all() else int(np.argmin(inside))
         exc = None if n == us.size else self._outside(float(us[n]))
         us = us[:n]
-        if self.jet is not None and n:
+        if n:
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    values = self.jet(us)
-                return np.array([np.broadcast_to(values[k], us.shape) for k in orders]), exc
+                    values = self.jet(us, orders)
+                return np.array([np.broadcast_to(v, us.shape) for v in values]), exc
             except (ArithmeticError, ValueError):
-                pass  # the loop below finds the radius and its exception
-        fns = [(self.f, self.d1, self.d2, self.d3)[k] for k in orders]
+                pass  # the jet's float calls below find the radius and its exception
         rows = []
         for u in us.tolist():
             try:
-                rows.append([fn(u) for fn in fns])
+                rows.append(self.jet(u, orders))
             except (ArithmeticError, ValueError) as err:
                 exc = err
                 break
-        return np.array(rows).reshape(-1, len(fns)).T, exc
+        return np.array(rows).reshape(-1, len(orders)).T, exc
 
 
 def eval_profile(p: ProfileCurve, u: float, order: int = 0) -> float:
@@ -156,6 +157,25 @@ def _resolve_domain(
     return (lo, hi)
 
 
+def _closed_form_jet(rows: Callable, *libm: Callable) -> Callable:
+    """The jet whose orders are rows(*libm), functions of u in IEEE + - * /
+    and the functions of one radius in libm, which at an array run per
+    element (`_per_element`), for the float calls' bits; there a division by
+    zero or an invalid operation raises."""
+    at_float = rows(*libm)
+    at_array = rows(*(partial(_per_element, fn) for fn in libm))
+
+    def jet(u, orders=_ORDERS):
+        if isinstance(u, float) or not _is_array(u):
+            if len(orders) == 1:  # what `evaluate` asks for, on the cheapest path
+                return (at_float[orders[0]](u),)
+            return [at_float[k](u) for k in orders]
+        with np.errstate(divide="raise", over="ignore", invalid="raise"):
+            return [at_array[k](u) for k in orders]
+
+    return jet
+
+
 def profile_from_jet(
     jet: Callable[[float], tuple[float, float, float, float]],
     domain: tuple[float, float],
@@ -166,21 +186,17 @@ def profile_from_jet(
 
     The jet must also accept a float64 array of radii and then return four
     arrays (or floats, for components constant in u) that are bit-identical
-    to calling it per radius; `ProfileCurve.jets` calls it that way.  For
-    pointwise use it is memoized, so that evaluating f, d1, d2, d3 at the
-    same u costs a single series evaluation.
+    to calling it per radius.  Its float calls are memoized, so that
+    pointwise readers asking for f', f'' and f''' one at a time at the same
+    u cost a single evaluation.
     """
     cached = lru_cache(maxsize=4096)(jet)
-    return ProfileCurve(
-        f=lambda u: cached(u)[0],
-        d1=lambda u: cached(u)[1],
-        d2=lambda u: cached(u)[2],
-        d3=lambda u: cached(u)[3],
-        domain=domain,
-        family=family,
-        params=dict(params or {}),
-        jet=jet,
-    )
+
+    def orders_jet(u, orders=_ORDERS):
+        values = cached(u) if isinstance(u, float) or not _is_array(u) else jet(u)
+        return (values[orders[0]],) if len(orders) == 1 else [values[k] for k in orders]
+
+    return ProfileCurve(orders_jet, domain, family, dict(params or {}))
 
 
 def constant_k_profile(
@@ -216,17 +232,15 @@ def constant_k_profile(
             val += log_coef * ln
         return val
 
-    def d2(u: float) -> float:
-        return k0 * u / psi(u)
-
     def d3(u: float) -> float:
         root = psi(u)
         return k0 * c1 / (root * root * root)
 
-    return ProfileCurve(
-        f, psi, d2, d3, dom, ProfileFamily.CONSTANT_K,
-        {"k0": k0, "c1": c1, "offset": offset},
-    )
+    def rows(f, psi, d3):
+        return (f, psi, lambda u: k0 * u / psi(u), d3)
+
+    jet = _closed_form_jet(rows, f, psi, d3)
+    return ProfileCurve(jet, dom, ProfileFamily.CONSTANT_K, {"k0": k0, "c1": c1, "offset": offset})
 
 
 def constant_h_profile(
@@ -235,21 +249,16 @@ def constant_h_profile(
     """Profile with constant mean curvature H = h0: f = (h0/2) u^2 + c1 ln u + c2."""
     dom = _resolve_domain(domain)
 
-    def f(u: float) -> float:
-        return 0.5 * h0 * u * u + c1 * math.log(u) + c2
+    def rows(log):
+        return (
+            lambda u: 0.5 * h0 * u * u + c1 * log(u) + c2,
+            lambda u: h0 * u + c1 / u,
+            lambda u: h0 - c1 / (u * u),
+            lambda u: (2.0 * c1) / (u * u * u),
+        )
 
-    def d1(u: float) -> float:
-        return h0 * u + c1 / u
-
-    def d2(u: float) -> float:
-        return h0 - c1 / (u * u)
-
-    def d3(u: float) -> float:
-        return (2.0 * c1) / (u * u * u)
-
-    return ProfileCurve(
-        f, d1, d2, d3, dom, ProfileFamily.CONSTANT_H, {"h0": h0, "c1": c1, "c2": c2}
-    )
+    jet = _closed_form_jet(rows, math.log)
+    return ProfileCurve(jet, dom, ProfileFamily.CONSTANT_H, {"h0": h0, "c1": c1, "c2": c2})
 
 
 def log_profile(lam: float, c: float, domain: tuple[float, float] | None = None) -> ProfileCurve:
@@ -285,35 +294,24 @@ def power_profile(
     dom = _resolve_domain(domain)
     base = 2.0 / mu
 
-    def f(u: float) -> float:
-        return base + c * math.pow(u, a)
+    def rows(pow):
+        return (
+            lambda u: base + c * pow(u, a),
+            lambda u: c * a * pow(u, a - 1.0),
+            lambda u: c * a * (a - 1.0) * pow(u, a - 2.0),
+            lambda u: c * a * (a - 1.0) * (a - 2.0) * pow(u, a - 3.0),
+        )
 
-    def d1(u: float) -> float:
-        return c * a * math.pow(u, a - 1.0)
-
-    def d2(u: float) -> float:
-        return c * a * (a - 1.0) * math.pow(u, a - 2.0)
-
-    def d3(u: float) -> float:
-        return c * a * (a - 1.0) * (a - 2.0) * math.pow(u, a - 3.0)
-
-    return ProfileCurve(
-        f, d1, d2, d3, dom, ProfileFamily.POWER_TYPE, {"lam": lam, "mu": mu, "c": c}
-    )
+    jet = _closed_form_jet(rows, math.pow)
+    return ProfileCurve(jet, dom, ProfileFamily.POWER_TYPE, {"lam": lam, "mu": mu, "c": c})
 
 
 def linear_profile(a: float, b: float, domain: tuple[float, float] | None = None) -> ProfileCurve:
     """f(u) = a u + b; the K = 0 degenerate case (and parabolic everywhere)."""
     dom = _resolve_domain(domain)
-    return ProfileCurve(
-        f=lambda u: a * u + b,
-        d1=lambda u: a,
-        d2=lambda u: 0.0,
-        d3=lambda u: 0.0,
-        domain=dom,
-        family=ProfileFamily.CUSTOM,
-        params={"form": "linear", "a": a, "b": b},
-    )
+    rows = (lambda u: a * u + b, lambda u: a, lambda u: 0.0, lambda u: 0.0)
+    jet = _closed_form_jet(lambda: rows)
+    return ProfileCurve(jet, dom, ProfileFamily.CUSTOM, {"form": "linear", "a": a, "b": b})
 
 
 def bessel_profile(
@@ -360,7 +358,7 @@ def bessel_profile(
 
 
 def derivative_consistency_error(p: ProfileCurve, n_points: int = 20, seed: int = 0) -> float:
-    """Worst relative deviation between d1..d3 and five-point central
+    """Worst relative deviation between f', f'', f''' and five-point central
     differences of f at n_points interior samples.
 
     The relative denominator is floored at 1 so that near-zero derivatives
@@ -381,10 +379,10 @@ def derivative_consistency_error(p: ProfileCurve, n_points: int = 20, seed: int 
                 f"five-point stencil of step h={h!r} leaves the profile domain "
                 f"[{lo!r}, {hi!r}] at u={u!r}"
             )
-        fm2, fm1, f0, fp1, fp2 = (p.f(u + k * h) for k in (-2, -1, 0, 1, 2))
+        fm2, fm1, f0, fp1, fp2 = (p.jet(u + k * h, (0,))[0] for k in (-2, -1, 0, 1, 2))
         fd1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         fd2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
         fd3 = (fp2 - 2.0 * fp1 + 2.0 * fm1 - fm2) / (2.0 * h * h * h)
-        for got, ref in ((p.d1(u), fd1), (p.d2(u), fd2), (p.d3(u), fd3)):
+        for got, ref in zip(p.jet(u, (1, 2, 3)), (fd1, fd2, fd3)):
             worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
     return worst

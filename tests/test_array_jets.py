@@ -7,6 +7,7 @@ with its pointwise counterpart as an int64 bit pattern, and every grid error
 with the exception a per-radius loop raises first.
 """
 
+import itertools
 import math
 import re
 
@@ -48,7 +49,6 @@ from sigeom.bessel import i0_jet, j0_jet, k0_jet, y0_jet
 from sigeom.classify import EigenReport, OperatorKind, Verdict, _fit, _pattern_label
 from sigeom.cli import main, parse_profile_spec
 from sigeom.expressions import _evaluate, parse_expression
-from sigeom.profiles import ProfileFamily
 from sigeom.surfaces import _coordinate_laplacians
 
 JETS = (j0_jet, i0_jet, y0_jet, k0_jet)
@@ -707,6 +707,31 @@ def test_jet_callable_takes_arrays(name):
     assert_bit_identical(got, np.array([p.jet(u) for u in us.tolist()]).T)
 
 
+ORDER_TUPLES = [t for n in range(1, 5) for t in itertools.permutations(range(4), n)]
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_jet_takes_any_orders_at_an_array_and_jets_call_it_once(name):
+    p = PROFILES[name]
+    us = np.linspace(p.domain[0], p.domain[1], 64)
+    for orders in ORDER_TUPLES:
+        got = np.array([np.broadcast_to(v, us.shape) for v in p.jet(us, orders)])
+        want = np.array([p.jet(u, orders) for u in us.tolist()], dtype=np.float64).T
+        assert_bit_identical(got, want)
+    # the one array call does it all: no float call, as the per-radius loop makes
+    float_calls = []
+
+    def counted(u, orders=(0, 1, 2, 3)):
+        if not isinstance(u, np.ndarray):
+            float_calls.append(u)
+        return p.jet(u, orders)
+
+    q = ProfileCurve(counted, p.domain, p.family, p.params)
+    assert_bit_identical(q.jets(us), p.jets(us))
+    assert_bit_identical(q._jets(us, (2, 0)), p.jets(us)[[2, 0]])
+    assert float_calls == []
+
+
 def test_jet3_carries_arrays():
     us = np.linspace(0.5, 4.0, 33)
     ast = parse_expression("cosh(u)^3/ln(1+u)-sinh(2*u)*j0(u)+i0(u)^0.5")
@@ -956,6 +981,23 @@ def test_cli_tables_raise_the_first_failing_radius_error(capsys, spec, action, c
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+# u*u underflows to 0 at u = 1e-200: a float c1 / (u*u) raises
+# ZeroDivisionError there, where an array would give inf (c1 != 0) or nan
+# (c1 = 0) without the closed-form jet's floating-point checks
+@pytest.mark.parametrize("c1", [1.0, 0.0])
+def test_closed_form_jets_refuse_a_zero_divisor_as_floats_do(c1):
+    p = constant_h_profile(1.0, c1, 0.0, domain=(1e-200, 1.0))
+    us = np.array([0.5, 1e-200, 1.0])
+    with pytest.raises(ZeroDivisionError):
+        p.evaluate(1e-200, 2)
+    with pytest.raises(ZeroDivisionError):
+        p.jets(us)
+    with pytest.raises(ZeroDivisionError):
+        p._jets(us, (3,))
+    want = [[p.evaluate(u, k) for u in us.tolist()] for k in (0, 1)]
+    assert_bit_identical(p._jets(us, (0, 1)), want)
+
+
 def test_grid_consumers_evaluate_only_the_orders_they_read():
     # the third derivative c a (a-1)(a-2) u^(a-3) overflows at u = 0.1 for
     # a = -306, while f, f' and f'' do not: a pointwise loop over f, f', f''
@@ -1050,14 +1092,6 @@ def test_non_convergence_on_a_grid():
     for check in (check_eigen_i, check_eigen_ii):
         with pytest.raises(NonConvergenceError):
             check(s, make_grid(s, 41, 5))
-
-
-def test_profile_curve_without_jet_stacks_evaluate():
-    p = ProfileCurve(lambda u: u, lambda u: 1.0, lambda u: 0.0, lambda u: 0.0, (1.0, 2.0),
-                     ProfileFamily.CUSTOM)
-    assert p.jet is None
-    want = [[1.0, 1.5, 2.0], [1.0] * 3, [0.0] * 3, [0.0] * 3]
-    assert_bit_identical(p.jets(np.array([1.0, 1.5, 2.0])), want)
 
 
 

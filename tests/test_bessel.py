@@ -379,7 +379,8 @@ def test_jp_jets_against_mpmath_to_100(p):
 
 # every x in (0, 30] that the double-double series answered at |p| <= 100 is
 # answered, and an array call gives each x's bits: the series refused only
-# where math.pow overflowed in (x/2)^p
+# where math.pow overflowed in (x/2)^p, and it answered +-inf where
+# (x/2)^p / Gamma(1+p) overflows, which is now refused
 @pytest.mark.parametrize("p", [-100.3, -40.3, -10.3, -2.3, -0.7, 0.3, 1.25, 10.3, 40.3, 100.3])
 def test_jp_answers_every_x_to_30(p):
     xs, values = [], []
@@ -387,6 +388,10 @@ def test_jp_answers_every_x_to_30(p):
         try:
             math.pow(0.5 * x, p)
         except OverflowError:
+            continue
+        if math.isinf(math.pow(0.5 * x, p) / math.gamma(1.0 + p)):
+            with pytest.raises(DomainError, match=re.escape(f"p={p!r} overflows at x={x!r}")):
+                bessel_j(p, x)
             continue
         xs.append(x)
         values.append(bessel_j(p, x))
@@ -431,6 +436,25 @@ def test_jp_jet_refuses_an_overflowing_jet(x):
     with pytest.raises(DomainError, match=want):
         jp_jet(-1.7, x)
     assert all(math.isfinite(v) for v in jp_jet(-1.7, 4.7e-66))
+
+
+# (x/2)^p / Gamma(1+p) overflows for large negative p at small x, where
+# bessel_j returned +-inf: -inf at (-171.3, 0.5), inf at (-100.3, 0.01)
+@pytest.mark.parametrize("p, x", [(-171.3, 0.5), (-100.3, 0.01)])
+def test_bessel_j_refuses_an_overflowing_value(p, x):
+    want = "^" + re.escape(f"bessel_j of order p={p!r} overflows at x={x!r}") + "$"
+    with pytest.raises(DomainError, match=want):
+        bessel_j(p, x)
+    with pytest.raises(DomainError, match=re.escape(f"jp_jet of order p={p!r} overflows")):
+        jp_jet(p, x)
+    # an array refuses its first non-finite lane, as a pointwise loop does:
+    # before a lane past Miller's reach, and after a lane that converges
+    xs = np.array([3.0, x, 2.0 * x, 200.0])
+    with pytest.raises(DomainError, match=want):
+        bessel_j(p, xs)
+    assert math.isfinite(bessel_j(p, 3.0))
+    with pytest.raises(NonConvergenceError):
+        bessel_j(p, np.array([200.0, x]))
 
 
 def test_series_config_validation():

@@ -138,6 +138,14 @@ def test_bessel_jp_refuses_a_gamma_out_of_range(capsys, p):
     assert capsys.readouterr().err == want
 
 
+# the parent printed -inf at x = 0.5 and exited 0
+def test_bessel_jp_refuses_an_overflowing_value(capsys):
+    for hi in ("5", "200"):  # also before Miller's refusal at x = 200
+        argv = ["bessel", "--kind", "jp", "--p", "-171.3", "--range", f"0.5:{hi}", "--n", "3"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "error: bessel_j of order p=-171.3 overflows at x=0.5\n")
+
+
 def _assert_parse_error(capsys, argv, fragment):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -283,7 +283,7 @@ def test_eval_profile_order_and_domain_checks():
 ])
 def test_profile_curve_refuses_a_bad_domain(domain, message):
     with pytest.raises(DomainError) as info:
-        ProfileCurve(math.exp, math.exp, math.exp, math.exp, domain)
+        ProfileCurve(lambda u, orders=(0, 1, 2, 3): [math.exp(u)] * len(orders), domain)
     assert str(info.value) == message
 
 
