@@ -3,15 +3,17 @@ writer of `sigeom.cli`.
 
 The text of a number is a row of bytes: its characters in order, with NUL
 bytes between them wherever a wider row leaves room.  The writer lays the
-rows of a block side by side and deletes the NULs once, with
-`bytes.translate`.
+rows of a block side by side, one whole cell at a time, and deletes the
+NULs once, with `bytes.translate`.
 
 Floats with 1e-4 <= |x| < 1e17, and ±0, never reach Python's `%`: there
 `%.17g` prints 17 significant digits in fixed notation, and they are an
 integer D computed exactly from Dekker's error-free product (`two_prod`)
-of |x| and an exact power of ten.  Integers get their digits by integer
-division.  Every other float goes through `%` on its own.  Imported on the
-first write, so CLI runs that write no table never compile it.
+of |x| and an exact power of ten.  Their 24-byte rows are built as three
+uint64 words from a table of four-digit groups and per-word layout masks.
+Integers get their digits by integer division.  Every other float goes
+through `%` on its own.  Imported on the first write, so CLI runs that
+write no table never compile it.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
 
 _QUAD_TEXT, _QUAD_TZ = _quad_tables()
 _MINUS = np.frombuffer(b"\0\0\0-", np.uint32)[0]
+_QUAD_WORD = _QUAD_TEXT[0].astype(np.uint64)
 _POW10 = np.array([float(10**p) for p in range(21)])  # exact doubles
 
 
 def _float_layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three masks of 24 bytes per (p, hi), each as three uint64 words.
+    """Three masks of 24 bytes per (p, hi), each as three uint64 words, with
+    word w of every layout contiguous: mask[w, p * 21 + hi].
 
     A float's 17 significant digits, after three zeros, are S[0:20].  Its
     text keeps S[min(p, 3):p] before the point and S[p:hi] after it, with
@@ -63,7 +67,7 @@ def _float_layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     after = (j >= 4 + p) & (j < 4 + hi)
     fixed = np.where((j == 1) & (p < 4), 48, 0) + np.where((j == 3 + p) & (hi > p), 46, 0)
     return tuple(
-        np.broadcast_to(m, (21, 21, 24)).astype(np.uint8).reshape(21 * 21, 24).view(np.uint64)
+        np.broadcast_to(m, (21, 21, 24)).astype(np.uint8).reshape(441, 24).view(np.uint64).T.copy()
         for m in (before * 255, after * 255, fixed)
     )
 
@@ -117,15 +121,21 @@ def float_text(x: np.ndarray) -> np.ndarray:
         zero &= groups[g] == 0
     p = k + 4  # S[p] is the first digit after the point
     layout = p * 21 + np.maximum(p, end)
-    right = np.zeros((len(d), 6), np.uint32)
-    for g, group in enumerate(groups):
-        right[:, g + 1] = _QUAD_TEXT[0, group]  # S at byte 4
-    right = right.view(np.uint64)
-    left = np.zeros_like(right)
-    left.view(np.uint8)[:, :23] = right.view(np.uint8)[:, 1:]  # S at byte 3
-    text = left & np.take(_BEFORE, p * 21, axis=0)
-    text |= right & np.take(_AFTER, layout, axis=0)
-    text |= np.take(_FIXED, layout, axis=0)
+    before = np.take(_BEFORE, p * 21, axis=1)
+    after, fixed = np.take(_AFTER, layout, axis=1), np.take(_FIXED, layout, axis=1)
+    # S at byte 4 is the words (0, g0), (g1, g2), (g3, g4) of four digits
+    # each; S at byte 3 is that shifted down one byte, with carry
+    quad = [_QUAD_WORD[group] for group in groups]
+    right = [quad[0] << 32, quad[1] | quad[2] << 32, quad[3] | quad[4] << 32]
+    text = np.empty((len(d), 3), np.uint64)
+    for w in range(3):
+        left = right[w] >> 8
+        if w < 2:
+            left |= right[w + 1] << 56
+        left &= before[w]
+        left |= right[w] & after[w]
+        left |= fixed[w]
+        text[:, w] = left
     text = text.view(np.uint8)
     text[:, 0] = np.signbit(x) * 45  # "-"
     rest = np.flatnonzero(~exact & (x != 0))

@@ -823,14 +823,18 @@ def _jp_cut(p: float) -> float:
 
 
 def _jp_prefactor(p: float, x: float) -> float:
-    """(x/2)^p / Gamma(1+p), refused where Gamma(1+p) is 0 or overflows."""
+    """(x/2)^p / Gamma(1+p), refused where Gamma(1+p) is 0 or overflows; +-inf
+    where (x/2)^p overflows, which the callers refuse as a non-finite value."""
     try:
         g = gamma(1.0 + p)
     except OverflowError:
         g = math.inf
     if g == 0.0 or math.isinf(g):
         raise DomainError(f"bessel_j requires Gamma(1+p) to be finite and nonzero, got p={p!r}")
-    return math.pow(0.5 * x, p) / g
+    try:
+        return math.pow(0.5 * x, p) / g
+    except OverflowError:
+        return math.copysign(math.inf, g)
 
 
 def _jp_series(x, cfg: SeriesConfig, p: float, rows: int) -> tuple:

@@ -150,22 +150,37 @@ def _strings(column) -> np.ndarray:
     return number_text(np.ravel(column))
 
 
-def _lines(texts: list[np.ndarray], prefix: str, sep: str) -> np.ndarray:
-    """One row of bytes per table row: `prefix`, the row's text cells joined
-    by `sep`, and a newline."""
-    def raw(s: str) -> np.ndarray:
-        return np.frombuffer(s.encode(), np.uint8)
-
-    parts = [raw(prefix)]
-    for text in texts:
-        parts += [text, raw(sep)]
-    parts[-1] = raw("\n")
-    lines = np.empty((len(texts[0]), sum(part.shape[-1] for part in parts)), np.uint8)
+def _lines(cells: list[np.ndarray], prefix: str, sep: str) -> np.ndarray:
+    """One line per table row, all of one width: `prefix`, the row's text
+    cells joined by `sep`, and a newline, with the cells' NULs kept.  Each
+    cell is laid in as one item of a `V{width}` view of its column, each
+    byte of the rest as a uint8 column."""
+    parts = [*prefix.encode(), cells[0]]
+    for cell in cells[1:]:
+        parts += [*sep.encode(), cell]
+    parts.append(ord("\n"))
+    width = sum(1 if isinstance(part, int) else part.shape[1] for part in parts)
+    lines = np.empty((len(cells[0]), width), np.uint8)
     at = 0
     for part in parts:
-        lines[:, at : at + part.shape[-1]] = part
-        at += part.shape[-1]
+        if isinstance(part, int):
+            lines[:, at] = part
+            at += 1
+        else:
+            whole = f"V{part.shape[1]}"
+            lines[:, at : at + part.shape[1]].view(whole)[:, 0] = part.view(whole)[:, 0]
+            at += part.shape[1]
     return lines
+
+
+def _byte_writer(fh: TextIO) -> Callable[[bytes], object]:
+    """A write of bytes to `fh`: to its binary buffer, after flushing the
+    text already written, or as text where `fh` has none (`io.StringIO`)."""
+    buffer = getattr(fh, "buffer", None)
+    if buffer is None:
+        return lambda data: fh.write(data.decode())
+    fh.flush()
+    return buffer.write
 
 
 def _write_rows(
@@ -178,11 +193,15 @@ def _write_rows(
     in row-major order, are the rows, or a 2-D array, taken as the tuple of
     its columns.  A column with as many values as the grid has points is
     printed plus `offset`; one with fewer is formatted once per value and
-    its text gathered into the rows.
+    its text gathered into the rows.  Where the integer columns of a block
+    span fewer values than they hold (the vertex ids of a mesh's faces),
+    each value of that span is formatted once and its text gathered.
 
     Integers are printed as `%d` and other numbers as `%.17g` of the Python
     float, byte for byte, by `_numtext`: whole arrays at a time, and `%`
-    only for a float outside 1e-4 <= |x| < 1e17 (or inf or nan).
+    only for a float outside 1e-4 <= |x| < 1e17 (or inf or nan).  A block
+    is ASCII with "\n" line ends, written as bytes to the handle's binary
+    buffer where it has one.
     """
     from ._numtext import number_text
 
@@ -201,23 +220,37 @@ def _write_rows(
             values = np.add(values, offset, dtype=np.result_type(values, np.int64))
         return number_text(values)
 
+    def integer_texts(blocks: list[np.ndarray]) -> list[np.ndarray]:
+        if not blocks:
+            return []
+        lo, hi = min(int(b.min()) for b in blocks), max(int(b.max()) for b in blocks)
+        if hi - lo + 1 >= sum(map(len, blocks)):
+            return [text(b) for b in blocks]
+        dtype = np.result_type(*blocks)
+        texts = text(np.arange(lo, hi + 1, dtype=dtype))
+        return [np.take(texts, np.subtract(b, lo, dtype=dtype), axis=0) for b in blocks]
+
     gathered = any(texts is not None for texts, _ in columns)
+    integer = [texts is None and c.dtype.kind in "iu" for texts, c in columns]
 
     def cells(start: int, stop: int) -> list[np.ndarray]:
         at = np.unravel_index(np.arange(start, stop), shape) if gathered else None
-        return [text(c[start:stop]) if texts is None else np.take(texts, c[at], axis=0)
-                for texts, c in columns]
+        ints = integer_texts([c[start:stop] for (_, c), i in zip(columns, integer) if i])
+        return [ints.pop(0) if i else text(c[start:stop]) if texts is None
+                else np.take(texts, c[at], axis=0) for (texts, c), i in zip(columns, integer)]
 
+    write = _byte_writer(fh)
     for start in range(0, n, _BLOCK_ROWS):
         # one expression: each block's cells and bytes are freed once the
         # block is written, before the next is made
-        fh.write(_lines(cells(start, min(start + _BLOCK_ROWS, n)), prefix, sep)
-                 .tobytes().translate(None, b"\0").decode())
+        write(_lines(cells(start, min(start + _BLOCK_ROWS, n)), prefix, sep)
+              .tobytes().translate(None, b"\0"))
 
 
 def write_obj(m: Mesh, fh: TextIO) -> None:
     """v/f lines, 1-based indices, no normals (the unit normal is the
-    constant isotropic direction and carries no information).
+    constant isotropic direction and carries no information), written to
+    the binary buffer of `fh` where it has one (`_write_rows`).
 
     Where each u row of the grid holds one z, bit for bit (-0.0 is not
     0.0), z is formatted once per row."""

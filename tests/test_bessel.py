@@ -457,6 +457,24 @@ def test_bessel_j_refuses_an_overflowing_value(p, x):
         bessel_j(p, np.array([200.0, x]))
 
 
+# below about x = 0.03 (x/2)^p itself overflows for p = -171.3: math.pow
+# raised a bare OverflowError ("math range error") that named neither p nor x
+@pytest.mark.parametrize("x", [1e-5, 0.03, 1e-100])
+def test_jp_refuses_an_overflowing_power(x):
+    p = -171.3
+    want = "^" + re.escape(f"bessel_j of order p={p!r} overflows at x={x!r}") + "$"
+    with pytest.raises(DomainError, match=want):
+        bessel_j(p, x)
+    with pytest.raises(DomainError, match=want.replace("bessel_j", "jp_jet")):
+        jp_jet(p, x)
+    # a pointwise loop's order: after a lane that converges, before a lane
+    # past Miller's reach, and after an earlier refusal
+    with pytest.raises(DomainError, match=want):
+        bessel_j(p, np.array([3.0, x, 0.5, 200.0]))
+    with pytest.raises(NonConvergenceError):
+        bessel_j(p, np.array([200.0, x]))
+
+
 def test_series_config_validation():
     with pytest.raises(ValueError):
         SeriesConfig(rel_tol=2.0)

@@ -146,6 +146,13 @@ def test_bessel_jp_refuses_an_overflowing_value(capsys):
         assert capsys.readouterr() == ("", "error: bessel_j of order p=-171.3 overflows at x=0.5\n")
 
 
+# (x/2)^p overflows at x = 1e-05: the parent printed "error: math range error"
+def test_bessel_jp_refuses_an_overflowing_power(capsys):
+    argv = ["bessel", "--kind", "jp", "--p", "-171.3", "--range", "0.00001:1", "--n", "3"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: bessel_j of order p=-171.3 overflows at x=1e-05\n")
+
+
 def _assert_parse_error(capsys, argv, fragment):
     assert main(argv) == 2
     err = capsys.readouterr().err

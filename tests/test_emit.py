@@ -17,6 +17,7 @@ whose log10 it never takes.
 
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -356,3 +357,101 @@ def test_cli_tables_with_zero_columns_write_no_warning(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[1].split(",")[2:4] == ["0", "0"]
+
+
+# ----------------------------------------------------------------------
+# binary writes, and integer columns formatted once per value of a block
+
+
+def test_one_table_gives_the_same_bytes_through_every_handle(tmp_path, capsys):
+    # 70 x 70 = 4900 rows, two blocks; text written before and between the
+    # rows (comments, the header) must stay where it was written, though
+    # the rows go to the binary buffer of a file or of sys.stdout
+    spec = "log:lambda=-2,c=0"
+    argv = ["surface", "--profile", spec, "--action", "laplacian2", "--grid", "70x70"]
+    assert main(argv) == 0
+    via_main = capsys.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "main.csv").read_bytes() == via_main.encode()
+    header, body = via_main.split("\n", 1)
+    s = RevolutionSurface(cli.parse_profile_spec(spec), RevolutionKind.TIMELIKE_MERIDIAN,
+                          (0.5, 5.0), (-1.0, 1.0))
+    _, columns = _surface_table("laplacian2", s, 70, 70)
+
+    def write(fh):
+        fh.write("# a comment\n" + header + "\n")
+        _write_rows(fh, columns)
+        fh.write("# between\n")
+        _write_rows(fh, columns)
+
+    want = "# a comment\n" + header + "\n" + body + "# between\n" + body
+    buf = io.StringIO()
+    write(buf)
+    assert buf.getvalue() == want
+    with open(tmp_path / "t.csv", "w", newline="\n") as fh:
+        write(fh)
+    assert (tmp_path / "t.csv").read_bytes() == want.encode()
+    write(sys.stdout)
+    assert capsys.readouterr().out == want
+    _write_csv(None, header, columns, ["a comment"])
+    _write_csv(str(tmp_path / "w.csv"), header, columns, ["a comment"])
+    assert capsys.readouterr().out == want[: -len("# between\n" + body)]
+    assert (tmp_path / "w.csv").read_bytes() == want[: -len("# between\n" + body)].encode()
+
+
+def _int_blocks() -> np.ndarray:
+    """Four blocks of int32 ids: 9,990 ... 10,009 (fewer values than
+    entries; one more digit from 10,000 on), all of int32 at random (more
+    values than entries, negative ones too), -10 ... 10, and a short last
+    block at int32 max."""
+    rng = np.random.default_rng(11)
+    blocks = [
+        9_990 + np.arange(3 * 4096).reshape(4096, 3) % 20,
+        rng.integers(-(2**31), 2**31, (4096, 3)),
+        rng.integers(-10, 11, (4096, 3)),
+        np.array([[2**31 - 1, 2**31 - 2, 2**31 - 1]] * 5),
+    ]
+    return np.concatenate(blocks).astype(np.int32)
+
+
+def test_integer_columns_take_both_paths_across_width_changes(monkeypatch):
+    from sigeom import _numtext
+
+    lengths = []
+
+    def spy(values):
+        lengths.append(len(values))
+        return number_text(values)
+
+    number_text = _numtext.number_text
+    monkeypatch.setattr(_numtext, "number_text", spy)
+    faces = _int_blocks()
+    buf = io.StringIO()
+    write_obj(Mesh(np.zeros((0, 3)), faces, 0, 1), buf)
+    want = "".join("f %d %d %d\n" % (a + 1, b + 1, c + 1) for a, b, c in faces.tolist())
+    _assert_same_text(buf.getvalue(), want)
+    assert buf.getvalue().endswith("f 2147483648 2147483647 2147483648\n")
+    # each span once (20, 21 and 2 values), and the random block column by column
+    assert lengths == [20, 4096, 4096, 4096, 21, 2]
+    buf = io.StringIO()
+    _write_rows(buf, faces, " ", "f ")
+    _assert_same_text(buf.getvalue(), "".join("f %d %d %d\n" % tuple(f) for f in faces.tolist()))
+    # a block that spans as many values as it holds takes the plain path
+    lengths.clear()
+    _assert_like_percent(np.arange(-20_000, 20_000))
+    assert lengths == [4096] * 9 + [3136]
+
+
+def test_write_obj_of_a_mesh_whose_faces_span_blocks(tmp_path):
+    # 2 x 69 x 69 = 9522 faces, three blocks, and 4900 vertices, two
+    s = RevolutionSurface(log_profile(-2.0, 0.0), RevolutionKind.SPACELIKE_MERIDIAN,
+                          (0.5, 5.0), (-0.5, 1.0))
+    m = mesh(s, 70, 70)
+    assert len(m.faces) == 9522
+    want = _reference_obj(m)
+    buf = io.StringIO()
+    write_obj(m, buf)
+    _assert_same_text(buf.getvalue(), want)
+    with open(tmp_path / "m.obj", "w", newline="\n") as fh:
+        write_obj(m, fh)
+    assert (tmp_path / "m.obj").read_bytes() == want.encode()
