@@ -11,8 +11,8 @@ holds when its sup residual is at most tol max(1, max|r_i|), see _holds):
                   not an error: several parameter regimes are provably
                   inconsistent and are expected to land here)
 
-All grid reductions go through numpy's pairwise summation, so repeated runs
-produce bit-identical reports.
+Each fit sums over the grid radii alone (see _fit_coordinates), by numpy's
+pairwise summation, so repeated runs produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -130,22 +130,18 @@ def _check_grid(s: RevolutionSurface, g: Grid) -> None:
         raise DomainError("grid samples leave the surface ranges")
 
 
-def _fit(lap: np.ndarray | float, r: np.ndarray, nv: int = 1) -> tuple[float, float, float]:
+def _fit(lap: np.ndarray | float, r: np.ndarray) -> tuple[float, float, float]:
     """Least-squares lambda with sup residual, absolute and relative.
 
     lambda = sum(lap * r) / sum(r^2); when r vanishes identically the
     eigenvalue is 0 by convention and the residual is sup|lap|.  Raises
-    DomainError when either sum overflows.  With nv > 1, lap and r are per
-    radius, each value standing for a grid row of nv: numpy sums the
-    products repeated nv times pairwise exactly as the flat grid, and a
-    maximum does not depend on order.  One temporary of the repeated size
-    is alive at a time: each product (or its repeat) is freed once summed,
-    and the residual is formed in the lam * r array.
+    DomainError when either sum overflows.  The residual is formed in the
+    lam * r array.
     """
     scale = float(np.max(np.abs(r)))
     with np.errstate(all="ignore"):  # an overflowed sum is refused just below
-        denom = _grid_sum(r, r, nv)
-        num = _grid_sum(lap, r, nv)
+        denom = float(np.sum(r * r))
+        num = float(np.sum(lap * r))
     if not (np.isfinite(denom) and np.isfinite(num)):
         raise DomainError(f"eigen-fit sums overflow (max |r| = {scale:.3g})")
     lam = 0.0 if denom == 0.0 else num / denom
@@ -155,21 +151,18 @@ def _fit(lap: np.ndarray | float, r: np.ndarray, nv: int = 1) -> tuple[float, fl
     return lam, res, rel
 
 
-def _grid_sum(x: np.ndarray, r: np.ndarray, nv: int) -> float:
-    """numpy's pairwise sum of x * r over the grid, each value repeated nv times."""
-    xr = x * r
-    return float(np.sum(np.repeat(xr, nv) if nv > 1 else xr))
-
-
 def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     """The three (lambda, sup residual, relative residual) fits of
     Lap r_i = lambda_i r_i on the grid, and sgn(w) per radius (None on the
     first form), from the closed coordinate Laplacians.
 
-    The rotational coordinates r_i = u h_i(v) have Lap r_i = a(u) h_i(v)
-    (a = 0 on the first form), so their grid least squares separates into
-    one fit over the radii: lambda_1 = lambda_2 = sum(a u) / sum(u^2), and
-    the sup residual is max|a - lambda u| max|h_i|.
+    Every fit runs over the radii.  The rotational coordinates r_i =
+    u h_i(v) have Lap r_i = a(u) h_i(v) (a = 0 on the first form), so their
+    grid least squares separates: lambda_1 = lambda_2 = sum(a u) / sum(u^2),
+    and the sup residual is max|a - lambda u| max|h_i|.  The profile
+    coordinate r3 = f(u), Lap r3 = c(u) is constant along v: the grid's sums
+    are nv times those over the radii, so lambda_3 = sum(c f) / sum(f^2) and
+    its sup residual is max|c - lambda_3 f|.
 
     Raises DomainError at the first radius where the profile or a
     coordinate Laplacian is not finite, or the first v where cosh v
@@ -200,7 +193,7 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
                 f"eigen-fit residual overflows: max |a - lambda u| = {res:.3g}, max |h| = {h:.3g}"
             )
         fits.append((lam, res * h, rel))
-    return (*fits, _fit(c, f0, g.v.size)), ew
+    return (*fits, _fit(c, f0)), ew
 
 
 def _holds(fit, tol: float) -> bool:

@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from sigeom import (
     verify_constant_curvature,
 )
 from sigeom.classify import _fit, _fit_coordinates
+from exact_fit import EPS, check_fit, lambda_bound
 from sigeom.cli import parse_profile_spec
 from sigeom.surfaces import _coordinate_laplacians, _rotate
 
@@ -259,8 +259,9 @@ def test_report_serialization_round_trip():
 
 
 # ----------------------------------------------------------------------
-# fits without full grids: r3's per-radius fit has the bits of _fit on the
-# materialised grid, and r1, r2 separate into one fit over the radii
+# fits without full grids: r3's fit runs over the radii, and r1, r2
+# separate into one fit over the radii; each is held to the least squares
+# of the materialised grid in exact rationals
 
 FIT_GRIDS = [(5, 5), (21, 21), (64, 5), (401, 401)]
 
@@ -293,80 +294,57 @@ def _radial_cases(nu):
 @pytest.mark.parametrize("case", ["random", "eigen", "r-zero", "r-signed-zeros",
                                   "all-signed-zeros", "some-zeros"])
 def test_radial_fit_matches_the_repeated_grid(nu, nv, case):
+    # the exact least squares of the grid repeating each radius nv times is
+    # that of the radii (exact_fit), which the fit's sums of nu terms meet
     lap, r = _radial_cases(nu)[case]
-    want = _fit(np.repeat(lap[:, None], nv, axis=1), np.repeat(r[:, None], nv, axis=1))
-    assert _bits(_fit(lap, r, nv)) == _bits(want)
+    check_fit(_fit(lap, r), lap, r, nu)
 
 
 def test_radial_fit_refuses_an_overflowing_sum():
-    # every value finite, but r^2 summed over the grid is not
+    # every value finite, but r^2 summed over the radii, as over the grid, is not
     r = np.array([1e160, -3e159, 2.0, 1e-3, 5e158])
     lap = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     with pytest.raises(DomainError) as grid:
         _fit(np.repeat(lap[:, None], 7, axis=1), np.repeat(r[:, None], 7, axis=1))
     with pytest.raises(DomainError) as rows:
-        _fit(lap, r, 7)
+        _fit(lap, r)
     assert str(rows.value) == str(grid.value) == "eigen-fit sums overflow (max |r| = 1e+160)"
 
 
 KINDS = [RevolutionKind.TIMELIKE_MERIDIAN, RevolutionKind.SPACELIKE_MERIDIAN]
 PROFILES = {"log": log_profile(-2.0, 0.0), "power": power_profile(1.0, 3.0, 1.0),
             "consth": constant_h_profile(2.0, 0.0, 0.0)}
-EPS = 2.0**-53
 
 
 def _materialised(s, g, form):
-    """The grids r_i = u h_i(v) and Lap r_i = a(u) h_i(v), i = 1, 2, in floats."""
-    a = np.broadcast_to(_coordinate_laplacians(s, g.u, form)[1], g.u.shape)  # 0.0 on form 1
+    """The grids r_i = u h_i(v) and Lap r_i = a(u) h_i(v), i = 1, 2, in floats,
+    and r3 = f(u) and Lap r3 = c(u) repeated along v."""
+    f0, a, c, _ = _coordinate_laplacians(s, g.u, form, value=True)
+    a = np.broadcast_to(a, g.u.shape)  # 0.0 on form 1
     sv, cv = np.sinh(g.v), np.cosh(g.v)
-    return _rotate(s.kind, g.u[:, None], sv, cv), _rotate(s.kind, a[:, None], sv, cv)
-
-
-def _lambda_bound(nu, lam, abs_num, den):
-    """The largest |lambda - lambda*| allowed between the separable rule and
-    the grid least squares lambda* = num / den, num = sum(Lap r * r) and
-    den = sum(r^2) over the materialised grid, abs_num = sum|Lap r * r|.
-
-    Divided by sum(h^2), the rule's sum(a u) and sum(u^2) differ from num
-    and den by the rounding of the grid values (two roundings a term), of
-    the products a u and u^2 (one) and of numpy's sum of nu terms (at most
-    (nu - 1) eps times the sum of their magnitudes): by (nu + 2) eps kappa
-    |num| and (nu + 2) eps den, with kappa = abs_num / |num| the condition
-    number of the sum.  The division rounds once more, so to first order
-    |lambda - lambda*| <= ((nu + 2) (kappa + 1) + 1) eps |lambda*|.
-    """
-    return (nu + 4) * EPS * (abs_num / den + abs(lam))
+    rs = (*_rotate(s.kind, g.u[:, None], sv, cv), np.repeat(f0[:, None], g.v.size, axis=1))
+    laps = (*_rotate(s.kind, a[:, None], sv, cv), np.repeat(c[:, None], g.v.size, axis=1))
+    return rs, laps
 
 
 @pytest.mark.parametrize("nu,nv", [(5, 5), (21, 7), (21, 21), (64, 5)], ids=lambda n: str(n))
 @pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
 def test_rotational_fits_match_the_full_grid(nu, nv, kind):
-    # against the least squares of the materialised float grid in exact
-    # rationals; v = 0 is a sample, so the sinh v coordinate holds a column of
-    # zeros and its Laplacian one of zeros signed as a(u)
+    # all three fits against the least squares of the materialised float
+    # grid in exact rationals; v = 0 is a sample, so the sinh v coordinate
+    # holds a column of zeros and its Laplacian one of zeros signed as a(u)
     v = np.linspace(-0.5, 1.0, nv)
     v[np.argmin(np.abs(v))] = 0.0
     for name, profile in PROFILES.items():
         s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
         g = Grid(make_grid(s, nu, nv).u, v)
         for form in (1, 2):
-            fits = _fit_coordinates(s, g, form)[0][:2]
+            fits = _fit_coordinates(s, g, form)[0]
             assert _bits(fits[0][0]) == _bits(fits[1][0]), (name, form)
             if form == 1:  # harmonic: Lap r_i is 0 times h_i(v), +0 or -0
-                assert _bits(fits) == _bits([[0.0] * 3] * 2)
-            for (lam, res, rel), r, lap in zip(fits, *_materialised(s, g, form)):
-                rq, lq = [list(map(Fraction, x.ravel().tolist())) for x in (r, lap)]
-                products = [x * y for x, y in zip(lq, rq)]
-                den = sum(y * y for y in rq)
-                lam_x = sum(products) / den
-                res_x = max(abs(x - lam_x * y) for x, y in zip(lq, rq))
-                r_max, lap_max = float(np.max(np.abs(r))), float(np.max(np.abs(lap)))
-                lam_err = _lambda_bound(nu, lam_x, sum(map(abs, products)), den)
-                assert abs(Fraction(lam) - lam_x) <= lam_err, (name, form)
-                # each grid value and lambda* r rounds once, and lambda errs as above
-                res_err = 4 * EPS * (lap_max + abs(lam_x) * r_max) + float(lam_err) * r_max
-                assert abs(Fraction(res) - res_x) <= res_err, (name, form)
-                assert abs(rel - res / r_max) <= 4 * EPS * rel, (name, form)
+                assert _bits(fits[:2]) == _bits([[0.0] * 3] * 2)
+            for i, (fit, r, lap) in enumerate(zip(fits, *_materialised(s, g, form))):
+                check_fit(fit, lap, r, nu, where=(name, form, i + 1))  # each fit sums nu terms
 
 
 def test_harmonic_fit_refuses_an_overflowing_sum():
@@ -405,25 +383,26 @@ def test_rotational_fits_report_past_the_grid_sum_range(check):
 @pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
 @pytest.mark.parametrize("profile", list(PROFILES.values()), ids=list(PROFILES))
 def test_second_form_fits_match_the_materialised_grids(n, kind, profile):
-    # against _fit over the materialised float grids, itself within the
-    # bound of the exact least squares (its pairwise sum of n^2 terms errs
-    # by well under n eps), so within twice that bound; r3 bit for bit
+    # r1 and r2 against _fit over the materialised float grids, itself within
+    # the bound of the exact least squares (its pairwise sum of n^2 terms errs
+    # by well under n eps), so within twice that bound; r3 against the exact
+    # least squares of its grid, which is that of the radii
     s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
     g = make_grid(s, n, n)
     rep = check_eigen_ii(s, g)
     assert _bits(rep.lam[0]) == _bits(rep.lam[1])
-    for i, (r, lap) in enumerate(zip(*_materialised(s, g, 2))):
+    rs, laps = _materialised(s, g, 2)
+    for i, (r, lap) in enumerate(zip(rs[:2], laps[:2])):
         lam, res, rel = _fit(lap, r)
         products = np.abs(lap * r)
-        lam_err = 2 * _lambda_bound(n, lam, float(np.sum(products)), float(np.sum(r * r)))
+        lam_err = 2 * lambda_bound(n, lam, float(np.sum(products)), float(np.sum(r * r)))
         r_max = float(np.max(np.abs(r)))
         assert abs(rep.lam[i] - lam) <= lam_err
         res_err = 8 * EPS * (np.max(np.abs(lap)) + abs(lam) * r_max) + lam_err * r_max
         assert abs(rep.residual_sup[i] - res) <= res_err
         assert abs(rep.residual_rel[i] - rep.residual_sup[i] / r_max) <= 4 * EPS * rep.residual_rel[i]
     f0, _, c, _ = _coordinate_laplacians(s, g.u, 2, value=True)
-    want = _fit(np.repeat(c[:, None], n, axis=1), np.repeat(f0[:, None], n, axis=1))
-    assert _bits([rep.lam[2], rep.residual_sup[2], rep.residual_rel[2]]) == _bits(want)
+    check_fit((rep.lam[2], rep.residual_sup[2], rep.residual_rel[2]), c, f0, n)
 
 
 def _traced_peak(fn) -> int:
@@ -437,14 +416,13 @@ def _traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("kind", KINDS, ids=["timelike", "spacelike"])
 def test_eigen_fits_keep_few_grid_arrays_alive(kind):
-    # the rotational fits sum over the radii alone; r3's fit holds one
-    # repeated grid temporary at a time, on either form
+    # every fit sums over the radii alone, on either form
     grid_bytes = 401 * 401 * 8
     for check, profile in ((check_eigen_ii, log_profile(-2.0, 0.0)),
                            (check_eigen_i, bessel_profile(1.0, 1.0, 0.0))):
         s = RevolutionSurface(profile, kind, (0.5, 5.0), (-0.5, 1.0))
         g = make_grid(s, 401, 401)
-        assert _traced_peak(lambda: check(s, g)) <= 1.1 * grid_bytes
+        assert _traced_peak(lambda: check(s, g)) <= 0.5 * grid_bytes
 
 
 # ----------------------------------------------------------------------

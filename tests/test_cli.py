@@ -298,13 +298,17 @@ def test_surface_constk_overflowing_psi_is_a_domain_error(capsys):
 @pytest.mark.filterwarnings("error")
 def test_surface_constk_overflowing_log_argument_meshes_and_names_the_fit_overflow(capsys):
     # past u = 0.45, 2 sqrt(k0) (sqrt(k0) u + psi) overflows while f ~ 1e153 is
-    # finite: the mesh is written, and classify1 refuses the sum(f^2) that overflows
-    argv = ["--profile", "constk:k0=1e308,c1=1", "--u", "0.2:0.6", "--grid", "5x5"]
-    assert main(["surface", *argv, "--action", "mesh"]) == 0
+    # finite: the mesh is written, and classify1 refuses the sum(f^2) over the
+    # 41 radii that overflows; over 5 radii it is finite, and the fit is reported
+    argv = ["--profile", "constk:k0=1e308,c1=1", "--u", "0.2:0.6"]
+    assert main(["surface", *argv, "--grid", "41x5", "--action", "mesh"]) == 0
     out, err = capsys.readouterr()
     assert err == "" and out.startswith("v ")
-    assert main(["surface", *argv, "--action", "classify1"]) == 3
+    assert main(["surface", *argv, "--grid", "41x5", "--action", "classify1"]) == 3
     assert capsys.readouterr() == ("", "error: eigen-fit sums overflow (max |r| = 1.8e+153)\n")
+    assert main(["surface", *argv, "--grid", "5x5", "--action", "classify1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "verdict: NoEigenRelation\n" in out
 
 
 @pytest.mark.parametrize("formula, message", [

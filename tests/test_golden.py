@@ -12,10 +12,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from exact_fit import check_fit
 from mp_bessel import JET_BOUND, jet_error, modified_jet_errors, plain_jet_errors
-from sigeom import RevolutionSurface, make_grid
+from sigeom import RevolutionKind, RevolutionSurface, check_eigen_i, check_eigen_ii, make_grid
 from sigeom.bessel import i0_jet, j0_jet, k0_jet, y0_jet
 from sigeom.cli import main, parse_profile_spec
+from sigeom.surfaces import _coordinate_laplacians
 
 FIGURE_FILES = {
     "1a": ("figure1a.csv",),
@@ -50,50 +52,53 @@ SPECS = {
 }
 ACTIONS = ("classify1", "classify2", "laplacian1", "laplacian2", "curvature")
 
-# (exit code, sha256 of the output file) per (spec, action)
+# (exit code, sha256 of the output file) per (spec, action); 15 classify
+# reports moved in lambda3 alone when r3 came to be fitted over the radii,
+# and each classify report's r3 fit is checked against the exact least
+# squares (check_profile_fit)
 SURFACE_DIGESTS = {
     ("bessel-j0", "classify1"): (0, "536c591ac78b18278490e21f78b392e565f0800715f44acf3b4f6e905eec2936"),
-    ("bessel-j0", "classify2"): (0, "d23973f392bf29a860fada6b10d01a5138d314227c961893f64596b8fc26c552"),
+    ("bessel-j0", "classify2"): (0, "286ead5722fffb7e3234838af7f621fd026bffc3c931f652ee6054b7fcbdeb3f"),
     ("bessel-j0", "laplacian1"): (0, "44ee6ccaa64c308d97e71d5b4c8f358db018cdf4cfda55a4f01783bd6cf5bf95"),
     ("bessel-j0", "laplacian2"): (0, "8044474a35aa2e4f465d1e46fa7c2ae05db088e82d5888b898df94e1420600ec"),
     ("bessel-j0", "curvature"): (0, "9b2752dd13a5efada18d714365c531ea405b48ccb93ded2ff56620e0b4b2a163"),
-    ("bessel-jy", "classify1"): (0, "18746afebeb8da9ecbca7fdc140ffdfb773811d1a402fb5aabad3bafcc6ea168"),
-    ("bessel-jy", "classify2"): (0, "de86bd52c2d4915bba3ac679abb5e6f80ce87096b7a147bd165f559e53ebbbb3"),
+    ("bessel-jy", "classify1"): (0, "b3e3031a816f7a47e537e8759bbdce3e1fdb376926b6eef0324b2a1a23e2a539"),
+    ("bessel-jy", "classify2"): (0, "6e6d148bcc42844f6e114a63585bef31cb402eae9d9220c10b72554151f95ac3"),
     ("bessel-jy", "laplacian1"): (0, "95fd78de3d3c0340d0d29818bdc0ba58d88e4e663a6833945b1e3d3697b1a2d8"),
     ("bessel-jy", "laplacian2"): (0, "c738638fb90e022ec211acba180b26f09bbcb2435e1f6d821e78c874cf7280aa"),
     ("bessel-jy", "curvature"): (0, "408231c63b977d32ce19f0cac5470f9f049682ba4cba44927c8b437f684bb36b"),
-    ("bessel-ik", "classify1"): (0, "1499f449f6fb3910b817dab63571b141c5ade4af038a99b83d9b57d8bea5d4e7"),
-    ("bessel-ik", "classify2"): (0, "4160344b87acb56e15cb8863b4e4dec82d1d22e944ca9d91284903c649069326"),
+    ("bessel-ik", "classify1"): (0, "c390772946b8b34605c61a7083cecbeda41131069117ae3d85037c0ee46e7f85"),
+    ("bessel-ik", "classify2"): (0, "4144269f45933e372a8b329d71c877fbc7e30e47c6a888cc0d603fe117812dd7"),
     ("bessel-ik", "laplacian1"): (0, "5a6a38b1a1e7b526b72423a91b455a19fb9a5700525cf10fb0aeed55e3ceeab8"),
     ("bessel-ik", "laplacian2"): (0, "adf2cabf9da9294cb224ae9971ca49793445be41e8bf687f95359f8b576e4800"),
     ("bessel-ik", "curvature"): (0, "0e4855dc8e300fff30271fb2ed3a7261481cba8f9fd1a60bb49220156bcb1727"),
-    ("expr-bessel", "classify1"): (0, "953e31944754ceb1cfdfb90b16942badb26f64c87327d6549d791c35b187b8bf"),
-    ("expr-bessel", "classify2"): (0, "93772d3b82b1207a61d8d0376faae8b1e4a227197f86830aa44571dcae3fc2ad"),
+    ("expr-bessel", "classify1"): (0, "ed49ee189c2f595e2f5be231d33b5cfcf4cb3ff924f1810a86d0895b68034ead"),
+    ("expr-bessel", "classify2"): (0, "7f53a65fdd7b04395e9d2a5b3be133e6d2108291d56552e0ac53f067d096f7e1"),
     ("expr-bessel", "laplacian1"): (0, "ecf7e251bc2c7fdea35f71190c3baababf8c4f669747a6f2c5331af7e8d57405"),
     ("expr-bessel", "laplacian2"): (0, "3e6a5cfee8bb54a9b0da3772b1ad8207b9cf501e6d2edabd80c06bbc3d0b153a"),
     ("expr-bessel", "curvature"): (0, "b2c067d53bfb11eaddc0eaa8387f3c222d841bd4aed517dc7fc79d05526bbb42"),
-    ("expr-elem", "classify1"): (0, "393f05bd19e98d6d6cdf1b113cde329373dc8ea3262adcb7091c06a911ba4280"),
-    ("expr-elem", "classify2"): (0, "9f1ad866595da4ad03f85434e3d1dddfec28c3708ddc04bcbc5bc54a38041dce"),
+    ("expr-elem", "classify1"): (0, "c8cfb1c938401ecfb3b1c26c943f785f9f683ce29be1e3e5c6bc99086f8bb158"),
+    ("expr-elem", "classify2"): (0, "e3c1f5b4b1f60893f187656c7184a37bbdaf96a6ea9b2c11955842256420d82f"),
     ("expr-elem", "laplacian1"): (0, "f60cf5d671a55997835ee146480a784ec20299fb7b9db4b6d46b8b9000020491"),
     ("expr-elem", "laplacian2"): (0, "580d21ac84e01c5129c190dcbf6280f779f41612368d2a1726f6081628477b75"),
     ("expr-elem", "curvature"): (0, "7012e2b3a6e67dbfd935c2d56dddd8fcdb9ba6b206ed05e5775bd7699cc4796e"),
-    ("log", "classify1"): (0, "b559b1e2aebfcb7ea45a081c01f4d8eb4b2f56c9ee624378c13e95d36afec284"),
-    ("log", "classify2"): (0, "1fc011b477a5e3e3a8b0e645a4ea7da5ee12e6033bf5fb102d349762a1c9c57f"),
+    ("log", "classify1"): (0, "ef44eb5a823dfe7923af8954799a043bc71df6f04163343e630d6b43bf7c50f6"),
+    ("log", "classify2"): (0, "f77b33ec65743dd4e3e5707bd74bf98dd5614608f0310c92ddf2558905d01c2a"),
     ("log", "laplacian1"): (0, "d644973da3245e2481c34cb06a455201b6eabb28fb73bfdd6bb65a2f6d075fc4"),
     ("log", "laplacian2"): (0, "db2fbe367b8ff9da22f3f960d9505203c5487904b2130e10f02eca6b347524cf"),
     ("log", "curvature"): (0, "6fc37fe1c9dbfdad12bbfce77bb20c27a0815dacd618ece3d9945402a1bfb4dd"),
     ("power", "classify1"): (0, "2a6f1bdf9065f9e33a85abe74555b63734f81bade6f8c56fdc6454249a1a53fe"),
-    ("power", "classify2"): (0, "c6837f0f537e889cb19eca9c41a041a35c55c02aab2a22eb6364af29b38f7e65"),
+    ("power", "classify2"): (0, "fc20c2c3f58a03b0d1b17fb927f7a5617111b07b4b001530291ff1649430129d"),
     ("power", "laplacian1"): (0, "788be7140ce3b1eb9e037e6e78988de46f6534064b83f06ea16fce595d5f9af3"),
     ("power", "laplacian2"): (0, "89ccce4173f095c2f05faa0fdaff835063b703df963bad548e8c16aec6c5aa3a"),
     ("power", "curvature"): (0, "13b79a2a04f9f45a17cb0cb5ff71a5a13a7b01991b8029bd61cac38838d14d42"),
     ("consth", "classify1"): (0, "c903beae7a1171cc228fb106f0abb638424239152a16ae07a965d1ce5e8eb756"),
-    ("consth", "classify2"): (0, "d6ff4ceac98f7e143d132f96e1792a58e9e2392fdcc869e96baa398a40238c63"),
+    ("consth", "classify2"): (0, "28892f85383708ab6ab87213576fe516256afadceefcd0d08d2157592a64b5e6"),
     ("consth", "laplacian1"): (0, "b4fb656ea87f5726da18dcfbb12eb5ab85bcf0f6b875c39f5483ea13541f7892"),
     ("consth", "laplacian2"): (0, "f330c06c4ec901ca942111c43008cc2e1e76d934317906f18e1d9ff16ee87df1"),
     ("consth", "curvature"): (0, "922c17a0bd8d7e0c9e61dd317c8dc5b2e605028bd40a46591cdc703586d5510c"),
-    ("constk", "classify1"): (0, "040ab1121a8257affbf7f27a894ee28a83fb7a3017557d6404995e77cceee369"),
-    ("constk", "classify2"): (0, "418c868e90e21901df9570a0f2c65bd6d7f6738bcd0058ae35656e2fab7fea1b"),
+    ("constk", "classify1"): (0, "81964994614567894605397c7e2d33a8d9b35b09287cf70930e4b045cbe8a893"),
+    ("constk", "classify2"): (0, "57a978d3c3b66895d36739c03a4aa1efc7b47add246c1f9fc5dedebf0c3b8160"),
     ("constk", "laplacian1"): (0, "528a93533c62c1452538dcfb4633e6a06b0cb1c1f73c49518b5c1e5c683057a6"),
     ("constk", "laplacian2"): (0, "7243246e0d23361faffb2c91fbfca26eeb17944995011be9887e64d468836dfb"),
     ("constk", "curvature"): (0, "0616484cbe32247ddae3322f7f17985134fdab292e9adefcfcc69bd678e1fe93"),
@@ -187,17 +192,34 @@ def check_jets(kind, jet, xs, where):
             assert jet_error(kind, x, got) <= JET_BOUND, (where, x)
 
 
+def spec_surface(name):
+    """The surface of SPECS[name] and the grid its surface actions sample."""
+    spec, kind, u, v, grid = SPECS[name]
+    u_range, v_range = (tuple(float(e) for e in r.split(":")) for r in (u, v))
+    s = RevolutionSurface(parse_profile_spec(spec), RevolutionKind(kind), u_range, v_range)
+    return s, make_grid(s, *(int(n) for n in grid.split("x")))
+
+
 def check_profile_jets(name, grid=None):
     if name not in PROFILE_JETS:
         return
-    spec, _, u, v, spec_grid = SPECS[name]
-    nu = int((grid or spec_grid).split("x")[0])
-    u_range, v_range = (tuple(float(e) for e in r.split(":")) for r in (u, v))
-    surface = RevolutionSurface(parse_profile_spec(spec), u_range=u_range, v_range=v_range)
-    grid_u = make_grid(surface, *(int(n) for n in spec_grid.split("x"))).u
-    us = np.concatenate((np.linspace(*u_range, nu)[:: max(1, nu // 400)], grid_u))
+    surface, spec_grid = spec_surface(name)
+    nu = int((grid or SPECS[name][4]).split("x")[0])
+    us = np.concatenate((np.linspace(*surface.u_range, nu)[:: max(1, nu // 400)], spec_grid.u))
     for kind, jet, s in PROFILE_JETS[name]:
         check_jets(kind, jet, s * us, name)
+
+
+def check_profile_fit(path, name, action):
+    """The report at path is check_eigen_i/ii's, and its lambda3 and
+    residual3 are the exact least squares of r3 on the grid within the
+    bound of tests/exact_fit.py."""
+    s, g = spec_surface(name)
+    form = int(action[-1])
+    rep = (check_eigen_i, check_eigen_ii)[form - 1](s, g)
+    assert rep.to_text() == path.read_text()
+    f0, _, c, _ = _coordinate_laplacians(s, g.u, form, value=True)
+    check_fit((rep.lam[2], rep.residual_sup[2], rep.residual_rel[2]), c, f0, g.u.size)
 
 
 def check_values(path, kinds, step=1, xcol=0, p=0.0):
@@ -258,6 +280,8 @@ def test_figure_digests(tmp_path, fid):
 def test_surface_digests(tmp_path, name, action):
     assert surface_digest(tmp_path, name, action) == SURFACE_DIGESTS[(name, action)]
     check_profile_jets(name)
+    if action.startswith("classify"):
+        check_profile_fit(tmp_path / f"{name}-{action}.txt", name, action)
 
 
 @pytest.mark.parametrize("name, action, grid", sorted(LARGE_SURFACE_DIGESTS))
