@@ -196,13 +196,16 @@ def _ipow(v, k: int):
     return _per_element(lambda e: e**k, v)
 
 
-def _require_finite(x, name: str, low: float = -math.inf, what: str = "finite x") -> None:
+def _require_finite(x, name: str, before, low: float = -math.inf, what: str = "finite x") -> None:
     """Refuse x unless low < x < inf, saying it requires `what`; for arrays,
-    at every element, naming the first one refused."""
+    at every element, naming the first one refused once before(x[:i]) has
+    run on the lanes ahead of it, whose refusal a pointwise loop meets first."""
     if _is_array(x):
         bad = ~((x > low) & (x < math.inf))
         if bad.any():
-            raise DomainError(f"{name} requires {what}, got {float(x[np.argmax(bad)])!r}")
+            i = int(np.argmax(bad))
+            before(x[:i])
+            raise DomainError(f"{name} requires {what}, got {float(x[i])!r}")
     elif not low < x < math.inf:
         raise DomainError(f"{name} requires {what}, got {x!r}")
 
@@ -722,7 +725,7 @@ def bessel_y0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     series in Miller's J_2k from there; `y0_jet`'s f bit for bit.  Below
     x = 2 it is not refused where only the J0 rows, which `y0_jet` also
     sums, do not converge."""
-    _require_finite(x, "y0", 0.0, "finite x > 0")
+    _require_finite(x, "y0", lambda x: bessel_y0(x, cfg), 0.0, "finite x > 0")
 
     def above(x, cfg):
         rows, pending = _miller(x, cfg, True)
@@ -735,7 +738,7 @@ def bessel_k0(x: float, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
     """K0(x) = sum_n (phi(n) - ln(x/2) - gamma) (x/2)^(2n)/(n!)^2 below x = 2,
     the trapezoidal rule on its integral from there; positive, and
     `k0_jet`'s f bit for bit."""
-    _require_finite(x, "k0", 0.0, "finite x > 0")
+    _require_finite(x, "k0", lambda x: bessel_k0(x, cfg), 0.0, "finite x > 0")
     return _k0_pair(x, cfg)[0]
 
 
@@ -748,14 +751,14 @@ def j0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     |x| = 2, Miller's J0 and J0' = -J1 and the equation from there.  x may
     be a 1-D float64 array: each component is then an array, bit-identical
     to evaluating every element on its own."""
-    _require_finite(x, "j0")
+    _require_finite(x, "j0", lambda x: j0_jet(x, cfg))
     return tuple(_j0_y0(x, cfg, False))
 
 
 def i0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, float]:
     """(I0, I0', I0'', I0''')(x): the rows of its series (`_power_jet`),
     whose terms are all positive; x may be a 1-D float64 array."""
-    _require_finite(x, "i0")
+    _require_finite(x, "i0", lambda x: i0_jet(x, cfg))
     jet, pending = _power_jet(x, cfg, 1.0)
     _refuse_pending(x, pending, cfg)
     return jet
@@ -780,7 +783,7 @@ def y0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     """(Y0, Y0', Y0'', Y0''')(x): `bessel_y0`'s Y0 and Y0', then f'' and f'''
     from the equation, with the J0 jet at x, which the same kernels sum, as
     `primary`.  x may be a 1-D float64 array."""
-    _require_finite(x, "y0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
+    _require_finite(x, "y0 jet", lambda x: y0_jet(x, cfg), _LOG_JET_LOW, "finite x >= 2**-330")
     rows = _j0_y0(x, cfg, True)
     jet = _LogJet(_equation_jet(x, rows[4], rows[5], -1.0))
     jet.primary = tuple(rows[:4])
@@ -791,7 +794,7 @@ def k0_jet(x, cfg: SeriesConfig = DEFAULT_SERIES) -> tuple[float, float, float, 
     """(K0, K0', K0'', K0''')(x): `_k0_pair`'s K0, which is `bessel_k0`, and
     K0', then f'' and f''' from the equation, each order of one sign; the I0
     jet at x is `primary`.  x may be a 1-D float64 array."""
-    _require_finite(x, "k0 jet", _LOG_JET_LOW, "finite x >= 2**-330")
+    _require_finite(x, "k0 jet", lambda x: k0_jet(x, cfg), _LOG_JET_LOW, "finite x >= 2**-330")
     jet = _LogJet(_equation_jet(x, *_k0_pair(x, cfg), 1.0))
     jet._args = (x.copy() if _is_array(x) else x, cfg)
     return jet

@@ -26,7 +26,13 @@ import numpy as np
 from .bessel import DEFAULT_SERIES, SeriesConfig
 from .errors import DomainError
 from .profiles import ProfileCurve, ProfileFamily, bessel_profile
-from .surfaces import RevolutionSurface, _coordinate_laplacians, _curvatures, _rotate
+from .surfaces import (
+    RevolutionSurface,
+    _coordinate_laplacians,
+    _curvatures,
+    _require_finite_radii,
+    _rotate,
+)
 
 __all__ = [
     "OperatorKind",
@@ -135,8 +141,7 @@ def _fit(lap: np.ndarray | float, r: np.ndarray) -> tuple[float, float, float]:
 
     lambda = sum(lap * r) / sum(r^2); when r vanishes identically the
     eigenvalue is 0 by convention and the residual is sup|lap|.  Raises
-    DomainError when either sum overflows.  The residual is formed in the
-    lam * r array.
+    DomainError when either sum overflows.
     """
     scale = float(np.max(np.abs(r)))
     with np.errstate(all="ignore"):  # an overflowed sum is refused just below
@@ -145,8 +150,7 @@ def _fit(lap: np.ndarray | float, r: np.ndarray) -> tuple[float, float, float]:
     if not (np.isfinite(denom) and np.isfinite(num)):
         raise DomainError(f"eigen-fit sums overflow (max |r| = {scale:.3g})")
     lam = 0.0 if denom == 0.0 else num / denom
-    t = lam * r
-    res = float(np.max(np.abs(np.subtract(lap, t, out=t), out=t)))
+    res = float(np.max(np.abs(lap - lam * r)))
     rel = res / scale if scale > 0.0 else res
     return lam, res, rel
 
@@ -172,28 +176,22 @@ def _fit_coordinates(s: RevolutionSurface, g: Grid, form: int):
     with np.errstate(all="ignore"):  # inf and nan are refused just below
         f0, a, c, ew = _coordinate_laplacians(s, g.u, form, value=True)
         sv, cv = np.sinh(g.v), np.cosh(g.v)
-    finite = np.isfinite(f0) & np.isfinite(a) & np.isfinite(c)
-    if not finite.all():
-        u = float(g.u[np.argmin(finite)])
-        raise DomainError(f"profile jets or coordinate Laplacians not finite at u = {u!r}")
+    _require_finite_radii(g.u, f0, a, c)
     if not np.isfinite(cv).all():  # |sinh v| < cosh v
         v = float(g.v[np.argmin(np.isfinite(cv))])
         raise DomainError(f"cosh v overflows at v = {v!r}")
+    hs = _rotate(s.kind, 1.0, float(np.max(np.abs(sv))), float(np.max(cv)))
     try:
         lam, res, rel = _fit(a, g.u)
-    except DomainError:  # refused below, naming max|r| = max|u| max|h_i|
-        lam = res = rel = math.inf
-    u_max = float(np.max(np.abs(g.u)))
-    fits = []
-    for h in _rotate(s.kind, 1.0, float(np.max(np.abs(sv))), float(np.max(cv))):
-        if not math.isfinite(lam):
-            raise DomainError(f"eigen-fit sums overflow (max |r| = {u_max * h:.3g})")
+    except DomainError:  # named by max|r| = max|u| max|h_1|, the first coordinate's
+        r_max = float(np.max(np.abs(g.u))) * hs[0]
+        raise DomainError(f"eigen-fit sums overflow (max |r| = {r_max:.3g})") from None
+    for h in hs:
         if not math.isfinite(res * h):
             raise DomainError(
                 f"eigen-fit residual overflows: max |a - lambda u| = {res:.3g}, max |h| = {h:.3g}"
             )
-        fits.append((lam, res * h, rel))
-    return (*fits, _fit(c, f0)), ew
+    return (*((lam, res * h, rel) for h in hs), _fit(c, f0)), ew
 
 
 def _holds(fit, tol: float) -> bool:
@@ -290,23 +288,12 @@ class CurvatureReport:
 def verify_constant_curvature(s: RevolutionSurface, g: Grid, tol: float = 1e-6) -> CurvatureReport:
     """Sample K(u) and H(u) over the grid radii and test for constancy."""
     _check_grid(s, g)
-    f1, f2 = s.profile._jets(g.u, (1, 2))
-    ks, hs = _curvatures(g.u, f1, f2)
-    k0 = float(np.mean(ks))
-    h0 = float(np.mean(hs))
-    k_dev = float(np.max(np.abs(ks - k0)))
-    h_dev = float(np.max(np.abs(hs - h0)))
-    is_k = k_dev <= tol
-    is_h = h_dev <= tol
-    return CurvatureReport(
-        is_constant_k=is_k,
-        k0=k0,
-        k_deviation=k_dev,
-        is_constant_h=is_h,
-        h0=h0,
-        h_deviation=h_dev,
-        si_minimal=is_h and abs(h0) <= tol,
-    )
+    ks, hs = _curvatures(g.u, *s.profile._jets(g.u, (1, 2)))
+    k0, h0 = float(np.mean(ks)), float(np.mean(hs))
+    k_dev, h_dev = float(np.max(np.abs(ks - k0))), float(np.max(np.abs(hs - h0)))
+    return CurvatureReport(is_constant_k=k_dev <= tol, k0=k0, k_deviation=k_dev,
+                           is_constant_h=h_dev <= tol, h0=h0, h_deviation=h_dev,
+                           si_minimal=h_dev <= tol and abs(h0) <= tol)
 
 
 @dataclass(frozen=True)

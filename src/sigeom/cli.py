@@ -326,13 +326,15 @@ _GRID_ACTIONS = ("laplacian1", "laplacian2", "classify1", "classify2")
 def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
     """Header and table of the curvature or coordinate-Laplacian action: a
     (nu, 3) float64 array, or the five columns of the u-major nu x nv grid,
-    each only as large as its values vary (u and d3 by u, v by v)."""
-    from .surfaces import _coordinate_laplacians, _curvatures, _rotate
+    each only as large as its values vary (u and d3 by u, v by v).  Refuses
+    the first radius at which a value is not finite, as the fits do."""
+    from .surfaces import _coordinate_laplacians, _curvatures, _require_finite_radii, _rotate
 
     if action == "curvature":
         us = np.linspace(s.u_range[0], s.u_range[1], nu)
-        f1, f2 = s.profile._jets(us, (1, 2))
-        return "u,K,H", np.column_stack((us, *_curvatures(us, f1, f2)))
+        k, h = _curvatures(us, *s.profile._jets(us, (1, 2)))
+        _require_finite_radii(us, k, h, what="curvature K or H")
+        return "u,K,H", np.column_stack((us, k, h))
     from .classify import make_grid
 
     grid = make_grid(s, nu, nv)
@@ -345,6 +347,7 @@ def _surface_table(action: str, s: RevolutionSurface, nu: int, nv: int):
         sv = np.array([math.sinh(v) for v in vs])
         cv = np.array([math.cosh(v) for v in vs])
         d1, d2 = _rotate(s.kind, a[:, None], sv, cv)
+    _require_finite_radii(grid.u, d1, d2, c)
     return "u,v,d1,d2,d3", (grid.u[:, None], grid.v, d1, d2, c[:, None])
 
 
@@ -370,7 +373,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
     if args.action in ("curvature", "laplacian1", "laplacian2"):
         # numpy warns of inf and nan where the per-point float arithmetic
-        # these tables reproduce is silent
+        # these tables reproduce is silent; the tables refuse them
         with np.errstate(all="ignore"):
             header, rows = _surface_table(args.action, surface, nu, nv)
         _write_csv(args.out, header, rows)

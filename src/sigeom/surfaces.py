@@ -439,6 +439,17 @@ def _coordinate_laplacians(
     return (jets[0] if value else None), a, c, ew
 
 
+def _require_finite_radii(us, *columns, what="profile jets or coordinate Laplacians") -> None:
+    """Refuse the first radius of us at which a column (a constant, or a value
+    or a row of values per radius) is not finite, saying that `what` is not."""
+    finite = np.ones(us.shape, dtype=bool)
+    for column in columns:
+        ok = np.isfinite(column)
+        finite &= ok.all(axis=tuple(range(1, ok.ndim)))
+    if not finite.all():
+        raise DomainError(f"{what} not finite at u = {float(us[np.argmin(finite)])!r}")
+
+
 def _coord_laplacians(s: RevolutionSurface, u: float, v: float, form: int):
     """(Lap r1, Lap r2, Lap r3) of the first (form 1) or second (form 2) form
     at (u, v) from _coordinate_factors; on form 2, b_of_profile's checks

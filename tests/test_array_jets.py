@@ -428,7 +428,9 @@ def test_all_zero_expression_jets_take_one_array_call():
     (np.array([1.0, 2.0, np.nan, -np.inf, 3.0]), bessel.DEFAULT_SERIES),
     (np.array([1.0, np.inf, 2.0, -3.0]), bessel.DEFAULT_SERIES),
     (np.array([1.0, -np.inf, 40.0, 3.0]), SeriesConfig(max_terms=30)),
-], ids=["non-convergence", "nan", "inf", "-inf"])
+    # a lane that does not converge ahead of one that is not finite
+    (np.array([1.0, 40.0, np.inf]), SeriesConfig(max_terms=30)),
+], ids=["non-convergence", "nan", "inf", "-inf", "non-convergence-then-inf"])
 def test_array_errors_name_the_first_failing_lane(fn, xs, cfg):
     if fn in (bessel.bessel_k0, k0_jet) and cfg.max_terms == 30:
         cfg = SeriesConfig(max_terms=K0_NODES - 1)  # K0's rule from x = 2 takes fixed nodes
@@ -923,10 +925,12 @@ TABLE_CASES = [
     # needs them, its rotational columns are 0
     ("log:lambda=1,c=0", (1.0, 3.0), (-800.0, 800.0), "laplacian1"),
     # the third derivative c a (a-1)(a-2) u^(a-3) overflows at u = 0.1 for
-    # a = -306, while f' and f'' do not
+    # a = -306, while f' and f'' do not; K = f' f''/u and c do, and the
+    # tables refuse them
     ("power:lambda=1,mu=-306,c=1", (0.1, 1.0), V_RANGE, "curvature"),
     ("power:lambda=1,mu=-306,c=1", (0.1, 1.0), V_RANGE, "laplacian1"),
-    # f = 2/mu + u^309 overflows at u = 10, while its derivatives do not
+    # f = 2/mu + u^309 overflows at u = 10, while its derivatives do not; c,
+    # from the third derivative, overflows at the last grid radius
     ("power:lambda=1,mu=309,c=1", (1.0, 10.0), V_RANGE, "laplacian2"),
 ]
 
@@ -940,19 +944,24 @@ def _table_argv(spec, kind, u_range, action, grid, v_range=V_RANGE):
 @pytest.mark.parametrize("kind", ["timelike", "spacelike"])
 @pytest.mark.filterwarnings("error")  # numpy must not warn where the loops are silent
 def test_cli_tables_vs_per_point_loops(capsys, spec, u_range, v_range, action, kind):
-    # the per-point closed forms evaluate only the profile orders they use
-    assert main(_table_argv(spec, kind, u_range, action, "9x6", v_range)) == 0
+    # the per-point closed forms evaluate only the profile orders they use;
+    # where one of their values is not finite, the table refuses its radius
+    code = main(_table_argv(spec, kind, u_range, action, "9x6", v_range))
     out, err = capsys.readouterr()
-    assert err == ""
     s = RevolutionSurface(parse_profile_spec(spec), RevolutionKind(kind), u_range, v_range)
     if action == "curvature":
-        lines = ["u,K,H"]
+        lines, what = ["u,K,H"], "curvature K or H"
         rows = [(u, *curvatures(s, u)) for u in np.linspace(*u_range, 9).tolist()]
     else:
-        lines = ["u,v,d1,d2,d3"]
+        lines, what = ["u,v,d1,d2,d3"], "profile jets or coordinate Laplacians"
         op = coord_laplacians_i if action == "laplacian1" else coord_laplacians_ii
         g = make_grid(s, 9, 6)
         rows = [(u, v, *op(s, u, v)) for u in g.u.tolist() for v in g.v.tolist()]
+    refused = [row[0] for row in rows if not all(map(math.isfinite, row))]
+    if refused:
+        assert (code, out, err) == (3, "", f"error: {what} not finite at u = {refused[0]!r}\n")
+        return
+    assert (code, err) == (0, "")
     lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
     assert out == "\n".join(lines) + "\n"
     if action == "laplacian1":

@@ -351,6 +351,37 @@ def test_surface_classify_refuses_a_non_finite_fit(capsys, action, argv, message
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("action", ["curvature", "laplacian1", "laplacian2"])
+@pytest.mark.parametrize("argv, radii", [
+    # as above: f' and f'' overflow from the first radius (K = -inf, H = nan)
+    pytest.param(["--profile", "power:lambda=1,mu=-306,c=1", "--u=0.1:1"], ("0.1", "0.1009"),
+                 id="power-jets"),
+    # f is inf, and so is Lap r3 = d3
+    pytest.param(["--profile", "expr:f=j0(u)*1e300*1e300"], ("0.5", "0.5045"), id="expr-inf"),
+])
+@pytest.mark.filterwarnings("error")
+def test_surface_tables_refuse_a_non_finite_value(capsys, action, argv, radii):
+    # the curvature table samples the u range, the Laplacian tables make_grid's radii
+    what, u = (("curvature K or H", radii[0]) if action == "curvature"
+               else ("profile jets or coordinate Laplacians", radii[1]))
+    assert main(["surface", *argv, "--grid", "5x5", "--action", action]) == 3
+    assert capsys.readouterr() == ("", f"error: {what} not finite at u = {u}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_surface_laplacian2_refuses_an_overflowing_rotational_laplacian(capsys):
+    # a(u) is finite, a(u) cosh v is not from u = 3.004; the laplacian1 table
+    # prints its literal zero d1 and d2, also past v = 710.5, where cosh v overflows
+    argv = ["--profile", "power:lambda=1,mu=-2,c=1", "--u=1:9", "--grid", "5x5"]
+    assert main(["surface", *argv, "--v=705:709", "--action", "laplacian2"]) == 3
+    message = "profile jets or coordinate Laplacians not finite at u = 3.0040000000000004"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for v in ("705:709", "0:800"):
+        assert main(["surface", *argv, f"--v={v}", "--action", "laplacian1"]) == 0
+        header, rows = _csv_rows(capsys.readouterr().out)
+        assert len(rows) == 25 and all(row[2:4] == (0.0, 0.0) for row in rows)
+
+
 @pytest.mark.filterwarnings("error")
 def test_surface_classify2_names_an_overflowing_residual(capsys):
     # the sums over the radii are finite; the residual max|a - lambda u| max|h(v)| is not
